@@ -768,6 +768,13 @@ impl<S: Semiring> SpgemmPlan<S> {
         self.symbolic.lock().as_ref().map(|s| s.nnz)
     }
 
+    /// The product's row pointers once known (same availability as
+    /// [`SpgemmPlan::symbolic_nnz`]) — where
+    /// [`SpgemmPlan::execute_into_slices_in`] places each row.
+    pub fn symbolic_row_ptrs(&self) -> Option<Vec<usize>> {
+        self.symbolic.lock().as_ref().map(|s| s.rpts.clone())
+    }
+
     /// Reuse counters of the pooled per-thread accumulators. In steady
     /// state `created` stays at the number of workers that ran while
     /// `reused` grows with every phase — the pool-level statement of
@@ -933,10 +940,66 @@ impl<S: Semiring> SpgemmPlan<S> {
                 c.prepare_overwrite(m, n, sym.nnz, S::zero(), sorted);
                 let (rpts_mut, cols_mut, vals_mut) = c.raw_parts_mut();
                 rpts_mut.copy_from_slice(&sym.rpts);
-                self.run_numeric(a, b, &sym.rpts, pool, cols_mut, vals_mut);
+                self.numeric_into_slices(a, b, &sym, cols_mut, vals_mut, pool)?;
                 debug_assert!(c.validate().is_ok(), "planned numeric pass built bad CSR");
             }
         }
+        Ok(())
+    }
+
+    /// Numeric-only multiply into caller-owned output arrays: row `i`
+    /// of the product lands at `rpts[i]..rpts[i + 1]` of `cols` /
+    /// `vals`, with `rpts` = [`SpgemmPlan::symbolic_row_ptrs`], and
+    /// both slices must be exactly [`SpgemmPlan::symbolic_nnz`] long.
+    /// This is the numeric pass under [`SpgemmPlan::execute_into_in`],
+    /// for callers that own a window of a larger output (the shard
+    /// runtime writes each shard's rows straight into the final `C`).
+    ///
+    /// Fails with [`SparseError::PlanMismatch`] while the row
+    /// structure is not known yet — a one-phase plan before its first
+    /// execution, or the `Reference` oracle, which never has one.
+    pub fn execute_into_slices_in(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.check(a, b, pool)?;
+        let sym = self.symbolic.lock().as_ref().map(Arc::clone);
+        let Some(sym) = sym else {
+            return Err(SparseError::PlanMismatch {
+                detail: "execute_into_slices: the plan's row structure is not known yet \
+                         (one-phase plan before its first execution)"
+                    .into(),
+            });
+        };
+        self.numeric_into_slices(a, b, &sym, cols, vals, pool)
+    }
+
+    /// Length-checked numeric pass into `cols` / `vals` at the
+    /// symbolic row pointers.
+    fn numeric_into_slices(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        sym: &SymbolicPlan,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        if cols.len() != sym.nnz || vals.len() != sym.nnz {
+            return Err(SparseError::PlanMismatch {
+                detail: format!(
+                    "output slices hold ({}, {}) entries but the plan produces {}",
+                    cols.len(),
+                    vals.len(),
+                    sym.nnz
+                ),
+            });
+        }
+        self.run_numeric(a, b, &sym.rpts, pool, cols, vals);
         Ok(())
     }
 
@@ -1352,6 +1415,11 @@ impl<S: Semiring> PlanCache<S> {
         Ok(self.plan.as_ref().expect("plan installed above"))
     }
 
+    /// The cached plan as it stands — no fingerprinting, no counting.
+    pub fn cached(&self) -> Option<&SpgemmPlan<S>> {
+        self.plan.as_ref()
+    }
+
     /// Multiply through the cache on an explicit pool.
     pub fn multiply_in(
         &mut self,
@@ -1448,6 +1516,31 @@ mod tests {
         assert_eq!(one_phase.symbolic_nnz(), None, "deferred until first run");
         let c = one_phase.execute_in(&a, &a, &pool).unwrap();
         assert_eq!(one_phase.symbolic_nnz(), Some(c.nnz()));
+    }
+
+    #[test]
+    fn execute_into_slices_matches_execute_and_checks_its_contract() {
+        let a = sample();
+        let pool = Pool::new(2);
+        for algo in [Algorithm::Hash, Algorithm::Spa, Algorithm::Heap] {
+            let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, OutputOrder::Sorted, &pool).unwrap();
+            if algo == Algorithm::Heap {
+                // One-phase: no row structure before the first run.
+                let early = plan.execute_into_slices_in(&a, &a, &mut [], &mut [], &pool);
+                assert!(matches!(early, Err(SparseError::PlanMismatch { .. })));
+            }
+            let want = plan.execute_in(&a, &a, &pool).unwrap();
+            assert_eq!(plan.symbolic_row_ptrs().as_deref(), Some(want.rpts()));
+            let (mut cols, mut vals) = (vec![0; want.nnz()], vec![f64::NAN; want.nnz()]);
+            plan.execute_into_slices_in(&a, &a, &mut cols, &mut vals, &pool)
+                .unwrap();
+            assert_eq!(
+                (cols.as_slice(), vals.as_slice()),
+                (want.cols(), want.vals())
+            );
+            let short = plan.execute_into_slices_in(&a, &a, &mut cols[1..], &mut vals, &pool);
+            assert!(matches!(short, Err(SparseError::PlanMismatch { .. })));
+        }
     }
 
     #[test]

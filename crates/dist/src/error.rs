@@ -10,7 +10,7 @@ pub enum DistError {
     /// violation, ...) from partitioning or a shard's local product.
     Sparse(SparseError),
     /// A shard could not complete its part of the product (contained
-    /// panic, severed channel, out-of-sync pipeline). Failures are
+    /// panic, severed channel, window mismatch). Failures are
     /// contained per product: the fleet keeps serving subsequent
     /// multiplies unless a shard *thread* itself died, in which case
     /// every later product reports this error at submission.

@@ -1,40 +1,32 @@
 //! Sharded SpGEMM over block-partitioned matrices.
 //!
 //! Everything below this crate executes `C = A · B` as one monolithic
-//! product: one CSR per operand, one workspace pool, one output
-//! allocation. That bounds the largest product the stack can serve by
-//! a single memory domain — the scaling wall the ROADMAP's sharding
-//! axis removes. DBCSR (Bethune et al.) shows blocked/distributed
-//! storage is the standard route past it, and Deveci et al.'s
-//! multilevel-memory work shows partition-wise execution pays off even
-//! on a single node by keeping each tile's accumulators cache- (or
-//! HBM-) resident.
+//! product: one CSR per operand, one workspace pool, one plan.
+//! [`ShardRuntime`] runs the same product on an `R × C` grid of
+//! long-lived worker shards (see [`GridSpec`]) by lifting the paper's
+//! two-phase scheme (Fig. 7) from threads to shards:
 //!
-//! [`ShardRuntime`] runs the classic row-wise distributed SpGEMM over
-//! an `R × C` shard grid (see [`GridSpec`]):
+//! * shard `(r, c)` computes `A[r, :] · B[:, c]` — a flop-balanced row
+//!   block times an nnz-balanced column block — through **one** cached
+//!   [`spgemm::PlanCache`], so iterative workloads (MCL A² chains, AMG
+//!   `PᵀAP`) re-execute **numeric-only per shard** once their
+//!   structure stabilizes ([`DistStats::plan_hits`] counts it);
+//! * on a new operand structure the shards report per-row counts and
+//!   the coordinator prefix-sums them into `C`'s row pointers, cached
+//!   next to the cuts;
+//! * in steady state a product is one allocation of `C` plus one
+//!   numeric pass per shard written **directly into that shard's
+//!   disjoint window of `C`** — no partial products, no merge, no
+//!   gather copy, one channel round trip per shard — and the result is
+//!   bit-identical to the monolithic `Hash` product.
 //!
-//! * `A` and `C` are split into `R` flop-balanced row blocks
-//!   ([`spgemm_sparse::PartitionedCsr`]); shard `(r, c)` owns row
-//!   block `r` and the column slice `c` of `C`;
-//! * `B` is split into `R` row blocks × `C` column blocks; at stage
-//!   `s` the coordinator broadcasts `B`'s row block `s` (sliced per
-//!   shard column) over vendored-crossbeam channels while shards are
-//!   still multiplying earlier stages — communication overlaps local
-//!   compute, the pipeline of the crate's title;
-//! * each shard's stage product `A[r, s] · B[s, c]` goes through a
-//!   per-stage [`spgemm::PlanCache`], so iterative workloads (MCL A²
-//!   chains, AMG `PᵀAP`) re-execute **numeric-only per shard** once
-//!   their structure stabilizes ([`DistStats::plan_hits`] counts it);
-//! * a parallel k-way merge reduces the per-stage partials into the
-//!   shard's final block, and the gather path
-//!   ([`spgemm_sparse::PartitionedCsr::from_blocks`] + `assemble`)
-//!   returns a plain [`spgemm_sparse::Csr`] — proptested
-//!   byte-for-byte against the single-node `Reference` kernel.
-//!
-//! `spgemm-serve` routes oversized jobs here (see its
-//! `ServeConfig::dist`), and the `spgemm-dist` bench binary sweeps
-//! shard counts × partition shapes reporting speedup and peak
-//! per-shard partial memory against the monolithic kernel.
+//! There are no stage partials because there is one address space:
+//! chunking `B` (Deveci et al.) pays only when fast memory is short,
+//! since every chunk re-touches the partial `C`, and the paper's §3.2 /
+//! Fig. 4 put the cost of a bandwidth-bound SpGEMM in allocation and
+//! extra passes over `C`, not flops. `spgemm-serve` routes oversized
+//! jobs here (`ServeConfig::dist`); the `spgemm-dist` bench binary
+//! compares grids against the monolithic kernel.
 //!
 //! ```
 //! use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
@@ -52,9 +44,7 @@
 #![warn(missing_docs)]
 
 mod error;
-mod merge;
 mod runtime;
 
 pub use error::DistError;
-pub use merge::merge_add;
 pub use runtime::{csr_bytes, DistConfig, DistStats, GridSpec, ProductStats, ShardRuntime};

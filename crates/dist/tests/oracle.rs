@@ -1,73 +1,72 @@
-//! Oracle tests: the sharded gather must equal the single-node
-//! `Reference` kernel for every partition grid × output order, across
-//! structurally **disjoint** sparsity patterns pushed through one
-//! runtime — the pattern drift that forces per-stage plan rebinds and
-//! would expose any stale-workspace reuse between products.
+//! Oracle tests: the sharded product must be **bit-identical** to the
+//! monolithic `Hash` product — every output entry is accumulated by
+//! exactly one shard in the same ascending-`k` order — for every grid
+//! × shard width × output order, on real-valued inputs that include
+//! NaN, ±0.0 and ±inf, across structurally **disjoint** sparsity
+//! patterns and a non-square `A·B` pushed through one runtime (the
+//! drift that forces plan rebinds and layout rebuilds and would expose
+//! any stale reuse).
 
+mod common;
+
+use common::{assert_bit_identical, mono_hash, spiced};
 use spgemm::{Algorithm, OutputOrder};
-use spgemm_dist::{DistConfig, DistError, GridSpec, ShardRuntime};
+use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
+use spgemm_gen::{rmat::generate_kind, RmatKind};
 use spgemm_sparse::{approx_eq_f64, Csr};
 
-/// Exactly-representable values in `{1, 2, 3, 4}` so additive
-/// reductions are order-insensitive and oracle comparisons exact.
-fn integerize(m: &Csr<f64>) -> Csr<f64> {
-    m.map(|v| (v * 1e4).abs().floor() % 4.0 + 1.0)
-}
+const GRIDS: [(usize, usize); 5] = [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2)];
 
-/// Matrices whose sparsity patterns are pairwise disjoint-ish in
-/// structure class: band, power-law, grid stencil, plus a shifted
-/// band (same nnz budget, different columns).
-fn disjoint_patterns() -> Vec<Csr<f64>> {
-    let mut r = spgemm_gen::rng(20260728);
-    let band = spgemm_gen::suite::band_matrix(96, 7, &mut r);
-    let pl = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 7, 6, &mut r);
-    let grid = spgemm_gen::poisson::poisson2d(10);
-    let shifted = {
-        let m = spgemm_gen::suite::band_matrix(96, 7, &mut r);
-        let nr = m.nrows() as u32;
-        // Move the band off the diagonal: permute columns cyclically.
-        let perm: Vec<u32> = (0..nr).map(|i| (i + nr / 3) % nr).collect();
-        spgemm_sparse::ops::permute_cols(&m, &perm).unwrap()
-    };
-    vec![
-        integerize(&band),
-        integerize(&pl),
-        integerize(&grid),
-        integerize(&shifted),
-    ]
-}
-
-fn oracle(a: &Csr<f64>) -> Csr<f64> {
-    spgemm::multiply_f64(a, a, Algorithm::Reference, OutputOrder::Sorted).unwrap()
+/// `m` with its columns rotated by a third of the width: same row
+/// pointers, same nnz, different pattern.
+fn shift_columns(m: &Csr<f64>) -> Csr<f64> {
+    let n = m.ncols() as u32;
+    let perm: Vec<u32> = (0..n).map(|j| (j + n / 3) % n).collect();
+    let shifted = spgemm_sparse::ops::permute_cols(m, &perm).unwrap();
+    shifted.to_sorted()
 }
 
 #[test]
-fn every_grid_and_order_matches_reference_across_disjoint_patterns() {
-    let inputs = disjoint_patterns();
-    let oracles: Vec<Csr<f64>> = inputs.iter().map(oracle).collect();
-    for grid in [
-        GridSpec::new(1, 1),
-        GridSpec::new(2, 1),
-        GridSpec::new(4, 1),
-        GridSpec::new(2, 2),
-    ] {
-        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
-            let rt = ShardRuntime::new(DistConfig {
-                grid,
-                order,
-                ..DistConfig::default()
-            });
-            for (round, (a, want)) in inputs.iter().zip(&oracles).enumerate() {
-                let c = rt.multiply(a, a).unwrap_or_else(|e: DistError| {
-                    panic!("grid {grid} order {order:?} round {round}: {e}")
-                });
-                if order == OutputOrder::Sorted {
-                    assert_eq!(&c, want, "grid {grid} sorted round {round}: byte-for-byte");
-                } else {
-                    assert!(
-                        approx_eq_f64(&c, want, 0.0),
-                        "grid {grid} unsorted round {round}: content equality"
-                    );
+fn every_grid_width_and_order_is_bit_identical_to_monolithic_hash() {
+    // Pairwise different structure classes: band, power-law, grid
+    // stencil, and a shifted band (same nnz budget, other columns).
+    let mut r = spgemm_gen::rng(20260728);
+    let squares = [
+        spgemm_gen::suite::band_matrix(96, 7, &mut r),
+        generate_kind(RmatKind::G500, 7, 6, &mut r),
+        spgemm_gen::poisson::poisson2d(10),
+        shift_columns(&spgemm_gen::suite::band_matrix(96, 7, &mut r)),
+    ];
+    let mut inputs: Vec<_> = squares.iter().map(|m| (spiced(m), spiced(m))).collect();
+    // 70x128 · 128x90 with A ≠ B (row cuts from one matrix, column
+    // blocks from another), twice: new layout, then the cached one.
+    let wide = shift_columns(&spgemm_gen::suite::band_matrix(128, 9, &mut r));
+    let b = spiced(&wide.split_col_ranges(&[0, 90, 128]).unwrap()[0]);
+    let rect = (spiced(&squares[1].extract_rows(0..70)), b);
+    inputs.extend([rect.clone(), rect]);
+    let oracles: Vec<Csr<f64>> = inputs.iter().map(|(a, b)| mono_hash(a, b)).collect();
+    assert_eq!(oracles[4].shape(), (70, 90));
+    let reaches_output = |p: fn(&f64) -> bool| oracles.iter().any(|c| c.vals().iter().any(p));
+    assert!(reaches_output(|v| v.is_nan()) && reaches_output(|v| v.is_infinite()));
+    assert!(reaches_output(|v| *v == 0.0 && v.is_sign_negative()));
+    for (rows, cols) in GRIDS {
+        for threads_per_shard in [1, 2] {
+            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                let grid = GridSpec::new(rows, cols);
+                let cfg = DistConfig {
+                    grid,
+                    threads_per_shard,
+                    order,
+                    ..DistConfig::default()
+                };
+                let rt = ShardRuntime::new(cfg);
+                for (round, ((a, b), want)) in inputs.iter().zip(&oracles).enumerate() {
+                    let what = format!("{grid} width {threads_per_shard} {order:?} round {round}");
+                    let mut c = rt.multiply(a, b).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    if order == OutputOrder::Unsorted {
+                        c.sort_rows();
+                    }
+                    assert_bit_identical(&c, want, &what);
                 }
             }
         }
@@ -75,41 +74,91 @@ fn every_grid_and_order_matches_reference_across_disjoint_patterns() {
 }
 
 #[test]
-fn pattern_drift_then_return_still_exact() {
-    // A → B → A through one runtime: returning to a previously seen
-    // structure after a rebind must still be exact (per-stage caches
-    // rebound away and back).
-    let inputs = disjoint_patterns();
-    let (a, b) = (&inputs[0], &inputs[1]);
-    let rt = ShardRuntime::new(DistConfig {
-        grid: GridSpec::new(2, 2),
-        ..DistConfig::default()
-    });
-    let first = rt.multiply(a, a).unwrap();
-    assert_eq!(first, oracle(a));
-    assert_eq!(rt.multiply(b, b).unwrap(), oracle(b));
-    let back = rt.multiply(a, a).unwrap();
-    assert_eq!(back, first, "return to a known structure is stable");
+fn one_phase_kernels_first_and_second_product() {
+    // Heap and Inspector only learn their row counts by running: the
+    // first product goes through the shard's local block, the second
+    // straight into the window (single-column grids). Inspector drives
+    // the hash accumulator, so the bit contract (and the hostile
+    // values) carry over. Heap pops equal columns in heap order, which
+    // a column block changes: bit parity holds against monolithic Heap
+    // on single-column grids, closeness on the rest.
+    let plain = generate_kind(RmatKind::G500, 7, 6, &mut spgemm_gen::rng(5));
+    for (algo, a) in [
+        (Algorithm::Heap, plain.clone()),
+        (Algorithm::Inspector, spiced(&plain)),
+    ] {
+        let same_kernel = spgemm::multiply_f64(&a, &a, algo, OutputOrder::Sorted).unwrap();
+        for (rows, cols) in GRIDS {
+            let grid = GridSpec::new(rows, cols);
+            let rt = ShardRuntime::new(DistConfig {
+                grid,
+                algo,
+                ..DistConfig::default()
+            });
+            let what = format!("{algo:?} grid {grid}");
+            let (first, s1) = rt.multiply_with_stats(&a, &a).unwrap();
+            let (second, s2) = rt.multiply_with_stats(&a, &a).unwrap();
+            assert_bit_identical(&second, &first, &format!("{what}: second vs first"));
+            if algo == Algorithm::Inspector {
+                assert_bit_identical(&first, &mono_hash(&a, &a), &what);
+            } else if cols == 1 {
+                assert_bit_identical(&first, &same_kernel, &what);
+            } else {
+                assert!(approx_eq_f64(&first, &same_kernel, 1e-12), "{what}");
+            }
+            assert_eq!(
+                s2.plan_rebuilds, s1.plan_rebuilds,
+                "{what}: rebuilds frozen"
+            );
+            assert_eq!(s2.plan_hits - s1.plan_hits, grid.shards() as u64, "{what}");
+        }
+    }
 }
 
 #[test]
-fn steady_state_performs_no_symbolic_recomputation() {
-    let a = integerize(&spgemm_gen::rmat::generate_kind(
-        spgemm_gen::RmatKind::Er,
+fn drift_at_equal_nnz_rebuilds_the_layout_and_steady_state_only_hits() {
+    // A → A' → A through one runtime, where A' has A's row pointers
+    // and nnz but other columns: the product's row pointers differ, so
+    // a layout that survived the drift (or the return) would put rows
+    // in the wrong windows. Then repeats of A: rebuilds frozen,
+    // exactly `shards` plan hits each.
+    let a = spiced(&generate_kind(
+        RmatKind::G500,
         7,
-        5,
-        &mut spgemm_gen::rng(9),
+        6,
+        &mut spgemm_gen::rng(77),
     ));
-    let rt = ShardRuntime::new(DistConfig {
-        grid: GridSpec::new(2, 2),
-        ..DistConfig::default()
-    });
-    let (_, s1) = rt.multiply_with_stats(&a, &a).unwrap();
-    let per_round = (rt.grid().shards() * rt.grid().stages()) as u64;
-    assert_eq!(s1.plan_rebuilds, per_round, "cold round builds every plan");
-    for k in 2..=4u64 {
-        let (_, s) = rt.multiply_with_stats(&a, &a).unwrap();
-        assert_eq!(s.plan_rebuilds, per_round, "round {k}: rebuilds frozen");
-        assert_eq!(s.plan_hits, (k - 1) * per_round, "round {k}: all hits");
+    let drifted = shift_columns(&a);
+    assert_eq!(a.rpts(), drifted.rpts(), "the drift keeps nnz per row");
+    assert_ne!(a.cols(), drifted.cols());
+    let (want_a, want_d) = (mono_hash(&a, &a), mono_hash(&drifted, &drifted));
+    assert_ne!(want_a.rpts(), want_d.rpts(), "the layouts must differ");
+    for grid in [GridSpec::new(2, 1), GridSpec::new(2, 2)] {
+        let rt = ShardRuntime::new(DistConfig {
+            grid,
+            ..DistConfig::default()
+        });
+        let shards = grid.shards() as u64;
+        for (round, (m, want)) in [(&a, &want_a), (&drifted, &want_d), (&a, &want_a)]
+            .into_iter()
+            .enumerate()
+        {
+            let (c, s) = rt.multiply_with_stats(m, m).unwrap();
+            assert_bit_identical(&c, want, &format!("grid {grid} drift round {round}"));
+            let rebuilds = (round as u64 + 1) * shards;
+            assert_eq!(
+                (s.plan_rebuilds, s.plan_hits),
+                (rebuilds, 0),
+                "every drift rebinds"
+            );
+        }
+        for repeat in 1..=3u64 {
+            let (c, s) = rt.multiply_with_stats(&a, &a).unwrap();
+            assert_bit_identical(&c, &want_a, &format!("grid {grid} repeat {repeat}"));
+            assert_eq!(
+                (s.plan_rebuilds, s.plan_hits),
+                (3 * shards, repeat * shards)
+            );
+        }
     }
 }

@@ -1,22 +1,18 @@
 //! Property tests: for arbitrary generator inputs, grids and shard
-//! widths, the sharded gather is **byte-for-byte** the single-node
-//! `Reference` product (values are exactly-representable integers so
-//! additive reduction order cannot perturb bits).
+//! widths, the sharded product is **bit-identical** to the monolithic
+//! `Hash` product on real values salted with NaN, ±0.0 and ±inf.
 
+mod common;
+
+use common::{assert_bit_identical, mono_hash, spiced};
 use proptest::prelude::*;
-use spgemm::{Algorithm, OutputOrder};
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
-use spgemm_sparse::Csr;
-
-fn integerize(m: &Csr<f64>) -> Csr<f64> {
-    m.map(|v| (v * 1e4).abs().floor() % 4.0 + 1.0)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn gather_is_byte_for_byte_reference(
+    fn sharded_is_bit_identical_to_monolithic_hash(
         scale in 5u32..7,
         ef in 1usize..6,
         seed in 0u64..1000,
@@ -26,33 +22,33 @@ proptest! {
         skew in prop::bool::ANY,
     ) {
         let kind = if skew { spgemm_gen::RmatKind::G500 } else { spgemm_gen::RmatKind::Er };
-        let a = integerize(&spgemm_gen::rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(seed)));
-        let want = spgemm::multiply_f64(&a, &a, Algorithm::Reference, OutputOrder::Sorted).unwrap();
+        let a = spiced(&spgemm_gen::rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(seed)));
         let rt = ShardRuntime::new(DistConfig {
             grid: GridSpec::new(grid_rows, grid_cols),
             threads_per_shard: threads,
             ..DistConfig::default()
         });
         let c = rt.multiply(&a, &a).unwrap();
-        prop_assert_eq!(c, want);
+        assert_bit_identical(&c, &mono_hash(&a, &a), "square");
     }
 
     #[test]
-    fn rectangular_chain_matches_reference(
+    fn rectangular_chain_is_bit_identical(
         seed in 0u64..1000,
         grid_rows in 1usize..4,
+        grid_cols in 1usize..3,
     ) {
         // A (square, power-law) times a tall-skinny block — the §5.5
-        // shape — through a row-sharded grid.
-        let a = integerize(&spgemm_gen::rmat::generate_kind(
+        // shape — through row-only grids (direct window writes) and
+        // row- and column-sharded ones (local block).
+        let a = spiced(&spgemm_gen::rmat::generate_kind(
             spgemm_gen::RmatKind::G500, 6, 4, &mut spgemm_gen::rng(seed)));
-        let b = integerize(
+        let b = spiced(
             &spgemm_gen::tallskinny::tall_skinny(&a, 9, &mut spgemm_gen::rng(seed ^ 1)).unwrap());
-        let want = spgemm::multiply_f64(&a, &b, Algorithm::Reference, OutputOrder::Sorted).unwrap();
         let rt = ShardRuntime::new(DistConfig {
-            grid: GridSpec::new(grid_rows, 2),
+            grid: GridSpec::new(grid_rows, grid_cols),
             ..DistConfig::default()
         });
-        prop_assert_eq!(rt.multiply(&a, &b).unwrap(), want);
+        assert_bit_identical(&rt.multiply(&a, &b).unwrap(), &mono_hash(&a, &b), "rectangular");
     }
 }

@@ -1,24 +1,22 @@
 //! Concurrency stress: one shared [`ShardRuntime`] hammered by
 //! multiple submitter threads. Products serialize on the fleet's
 //! internal lock; every submitter must get exactly its own, correct
-//! result even as the plan caches rebind between the interleaved
-//! structures.
+//! result — bit for bit — even as the plans rebind and the layout is
+//! rebuilt between the interleaved structures.
 
-use spgemm::{Algorithm, OutputOrder};
+mod common;
+
+use common::{assert_bit_identical, mono_hash, spiced};
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
 use spgemm_sparse::Csr;
 use std::sync::Arc;
-
-fn integerize(m: &Csr<f64>) -> Csr<f64> {
-    m.map(|v| (v * 1e4).abs().floor() % 4.0 + 1.0)
-}
 
 #[test]
 fn shared_runtime_under_concurrent_submitters() {
     // Four structurally distinct inputs and their oracle squares.
     let inputs: Vec<Arc<Csr<f64>>> = (0..4)
         .map(|i| {
-            Arc::new(integerize(&spgemm_gen::rmat::generate_kind(
+            Arc::new(spiced(&spgemm_gen::rmat::generate_kind(
                 if i % 2 == 0 {
                     spgemm_gen::RmatKind::Er
                 } else {
@@ -30,12 +28,7 @@ fn shared_runtime_under_concurrent_submitters() {
             )))
         })
         .collect();
-    let oracles: Vec<Arc<Csr<f64>>> = inputs
-        .iter()
-        .map(|a| {
-            Arc::new(spgemm::multiply_f64(a, a, Algorithm::Reference, OutputOrder::Sorted).unwrap())
-        })
-        .collect();
+    let oracles: Vec<Arc<Csr<f64>>> = inputs.iter().map(|a| Arc::new(mono_hash(a, a))).collect();
 
     let rt = Arc::new(ShardRuntime::new(DistConfig {
         grid: GridSpec::new(2, 2),
@@ -53,10 +46,10 @@ fn shared_runtime_under_concurrent_submitters() {
                 for round in 0..6 {
                     let i = (t + round) % inputs.len();
                     let c = rt.multiply(&inputs[i], &inputs[i]).unwrap();
-                    assert_eq!(
+                    assert_bit_identical(
                         &c,
-                        oracles[i].as_ref(),
-                        "submitter {t} round {round} input {i}"
+                        &oracles[i],
+                        &format!("submitter {t} round {round} input {i}"),
                     );
                 }
             })

@@ -7,12 +7,18 @@
 use spgemm_obs::http::{http_get, ScrapeConfig, ScrapeServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 // Tests in one integration binary run concurrently but share the
 // global registry and enable flag; serialize them.
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`LOCK`], poisoned or not: it guards no data, so a test that
+/// failed while holding it must not fail the other three with it.
+fn serial() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 static CTR: spgemm_obs::CounterSite = spgemm_obs::CounterSite::new("scrape", "scrape.ctr");
 static GAUGE: spgemm_obs::GaugeSite = spgemm_obs::GaugeSite::new("scrape", "scrape.gauge");
@@ -30,7 +36,7 @@ fn populate() {
 
 #[test]
 fn concurrent_scrapers_get_valid_pages() {
-    let _l = LOCK.lock().unwrap();
+    let _l = serial();
     populate();
     let server = ScrapeServer::start(ScrapeConfig::default()).expect("bind");
     let addr = server.addr();
@@ -61,7 +67,7 @@ fn concurrent_scrapers_get_valid_pages() {
 
 #[test]
 fn extra_exposition_is_appended_before_eof() {
-    let _l = LOCK.lock().unwrap();
+    let _l = serial();
     populate();
     let server = ScrapeServer::start_with(
         ScrapeConfig::default(),
@@ -81,7 +87,7 @@ fn extra_exposition_is_appended_before_eof() {
 
 #[test]
 fn mid_response_disconnects_do_not_wedge_the_endpoint() {
-    let _l = LOCK.lock().unwrap();
+    let _l = serial();
     populate();
     let server = ScrapeServer::start(ScrapeConfig::default()).expect("bind");
     let addr = server.addr();
@@ -105,7 +111,7 @@ fn mid_response_disconnects_do_not_wedge_the_endpoint() {
 
 #[test]
 fn garbage_and_unknown_requests_get_error_statuses() {
-    let _l = LOCK.lock().unwrap();
+    let _l = serial();
     populate();
     let server = ScrapeServer::start(ScrapeConfig::default()).expect("bind");
     let addr = server.addr();

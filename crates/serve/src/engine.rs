@@ -83,8 +83,9 @@ pub struct ServeConfig {
 /// a single workspace could not serve well). The routed job executes
 /// under the backend's own kernel policy; the request's `algo` is
 /// treated as advisory, like `Auto`, and the result honours either
-/// output-order contract (the sharded merge always emits sorted
-/// rows). Shard-fleet infrastructure failures are not surfaced to the
+/// output-order contract (the fleet runs sorted `Hash`, so its rows
+/// are sorted and bit-identical to the monolithic `Hash` product).
+/// Shard-fleet infrastructure failures are not surfaced to the
 /// job: the worker falls back to its monolithic path and the product
 /// still completes.
 #[derive(Clone, Copy, Debug)]
@@ -785,8 +786,10 @@ fn eval_expr(
 /// HashVec, SPA, KkHash, IKJ, and RowClass — whose per-class kernels
 /// all accumulate in `k`-encounter order and are byte-identical to
 /// Hash) exactly, so the patch is gated on those kernels and on the
-/// node *not* routing to the shard fleet (whose merge path
-/// accumulates in its own order).
+/// node *not* routing to the shard fleet. The fleet's `Hash` product
+/// is bit-identical to the monolithic one, so that half of the gate
+/// is about placement, not bytes: an oversized product stays on the
+/// fleet instead of being patched on one worker.
 fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Option<Arc<Csr<f64>>> {
     if !matches!(
         job.algo,

@@ -22,9 +22,6 @@
 //!   compression-ratio helpers for §5.4.4.
 //! * [`io`] — Matrix Market reading/writing so the harness can run on
 //!   the real SuiteSparse collection when available.
-//! * [`PartitionedCsr`] — block-partitioned storage (1D block-row and
-//!   2D grids with flop-balanced cuts), the substrate of the sharded
-//!   runtime in `spgemm-dist`.
 //! * [`Scalar`] / [`Semiring`] — the element algebra. Kernels are
 //!   generic over a semiring so that graph workloads (boolean BFS,
 //!   counting) reuse the exact same code paths as numeric ones.
@@ -39,7 +36,6 @@ pub mod delta;
 mod error;
 pub mod io;
 pub mod ops;
-pub mod partitioned;
 mod scalar;
 mod semiring;
 pub mod stats;
@@ -49,7 +45,6 @@ pub use csc::Csc;
 pub use csr::{approx_eq_f64, Csr, RowView};
 pub use delta::{DirtyRows, RowPatch};
 pub use error::SparseError;
-pub use partitioned::PartitionedCsr;
 pub use scalar::Scalar;
 pub use semiring::{MaxTimes, OrAnd, PlusTimes, Semiring};
 

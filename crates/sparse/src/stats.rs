@@ -45,6 +45,16 @@ pub fn flop<T: Copy + Send + Sync, U: Copy + Send + Sync>(a: &Csr<T>, b: &Csr<U>
         .sum()
 }
 
+/// Per-column stored-entry counts — the weight vector a column
+/// partition balances (the sharded runtime's column cuts of `B`).
+pub fn column_nnz<T>(m: &Csr<T>) -> Vec<u64> {
+    let mut counts = vec![0u64; m.ncols()];
+    for &c in m.cols() {
+        counts[c as usize] += 1;
+    }
+    counts
+}
+
 /// Compression ratio `flop / nnz(C)` given a known output size.
 /// Values near 1 mean almost every intermediate product survives as its
 /// own output entry (graph-like inputs); large values mean heavy
@@ -151,6 +161,13 @@ mod tests {
         let z = Csr::<f64>::zero(4, 4);
         assert_eq!(flop(&z, &z), 0);
         assert_eq!(row_flops(&z, &z), vec![0; 4]);
+    }
+
+    #[test]
+    fn column_nnz_counts() {
+        assert_eq!(column_nnz(&b()), vec![2, 2]);
+        assert_eq!(column_nnz(&a()), vec![1, 1, 1]);
+        assert_eq!(column_nnz(&Csr::<f64>::zero(3, 2)), vec![0, 0]);
     }
 
     #[test]
