@@ -15,6 +15,7 @@
 
 use spgemm_bench::perfjson;
 use spgemm_bench::regress::{compare, render, RegressConfig};
+use spgemm_tune::json;
 use std::path::PathBuf;
 
 struct Args {
@@ -67,12 +68,12 @@ fn parse_args() -> Args {
     }
 }
 
-fn load(path: &PathBuf) -> perfjson::Json {
+fn load(path: &PathBuf) -> json::Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", path.display());
         std::process::exit(2);
     });
-    perfjson::parse(&text).unwrap_or_else(|e| {
+    json::parse(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse {}: {e}", path.display());
         std::process::exit(2);
     })

@@ -1,7 +1,7 @@
 //! Persisted bench perf trajectory: the machine-readable
 //! `BENCH_<name>.json` stamp every bench binary's `--smoke` path
-//! writes, plus the minimal JSON reader `spgemm-regress` uses to
-//! compare a run against a committed baseline.
+//! writes. `spgemm-regress` reads stamps and committed baselines back
+//! with [`spgemm_tune::json`], the workspace's one JSON parser.
 //!
 //! The stamp is deliberately flat — one `metrics` object of numeric
 //! keys — so a regression gate can diff two files key-by-key without
@@ -86,261 +86,10 @@ impl PerfReport {
     }
 }
 
-/// A parsed JSON value — just enough for `BENCH_*.json` files.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order (duplicate keys kept as written).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Strict enough for round-tripping our own
-/// stamps and ordinary hand-edited baselines; errors carry a byte
-/// offset.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {s:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Decode a surrogate pair when one follows;
-                            // lone surrogates become the replacement
-                            // character rather than an error.
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(ch);
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape \\{} at byte {}",
-                                other as char, self.pos
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated \\u escape".into());
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape {s:?}"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spgemm_tune::json::{parse, Value};
 
     #[test]
     fn report_roundtrips_through_parser() {
@@ -350,48 +99,20 @@ mod tests {
             .metric("bad", f64::NAN);
         let json = r.to_json();
         let doc = parse(&json).expect("own stamp parses");
-        assert_eq!(doc.get("name").and_then(Json::as_str), Some("unit"));
+        assert_eq!(doc.get("name").and_then(Value::as_str), Some("unit"));
         assert_eq!(
-            doc.get("schema").and_then(Json::as_f64),
+            doc.get("schema").and_then(Value::as_f64),
             Some(SCHEMA as f64)
         );
         let metrics = doc.get("metrics").expect("metrics object");
-        assert_eq!(metrics.get("loop_ms").and_then(Json::as_f64), Some(1.25));
-        assert_eq!(metrics.get("events").and_then(Json::as_f64), Some(42.0));
+        assert_eq!(metrics.get("loop_ms").and_then(Value::as_f64), Some(1.25));
+        assert_eq!(metrics.get("events").and_then(Value::as_f64), Some(42.0));
         assert_eq!(
-            metrics.get("bad").and_then(Json::as_f64),
+            metrics.get("bad").and_then(Value::as_f64),
             Some(0.0),
             "non-finite clamps to 0"
         );
         assert!(doc.get("env").and_then(|e| e.get("arch")).is_some());
-    }
-
-    #[test]
-    fn parser_handles_nesting_escapes_and_numbers() {
-        let doc = parse(r#"{"a":[1,-2.5,3e2],"s":"q\"\\\nA😀","o":{"n":null,"b":true}}"#).unwrap();
-        let a = doc.get("a").unwrap();
-        assert_eq!(
-            a,
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5), Json::Num(300.0)])
-        );
-        assert_eq!(doc.get("s").and_then(Json::as_str), Some("q\"\\\nA😀"));
-        assert_eq!(doc.get("o").unwrap().get("n"), Some(&Json::Null));
-        assert_eq!(doc.get("o").unwrap().get("b"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "tru",
-            "\"unterminated",
-            "{} trailing",
-            "{\"k\":01x}",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
     }
 
     #[test]

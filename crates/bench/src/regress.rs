@@ -10,7 +10,8 @@
 //! quadratic, a lost cache), not single-digit percent drift. Non-
 //! timing metrics (counts, coverages) are reported but never gate.
 
-use crate::perfjson::{Json, SCHEMA};
+use crate::perfjson::SCHEMA;
+use spgemm_tune::json::Value;
 
 /// Relative tolerances of the gate.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +69,7 @@ pub struct Row {
 /// The gate's full output for one stamp pair.
 #[derive(Clone, Debug, Default)]
 pub struct RegressReport {
-    /// Per-metric comparisons, baseline key order.
+    /// Per-metric comparisons, in key order.
     pub rows: Vec<Row>,
     /// Baseline keys missing from the current stamp — fatal: a
     /// silently dropped metric must not pass the gate.
@@ -111,36 +112,36 @@ fn in_ms(key: &str, v: f64) -> f64 {
     }
 }
 
-fn numeric_metrics(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+fn numeric_metrics(doc: &Value) -> Result<Vec<(String, f64)>, String> {
     let metrics = doc
         .get("metrics")
         .ok_or_else(|| "stamp has no \"metrics\" object".to_string())?;
-    match metrics {
-        Json::Obj(members) => Ok(members
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|v| (k.clone(), v)))
-            .collect()),
-        _ => Err("\"metrics\" is not an object".into()),
-    }
+    let members = metrics
+        .as_obj()
+        .ok_or_else(|| "\"metrics\" is not an object".to_string())?;
+    Ok(members
+        .iter()
+        .filter_map(|(k, v)| v.as_f64().map(|v| (k.clone(), v)))
+        .collect())
 }
 
 /// Compare two parsed stamps. Errors on shape problems (wrong schema,
 /// mismatched bench names, missing `metrics`); regressions are
 /// reported through the [`RegressReport`], not as errors.
 pub fn compare(
-    baseline: &Json,
-    current: &Json,
+    baseline: &Value,
+    current: &Value,
     cfg: RegressConfig,
 ) -> Result<RegressReport, String> {
     for (label, doc) in [("baseline", baseline), ("current", current)] {
-        let schema = doc.get("schema").and_then(Json::as_f64).unwrap_or(0.0);
+        let schema = doc.get("schema").and_then(Value::as_f64).unwrap_or(0.0);
         if schema != SCHEMA as f64 {
             return Err(format!("{label} stamp has schema {schema}, want {SCHEMA}"));
         }
     }
     let (b_name, c_name) = (
-        baseline.get("name").and_then(Json::as_str).unwrap_or(""),
-        current.get("name").and_then(Json::as_str).unwrap_or(""),
+        baseline.get("name").and_then(Value::as_str).unwrap_or(""),
+        current.get("name").and_then(Value::as_str).unwrap_or(""),
     );
     if b_name != c_name {
         return Err(format!(
@@ -225,9 +226,9 @@ pub fn render(report: &RegressReport, cfg: RegressConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perfjson::parse;
+    use spgemm_tune::json::parse;
 
-    fn stamp(name: &str, metrics: &str) -> Json {
+    fn stamp(name: &str, metrics: &str) -> Value {
         parse(&format!(
             "{{\"name\":\"{name}\",\"schema\":1,\"env\":{{}},\"metrics\":{{{metrics}}}}}"
         ))

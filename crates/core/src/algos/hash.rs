@@ -13,9 +13,7 @@
 //!   values and finally emits the row — sorted by column on request,
 //!   in insertion order otherwise (the §5.4.4 sort-skip).
 
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
-use crate::OutputOrder;
-use spgemm_par::Pool;
+use crate::exec::{self, AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// The multiplicative hashing constant. The reference implementation
@@ -183,7 +181,13 @@ impl<S: Semiring> HashAccumulator<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for HashAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for HashAccumulator<S> {
+    type Shared = ();
+
+    fn build(req: &AccumReq, _: &()) -> Self {
+        Self::new(req.max_row_flop, req.ncols_b)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         let size_t = req.max_row_flop.min(req.ncols_b);
         let cap = exec::lowest_p2_above(size_t);
@@ -202,9 +206,7 @@ impl<S: Semiring> ReusableAccumulator<S> for HashAccumulator<S> {
     fn scrub(&mut self) {
         self.reset();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for HashAccumulator<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         for &k in a.row_cols(i) {
             for &j in b.row_cols(k as usize) {
@@ -230,32 +232,24 @@ impl<S: Semiring> RowAccumulator<S> for HashAccumulator<S> {
     }
 }
 
-struct HashFactory;
-
-impl<S: Semiring> AccumulatorFactory<S> for HashFactory {
-    type Acc = HashAccumulator<S>;
-    fn make(&self, max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Acc {
-        HashAccumulator::new(max_row_flop, ncols_b)
-    }
-}
-
-/// Hash SpGEMM: `C = A · B` over semiring `S`.
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-) -> Csr<S::Elem> {
-    exec::two_phase::<S, _>(a, b, order, pool, &HashFactory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Hash, order, pool).unwrap()
+    }
 
     #[test]
     fn accumulator_insert_and_extract_sorted() {

@@ -10,7 +10,7 @@
 //! instructions per step — the paper's Haswell/KNL trade-off.
 
 use crate::algos::simd::{self, ChunkProbe, SimdLevel};
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
+use crate::exec::{self, AccumReq, RowAccumulator, Workers};
 use crate::OutputOrder;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, Semiring};
@@ -148,7 +148,14 @@ impl<S: Semiring> HashVecAccumulator<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for HashVecAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for HashVecAccumulator<S> {
+    /// The probing level every worker's table is chunked for.
+    type Shared = SimdLevel;
+
+    fn build(req: &AccumReq, level: &SimdLevel) -> Self {
+        Self::with_level(req.max_row_flop, req.ncols_b, *level)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         let size_t = req.max_row_flop.min(req.ncols_b);
         let cap = exec::lowest_p2_above(size_t).max(self.width);
@@ -165,9 +172,7 @@ impl<S: Semiring> ReusableAccumulator<S> for HashVecAccumulator<S> {
     fn scrub(&mut self) {
         self.reset();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for HashVecAccumulator<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         for &k in a.row_cols(i) {
             for &j in b.row_cols(k as usize) {
@@ -198,28 +203,8 @@ impl<S: Semiring> RowAccumulator<S> for HashVecAccumulator<S> {
     }
 }
 
-struct HashVecFactory {
-    level: SimdLevel,
-}
-
-impl<S: Semiring> AccumulatorFactory<S> for HashVecFactory {
-    type Acc = HashVecAccumulator<S>;
-    fn make(&self, max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Acc {
-        HashVecAccumulator::with_level(max_row_flop, ncols_b, self.level)
-    }
-}
-
-/// HashVector SpGEMM at the best SIMD level the CPU supports.
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-) -> Csr<S::Elem> {
-    multiply_with_level::<S>(a, b, order, pool, simd::detect())
-}
-
-/// HashVector SpGEMM with an explicit SIMD level (tests, ablations).
+/// HashVector SpGEMM with an explicit SIMD level (tests, ablations);
+/// [`crate::Algorithm::HashVec`] runs at [`simd::detect`]'s.
 pub fn multiply_with_level<S: Semiring>(
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
@@ -227,7 +212,8 @@ pub fn multiply_with_level<S: Semiring>(
     pool: &Pool,
     level: SimdLevel,
 ) -> Csr<S::Elem> {
-    exec::two_phase::<S, _>(a, b, order, pool, &HashVecFactory { level })
+    let workers = Workers::<S, HashVecAccumulator<S>>::new(pool.nthreads(), level);
+    exec::multiply_on(&workers, a, b, order.is_sorted(), pool)
 }
 
 #[cfg(test)]
@@ -325,7 +311,14 @@ mod tests {
     fn default_level_multiply_works() {
         let a = Csr::from_triplets(3, 3, &[(0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]).unwrap();
         let pool = Pool::new(1);
-        let c = multiply::<P>(&a, &a, OutputOrder::Sorted, &pool);
+        let c = crate::multiply_in::<P>(
+            &a,
+            &a,
+            crate::Algorithm::HashVec,
+            OutputOrder::Sorted,
+            &pool,
+        )
+        .unwrap();
         let expect = reference::multiply::<P>(&a, &a);
         assert!(approx_eq_f64(&expect, &c, 1e-12));
     }

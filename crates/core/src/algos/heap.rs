@@ -11,10 +11,7 @@
 //! no symbolic pass — every thread stages its rows into a flop-bound
 //! private buffer, then the driver copies them into place.
 
-use crate::exec::{
-    self, AccumReq, ReusableAccumulator, RowAccumulator, StagedKernelFactory, StagedRowKernel,
-};
-use spgemm_par::Pool;
+use crate::exec::{AccumReq, RowAccumulator, StagedRowKernel};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// One cursor in the per-row merge: the current entry `b.cols[pos]` of
@@ -140,6 +137,20 @@ impl<S: Semiring> StagedRowKernel<S> for HeapKernel<S> {
 }
 
 impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
+    type Shared = ();
+
+    fn build(_: &AccumReq, _: &()) -> Self {
+        Self::new()
+    }
+
+    fn ensure(&mut self, _req: &AccumReq) {
+        // The heap grows to nnz(a_i*) lazily; nothing to pre-size.
+    }
+
+    fn scrub(&mut self) {
+        self.heap.clear();
+    }
+
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         self.load_row(a, b, i);
         let mut count = 0usize;
@@ -185,42 +196,19 @@ impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for HeapKernel<S> {
-    fn ensure(&mut self, _req: &AccumReq) {
-        // The heap grows to nnz(a_i*) lazily; nothing to pre-size.
-    }
-
-    fn scrub(&mut self) {
-        self.heap.clear();
-    }
-}
-
-struct HeapFactory;
-
-impl<S: Semiring> StagedKernelFactory<S> for HeapFactory {
-    type Kernel = HeapKernel<S>;
-    fn make(&self, _max_row_flop: usize, _inner: usize, _ncols_b: usize) -> Self::Kernel {
-        HeapKernel::new()
-    }
-}
-
-/// Heap SpGEMM. Inputs must have sorted rows (checked by the caller,
-/// [`crate::multiply_in`]); output rows are sorted by construction.
-pub fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
-    debug_assert!(
-        a.is_sorted() && b.is_sorted(),
-        "heap requires sorted inputs"
-    );
-    exec::one_phase_staged::<S, _>(a, b, pool, &HeapFactory, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Heap, OutputOrder::Sorted, pool).unwrap()
+    }
 
     fn check(a: &Csr<f64>, b: &Csr<f64>) {
         let expect = reference::multiply::<P>(a, b);

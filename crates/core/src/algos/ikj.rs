@@ -8,9 +8,7 @@
 //! reproducing that crossover is the point of keeping the dense scan.
 
 use crate::algos::spa::SpaAccumulator;
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
-use crate::OutputOrder;
-use spgemm_par::Pool;
+use crate::exec::{AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Per-thread state: a dense image of the current `A` row (the IKJ
@@ -48,7 +46,13 @@ impl<S: Semiring> IkjKernel<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for IkjKernel<S> {
+impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
+    type Shared = ();
+
+    fn build(req: &AccumReq, _: &()) -> Self {
+        Self::new(req.inner_dim, req.ncols_b)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         if req.inner_dim > self.a_stamp.len() {
             // New slots stamped 0 read as empty (epoch ≥ 1 after the
@@ -62,9 +66,7 @@ impl<S: Semiring> ReusableAccumulator<S> for IkjKernel<S> {
     fn scrub(&mut self) {
         self.spa.scrub();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         self.densify_a_row(a, i);
         self.spa.begin_row();
@@ -102,32 +104,24 @@ impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
     }
 }
 
-struct IkjFactory;
-
-impl<S: Semiring> AccumulatorFactory<S> for IkjFactory {
-    type Acc = IkjKernel<S>;
-    fn make(&self, _max_row_flop: usize, inner_dim: usize, ncols_b: usize) -> Self::Acc {
-        IkjKernel::new(inner_dim, ncols_b)
-    }
-}
-
-/// IKJ SpGEMM (baseline; `O(n² + flop)` — use on small matrices).
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-) -> Csr<S::Elem> {
-    exec::two_phase::<S, _>(a, b, order, pool, &IkjFactory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Ikj, order, pool).unwrap()
+    }
 
     #[test]
     fn matches_reference() {

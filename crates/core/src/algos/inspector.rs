@@ -9,56 +9,13 @@
 //! same trade the paper's Figure 7 two-phase structure avoids.
 
 use crate::algos::hash::HashAccumulator;
-use crate::exec::{
-    self, AccumReq, ReusableAccumulator, RowAccumulator, StagedKernelFactory, StagedRowKernel,
-};
-use spgemm_par::Pool;
+use crate::exec::StagedRowKernel;
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
-/// Per-thread state: the shared hash accumulator driven in staged mode.
-pub struct InspectorKernel<S: Semiring> {
-    acc: HashAccumulator<S>,
-}
-
-impl<S: Semiring> InspectorKernel<S> {
-    /// Kernel whose table holds rows of at most `max_row_flop`
-    /// products into `ncols_b` output columns.
-    pub fn new(max_row_flop: usize, ncols_b: usize) -> Self {
-        InspectorKernel {
-            acc: HashAccumulator::new(max_row_flop, ncols_b),
-        }
-    }
-}
-
-impl<S: Semiring> RowAccumulator<S> for InspectorKernel<S> {
-    fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
-        self.acc.symbolic_row(a, b, i)
-    }
-
-    fn numeric_row(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        i: usize,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-        sorted: bool,
-    ) {
-        self.acc.numeric_row(a, b, i, cols, vals, sorted);
-    }
-}
-
-impl<S: Semiring> ReusableAccumulator<S> for InspectorKernel<S> {
-    fn ensure(&mut self, req: &AccumReq) {
-        self.acc.ensure(req);
-    }
-
-    fn scrub(&mut self) {
-        self.acc.scrub();
-    }
-}
-
-impl<S: Semiring> StagedRowKernel<S> for InspectorKernel<S> {
+/// The Inspector kernel *is* the hash accumulator, run one-phase:
+/// accumulate a row, then append it to the staging buffers in
+/// insertion order.
+impl<S: Semiring> StagedRowKernel<S> for HashAccumulator<S> {
     fn stage_row(
         &mut self,
         a: &Csr<S::Elem>,
@@ -67,38 +24,29 @@ impl<S: Semiring> StagedRowKernel<S> for InspectorKernel<S> {
         cols: &mut Vec<ColIdx>,
         vals: &mut Vec<S::Elem>,
     ) -> usize {
-        self.acc.accumulate_row(a, b, i);
-        let n = self.acc.len();
+        self.accumulate_row(a, b, i);
+        let n = self.len();
         let start = cols.len();
         cols.resize(start + n, 0);
         vals.resize(start + n, S::zero());
-        self.acc
-            .extract_into(&mut cols[start..], &mut vals[start..], false);
+        self.extract_into(&mut cols[start..], &mut vals[start..], false);
         n
     }
-}
-
-struct InspectorFactory;
-
-impl<S: Semiring> StagedKernelFactory<S> for InspectorFactory {
-    type Kernel = InspectorKernel<S>;
-    fn make(&self, max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Kernel {
-        InspectorKernel::new(max_row_flop, ncols_b)
-    }
-}
-
-/// Inspector-style one-phase SpGEMM; output is always unsorted.
-pub fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
-    exec::one_phase_staged::<S, _>(a, b, pool, &InspectorFactory, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Inspector, OutputOrder::Unsorted, pool).unwrap()
+    }
 
     #[test]
     fn matches_reference_up_to_order() {

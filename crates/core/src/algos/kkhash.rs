@@ -9,9 +9,7 @@
 //! which is why KokkosKernels naturally emits unsorted output
 //! (Table 1: Any/Unsorted).
 
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
-use crate::OutputOrder;
-use spgemm_par::Pool;
+use crate::exec::{self, AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 const HASH_SCALE: u32 = 107;
@@ -135,7 +133,13 @@ impl<S: Semiring> KkHashAccumulator<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for KkHashAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for KkHashAccumulator<S> {
+    type Shared = ();
+
+    fn build(req: &AccumReq, _: &()) -> Self {
+        Self::new(req.max_row_flop, req.ncols_b)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         let cap = req.max_row_flop.min(req.ncols_b).max(1);
         let bins = exec::lowest_p2_above(cap / 2);
@@ -159,9 +163,7 @@ impl<S: Semiring> ReusableAccumulator<S> for KkHashAccumulator<S> {
     fn scrub(&mut self) {
         self.reset();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for KkHashAccumulator<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         for &k in a.row_cols(i) {
             for &j in b.row_cols(k as usize) {
@@ -192,32 +194,24 @@ impl<S: Semiring> RowAccumulator<S> for KkHashAccumulator<S> {
     }
 }
 
-struct KkFactory;
-
-impl<S: Semiring> AccumulatorFactory<S> for KkFactory {
-    type Acc = KkHashAccumulator<S>;
-    fn make(&self, max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Acc {
-        KkHashAccumulator::new(max_row_flop, ncols_b)
-    }
-}
-
-/// KokkosKernels-style chained-hash SpGEMM.
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-) -> Csr<S::Elem> {
-    exec::two_phase::<S, _>(a, b, order, pool, &KkFactory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::KkHash, order, pool).unwrap()
+    }
 
     #[test]
     fn chains_resolve_collisions() {

@@ -10,7 +10,7 @@
 //! masked primitives of the GraphBLAS ecosystem its applications come
 //! from.
 
-use crate::exec::{self, AccumulatorFactory, RowAccumulator};
+use crate::exec::{self, AccumReq, RowAccumulator, Workers};
 use crate::OutputOrder;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, Semiring, SparseError};
@@ -69,6 +69,27 @@ impl<'m, S: Semiring, M: Copy + Send + Sync> MaskedSpa<'m, S, M> {
 }
 
 impl<'m, S: Semiring, M: Copy + Send + Sync> RowAccumulator<S> for MaskedSpa<'m, S, M> {
+    /// The mask every worker's accumulator gates on.
+    type Shared = &'m Csr<M>;
+
+    fn build(req: &AccumReq, mask: &&'m Csr<M>) -> Self {
+        Self::new(mask, req.ncols_b)
+    }
+
+    fn ensure(&mut self, req: &AccumReq) {
+        if req.ncols_b > self.allowed.len() {
+            // Fresh slots stamped 0 read as outside the mask and
+            // unhit (epoch ≥ 1 after the first `begin_row`).
+            self.allowed.resize(req.ncols_b, 0);
+            self.hit.resize(req.ncols_b, 0);
+            self.vals.resize(req.ncols_b, S::zero());
+        }
+    }
+
+    fn scrub(&mut self) {
+        self.touched.clear();
+    }
+
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         self.begin_row(i);
         for &k in a.row_cols(i) {
@@ -109,17 +130,6 @@ impl<'m, S: Semiring, M: Copy + Send + Sync> RowAccumulator<S> for MaskedSpa<'m,
     }
 }
 
-struct MaskedFactory<'m, M: Copy + Send + Sync> {
-    mask: &'m Csr<M>,
-}
-
-impl<'m, S: Semiring, M: Copy + Send + Sync> AccumulatorFactory<S> for MaskedFactory<'m, M> {
-    type Acc = MaskedSpa<'m, S, M>;
-    fn make(&self, _max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Acc {
-        MaskedSpa::new(self.mask, ncols_b)
-    }
-}
-
 /// Masked SpGEMM: `C = (A · B) ∘ M` (structural mask — `M`'s values
 /// are ignored, its pattern gates the output).
 ///
@@ -147,13 +157,8 @@ pub fn multiply_masked<S: Semiring, M: Copy + Send + Sync>(
             op: "multiply_masked (mask shape)",
         });
     }
-    Ok(exec::two_phase::<S, _>(
-        a,
-        b,
-        order,
-        pool,
-        &MaskedFactory { mask },
-    ))
+    let workers = Workers::<S, MaskedSpa<'_, S, M>>::new(pool.nthreads(), mask);
+    Ok(exec::multiply_on(&workers, a, b, order.is_sorted(), pool))
 }
 
 #[cfg(test)]

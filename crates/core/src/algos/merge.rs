@@ -9,9 +9,7 @@
 //! is two flop-bound ping-pong buffers — allocated per thread inside
 //! the region, per the paper's "parallel" memory scheme.
 
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
-use crate::OutputOrder;
-use spgemm_par::Pool;
+use crate::exec::{AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Per-thread merge state: ping/pong buffers and segment boundaries.
@@ -107,7 +105,13 @@ fn merge_two<S: Semiring>(
     out.extend_from_slice(&y[q..]);
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for MergeAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for MergeAccumulator<S> {
+    type Shared = ();
+
+    fn build(req: &AccumReq, _: &()) -> Self {
+        Self::new(req.max_row_flop)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         // The ping/pong buffers grow on demand (`Vec::extend`), so
         // reuse is always *correct*; reserving up front just keeps the
@@ -126,9 +130,7 @@ impl<S: Semiring> ReusableAccumulator<S> for MergeAccumulator<S> {
         self.segs.clear();
         self.segs_next.clear();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for MergeAccumulator<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         // Symbolic = the same merge (values along for the ride keeps
         // one code path; MKL's symbolic phase is likewise a full
@@ -155,32 +157,19 @@ impl<S: Semiring> RowAccumulator<S> for MergeAccumulator<S> {
     }
 }
 
-struct MergeFactory;
-
-impl<S: Semiring> AccumulatorFactory<S> for MergeFactory {
-    type Acc = MergeAccumulator<S>;
-    fn make(&self, max_row_flop: usize, _inner: usize, _ncols_b: usize) -> Self::Acc {
-        MergeAccumulator::new(max_row_flop)
-    }
-}
-
-/// Merge SpGEMM. Inputs must be sorted (checked by
-/// [`crate::multiply_in`]); output is sorted by construction.
-pub fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
-    debug_assert!(
-        a.is_sorted() && b.is_sorted(),
-        "merge requires sorted inputs"
-    );
-    exec::two_phase::<S, _>(a, b, OutputOrder::Sorted, pool, &MergeFactory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Merge, OutputOrder::Sorted, pool).unwrap()
+    }
 
     #[test]
     fn merge_two_combines_duplicates() {

@@ -7,9 +7,7 @@
 //! heap (`O(nnz(a_i*))`) accumulators. Rows reset in `O(touched)` by
 //! bumping the epoch. Stands in for MKL in the unsorted comparisons.
 
-use crate::exec::{self, AccumReq, AccumulatorFactory, ReusableAccumulator, RowAccumulator};
-use crate::OutputOrder;
-use spgemm_par::Pool;
+use crate::exec::{AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Dense sparse-accumulator for one thread.
@@ -90,7 +88,13 @@ impl<S: Semiring> SpaAccumulator<S> {
     }
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for SpaAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
+    type Shared = ();
+
+    fn build(req: &AccumReq, _: &()) -> Self {
+        Self::new(req.ncols_b)
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         if req.ncols_b > self.stamp.len() {
             // Fresh slots stamped 0 read as unoccupied (epoch ≥ 1
@@ -103,9 +107,7 @@ impl<S: Semiring> ReusableAccumulator<S> for SpaAccumulator<S> {
     fn scrub(&mut self) {
         self.touched.clear();
     }
-}
 
-impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         self.begin_row();
         for &k in a.row_cols(i) {
@@ -136,32 +138,24 @@ impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
     }
 }
 
-struct SpaFactory;
-
-impl<S: Semiring> AccumulatorFactory<S> for SpaFactory {
-    type Acc = SpaAccumulator<S>;
-    fn make(&self, _max_row_flop: usize, _inner: usize, ncols_b: usize) -> Self::Acc {
-        SpaAccumulator::new(ncols_b)
-    }
-}
-
-/// SPA SpGEMM: `C = A · B` over semiring `S`.
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-) -> Csr<S::Elem> {
-    exec::two_phase::<S, _>(a, b, order, pool, &SpaFactory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::reference;
+    use crate::{multiply_in, Algorithm, OutputOrder};
+    use spgemm_par::Pool;
     use spgemm_sparse::{approx_eq_f64, PlusTimes};
 
     type P = PlusTimes<f64>;
+
+    fn multiply<S: Semiring>(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Csr<S::Elem> {
+        multiply_in::<S>(a, b, Algorithm::Spa, order, pool).unwrap()
+    }
 
     #[test]
     fn accumulator_epoch_isolation() {

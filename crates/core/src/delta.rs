@@ -22,7 +22,10 @@
 //! [`DeltaPlan`] chains per-node transfer functions on top so a k-row
 //! edit flows through a whole pipeline recomputing `O(k · fanout)`
 //! rows, and `spgemm-serve` patches its cross-tenant result cache with
-//! [`recompute_product_rows`].
+//! [`recompute_product_rows`]. All three recompute a row with a
+//! kernel's own accumulator through the row-subset entry of the one
+//! row-pass driver (`crate::exec`) — there is no second accumulator
+//! whose bytes could drift from a full evaluation's.
 //!
 //! Every incremental path is **byte-for-byte identical** to a
 //! from-scratch rebind — the extraction order of every accumulator is
@@ -30,7 +33,9 @@
 //! capacity — and the `tests/` differential-oracle harness enforces
 //! exactly that.
 
-use spgemm_sparse::{ColIdx, Csr};
+use crate::algos::hash::HashAccumulator;
+use crate::exec::{self, RowAccumulator, Workers};
+use spgemm_sparse::{ColIdx, Csr, PlusTimes};
 
 pub use crate::expr::{DeltaPlan, DeltaReport, NodeDelta};
 pub use spgemm_sparse::delta::{DirtyRows, RowPatch};
@@ -129,13 +134,14 @@ impl ConsumerIndex {
 /// of the sorted product `A · B`, leaving every other row's bytes
 /// untouched.
 ///
-/// The per-row computation accumulates each output column in
-/// `k`-encounter order and emits columns ascending — for *sorted*
-/// operands this is bit-identical to the sorted output of the
-/// hash-family kernels (Hash, HashVec, SPA, KkHash, IKJ), whose
-/// per-column sums also run in ascending-`k` order. `spgemm-serve`
-/// uses this to patch cached products in place instead of discarding
-/// them on every upstream row update.
+/// Each row is the hash accumulator's ordinary symbolic + numeric row
+/// through the serial row-subset entry of the shared driver
+/// (`exec::Workers::with_rows`), so it is bit-identical to
+/// [`crate::Algorithm::Hash`]'s sorted output by construction — and,
+/// for *sorted* operands, to the rest of the ascending-`k` family
+/// (HashVec, SPA, KkHash, IKJ, RowClass), whose per-column sums run in
+/// the same order. `spgemm-serve` uses this to patch cached products
+/// in place instead of discarding them on every upstream row update.
 ///
 /// # Panics
 /// Debug-asserts that operands are sorted and shapes line up; the
@@ -152,29 +158,19 @@ pub fn recompute_product_rows(
     debug_assert_eq!((old.nrows(), old.ncols()), (a.nrows(), b.ncols()));
     debug_assert_eq!(patched.nrows(), a.nrows());
 
-    let mut acc = vec![0.0f64; b.ncols()];
-    let mut stamp = vec![0u32; b.ncols()];
-    let mut epoch = 0u32;
-    let mut rows: Vec<(usize, Vec<ColIdx>, Vec<f64>)> = Vec::with_capacity(patched.count());
-    for i in patched.iter() {
-        epoch += 1;
-        let mut touched: Vec<ColIdx> = Vec::new();
-        for (&k, &av) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            let k = k as usize;
-            for (&c, &bv) in b.row_cols(k).iter().zip(b.row_vals(k)) {
-                let cu = c as usize;
-                if stamp[cu] != epoch {
-                    stamp[cu] = epoch;
-                    acc[cu] = 0.0;
-                    touched.push(c);
-                }
-                acc[cu] += av * bv;
-            }
-        }
-        touched.sort_unstable();
-        let vals = touched.iter().map(|&c| acc[c as usize]).collect();
-        rows.push((i, touched, vals));
-    }
+    type Acc = HashAccumulator<PlusTimes<f64>>;
+    let flops = patched.iter().map(|i| exec::row_flop(a, b, i));
+    let rows: Vec<_> = Workers::<_, Acc>::new(1, ()).with_rows(a, b, flops, |acc| {
+        patched
+            .iter()
+            .map(|i| {
+                let n = acc.symbolic_row(a, b, i);
+                let (mut cols, mut vals) = (vec![0 as ColIdx; n], vec![0.0f64; n]);
+                acc.numeric_row(a, b, i, &mut cols, &mut vals, true);
+                (i, cols, vals)
+            })
+            .collect()
+    });
     splice_rows(old, &rows)
 }
 
@@ -209,8 +205,6 @@ pub(crate) fn splice_rows<T: Copy>(old: &Csr<T>, rows: &[(usize, Vec<ColIdx>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algos::reference;
-    use spgemm_sparse::PlusTimes;
 
     fn sample() -> Csr<f64> {
         Csr::from_triplets(
@@ -262,18 +256,50 @@ mod tests {
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
     }
 
+    /// Bit-for-bit against the full `Hash` product — the serve patch's
+    /// contract. The `[[-1.0]] · [[0.0]]` input is the signed-zero
+    /// case a private accumulator once got wrong (it seeded the column
+    /// with `+0.0` and added, yielding `+0.0` where every kernel
+    /// assigns the first product, `-0.0`); the R-MAT pair is the
+    /// `delta_oracle` suite's.
     #[test]
     fn recompute_product_rows_patches_exactly() {
-        let a = sample();
-        let b = sample();
-        let full = reference::multiply::<PlusTimes<f64>>(&a, &b);
-        // Perturb two rows of the cached product, then ask for them back.
-        let broken = {
-            let rows = vec![(0usize, vec![1 as ColIdx], vec![99.0]), (2, vec![], vec![])];
-            splice_rows(&full, &rows)
+        let rmat = |seed| {
+            spgemm_gen::rmat::generate_kind(
+                spgemm_gen::RmatKind::G500,
+                5,
+                4,
+                &mut spgemm_gen::rng(seed),
+            )
         };
-        let patched = DirtyRows::from_rows(4, [0, 2]);
-        let fixed = recompute_product_rows(&a, &b, &patched, &broken);
-        assert_eq!(fixed, full);
+        let neg_one = Csr::from_triplets(1, 1, &[(0, 0, -1.0)]).unwrap();
+        let stored_zero = Csr::from_triplets(1, 1, &[(0, 0, 0.0)]).unwrap();
+        let cases = [
+            (sample(), sample(), vec![0usize, 2]),
+            (neg_one, stored_zero, vec![0]),
+            (rmat(7), rmat(8), (0..32).step_by(3).collect()),
+        ];
+        let pool = spgemm_par::Pool::new(2);
+        for (a, b, rows) in cases {
+            let full = crate::multiply_in::<PlusTimes<f64>>(
+                &a,
+                &b,
+                crate::Algorithm::Hash,
+                crate::OutputOrder::Sorted,
+                &pool,
+            )
+            .unwrap();
+            // Perturb the rows of the cached product, then ask for them back.
+            let broken_rows: Vec<_> = rows
+                .iter()
+                .map(|&i| (i, vec![0 as ColIdx], vec![99.0]))
+                .collect();
+            let broken = splice_rows(&full, &broken_rows);
+            let patched = DirtyRows::from_rows(a.nrows(), rows);
+            let fixed = recompute_product_rows(&a, &b, &patched, &broken);
+            assert_eq!((fixed.rpts(), fixed.cols()), (full.rpts(), full.cols()));
+            let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fixed), bits(&full));
+        }
     }
 }

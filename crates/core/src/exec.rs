@@ -1,24 +1,33 @@
-//! Shared execution drivers for all row-wise kernels.
+//! The row-pass driver: the one implementation of every pass a
+//! row-wise kernel runs.
 //!
 //! Every algorithm in this crate is a Gustavson row-wise SpGEMM
 //! (Figure 1 of the paper) differing only in its per-row accumulator.
-//! The orchestration around the accumulator is identical and lives
-//! here:
+//! The orchestration around the accumulator — Figure 7 "with the
+//! accumulator abstracted out" — lives here once, and every product
+//! (planned, one-shot, RowClass, masked, row-subset, serve patch)
+//! runs it:
 //!
-//! 1. **Plan** — per-row flop counts, then the flop-balanced
-//!    contiguous row partition of §4.1 (`RowsToThreads`).
-//! 2. **Two-phase** (Hash/HashVec/SPA/Merge/KkHash/IKJ): a symbolic
-//!    pass counts each output row, a parallel scan turns counts into
-//!    row pointers, and a numeric pass fills pre-sliced output —
-//!    exactly Figure 7.
-//! 3. **One-phase** (Heap/Inspector): each thread stages its rows into
-//!    a thread-private buffer sized by its flop upper bound (the
-//!    "parallel" memory scheme of §3.2), then copies into place once
-//!    row pointers are known.
+//! 1. **Analysis** ([`plan`]) — per-row flop counts, then the
+//!    flop-balanced contiguous row partition of §4.1 (`RowsToThreads`).
+//! 2. **Acquisition** ([`Workers::acquire`]) — each worker draws its
+//!    accumulator from a [`WorkspacePool`] slot *inside* the parallel
+//!    region (the "parallel" memory scheme of §3.2), building it from
+//!    the [`AccumReq`] of its rows on first use and growing/scrubbing
+//!    it on every reuse.
+//! 3. **Passes** — [`symbolic_pass`] (counts → scan → row pointers),
+//!    [`numeric_pass`] (fill pre-sliced output) and, for the one-phase
+//!    kernels, [`staged_pass`] (stage per thread, then copy into
+//!    place). The serial row-subset paths (`rebind_rows`,
+//!    `execute_rows`, the serve patch) run the same accumulators
+//!    through [`Workers::with_rows`] on slot 0.
+//!
+//! A kernel is one [`RowAccumulator`] impl; nothing else in the crate
+//! knows how to construct or size it.
 
-use crate::OutputOrder;
-use spgemm_par::{partition, scan, unsync::SharedMutSlice, Pool};
+use spgemm_par::{partition, scan, unsync::SharedMutSlice, Pool, WorkspacePool};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
+use std::ops::Range;
 
 /// Work analysis for one multiply: per-row flop, the total, and the
 /// balanced per-thread row ranges derived from them.
@@ -32,38 +41,105 @@ pub struct MultiplyStats {
     pub offsets: Vec<usize>,
 }
 
+/// `flop(c_i*)` of one output row.
+#[inline]
+pub(crate) fn row_flop<A, B>(a: &Csr<A>, b: &Csr<B>, i: usize) -> u64 {
+    a.row_cols(i)
+        .iter()
+        .map(|&k| b.row_nnz(k as usize) as u64)
+        .sum()
+}
+
 /// Compute [`MultiplyStats`] for `A · B` on the given pool.
 pub fn plan<A: Copy + Send + Sync, B: Copy + Send + Sync>(
     a: &Csr<A>,
     b: &Csr<B>,
     pool: &Pool,
 ) -> MultiplyStats {
-    let n = a.nrows();
-    let mut row_flops = vec![0u64; n];
-    scan::parallel_fill(pool, &mut row_flops, |i| {
-        a.row_cols(i)
-            .iter()
-            .map(|&k| b.row_nnz(k as usize) as u64)
-            .sum()
-    });
-    let mut prefix = row_flops.clone();
-    let offsets = partition::balanced_offsets_in_place(&mut prefix, pool.nthreads(), pool);
-    let total_flop = prefix.last().copied().unwrap_or(0);
-    MultiplyStats {
-        row_flops,
-        total_flop,
-        offsets,
+    let mut stats = MultiplyStats {
+        row_flops: vec![0u64; a.nrows()],
+        total_flop: 0,
+        offsets: Vec::new(),
+    };
+    scan::parallel_fill(pool, &mut stats.row_flops, |i| row_flop(a, b, i));
+    stats.repartition(pool);
+    stats
+}
+
+impl MultiplyStats {
+    /// Re-derive the total and the balanced partition from
+    /// `row_flops` (after [`plan`] filled them, or an incremental
+    /// rebind edited some).
+    pub(crate) fn repartition(&mut self, pool: &Pool) {
+        let mut prefix = self.row_flops.clone();
+        self.offsets = partition::balanced_offsets_in_place(&mut prefix, pool.nthreads(), pool);
+        self.total_flop = prefix.last().copied().unwrap_or(0);
     }
 }
 
-/// A per-thread accumulator driving one output row at a time.
+/// What an accumulator must be able to hold before it runs a set of
+/// rows: the quantities every kernel sizes itself from (§4.2.1: "The
+/// upper limit of any thread's local hash table size is the maximum
+/// number of flop per row within the rows assigned to it").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AccumReq {
+    /// Largest `flop(c_i*)` among the rows the accumulator will run.
+    pub max_row_flop: usize,
+    /// `ncols(A) == nrows(B)`.
+    pub inner_dim: usize,
+    /// Output width `ncols(B)`.
+    pub ncols_b: usize,
+}
+
+impl AccumReq {
+    /// Requirements for running rows of `A · B` whose flop counts are
+    /// `flops`.
+    fn for_rows<T>(a: &Csr<T>, b: &Csr<T>, flops: impl Iterator<Item = u64>) -> Self {
+        AccumReq {
+            max_row_flop: flops.max().unwrap_or(0) as usize,
+            inner_dim: a.ncols(),
+            ncols_b: b.ncols(),
+        }
+    }
+}
+
+/// A per-thread accumulator driving one output row at a time, parked
+/// in a [`WorkspacePool`] between passes and executions — including
+/// executions of *different* products after a plan rebind.
 ///
-/// `symbolic_row` returns the row's output nnz; `numeric_row` fills
-/// the pre-sliced output arrays (whose length equals the symbolic
-/// count) in sorted or accumulator order.
-pub(crate) trait RowAccumulator<S: Semiring> {
+/// The pool's contract is clear-on-**acquire** (see
+/// `spgemm_par::workspace`): whatever a previous execution left behind
+/// — stale keys, a dirty touched-list, a table sized for a smaller
+/// problem — is repaired by [`Workers::acquire`], which calls, in
+/// order, on every reused acquisition:
+///
+/// 1. [`RowAccumulator::ensure`] — grow internal storage to meet the
+///    new rows' [`AccumReq`] (never shrink). A hash table sized for
+///    the old problem's rows would livelock (no empty slot) or index
+///    out of bounds on a denser rebind.
+/// 2. [`RowAccumulator::scrub`] — clear any per-row or per-matrix
+///    state a previous (possibly panicked) execution may have left.
+pub(crate) trait RowAccumulator<S: Semiring>: Send + Sized {
+    /// Read-only state all workers of one product share beyond the
+    /// operands: `()` for most kernels, the SIMD level for HashVec,
+    /// the class queues for RowClass, the mask for the masked product.
+    type Shared: Sync;
+
+    /// A fresh accumulator able to run rows within `req` — the one
+    /// place a kernel's constructor arguments are derived.
+    fn build(req: &AccumReq, shared: &Self::Shared) -> Self;
+
+    /// Grow internal storage to satisfy `req`; must be callable any
+    /// number of times and never shrink.
+    fn ensure(&mut self, req: &AccumReq);
+
+    /// Drop all state left by previous rows/executions, keeping the
+    /// allocations.
+    fn scrub(&mut self);
+
     /// Count `nnz(c_i*)`.
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize;
+
     /// Compute row `i` into `cols`/`vals` (pre-sliced to the symbolic
     /// count), honouring `sorted`.
     fn numeric_row(
@@ -75,128 +151,53 @@ pub(crate) trait RowAccumulator<S: Semiring> {
         vals: &mut [S::Elem],
         sorted: bool,
     );
-}
 
-/// Capacity requirements a pooled accumulator must satisfy before it
-/// may run rows of a (re)planned product: the same three quantities
-/// [`AccumulatorFactory::make`] sizes fresh accumulators from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct AccumReq {
-    /// Largest `flop(c_i*)` among the rows the accumulator will run.
-    pub max_row_flop: usize,
-    /// `ncols(A) == nrows(B)`.
-    pub inner_dim: usize,
-    /// Output width `ncols(B)`.
-    pub ncols_b: usize,
-}
-
-/// A [`RowAccumulator`] that can be parked in a
-/// [`spgemm_par::WorkspacePool`] and safely reused across executions —
-/// including executions of *different* products after a plan rebind.
-///
-/// The pool's contract is clear-on-**acquire** (see
-/// `spgemm_par::workspace`): whatever a previous execution left behind
-/// — stale keys, a dirty touched-list, a table sized for a smaller
-/// problem — must be repaired here, not trusted to have been cleaned
-/// on release. Callers invoke both methods, in order, on every reused
-/// acquisition:
-///
-/// 1. [`ReusableAccumulator::ensure`] grows internal storage to meet
-///    `req` (never shrinks). Skipping this is the latent reuse bug
-///    this trait exists to fix: a hash table sized for the old
-///    problem's rows livelocks (no empty slot) or indexes out of
-///    bounds on a denser rebind.
-/// 2. [`ReusableAccumulator::scrub`] clears any per-row or per-matrix
-///    state a previous (possibly panicked) execution may have left.
-pub(crate) trait ReusableAccumulator<S: Semiring>: RowAccumulator<S> + Send {
-    /// Grow internal storage to satisfy `req`; must be callable any
-    /// number of times and never shrink.
-    fn ensure(&mut self, req: &AccumReq);
-    /// Drop all state left by previous rows/executions, keeping the
-    /// allocations.
-    fn scrub(&mut self);
-}
-
-/// Builds one [`RowAccumulator`] per worker thread, inside the
-/// parallel region, sized from that thread's largest row (§4.2.1:
-/// "The upper limit of any thread's local hash table size is the
-/// maximum number of flop per row within the rows assigned to it").
-pub(crate) trait AccumulatorFactory<S: Semiring>: Sync {
-    /// The per-thread accumulator type.
-    type Acc: RowAccumulator<S>;
-    /// `max_row_flop`: largest `flop(c_i*)` among the thread's rows;
-    /// `inner_dim`: `ncols(A) == nrows(B)`; `ncols_b`: output width.
-    fn make(&self, max_row_flop: usize, inner_dim: usize, ncols_b: usize) -> Self::Acc;
-}
-
-/// Largest per-row flop within `range`.
-pub(crate) fn max_flop_in(row_flops: &[u64], range: std::ops::Range<usize>) -> usize {
-    row_flops[range].iter().copied().max().unwrap_or(0) as usize
-}
-
-/// The two-phase driver (symbolic → scan → numeric); Figure 7 of the
-/// paper with the accumulator abstracted out.
-pub(crate) fn two_phase<S: Semiring, F: AccumulatorFactory<S>>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    order: OutputOrder,
-    pool: &Pool,
-    factory: &F,
-) -> Csr<S::Elem> {
-    let n = a.nrows();
-    let stats = plan(a, b, pool);
-    let inner = a.ncols();
-    let width = b.ncols();
-
-    // --- symbolic phase: counts into rpts[i + 1] ---
-    let mut rpts64 = vec![0u64; n + 1];
-    {
-        let rp = SharedMutSlice::new(&mut rpts64[..]);
-        pool.parallel_ranges(&stats.offsets, |_wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let mut acc = factory.make(max_flop_in(&stats.row_flops, range.clone()), inner, width);
-            for i in range {
-                let cnt = acc.symbolic_row(a, b, i) as u64;
-                // SAFETY: row `i` belongs to exactly one thread's range.
-                unsafe { rp.write(i + 1, cnt) };
-            }
-        });
+    /// Worker `wid`'s share of the symbolic pass: count every row of
+    /// `range` into `counts` (one slot per row of the range). Row by
+    /// row unless the kernel reorders its rows (RowClass drains its
+    /// class queues).
+    fn symbolic_range(
+        &mut self,
+        _shared: &Self::Shared,
+        _wid: usize,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        range: Range<usize>,
+        counts: &mut [u64],
+    ) {
+        for (cnt, i) in counts.iter_mut().zip(range) {
+            *cnt = self.symbolic_row(a, b, i) as u64;
+        }
     }
 
-    // --- row pointers ---
-    let total = scan::parallel_inclusive_scan(pool, &mut rpts64) as usize;
-    let rpts: Vec<usize> = rpts64.iter().map(|&x| x as usize).collect();
-
-    // --- numeric phase into pre-sliced output ---
-    let mut cols = vec![0 as ColIdx; total];
-    let mut vals = vec![S::zero(); total];
-    {
-        let cols_s = SharedMutSlice::new(&mut cols[..]);
-        let vals_s = SharedMutSlice::new(&mut vals[..]);
-        let rpts_ref = &rpts;
-        pool.parallel_ranges(&stats.offsets, |_wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let mut acc = factory.make(max_flop_in(&stats.row_flops, range.clone()), inner, width);
-            for i in range {
-                let span = rpts_ref[i]..rpts_ref[i + 1];
-                // SAFETY: row spans are disjoint across threads by
-                // construction of `rpts` and the contiguous partition.
-                let (c, v) = unsafe { (cols_s.slice_mut(span.clone()), vals_s.slice_mut(span)) };
-                acc.numeric_row(a, b, i, c, v, order.is_sorted());
-            }
-        });
+    /// Worker `wid`'s share of the numeric pass: compute every row of
+    /// `range` into the worker's window of the output, `cols`/`vals`
+    /// covering `rpts[range.start]..rpts[range.end]`.
+    #[allow(clippy::too_many_arguments)]
+    fn numeric_range(
+        &mut self,
+        _shared: &Self::Shared,
+        _wid: usize,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        range: Range<usize>,
+        rpts: &[usize],
+        sorted: bool,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+    ) {
+        let base = rpts[range.start];
+        for i in range {
+            let span = rpts[i] - base..rpts[i + 1] - base;
+            self.numeric_row(a, b, i, &mut cols[span.clone()], &mut vals[span], sorted);
+        }
     }
-    Csr::from_parts_unchecked(n, width, rpts, cols, vals, order.is_sorted())
 }
 
-/// A per-thread kernel for one-phase algorithms: rows are appended to
-/// thread-private staging vectors (no symbolic pass sizes them —
+/// A [`RowAccumulator`] that can also run one-phase: rows are appended
+/// to thread-private staging vectors (no symbolic pass sizes them —
 /// capacity is the thread's flop upper bound).
-pub(crate) trait StagedRowKernel<S: Semiring> {
+pub(crate) trait StagedRowKernel<S: Semiring>: RowAccumulator<S> {
     /// Append row `i`'s entries to the staging buffers; return how many
     /// were appended.
     fn stage_row(
@@ -209,80 +210,197 @@ pub(crate) trait StagedRowKernel<S: Semiring> {
     ) -> usize;
 }
 
-/// Factory for [`StagedRowKernel`]s (same contract as
-/// [`AccumulatorFactory`]).
-pub(crate) trait StagedKernelFactory<S: Semiring>: Sync {
-    /// The per-thread kernel type.
-    type Kernel: StagedRowKernel<S>;
-    /// See [`AccumulatorFactory::make`].
-    fn make(&self, max_row_flop: usize, inner_dim: usize, ncols_b: usize) -> Self::Kernel;
+/// One kernel's pooled per-worker accumulators plus the read-only
+/// state its workers share. Created lazily inside the first parallel
+/// region and reused (clear-on-acquire) by every later pass and
+/// execution.
+pub(crate) struct Workers<S: Semiring, A: RowAccumulator<S>> {
+    /// One slot per pool worker.
+    pub slots: WorkspacePool<A>,
+    /// See [`RowAccumulator::Shared`].
+    pub shared: A::Shared,
 }
 
-/// The one-phase driver: stage per thread, scan the realized counts,
+impl<S: Semiring, A: RowAccumulator<S>> Workers<S, A> {
+    /// Empty slots for a pool of `nthreads` workers.
+    pub fn new(nthreads: usize, shared: A::Shared) -> Self {
+        Workers {
+            slots: WorkspacePool::with_threads(nthreads),
+            shared,
+        }
+    }
+
+    /// Hand `f` worker `wid`'s accumulator, built for `req` if the
+    /// slot is empty and grown + scrubbed if it is being reused.
+    fn acquire<R>(&self, wid: usize, req: &AccumReq, f: impl FnOnce(&mut A) -> R) -> R {
+        self.slots.with(
+            wid,
+            || A::build(req, &self.shared),
+            |acc, reused| {
+                if reused {
+                    acc.ensure(req);
+                    acc.scrub();
+                }
+                f(acc)
+            },
+        )
+    }
+
+    /// The serial row-subset entry: hand `f` slot 0's accumulator,
+    /// sized for rows of `A · B` whose flop counts are `flops`.
+    pub fn with_rows<R>(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        flops: impl Iterator<Item = u64>,
+        f: impl FnOnce(&mut A) -> R,
+    ) -> R {
+        self.acquire(0, &AccumReq::for_rows(a, b, flops), f)
+    }
+
+    /// Run `body(acc, wid, range)` on every worker the partition gives
+    /// rows, with that worker's accumulator sized for its largest row.
+    fn for_each_worker(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        stats: &MultiplyStats,
+        pool: &Pool,
+        body: impl Fn(&mut A, usize, Range<usize>) + Sync,
+    ) {
+        pool.parallel_ranges(&stats.offsets, |wid, range| {
+            if range.is_empty() {
+                return;
+            }
+            let flops = stats.row_flops[range.clone()].iter().copied();
+            let req = AccumReq::for_rows(a, b, flops);
+            self.acquire(wid, &req, |acc| body(acc, wid, range));
+        });
+    }
+}
+
+/// Inclusive-scan per-row counts (stored at `counts[i + 1]`) into row
+/// pointers; returns `(rpts, nnz)`.
+fn scan_row_ptrs(pool: &Pool, mut counts: Vec<u64>) -> (Vec<usize>, usize) {
+    let total = scan::parallel_inclusive_scan(pool, &mut counts) as usize;
+    (counts.iter().map(|&x| x as usize).collect(), total)
+}
+
+/// Symbolic phase: per-row counts, then a scan into row pointers
+/// (Figure 7 lines 1–8). Returns `(rpts, nnz)`.
+pub(crate) fn symbolic_pass<S: Semiring, A: RowAccumulator<S>>(
+    w: &Workers<S, A>,
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    stats: &MultiplyStats,
+    pool: &Pool,
+) -> (Vec<usize>, usize) {
+    let mut counts = vec![0u64; a.nrows() + 1];
+    {
+        let counts_s = SharedMutSlice::new(&mut counts[1..]);
+        w.for_each_worker(a, b, stats, pool, |acc, wid, range| {
+            // SAFETY: the partition's ranges are disjoint, so each
+            // worker owns the count slots of its rows.
+            let counts = unsafe { counts_s.slice_mut(range.clone()) };
+            acc.symbolic_range(&w.shared, wid, a, b, range, counts);
+        });
+    }
+    scan_row_ptrs(pool, counts)
+}
+
+/// Numeric phase into pre-sliced output (Figure 7 lines 9–21): row `i`
+/// lands at `rpts[i]..rpts[i + 1]` of `cols`/`vals`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
+    w: &Workers<S, A>,
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    stats: &MultiplyStats,
+    rpts: &[usize],
+    sorted: bool,
+    pool: &Pool,
+    cols: &mut [ColIdx],
+    vals: &mut [S::Elem],
+) {
+    let (cols_s, vals_s) = (SharedMutSlice::new(cols), SharedMutSlice::new(vals));
+    w.for_each_worker(a, b, stats, pool, |acc, wid, range| {
+        let window = rpts[range.start]..rpts[range.end];
+        // SAFETY: the partition is contiguous and `rpts` monotone, so
+        // the workers' output windows are disjoint.
+        let (c, v) = unsafe { (cols_s.slice_mut(window.clone()), vals_s.slice_mut(window)) };
+        acc.numeric_range(&w.shared, wid, a, b, range, rpts, sorted, c, v);
+    });
+}
+
+/// A one-shot two-phase product on caller-supplied workers (symbolic →
+/// allocate → numeric), for the kernels that are not an
+/// [`crate::Algorithm`]: the masked product and HashVec at an explicit
+/// SIMD level.
+pub(crate) fn multiply_on<S: Semiring, A: RowAccumulator<S>>(
+    w: &Workers<S, A>,
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    sorted: bool,
+    pool: &Pool,
+) -> Csr<S::Elem> {
+    let stats = plan(a, b, pool);
+    let (rpts, nnz) = symbolic_pass(w, a, b, &stats, pool);
+    let mut cols = vec![0 as ColIdx; nnz];
+    let mut vals = vec![S::zero(); nnz];
+    numeric_pass(w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals);
+    Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted)
+}
+
+/// The one-phase pass: stage per thread, scan the realized counts,
 /// then copy each thread's staging block into place (§4.2.3's
 /// "parallel approach for memory management" — the temporary lives
 /// and dies inside the owning worker).
 ///
 /// `sorted_output` describes what the kernel emits (Heap: true,
 /// Inspector: false) and is recorded on the result.
-pub(crate) fn one_phase_staged<S: Semiring, F: StagedKernelFactory<S>>(
+pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
+    w: &Workers<S, K>,
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
+    stats: &MultiplyStats,
     pool: &Pool,
-    factory: &F,
     sorted_output: bool,
 ) -> Csr<S::Elem> {
-    let n = a.nrows();
-    let stats = plan(a, b, pool);
-    let inner = a.ncols();
-    let width = b.ncols();
-    let nt = pool.nthreads();
-
     // Thread-private staging, allocated and filled inside the region.
     type Staged<E> = Vec<parking_lot::Mutex<(Vec<ColIdx>, Vec<E>)>>;
-    let staged: Staged<S::Elem> = (0..nt)
+    let staged: Staged<S::Elem> = (0..pool.nthreads())
         .map(|_| parking_lot::Mutex::new((Vec::new(), Vec::new())))
         .collect();
-    let mut counts64 = vec![0u64; n + 1];
+    let mut counts = vec![0u64; a.nrows() + 1];
     {
-        let cnt = SharedMutSlice::new(&mut counts64[..]);
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let flop_bound: u64 = stats.row_flops[range.clone()].iter().sum();
-            let mut kernel =
-                factory.make(max_flop_in(&stats.row_flops, range.clone()), inner, width);
+        let counts_s = SharedMutSlice::new(&mut counts[1..]);
+        w.for_each_worker(a, b, stats, pool, |kernel, wid, range| {
+            let flop_bound = stats.row_flops[range.clone()].iter().sum::<u64>() as usize;
+            // SAFETY: the partition's ranges are disjoint, so each
+            // worker owns the count slots of its rows.
+            let counts = unsafe { counts_s.slice_mut(range.clone()) };
             let mut slot = staged[wid].lock();
             let (cols, vals) = &mut *slot;
-            cols.clear();
-            vals.clear();
-            cols.reserve(flop_bound as usize);
-            vals.reserve(flop_bound as usize);
-            for i in range {
-                let emitted = kernel.stage_row(a, b, i, cols, vals) as u64;
-                // SAFETY: each row is staged by exactly one thread.
-                unsafe { cnt.write(i + 1, emitted) };
+            cols.reserve(flop_bound);
+            vals.reserve(flop_bound);
+            for (cnt, i) in counts.iter_mut().zip(range) {
+                *cnt = kernel.stage_row(a, b, i, cols, vals) as u64;
             }
         });
     }
-
-    let total = scan::parallel_inclusive_scan(pool, &mut counts64) as usize;
-    let rpts: Vec<usize> = counts64.iter().map(|&x| x as usize).collect();
+    let (rpts, total) = scan_row_ptrs(pool, counts);
 
     let mut cols = vec![0 as ColIdx; total];
     let mut vals = vec![S::zero(); total];
     {
-        let cols_s = SharedMutSlice::new(&mut cols[..]);
-        let vals_s = SharedMutSlice::new(&mut vals[..]);
-        let rpts_ref = &rpts;
+        let (cols_s, vals_s) = (
+            SharedMutSlice::new(&mut cols[..]),
+            SharedMutSlice::new(&mut vals[..]),
+        );
         pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
             let slot = staged[wid].lock();
             let (scols, svals) = &*slot;
-            let dst = rpts_ref[range.start]..rpts_ref[range.end];
+            let dst = rpts[range.start]..rpts[range.end];
             debug_assert_eq!(dst.len(), scols.len());
             // SAFETY: each thread's destination block is disjoint (the
             // row partition is contiguous and rpts is monotone).
@@ -290,12 +408,9 @@ pub(crate) fn one_phase_staged<S: Semiring, F: StagedKernelFactory<S>>(
                 cols_s.slice_mut(dst.clone()).copy_from_slice(scols);
                 vals_s.slice_mut(dst).copy_from_slice(svals);
             }
-            // Staging is dropped (deallocated) inside the owning
-            // worker on the next multiply's clear; `shrink` here would
-            // free eagerly but give up reuse.
         });
     }
-    Csr::from_parts_unchecked(n, width, rpts, cols, vals, sorted_output)
+    Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted_output)
 }
 
 /// `lowest_p2` from Figure 7: the smallest power of two *strictly

@@ -32,10 +32,10 @@
 use crate::algos::hash::HashAccumulator;
 use crate::algos::simd::{self, ChunkProbe, SimdLevel};
 use crate::algos::spa::SpaAccumulator;
-use crate::exec::{AccumReq, MultiplyStats, ReusableAccumulator, RowAccumulator};
+use crate::exec::{row_flop, AccumReq, MultiplyStats, RowAccumulator};
 use spgemm_obs as obs;
-use spgemm_par::{scan, unsync::SharedMutSlice, Pool, WorkspacePool};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
+use std::ops::Range;
 
 /// Largest flop count classified [`RowClass::Tiny`].
 pub const TINY_MAX_FLOP: u64 = 8;
@@ -118,16 +118,6 @@ pub fn bucket_occupancy<T: Copy>(a: &Csr<T>, b: &Csr<T>) -> [u64; 4] {
     occ
 }
 
-/// `flop(c_i*)` of one output row (the quantity `exec::plan` computes
-/// for all rows at once).
-#[inline]
-pub(crate) fn row_flop<A, B>(a: &Csr<A>, b: &Csr<B>, i: usize) -> u64 {
-    a.row_cols(i)
-        .iter()
-        .map(|&k| b.row_nnz(k as usize) as u64)
-        .sum()
-}
-
 /// A column-index source for the hot inner loops: the operand's own
 /// `u32` indices, or the plan-private gathered `u16` copy when the
 /// indexed dimension fits ([`RowClassSpec`]'s compression rule).
@@ -160,10 +150,41 @@ impl IdxElem for u32 {
     }
 }
 
+/// The operand arrays a class kernel reads, with each operand's
+/// column indices at whichever width the bind chose.
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a, KA, KB, E> {
+    a_rpts: &'a [usize],
+    a_cols: &'a [KA],
+    a_vals: &'a [E],
+    b_rpts: &'a [usize],
+    b_cols: &'a [KB],
+    b_vals: &'a [E],
+    ncols_b: usize,
+}
+
+impl<'a, KA, KB, E> Operands<'a, KA, KB, E> {
+    /// `a` and `b` read through the given column-index arrays (their
+    /// own, or the plan's compressed copies).
+    fn new(a: &'a Csr<E>, a_cols: &'a [KA], b: &'a Csr<E>, b_cols: &'a [KB]) -> Self {
+        Operands {
+            a_rpts: a.rpts(),
+            a_cols,
+            a_vals: a.vals(),
+            b_rpts: b.rpts(),
+            b_cols,
+            b_vals: b.vals(),
+            ncols_b: b.ncols(),
+        }
+    }
+}
+
 /// The plan-private side of a RowClass bind: per-worker per-class row
 /// queues, bucket occupancy, and the compressed column-index copies.
 /// Rebuilt on every (re)bind — all `O(nrows + nnz)`, a fraction of the
-/// symbolic pass it precedes.
+/// symbolic pass it precedes. (The default is the empty spec of a plan
+/// that has not bound operands yet.)
+#[derive(Default)]
 pub(crate) struct RowClassSpec {
     /// `queues[w][class]` — the rows of worker `w`'s partition range in
     /// that class, ascending.
@@ -362,17 +383,20 @@ impl<S: Semiring> RowClassAccumulator<S> {
     /// clones below so the vector probes inline (checked by objdump —
     /// plain `#[inline]` leaves a call per probed key).
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn symbolic_row_idx<KA: IdxElem, KB: IdxElem>(
+    fn symbolic_row_idx<KA: IdxElem, KB: IdxElem>(
         &mut self,
         class: RowClass,
-        a_rpts: &[usize],
-        a_cols: &[KA],
-        b_rpts: &[usize],
-        b_cols: &[KB],
+        ops: Operands<'_, KA, KB, S::Elem>,
         i: usize,
-        ncols_b: usize,
     ) -> usize {
+        let Operands {
+            a_rpts,
+            a_cols,
+            b_rpts,
+            b_cols,
+            ncols_b,
+            ..
+        } = ops;
         let arow = &a_cols[a_rpts[i]..a_rpts[i + 1]];
         match class {
             RowClass::Tiny | RowClass::Short => {
@@ -412,22 +436,24 @@ impl<S: Semiring> RowClassAccumulator<S> {
     /// Compute row `i` into pre-sliced output with the class kernel.
     /// (`inline(always)`: see [`Self::symbolic_row_idx`].)
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn numeric_row_idx<KA: IdxElem, KB: IdxElem>(
+    fn numeric_row_idx<KA: IdxElem, KB: IdxElem>(
         &mut self,
         class: RowClass,
-        a_rpts: &[usize],
-        a_cols: &[KA],
-        a_vals: &[S::Elem],
-        b_rpts: &[usize],
-        b_cols: &[KB],
-        b_vals: &[S::Elem],
+        ops: Operands<'_, KA, KB, S::Elem>,
         i: usize,
         cols: &mut [ColIdx],
         vals: &mut [S::Elem],
         sorted: bool,
-        ncols_b: usize,
     ) {
+        let Operands {
+            a_rpts,
+            a_cols,
+            a_vals,
+            b_rpts,
+            b_cols,
+            b_vals,
+            ncols_b,
+        } = ops;
         let aspan = a_rpts[i]..a_rpts[i + 1];
         let arow = &a_cols[aspan.clone()];
         let arow_vals = &a_vals[aspan];
@@ -484,43 +510,40 @@ fn insertion_sort_pairs<E: Copy>(cols: &mut [ColIdx], vals: &mut [E]) {
     }
 }
 
-impl<S: Semiring> RowAccumulator<S> for RowClassAccumulator<S> {
-    fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
-        // Per-row class dispatch from the row's *current* flop count —
-        // this is what lets `rebind_rows` re-count an edited row that
-        // crossed a class boundary without any plan-level bookkeeping.
-        let class = RowClass::classify(row_flop(a, b, i), b.ncols());
-        self.symbolic_row_idx(class, a.rpts(), a.cols(), b.rpts(), b.cols(), i, b.ncols())
-    }
-
-    fn numeric_row(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        i: usize,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-        sorted: bool,
-    ) {
-        let class = RowClass::classify(row_flop(a, b, i), b.ncols());
-        self.numeric_row_idx(
-            class,
-            a.rpts(),
-            a.cols(),
-            a.vals(),
-            b.rpts(),
-            b.cols(),
-            b.vals(),
-            i,
-            cols,
-            vals,
-            sorted,
-            b.ncols(),
-        );
-    }
+/// Bind the four index-width combinations once per worker and pass,
+/// handing the generic body the operands as `$ops`.
+macro_rules! with_operands {
+    ($spec:expr, $a:expr, $b:expr, |$ops:ident| $body:expr) => {
+        match (&$spec.a16, &$spec.b16) {
+            (Some(a16), Some(b16)) => {
+                let $ops = Operands::new($a, &a16[..], $b, &b16[..]);
+                $body
+            }
+            (Some(a16), None) => {
+                let $ops = Operands::new($a, &a16[..], $b, $b.cols());
+                $body
+            }
+            (None, Some(b16)) => {
+                let $ops = Operands::new($a, $a.cols(), $b, &b16[..]);
+                $body
+            }
+            (None, None) => {
+                let $ops = Operands::new($a, $a.cols(), $b, $b.cols());
+                $body
+            }
+        }
+    };
 }
 
-impl<S: Semiring> ReusableAccumulator<S> for RowClassAccumulator<S> {
+impl<S: Semiring> RowAccumulator<S> for RowClassAccumulator<S> {
+    /// The bind-time class queues and compressed indices the drains
+    /// run over.
+    type Shared = RowClassSpec;
+
+    fn build(req: &AccumReq, _: &RowClassSpec) -> Self {
+        Self::new(req.max_row_flop, req.ncols_b, simd::detect())
+    }
+
     fn ensure(&mut self, req: &AccumReq) {
         let medium = AccumReq {
             max_row_flop: req
@@ -546,31 +569,75 @@ impl<S: Semiring> ReusableAccumulator<S> for RowClassAccumulator<S> {
             spa.scrub();
         }
     }
-}
 
-/// Bind the four index-width combinations once per pass, handing the
-/// generic body the concrete `(a_cols, b_cols)` slices.
-macro_rules! with_cols {
-    ($spec:expr, $a:expr, $b:expr, |$ac:ident, $bc:ident| $body:expr) => {
-        match (&$spec.a16, &$spec.b16) {
-            (Some(a16), Some(b16)) => {
-                let ($ac, $bc) = (&a16[..], &b16[..]);
-                $body
-            }
-            (Some(a16), None) => {
-                let ($ac, $bc) = (&a16[..], $a.cols());
-                $body
-            }
-            (None, Some(b16)) => {
-                let ($ac, $bc) = ($a.cols(), &b16[..]);
-                $body
-            }
-            (None, None) => {
-                let ($ac, $bc) = ($a.cols(), $b.cols());
-                $body
-            }
-        }
-    };
+    fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
+        // Per-row class dispatch from the row's *current* flop count —
+        // this is what lets `rebind_rows` re-count an edited row that
+        // crossed a class boundary without any plan-level bookkeeping.
+        let class = RowClass::classify(row_flop(a, b, i), b.ncols());
+        self.symbolic_row_idx(class, Operands::new(a, a.cols(), b, b.cols()), i)
+    }
+
+    fn numeric_row(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        i: usize,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+        sorted: bool,
+    ) {
+        let class = RowClass::classify(row_flop(a, b, i), b.ncols());
+        let ops = Operands::new(a, a.cols(), b, b.cols());
+        self.numeric_row_idx(class, ops, i, cols, vals, sorted);
+    }
+
+    /// The bucketed symbolic share: drain the worker's class queues
+    /// back to back (no per-row kernel branching) over the compressed
+    /// column indices.
+    fn symbolic_range(
+        &mut self,
+        spec: &RowClassSpec,
+        wid: usize,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        range: Range<usize>,
+        counts: &mut [u64],
+    ) {
+        let queues = &spec.queues[wid];
+        with_operands!(spec, a, b, |ops| drain_symbolic_at(
+            self,
+            queues,
+            ops,
+            range.start,
+            counts
+        ))
+    }
+
+    /// The bucketed numeric share — see [`Self::symbolic_range`].
+    fn numeric_range(
+        &mut self,
+        spec: &RowClassSpec,
+        wid: usize,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        range: Range<usize>,
+        rpts: &[usize],
+        sorted: bool,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+    ) {
+        let out = RowWindow {
+            rpts,
+            start: rpts[range.start],
+            cols,
+            vals,
+        };
+        let queues = &spec.queues[wid];
+        with_operands!(spec, a, b, |ops| drain_numeric_at(
+            self, queues, ops, sorted, out
+        ))
+    }
 }
 
 /// One worker's symbolic drain: every class queue back to back. The
@@ -579,24 +646,18 @@ macro_rules! with_cols {
 /// ([`simd::probe_prefix`]'s leaf functions) then inlines into the
 /// drain instead of costing a function call per probed key across the
 /// feature boundary.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn drain_symbolic<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    width: usize,
-    rp: &SharedMutSlice<'_, u64>,
+    ops: Operands<'_, KA, KB, S::Elem>,
+    first_row: usize,
+    counts: &mut [u64],
 ) {
     for class in CLASSES {
         for &i in &queues[class as usize] {
             let i = i as usize;
-            let cnt = acc.symbolic_row_idx(class, a_rpts, a_cols, b_rpts, b_cols, i, width) as u64;
-            // SAFETY: row `i` belongs to exactly one worker's queues.
-            unsafe { rp.write(i + 1, cnt) };
+            counts[i - first_row] = acc.symbolic_row_idx(class, ops, i) as u64;
         }
     }
 }
@@ -607,18 +668,14 @@ fn drain_symbolic<S: Semiring, KA: IdxElem, KB: IdxElem>(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn drain_symbolic_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    width: usize,
-    rp: &SharedMutSlice<'_, u64>,
+    ops: Operands<'_, KA, KB, S::Elem>,
+    first_row: usize,
+    counts: &mut [u64],
 ) {
-    drain_symbolic(acc, queues, a_rpts, a_cols, b_rpts, b_cols, width, rp)
+    drain_symbolic(acc, queues, ops, first_row, counts)
 }
 
 /// [`drain_symbolic`] compiled with AVX2 enabled.
@@ -627,78 +684,62 @@ unsafe fn drain_symbolic_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn drain_symbolic_avx2<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    width: usize,
-    rp: &SharedMutSlice<'_, u64>,
+    ops: Operands<'_, KA, KB, S::Elem>,
+    first_row: usize,
+    counts: &mut [u64],
 ) {
-    drain_symbolic(acc, queues, a_rpts, a_cols, b_rpts, b_cols, width, rp)
+    drain_symbolic(acc, queues, ops, first_row, counts)
 }
 
 /// Dispatch one worker's symbolic drain to the clone matching the
 /// accumulator's SIMD level (one dispatch per worker per pass).
-#[allow(clippy::too_many_arguments)]
 fn drain_symbolic_at<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    level: SimdLevel,
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    width: usize,
-    rp: &SharedMutSlice<'_, u64>,
+    ops: Operands<'_, KA, KB, S::Elem>,
+    first_row: usize,
+    counts: &mut [u64],
 ) {
-    match level {
-        // SAFETY: `level` comes from `simd::detect`, which only
-        // reports features the running CPU supports.
+    match acc.level {
+        // SAFETY: the drivers build accumulators at `simd::detect`'s
+        // level (`RowAccumulator::build`), which only reports features
+        // the running CPU supports.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe {
-            drain_symbolic_avx512(acc, queues, a_rpts, a_cols, b_rpts, b_cols, width, rp)
-        },
+        SimdLevel::Avx512 => unsafe { drain_symbolic_avx512(acc, queues, ops, first_row, counts) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
-            drain_symbolic_avx2(acc, queues, a_rpts, a_cols, b_rpts, b_cols, width, rp)
-        },
-        _ => drain_symbolic(acc, queues, a_rpts, a_cols, b_rpts, b_cols, width, rp),
+        SimdLevel::Avx2 => unsafe { drain_symbolic_avx2(acc, queues, ops, first_row, counts) },
+        _ => drain_symbolic(acc, queues, ops, first_row, counts),
     }
+}
+
+/// One worker's window of the output: its rows are contiguous, so row
+/// `i` sits at `rpts[i] - start..rpts[i + 1] - start` of `cols`/`vals`.
+struct RowWindow<'a, E> {
+    rpts: &'a [usize],
+    start: usize,
+    cols: &'a mut [ColIdx],
+    vals: &'a mut [E],
 }
 
 /// One worker's numeric drain — same monomorphization scheme as
 /// [`drain_symbolic`].
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn drain_numeric<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    a_vals: &[S::Elem],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    b_vals: &[S::Elem],
-    rpts: &[usize],
+    ops: Operands<'_, KA, KB, S::Elem>,
     sorted: bool,
-    width: usize,
-    cols_s: &SharedMutSlice<'_, ColIdx>,
-    vals_s: &SharedMutSlice<'_, S::Elem>,
+    out: RowWindow<'_, S::Elem>,
 ) {
     for class in CLASSES {
         for &i in &queues[class as usize] {
             let i = i as usize;
-            let span = rpts[i]..rpts[i + 1];
-            // SAFETY: row spans are disjoint across workers
-            // (contiguous partition, monotone rpts).
-            let (c, v) = unsafe { (cols_s.slice_mut(span.clone()), vals_s.slice_mut(span)) };
-            acc.numeric_row_idx(
-                class, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, i, c, v, sorted, width,
-            );
+            let span = out.rpts[i] - out.start..out.rpts[i + 1] - out.start;
+            let (c, v) = (&mut out.cols[span.clone()], &mut out.vals[span]);
+            acc.numeric_row_idx(class, ops, i, c, v, sorted);
         }
     }
 }
@@ -709,26 +750,14 @@ fn drain_numeric<S: Semiring, KA: IdxElem, KB: IdxElem>(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn drain_numeric_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    a_vals: &[S::Elem],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    b_vals: &[S::Elem],
-    rpts: &[usize],
+    ops: Operands<'_, KA, KB, S::Elem>,
     sorted: bool,
-    width: usize,
-    cols_s: &SharedMutSlice<'_, ColIdx>,
-    vals_s: &SharedMutSlice<'_, S::Elem>,
+    out: RowWindow<'_, S::Elem>,
 ) {
-    drain_numeric(
-        acc, queues, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, rpts, sorted, width, cols_s,
-        vals_s,
-    )
+    drain_numeric(acc, queues, ops, sorted, out)
 }
 
 /// [`drain_numeric`] compiled with AVX2 enabled.
@@ -737,188 +766,41 @@ unsafe fn drain_numeric_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn drain_numeric_avx2<S: Semiring, KA: IdxElem, KB: IdxElem>(
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    a_vals: &[S::Elem],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    b_vals: &[S::Elem],
-    rpts: &[usize],
+    ops: Operands<'_, KA, KB, S::Elem>,
     sorted: bool,
-    width: usize,
-    cols_s: &SharedMutSlice<'_, ColIdx>,
-    vals_s: &SharedMutSlice<'_, S::Elem>,
+    out: RowWindow<'_, S::Elem>,
 ) {
-    drain_numeric(
-        acc, queues, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, rpts, sorted, width, cols_s,
-        vals_s,
-    )
+    drain_numeric(acc, queues, ops, sorted, out)
 }
 
 /// Dispatch one worker's numeric drain to the clone matching the
 /// accumulator's SIMD level.
-#[allow(clippy::too_many_arguments)]
 fn drain_numeric_at<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    level: SimdLevel,
     acc: &mut RowClassAccumulator<S>,
     queues: &[Vec<u32>; 4],
-    a_rpts: &[usize],
-    a_cols: &[KA],
-    a_vals: &[S::Elem],
-    b_rpts: &[usize],
-    b_cols: &[KB],
-    b_vals: &[S::Elem],
-    rpts: &[usize],
+    ops: Operands<'_, KA, KB, S::Elem>,
     sorted: bool,
-    width: usize,
-    cols_s: &SharedMutSlice<'_, ColIdx>,
-    vals_s: &SharedMutSlice<'_, S::Elem>,
+    out: RowWindow<'_, S::Elem>,
 ) {
-    match level {
-        // SAFETY: `level` comes from `simd::detect`, which only
-        // reports features the running CPU supports.
+    match acc.level {
+        // SAFETY: the drivers build accumulators at `simd::detect`'s
+        // level (`RowAccumulator::build`), which only reports features
+        // the running CPU supports.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe {
-            drain_numeric_avx512(
-                acc, queues, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, rpts, sorted, width,
-                cols_s, vals_s,
-            )
-        },
+        SimdLevel::Avx512 => unsafe { drain_numeric_avx512(acc, queues, ops, sorted, out) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
-            drain_numeric_avx2(
-                acc, queues, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, rpts, sorted, width,
-                cols_s, vals_s,
-            )
-        },
-        _ => drain_numeric(
-            acc, queues, a_rpts, a_cols, a_vals, b_rpts, b_cols, b_vals, rpts, sorted, width,
-            cols_s, vals_s,
-        ),
+        SimdLevel::Avx2 => unsafe { drain_numeric_avx2(acc, queues, ops, sorted, out) },
+        _ => drain_numeric(acc, queues, ops, sorted, out),
     }
-}
-
-/// The bucketed symbolic pass: each worker drains its class queues
-/// with pooled accumulators, writing per-row counts; a parallel scan
-/// turns them into row pointers. Returns `(rpts, nnz)`.
-pub(crate) fn rowclass_symbolic_pass<S: Semiring>(
-    ws: &WorkspacePool<RowClassAccumulator<S>>,
-    level: SimdLevel,
-    spec: &RowClassSpec,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    pool: &Pool,
-) -> (Vec<usize>, usize) {
-    let n = a.nrows();
-    let (inner, width) = (a.ncols(), b.ncols());
-    let mut rpts64 = vec![0u64; n + 1];
-    with_cols!(spec, a, b, |ac, bc| {
-        let rp = SharedMutSlice::new(&mut rpts64[..]);
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let req = AccumReq {
-                max_row_flop: crate::exec::max_flop_in(&stats.row_flops, range),
-                inner_dim: inner,
-                ncols_b: width,
-            };
-            ws.with(
-                wid,
-                || RowClassAccumulator::new(req.max_row_flop, width, level),
-                |acc, reused| {
-                    if reused {
-                        acc.ensure(&req);
-                        acc.scrub();
-                    }
-                    drain_symbolic_at(
-                        level,
-                        acc,
-                        &spec.queues[wid],
-                        a.rpts(),
-                        ac,
-                        b.rpts(),
-                        bc,
-                        width,
-                        &rp,
-                    );
-                },
-            );
-        });
-    });
-    let total = scan::parallel_inclusive_scan(pool, &mut rpts64) as usize;
-    let rpts: Vec<usize> = rpts64.iter().map(|&x| x as usize).collect();
-    (rpts, total)
-}
-
-/// The bucketed numeric pass into pre-sliced output: each worker runs
-/// its queues class-by-class (no per-row kernel branching) over the
-/// compressed column indices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rowclass_numeric_pass<S: Semiring>(
-    ws: &WorkspacePool<RowClassAccumulator<S>>,
-    level: SimdLevel,
-    spec: &RowClassSpec,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    rpts: &[usize],
-    sorted: bool,
-    pool: &Pool,
-    cols: &mut [ColIdx],
-    vals: &mut [S::Elem],
-) {
-    let (inner, width) = (a.ncols(), b.ncols());
-    with_cols!(spec, a, b, |ac, bc| {
-        let cols_s = SharedMutSlice::new(cols);
-        let vals_s = SharedMutSlice::new(vals);
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let req = AccumReq {
-                max_row_flop: crate::exec::max_flop_in(&stats.row_flops, range),
-                inner_dim: inner,
-                ncols_b: width,
-            };
-            ws.with(
-                wid,
-                || RowClassAccumulator::new(req.max_row_flop, width, level),
-                |acc, reused| {
-                    if reused {
-                        acc.ensure(&req);
-                        acc.scrub();
-                    }
-                    drain_numeric_at(
-                        level,
-                        acc,
-                        &spec.queues[wid],
-                        a.rpts(),
-                        ac,
-                        a.vals(),
-                        b.rpts(),
-                        bc,
-                        b.vals(),
-                        rpts,
-                        sorted,
-                        width,
-                        &cols_s,
-                        &vals_s,
-                    );
-                },
-            );
-        });
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spgemm_par::Pool;
     use spgemm_sparse::PlusTimes;
 
     type P = PlusTimes<f64>;

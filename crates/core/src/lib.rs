@@ -33,7 +33,11 @@
 //! identifies as decisive (§3–4): the flop-balanced static row
 //! partition (`RowsToThreads`), thread-private hash/heap/scratch
 //! storage allocated inside the parallel region, and output buffers
-//! written through pre-computed disjoint slices.
+//! written through pre-computed disjoint slices. That machinery is one
+//! row-pass driver (`exec`: one symbolic, one numeric, one staged
+//! pass) into which each kernel plugs as a per-row accumulator;
+//! planned and one-shot products, RowClass, the masked product and
+//! the row-subset paths all run it.
 //!
 //! Kernels are generic over a [`spgemm_sparse::Semiring`], so boolean
 //! BFS and counting workloads run through the identical code paths as
@@ -108,45 +112,3 @@ pub fn multiply_f64(
 /// Masked SpGEMM `C = (A · B) ∘ M` without materializing `A · B` —
 /// see [`algos::masked::multiply_masked`].
 pub use algos::masked::multiply_masked;
-
-/// Count `nnz(A · B)` without computing values: the symbolic phase
-/// alone, parallelized with the same flop-balanced partition the full
-/// kernels use. Useful for sizing outputs and for the compression
-/// ratio `flop / nnz(C)` without a full multiply.
-pub fn product_nnz<A, B>(a: &Csr<A>, b: &Csr<B>, pool: &Pool) -> usize
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-{
-    use spgemm_par::unsync::SharedMutSlice;
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "product_nnz: inner dimension mismatch"
-    );
-    let stats = exec_plan(a, b, pool);
-    let n = a.nrows();
-    let mut counts = vec![0u64; n];
-    {
-        let cnt = SharedMutSlice::new(&mut counts[..]);
-        let row_flops = &stats.row_flops;
-        pool.parallel_ranges(&stats.offsets, |_wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let max_flop = row_flops[range.clone()].iter().copied().max().unwrap_or(0) as usize;
-            let mut acc = algos::hash::HashAccumulator::<PlusTimes<f64>>::new(max_flop, b.ncols());
-            for i in range {
-                for &k in a.row_cols(i) {
-                    for &j in b.row_cols(k as usize) {
-                        acc.insert_symbolic(j);
-                    }
-                }
-                // SAFETY: each row is counted by exactly one thread.
-                unsafe { cnt.write(i, acc.len() as u64) };
-                acc.reset();
-            }
-        });
-    }
-    counts.iter().map(|&x| x as usize).sum()
-}

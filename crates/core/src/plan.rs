@@ -19,10 +19,10 @@
 //!   reused output via [`SpgemmPlan::execute_into`].
 //!
 //! One-phase kernels (`Heap`, `Inspector`) have no symbolic pass to
-//! front-load; their first execution runs the original staged
-//! one-phase driver and *captures* the row pointers it discovers, so
-//! one-shot use costs exactly what it always did while later
-//! executions become numeric-only like everyone else's.
+//! front-load; their first execution runs the staged one-phase pass
+//! and *captures* the row pointers it discovers, so one-shot use costs
+//! one pass while later executions become numeric-only like everyone
+//! else's.
 //!
 //! [`PlanCache`] layers structure fingerprinting on top for workloads
 //! whose pattern *drifts* (MCL prunes entries every round): it reuses
@@ -30,48 +30,39 @@
 //! the pooled accumulators — when it changes.
 //!
 //! The one-shot [`crate::multiply_in`] is itself `Plan::new` +
-//! `execute`, so the two paths cannot diverge.
+//! `execute`, and every pass a plan runs — symbolic, numeric, staged,
+//! and the serial row-subset loops of `rebind_rows` / `execute_rows`
+//! — is the single implementation in `crate::exec`; the plan only
+//! decides *which* accumulator type the passes are instantiated with.
 
 use crate::algos::hash::HashAccumulator;
 use crate::algos::hashvec::HashVecAccumulator;
 use crate::algos::heap::HeapKernel;
 use crate::algos::ikj::IkjKernel;
-use crate::algos::inspector::InspectorKernel;
 use crate::algos::kkhash::KkHashAccumulator;
 use crate::algos::merge::MergeAccumulator;
-use crate::algos::simd::{self, SimdLevel};
+use crate::algos::simd;
 use crate::algos::spa::SpaAccumulator;
 use crate::delta::{ConsumerIndex, DirtyRows};
-use crate::exec::{
-    self, AccumReq, MultiplyStats, ReusableAccumulator, RowAccumulator, StagedRowKernel,
-};
-use crate::kgen::{self, RowClassAccumulator, RowClassSpec};
+use crate::exec::{self, MultiplyStats, RowAccumulator, Workers};
+use crate::kgen::{RowClassAccumulator, RowClassSpec};
 use crate::{recipe, Algorithm, OutputOrder};
 use parking_lot::Mutex;
 use spgemm_obs as obs;
-use spgemm_par::{partition, scan, unsync::SharedMutSlice, Pool, WorkspacePool, WorkspaceStats};
+use spgemm_par::{Pool, WorkspaceStats};
 use spgemm_sparse::{ColIdx, Csr, Semiring, SparseError};
 use std::sync::Arc;
 
-/// Fingerprint of a matrix's sparsity structure (shape, row pointers,
-/// column indices — values excluded). Two matrices with the same
-/// signature share a structure for planning purposes; used by
-/// [`SpgemmPlan::matches_structure`] and [`PlanCache`]. This is
-/// [`Csr::structure_fingerprint`]; kept as a free function for callers
-/// that predate the method.
-pub fn structure_signature<T>(m: &Csr<T>) -> u64 {
-    m.structure_fingerprint()
-}
-
-/// Signatures of both operands, hashing the shared structure only
-/// once when `a` and `b` are the same matrix (the `A · A` case of
+/// Structure fingerprints (shape, row pointers, column indices —
+/// values excluded) of both operands, hashing the shared structure
+/// only once when `a` and `b` are the same matrix (the `A · A` case of
 /// MCL expansion and squaring benchmarks).
 fn signatures<T>(a: &Csr<T>, b: &Csr<T>) -> (u64, u64) {
-    let a_sig = structure_signature(a);
+    let a_sig = a.structure_fingerprint();
     let b_sig = if std::ptr::eq(a, b) {
         a_sig
     } else {
-        structure_signature(b)
+        b.structure_fingerprint()
     };
     (a_sig, b_sig)
 }
@@ -82,107 +73,64 @@ struct SymbolicPlan {
     nnz: usize,
 }
 
-/// Per-algorithm pooled workspaces. Each variant owns one
-/// [`WorkspacePool`] whose slots hold that kernel's per-thread
-/// accumulator, created lazily inside the first parallel region and
-/// reused (clear-on-acquire) by every later phase and execution.
+/// Per-algorithm pooled workers: each variant instantiates
+/// [`Workers`] — and through it every pass of `crate::exec` — with
+/// that kernel's accumulator type.
 enum PlanKernel<S: Semiring> {
-    Hash(WorkspacePool<HashAccumulator<S>>),
-    HashVec {
-        ws: WorkspacePool<HashVecAccumulator<S>>,
-        level: SimdLevel,
-    },
-    Heap(WorkspacePool<HeapKernel<S>>),
-    Spa(WorkspacePool<SpaAccumulator<S>>),
-    Merge(WorkspacePool<MergeAccumulator<S>>),
-    Inspector(WorkspacePool<InspectorKernel<S>>),
-    KkHash(WorkspacePool<KkHashAccumulator<S>>),
-    Ikj(WorkspacePool<IkjKernel<S>>),
-    RowClass {
-        ws: WorkspacePool<RowClassAccumulator<S>>,
-        level: SimdLevel,
-    },
+    Hash(Workers<S, HashAccumulator<S>>),
+    HashVec(Workers<S, HashVecAccumulator<S>>),
+    Heap(Workers<S, HeapKernel<S>>),
+    Spa(Workers<S, SpaAccumulator<S>>),
+    Merge(Workers<S, MergeAccumulator<S>>),
+    /// The hash accumulator run one-phase (`algos::inspector`).
+    Inspector(Workers<S, HashAccumulator<S>>),
+    KkHash(Workers<S, KkHashAccumulator<S>>),
+    Ikj(Workers<S, IkjKernel<S>>),
+    RowClass(Workers<S, RowClassAccumulator<S>>),
     Reference,
 }
 
 impl<S: Semiring> PlanKernel<S> {
     fn new(algo: Algorithm, nthreads: usize) -> Self {
         match algo {
-            Algorithm::Hash => PlanKernel::Hash(WorkspacePool::with_threads(nthreads)),
-            Algorithm::HashVec => PlanKernel::HashVec {
-                ws: WorkspacePool::with_threads(nthreads),
-                level: simd::detect(),
-            },
-            Algorithm::Heap => PlanKernel::Heap(WorkspacePool::with_threads(nthreads)),
-            Algorithm::Spa => PlanKernel::Spa(WorkspacePool::with_threads(nthreads)),
-            Algorithm::Merge => PlanKernel::Merge(WorkspacePool::with_threads(nthreads)),
-            Algorithm::Inspector => PlanKernel::Inspector(WorkspacePool::with_threads(nthreads)),
-            Algorithm::KkHash => PlanKernel::KkHash(WorkspacePool::with_threads(nthreads)),
-            Algorithm::Ikj => PlanKernel::Ikj(WorkspacePool::with_threads(nthreads)),
-            Algorithm::RowClass => PlanKernel::RowClass {
-                ws: WorkspacePool::with_threads(nthreads),
-                level: simd::detect(),
-            },
+            Algorithm::Hash => PlanKernel::Hash(Workers::new(nthreads, ())),
+            Algorithm::HashVec => PlanKernel::HashVec(Workers::new(nthreads, simd::detect())),
+            Algorithm::Heap => PlanKernel::Heap(Workers::new(nthreads, ())),
+            Algorithm::Spa => PlanKernel::Spa(Workers::new(nthreads, ())),
+            Algorithm::Merge => PlanKernel::Merge(Workers::new(nthreads, ())),
+            Algorithm::Inspector => PlanKernel::Inspector(Workers::new(nthreads, ())),
+            Algorithm::KkHash => PlanKernel::KkHash(Workers::new(nthreads, ())),
+            Algorithm::Ikj => PlanKernel::Ikj(Workers::new(nthreads, ())),
+            // The class queues are bound with the operands.
+            Algorithm::RowClass => {
+                PlanKernel::RowClass(Workers::new(nthreads, RowClassSpec::default()))
+            }
             Algorithm::Reference => PlanKernel::Reference,
             Algorithm::Auto => unreachable!("Auto resolved before kernel construction"),
         }
     }
 }
 
-/// Dispatch over the kernel variants, binding the workspace pool and
-/// the accumulator factory **once** so the symbolic and numeric passes
-/// cannot drift in their sizing: each variant's constructor closure
-/// exists in exactly one place, and `$body` receives it as `$make`
-/// alongside the pool as `$ws`. (`Reference` is handled by the execute
-/// paths before any kernel dispatch; the staged first run has its own
-/// two-variant match because only Heap/Inspector implement
-/// `StagedRowKernel`.)
+/// Static dispatch over the kernel variants: `$body` is instantiated
+/// once per accumulator type with that variant's [`Workers`] bound to
+/// `$w` — the one enum dispatch a pass pays. (`Reference` is handled
+/// by the execute paths before any kernel dispatch; the staged first
+/// run has its own two-variant match because only Heap/Inspector
+/// implement `StagedRowKernel`.)
 macro_rules! with_kernel {
-    ($plan:expr, $a:expr, $b:expr, |$ws:ident, $make:ident| $body:expr) => {{
-        let (a_ref, b_ref) = ($a, $b);
+    ($plan:expr, |$w:ident| $body:expr) => {
         match &$plan.kernel {
-            PlanKernel::Hash($ws) => {
-                let $make = |mf: usize| HashAccumulator::new(mf, b_ref.ncols());
-                $body
-            }
-            PlanKernel::HashVec { ws: $ws, level } => {
-                let level = *level;
-                let $make =
-                    move |mf: usize| HashVecAccumulator::with_level(mf, b_ref.ncols(), level);
-                $body
-            }
-            PlanKernel::Heap($ws) => {
-                let $make = |_mf: usize| HeapKernel::new();
-                $body
-            }
-            PlanKernel::Spa($ws) => {
-                let $make = |_mf: usize| SpaAccumulator::new(b_ref.ncols());
-                $body
-            }
-            PlanKernel::Merge($ws) => {
-                let $make = MergeAccumulator::new;
-                $body
-            }
-            PlanKernel::Inspector($ws) => {
-                let $make = |mf: usize| InspectorKernel::new(mf, b_ref.ncols());
-                $body
-            }
-            PlanKernel::KkHash($ws) => {
-                let $make = |mf: usize| KkHashAccumulator::new(mf, b_ref.ncols());
-                $body
-            }
-            PlanKernel::Ikj($ws) => {
-                let $make = |_mf: usize| IkjKernel::new(a_ref.ncols(), b_ref.ncols());
-                $body
-            }
-            PlanKernel::RowClass { ws: $ws, level } => {
-                let level = *level;
-                let $make = move |mf: usize| RowClassAccumulator::new(mf, b_ref.ncols(), level);
-                $body
-            }
+            PlanKernel::Hash($w) | PlanKernel::Inspector($w) => $body,
+            PlanKernel::HashVec($w) => $body,
+            PlanKernel::Heap($w) => $body,
+            PlanKernel::Spa($w) => $body,
+            PlanKernel::Merge($w) => $body,
+            PlanKernel::KkHash($w) => $body,
+            PlanKernel::Ikj($w) => $body,
+            PlanKernel::RowClass($w) => $body,
             PlanKernel::Reference => unreachable!("Reference handled before kernel dispatch"),
         }
-    }};
+    };
 }
 
 /// Outcome of resolving the symbolic state for one execution.
@@ -245,11 +193,6 @@ pub struct SpgemmPlan<S: Semiring> {
     /// first [`SpgemmPlan::rebind_rows`] and patched per call; `None`
     /// until then and after any full rebind.
     consumers: Option<ConsumerIndex>,
-    /// RowClass plans only: per-class work queues and compressed
-    /// column indices, rebuilt on every (re)bind. Boxed — the spec is
-    /// touched once per pass, and keeping it out of line keeps
-    /// `SpgemmPlan` small for the enums that embed it (`expr`).
-    rowclass: Option<Box<RowClassSpec>>,
     kernel: PlanKernel<S>,
 }
 
@@ -312,17 +255,27 @@ impl<S: Semiring> SpgemmPlan<S> {
             nthreads: pool.nthreads(),
             symbolic: Mutex::new(None),
             consumers: None,
-            rowclass: None,
             kernel: PlanKernel::new(resolved, pool.nthreads()),
         };
-        if plan.algo == Algorithm::RowClass {
-            plan.rowclass = Some(Box::new(RowClassSpec::build(a, b, &plan.stats)));
-        }
-        if !plan.symbolic_is_deferred() {
-            let sym = plan.run_symbolic(a, b, pool);
-            *plan.symbolic.get_mut() = Some(Arc::new(sym));
-        }
+        plan.bind_kernel(a, b, pool);
         Ok(plan)
+    }
+
+    /// Bind the kernel to the operands' structure once `stats` is
+    /// current: RowClass's class queues, then the symbolic phase
+    /// (unless this kernel defers it to its first execution).
+    fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
+        self.bind_row_classes(a, b);
+        *self.symbolic.get_mut() =
+            (!self.symbolic_is_deferred()).then(|| Arc::new(self.run_symbolic(a, b, pool)));
+    }
+
+    /// RowClass plans only: re-derive the per-class work queues and
+    /// re-gather the compressed column indices from `stats`.
+    fn bind_row_classes(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) {
+        if let PlanKernel::RowClass(w) = &mut self.kernel {
+            w.shared = RowClassSpec::build(a, b, &self.stats);
+        }
     }
 
     /// Validate shapes/contracts and resolve `Auto`; shared by
@@ -371,7 +324,7 @@ impl<S: Semiring> SpgemmPlan<S> {
 
     /// Re-plan for a *different* structure while keeping the pooled
     /// per-thread workspaces (which re-validate and grow on their next
-    /// acquisition — see `exec::ReusableAccumulator`). This is the
+    /// acquisition — see `exec::RowAccumulator`). This is the
     /// allocation-amortizing path for workloads whose pattern drifts
     /// between products; [`PlanCache`] calls it automatically.
     pub fn rebind(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Result<(), SparseError> {
@@ -401,13 +354,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         // Rebinding implies reuse intent: always fingerprint.
         self.sigs = Some(signatures(a, b));
         self.consumers = None;
-        self.rowclass = (self.algo == Algorithm::RowClass)
-            .then(|| Box::new(RowClassSpec::build(a, b, &self.stats)));
-        *self.symbolic.get_mut() = None;
-        if !self.symbolic_is_deferred() {
-            let sym = self.run_symbolic(a, b, pool);
-            *self.symbolic.get_mut() = Some(Arc::new(sym));
-        }
+        self.bind_kernel(a, b, pool);
         Ok(())
     }
 
@@ -526,24 +473,14 @@ impl<S: Semiring> SpgemmPlan<S> {
         // unchanged); the partition is then re-derived the same way
         // `exec::plan` does, so it matches a fresh plan's.
         for i in out_dirty.iter() {
-            self.stats.row_flops[i] = a
-                .row_cols(i)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize) as u64)
-                .sum();
+            self.stats.row_flops[i] = exec::row_flop(a, b, i);
         }
-        let mut prefix = self.stats.row_flops.clone();
-        self.stats.offsets =
-            partition::balanced_offsets_in_place(&mut prefix, pool.nthreads(), pool);
-        self.stats.total_flop = prefix.last().copied().unwrap_or(0);
-        if self.algo == Algorithm::RowClass {
-            // Edited rows may have crossed a class boundary and the
-            // partition may have shifted; re-derive the class queues
-            // and re-gather the compressed indices (`O(nrows + nnz)`
-            // — cheaper than the `O(nnz)` re-analysis a full rebind
-            // pays, and the per-row re-counts below stay incremental).
-            self.rowclass = Some(Box::new(RowClassSpec::build(a, b, &self.stats)));
-        }
+        self.stats.repartition(pool);
+        // RowClass: edited rows may have crossed a class boundary and
+        // the partition may have shifted (`O(nrows + nnz)` — cheaper
+        // than the `O(nnz)` re-analysis a full rebind pays, and the
+        // per-row re-counts below stay incremental).
+        self.bind_row_classes(a, b);
 
         // Splice the symbolic structure: clean rows keep their cached
         // counts, invalidated rows are re-counted by the kernel.
@@ -557,29 +494,12 @@ impl<S: Semiring> SpgemmPlan<S> {
             .map(|i| old_sym.rpts[i + 1] - old_sym.rpts[i])
             .collect();
         if !out_dirty.is_empty() {
-            let req = AccumReq {
-                max_row_flop: out_dirty
-                    .iter()
-                    .map(|i| self.stats.row_flops[i])
-                    .max()
-                    .unwrap_or(0) as usize,
-                inner_dim: a.ncols(),
-                ncols_b: b.ncols(),
-            };
-            let counts_ref = &mut counts;
-            with_kernel!(self, a, b, |ws, make| ws.with(
-                0,
-                || make(req.max_row_flop),
-                |acc, reused| {
-                    if reused {
-                        acc.ensure(&req);
-                        acc.scrub();
-                    }
-                    for i in out_dirty.iter() {
-                        counts_ref[i] = acc.symbolic_row(a, b, i);
-                    }
-                },
-            ));
+            let flops = out_dirty.iter().map(|i| self.stats.row_flops[i]);
+            with_kernel!(self, |w| w.with_rows(a, b, flops, |acc| {
+                for i in out_dirty.iter() {
+                    counts[i] = acc.symbolic_row(a, b, i);
+                }
+            }));
         }
         let mut rpts = Vec::with_capacity(m + 1);
         rpts.push(0usize);
@@ -690,37 +610,13 @@ impl<S: Semiring> SpgemmPlan<S> {
             }
         }
         if !dirty.is_empty() {
-            let req = AccumReq {
-                max_row_flop: dirty
-                    .iter()
-                    .map(|i| self.stats.row_flops[i])
-                    .max()
-                    .unwrap_or(0) as usize,
-                inner_dim: a.ncols(),
-                ncols_b: b.ncols(),
-            };
-            let (cols_ref, vals_ref) = (&mut cols, &mut vals);
-            with_kernel!(self, a, b, |ws, make| ws.with(
-                0,
-                || make(req.max_row_flop),
-                |acc, reused| {
-                    if reused {
-                        acc.ensure(&req);
-                        acc.scrub();
-                    }
-                    for i in dirty.iter() {
-                        let span = sym.rpts[i]..sym.rpts[i + 1];
-                        acc.numeric_row(
-                            a,
-                            b,
-                            i,
-                            &mut cols_ref[span.clone()],
-                            &mut vals_ref[span],
-                            sorted,
-                        );
-                    }
-                },
-            ));
+            let flops = dirty.iter().map(|i| self.stats.row_flops[i]);
+            with_kernel!(self, |w| w.with_rows(a, b, flops, |acc| {
+                for i in dirty.iter() {
+                    let span = sym.rpts[i]..sym.rpts[i + 1];
+                    acc.numeric_row(a, b, i, &mut cols[span.clone()], &mut vals[span], sorted);
+                }
+            }));
         }
         *c = Csr::from_parts_unchecked(m, n, sym.rpts.to_vec(), cols, vals, sorted);
         if obs::enabled() {
@@ -780,18 +676,10 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// `reused` grows with every phase — the pool-level statement of
     /// "zero allocations per execute".
     pub fn workspace_stats(&self) -> WorkspaceStats {
-        match &self.kernel {
-            PlanKernel::Hash(ws) => ws.stats(),
-            PlanKernel::HashVec { ws, .. } => ws.stats(),
-            PlanKernel::Heap(ws) => ws.stats(),
-            PlanKernel::Spa(ws) => ws.stats(),
-            PlanKernel::Merge(ws) => ws.stats(),
-            PlanKernel::Inspector(ws) => ws.stats(),
-            PlanKernel::KkHash(ws) => ws.stats(),
-            PlanKernel::Ikj(ws) => ws.stats(),
-            PlanKernel::RowClass { ws, .. } => ws.stats(),
-            PlanKernel::Reference => WorkspaceStats::default(),
+        if matches!(self.kernel, PlanKernel::Reference) {
+            return WorkspaceStats::default();
         }
+        with_kernel!(self, |w| w.slots.stats())
     }
 
     /// Whether `(a, b)` share the exact sparsity structure this plan
@@ -1028,27 +916,14 @@ impl<S: Semiring> SpgemmPlan<S> {
         c
     }
 
-    /// The symbolic pass over the planned partition, with pooled
-    /// accumulators.
+    /// The symbolic pass over the planned partition.
     fn run_symbolic(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> SymbolicPlan {
         let _g = obs::span!("plan", "plan.symbolic");
-        if let (PlanKernel::RowClass { ws, level }, Some(spec)) = (&self.kernel, &self.rowclass) {
-            let (rpts, nnz) =
-                kgen::rowclass_symbolic_pass::<S>(ws, *level, spec, a, b, &self.stats, pool);
-            return SymbolicPlan { rpts, nnz };
-        }
-        with_kernel!(self, a, b, |ws, make| symbolic_pass::<S, _, _>(
-            ws,
-            make,
-            a,
-            b,
-            &self.stats,
-            pool
-        ))
+        let (rpts, nnz) = with_kernel!(self, |w| exec::symbolic_pass(w, a, b, &self.stats, pool));
+        SymbolicPlan { rpts, nnz }
     }
 
-    /// The numeric pass into pre-sliced output, with pooled
-    /// accumulators.
+    /// The numeric pass into pre-sliced output.
     fn run_numeric(
         &self,
         a: &Csr<S::Elem>,
@@ -1061,24 +936,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         let _g = obs::span!("plan", "plan.numeric");
         count_execute(self.algo);
         let sorted = self.output_is_sorted();
-        if let (PlanKernel::RowClass { ws, level }, Some(spec)) = (&self.kernel, &self.rowclass) {
-            return kgen::rowclass_numeric_pass::<S>(
-                ws,
-                *level,
-                spec,
-                a,
-                b,
-                &self.stats,
-                rpts,
-                sorted,
-                pool,
-                cols,
-                vals,
-            );
-        }
-        with_kernel!(self, a, b, |ws, make| numeric_pass::<S, _, _>(
-            ws,
-            make,
+        with_kernel!(self, |w| exec::numeric_pass(
+            w,
             a,
             b,
             &self.stats,
@@ -1090,26 +949,15 @@ impl<S: Semiring> SpgemmPlan<S> {
         ))
     }
 
-    /// One-phase staged first execution (Heap / Inspector), byte-for-
-    /// byte the driver `exec::one_phase_staged` runs for one-shot
-    /// multiplies, but drawing its per-thread kernels from the plan's
-    /// workspace pool so later numeric passes reuse them.
+    /// One-phase staged first execution (Heap / Inspector), drawing
+    /// its per-thread kernels from the plan's workers so later numeric
+    /// passes reuse them.
     fn run_staged(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
         let _g = obs::span!("plan", "plan.staged");
         count_execute(self.algo);
         match &self.kernel {
-            PlanKernel::Heap(ws) => {
-                staged_pass::<S, _, _>(ws, |_| HeapKernel::new(), a, b, &self.stats, pool, true)
-            }
-            PlanKernel::Inspector(ws) => staged_pass::<S, _, _>(
-                ws,
-                |mf| InspectorKernel::new(mf, b.ncols()),
-                a,
-                b,
-                &self.stats,
-                pool,
-                false,
-            ),
+            PlanKernel::Heap(w) => exec::staged_pass(w, a, b, &self.stats, pool, true),
+            PlanKernel::Inspector(w) => exec::staged_pass(w, a, b, &self.stats, pool, false),
             _ => unreachable!("only one-phase kernels defer their first run"),
         }
     }
@@ -1143,202 +991,6 @@ fn count_execute(algo: Algorithm) {
         // an execute, but count it rather than panic if it ever does
         Algorithm::Auto => site!("plan.exec.auto"),
     }
-}
-
-/// Requirements for the accumulator of the worker owning `range`.
-fn req_for(
-    stats: &MultiplyStats,
-    range: &std::ops::Range<usize>,
-    inner: usize,
-    width: usize,
-) -> AccumReq {
-    AccumReq {
-        max_row_flop: exec::max_flop_in(&stats.row_flops, range.clone()),
-        inner_dim: inner,
-        ncols_b: width,
-    }
-}
-
-/// Symbolic phase: per-row counts with pooled accumulators, then a
-/// scan into row pointers (Figure 7 lines 1–8, accumulators reused).
-fn symbolic_pass<S, A, M>(
-    ws: &WorkspacePool<A>,
-    make: M,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    pool: &Pool,
-) -> SymbolicPlan
-where
-    S: Semiring,
-    A: ReusableAccumulator<S>,
-    M: Fn(usize) -> A + Sync,
-{
-    let n = a.nrows();
-    let (inner, width) = (a.ncols(), b.ncols());
-    let mut rpts64 = vec![0u64; n + 1];
-    {
-        let rp = SharedMutSlice::new(&mut rpts64[..]);
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let req = req_for(stats, &range, inner, width);
-            ws.with(
-                wid,
-                || make(req.max_row_flop),
-                |acc, reused| {
-                    if reused {
-                        acc.ensure(&req);
-                        acc.scrub();
-                    }
-                    for i in range {
-                        let cnt = acc.symbolic_row(a, b, i) as u64;
-                        // SAFETY: row `i` belongs to exactly one thread's range.
-                        unsafe { rp.write(i + 1, cnt) };
-                    }
-                },
-            );
-        });
-    }
-    let total = scan::parallel_inclusive_scan(pool, &mut rpts64) as usize;
-    let rpts: Vec<usize> = rpts64.iter().map(|&x| x as usize).collect();
-    SymbolicPlan { rpts, nnz: total }
-}
-
-/// Numeric phase into pre-sliced output with pooled accumulators
-/// (Figure 7 lines 9–21, accumulators reused).
-#[allow(clippy::too_many_arguments)]
-fn numeric_pass<S, A, M>(
-    ws: &WorkspacePool<A>,
-    make: M,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    rpts: &[usize],
-    sorted: bool,
-    pool: &Pool,
-    cols: &mut [ColIdx],
-    vals: &mut [S::Elem],
-) where
-    S: Semiring,
-    A: ReusableAccumulator<S>,
-    M: Fn(usize) -> A + Sync,
-{
-    let (inner, width) = (a.ncols(), b.ncols());
-    let cols_s = SharedMutSlice::new(cols);
-    let vals_s = SharedMutSlice::new(vals);
-    pool.parallel_ranges(&stats.offsets, |wid, range| {
-        if range.is_empty() {
-            return;
-        }
-        let req = req_for(stats, &range, inner, width);
-        ws.with(
-            wid,
-            || make(req.max_row_flop),
-            |acc, reused| {
-                if reused {
-                    acc.ensure(&req);
-                    acc.scrub();
-                }
-                for i in range {
-                    let span = rpts[i]..rpts[i + 1];
-                    // SAFETY: row spans are disjoint across threads by
-                    // construction of `rpts` and the contiguous partition.
-                    let (c, v) =
-                        unsafe { (cols_s.slice_mut(span.clone()), vals_s.slice_mut(span)) };
-                    acc.numeric_row(a, b, i, c, v, sorted);
-                }
-            },
-        );
-    });
-}
-
-/// One-phase staged driver with pooled kernels: stage per thread, scan
-/// the realized counts, copy each thread's block into place — the
-/// logic of `exec::one_phase_staged` with the kernel lifetime extended
-/// to the plan.
-fn staged_pass<S, K, M>(
-    ws: &WorkspacePool<K>,
-    make: M,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    pool: &Pool,
-    sorted_output: bool,
-) -> Csr<S::Elem>
-where
-    S: Semiring,
-    K: ReusableAccumulator<S> + StagedRowKernel<S>,
-    M: Fn(usize) -> K + Sync,
-{
-    let n = a.nrows();
-    let (inner, width) = (a.ncols(), b.ncols());
-    let nt = pool.nthreads();
-
-    type Staged<E> = Vec<parking_lot::Mutex<(Vec<ColIdx>, Vec<E>)>>;
-    let staged: Staged<S::Elem> = (0..nt)
-        .map(|_| parking_lot::Mutex::new((Vec::new(), Vec::new())))
-        .collect();
-    let mut counts64 = vec![0u64; n + 1];
-    {
-        let cnt = SharedMutSlice::new(&mut counts64[..]);
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let flop_bound: u64 = stats.row_flops[range.clone()].iter().sum();
-            let req = req_for(stats, &range, inner, width);
-            ws.with(
-                wid,
-                || make(req.max_row_flop),
-                |kernel, reused| {
-                    if reused {
-                        kernel.ensure(&req);
-                        kernel.scrub();
-                    }
-                    let mut slot = staged[wid].lock();
-                    let (cols, vals) = &mut *slot;
-                    cols.clear();
-                    vals.clear();
-                    cols.reserve(flop_bound as usize);
-                    vals.reserve(flop_bound as usize);
-                    for i in range {
-                        let emitted = kernel.stage_row(a, b, i, cols, vals) as u64;
-                        // SAFETY: each row is staged by exactly one thread.
-                        unsafe { cnt.write(i + 1, emitted) };
-                    }
-                },
-            );
-        });
-    }
-
-    let total = scan::parallel_inclusive_scan(pool, &mut counts64) as usize;
-    let rpts: Vec<usize> = counts64.iter().map(|&x| x as usize).collect();
-
-    let mut cols = vec![0 as ColIdx; total];
-    let mut vals = vec![S::zero(); total];
-    {
-        let cols_s = SharedMutSlice::new(&mut cols[..]);
-        let vals_s = SharedMutSlice::new(&mut vals[..]);
-        let rpts_ref = &rpts;
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            if range.is_empty() {
-                return;
-            }
-            let slot = staged[wid].lock();
-            let (scols, svals) = &*slot;
-            let dst = rpts_ref[range.start]..rpts_ref[range.end];
-            debug_assert_eq!(dst.len(), scols.len());
-            // SAFETY: each thread's destination block is disjoint (the
-            // row partition is contiguous and rpts is monotone).
-            unsafe {
-                cols_s.slice_mut(dst.clone()).copy_from_slice(scols);
-                vals_s.slice_mut(dst).copy_from_slice(svals);
-            }
-        });
-    }
-    Csr::from_parts_unchecked(n, width, rpts, cols, vals, sorted_output)
 }
 
 /// Counters of one [`PlanCache`]'s reuse behaviour.
@@ -1508,9 +1160,9 @@ mod tests {
     fn symbolic_nnz_eager_vs_deferred() {
         let a = sample();
         let pool = Pool::new(2);
-        let two_phase =
+        let eager =
             SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-        assert!(two_phase.symbolic_nnz().is_some());
+        assert!(eager.symbolic_nnz().is_some());
         let one_phase =
             SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Heap, OutputOrder::Sorted, &pool).unwrap();
         assert_eq!(one_phase.symbolic_nnz(), None, "deferred until first run");
@@ -1579,14 +1231,13 @@ mod tests {
     }
 
     #[test]
-    fn structure_signature_ignores_values_only() {
+    fn matches_structure_ignores_values_only() {
         let a = sample();
-        assert_eq!(
-            structure_signature(&a),
-            structure_signature(&a.map(|v| v * 2.0))
-        );
+        let plan = SpgemmPlan::<P>::new(&a, &a, Algorithm::Hash, OutputOrder::Sorted).unwrap();
+        let scaled = a.map(|v| v * 2.0);
+        assert!(plan.matches_structure(&scaled, &scaled));
         let b = a.filter(|_, _, v| v > 0.0);
-        assert_ne!(structure_signature(&a), structure_signature(&b));
+        assert!(!plan.matches_structure(&b, &b));
     }
 
     #[test]

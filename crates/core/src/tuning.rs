@@ -11,9 +11,11 @@
 //!   deallocation cost §3.2 blames for poor scaling);
 //! * `balanced parallel` — flop-balanced partition with thread-private
 //!   staging allocated inside the region (the production
-//!   configuration, [`crate::algos::heap::multiply`]).
+//!   configuration: `Algorithm::Heap` through `exec::staged_pass`).
 //!
-//! These variants exist for measurement; library users want
+//! These variants exist for measurement — they vary exactly the
+//! schedule and memory scheme the shared row-pass driver fixes, which
+//! is why they keep loops of their own; library users want
 //! [`crate::multiply_in`].
 
 use crate::algos::heap::HeapKernel;

@@ -7,10 +7,10 @@
 //! KNL result — parallel deallocation of large buffers is order-of-
 //! magnitude cheaper — motivates the thread-private scratch design
 //! used by every kernel in this repository. A third, "pooled" scheme
-//! measures what reuse via [`spgemm_par::alloc::ThreadScratch`] buys
-//! over repeated parallel allocation.
+//! measures what reuse via [`spgemm_par::WorkspacePool`] buys over
+//! repeated parallel allocation.
 
-use spgemm_par::Pool;
+use spgemm_par::{Pool, WorkspacePool};
 use std::time::Instant;
 
 /// Phase timings in milliseconds.
@@ -81,14 +81,14 @@ pub fn measure_parallel(pool: &Pool, total_bytes: usize) -> AllocTimings {
 pub fn measure_pooled(pool: &Pool, total_bytes: usize) -> AllocTimings {
     let nt = pool.nthreads();
     let each = total_bytes / nt.max(1);
-    let scratch = spgemm_par::alloc::ThreadScratch::<u8>::for_pool(pool);
+    let scratch = WorkspacePool::<Vec<u8>>::for_pool(pool);
     // warmup: first use pays the real allocation
     pool.broadcast(|wid| {
-        scratch.with(wid, |b| b.resize(each, 1));
+        scratch.with(wid, Vec::new, |b, _| b.resize(each, 1));
     });
     let t0 = Instant::now();
     pool.broadcast(|wid| {
-        scratch.with(wid, |b| {
+        scratch.with(wid, Vec::new, |b, _| {
             b.clear();
             b.resize(each, 1); // no allocation: capacity retained
             std::hint::black_box(b.as_ptr());

@@ -82,14 +82,9 @@ impl ScrapeServer {
                             return;
                         }
                         let Ok(stream) = conn else { continue };
-                        match handle_conn(stream, &cfg, extra.as_deref()) {
-                            Ok(true) => {
-                                served.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(false) | Err(_) => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        // An `Err` is a client that broke the
+                        // connection; it is already counted.
+                        let _ = handle_conn(stream, &cfg, extra.as_deref(), &served, &rejected);
                     }
                 })?
         };
@@ -107,12 +102,16 @@ impl ScrapeServer {
         self.addr
     }
 
-    /// Requests answered with 200.
+    /// Requests answered with 200. Counted when the response is
+    /// decided, before its first byte is written, so a client that has
+    /// read its page always finds itself counted.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Connections answered with an error status or dropped.
+    /// Connections answered with an error status, or dropped before
+    /// sending a request line. Counted before the response is written,
+    /// like [`ScrapeServer::served`].
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
@@ -135,27 +134,31 @@ impl Drop for ScrapeServer {
     }
 }
 
-/// `Ok(true)` when a 200 was written, `Ok(false)` for a client error
-/// response, `Err` when the client broke the connection.
+/// Answer one connection, counting it into `served` (a 200) or
+/// `rejected` (an error status, or no readable request line) **before**
+/// any response byte is written. Counting after the write raced the
+/// client: it could read its whole page and look at the counter before
+/// this thread incremented it. `Err` when the client broke the
+/// connection.
 fn handle_conn(
     stream: TcpStream,
     cfg: &ScrapeConfig,
     extra: Option<&(dyn Fn(&mut String) + Send + Sync)>,
-) -> io::Result<bool> {
-    stream.set_read_timeout(Some(cfg.read_timeout))?;
-    stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?).take(8 * 1024);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    served: &AtomicU64,
+    rejected: &AtomicU64,
+) -> io::Result<()> {
+    let line = match read_request_line(&stream, cfg) {
+        Ok(line) => line,
+        Err(e) => {
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
+    };
     let mut parts = line.split_whitespace();
     let (method, path, version) = (parts.next(), parts.next(), parts.next());
     let well_formed = version.is_some_and(|v| v.starts_with("HTTP/"));
-    let mut stream = stream;
-    let ok = match (method, path) {
-        _ if !well_formed => {
-            respond(&mut stream, 400, "text/plain", "bad request\n")?;
-            false
-        }
+    let (status, content_type, body) = match (method, path) {
+        _ if !well_formed => (400, "text/plain", "bad request\n".to_owned()),
         (Some("GET"), Some("/metrics")) => {
             let mut body = String::new();
             crate::openmetrics::render_registry_into(&mut body);
@@ -163,34 +166,33 @@ fn handle_conn(
                 extra(&mut body);
             }
             body.push_str("# EOF\n");
-            respond(
-                &mut stream,
+            (
                 200,
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                &body,
-            )?;
-            true
+                body,
+            )
         }
-        (Some("GET"), Some("/json")) => {
-            respond(
-                &mut stream,
-                200,
-                "application/json",
-                &crate::json_snapshot(),
-            )?;
-            true
-        }
-        (Some("GET"), Some(_)) => {
-            respond(&mut stream, 404, "text/plain", "not found\n")?;
-            false
-        }
-        _ => {
-            respond(&mut stream, 405, "text/plain", "method not allowed\n")?;
-            false
-        }
+        (Some("GET"), Some("/json")) => (200, "application/json", crate::json_snapshot()),
+        (Some("GET"), Some(_)) => (404, "text/plain", "not found\n".to_owned()),
+        _ => (405, "text/plain", "method not allowed\n".to_owned()),
     };
+    let counter = if status == 200 { served } else { rejected };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let mut stream = stream;
+    respond(&mut stream, status, content_type, &body)?;
     let _ = stream.shutdown(Shutdown::Both);
-    Ok(ok)
+    Ok(())
+}
+
+/// The request line, read under the configured timeouts and an 8 KiB
+/// cap.
+fn read_request_line(stream: &TcpStream, cfg: &ScrapeConfig) -> io::Result<String> {
+    stream.set_read_timeout(Some(cfg.read_timeout))?;
+    stream.set_write_timeout(Some(cfg.write_timeout))?;
+    let mut reader = BufReader::new(stream.try_clone()?).take(8 * 1024);
+    let mut line = String::new();
+    reader.read_line(&mut line)?;
+    Ok(line)
 }
 
 fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {

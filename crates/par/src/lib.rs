@@ -17,20 +17,18 @@
 //!   *contiguous* rows, keeping static scheduling's low overhead.
 //! * [`scan`] — sequential and pool-parallel prefix sums (used both by
 //!   the partitioner and to build output row pointers).
-//! * [`alloc`] — thread-private scratch buffers implementing the
-//!   "parallel" memory-management scheme of §3.2 (Figure 3): each
-//!   worker allocates, reuses, and frees only its own memory.
 //! * [`workspace`] — [`WorkspacePool`], pooled per-worker workspaces
-//!   with reuse instrumentation: the steady-state (allocation-free)
-//!   form of the same §3.2 scheme, used by the SpGEMM plan layer to
-//!   reuse accumulators across repeated products (the Figure 4 cost).
+//!   with reuse instrumentation: the "parallel" memory-management
+//!   scheme of §3.2 (Figure 3) — each worker allocates, reuses, and
+//!   frees only its own memory — in its steady-state (allocation-free)
+//!   form, used by the SpGEMM plan layer to reuse accumulators across
+//!   repeated products (the Figure 4 cost).
 //! * [`unsync`] — a guarded escape hatch ([`unsync::SharedMutSlice`])
 //!   for the disjoint-writes idiom every CSR-producing kernel needs
 //!   (each thread fills its own precomputed slice of the output).
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod partition;
 mod pool;
 pub mod scan;

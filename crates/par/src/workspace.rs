@@ -1,13 +1,18 @@
 //! Pooled per-worker workspaces — the steady-state form of the
 //! paper's "parallel" memory scheme (§3.2, Figure 3).
 //!
-//! [`crate::alloc::ThreadScratch`] gives each worker a private `Vec`
-//! that survives parallel regions; [`WorkspacePool`] generalizes the
-//! idea to *arbitrary* reusable objects (hash tables, dense sparse
-//! accumulators, heap buffers) and instruments the reuse so callers
-//! can assert that repeated executions hit the pool instead of the
-//! allocator — the Figure 4 cost the paper shows dominating repeated
-//! products.
+//! The paper's KNL measurements show "single" deallocation of large
+//! buffers costing >100 ms, while per-thread ("parallel")
+//! allocation/deallocation of the same total is far cheaper; its
+//! kernels therefore (a) compute each thread's requirement up front,
+//! (b) allocate inside the parallel region, and (c) *reuse* the buffer
+//! across rows. [`WorkspacePool`] packages (b)–(c) for *arbitrary*
+//! reusable objects (plain buffers, hash tables, dense sparse
+//! accumulators, heap buffers) that survive parallel regions, and
+//! instruments the reuse so callers can assert that repeated
+//! executions hit the pool instead of the allocator — the Figure 4
+//! cost the paper shows dominating repeated products. The raw
+//! single-vs-parallel experiment itself lives in `spgemm-membench`.
 //!
 //! # Clearing policy: clear on acquire, not on release
 //!
@@ -52,9 +57,8 @@ static SLOTS_REUSED: spgemm_obs::GaugeSite =
 
 /// A pool of per-worker reusable workspaces, indexed by worker id.
 ///
-/// Each worker may only acquire its own slot during a parallel region
-/// (the same discipline as [`crate::alloc::ThreadScratch`]), which
-/// keeps the per-slot `Mutex` uncontended; it exists to make the
+/// Each worker may only acquire its own slot during a parallel region,
+/// which keeps the per-slot `Mutex` uncontended; it exists to make the
 /// container `Sync` without `unsafe`. Workspaces are created lazily by
 /// the caller-supplied constructor on first acquisition and then live
 /// until [`WorkspacePool::clear`] or drop — across arbitrarily many

@@ -19,7 +19,10 @@
 //! invalidated output rows (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`)
 //! with [`spgemm::delta::recompute_product_rows`], and re-cache the
 //! result under the new fingerprint — byte-for-byte what a full
-//! evaluation would have produced. Full re-registration (or any
+//! evaluation would have produced, because the recompute runs the
+//! same accumulator through the same row-pass driver a full
+//! evaluation does (stored zeros and signed zeros included). Full
+//! re-registration (or any
 //! version the tracker no longer covers) simply misses and
 //! recomputes: divergence invalidates, it never corrupts.
 //!

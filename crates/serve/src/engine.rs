@@ -12,7 +12,7 @@ use crate::store::MatrixStore;
 use spgemm::delta::{recompute_product_rows, DirtyRows, RowPatch};
 use spgemm::expr::{fnv64, ExprOp};
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_dist::{DistConfig, DistError, GridSpec, ShardRuntime};
+use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
 use spgemm_obs as obs;
 use spgemm_par::{panic_text, Pool};
 use spgemm_sparse::{ops, stats, Csr, SparseError};
@@ -671,8 +671,16 @@ fn execute_product_batch(shared: &EngineShared, pool: &Pool, runnable: &[QueuedJ
 /// every other execution path.
 fn run_expr(shared: &EngineShared, job: &ExprJob, pool: &Pool) -> crate::job::JobResult {
     let _g = obs::span!("serve", "serve.expr_eval");
-    match catch_unwind(AssertUnwindSafe(|| eval_expr(shared, job, pool))) {
-        Ok(result) => result,
+    contained(|| eval_expr(shared, job, pool))
+}
+
+/// The per-job panic net every execution path runs under: a panic
+/// inside `f` becomes [`ServeError::Internal`] for that job instead of
+/// unwinding the worker, and `f`'s own error converts to a
+/// [`ServeError`].
+fn contained<T, E: Into<ServeError>>(f: impl FnOnce() -> Result<T, E>) -> Result<T, ServeError> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => result.map_err(Into::into),
         Err(payload) => Err(ServeError::Internal {
             detail: panic_text(payload),
         }),
@@ -781,8 +789,10 @@ fn eval_expr(
 /// precondition fails — the caller then evaluates the node normally,
 /// so this path can only save work, never change results.
 ///
-/// Byte-for-byte safety: `recompute_product_rows` reproduces the
-/// sorted output of the ascending-`k` accumulator family (Hash,
+/// Byte-for-byte safety: `recompute_product_rows` runs the Hash
+/// accumulator itself (through the row-subset entry of core's one
+/// row-pass driver), so it reproduces the sorted output of the
+/// ascending-`k` accumulator family (Hash,
 /// HashVec, SPA, KkHash, IKJ, and RowClass — whose per-class kernels
 /// all accumulate in `k`-encounter order and are byte-identical to
 /// Hash) exactly, so the patch is gated on those kernels and on the
@@ -906,13 +916,13 @@ fn expr_multiply(
             // panic or infrastructure failure falls back to the
             // monolithic path below instead of failing the whole
             // expression job.
-            match catch_unwind(AssertUnwindSafe(|| runtime.multiply(a, b))) {
-                Ok(Ok(c)) => {
+            match contained(|| runtime.multiply(a, b)) {
+                Ok(c) => {
                     shared.metrics.dist_routed.fetch_add(1, Ordering::Relaxed);
                     return Ok(c);
                 }
-                Ok(Err(DistError::Sparse(e))) => return Err(ServeError::Sparse(e)),
-                Ok(Err(_)) | Err(_) => {} // fleet failure: monolithic fallback
+                Err(ServeError::Internal { .. }) => {} // fleet failure: monolithic fallback
+                Err(e) => return Err(e),
             }
         }
     }
@@ -943,15 +953,7 @@ fn build_plan(
     pool: &Pool,
 ) -> Result<SpgemmPlan<S>, ServeError> {
     let _g = obs::span!("serve", "serve.plan_build");
-    match catch_unwind(AssertUnwindSafe(|| {
-        SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool)
-    })) {
-        Ok(Ok(plan)) => Ok(plan),
-        Ok(Err(e)) => Err(ServeError::Sparse(e)),
-        Err(payload) => Err(ServeError::Internal {
-            detail: panic_text(payload),
-        }),
-    }
+    contained(|| SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool))
 }
 
 fn run_planned(
@@ -960,13 +962,7 @@ fn run_planned(
     b: &Csr<f64>,
     pool: &Pool,
 ) -> crate::job::JobResult {
-    match catch_unwind(AssertUnwindSafe(|| plan.execute_in(a, b, pool))) {
-        Ok(Ok(c)) => Ok(Arc::new(c)),
-        Ok(Err(e)) => Err(ServeError::Sparse(e)),
-        Err(payload) => Err(ServeError::Internal {
-            detail: panic_text(payload),
-        }),
-    }
+    contained(|| plan.execute_in(a, b, pool)).map(Arc::new)
 }
 
 /// Whether `(a, b)` crosses the dist thresholds: cheap combined-nnz
@@ -983,26 +979,9 @@ fn routes_to_dist(a: &Csr<f64>, b: &Csr<f64>, routing: &DistRouting) -> bool {
 
 fn run_dist(runtime: &ShardRuntime, a: &Csr<f64>, b: &Csr<f64>) -> crate::job::JobResult {
     let _g = obs::span!("serve", "serve.dist_route");
-    match catch_unwind(AssertUnwindSafe(|| runtime.multiply(a, b))) {
-        Ok(Ok(c)) => Ok(Arc::new(c)),
-        Ok(Err(DistError::Sparse(e))) => Err(ServeError::Sparse(e)),
-        Ok(Err(e)) => Err(ServeError::Internal {
-            detail: e.to_string(),
-        }),
-        Err(payload) => Err(ServeError::Internal {
-            detail: panic_text(payload),
-        }),
-    }
+    contained(|| runtime.multiply(a, b)).map(Arc::new)
 }
 
 fn run_cold(a: &Csr<f64>, b: &Csr<f64>, key: PlanKey, pool: &Pool) -> crate::job::JobResult {
-    match catch_unwind(AssertUnwindSafe(|| {
-        spgemm::multiply_in::<S>(a, b, key.algo, key.order, pool)
-    })) {
-        Ok(Ok(c)) => Ok(Arc::new(c)),
-        Ok(Err(e)) => Err(ServeError::Sparse(e)),
-        Err(payload) => Err(ServeError::Internal {
-            detail: panic_text(payload),
-        }),
-    }
+    contained(|| spgemm::multiply_in::<S>(a, b, key.algo, key.order, pool)).map(Arc::new)
 }

@@ -1,5 +1,6 @@
 //! Error type of the serving layer.
 
+use spgemm_dist::DistError;
 use spgemm_sparse::SparseError;
 
 /// Why a submission was rejected or a job failed.
@@ -63,5 +64,18 @@ impl std::error::Error for ServeError {
 impl From<SparseError> for ServeError {
     fn from(e: SparseError) -> Self {
         ServeError::Sparse(e)
+    }
+}
+
+/// A shard-fleet failure: the product's own error passes through, an
+/// infrastructure failure (dead shard, closed channel) is internal.
+impl From<DistError> for ServeError {
+    fn from(e: DistError) -> Self {
+        match e {
+            DistError::Sparse(e) => ServeError::Sparse(e),
+            other => ServeError::Internal {
+                detail: other.to_string(),
+            },
+        }
     }
 }

@@ -420,6 +420,20 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("nul").is_err());
+        assert!(parse("tru").is_err());
+        assert!(parse("\"unterminated").is_err());
+        assert!(parse("{} trailing").is_err());
+        assert!(parse("{\"k\":01x}").is_err());
+    }
+
+    #[test]
+    fn nesting_escapes_and_numbers() {
+        let doc = parse(r#"{"a":[1,-2.5,3e2],"s":"q\"\\\nA😀","o":{"n":null,"b":true}}"#).unwrap();
+        let nums = [Value::Num(1.0), Value::Num(-2.5), Value::Num(300.0)];
+        assert_eq!(doc.get("a").and_then(Value::as_arr), Some(&nums[..]));
+        assert_eq!(doc.get("s").and_then(Value::as_str), Some("q\"\\\nA😀"));
+        assert_eq!(doc.get("o").unwrap().get("n"), Some(&Value::Null));
+        assert_eq!(doc.get("o").unwrap().get("b"), Some(&Value::Bool(true)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration: generators → kernels → verification,
 //! across crates exactly as the bench harness wires them.
 
-use spgemm::{multiply_in, Algorithm, OutputOrder};
+use spgemm::{multiply_in, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_integration::arrow4;
 use spgemm_par::Pool;
 use spgemm_sparse::{approx_eq_f64, ops, stats, PlusTimes};
@@ -123,11 +123,11 @@ fn symbolic_nnz_matches_numeric_everywhere() {
         let a = spgemm_gen::rmat::generate_kind(kind, 8, 6, &mut spgemm_gen::rng(13));
         for nt in [1usize, 2, 4] {
             let pool = Pool::new(nt);
-            let symbolic = spgemm::product_nnz(&a, &a, &pool);
-            let numeric = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Unsorted, &pool)
-                .unwrap()
-                .nnz();
-            assert_eq!(symbolic, numeric, "{kind:?} nt={nt}");
+            let plan =
+                SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Unsorted, &pool)
+                    .unwrap();
+            let numeric = plan.execute_in(&a, &a, &pool).unwrap().nnz();
+            assert_eq!(plan.symbolic_nnz(), Some(numeric), "{kind:?} nt={nt}");
         }
     }
 }
