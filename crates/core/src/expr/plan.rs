@@ -33,7 +33,7 @@ use crate::expr::graph::{fnv64 as fnv, ElemMap, ExprGraph, ExprOp, NodeId};
 use crate::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_obs as obs;
 use spgemm_par::{Pool, WorkspaceStats};
-use spgemm_sparse::{ops, ColIdx, Csr, PlusTimes, SparseError};
+use spgemm_sparse::{csr_bytes, ops, Csr, PlusTimes, SparseError};
 
 /// The semiring the expression layer runs: ordinary `f64` arithmetic,
 /// the setting of every pipeline the paper cites (MCL, AMG, triangle
@@ -774,7 +774,7 @@ impl ExprPlan {
                     fused: true,
                     a: ValueLoc::Buf(owner),
                     ..
-                } => Some(csr_bytes(&self.bufs[*owner])),
+                } => Some(csr_bytes(&self.bufs[*owner]) as usize),
                 _ => None,
             })
             .sum()
@@ -783,7 +783,7 @@ impl ExprPlan {
     /// Bytes of CSR storage held by materialized intermediate buffers
     /// (every non-input node with its own buffer, including the root).
     pub fn intermediate_bytes(&self) -> usize {
-        self.bufs.iter().map(csr_bytes).sum()
+        self.bufs.iter().map(|m| csr_bytes(m) as usize).sum()
     }
 
     /// Aggregated workspace-reuse counters over every `Multiply`
@@ -799,13 +799,6 @@ impl ExprPlan {
         }
         total
     }
-}
-
-/// CSR storage bytes of a buffer (row pointers + column indices +
-/// values).
-fn csr_bytes(m: &Csr<f64>) -> usize {
-    std::mem::size_of_val(m.rpts())
-        + m.nnz() * (std::mem::size_of::<ColIdx>() + std::mem::size_of::<f64>())
 }
 
 /// Build an `Add` node's cached structure + provenance into `me`.

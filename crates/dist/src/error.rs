@@ -10,14 +10,12 @@ pub enum DistError {
     /// violation, ...) from partitioning or a shard's local product.
     Sparse(SparseError),
     /// A shard could not complete its part of the product (contained
-    /// panic, severed channel, window mismatch). Failures are
-    /// contained per product: the fleet keeps serving subsequent
-    /// multiplies unless a shard *thread* itself died, in which case
-    /// every later product reports this error at submission.
+    /// panic, window mismatch). Failures are contained per product: the
+    /// shard drops its plan and the fleet serves the next multiply.
     ShardFailed {
         /// Which shard failed, as a flat index into the grid.
         shard: usize,
-        /// Panic message or channel diagnostics.
+        /// The panic message.
         detail: String,
     },
 }

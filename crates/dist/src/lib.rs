@@ -3,22 +3,24 @@
 //! Everything below this crate executes `C = A · B` as one monolithic
 //! product: one CSR per operand, one workspace pool, one plan.
 //! [`ShardRuntime`] runs the same product on an `R × C` grid of
-//! long-lived worker shards (see [`GridSpec`]) by lifting the paper's
-//! two-phase scheme (Fig. 7) from threads to shards:
+//! long-lived shards (see [`GridSpec`]) — the workers of one persistent
+//! `spgemm_par::Pool` — by lifting the paper's two-phase scheme
+//! (Fig. 7) from threads to shards:
 //!
 //! * shard `(r, c)` computes `A[r, :] · B[:, c]` — a flop-balanced row
 //!   block times an nnz-balanced column block — through **one** cached
 //!   [`spgemm::PlanCache`], so iterative workloads (MCL A² chains, AMG
 //!   `PᵀAP`) re-execute **numeric-only per shard** once their
 //!   structure stabilizes ([`DistStats::plan_hits`] counts it);
-//! * on a new operand structure the shards report per-row counts and
-//!   the coordinator prefix-sums them into `C`'s row pointers, cached
-//!   next to the cuts;
+//! * on a new operand structure one fork-join region sizes every row:
+//!   the shards leave per-row counts, whose prefix sum is `C`'s row
+//!   pointers, cached next to the cuts;
 //! * in steady state a product is one allocation of `C` plus one
-//!   numeric pass per shard written **directly into that shard's
-//!   disjoint window of `C`** — no partial products, no merge, no
-//!   gather copy, one channel round trip per shard — and the result is
-//!   bit-identical to the monolithic `Hash` product.
+//!   region — a numeric pass per shard written **directly into that
+//!   shard's disjoint window of `C`**, the submitting thread computing
+//!   shard 0's — with no partial products, no merge and no gather
+//!   copy, and the result is bit-identical to the monolithic `Hash`
+//!   product.
 //!
 //! There are no stage partials because there is one address space:
 //! chunking `B` (Deveci et al.) pays only when fast memory is short,
@@ -47,4 +49,5 @@ mod error;
 mod runtime;
 
 pub use error::DistError;
-pub use runtime::{csr_bytes, DistConfig, DistStats, GridSpec, ProductStats, ShardRuntime};
+pub use runtime::{DistConfig, DistStats, GridSpec, ProductStats, ShardRuntime};
+pub use spgemm_sparse::csr_bytes;

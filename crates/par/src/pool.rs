@@ -7,9 +7,21 @@
 //! regions, so repeated regions pay only a wake/notify — this is what
 //! lets Figure 2's scheduling-cost measurements see the scheduler, not
 //! thread spawning.
+//!
+//! # Panics in a region
+//!
+//! A panic in the body — on a spawned worker or on the calling thread —
+//! never skips the region's barrier: every worker still finishes (or
+//! unwinds out of) its call before [`Pool::broadcast`] returns control,
+//! so nothing the body borrows is used after the caller's frame is
+//! gone. `broadcast` then resumes the caller's own panic, or else the
+//! first one a worker hit, on the calling thread. No worker thread
+//! dies, and the pool runs the next region as usual.
 
 use crate::schedule::{static_block, Schedule};
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -40,6 +52,9 @@ struct State {
     epoch: u64,
     /// Workers (excluding the caller) still inside the current region.
     active: usize,
+    /// The first panic a spawned worker hit in the current region, kept
+    /// for `broadcast` to resume on the calling thread.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -71,6 +86,7 @@ impl Pool {
                 job: None,
                 epoch: 0,
                 active: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -109,6 +125,10 @@ impl Pool {
     /// with the caller participating as worker 0. Returns after *all*
     /// workers finish — a full OpenMP-style parallel region with
     /// implicit barrier.
+    ///
+    /// # Panics
+    /// If `body` panics on any worker, after the barrier (module docs:
+    /// "Panics in a region"). The pool stays usable.
     pub fn broadcast(&self, body: impl Fn(usize) + Sync) {
         let Some(shared) = &self.shared else {
             body(0);
@@ -118,7 +138,10 @@ impl Pool {
         // Erase the closure's lifetime for the workers. SAFETY: we
         // block below until `active == 0`, i.e. every worker has
         // finished calling through this reference, before `body` can be
-        // dropped; the pointee is `Sync` so concurrent calls are fine.
+        // dropped — on the unwinding path too, because the caller's own
+        // call runs under `catch_unwind` and a worker decrements
+        // `active` whether its call returned or panicked; the pointee
+        // is `Sync` so concurrent calls are fine.
         let wide: &(dyn Fn(usize) + Sync) = &body;
         let job = JobRef(unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide)
@@ -132,12 +155,18 @@ impl Pool {
             shared.work_cv.notify_all();
         }
         // The caller is worker 0.
-        body(0);
-        let mut st = shared.state.lock();
-        while st.active > 0 {
-            shared.done_cv.wait(&mut st);
+        let mine = catch_unwind(AssertUnwindSafe(|| body(0)));
+        let parked = {
+            let mut st = shared.state.lock();
+            while st.active > 0 {
+                shared.done_cv.wait(&mut st);
+            }
+            st.job = None;
+            st.panic.take()
+        };
+        if let Some(payload) = mine.err().or(parked) {
+            resume_unwind(payload);
         }
-        st.job = None;
     }
 
     /// Run `body(i)` for every `i in 0..n` under the given
@@ -255,9 +284,12 @@ fn worker_loop(shared: &Shared, wid: usize) {
             }
         };
         // `broadcast` keeps the pointee alive until `active` reaches 0,
-        // which happens strictly after this call returns.
-        (job.0)(wid);
+        // which happens strictly after this call returns or unwinds.
+        let outcome = catch_unwind(AssertUnwindSafe(|| (job.0)(wid)));
         let mut st = shared.state.lock();
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
+        }
         st.active -= 1;
         if st.active == 0 {
             shared.done_cv.notify_one();
@@ -269,6 +301,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[test]
     fn broadcast_runs_every_worker_once() {
@@ -374,6 +407,91 @@ mod tests {
             pool.broadcast(|_| {});
             drop(pool);
         }
+    }
+
+    /// Run `f` on a thread of its own and fail, instead of hanging the
+    /// suite, when it does not finish.
+    fn watched<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("HANG: region did not return within 5 s"),
+            Err(RecvTimeoutError::Disconnected) => panic!("the watched thread panicked"),
+        }
+    }
+
+    /// Whether `region` panicked with `message`.
+    fn panics_with(region: impl FnOnce(), message: &str) -> bool {
+        let caught = catch_unwind(AssertUnwindSafe(region));
+        caught.is_err_and(|payload| crate::panic_text(payload).contains(message))
+    }
+
+    fn assert_runs_a_normal_region(pool: &Pool) {
+        let hits = AtomicUsize::new(0);
+        pool.broadcast(|_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), pool.nthreads());
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_survives() {
+        watched(|| {
+            let pool = Pool::new(3);
+            let region = || pool.broadcast(|wid| assert_ne!(wid, 1, "worker fault"));
+            assert!(panics_with(region, "worker fault"));
+            assert_runs_a_normal_region(&pool);
+        });
+    }
+
+    #[test]
+    fn caller_panic_waits_for_the_workers_before_unwinding() {
+        // Both workers are inside the body when the caller panics (the
+        // barrier forces it) and stay there until released — which the
+        // test does only after `broadcast` is back, so a `broadcast`
+        // that unwinds past its barrier is caught with both still
+        // inside. One that waits sees them leave when `GRACE` runs out.
+        const GRACE: Duration = Duration::from_millis(200);
+        type Release = (std::sync::Mutex<bool>, std::sync::Condvar);
+        // Everything by argument: a worker waiting in here reads its
+        // own frame, not the region closure.
+        fn linger(inside: &AtomicUsize, all_entered: &std::sync::Barrier, release: &Release) {
+            inside.fetch_add(1, Ordering::SeqCst);
+            all_entered.wait();
+            let (released, release_cv) = release;
+            let held = released.lock().unwrap();
+            drop(release_cv.wait_timeout_while(held, GRACE, |released| !*released));
+            inside.fetch_sub(1, Ordering::SeqCst);
+        }
+        let still_inside = watched(|| {
+            let pool = Pool::new(3);
+            let inside = AtomicUsize::new(0);
+            let all_entered = std::sync::Barrier::new(3);
+            let release: Release = Default::default();
+            let region = || {
+                pool.broadcast(|wid| {
+                    if wid == 0 {
+                        all_entered.wait();
+                        panic!("caller fault");
+                    }
+                    linger(&inside, &all_entered, &release);
+                })
+            };
+            assert!(panics_with(region, "caller fault"));
+            let still_inside = inside.load(Ordering::SeqCst);
+            *release.0.lock().unwrap() = true;
+            release.1.notify_all();
+            while inside.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now(); // this frame must outlive them
+            }
+            if still_inside == 0 {
+                assert_runs_a_normal_region(&pool);
+            }
+            still_inside
+        });
+        assert_eq!(still_inside, 0, "workers still inside the region body");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::error::ServeError;
 use crate::expr_results::ExprResultCache;
 use crate::job::{ExprRequest, JobCore, JobHandle, ProductRequest};
 use crate::metrics::{Metrics, MetricsSnapshot, SloPolicy};
-use crate::plan_cache::{PlanKey, SharedPlanCache, S};
+use crate::plan_cache::{PlanKey, PlanSlot, SharedPlanCache, S};
 use crate::queue::{BatchKey, ExprJob, JobPayload, JobQueue, QueuedJob};
 use crate::store::MatrixStore;
 use spgemm::delta::{recompute_product_rows, DirtyRows, RowPatch};
@@ -590,79 +590,26 @@ fn product_parts(job: &QueuedJob) -> (&Csr<f64>, &Csr<f64>, PlanKey) {
 
 fn execute_product_batch(shared: &EngineShared, pool: &Pool, runnable: &[QueuedJob]) {
     let (first_a, first_b, key) = product_parts(&runnable[0]);
-    let n = runnable.len() as u64;
-    // Oversized products leave the plan path for the shared shard
-    // fleet; the whole batch shares one structure, so one decision
-    // covers it.
-    if let Some((runtime, routing)) = &shared.dist {
-        if routes_to_dist(first_a, first_b, routing) {
-            for job in runnable {
-                let (a, b, _) = product_parts(job);
-                // An infrastructure failure in the shard fleet
-                // (`ShardFailed`) is not the job's fault: fall back to
-                // this worker's monolithic path so the product still
-                // completes, just without sharding — and without
-                // counting as dist-served. Sparse errors (shapes,
-                // contracts) would fail either way and are reported
-                // as-is.
-                let result = match run_dist(runtime, a, b) {
-                    Err(ServeError::Internal { .. }) => run_cold(a, b, key, pool),
-                    other => {
-                        shared.metrics.dist_routed.fetch_add(1, Ordering::Relaxed);
-                        other
-                    }
-                };
-                job.core.complete(result);
-            }
-            return;
+    // The whole batch shares one structure, so one decision covers it.
+    let fleet = dist_route(shared, first_a, first_b);
+    // One plan instance serves every job of the batch that takes the
+    // plan path. A result goes out as soon as it exists, except under
+    // a held instance: that goes back to its slot first, because a
+    // waiter woken by its result may submit the next same-key job
+    // immediately, and it should find the instance already pooled.
+    let mut held = None;
+    let mut undelivered = Vec::new();
+    for job in runnable {
+        let (a, b, _) = product_parts(job);
+        let result = routed_multiply(shared, fleet, a, b, key, pool, &mut held).map(Arc::new);
+        if held.is_some() {
+            undelivered.push((job, result));
+        } else {
+            job.core.complete(result);
         }
     }
-    if !shared.cache.enabled() {
-        for job in runnable {
-            let (a, b, _) = product_parts(job);
-            job.core.complete(run_cold(a, b, key, pool));
-        }
-        return;
-    }
-    // Check a plan instance out of the shared slot so same-key batches
-    // on other workers keep executing in parallel on their own
-    // instances; no slot lock is held during execution.
-    let slot = shared.cache.slot(key);
-    let plan = match slot.checkout(pool.nthreads()) {
-        Some(plan) => {
-            shared.cache.note_hits(n);
-            plan
-        }
-        None => match build_plan(first_a, first_b, key, pool) {
-            Ok(plan) => {
-                // The builder pays the symbolic phase; its batch-mates
-                // already reuse it numeric-only.
-                shared.cache.note_misses(1);
-                shared.cache.note_hits(n - 1);
-                plan
-            }
-            Err(e) => {
-                shared.cache.note_misses(n);
-                for job in runnable {
-                    job.core.complete(Err(e.clone()));
-                }
-                return;
-            }
-        },
-    };
-    // Execute everything first and return the instance *before*
-    // delivering results: a waiter woken by its result may submit the
-    // next same-key job immediately, and it should find the instance
-    // already pooled.
-    let results: Vec<_> = runnable
-        .iter()
-        .map(|job| {
-            let (a, b, _) = product_parts(job);
-            run_planned(&plan, a, b, pool)
-        })
-        .collect();
-    slot.checkin(plan);
-    for (job, result) in runnable.iter().zip(results) {
+    checkin(held);
+    for (job, result) in undelivered {
         job.core.complete(result);
     }
 }
@@ -749,13 +696,12 @@ fn eval_expr(
                     algo: job.algo,
                     order: OutputOrder::Sorted,
                 };
-                Arc::new(expr_multiply(
-                    shared,
-                    value_at(ai),
-                    value_at(bi),
-                    key,
-                    pool,
-                )?)
+                let (a, b) = (value_at(ai), value_at(bi));
+                let mut held = None;
+                let product =
+                    routed_multiply(shared, dist_route(shared, a, b), a, b, key, pool, &mut held);
+                checkin(held);
+                Arc::new(product?)
             }
             ExprOp::Transpose { a } => Arc::new(ops::transpose_in(value_at(a.index()), pool)),
             ExprOp::Add { a, b } => Arc::new(ops::add(value_at(a.index()), value_at(b.index()))?),
@@ -824,10 +770,8 @@ fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Opti
     };
     let am = job.inputs[sa].csr();
     let bm = job.inputs[sb].csr();
-    if let Some((_, routing)) = &shared.dist {
-        if routes_to_dist(am, bm, routing) {
-            return None;
-        }
+    if dist_route(shared, am, bm).is_some() {
+        return None;
     }
     // Resolve each operand's edit window once, so the old fingerprint
     // and the dirty sets describe the same version transition even if
@@ -900,50 +844,76 @@ fn structure_fp(
     })
 }
 
-/// One `Multiply` node of an expression job: shard fleet past the
-/// dist thresholds (monolithic fallback on fleet failure), otherwise
-/// the shared plan cache (cold one-shot when caching is disabled).
-fn expr_multiply(
+/// A plan instance a worker holds across its products of one key,
+/// with the slot it goes back to.
+type HeldPlan = Option<(Arc<PlanSlot>, SpgemmPlan<S>)>;
+
+fn checkin(held: HeldPlan) {
+    if let Some((slot, plan)) = held {
+        slot.checkin(plan);
+    }
+}
+
+/// One `(a, b, key)` product — a product job or a `Multiply` node of
+/// an expression job — down the routing ladder, panic-contained on
+/// every rung:
+///
+/// 1. Past the dist thresholds (`fleet` = [`dist_route`]'s answer for
+///    these operands), the shared shard fleet. An
+///    infrastructure failure there ([`ServeError::Internal`]: a failed
+///    shard, a panic) is not the job's fault: the product falls
+///    through to the monolithic rungs so it still completes, just
+///    without sharding — and without counting as dist-served. Sparse
+///    errors (shapes, contracts) would fail either way and are
+///    reported as-is.
+/// 2. With the plan cache disabled, a cold one-shot multiply.
+/// 3. Otherwise numeric-only under a plan instance checked out of the
+///    key's slot — built on a miss — into `held`, where the caller's
+///    next product of the same key finds it; the caller [`checkin`]s
+///    it. No slot lock is held during execution, so same-key batches
+///    on other workers run in parallel on instances of their own.
+fn routed_multiply(
     shared: &EngineShared,
+    fleet: Option<&ShardRuntime>,
     a: &Csr<f64>,
     b: &Csr<f64>,
     key: PlanKey,
     pool: &Pool,
+    held: &mut HeldPlan,
 ) -> Result<Csr<f64>, ServeError> {
-    if let Some((runtime, routing)) = &shared.dist {
-        if routes_to_dist(a, b, routing) {
-            // Same containment as the product path: a shard-fleet
-            // panic or infrastructure failure falls back to the
-            // monolithic path below instead of failing the whole
-            // expression job.
-            match contained(|| runtime.multiply(a, b)) {
-                Ok(c) => {
-                    shared.metrics.dist_routed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(c);
-                }
-                Err(ServeError::Internal { .. }) => {} // fleet failure: monolithic fallback
-                Err(e) => return Err(e),
+    if let Some(runtime) = fleet {
+        let _g = obs::span!("serve", "serve.dist_route");
+        match contained(|| runtime.multiply(a, b)) {
+            Err(ServeError::Internal { .. }) => {}
+            served => {
+                shared.metrics.dist_routed.fetch_add(1, Ordering::Relaxed);
+                return served;
             }
         }
     }
     if !shared.cache.enabled() {
-        return spgemm::multiply_in::<S>(a, b, key.algo, key.order, pool)
-            .map_err(ServeError::Sparse);
+        return contained(|| spgemm::multiply_in::<S>(a, b, key.algo, key.order, pool));
     }
-    let slot = shared.cache.slot(key);
-    let plan = match slot.checkout(pool.nthreads()) {
-        Some(plan) => {
-            shared.cache.note_hits(1);
-            plan
-        }
-        None => {
-            shared.cache.note_misses(1);
-            SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool).map_err(ServeError::Sparse)?
-        }
-    };
-    let result = plan.execute_in(a, b, pool).map_err(ServeError::Sparse);
-    slot.checkin(plan);
-    result
+    if held.is_some() {
+        // A batch-mate of the job that checked the instance out (or
+        // paid its symbolic phase) reuses it numeric-only.
+        shared.cache.note_hits(1);
+    } else {
+        let slot = shared.cache.slot(key);
+        let plan = match slot.checkout(pool.nthreads()) {
+            Some(plan) => {
+                shared.cache.note_hits(1);
+                plan
+            }
+            None => {
+                shared.cache.note_misses(1);
+                build_plan(a, b, key, pool)?
+            }
+        };
+        *held = Some((slot, plan));
+    }
+    let (_, plan) = held.as_ref().expect("checked out or built above");
+    contained(|| plan.execute_in(a, b, pool))
 }
 
 fn build_plan(
@@ -956,32 +926,16 @@ fn build_plan(
     contained(|| SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool))
 }
 
-fn run_planned(
-    plan: &SpgemmPlan<S>,
+/// The shard fleet, when `(a, b)` crosses the dist thresholds: cheap
+/// combined-nnz test first, then the optional `O(nnz(A))` flop
+/// estimate. A function of operand structure only.
+fn dist_route<'a>(
+    shared: &'a EngineShared,
     a: &Csr<f64>,
     b: &Csr<f64>,
-    pool: &Pool,
-) -> crate::job::JobResult {
-    contained(|| plan.execute_in(a, b, pool)).map(Arc::new)
-}
-
-/// Whether `(a, b)` crosses the dist thresholds: cheap combined-nnz
-/// test first, then the optional `O(nnz(A))` flop estimate.
-fn routes_to_dist(a: &Csr<f64>, b: &Csr<f64>, routing: &DistRouting) -> bool {
-    if a.nnz() + b.nnz() >= routing.min_operand_nnz {
-        return true;
-    }
-    match routing.min_flop {
-        Some(min) => stats::flop(a, b) >= min,
-        None => false,
-    }
-}
-
-fn run_dist(runtime: &ShardRuntime, a: &Csr<f64>, b: &Csr<f64>) -> crate::job::JobResult {
-    let _g = obs::span!("serve", "serve.dist_route");
-    contained(|| runtime.multiply(a, b)).map(Arc::new)
-}
-
-fn run_cold(a: &Csr<f64>, b: &Csr<f64>, key: PlanKey, pool: &Pool) -> crate::job::JobResult {
-    contained(|| spgemm::multiply_in::<S>(a, b, key.algo, key.order, pool)).map(Arc::new)
+) -> Option<&'a ShardRuntime> {
+    let (runtime, routing) = shared.dist.as_ref()?;
+    let routes = a.nnz() + b.nnz() >= routing.min_operand_nnz
+        || routing.min_flop.is_some_and(|min| stats::flop(a, b) >= min);
+    routes.then_some(runtime)
 }

@@ -68,7 +68,7 @@ impl From<SparseError> for ServeError {
 }
 
 /// A shard-fleet failure: the product's own error passes through, an
-/// infrastructure failure (dead shard, closed channel) is internal.
+/// infrastructure failure (a shard that panicked) is internal.
 impl From<DistError> for ServeError {
     fn from(e: DistError) -> Self {
         match e {

@@ -10,7 +10,7 @@
 //! per-request fingerprint pass.
 
 use parking_lot::Mutex;
-use spgemm_sparse::Csr;
+use spgemm_sparse::{csr_bytes, Csr};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// does not move it; insert/remove of distinct names do).
 static STORE_REGISTRATIONS: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.store.registrations");
-/// Approximate CSR bytes ([`spgemm_dist::csr_bytes`]) held by current
+/// Approximate CSR bytes ([`csr_bytes`]) held by current
 /// registrations (snapshots captured by in-flight jobs not counted).
 static STORE_BYTES: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.store.approx_bytes");
@@ -115,13 +115,13 @@ impl MatrixStore {
             matrix: Arc::new(matrix),
             name: name.clone(),
         });
-        let bytes = spgemm_dist::csr_bytes(stored.csr()) as i64;
+        let bytes = csr_bytes(stored.csr()) as i64;
         let mut map = self.inner.lock();
         let prev = map.insert(name, Arc::clone(&stored));
         if prev.is_none() {
             STORE_REGISTRATIONS.add(1);
         }
-        let prev_bytes = prev.map_or(0, |p| spgemm_dist::csr_bytes(p.csr()) as i64);
+        let prev_bytes = prev.map_or(0, |p| csr_bytes(p.csr()) as i64);
         STORE_BYTES.add(bytes - prev_bytes);
         drop(map);
         stored
@@ -137,7 +137,7 @@ impl MatrixStore {
     pub fn remove(&self, name: &str) -> bool {
         match self.inner.lock().remove(name) {
             Some(prev) => {
-                STORE_BYTES.sub(spgemm_dist::csr_bytes(prev.csr()) as i64);
+                STORE_BYTES.sub(csr_bytes(prev.csr()) as i64);
                 STORE_REGISTRATIONS.sub(1);
                 true
             }

@@ -780,6 +780,15 @@ pub(crate) fn validate_cuts(cuts: &[usize], dim: usize, op: &str) -> Result<(), 
     Ok(())
 }
 
+/// Approximate heap footprint of a CSR's arrays (row pointers +
+/// column indices + values) — the unit of every layer's memory
+/// accounting.
+pub fn csr_bytes<T>(m: &Csr<T>) -> u64 {
+    (std::mem::size_of_val(m.rpts())
+        + std::mem::size_of_val(m.cols())
+        + std::mem::size_of_val(m.vals())) as u64
+}
+
 /// Approximate comparison of two `f64` matrices up to entry order, with
 /// relative tolerance `rel` — SpGEMM kernels accumulate in
 /// data-dependent order, so exact float equality across algorithms is
