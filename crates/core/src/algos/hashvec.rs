@@ -213,7 +213,7 @@ pub fn multiply_with_level<S: Semiring>(
     level: SimdLevel,
 ) -> Csr<S::Elem> {
     let workers = Workers::<S, HashVecAccumulator<S>>::new(pool.nthreads(), level);
-    exec::multiply_on(&workers, a, b, order.is_sorted(), pool)
+    exec::multiply_on(&workers, a, b, order.is_sorted(), pool, None)
 }
 
 #[cfg(test)]

@@ -157,8 +157,8 @@ pub fn multiply_masked<S: Semiring, M: Copy + Send + Sync>(
             op: "multiply_masked (mask shape)",
         });
     }
-    let workers = Workers::<S, MaskedSpa<'_, S, M>>::new(pool.nthreads(), mask);
-    Ok(exec::multiply_on(&workers, a, b, order.is_sorted(), pool))
+    let w = Workers::<S, MaskedSpa<'_, S, M>>::new(pool.nthreads(), mask);
+    Ok(exec::multiply_on(&w, a, b, order.is_sorted(), pool, None))
 }
 
 #[cfg(test)]

@@ -13,135 +13,76 @@
 //! out_dirty = dirty(A)  ∪  { i : A[i] ∩ dirty(B) ≠ ∅ }
 //! ```
 //!
-//! The second term needs a reverse column→consumer-row view of `A`;
-//! that is [`ConsumerIndex`], built once and patched per edit. The
-//! plan layer uses it to re-run the symbolic phase for `out_dirty`
-//! only and splice the result into the cached row pointers; the
-//! numeric layer recomputes those rows and copies the rest
-//! (see `SpgemmPlan::execute_rows`). `spgemm::expr`'s
-//! [`DeltaPlan`] chains per-node transfer functions on top so a k-row
-//! edit flows through a whole pipeline recomputing `O(k · fanout)`
-//! rows, and `spgemm-serve` patches its cross-tenant result cache with
-//! [`recompute_product_rows`]. All three recompute a row with a
-//! kernel's own accumulator through the row-subset entry of the one
-//! row-pass driver (`crate::exec`) — there is no second accumulator
+//! That is the one invalidation rule, and [`rows_touching`] is the one
+//! function that evaluates it: a stateless scan of `A`'s pattern,
+//! early exit per row, no index kept between edits. The plan layer
+//! then runs the ordinary symbolic and numeric passes of `crate::exec`
+//! **under `out_dirty` as a mask** — same parallel region, same
+//! flop-balanced partition, same pooled accumulators; a worker counts
+//! / computes the dirty rows of its range and takes every clean row
+//! from the previous structure / product (see
+//! `SpgemmPlan::execute_rows`). `spgemm::expr`'s [`DeltaPlan`] chains
+//! per-node transfer functions on top so a k-row edit flows through a
+//! whole pipeline recomputing `O(k · fanout)` rows, and `spgemm-serve`
+//! patches its cross-tenant result cache with
+//! [`recompute_product_rows`], the same two masked passes on the Hash
+//! accumulator — there is no second accumulator, and no second driver,
 //! whose bytes could drift from a full evaluation's.
 //!
 //! Every incremental path is **byte-for-byte identical** to a
 //! from-scratch rebind — the extraction order of every accumulator is
 //! a pure per-row function of the operands, independent of pooled
-//! capacity — and the `tests/` differential-oracle harness enforces
-//! exactly that.
+//! capacity and of which worker runs the row — and the `tests/`
+//! differential-oracle harness enforces exactly that.
 
 use crate::algos::hash::HashAccumulator;
-use crate::exec::{self, RowAccumulator, Workers};
+use crate::exec::{self, Workers};
+use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, PlusTimes};
 
 pub use crate::expr::{DeltaPlan, DeltaReport, NodeDelta};
 pub use spgemm_sparse::delta::{DirtyRows, RowPatch};
 
-/// Reverse column→consumer-row index of a matrix `A`: for every inner
-/// column `k`, the ascending list of rows `i` with `k ∈ A[i]`.
+/// `seed` plus every row of `m` whose pattern meets `dirty_cols`: the
+/// invalidation rule of a row-wise product (`m = A`, `dirty_cols` the
+/// dirty rows of `B`, `seed` the dirty rows of `A`) and of any other
+/// per-row function of selected columns (`NormalizeCols`). `m` must be
+/// the *post-edit* matrix — its clean rows are identical in both
+/// versions and its dirty ones are in `seed` already.
 ///
-/// This answers the dirty-propagation question "which output rows of
-/// `A · B` consume a dirty row of `B`?" in time proportional to the
-/// answer. The index carries a snapshot of `A`'s row patterns so that
-/// [`ConsumerIndex::update_rows`] can retire stale reverse entries
-/// without access to the pre-edit matrix.
-#[derive(Clone, Debug)]
-pub struct ConsumerIndex {
-    /// `consumers[k]` = sorted rows `i` with `k ∈ A[i]`.
-    consumers: Vec<Vec<u32>>,
-    /// Snapshot of each row's column pattern (storage order).
-    rows: Vec<Vec<ColIdx>>,
-}
-
-impl ConsumerIndex {
-    /// Build the index from `a` (`O(nnz(A))`).
-    pub fn build<T>(a: &Csr<T>) -> Self {
-        let mut consumers = vec![Vec::new(); a.ncols()];
-        let mut rows = Vec::with_capacity(a.nrows());
-        for i in 0..a.nrows() {
-            for &k in a.row_cols(i) {
-                consumers[k as usize].push(i as u32);
-            }
-            rows.push(a.row_cols(i).to_vec());
-        }
-        ConsumerIndex { consumers, rows }
+/// # Panics
+/// If `seed` / `dirty_cols` are not sets over `m`'s rows / columns.
+pub fn rows_touching<T>(m: &Csr<T>, dirty_cols: &DirtyRows, seed: DirtyRows) -> DirtyRows {
+    assert_eq!(
+        (seed.nrows(), dirty_cols.nrows()),
+        m.shape(),
+        "rows_touching: the sets must be over m's rows and columns"
+    );
+    let mut out = seed;
+    if dirty_cols.is_empty() {
+        return out;
     }
-
-    /// Number of rows of the indexed matrix.
-    pub fn nrows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Re-index the rows in `dirty` against the post-edit matrix
-    /// `a_new` (all other rows are unchanged by contract, which is
-    /// what makes the index exact across a patch).
-    ///
-    /// # Panics
-    /// If `a_new`'s shape differs from the indexed matrix's.
-    pub fn update_rows<T>(&mut self, a_new: &Csr<T>, dirty: &DirtyRows) {
-        assert_eq!(
-            (a_new.nrows(), a_new.ncols()),
-            (self.rows.len(), self.consumers.len()),
-            "ConsumerIndex::update_rows: shape changed; rebuild instead"
-        );
-        for i in dirty.iter() {
-            for &k in &self.rows[i] {
-                let list = &mut self.consumers[k as usize];
-                if let Ok(pos) = list.binary_search(&(i as u32)) {
-                    list.remove(pos);
-                }
-            }
-            for &k in a_new.row_cols(i) {
-                let list = &mut self.consumers[k as usize];
-                if let Err(pos) = list.binary_search(&(i as u32)) {
-                    list.insert(pos, i as u32);
-                }
-            }
-            self.rows[i] = a_new.row_cols(i).to_vec();
+    let hit = |&k: &ColIdx| dirty_cols.contains(k as usize);
+    for i in 0..m.nrows() {
+        if !out.contains(i) && m.row_cols(i).iter().any(hit) {
+            out.insert(i);
         }
     }
-
-    /// The rows of `A` that consume inner column `k`.
-    pub fn consumers_of(&self, k: usize) -> &[u32] {
-        &self.consumers[k]
-    }
-
-    /// Output rows of `A · B` invalidated by the given input dirty
-    /// sets: `dirty_a ∪ { i : A[i] ∩ dirty_b ≠ ∅ }`. The index must
-    /// already reflect the *post-edit* `A` (clean rows are identical
-    /// in both versions, so the reverse scan over the new patterns is
-    /// exact).
-    ///
-    /// # Panics
-    /// If the dirty universes don't match the indexed shape.
-    pub fn out_dirty(&self, dirty_a: &DirtyRows, dirty_b: &DirtyRows) -> DirtyRows {
-        assert_eq!(dirty_a.nrows(), self.rows.len(), "dirty_a universe");
-        assert_eq!(dirty_b.nrows(), self.consumers.len(), "dirty_b universe");
-        let mut out = dirty_a.clone();
-        for k in dirty_b.iter() {
-            for &i in &self.consumers[k] {
-                out.insert(i as usize);
-            }
-        }
-        out
-    }
+    out
 }
 
 /// Replace the rows in `patched` of `old` with freshly computed rows
 /// of the sorted product `A · B`, leaving every other row's bytes
 /// untouched.
 ///
-/// Each row is the hash accumulator's ordinary symbolic + numeric row
-/// through the serial row-subset entry of the shared driver
-/// (`exec::Workers::with_rows`), so it is bit-identical to
-/// [`crate::Algorithm::Hash`]'s sorted output by construction — and,
-/// for *sorted* operands, to the rest of the ascending-`k` family
-/// (HashVec, SPA, KkHash, IKJ, RowClass), whose per-column sums run in
-/// the same order. `spgemm-serve` uses this to patch cached products
-/// in place instead of discarding them on every upstream row update.
+/// This is the hash accumulator's ordinary symbolic and numeric pass
+/// on `pool`, masked by `patched` over `old` (`exec::RowMask`), so it
+/// is bit-identical to [`crate::Algorithm::Hash`]'s sorted output by
+/// construction — and, for *sorted* operands, to the rest of the
+/// ascending-`k` family (HashVec, SPA, KkHash, IKJ, RowClass), whose
+/// per-column sums run in the same order. `spgemm-serve` uses this to
+/// patch cached products in place instead of discarding them on every
+/// upstream row update.
 ///
 /// # Panics
 /// Debug-asserts that operands are sorted and shapes line up; the
@@ -152,53 +93,37 @@ pub fn recompute_product_rows(
     b: &Csr<f64>,
     patched: &DirtyRows,
     old: &Csr<f64>,
+    pool: &Pool,
 ) -> Csr<f64> {
     debug_assert!(a.is_sorted() && b.is_sorted());
     debug_assert_eq!(a.ncols(), b.nrows());
     debug_assert_eq!((old.nrows(), old.ncols()), (a.nrows(), b.ncols()));
     debug_assert_eq!(patched.nrows(), a.nrows());
 
-    type Acc = HashAccumulator<PlusTimes<f64>>;
-    let flops = patched.iter().map(|i| exec::row_flop(a, b, i));
-    let rows: Vec<_> = Workers::<_, Acc>::new(1, ()).with_rows(a, b, flops, |acc| {
-        patched
-            .iter()
-            .map(|i| {
-                let n = acc.symbolic_row(a, b, i);
-                let (mut cols, mut vals) = (vec![0 as ColIdx; n], vec![0.0f64; n]);
-                acc.numeric_row(a, b, i, &mut cols, &mut vals, true);
-                (i, cols, vals)
-            })
-            .collect()
-    });
-    splice_rows(old, &rows)
+    let workers = Workers::<PlusTimes<f64>, HashAccumulator<_>>::new(pool.nthreads(), ());
+    exec::multiply_on(&workers, a, b, true, pool, Some((patched, old)))
 }
 
-/// Rebuild `old` with the listed rows replaced (rows ascending; each
-/// entry is `(row, cols, vals)`), preserving the sorted flag.
-pub(crate) fn splice_rows<T: Copy>(old: &Csr<T>, rows: &[(usize, Vec<ColIdx>, Vec<T>)]) -> Csr<T> {
-    let delta: isize = rows
-        .iter()
-        .map(|&(i, ref c, _)| c.len() as isize - old.row_nnz(i) as isize)
-        .sum();
-    let new_nnz = (old.nnz() as isize + delta) as usize;
+/// Rebuild `old` with each row in `rows` replaced by what `emit(row,
+/// cols, vals)` appends, preserving the sorted flag.
+pub(crate) fn splice_rows<T: Copy>(
+    old: &Csr<T>,
+    rows: &DirtyRows,
+    mut emit: impl FnMut(usize, &mut Vec<ColIdx>, &mut Vec<T>),
+) -> Csr<T> {
     let mut rpts = Vec::with_capacity(old.nrows() + 1);
     rpts.push(0usize);
-    let mut cols = Vec::with_capacity(new_nnz);
-    let mut vals = Vec::with_capacity(new_nnz);
-    let mut next = 0usize;
+    let mut cols = Vec::with_capacity(old.nnz());
+    let mut vals = Vec::with_capacity(old.nnz());
     for i in 0..old.nrows() {
-        if next < rows.len() && rows[next].0 == i {
-            cols.extend_from_slice(&rows[next].1);
-            vals.extend_from_slice(&rows[next].2);
-            next += 1;
+        if rows.contains(i) {
+            emit(i, &mut cols, &mut vals);
         } else {
             cols.extend_from_slice(old.row_cols(i));
             vals.extend_from_slice(old.row_vals(i));
         }
         rpts.push(cols.len());
     }
-    debug_assert_eq!(next, rows.len(), "spliced rows must be ascending");
     Csr::from_parts_unchecked(old.nrows(), old.ncols(), rpts, cols, vals, old.is_sorted())
 }
 
@@ -223,37 +148,35 @@ mod tests {
     }
 
     #[test]
-    fn consumer_index_inverts_the_pattern() {
-        let a = sample();
-        let idx = ConsumerIndex::build(&a);
-        assert_eq!(idx.consumers_of(0), &[0, 2]);
-        assert_eq!(idx.consumers_of(1), &[1]);
-        assert_eq!(idx.consumers_of(2), &[0, 3]);
-        assert_eq!(idx.consumers_of(3), &[2]);
-    }
-
-    #[test]
-    fn consumer_index_update_matches_rebuild() {
-        let a = sample();
-        let mut idx = ConsumerIndex::build(&a);
-        let mut p = RowPatch::new();
-        p.delete(0, 2).insert(0, 3, 9.0).insert(1, 0, 1.0);
-        let (a2, dirty) = a.apply_patch(&p).unwrap();
-        idx.update_rows(&a2, &dirty);
-        let fresh = ConsumerIndex::build(&a2);
-        for k in 0..a2.ncols() {
-            assert_eq!(idx.consumers_of(k), fresh.consumers_of(k), "col {k}");
-        }
-    }
-
-    #[test]
     fn out_dirty_unions_direct_and_reverse_hits() {
         let a = sample();
-        let idx = ConsumerIndex::build(&a);
         let dirty_a = DirtyRows::from_rows(4, [1]);
         let dirty_b = DirtyRows::from_rows(4, [2]); // consumed by rows 0, 3
-        let out = idx.out_dirty(&dirty_a, &dirty_b);
+        let out = rows_touching(&a, &dirty_b, dirty_a.clone());
         assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
+        // Nothing dirty on the column side: the seed, untouched.
+        assert_eq!(
+            rows_touching(&a, &DirtyRows::new(4), dirty_a.clone()),
+            dirty_a
+        );
+    }
+
+    /// Stateless means there is nothing to keep in step with an edit:
+    /// on the patched matrix the answer is the brute-force one, for
+    /// every single dirty column.
+    #[test]
+    fn rows_touching_after_an_edit_matches_brute_force() {
+        let mut p = RowPatch::new();
+        p.delete(0, 2).insert(0, 3, 9.0).insert(1, 0, 1.0);
+        let (a2, dirty_a) = sample().apply_patch(&p).unwrap();
+        for k in 0..4 {
+            let out = rows_touching(&a2, &DirtyRows::from_rows(4, [k]), dirty_a.clone());
+            let holds_k = |i: usize| a2.row_cols(i).contains(&(k as ColIdx));
+            let want: Vec<_> = (0..4)
+                .filter(|&i| dirty_a.contains(i) || holds_k(i))
+                .collect();
+            assert_eq!(out.iter().collect::<Vec<_>>(), want, "col {k}");
+        }
     }
 
     /// Bit-for-bit against the full `Hash` product — the serve patch's
@@ -279,7 +202,7 @@ mod tests {
             (neg_one, stored_zero, vec![0]),
             (rmat(7), rmat(8), (0..32).step_by(3).collect()),
         ];
-        let pool = spgemm_par::Pool::new(2);
+        let pool = Pool::new(2);
         for (a, b, rows) in cases {
             let full = crate::multiply_in::<PlusTimes<f64>>(
                 &a,
@@ -290,13 +213,12 @@ mod tests {
             )
             .unwrap();
             // Perturb the rows of the cached product, then ask for them back.
-            let broken_rows: Vec<_> = rows
-                .iter()
-                .map(|&i| (i, vec![0 as ColIdx], vec![99.0]))
-                .collect();
-            let broken = splice_rows(&full, &broken_rows);
             let patched = DirtyRows::from_rows(a.nrows(), rows);
-            let fixed = recompute_product_rows(&a, &b, &patched, &broken);
+            let broken = splice_rows(&full, &patched, |_, cols, vals| {
+                cols.push(0);
+                vals.push(99.0);
+            });
+            let fixed = recompute_product_rows(&a, &b, &patched, &broken, &pool);
             assert_eq!((fixed.rpts(), fixed.cols()), (full.rpts(), full.cols()));
             let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&fixed), bits(&full));

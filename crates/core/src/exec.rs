@@ -5,8 +5,8 @@
 //! (Figure 1 of the paper) differing only in its per-row accumulator.
 //! The orchestration around the accumulator — Figure 7 "with the
 //! accumulator abstracted out" — lives here once, and every product
-//! (planned, one-shot, RowClass, masked, row-subset, serve patch)
-//! runs it:
+//! (planned, one-shot, RowClass, masked, patched row subset, serve
+//! patch) runs it:
 //!
 //! 1. **Analysis** ([`plan`]) — per-row flop counts, then the
 //!    flop-balanced contiguous row partition of §4.1 (`RowsToThreads`).
@@ -18,15 +18,17 @@
 //! 3. **Passes** — [`symbolic_pass`] (counts → scan → row pointers),
 //!    [`numeric_pass`] (fill pre-sliced output) and, for the one-phase
 //!    kernels, [`staged_pass`] (stage per thread, then copy into
-//!    place). The serial row-subset paths (`rebind_rows`,
-//!    `execute_rows`, the serve patch) run the same accumulators
-//!    through [`Workers::with_rows`] on slot 0.
+//!    place). A patched product (`rebind_rows`, `execute_rows`, the
+//!    serve patch) is the same two passes under a [`RowMask`]: same
+//!    region, same partition, same pooled accumulators, but a worker
+//!    runs only the dirty rows of its range and takes every clean
+//!    row's count / bytes from the previous structure / product.
 //!
 //! A kernel is one [`RowAccumulator`] impl; nothing else in the crate
 //! knows how to construct or size it.
 
 use spgemm_par::{partition, scan, unsync::SharedMutSlice, Pool, WorkspacePool};
-use spgemm_sparse::{ColIdx, Csr, Semiring};
+use spgemm_sparse::{ColIdx, Csr, DirtyRows, Semiring};
 use std::ops::Range;
 
 /// Work analysis for one multiply: per-row flop, the total, and the
@@ -89,18 +91,6 @@ pub(crate) struct AccumReq {
     pub inner_dim: usize,
     /// Output width `ncols(B)`.
     pub ncols_b: usize,
-}
-
-impl AccumReq {
-    /// Requirements for running rows of `A · B` whose flop counts are
-    /// `flops`.
-    fn for_rows<T>(a: &Csr<T>, b: &Csr<T>, flops: impl Iterator<Item = u64>) -> Self {
-        AccumReq {
-            max_row_flop: flops.max().unwrap_or(0) as usize,
-            inner_dim: a.ncols(),
-            ncols_b: b.ncols(),
-        }
-    }
 }
 
 /// A per-thread accumulator driving one output row at a time, parked
@@ -246,18 +236,6 @@ impl<S: Semiring, A: RowAccumulator<S>> Workers<S, A> {
         )
     }
 
-    /// The serial row-subset entry: hand `f` slot 0's accumulator,
-    /// sized for rows of `A · B` whose flop counts are `flops`.
-    pub fn with_rows<R>(
-        &self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        flops: impl Iterator<Item = u64>,
-        f: impl FnOnce(&mut A) -> R,
-    ) -> R {
-        self.acquire(0, &AccumReq::for_rows(a, b, flops), f)
-    }
-
     /// Run `body(acc, wid, range)` on every worker the partition gives
     /// rows, with that worker's accumulator sized for its largest row.
     fn for_each_worker(
@@ -272,12 +250,24 @@ impl<S: Semiring, A: RowAccumulator<S>> Workers<S, A> {
             if range.is_empty() {
                 return;
             }
-            let flops = stats.row_flops[range.clone()].iter().copied();
-            let req = AccumReq::for_rows(a, b, flops);
+            let max_row_flop = stats.row_flops[range.clone()].iter().max();
+            let req = AccumReq {
+                max_row_flop: max_row_flop.map_or(0, |&f| f as usize),
+                inner_dim: a.ncols(),
+                ncols_b: b.ncols(),
+            };
             self.acquire(wid, &req, |acc| body(acc, wid, range));
         });
     }
 }
+
+/// The dirty mask of a patched product, `(dirty, prev)`: a masked pass
+/// runs the accumulator on the rows in `dirty` only and takes every
+/// other row from `prev` — the previous row pointers for
+/// [`symbolic_pass`], the previous product for [`numeric_pass`]. Sound
+/// because row `i` of a row-wise product is a pure function of `A[i]`
+/// and the `B` rows it selects.
+pub(crate) type RowMask<'a, P> = (&'a DirtyRows, &'a P);
 
 /// Inclusive-scan per-row counts (stored at `counts[i + 1]`) into row
 /// pointers; returns `(rpts, nnz)`.
@@ -287,13 +277,16 @@ fn scan_row_ptrs(pool: &Pool, mut counts: Vec<u64>) -> (Vec<usize>, usize) {
 }
 
 /// Symbolic phase: per-row counts, then a scan into row pointers
-/// (Figure 7 lines 1–8). Returns `(rpts, nnz)`.
+/// (Figure 7 lines 1–8). Returns `(rpts, nnz)`. Under a `mask` only
+/// its dirty rows are counted; the rest keep the count the previous
+/// row pointers give them.
 pub(crate) fn symbolic_pass<S: Semiring, A: RowAccumulator<S>>(
     w: &Workers<S, A>,
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
     stats: &MultiplyStats,
     pool: &Pool,
+    mask: Option<RowMask<'_, [usize]>>,
 ) -> (Vec<usize>, usize) {
     let mut counts = vec![0u64; a.nrows() + 1];
     {
@@ -302,14 +295,26 @@ pub(crate) fn symbolic_pass<S: Semiring, A: RowAccumulator<S>>(
             // SAFETY: the partition's ranges are disjoint, so each
             // worker owns the count slots of its rows.
             let counts = unsafe { counts_s.slice_mut(range.clone()) };
-            acc.symbolic_range(&w.shared, wid, a, b, range, counts);
+            let Some((dirty, prev)) = mask else {
+                return acc.symbolic_range(&w.shared, wid, a, b, range, counts);
+            };
+            for (cnt, i) in counts.iter_mut().zip(range) {
+                *cnt = if dirty.contains(i) {
+                    acc.symbolic_row(a, b, i)
+                } else {
+                    prev[i + 1] - prev[i]
+                } as u64;
+            }
         });
     }
     scan_row_ptrs(pool, counts)
 }
 
 /// Numeric phase into pre-sliced output (Figure 7 lines 9–21): row `i`
-/// lands at `rpts[i]..rpts[i + 1]` of `cols`/`vals`.
+/// lands at `rpts[i]..rpts[i + 1]` of `cols`/`vals`. Under a `mask`
+/// only its dirty rows are computed; the rest are copied from the
+/// previous product, whose clean rows the caller has checked to be
+/// `rpts[i + 1] - rpts[i]` long.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
     w: &Workers<S, A>,
@@ -321,6 +326,7 @@ pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
     pool: &Pool,
     cols: &mut [ColIdx],
     vals: &mut [S::Elem],
+    mask: Option<RowMask<'_, Csr<S::Elem>>>,
 ) {
     let (cols_s, vals_s) = (SharedMutSlice::new(cols), SharedMutSlice::new(vals));
     w.for_each_worker(a, b, stats, pool, |acc, wid, range| {
@@ -328,26 +334,43 @@ pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
         // SAFETY: the partition is contiguous and `rpts` monotone, so
         // the workers' output windows are disjoint.
         let (c, v) = unsafe { (cols_s.slice_mut(window.clone()), vals_s.slice_mut(window)) };
-        acc.numeric_range(&w.shared, wid, a, b, range, rpts, sorted, c, v);
+        let Some((dirty, prev)) = mask else {
+            return acc.numeric_range(&w.shared, wid, a, b, range, rpts, sorted, c, v);
+        };
+        let base = rpts[range.start];
+        for i in range {
+            let span = rpts[i] - base..rpts[i + 1] - base;
+            if dirty.contains(i) {
+                acc.numeric_row(a, b, i, &mut c[span.clone()], &mut v[span], sorted);
+            } else {
+                c[span.clone()].copy_from_slice(prev.row_cols(i));
+                v[span].copy_from_slice(prev.row_vals(i));
+            }
+        }
     });
 }
 
 /// A one-shot two-phase product on caller-supplied workers (symbolic →
-/// allocate → numeric), for the kernels that are not an
-/// [`crate::Algorithm`]: the masked product and HashVec at an explicit
-/// SIMD level.
+/// allocate → numeric), for the products that are not an
+/// [`crate::Algorithm`]: the masked product, HashVec at an explicit
+/// SIMD level and — under a `mask` over the previous product — the
+/// serve patch.
 pub(crate) fn multiply_on<S: Semiring, A: RowAccumulator<S>>(
     w: &Workers<S, A>,
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
     sorted: bool,
     pool: &Pool,
+    mask: Option<RowMask<'_, Csr<S::Elem>>>,
 ) -> Csr<S::Elem> {
     let stats = plan(a, b, pool);
-    let (rpts, nnz) = symbolic_pass(w, a, b, &stats, pool);
+    let counted = mask.map(|(dirty, prev)| (dirty, prev.rpts()));
+    let (rpts, nnz) = symbolic_pass(w, a, b, &stats, pool, counted);
     let mut cols = vec![0 as ColIdx; nnz];
     let mut vals = vec![S::zero(); nnz];
-    numeric_pass(w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals);
+    numeric_pass(
+        w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals, mask,
+    );
     Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted)
 }
 

@@ -7,11 +7,11 @@
 //!
 //! | node | rows out | cols out |
 //! |------|----------|----------|
-//! | `Multiply` | `rows(A) ∪ consumers of rows(B)` (via the plan's [`crate::delta::ConsumerIndex`]) | changed entries' columns |
+//! | `Multiply` | `rows(A) ∪ rows of A touching rows(B)` ([`rows_touching`]) | changed entries' columns |
 //! | `Transpose` | `cols(child)` | `rows(child)` |
 //! | `Add` / `Hadamard` | union of operand rows | union of operand cols |
 //! | `ScaleRows` / `ScaleCols` / `Map` | pass-through | pass-through |
-//! | `NormalizeCols` | `rows(child) ∪ rows intersecting cols(child)` | `cols(child)` |
+//! | `NormalizeCols` | `rows(child) ∪ rows of child touching cols(child)` ([`rows_touching`]) | `cols(child)` |
 //!
 //! A [`DeltaPlan`] holds every needed node's value (and per-`Multiply`
 //! [`SpgemmPlan`]s); [`DeltaPlan::update`] applies a [`RowPatch`] to
@@ -22,7 +22,7 @@
 //! [`DeltaPlan::bind`] would produce from scratch on the patched
 //! inputs; the `tests/` differential oracle pins exactly that.
 
-use crate::delta::{splice_rows, DirtyRows, RowPatch};
+use crate::delta::{rows_touching, splice_rows, DirtyRows, RowPatch};
 use crate::expr::{ExprGraph, ExprOp, NodeId};
 use crate::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_obs as obs;
@@ -71,35 +71,12 @@ pub fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRo
     debug_assert!(old.is_sorted() && new.is_sorted());
     let mut cols = DirtyRows::new(old.ncols());
     for i in rows.iter() {
-        let (oc, ov) = (old.row_cols(i), old.row_vals(i));
-        let (nc, nv) = (new.row_cols(i), new.row_vals(i));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < oc.len() && q < nc.len() {
-            use std::cmp::Ordering::*;
-            match oc[p].cmp(&nc[q]) {
-                Less => {
-                    cols.insert(oc[p] as usize);
-                    p += 1;
-                }
-                Greater => {
-                    cols.insert(nc[q] as usize);
-                    q += 1;
-                }
-                Equal => {
-                    if ov[p].to_bits() != nv[q].to_bits() {
-                        cols.insert(oc[p] as usize);
-                    }
-                    p += 1;
-                    q += 1;
-                }
+        let (ov, nv) = (old.row_vals(i), new.row_vals(i));
+        ops::merge_sorted_rows(old.row_cols(i), new.row_cols(i), |col, p, q| {
+            if p.map(|p| ov[p].to_bits()) != q.map(|q| nv[q].to_bits()) {
+                cols.insert(col as usize);
             }
-        }
-        for &c in &oc[p..] {
-            cols.insert(c as usize);
-        }
-        for &c in &nc[q..] {
-            cols.insert(c as usize);
-        }
+        });
     }
     cols
 }
@@ -380,115 +357,47 @@ impl DeltaPlan {
             ExprOp::Add { a, b } => self.recompute_merge(idx, a, b, deltas, false),
             ExprOp::Hadamard { a, b } => self.recompute_merge(idx, a, b, deltas, true),
             ExprOp::ScaleRows { a, v } => {
-                let Some(da) = d(a) else { return Ok(None) };
-                let delta = NodeDelta {
-                    rows: da.rows.clone(),
-                    cols: da.cols.clone(),
-                };
                 let factors = &self.vecs[v.index()];
-                let av = self.outs[a.index()].as_ref().expect("topological order");
-                let rows: Vec<_> = delta
-                    .rows
-                    .iter()
-                    .map(|i| {
-                        let f = factors[i];
-                        let cols = av.row_cols(i).to_vec();
-                        let vals = av.row_vals(i).iter().map(|&x| x * f).collect();
-                        (i, cols, vals)
-                    })
-                    .collect();
-                self.splice(idx, &rows);
-                Ok(Some(delta))
+                Ok(d(a).map(|da| {
+                    remap_rows(&mut self.outs, idx, a, &da.rows, |i, _, x| x * factors[i]);
+                    da.clone()
+                }))
             }
             ExprOp::ScaleCols { a, v } => {
-                let Some(da) = d(a) else { return Ok(None) };
-                let delta = NodeDelta {
-                    rows: da.rows.clone(),
-                    cols: da.cols.clone(),
-                };
                 let factors = &self.vecs[v.index()];
-                let av = self.outs[a.index()].as_ref().expect("topological order");
-                let rows: Vec<_> = delta
-                    .rows
-                    .iter()
-                    .map(|i| {
-                        let cols = av.row_cols(i).to_vec();
-                        let vals = av
-                            .row_cols(i)
-                            .iter()
-                            .zip(av.row_vals(i))
-                            .map(|(&c, &x)| x * factors[c as usize])
-                            .collect();
-                        (i, cols, vals)
-                    })
-                    .collect();
-                self.splice(idx, &rows);
-                Ok(Some(delta))
+                Ok(d(a).map(|da| {
+                    remap_rows(&mut self.outs, idx, a, &da.rows, |_, c, x| {
+                        x * factors[c as usize]
+                    });
+                    da.clone()
+                }))
             }
-            ExprOp::Map { a, f } => {
-                let Some(da) = d(a) else { return Ok(None) };
-                let delta = NodeDelta {
-                    rows: da.rows.clone(),
-                    cols: da.cols.clone(),
-                };
-                let av = self.outs[a.index()].as_ref().expect("topological order");
-                let rows: Vec<_> = delta
-                    .rows
-                    .iter()
-                    .map(|i| {
-                        let cols = av.row_cols(i).to_vec();
-                        let vals = av.row_vals(i).iter().map(|&x| f.apply(x)).collect();
-                        (i, cols, vals)
-                    })
-                    .collect();
-                self.splice(idx, &rows);
-                Ok(Some(delta))
-            }
+            ExprOp::Map { a, f } => Ok(d(a).map(|da| {
+                remap_rows(&mut self.outs, idx, a, &da.rows, |_, _, x| f.apply(x));
+                da.clone()
+            })),
             ExprOp::NormalizeCols { a } => {
                 let Some(da) = d(a) else { return Ok(None) };
                 let av = self.outs[a.index()].as_ref().expect("topological order");
                 // A dirty column's sum changes, so every row holding
                 // that column renormalizes — not just the edited rows.
-                let mut rows = da.rows.clone();
-                for i in 0..av.nrows() {
-                    if rows.contains(i) {
-                        continue;
-                    }
-                    if av.row_cols(i).iter().any(|&c| da.cols.contains(c as usize)) {
-                        rows.insert(i);
-                    }
-                }
+                let rows = rows_touching(av, &da.cols, da.rows.clone());
                 // Column sums are recomputed from scratch in storage
                 // order — clean columns sum identical bytes, dirty
                 // ones get their fresh divisor — so every spliced
                 // value matches `ops::normalize_columns` bit-for-bit.
                 let mut colsum = vec![0.0f64; av.ncols()];
-                for i in 0..av.nrows() {
-                    for (&c, &x) in av.row_cols(i).iter().zip(av.row_vals(i)) {
-                        colsum[c as usize] += x;
-                    }
+                for (&c, &x) in av.cols().iter().zip(av.vals()) {
+                    colsum[c as usize] += x;
                 }
-                let spliced: Vec<_> = rows
-                    .iter()
-                    .map(|i| {
-                        let cols = av.row_cols(i).to_vec();
-                        let vals = av
-                            .row_cols(i)
-                            .iter()
-                            .zip(av.row_vals(i))
-                            .map(|(&c, &x)| {
-                                let s = colsum[c as usize];
-                                if s != 0.0 {
-                                    x / s
-                                } else {
-                                    x
-                                }
-                            })
-                            .collect();
-                        (i, cols, vals)
-                    })
-                    .collect();
-                self.splice(idx, &spliced);
+                remap_rows(&mut self.outs, idx, a, &rows, |_, c, x| {
+                    let s = colsum[c as usize];
+                    if s != 0.0 {
+                        x / s
+                    } else {
+                        x
+                    }
+                });
                 Ok(Some(NodeDelta {
                     rows,
                     cols: da.cols.clone(),
@@ -498,8 +407,9 @@ impl DeltaPlan {
     }
 
     /// Recompute the dirty rows of an `Add` (`intersect == false`) or
-    /// `Hadamard` (`intersect == true`) node with the exact per-row
-    /// merge loop of [`ops::add`] / [`ops::hadamard`].
+    /// `Hadamard` (`intersect == true`) node over the same
+    /// [`ops::merge_sorted_rows`] walk as [`ops::add`] /
+    /// [`ops::hadamard`], so the bytes agree by construction.
     fn recompute_merge(
         &mut self,
         idx: usize,
@@ -508,79 +418,55 @@ impl DeltaPlan {
         deltas: &[Option<NodeDelta>],
         intersect: bool,
     ) -> Result<Option<NodeDelta>, SparseError> {
-        let (da, db) = (deltas[a.index()].as_ref(), deltas[b.index()].as_ref());
-        if da.is_none() && db.is_none() {
-            return Ok(None);
-        }
+        let delta = match (deltas[a.index()].as_ref(), deltas[b.index()].as_ref()) {
+            (None, None) => return Ok(None),
+            (Some(d), None) | (None, Some(d)) => d.clone(),
+            (Some(da), Some(db)) => {
+                let mut d = da.clone();
+                d.rows.union_with(&db.rows);
+                d.cols.union_with(&db.cols);
+                d
+            }
+        };
         let av = self.outs[a.index()].as_ref().expect("topological order");
         let bv = self.outs[b.index()].as_ref().expect("topological order");
-        let mut rows = da
-            .map(|x| x.rows.clone())
-            .unwrap_or_else(|| DirtyRows::new(av.nrows()));
-        if let Some(db) = db {
-            rows.union_with(&db.rows);
-        }
-        let mut cols = da
-            .map(|x| x.cols.clone())
-            .unwrap_or_else(|| DirtyRows::new(av.ncols()));
-        if let Some(db) = db {
-            cols.union_with(&db.cols);
-        }
-        let spliced: Vec<_> = rows
-            .iter()
-            .map(|i| {
-                let (ac, avals) = (av.row_cols(i), av.row_vals(i));
-                let (bc, bvals) = (bv.row_cols(i), bv.row_vals(i));
-                let mut c: Vec<ColIdx> = Vec::new();
-                let mut v: Vec<f64> = Vec::new();
-                let (mut p, mut q) = (0usize, 0usize);
-                while p < ac.len() && q < bc.len() {
-                    use std::cmp::Ordering::*;
-                    match ac[p].cmp(&bc[q]) {
-                        Less => {
-                            if !intersect {
-                                c.push(ac[p]);
-                                v.push(avals[p]);
-                            }
-                            p += 1;
-                        }
-                        Greater => {
-                            if !intersect {
-                                c.push(bc[q]);
-                                v.push(bvals[q]);
-                            }
-                            q += 1;
-                        }
-                        Equal => {
-                            c.push(ac[p]);
-                            v.push(if intersect {
-                                avals[p] * bvals[q]
-                            } else {
-                                avals[p] + bvals[q]
-                            });
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                if !intersect {
-                    c.extend_from_slice(&ac[p..]);
-                    v.extend_from_slice(&avals[p..]);
-                    c.extend_from_slice(&bc[q..]);
-                    v.extend_from_slice(&bvals[q..]);
-                }
-                (i, c, v)
-            })
-            .collect();
-        self.splice(idx, &spliced);
-        Ok(Some(NodeDelta { rows, cols }))
+        let old = self.outs[idx].as_ref().expect("bound node");
+        let new = splice_rows(old, &delta.rows, |i, cols, vals| {
+            let (avals, bvals) = (av.row_vals(i), bv.row_vals(i));
+            ops::merge_sorted_rows(av.row_cols(i), bv.row_cols(i), |col, p, q| {
+                let x = match (p.map(|p| avals[p]), q.map(|q| bvals[q])) {
+                    (Some(x), Some(y)) if intersect => x * y,
+                    (Some(x), Some(y)) => x + y,
+                    (Some(x), None) | (None, Some(x)) if !intersect => x,
+                    _ => return,
+                };
+                cols.push(col);
+                vals.push(x);
+            });
+        });
+        self.outs[idx] = Some(new);
+        Ok(Some(delta))
     }
+}
 
-    /// Replace node `idx`'s cached value with the given rows spliced in.
-    fn splice(&mut self, idx: usize, rows: &[(usize, Vec<ColIdx>, Vec<f64>)]) {
-        let old = self.outs[idx].take().expect("bound node");
-        self.outs[idx] = Some(splice_rows(&old, rows));
-    }
+/// Recompute `rows` of the element-wise node `idx` over operand `a`
+/// and splice them into its cached value: each row keeps the operand
+/// row's columns, its values mapped by `f(row, col, value)`.
+fn remap_rows(
+    outs: &mut [Option<Csr<f64>>],
+    idx: usize,
+    a: NodeId,
+    rows: &DirtyRows,
+    f: impl Fn(usize, ColIdx, f64) -> f64,
+) {
+    let av = outs[a.index()].as_ref().expect("topological order");
+    let old = outs[idx].as_ref().expect("bound node");
+    let new = splice_rows(old, rows, |i, cols, vals| {
+        cols.extend_from_slice(av.row_cols(i));
+        let entries = av.row_cols(i).iter().zip(av.row_vals(i));
+        vals.extend(entries.map(|(&c, &x)| f(i, c, x)));
+    });
+    outs[idx] = Some(new);
 }
 
 #[cfg(test)]

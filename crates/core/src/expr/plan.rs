@@ -825,38 +825,17 @@ fn bind_add(
     let mut b_src = Vec::with_capacity(a.nnz() + b.nnz());
     for i in 0..a.nrows() {
         let (ra, rb) = (a.row_range(i), b.row_range(i));
-        let (ac, av) = (a.row_cols(i), a.row_vals(i));
-        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() || q < bc.len() {
-            let take_a = q >= bc.len() || (p < ac.len() && ac[p] <= bc[q]);
-            let take_b = p >= ac.len() || (q < bc.len() && bc[q] <= ac[p]);
-            match (take_a, take_b) {
-                (true, true) => {
-                    cols.push(ac[p]);
-                    vals.push(av[p] + bv[q]);
-                    a_src.push(ra.start + p);
-                    b_src.push(rb.start + q);
-                    p += 1;
-                    q += 1;
-                }
-                (true, false) => {
-                    cols.push(ac[p]);
-                    vals.push(av[p]);
-                    a_src.push(ra.start + p);
-                    b_src.push(ABSENT);
-                    p += 1;
-                }
-                (false, true) => {
-                    cols.push(bc[q]);
-                    vals.push(bv[q]);
-                    a_src.push(ABSENT);
-                    b_src.push(rb.start + q);
-                    q += 1;
-                }
-                (false, false) => unreachable!(),
-            }
-        }
+        let (av, bv) = (a.row_vals(i), b.row_vals(i));
+        ops::merge_sorted_rows(a.row_cols(i), b.row_cols(i), |col, p, q| {
+            cols.push(col);
+            vals.push(match (p, q) {
+                (Some(p), Some(q)) => av[p] + bv[q],
+                (Some(p), None) => av[p],
+                (None, q) => bv[q.expect("a merge hit has a side")],
+            });
+            a_src.push(p.map_or(ABSENT, |p| ra.start + p));
+            b_src.push(q.map_or(ABSENT, |q| rb.start + q));
+        });
         rpts.push(cols.len());
     }
     *me = Csr::from_parts_unchecked(a.nrows(), a.ncols(), rpts, cols, vals, true);
@@ -889,24 +868,15 @@ fn bind_hadamard(
     let mut b_idx = Vec::new();
     for i in 0..a.nrows() {
         let (ra, rb) = (a.row_range(i), b.row_range(i));
-        let (ac, av) = (a.row_cols(i), a.row_vals(i));
-        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() && q < bc.len() {
-            use std::cmp::Ordering::*;
-            match ac[p].cmp(&bc[q]) {
-                Less => p += 1,
-                Greater => q += 1,
-                Equal => {
-                    cols.push(ac[p]);
-                    vals.push(av[p] * bv[q]);
-                    a_idx.push(ra.start + p);
-                    b_idx.push(rb.start + q);
-                    p += 1;
-                    q += 1;
-                }
+        let (av, bv) = (a.row_vals(i), b.row_vals(i));
+        ops::merge_sorted_rows(a.row_cols(i), b.row_cols(i), |col, p, q| {
+            if let (Some(p), Some(q)) = (p, q) {
+                cols.push(col);
+                vals.push(av[p] * bv[q]);
+                a_idx.push(ra.start + p);
+                b_idx.push(rb.start + q);
             }
-        }
+        });
         rpts.push(cols.len());
     }
     *me = Csr::from_parts_unchecked(a.nrows(), a.ncols(), rpts, cols, vals, true);

@@ -37,7 +37,7 @@
 //! row-pass driver (`exec`: one symbolic, one numeric, one staged
 //! pass) into which each kernel plugs as a per-row accumulator;
 //! planned and one-shot products, RowClass, the masked product and
-//! the row-subset paths all run it.
+//! — under a dirty-row mask — the row-subset paths all run it.
 //!
 //! Kernels are generic over a [`spgemm_sparse::Semiring`], so boolean
 //! BFS and counting workloads run through the identical code paths as
@@ -56,7 +56,7 @@ pub mod plan;
 pub mod recipe;
 pub mod tuning;
 
-pub use delta::{ConsumerIndex, DirtyRows, RowPatch};
+pub use delta::{DirtyRows, RowPatch};
 pub use exec::{plan as exec_plan, MultiplyStats};
 pub use options::{Algorithm, OutputOrder};
 pub use plan::{PlanCache, PlanCacheStats, SpgemmPlan};

@@ -31,9 +31,10 @@
 //!
 //! The one-shot [`crate::multiply_in`] is itself `Plan::new` +
 //! `execute`, and every pass a plan runs — symbolic, numeric, staged,
-//! and the serial row-subset loops of `rebind_rows` / `execute_rows`
-//! — is the single implementation in `crate::exec`; the plan only
-//! decides *which* accumulator type the passes are instantiated with.
+//! and the same symbolic / numeric passes under a dirty mask for
+//! `rebind_rows` / `execute_rows` — is the single implementation in
+//! `crate::exec`; the plan only decides *which* accumulator type the
+//! passes are instantiated with.
 
 use crate::algos::hash::HashAccumulator;
 use crate::algos::hashvec::HashVecAccumulator;
@@ -43,8 +44,8 @@ use crate::algos::kkhash::KkHashAccumulator;
 use crate::algos::merge::MergeAccumulator;
 use crate::algos::simd;
 use crate::algos::spa::SpaAccumulator;
-use crate::delta::{ConsumerIndex, DirtyRows};
-use crate::exec::{self, MultiplyStats, RowAccumulator, Workers};
+use crate::delta::{rows_touching, DirtyRows};
+use crate::exec::{self, MultiplyStats, RowMask, Workers};
 use crate::kgen::{RowClassAccumulator, RowClassSpec};
 use crate::{recipe, Algorithm, OutputOrder};
 use parking_lot::Mutex;
@@ -189,10 +190,6 @@ pub struct SpgemmPlan<S: Semiring> {
     /// `None` while a one-phase plan's symbolic structure is still
     /// deferred to its first execution.
     symbolic: Mutex<Option<Arc<SymbolicPlan>>>,
-    /// Reverse column→consumer-row index of `A`, built lazily by the
-    /// first [`SpgemmPlan::rebind_rows`] and patched per call; `None`
-    /// until then and after any full rebind.
-    consumers: Option<ConsumerIndex>,
     kernel: PlanKernel<S>,
 }
 
@@ -254,7 +251,6 @@ impl<S: Semiring> SpgemmPlan<S> {
             stats,
             nthreads: pool.nthreads(),
             symbolic: Mutex::new(None),
-            consumers: None,
             kernel: PlanKernel::new(resolved, pool.nthreads()),
         };
         plan.bind_kernel(a, b, pool);
@@ -267,7 +263,7 @@ impl<S: Semiring> SpgemmPlan<S> {
     fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
         self.bind_row_classes(a, b);
         *self.symbolic.get_mut() =
-            (!self.symbolic_is_deferred()).then(|| Arc::new(self.run_symbolic(a, b, pool)));
+            (!self.symbolic_is_deferred()).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
     }
 
     /// RowClass plans only: re-derive the per-class work queues and
@@ -353,16 +349,16 @@ impl<S: Semiring> SpgemmPlan<S> {
         self.b_nnz = b.nnz();
         // Rebinding implies reuse intent: always fingerprint.
         self.sigs = Some(signatures(a, b));
-        self.consumers = None;
         self.bind_kernel(a, b, pool);
         Ok(())
     }
 
     /// Incremental rebind after a row-granular edit of the operands:
     /// re-run the symbolic phase for **only** the output rows whose
-    /// inputs changed, splice the new row pointers into the cached
-    /// structure, and return the invalidated output-row set — the
-    /// argument [`SpgemmPlan::execute_rows`] expects next.
+    /// inputs changed — the ordinary symbolic pass on the whole pool,
+    /// masked so every other row keeps its cached count — and return
+    /// the invalidated output-row set, the argument
+    /// [`SpgemmPlan::execute_rows`] expects next.
     ///
     /// `dirty_a` / `dirty_b` name the rows of the *new* `a` / `b`
     /// that differ (structurally or in values) from the operands the
@@ -371,9 +367,8 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// Rows outside the dirty sets must match the bound version
     /// byte-for-byte; that contract is what makes the splice exact.
     /// Output rows are invalidated per the row-wise dependency
-    /// `out = dirty_a ∪ {i : A[i] ∩ dirty_b ≠ ∅}`, with the second
-    /// term answered by a cached [`ConsumerIndex`] that is itself
-    /// patched per call.
+    /// `out = dirty_a ∪ {i : A[i] ∩ dirty_b ≠ ∅}` ([`rows_touching`]: a
+    /// stateless scan of the new `a`; the plan keeps no per-edit state).
     ///
     /// Falls back to a full [`SpgemmPlan::rebind`] — returning
     /// `DirtyRows::all` — whenever incremental repair is impossible:
@@ -439,6 +434,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         };
         let incremental = self.sigs.is_some()
             && self.dims == (a.nrows(), a.ncols(), b.ncols())
+            && a.ncols() == b.nrows()
             && resolved == self.algo
             && self.algo != Algorithm::Reference
             && pool.nthreads() == self.nthreads
@@ -456,17 +452,7 @@ impl<S: Semiring> SpgemmPlan<S> {
             });
         }
 
-        // Which output rows the edit invalidates (reverse index on A).
-        if let Some(idx) = self.consumers.as_mut() {
-            idx.update_rows(a, dirty_a);
-        } else {
-            self.consumers = Some(ConsumerIndex::build(a));
-        }
-        let out_dirty = self
-            .consumers
-            .as_ref()
-            .expect("installed above")
-            .out_dirty(dirty_a, dirty_b);
+        let out_dirty = rows_touching(a, dirty_b, dirty_a.clone());
 
         // Per-row flops change exactly on the invalidated rows (a
         // clean row's A pattern and consumed B row sizes are both
@@ -482,33 +468,15 @@ impl<S: Semiring> SpgemmPlan<S> {
         // per-row re-counts below stay incremental).
         self.bind_row_classes(a, b);
 
-        // Splice the symbolic structure: clean rows keep their cached
-        // counts, invalidated rows are re-counted by the kernel.
+        // The symbolic pass under the mask: invalidated rows are
+        // re-counted by the kernel, clean rows keep their cached count.
         let old_sym = self
             .symbolic
             .get_mut()
             .take()
             .expect("incremental gate checked symbolic presence");
-        let m = a.nrows();
-        let mut counts: Vec<usize> = (0..m)
-            .map(|i| old_sym.rpts[i + 1] - old_sym.rpts[i])
-            .collect();
-        if !out_dirty.is_empty() {
-            let flops = out_dirty.iter().map(|i| self.stats.row_flops[i]);
-            with_kernel!(self, |w| w.with_rows(a, b, flops, |acc| {
-                for i in out_dirty.iter() {
-                    counts[i] = acc.symbolic_row(a, b, i);
-                }
-            }));
-        }
-        let mut rpts = Vec::with_capacity(m + 1);
-        rpts.push(0usize);
-        let mut total = 0usize;
-        for &c in &counts {
-            total += c;
-            rpts.push(total);
-        }
-        *self.symbolic.get_mut() = Some(Arc::new(SymbolicPlan { rpts, nnz: total }));
+        let sym = self.run_symbolic(a, b, pool, Some((&out_dirty, &old_sym.rpts[..])));
+        *self.symbolic.get_mut() = Some(Arc::new(sym));
 
         self.a_nnz = a.nnz();
         self.b_nnz = b.nnz();
@@ -528,9 +496,12 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// Companion to [`SpgemmPlan::rebind_rows`]: pass the dirty set it
     /// returned, with `c` holding the pre-edit product. The result is
     /// byte-for-byte what a full [`SpgemmPlan::execute`] would produce
-    /// — clean rows are copied (their inputs are untouched by
-    /// contract), dirty rows run the kernel's ordinary per-row numeric
-    /// path.
+    /// — it is the ordinary numeric pass on the whole pool under
+    /// `dirty` as a mask: each worker computes the dirty rows of its
+    /// range with the kernel's per-row numeric path and copies the
+    /// clean ones (their inputs are untouched by contract). A `c`
+    /// whose clean rows don't have the planned lengths is rejected
+    /// with [`SparseError::PlanMismatch`] before anything is written.
     pub fn execute_rows(
         &self,
         a: &Csr<S::Elem>,
@@ -587,37 +558,22 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
+        let planned_nnz = |i: usize| sym.rpts[i + 1] - sym.rpts[i];
+        if let Some(i) = (0..m).find(|&i| !dirty.contains(i) && c.row_nnz(i) != planned_nnz(i)) {
+            return Err(SparseError::PlanMismatch {
+                detail: format!(
+                    "execute_rows: clean row {i} has {} entries in the cached \
+                     product but {} in the plan; the cached product is stale",
+                    c.row_nnz(i),
+                    planned_nnz(i)
+                ),
+            });
+        }
+        // With every row dirty there is nothing to keep: the full pass.
+        let mask = (!full).then_some((dirty, &*c));
         let mut cols = vec![0 as ColIdx; sym.nnz];
         let mut vals = vec![S::zero(); sym.nnz];
-        if !full {
-            for i in 0..m {
-                if dirty.contains(i) {
-                    continue;
-                }
-                let span = sym.rpts[i]..sym.rpts[i + 1];
-                if c.row_nnz(i) != span.len() {
-                    return Err(SparseError::PlanMismatch {
-                        detail: format!(
-                            "execute_rows: clean row {i} has {} entries in the cached \
-                             product but {} in the plan; the cached product is stale",
-                            c.row_nnz(i),
-                            span.len()
-                        ),
-                    });
-                }
-                cols[span.clone()].copy_from_slice(c.row_cols(i));
-                vals[span].copy_from_slice(c.row_vals(i));
-            }
-        }
-        if !dirty.is_empty() {
-            let flops = dirty.iter().map(|i| self.stats.row_flops[i]);
-            with_kernel!(self, |w| w.with_rows(a, b, flops, |acc| {
-                for i in dirty.iter() {
-                    let span = sym.rpts[i]..sym.rpts[i + 1];
-                    acc.numeric_row(a, b, i, &mut cols[span.clone()], &mut vals[span], sorted);
-                }
-            }));
-        }
+        self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals, mask);
         *c = Csr::from_parts_unchecked(m, n, sym.rpts.to_vec(), cols, vals, sorted);
         if obs::enabled() {
             static RECOMP: obs::CounterSite =
@@ -777,7 +733,7 @@ impl<S: Semiring> SpgemmPlan<S> {
                 let (m, _, n) = self.dims;
                 let mut cols = vec![0 as ColIdx; sym.nnz];
                 let mut vals = vec![S::zero(); sym.nnz];
-                self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals);
+                self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals, None);
                 Ok(Csr::from_parts_unchecked(
                     m,
                     n,
@@ -887,7 +843,7 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        self.run_numeric(a, b, &sym.rpts, pool, cols, vals);
+        self.run_numeric(a, b, &sym.rpts, pool, cols, vals, None);
         Ok(())
     }
 
@@ -916,14 +872,24 @@ impl<S: Semiring> SpgemmPlan<S> {
         c
     }
 
-    /// The symbolic pass over the planned partition.
-    fn run_symbolic(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> SymbolicPlan {
+    /// The symbolic pass over the planned partition (under `mask`,
+    /// only its dirty rows are re-counted).
+    fn run_symbolic(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        pool: &Pool,
+        mask: Option<RowMask<'_, [usize]>>,
+    ) -> SymbolicPlan {
         let _g = obs::span!("plan", "plan.symbolic");
-        let (rpts, nnz) = with_kernel!(self, |w| exec::symbolic_pass(w, a, b, &self.stats, pool));
+        let stats = &self.stats;
+        let (rpts, nnz) = with_kernel!(self, |w| exec::symbolic_pass(w, a, b, stats, pool, mask));
         SymbolicPlan { rpts, nnz }
     }
 
-    /// The numeric pass into pre-sliced output.
+    /// The numeric pass into pre-sliced output (under `mask`, only its
+    /// dirty rows are computed; the rest are copied).
+    #[allow(clippy::too_many_arguments)]
     fn run_numeric(
         &self,
         a: &Csr<S::Elem>,
@@ -932,20 +898,13 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
         cols: &mut [ColIdx],
         vals: &mut [S::Elem],
+        mask: Option<RowMask<'_, Csr<S::Elem>>>,
     ) {
         let _g = obs::span!("plan", "plan.numeric");
         count_execute(self.algo);
-        let sorted = self.output_is_sorted();
+        let (stats, sorted) = (&self.stats, self.output_is_sorted());
         with_kernel!(self, |w| exec::numeric_pass(
-            w,
-            a,
-            b,
-            &self.stats,
-            rpts,
-            sorted,
-            pool,
-            cols,
-            vals
+            w, a, b, stats, rpts, sorted, pool, cols, vals, mask
         ))
     }
 

@@ -3,7 +3,7 @@
 //! *route* into it — the one-shot `multiply_in`, a plan's first
 //! (staged, for one-phase kernels) and later (numeric-only)
 //! executions, RowClass's bucketed passes, the masked product and the
-//! serve patch's row-subset recompute — produces the same bytes (NaN
+//! serve patch's dirty-masked recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
 //! and ±inf, and that repeated executions are deterministic.
 
@@ -121,14 +121,14 @@ proptest! {
             let hash = oneshot(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool);
             prop_assert!(bits_eq(&hash, &oracle), "sorted hash vs reference, nt={}", nt);
             // The serve patch recomputes rows through the driver's
-            // row-subset entry: all of them from nothing, or a few on
-            // top of the product they belong to.
+            // masked passes, on this width: all of them from nothing,
+            // or a few on top of the product they belong to.
             let n = a.nrows();
             let from_nothing =
-                recompute_product_rows(&a, &a, &DirtyRows::all(n), &Csr::zero(n, n));
+                recompute_product_rows(&a, &a, &DirtyRows::all(n), &Csr::zero(n, n), &pool);
             prop_assert!(bits_eq(&from_nothing, &hash), "recompute all rows, nt={}", nt);
             let some = DirtyRows::from_rows(n, (0..n).step_by(3));
-            let patched = recompute_product_rows(&a, &a, &some, &hash);
+            let patched = recompute_product_rows(&a, &a, &some, &hash, &pool);
             prop_assert!(bits_eq(&patched, &hash), "recompute every third row, nt={}", nt);
         }
     }

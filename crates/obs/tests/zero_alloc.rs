@@ -1,8 +1,9 @@
 //! The zero-overhead-when-disabled proof for the instrumentation
 //! layer: with the enable flag off, span enter/exit, counter adds and
-//! histogram-site records perform **zero** heap allocations and stay
-//! under a generous per-op time bound (the fast path is one relaxed
-//! atomic load).
+//! histogram-site records perform **zero** heap allocations. (The
+//! time bound on the same fast path — one relaxed atomic load — is
+//! `spgemm-obs --smoke`'s, a gated stamp rather than a `cargo test`
+//! thread on a shared runner.)
 //!
 //! Same counting-`#[global_allocator]` technique as the plan layer's
 //! `plan_zero_alloc.rs`: per-thread tallies, so the strict zero
@@ -10,7 +11,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::time::Instant;
 
 struct CountingAlloc;
 
@@ -113,21 +113,4 @@ fn disabled_trace_ctx_propagation_allocates_nothing() {
     assert_eq!(SPAN.totals(), (0, 0, 0));
     assert!(spgemm_obs::exemplars().is_empty());
     assert_eq!(spgemm_obs::trace_unsampled(), 0);
-}
-
-#[test]
-fn disabled_span_enter_exit_is_cheap() {
-    assert!(!spgemm_obs::enabled(), "tests must start disabled");
-    let iters = 1_000_000u64;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let _g = SPAN.enter();
-    }
-    let per_op_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-    // The fast path is one relaxed load; anything near this bound
-    // means the gate is broken, not that the machine is slow.
-    assert!(
-        per_op_ns < 1000.0,
-        "disabled span enter/exit costs {per_op_ns:.1}ns/op"
-    );
 }

@@ -9,7 +9,7 @@ use crate::metrics::{Metrics, MetricsSnapshot, SloPolicy};
 use crate::plan_cache::{PlanKey, PlanSlot, SharedPlanCache, S};
 use crate::queue::{BatchKey, ExprJob, JobPayload, JobQueue, QueuedJob};
 use crate::store::MatrixStore;
-use spgemm::delta::{recompute_product_rows, DirtyRows, RowPatch};
+use spgemm::delta::{recompute_product_rows, rows_touching, DirtyRows, RowPatch};
 use spgemm::expr::{fnv64, ExprOp};
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
@@ -670,7 +670,7 @@ fn eval_expr(
         // Before recomputing a multiply of row-updated inputs, try to
         // recover the previous version's cached product and patch only
         // the invalidated rows.
-        if let Some(patched) = try_patch_multiply(shared, job, i) {
+        if let Some(patched) = try_patch_multiply(shared, job, i, pool) {
             shared
                 .metrics
                 .expr_results_patched
@@ -730,23 +730,29 @@ fn eval_expr(
 /// `Multiply` of two input leaves, at least one of which was
 /// row-updated since a previous evaluation, recover the *previous*
 /// version's cached product and recompute only the output rows the
-/// edits invalidated (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`) via
-/// [`recompute_product_rows`]. Returns `None` whenever any
-/// precondition fails — the caller then evaluates the node normally,
-/// so this path can only save work, never change results.
+/// edits invalidated (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`,
+/// [`rows_touching`]) via [`recompute_product_rows`]. Returns `None`
+/// whenever any precondition fails — the caller then evaluates the
+/// node normally, so this path can only save work, never change
+/// results.
 ///
 /// Byte-for-byte safety: `recompute_product_rows` runs the Hash
-/// accumulator itself (through the row-subset entry of core's one
-/// row-pass driver), so it reproduces the sorted output of the
-/// ascending-`k` accumulator family (Hash,
-/// HashVec, SPA, KkHash, IKJ, and RowClass — whose per-class kernels
-/// all accumulate in `k`-encounter order and are byte-identical to
-/// Hash) exactly, so the patch is gated on those kernels and on the
-/// node *not* routing to the shard fleet. The fleet's `Hash` product
-/// is bit-identical to the monolithic one, so that half of the gate
-/// is about placement, not bytes: an oversized product stays on the
-/// fleet instead of being patched on one worker.
-fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Option<Arc<Csr<f64>>> {
+/// accumulator itself (core's ordinary symbolic and numeric passes on
+/// the worker's pool, masked by the invalidated rows), so it
+/// reproduces the sorted output of the ascending-`k` accumulator
+/// family (Hash, HashVec, SPA, KkHash, IKJ, and RowClass — whose
+/// per-class kernels all accumulate in `k`-encounter order and are
+/// byte-identical to Hash) exactly, so the patch is gated on those
+/// kernels and on the node *not* routing to the shard fleet. The
+/// fleet's `Hash` product is bit-identical to the monolithic one, so
+/// that half of the gate is about placement, not bytes: an oversized
+/// product stays on the fleet instead of being patched on one worker.
+fn try_patch_multiply(
+    shared: &EngineShared,
+    job: &ExprJob,
+    node: usize,
+    pool: &Pool,
+) -> Option<Arc<Csr<f64>>> {
     if !matches!(
         job.algo,
         Algorithm::Hash
@@ -813,14 +819,9 @@ fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Opti
     };
     let dirty_a = dirty_for(&rec_a, am.nrows())?;
     let dirty_b = dirty_for(&rec_b, bm.nrows())?;
-    let mut out = dirty_a;
-    for i in 0..am.nrows() {
-        if !out.contains(i) && am.row_cols(i).iter().any(|&k| dirty_b.contains(k as usize)) {
-            out.insert(i);
-        }
-    }
+    let out = rows_touching(am, &dirty_b, dirty_a);
     let _g = obs::span!("delta", "delta.serve_patch");
-    Some(Arc::new(recompute_product_rows(am, bm, &out, &old_c)))
+    Some(Arc::new(recompute_product_rows(am, bm, &out, &old_c, pool)))
 }
 
 /// Structure fingerprint of node `k`'s value: the store's

@@ -406,6 +406,47 @@ pub fn select_columns<T: Copy + Send + Sync>(
     ))
 }
 
+/// The two-cursor merge of two ascending column lists — the one
+/// sorted-row merge every element-wise operation is written over.
+/// `visit(col, p, q)` is called once per distinct column, in ascending
+/// order, with the position holding it in `a` (`p`) and in `b` (`q`);
+/// at least one is `Some`. Union, intersection or difference is what
+/// the caller does with a one-sided hit.
+#[inline]
+pub fn merge_sorted_rows(
+    a: &[ColIdx],
+    b: &[ColIdx],
+    mut visit: impl FnMut(ColIdx, Option<usize>, Option<usize>),
+) {
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < a.len() && q < b.len() {
+        use std::cmp::Ordering::*;
+        match a[p].cmp(&b[q]) {
+            Less => {
+                visit(a[p], Some(p), None);
+                p += 1;
+            }
+            Greater => {
+                visit(b[q], None, Some(q));
+                q += 1;
+            }
+            Equal => {
+                visit(a[p], Some(p), Some(q));
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    while p < a.len() {
+        visit(a[p], Some(p), None);
+        p += 1;
+    }
+    while q < b.len() {
+        visit(b[q], None, Some(q));
+        q += 1;
+    }
+}
+
 /// Element-wise sum `A + B` of equal-shaped, sorted matrices by
 /// per-row merging. Entries summing to the additive identity are kept
 /// (structural union), matching the convention of the SpGEMM kernels.
@@ -425,34 +466,15 @@ pub fn add<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>, SparseError> {
     let mut cols = Vec::with_capacity(a.nnz() + b.nnz());
     let mut vals = Vec::with_capacity(a.nnz() + b.nnz());
     for i in 0..a.nrows() {
-        let (ac, av) = (a.row_cols(i), a.row_vals(i));
-        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() && q < bc.len() {
-            use std::cmp::Ordering::*;
-            match ac[p].cmp(&bc[q]) {
-                Less => {
-                    cols.push(ac[p]);
-                    vals.push(av[p]);
-                    p += 1;
-                }
-                Greater => {
-                    cols.push(bc[q]);
-                    vals.push(bv[q]);
-                    q += 1;
-                }
-                Equal => {
-                    cols.push(ac[p]);
-                    vals.push(av[p].add(bv[q]));
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
-        cols.extend_from_slice(&ac[p..]);
-        vals.extend_from_slice(&av[p..]);
-        cols.extend_from_slice(&bc[q..]);
-        vals.extend_from_slice(&bv[q..]);
+        let (av, bv) = (a.row_vals(i), b.row_vals(i));
+        merge_sorted_rows(a.row_cols(i), b.row_cols(i), |col, p, q| {
+            cols.push(col);
+            vals.push(match (p, q) {
+                (Some(p), Some(q)) => av[p].add(bv[q]),
+                (Some(p), None) => av[p],
+                (None, q) => bv[q.expect("a merge hit has a side")],
+            });
+        });
         rpts.push(cols.len());
     }
     Ok(Csr::from_parts_unchecked(
@@ -485,22 +507,12 @@ pub fn masked_sum<T: Scalar, M: Copy + Send + Sync>(
     }
     let mut total = T::ZERO;
     for i in 0..b.nrows() {
-        let bc = b.row_cols(i);
         let bv = b.row_vals(i);
-        let mc = mask.row_cols(i);
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < bc.len() && q < mc.len() {
-            use std::cmp::Ordering::*;
-            match bc[p].cmp(&mc[q]) {
-                Less => p += 1,
-                Greater => q += 1,
-                Equal => {
-                    total = total.add(bv[p]);
-                    p += 1;
-                    q += 1;
-                }
+        merge_sorted_rows(b.row_cols(i), mask.row_cols(i), |_, p, q| {
+            if let (Some(p), Some(_)) = (p, q) {
+                total = total.add(bv[p]);
             }
-        }
+        });
     }
     Ok(total)
 }
@@ -607,22 +619,13 @@ pub fn hadamard<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>, SparseError
     let mut cols = Vec::new();
     let mut vals = Vec::new();
     for i in 0..a.nrows() {
-        let (ac, av) = (a.row_cols(i), a.row_vals(i));
-        let (bc, bv) = (b.row_cols(i), b.row_vals(i));
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ac.len() && q < bc.len() {
-            use std::cmp::Ordering::*;
-            match ac[p].cmp(&bc[q]) {
-                Less => p += 1,
-                Greater => q += 1,
-                Equal => {
-                    cols.push(ac[p]);
-                    vals.push(av[p].mul(bv[q]));
-                    p += 1;
-                    q += 1;
-                }
+        let (av, bv) = (a.row_vals(i), b.row_vals(i));
+        merge_sorted_rows(a.row_cols(i), b.row_cols(i), |col, p, q| {
+            if let (Some(p), Some(q)) = (p, q) {
+                cols.push(col);
+                vals.push(av[p].mul(bv[q]));
             }
-        }
+        });
         rpts.push(cols.len());
     }
     Ok(Csr::from_parts_unchecked(

@@ -5,7 +5,11 @@
 //! column indices, and value bits) to a plan built and executed from
 //! scratch on the patched operands. No tolerance, no sorting slack —
 //! if any kernel's incremental path ever diverges from its full path
-//! by a single bit, these tests fail.
+//! by a single bit, these tests fail. Edit values include NaN, ±0.0
+//! and ±inf, a step may patch both operands at once, and every stream
+//! runs on pools of 1, 2 and 3 threads: the row-subset passes are the
+//! ordinary parallel passes under a dirty mask, and 3 workers over 32
+//! rows leaves some with no dirty row and some with nothing else.
 
 use proptest::prelude::*;
 use spgemm::{Algorithm, DirtyRows, OutputOrder, RowPatch, SpgemmPlan};
@@ -42,9 +46,10 @@ const UNSORTED_INPUT_OK: &[Algorithm] = &[
     Algorithm::Reference,
 ];
 
-/// Bitwise equality: the contract under test. `Csr: PartialEq` would
-/// already distinguish 0.0 from -0.0 via `f64::eq`, but going through
-/// `to_bits` makes the intent explicit and catches NaN payloads too.
+/// Bitwise equality: the contract under test (`f64::eq` would equate
+/// ±0.0 and reject NaN == NaN). Any NaN matches any NaN: IEEE 754
+/// leaves the sign and payload of a NaN *result* unspecified, see
+/// `crates/core/tests/prop_plan.rs`.
 fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
     a.nrows() == b.nrows()
         && a.ncols() == b.ncols()
@@ -55,7 +60,7 @@ fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
         && a.vals()
             .iter()
             .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
 fn assert_bits_eq(got: &Csr<f64>, want: &Csr<f64>, ctx: &str) {
@@ -105,32 +110,56 @@ fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
     )
 }
 
-/// One scripted edit: which operand, which row/col, and what to do.
+/// One scripted edit: which operand(s), which row/col, and what to do.
 #[derive(Clone, Debug)]
 struct Edit {
-    on_a: bool,
+    side: u8, // 0 = A, 1 = B, 2 = both; B is edited at (col, row)
     row: usize,
     col: usize,
     kind: u8, // 0 = insert/upsert, 1 = delete, 2 = value-only upsert
     val: f64,
 }
 
+/// Mostly ordinary reals, salted with the values whose sums depend on
+/// order and sign (as `prop_plan.rs`'s `arb_square`).
+fn edit_value() -> impl Strategy<Value = f64> {
+    (-4.0f64..4.0, 0u8..16).prop_map(|(v, special)| match special {
+        0 => f64::NAN,
+        1 => -0.0,
+        2 => 0.0,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        _ => v,
+    })
+}
+
 fn edit_strategy(n: usize) -> impl Strategy<Value = Edit> {
-    (prop::bool::ANY, 0..n, 0..n, 0u8..3, -4.0f64..4.0).prop_map(|(on_a, row, col, kind, val)| {
-        Edit {
-            on_a,
-            row,
-            col,
-            kind,
-            val,
-        }
+    (0u8..3, 0..n, 0..n, 0u8..3, edit_value()).prop_map(|(side, row, col, kind, val)| Edit {
+        side,
+        row,
+        col,
+        kind,
+        val,
     })
 }
 
 /// Drive one edit stream through one (algorithm, order, sorted-base)
-/// configuration, asserting oracle equality after every step.
+/// configuration on pools of 1, 2 and 3 threads, asserting oracle
+/// equality after every step.
 fn run_stream(algo: Algorithm, order: OutputOrder, sorted_base: bool, edits: &[Edit], seed: u64) {
-    let pool = Pool::new(2);
+    for nt in 1..=3 {
+        run_stream_on(&Pool::new(nt), algo, order, sorted_base, edits, seed);
+    }
+}
+
+fn run_stream_on(
+    pool: &Pool,
+    algo: Algorithm,
+    order: OutputOrder,
+    sorted_base: bool,
+    edits: &[Edit],
+    seed: u64,
+) {
     let base = rmat(5, 4, seed);
     let base = if sorted_base { base } else { scramble(&base) };
     let mut a = base.clone();
@@ -144,39 +173,43 @@ fn run_stream(algo: Algorithm, order: OutputOrder, sorted_base: bool, edits: &[E
             scramble(&other)
         }
     };
-    let mut plan = Plan::new_in(&a, &b, algo, order, &pool).expect("plan");
-    let mut c = plan.execute_in(&a, &b, &pool).expect("execute");
+    let mut plan = Plan::new_in(&a, &b, algo, order, pool).expect("plan");
+    let mut c = plan.execute_in(&a, &b, pool).expect("execute");
     for (step, edit) in edits.iter().enumerate() {
-        let mut patch = RowPatch::new();
-        match edit.kind {
-            0 | 2 => patch.insert(edit.row, edit.col as u32, edit.val),
-            _ => patch.delete(edit.row, edit.col as u32),
+        let patch_at = |row: usize, col: usize| {
+            let mut patch = RowPatch::new();
+            match edit.kind {
+                0 | 2 => patch.insert(row, col as u32, edit.val),
+                _ => patch.delete(row, col as u32),
+            };
+            patch
         };
-        let (dirty_a, dirty_b);
-        if edit.on_a {
-            let (next, dirty) = a.apply_patch(&patch).expect("patch a");
-            a = next;
-            dirty_a = dirty;
-            dirty_b = DirtyRows::new(b.nrows());
-        } else {
-            let (next, dirty) = b.apply_patch(&patch).expect("patch b");
-            b = next;
-            dirty_b = dirty;
-            dirty_a = DirtyRows::new(a.nrows());
+        let mut dirty_a = DirtyRows::new(a.nrows());
+        let mut dirty_b = DirtyRows::new(b.nrows());
+        if edit.side != 1 {
+            (a, dirty_a) = a
+                .apply_patch(&patch_at(edit.row, edit.col))
+                .expect("patch a");
+        }
+        if edit.side != 0 {
+            (b, dirty_b) = b
+                .apply_patch(&patch_at(edit.col, edit.row))
+                .expect("patch b");
         }
         let out = plan
-            .rebind_rows_in(&a, &b, &dirty_a, &dirty_b, &pool)
+            .rebind_rows_in(&a, &b, &dirty_a, &dirty_b, pool)
             .expect("rebind_rows");
-        plan.execute_rows_in(&a, &b, &out, &mut c, &pool)
+        plan.execute_rows_in(&a, &b, &out, &mut c, pool)
             .expect("execute_rows");
-        let fresh = Plan::new_in(&a, &b, algo, order, &pool)
+        let fresh = Plan::new_in(&a, &b, algo, order, pool)
             .expect("fresh plan")
-            .execute_in(&a, &b, &pool)
+            .execute_in(&a, &b, pool)
             .expect("fresh execute");
+        let nt = pool.nthreads();
         assert_bits_eq(
             &c,
             &fresh,
-            &format!("step {step} ({algo:?}/{order:?}, sorted_base={sorted_base})"),
+            &format!("step {step} ({algo:?}/{order:?}, sorted_base={sorted_base}, nt={nt})"),
         );
     }
 }
@@ -403,4 +436,37 @@ fn unconsumed_b_row_edit_recomputes_nothing() {
     assert!(out.is_empty(), "no output row consumes B row 12");
     plan.execute_rows_in(&a, &b2, &out, &mut c, &pool).unwrap();
     assert_bits_eq(&c, &before, "unconsumed edit");
+}
+
+/// A cached product that is not the plan's previous output — here a
+/// clean row lost an entry — is rejected with `PlanMismatch`, and the
+/// check runs before the pass: `c` comes back untouched.
+#[test]
+fn stale_cached_product_is_rejected_before_anything_is_written() {
+    let a = rmat(5, 4, 7);
+    let b = rmat(5, 4, 8);
+    let mut patch = RowPatch::new();
+    patch.insert(3, 9, 2.5);
+    let (a2, dirty) = a.apply_patch(&patch).unwrap();
+    let none = DirtyRows::new(b.nrows());
+    for nt in 1..=3 {
+        let pool = Pool::new(nt);
+        let mut plan = Plan::new_in(&a, &b, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
+        let c = plan.execute_in(&a, &b, &pool).unwrap();
+        let out = plan.rebind_rows_in(&a2, &b, &dirty, &none, &pool).unwrap();
+        let clean = (0..c.nrows())
+            .rev()
+            .find(|&i| !out.contains(i) && c.row_nnz(i) > 0)
+            .expect("a clean non-empty row");
+        let mut drop_one = RowPatch::new();
+        drop_one.delete(clean, c.row_cols(clean)[0]);
+        let (stale, _) = c.apply_patch(&drop_one).unwrap();
+        let mut got = stale.clone();
+        let err = plan.execute_rows_in(&a2, &b, &out, &mut got, &pool);
+        assert!(
+            matches!(err, Err(spgemm_sparse::SparseError::PlanMismatch { .. })),
+            "nt={nt}: {err:?}"
+        );
+        assert_bits_eq(&got, &stale, "rejected product");
+    }
 }
