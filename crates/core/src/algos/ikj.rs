@@ -8,7 +8,7 @@
 //! reproducing that crossover is the point of keeping the dense scan.
 
 use crate::algos::spa::SpaAccumulator;
-use crate::exec::{AccumReq, RowAccumulator};
+use crate::exec::{AccumReq, ColumnSet, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Per-thread state: a dense image of the current `A` row (the IKJ
@@ -69,7 +69,6 @@ impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
 
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         self.densify_a_row(a, i);
-        self.spa.begin_row();
         // The defining dense loop: scan every k.
         for k in 0..self.a_stamp.len() {
             if self.a_stamp[k] == self.epoch {
@@ -78,7 +77,9 @@ impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
                 }
             }
         }
-        self.spa.len()
+        let n = self.spa.len();
+        self.spa.reset();
+        n
     }
 
     fn numeric_row(
@@ -91,7 +92,6 @@ impl<S: Semiring> RowAccumulator<S> for IkjKernel<S> {
         sorted: bool,
     ) {
         self.densify_a_row(a, i);
-        self.spa.begin_row();
         for k in 0..self.a_stamp.len() {
             if self.a_stamp[k] == self.epoch {
                 let aval = self.a_dense[k];

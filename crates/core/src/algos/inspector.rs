@@ -9,7 +9,7 @@
 //! same trade the paper's Figure 7 two-phase structure avoids.
 
 use crate::algos::hash::HashAccumulator;
-use crate::exec::StagedRowKernel;
+use crate::exec::{ColumnSet, Operands, StagedRowKernel};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// The Inspector kernel *is* the hash accumulator, run one-phase:
@@ -24,7 +24,7 @@ impl<S: Semiring> StagedRowKernel<S> for HashAccumulator<S> {
         cols: &mut Vec<ColIdx>,
         vals: &mut Vec<S::Elem>,
     ) -> usize {
-        self.accumulate_row(a, b, i);
+        Operands::of(a, b).accumulate_row(self, i);
         let n = self.len();
         let start = cols.len();
         cols.resize(start + n, 0);

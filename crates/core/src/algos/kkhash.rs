@@ -9,10 +9,10 @@
 //! which is why KokkosKernels naturally emits unsorted output
 //! (Table 1: Any/Unsorted).
 
-use crate::exec::{self, AccumReq, RowAccumulator};
+use crate::algos::hash::HASH_SCALE;
+use crate::exec::{self, AccumReq, ColumnSet, Operands, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
-const HASH_SCALE: u32 = 107;
 const NIL: i32 = -1;
 
 /// Chained hash accumulator for one thread.
@@ -49,19 +49,9 @@ impl<S: Semiring> KkHashAccumulator<S> {
         }
     }
 
-    /// Entries inserted for the current row.
-    pub fn len(&self) -> usize {
-        self.used
-    }
-
-    /// Whether the current row has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.used == 0
-    }
-
     /// Find or insert `col`; returns `(entry_index, inserted)`.
     #[inline]
-    pub fn probe_insert(&mut self, col: ColIdx) -> (usize, bool) {
+    fn probe_insert(&mut self, col: ColIdx) -> (usize, bool) {
         let bin = (col.wrapping_mul(HASH_SCALE) & self.bin_mask) as usize;
         let mut j = self.begins[bin];
         while j != NIL {
@@ -82,16 +72,16 @@ impl<S: Semiring> KkHashAccumulator<S> {
         self.used += 1;
         (idx, true)
     }
+}
 
-    /// Symbolic insert (count-only).
+impl<S: Semiring> ColumnSet<S> for KkHashAccumulator<S> {
     #[inline]
-    pub fn insert_symbolic(&mut self, col: ColIdx) -> bool {
-        self.probe_insert(col).1
+    fn insert_symbolic(&mut self, col: ColIdx) {
+        self.probe_insert(col);
     }
 
-    /// Numeric insert: accumulate `value` at `col`.
     #[inline]
-    pub fn insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
+    fn insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
         let (idx, inserted) = self.probe_insert(col);
         self.vals[idx] = if inserted {
             value
@@ -100,8 +90,11 @@ impl<S: Semiring> KkHashAccumulator<S> {
         };
     }
 
-    /// O(touched) reset keeping all allocations.
-    pub fn reset(&mut self) {
+    fn len(&self) -> usize {
+        self.used
+    }
+
+    fn reset(&mut self) {
         for &b in &self.used_bins {
             self.begins[b as usize] = NIL;
         }
@@ -109,25 +102,15 @@ impl<S: Semiring> KkHashAccumulator<S> {
         self.used = 0;
     }
 
-    /// Emit the row (insertion order, or sorted on request) and reset.
-    pub fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
         debug_assert_eq!(cols.len(), self.used);
+        let (keys, values) = (&self.keys[..self.used], &self.vals[..self.used]);
         if sorted {
-            self.sort_buf.clear();
-            self.sort_buf.extend(
-                self.keys[..self.used]
-                    .iter()
-                    .copied()
-                    .zip(self.vals[..self.used].iter().copied()),
-            );
-            self.sort_buf.sort_unstable_by_key(|&(c, _)| c);
-            for (idx, &(c, v)) in self.sort_buf.iter().enumerate() {
-                cols[idx] = c;
-                vals[idx] = v;
-            }
+            let entries = keys.iter().copied().zip(values.iter().copied());
+            exec::emit_sorted(&mut self.sort_buf, entries, cols, vals);
         } else {
-            cols.copy_from_slice(&self.keys[..self.used]);
-            vals.copy_from_slice(&self.vals[..self.used]);
+            cols.copy_from_slice(keys);
+            vals.copy_from_slice(values);
         }
         self.reset();
     }
@@ -165,14 +148,7 @@ impl<S: Semiring> RowAccumulator<S> for KkHashAccumulator<S> {
     }
 
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
-        for &k in a.row_cols(i) {
-            for &j in b.row_cols(k as usize) {
-                self.insert_symbolic(j);
-            }
-        }
-        let n = self.used;
-        self.reset();
-        n
+        Operands::of(a, b).symbolic_row(self, i)
     }
 
     fn numeric_row(
@@ -184,13 +160,7 @@ impl<S: Semiring> RowAccumulator<S> for KkHashAccumulator<S> {
         vals: &mut [S::Elem],
         sorted: bool,
     ) {
-        for (&k, &aval) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            let kr = k as usize;
-            for (&j, &bval) in b.row_cols(kr).iter().zip(b.row_vals(kr)) {
-                self.insert_numeric(j, S::mul(aval, bval));
-            }
-        }
-        self.extract_into(cols, vals, sorted);
+        Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
     }
 }
 

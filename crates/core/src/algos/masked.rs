@@ -10,61 +10,78 @@
 //! masked primitives of the GraphBLAS ecosystem its applications come
 //! from.
 
-use crate::exec::{self, AccumReq, RowAccumulator, Workers};
+use crate::algos::spa::SpaAccumulator;
+use crate::exec::{self, AccumReq, ColumnSet, Operands, RowAccumulator, Workers};
 use crate::OutputOrder;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, Semiring, SparseError};
 
-/// Dense, epoch-stamped accumulator restricted to the mask row.
-struct MaskedSpa<'m, S: Semiring, M: Copy + Send + Sync> {
+/// A SPA gated on the mask row: inserts outside the row
+/// [`MaskedSpa::open_row`] admitted are rejected before they reach it.
+pub(crate) struct MaskedSpa<'m, S: Semiring, M: Copy + Send + Sync> {
     mask: &'m Csr<M>,
     /// `allowed[j] == epoch` ⇔ `j ∈ m_i*` for the current row.
     allowed: Vec<u32>,
-    /// `hit[j] == epoch` ⇔ column `j` accumulated a product.
-    hit: Vec<u32>,
+    /// Never 0, the stamp of a fresh slot.
     epoch: u32,
-    vals: Vec<S::Elem>,
-    touched: Vec<ColIdx>,
+    spa: SpaAccumulator<S>,
 }
 
 impl<'m, S: Semiring, M: Copy + Send + Sync> MaskedSpa<'m, S, M> {
-    fn new(mask: &'m Csr<M>, ncols: usize) -> Self {
+    pub(crate) fn new(mask: &'m Csr<M>, ncols: usize) -> Self {
         MaskedSpa {
             mask,
             allowed: vec![0; ncols],
-            hit: vec![0; ncols],
-            epoch: 0,
-            vals: vec![S::zero(); ncols],
-            touched: Vec::new(),
+            epoch: 1,
+            spa: SpaAccumulator::new(ncols),
         }
     }
 
-    fn begin_row(&mut self, i: usize) {
-        self.touched.clear();
-        if self.epoch == u32::MAX {
-            self.allowed.fill(0);
-            self.hit.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+    /// Admit mask row `i`'s columns into the (empty) set.
+    pub(crate) fn open_row(&mut self, i: usize) {
         for &c in self.mask.row_cols(i) {
             self.allowed[c as usize] = self.epoch;
         }
     }
 
+    /// Close the mask row in O(1): bump the epoch.
+    fn close_row(&mut self) {
+        if self.epoch == u32::MAX {
+            self.allowed.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+}
+
+impl<S: Semiring, M: Copy + Send + Sync> ColumnSet<S> for MaskedSpa<'_, S, M> {
     #[inline]
-    fn accumulate(&mut self, col: ColIdx, v: S::Elem) {
-        let j = col as usize;
-        if self.allowed[j] != self.epoch {
-            return; // outside the mask: product rejected
+    fn insert_symbolic(&mut self, col: ColIdx) {
+        if self.allowed[col as usize] == self.epoch {
+            self.spa.insert_symbolic(col);
         }
-        if self.hit[j] == self.epoch {
-            self.vals[j] = S::add(self.vals[j], v);
-        } else {
-            self.hit[j] = self.epoch;
-            self.vals[j] = v;
-            self.touched.push(col);
+    }
+
+    #[inline]
+    fn insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
+        // outside the mask: product rejected
+        if self.allowed[col as usize] == self.epoch {
+            self.spa.insert_numeric(col, value);
         }
+    }
+
+    fn len(&self) -> usize {
+        self.spa.len()
+    }
+
+    fn reset(&mut self) {
+        self.spa.reset();
+        self.close_row();
+    }
+
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
+        self.spa.extract_into(cols, vals, sorted);
+        self.close_row();
     }
 }
 
@@ -78,30 +95,20 @@ impl<'m, S: Semiring, M: Copy + Send + Sync> RowAccumulator<S> for MaskedSpa<'m,
 
     fn ensure(&mut self, req: &AccumReq) {
         if req.ncols_b > self.allowed.len() {
-            // Fresh slots stamped 0 read as outside the mask and
-            // unhit (epoch ≥ 1 after the first `begin_row`).
+            // Fresh slots stamped 0 read as outside the mask
+            // (epoch ≥ 1).
             self.allowed.resize(req.ncols_b, 0);
-            self.hit.resize(req.ncols_b, 0);
-            self.vals.resize(req.ncols_b, S::zero());
         }
+        self.spa.ensure(req);
     }
 
     fn scrub(&mut self) {
-        self.touched.clear();
+        self.reset();
     }
 
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
-        self.begin_row(i);
-        for &k in a.row_cols(i) {
-            for &j in b.row_cols(k as usize) {
-                let jj = j as usize;
-                if self.allowed[jj] == self.epoch && self.hit[jj] != self.epoch {
-                    self.hit[jj] = self.epoch;
-                    self.touched.push(j);
-                }
-            }
-        }
-        self.touched.len()
+        self.open_row(i);
+        Operands::of(a, b).symbolic_row(self, i)
     }
 
     fn numeric_row(
@@ -113,20 +120,8 @@ impl<'m, S: Semiring, M: Copy + Send + Sync> RowAccumulator<S> for MaskedSpa<'m,
         vals: &mut [S::Elem],
         sorted: bool,
     ) {
-        self.begin_row(i);
-        for (&k, &aval) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            let kr = k as usize;
-            for (&j, &bval) in b.row_cols(kr).iter().zip(b.row_vals(kr)) {
-                self.accumulate(j, S::mul(aval, bval));
-            }
-        }
-        if sorted {
-            self.touched.sort_unstable();
-        }
-        for (idx, &c) in self.touched.iter().enumerate() {
-            cols[idx] = c;
-            vals[idx] = self.vals[c as usize];
-        }
+        self.open_row(i);
+        Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
     }
 }
 

@@ -12,7 +12,9 @@
 //! `flop(c_i*)/nnz(c_i*)` is large" — i.e. dense or regular inputs —
 //! which is exactly what Table 4 encodes empirically.
 
-use spgemm_sparse::Csr;
+use crate::algos::hash::{linear_insert, Probe, Table};
+use crate::exec::Operands;
+use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Cost estimates (in abstract operation counts) for one multiply.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -106,30 +108,52 @@ where
     }
 }
 
+/// Figure 8a's linear probe, counting: the probe policy behind
+/// [`measure_collision_factor`] and its only user — production tables
+/// carry no counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CountingLinear {
+    /// Slots inspected.
+    probes: u64,
+    /// Keys looked up.
+    accesses: u64,
+}
+
+impl CountingLinear {
+    /// Average probes per access — the collision factor `c` of Eq (2).
+    /// Exactly 1.0 when no probe ever collided.
+    pub(crate) fn collision_factor(&self) -> f64 {
+        if self.accesses == 0 {
+            1.0
+        } else {
+            self.probes as f64 / self.accesses as f64
+        }
+    }
+}
+
+impl Probe for CountingLinear {
+    #[inline]
+    fn insert(&mut self, keys: &mut [i32], mask: u32, col: ColIdx) -> (usize, bool) {
+        self.accesses += 1;
+        linear_insert(keys, mask, col, || self.probes += 1)
+    }
+}
+
 /// Empirically measure the collision factor `c` of Eq (2) for
-/// `A · B`: run a sequential symbolic pass through the instrumented
-/// hash accumulator and report probes per access.
+/// `A · B`: run a sequential symbolic pass through a hash table whose
+/// probe counts, and report probes per access.
 ///
 /// On the paper's inputs this sits close to 1 (the multiply-and-mask
 /// hash with a strictly-oversized power-of-two table collides rarely);
 /// the ablation bench uses it to relate Eq (2) to measurements.
-pub fn measure_collision_factor<S: spgemm_sparse::Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-) -> f64 {
-    use crate::algos::hash::HashAccumulator;
+pub fn measure_collision_factor<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> f64 {
     let row_flops = spgemm_sparse::stats::row_flops(a, b);
     let max_flop = row_flops.iter().copied().max().unwrap_or(0) as usize;
-    let mut acc = HashAccumulator::<S>::new(max_flop, b.ncols());
+    let mut table = Table::<S, _>::new(max_flop, b.ncols(), CountingLinear::default());
     for i in 0..a.nrows() {
-        for &k in a.row_cols(i) {
-            for &j in b.row_cols(k as usize) {
-                acc.insert_symbolic(j);
-            }
-        }
-        acc.reset();
+        Operands::of(a, b).symbolic_row(&mut table, i);
     }
-    acc.collision_factor()
+    table.probe().collision_factor()
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! capacity and of which worker runs the row — and the `tests/`
 //! differential-oracle harness enforces exactly that.
 
-use crate::algos::hash::HashAccumulator;
+use crate::algos::hash::{HashAccumulator, Linear};
 use crate::exec::{self, Workers};
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, PlusTimes};
@@ -100,7 +100,7 @@ pub fn recompute_product_rows(
     debug_assert_eq!((old.nrows(), old.ncols()), (a.nrows(), b.ncols()));
     debug_assert_eq!(patched.nrows(), a.nrows());
 
-    let workers = Workers::<PlusTimes<f64>, HashAccumulator<_>>::new(pool.nthreads(), ());
+    let workers = Workers::<PlusTimes<f64>, HashAccumulator<_>>::new(pool.nthreads(), Linear);
     exec::multiply_on(&workers, a, b, true, pool, Some((patched, old)))
 }
 

@@ -24,9 +24,24 @@
 //!    runs only the dirty rows of its range and takes every clean
 //!    row's count / bytes from the previous structure / product.
 //!
+//! 4. **Rows** — one level down, the Gustavson loop `for k in A[i] {
+//!    for j in B[k] { insert } }` is written once too:
+//!    [`Operands::symbolic_row`] / [`Operands::numeric_row`], generic
+//!    over a [`ColumnSet`] (what a row's columns are inserted into) and
+//!    over the operands' column-index width. The linear-probing and
+//!    SIMD-chunked tables, the chained map, the SPA, RowClass's
+//!    insertion array and the mask-gated SPA are the column sets;
+//!    every table-like kernel's `symbolic_row` / `numeric_row` is a
+//!    call of the pair.
+//!
 //! A kernel is one [`RowAccumulator`] impl; nothing else in the crate
-//! knows how to construct or size it.
+//! knows how to construct or size it. A kernel that probes with vector
+//! instructions also names its [`RowAccumulator::simd_level`], and the
+//! passes run its share of the rows through `simd::run_at` — the level
+//! is bound once per worker per pass, for SIMD kernels only, and never
+//! for the per-row calls under a dirty mask.
 
+use crate::algos::simd::{self, CheckedLevel, LevelBody};
 use spgemm_par::{partition, scan, unsync::SharedMutSlice, Pool, WorkspacePool};
 use spgemm_sparse::{ColIdx, Csr, DirtyRows, Semiring};
 use std::ops::Range;
@@ -79,6 +94,178 @@ impl MultiplyStats {
     }
 }
 
+/// What one output row's columns are inserted into: the
+/// accumulate / emit contract every table-like accumulator meets, and
+/// all the row loop knows about it (Figure 7 "with the accumulator
+/// abstracted out").
+///
+/// A set is **empty between rows**: [`ColumnSet::reset`] ends a
+/// symbolic row, [`ColumnSet::extract_into`] a numeric one. Duplicate
+/// columns accumulate in insertion order; distinct columns are emitted
+/// in first-insertion order, or ascending when `sorted` — which is
+/// what makes every implementation byte-identical to every other.
+pub trait ColumnSet<S: Semiring> {
+    /// Insert `col` (symbolic phase: membership only).
+    fn insert_symbolic(&mut self, col: ColIdx);
+
+    /// Accumulate `value` at `col`.
+    fn insert_numeric(&mut self, col: ColIdx, value: S::Elem);
+
+    /// Distinct columns inserted since the set was last empty.
+    fn len(&self) -> usize;
+
+    /// Whether nothing has been inserted since the set was last empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Empty the set in `O(len)`, keeping its allocations.
+    fn reset(&mut self);
+
+    /// Emit the row into `cols` / `vals` (both [`ColumnSet::len`]
+    /// long) and reset.
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool);
+}
+
+/// The operands as the row loop reads them, each one's column indices
+/// at whichever width its caller chose: the operand's own `u32`s, or
+/// a plan-private gathered `u16` copy (only RowClass keeps one — see
+/// `kgen::RowClassSpec`).
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a, KA, KB, E> {
+    a: &'a Csr<E>,
+    /// `a.cols()`, possibly narrowed.
+    a_cols: &'a [KA],
+    pub b: &'a Csr<E>,
+    /// `b.cols()`, possibly narrowed.
+    b_cols: &'a [KB],
+}
+
+impl<'a, KA, KB, E> Operands<'a, KA, KB, E> {
+    /// `a` and `b` read through the given column-index arrays.
+    #[inline(always)]
+    pub fn new(a: &'a Csr<E>, a_cols: &'a [KA], b: &'a Csr<E>, b_cols: &'a [KB]) -> Self {
+        Operands {
+            a,
+            a_cols,
+            b,
+            b_cols,
+        }
+    }
+}
+
+impl<'a, E> Operands<'a, ColIdx, ColIdx, E> {
+    /// `a` and `b` read through their own column indices.
+    #[inline(always)]
+    pub fn of(a: &'a Csr<E>, b: &'a Csr<E>) -> Self {
+        Self::new(a, a.cols(), b, b.cols())
+    }
+}
+
+/// The Gustavson row loop `for k in A[i] { for j in B[k] { insert } }`,
+/// written once: every table-like kernel's row is one of these calls.
+///
+/// `inline(always)`, like every `insert_*` they reach: under a SIMD
+/// level the whole chain must fold into the level-bound instance of
+/// the worker's share (see `simd::run_at`). The `*_call` twins are the
+/// same loops as calls, for a set with no vector probe to inline that
+/// is run from a level-bound share: a loop nest compiled on its own
+/// keeps its registers (folded into RowClass's drain with its eleven
+/// siblings, the SPA loop reloaded `set` from the stack five times per
+/// key).
+impl<KA: Copy + Into<ColIdx>, KB: Copy + Into<ColIdx>, E: Copy> Operands<'_, KA, KB, E> {
+    /// The symbolic row: insert every column of every `B` row that
+    /// `A[i]` selects, return the distinct count, leave `set` empty.
+    #[inline(always)]
+    pub fn symbolic_row<S: Semiring<Elem = E>>(
+        self,
+        set: &mut impl ColumnSet<S>,
+        i: usize,
+    ) -> usize {
+        let (a_rpts, b_rpts) = (self.a.rpts(), self.b.rpts());
+        for &ka in &self.a_cols[a_rpts[i]..a_rpts[i + 1]] {
+            let k = ka.into() as usize;
+            for &jb in &self.b_cols[b_rpts[k]..b_rpts[k + 1]] {
+                set.insert_symbolic(jb.into());
+            }
+        }
+        let n = set.len();
+        set.reset();
+        n
+    }
+
+    /// The numeric row, up to the emit: accumulate `a_ik · b_kj` into
+    /// `set` in `k`-encounter order.
+    #[inline(always)]
+    pub fn accumulate_row<S: Semiring<Elem = E>>(self, set: &mut impl ColumnSet<S>, i: usize) {
+        let (a_rpts, b_rpts, b_vals) = (self.a.rpts(), self.b.rpts(), self.b.vals());
+        let aspan = a_rpts[i]..a_rpts[i + 1];
+        for (&ka, &av) in self.a_cols[aspan.clone()].iter().zip(&self.a.vals()[aspan]) {
+            let k = ka.into() as usize;
+            let bspan = b_rpts[k]..b_rpts[k + 1];
+            for (&jb, &bv) in self.b_cols[bspan.clone()].iter().zip(&b_vals[bspan]) {
+                set.insert_numeric(jb.into(), S::mul(av, bv));
+            }
+        }
+    }
+
+    /// The numeric row: [`Self::accumulate_row`], then emit into the
+    /// pre-sliced output, leaving `set` empty.
+    #[inline(always)]
+    pub fn numeric_row<S: Semiring<Elem = E>>(
+        self,
+        set: &mut impl ColumnSet<S>,
+        i: usize,
+        cols: &mut [ColIdx],
+        vals: &mut [E],
+        sorted: bool,
+    ) {
+        self.accumulate_row(set, i);
+        set.extract_into(cols, vals, sorted);
+    }
+
+    /// [`Self::symbolic_row`] as a call.
+    #[inline(never)]
+    pub fn symbolic_row_call<S: Semiring<Elem = E>>(
+        self,
+        set: &mut impl ColumnSet<S>,
+        i: usize,
+    ) -> usize {
+        self.symbolic_row(set, i)
+    }
+
+    /// [`Self::numeric_row`] as a call.
+    #[inline(never)]
+    pub fn numeric_row_call<S: Semiring<Elem = E>>(
+        self,
+        set: &mut impl ColumnSet<S>,
+        i: usize,
+        cols: &mut [ColIdx],
+        vals: &mut [E],
+        sorted: bool,
+    ) {
+        self.numeric_row(set, i, cols, vals, sorted)
+    }
+}
+
+/// The one sorted emit of the hashed sets: gather `entries` into the
+/// set's reusable `buf`, sort by column, write out. Columns are
+/// distinct, so the unstable sort is deterministic.
+pub(crate) fn emit_sorted<E: Copy>(
+    buf: &mut Vec<(ColIdx, E)>,
+    entries: impl Iterator<Item = (ColIdx, E)>,
+    cols: &mut [ColIdx],
+    vals: &mut [E],
+) {
+    buf.clear();
+    buf.extend(entries);
+    buf.sort_unstable_by_key(|&(c, _)| c);
+    for (idx, &(c, v)) in buf.iter().enumerate() {
+        cols[idx] = c;
+        vals[idx] = v;
+    }
+}
+
 /// What an accumulator must be able to hold before it runs a set of
 /// rows: the quantities every kernel sizes itself from (§4.2.1: "The
 /// upper limit of any thread's local hash table size is the maximum
@@ -111,8 +298,9 @@ pub(crate) struct AccumReq {
 ///    state a previous (possibly panicked) execution may have left.
 pub(crate) trait RowAccumulator<S: Semiring>: Send + Sized {
     /// Read-only state all workers of one product share beyond the
-    /// operands: `()` for most kernels, the SIMD level for HashVec,
-    /// the class queues for RowClass, the mask for the masked product.
+    /// operands: `()` for most kernels, the probe policy for the hash
+    /// tables, the class queues for RowClass, the mask for the masked
+    /// product.
     type Shared: Sync;
 
     /// A fresh accumulator able to run rows within `req` — the one
@@ -126,6 +314,13 @@ pub(crate) trait RowAccumulator<S: Semiring>: Send + Sized {
     /// Drop all state left by previous rows/executions, keeping the
     /// allocations.
     fn scrub(&mut self);
+
+    /// The SIMD level this kernel's probes run at, if it probes with
+    /// vector instructions: the passes compile its `*_range` share
+    /// under that level. `None` binds no target feature.
+    fn simd_level(&self) -> Option<CheckedLevel> {
+        None
+    }
 
     /// Count `nnz(c_i*)`.
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize;
@@ -142,45 +337,77 @@ pub(crate) trait RowAccumulator<S: Semiring>: Send + Sized {
         sorted: bool,
     );
 
-    /// Worker `wid`'s share of the symbolic pass: count every row of
-    /// `range` into `counts` (one slot per row of the range). Row by
-    /// row unless the kernel reorders its rows (RowClass drains its
-    /// class queues).
-    fn symbolic_range(
-        &mut self,
-        _shared: &Self::Shared,
-        _wid: usize,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        range: Range<usize>,
-        counts: &mut [u64],
-    ) {
-        for (cnt, i) in counts.iter_mut().zip(range) {
-            *cnt = self.symbolic_row(a, b, i) as u64;
+    /// The share's part of the symbolic pass: count every row of its
+    /// range into `counts` (one slot per row of the range). Row by row
+    /// unless the kernel reorders its rows (RowClass drains its class
+    /// queues). `inline(always)`, as a SIMD kernel's row methods must
+    /// be: see [`Operands`].
+    #[inline(always)]
+    fn symbolic_range(&mut self, share: Share<'_, S, Self>, counts: &mut [u64]) {
+        for (cnt, i) in counts.iter_mut().zip(share.range) {
+            *cnt = self.symbolic_row(share.a, share.b, i) as u64;
         }
     }
 
-    /// Worker `wid`'s share of the numeric pass: compute every row of
-    /// `range` into the worker's window of the output, `cols`/`vals`
-    /// covering `rpts[range.start]..rpts[range.end]`.
-    #[allow(clippy::too_many_arguments)]
-    fn numeric_range(
-        &mut self,
-        _shared: &Self::Shared,
-        _wid: usize,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        range: Range<usize>,
-        rpts: &[usize],
-        sorted: bool,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-    ) {
-        let base = rpts[range.start];
-        for i in range {
-            let span = rpts[i] - base..rpts[i + 1] - base;
-            self.numeric_row(a, b, i, &mut cols[span.clone()], &mut vals[span], sorted);
+    /// The share's part of the numeric pass: compute every row of its
+    /// range into the worker's window of the output.
+    #[inline(always)]
+    fn numeric_range(&mut self, share: Share<'_, S, Self>, mut out: Window<'_, S::Elem>) {
+        let sorted = out.sorted;
+        for i in share.range {
+            let (cols, vals) = out.row(i);
+            self.numeric_row(share.a, share.b, i, cols, vals, sorted);
         }
+    }
+}
+
+/// One worker's share of a pass: its rows, the operands and the state
+/// its kernel's workers share.
+pub(crate) struct Share<'a, S: Semiring, A: RowAccumulator<S>> {
+    /// See [`RowAccumulator::Shared`].
+    pub shared: &'a A::Shared,
+    /// The worker's index in the pool.
+    pub wid: usize,
+    pub a: &'a Csr<S::Elem>,
+    pub b: &'a Csr<S::Elem>,
+    /// The worker's contiguous rows.
+    pub range: Range<usize>,
+}
+
+/// One worker's window of the output: `cols` / `vals` cover
+/// `start..rpts[range.end]` of the product, `start = rpts[range.start]`.
+pub(crate) struct Window<'a, E> {
+    pub rpts: &'a [usize],
+    pub start: usize,
+    pub sorted: bool,
+    pub cols: &'a mut [ColIdx],
+    pub vals: &'a mut [E],
+}
+
+impl<E> Window<'_, E> {
+    /// Row `i`'s slots, for `i` in the worker's range.
+    #[inline(always)]
+    pub fn row(&mut self, i: usize) -> (&mut [ColIdx], &mut [E]) {
+        let span = self.rpts[i] - self.start..self.rpts[i + 1] - self.start;
+        (&mut self.cols[span.clone()], &mut self.vals[span])
+    }
+}
+
+// A share with its accumulator and output is what `simd::run_at`
+// compiles under the kernel's SIMD level.
+impl<S: Semiring, A: RowAccumulator<S>> LevelBody for (&mut A, Share<'_, S, A>, &mut [u64]) {
+    #[inline(always)]
+    fn run(self) {
+        self.0.symbolic_range(self.1, self.2)
+    }
+}
+
+impl<S: Semiring, A: RowAccumulator<S>> LevelBody
+    for (&mut A, Share<'_, S, A>, Window<'_, S::Elem>)
+{
+    #[inline(always)]
+    fn run(self) {
+        self.0.numeric_range(self.1, self.2)
     }
 }
 
@@ -236,15 +463,15 @@ impl<S: Semiring, A: RowAccumulator<S>> Workers<S, A> {
         )
     }
 
-    /// Run `body(acc, wid, range)` on every worker the partition gives
-    /// rows, with that worker's accumulator sized for its largest row.
-    fn for_each_worker(
-        &self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
+    /// Run `body(acc, share)` on every worker the partition gives rows,
+    /// with that worker's accumulator sized for its largest row.
+    fn for_each_worker<'a>(
+        &'a self,
+        a: &'a Csr<S::Elem>,
+        b: &'a Csr<S::Elem>,
         stats: &MultiplyStats,
         pool: &Pool,
-        body: impl Fn(&mut A, usize, Range<usize>) + Sync,
+        body: impl Fn(&mut A, Share<'a, S, A>) + Sync,
     ) {
         pool.parallel_ranges(&stats.offsets, |wid, range| {
             if range.is_empty() {
@@ -256,7 +483,15 @@ impl<S: Semiring, A: RowAccumulator<S>> Workers<S, A> {
                 inner_dim: a.ncols(),
                 ncols_b: b.ncols(),
             };
-            self.acquire(wid, &req, |acc| body(acc, wid, range));
+            let shared = &self.shared;
+            let share = Share {
+                shared,
+                wid,
+                a,
+                b,
+                range,
+            };
+            self.acquire(wid, &req, |acc| body(acc, share));
         });
     }
 }
@@ -291,14 +526,14 @@ pub(crate) fn symbolic_pass<S: Semiring, A: RowAccumulator<S>>(
     let mut counts = vec![0u64; a.nrows() + 1];
     {
         let counts_s = SharedMutSlice::new(&mut counts[1..]);
-        w.for_each_worker(a, b, stats, pool, |acc, wid, range| {
+        w.for_each_worker(a, b, stats, pool, |acc, share| {
             // SAFETY: the partition's ranges are disjoint, so each
             // worker owns the count slots of its rows.
-            let counts = unsafe { counts_s.slice_mut(range.clone()) };
+            let counts = unsafe { counts_s.slice_mut(share.range.clone()) };
             let Some((dirty, prev)) = mask else {
-                return acc.symbolic_range(&w.shared, wid, a, b, range, counts);
+                return simd::run_at(acc.simd_level(), (acc, share, counts));
             };
-            for (cnt, i) in counts.iter_mut().zip(range) {
+            for (cnt, i) in counts.iter_mut().zip(share.range) {
                 *cnt = if dirty.contains(i) {
                     acc.symbolic_row(a, b, i)
                 } else {
@@ -329,22 +564,28 @@ pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
     mask: Option<RowMask<'_, Csr<S::Elem>>>,
 ) {
     let (cols_s, vals_s) = (SharedMutSlice::new(cols), SharedMutSlice::new(vals));
-    w.for_each_worker(a, b, stats, pool, |acc, wid, range| {
-        let window = rpts[range.start]..rpts[range.end];
+    w.for_each_worker(a, b, stats, pool, |acc, share| {
+        let (start, end) = (rpts[share.range.start], rpts[share.range.end]);
         // SAFETY: the partition is contiguous and `rpts` monotone, so
         // the workers' output windows are disjoint.
-        let (c, v) = unsafe { (cols_s.slice_mut(window.clone()), vals_s.slice_mut(window)) };
-        let Some((dirty, prev)) = mask else {
-            return acc.numeric_range(&w.shared, wid, a, b, range, rpts, sorted, c, v);
+        let (cols, vals) = unsafe { (cols_s.slice_mut(start..end), vals_s.slice_mut(start..end)) };
+        let mut out = Window {
+            rpts,
+            start,
+            sorted,
+            cols,
+            vals,
         };
-        let base = rpts[range.start];
-        for i in range {
-            let span = rpts[i] - base..rpts[i + 1] - base;
+        let Some((dirty, prev)) = mask else {
+            return simd::run_at(acc.simd_level(), (acc, share, out));
+        };
+        for i in share.range {
+            let (cols, vals) = out.row(i);
             if dirty.contains(i) {
-                acc.numeric_row(a, b, i, &mut c[span.clone()], &mut v[span], sorted);
+                acc.numeric_row(a, b, i, cols, vals, sorted);
             } else {
-                c[span.clone()].copy_from_slice(prev.row_cols(i));
-                v[span].copy_from_slice(prev.row_vals(i));
+                cols.copy_from_slice(prev.row_cols(i));
+                vals.copy_from_slice(prev.row_vals(i));
             }
         }
     });
@@ -397,7 +638,7 @@ pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
     let mut counts = vec![0u64; a.nrows() + 1];
     {
         let counts_s = SharedMutSlice::new(&mut counts[1..]);
-        w.for_each_worker(a, b, stats, pool, |kernel, wid, range| {
+        w.for_each_worker(a, b, stats, pool, |kernel, Share { wid, range, .. }| {
             let flop_bound = stats.row_flops[range.clone()].iter().sum::<u64>() as usize;
             // SAFETY: the partition's ranges are disjoint, so each
             // worker owns the count slots of its rows.
@@ -447,6 +688,12 @@ pub(crate) fn lowest_p2_above(x: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::hash::{HashAccumulator, Linear, Table};
+    use crate::algos::hashvec::Chunked;
+    use crate::algos::simd::SimdLevel;
+    use crate::algos::{kkhash::KkHashAccumulator, masked::MaskedSpa, spa::SpaAccumulator};
+    use crate::kgen::{InsertionArray, SHORT_MAX_FLOP};
+    use proptest::prelude::*;
     use spgemm_sparse::PlusTimes;
 
     #[test]
@@ -475,5 +722,111 @@ mod tests {
         assert_eq!(st.offsets.len(), 3);
         assert_eq!(*st.offsets.last().unwrap(), 3);
         let _ = PlusTimes::<f64>::zero();
+    }
+
+    type P = PlusTimes<f64>;
+
+    /// `(col, value bits)`, every NaN canonicalised (the sign and
+    /// payload of a NaN sum are unspecified, as in `prop_plan.rs`).
+    fn bits(cols: &[ColIdx], vals: &[f64]) -> Vec<(ColIdx, u64)> {
+        let bits = vals
+            .iter()
+            .map(|v| if v.is_nan() { 0 } else { v.to_bits() });
+        cols.iter().copied().zip(bits).collect()
+    }
+
+    /// What any [`ColumnSet`] must emit for `stream`: a linear-scan
+    /// list, summed in insertion order.
+    fn model(stream: &[(ColIdx, f64)], sorted: bool) -> Vec<(ColIdx, u64)> {
+        let mut row: Vec<(ColIdx, f64)> = Vec::new();
+        for &(col, v) in stream {
+            match row.iter_mut().find(|(c, _)| *c == col) {
+                Some((_, sum)) => *sum = P::add(*sum, v),
+                None => row.push((col, v)),
+            }
+        }
+        if sorted {
+            row.sort_by_key(|&(c, _)| c);
+        }
+        let (cols, vals): (Vec<_>, Vec<_>) = row.into_iter().unzip();
+        bits(&cols, &vals)
+    }
+
+    /// One row through `set` under the contract: a symbolic pass, then
+    /// a numeric one, `open` called on the empty set before each.
+    fn row_through<C: ColumnSet<P>>(
+        set: &mut C,
+        open: impl Fn(&mut C),
+        stream: &[(ColIdx, f64)],
+        sorted: bool,
+    ) -> Vec<(ColIdx, u64)> {
+        assert!(set.is_empty(), "empty between rows");
+        open(set);
+        for &(col, _) in stream {
+            set.insert_symbolic(col);
+        }
+        let n = set.len();
+        set.reset();
+        assert!(set.is_empty(), "reset empties");
+        open(set);
+        for &(col, v) in stream {
+            set.insert_numeric(col, v);
+        }
+        assert_eq!(set.len(), n, "symbolic and numeric counts agree");
+        let (mut cols, mut vals) = (vec![0; n], vec![0.0; n]);
+        set.extract_into(&mut cols, &mut vals, sorted);
+        assert!(set.is_empty(), "extract empties");
+        bits(&cols, &vals)
+    }
+
+    proptest! {
+        /// The contract, differentially: every implementation emits
+        /// what the model does — distinct columns in first-insertion
+        /// order (ascending when sorted), duplicates summed in
+        /// insertion order, bit for bit — on streams with duplicates,
+        /// clustered hashes and NaN / ±0.0 / ±inf values, row after
+        /// row on the same (reused) set.
+        #[test]
+        fn every_column_set_matches_the_model(
+            rows in prop::collection::vec(
+                (0usize..4, prop::collection::vec((0u32..48, -3.0f64..3.0, 0usize..16), 0..160)),
+                1..4,
+            ),
+        ) {
+            const NCOLS: usize = 48 * 128;
+            let every_col = (0..NCOLS as ColIdx).collect();
+            let all_ones = Csr::from_parts(1, NCOLS, vec![0, NCOLS], every_col, vec![1u8; NCOLS]);
+            let all_ones = all_ones.unwrap();
+            let mut linear = HashAccumulator::<P>::new(160, NCOLS, Linear);
+            let mut chunked: Vec<_> = SimdLevel::supported()
+                .map(|l| (l, Table::<P, _>::new(160, NCOLS, Chunked::new(l))))
+                .collect();
+            let mut chained = KkHashAccumulator::<P>::new(160, NCOLS);
+            let mut spa = SpaAccumulator::<P>::new(NCOLS);
+            let mut gated = MaskedSpa::<P, u8>::new(&all_ones, NCOLS);
+            let mut lanes = InsertionArray::<P>::new();
+            for (stride, picks) in rows {
+                let salt = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+                let stride = [1, 7, 107, 128][stride];
+                let stream: Vec<(ColIdx, f64)> = picks
+                    .into_iter()
+                    .map(|(c, v, special)| (c * stride, salt.get(special).copied().unwrap_or(v)))
+                    .collect();
+                for sorted in [false, true] {
+                    let (s, expect) = (&stream[..], model(&stream, sorted));
+                    prop_assert_eq!(row_through(&mut linear, |_| {}, s, sorted), &expect[..], "linear");
+                    for (level, table) in &mut chunked {
+                        prop_assert_eq!(row_through(table, |_| {}, s, sorted), &expect[..], "{:?}", level);
+                    }
+                    prop_assert_eq!(row_through(&mut chained, |_| {}, s, sorted), &expect[..], "chained");
+                    prop_assert_eq!(row_through(&mut spa, |_| {}, s, sorted), &expect[..], "spa");
+                    let through_gate = row_through(&mut gated, |g| g.open_row(0), s, sorted);
+                    prop_assert_eq!(through_gate, &expect[..], "gated spa");
+                    if expect.len() <= SHORT_MAX_FLOP as usize {
+                        prop_assert_eq!(row_through(&mut lanes, |_| {}, s, sorted), &expect[..], "lanes");
+                    }
+                }
+            }
+        }
     }
 }

@@ -22,32 +22,35 @@
 //! compression applied to speed: the hot inner loops move half the
 //! index bytes) — without touching the shared [`Csr`].
 //!
-//! **Parity invariant**: every class kernel accumulates duplicate
+//! The accumulator is a class dispatch over three column sets
+//! (`crate::algos::ColumnSet`) — its own insertion array, and the hash
+//! table and SPA the monolithic kernels use — each row run through
+//! the one row loop of `crate::exec`; the insertion array's vector
+//! probe is why a worker's drain is compiled under the SIMD level
+//! (`RowAccumulator::simd_level`).
+//!
+//! **Parity invariant**: every column set accumulates duplicate
 //! columns in `k`-encounter order and emits distinct columns in
 //! first-encounter order (unsorted) or ascending order (sorted), just
 //! like the hash accumulator. RowClass output is therefore
 //! byte-for-byte identical to [`crate::Algorithm::Hash`] — the
 //! property the `prop_plan` and `delta_oracle` suites pin down.
 
-use crate::algos::hash::HashAccumulator;
-use crate::algos::simd::{self, ChunkProbe, SimdLevel};
+use crate::algos::hash::{HashAccumulator, Linear};
+use crate::algos::simd::{self, CheckedLevel, ChunkProbe, EMPTY};
 use crate::algos::spa::SpaAccumulator;
-use crate::exec::{row_flop, AccumReq, MultiplyStats, RowAccumulator};
+use crate::exec::{row_flop, AccumReq, ColumnSet, MultiplyStats, Operands, RowAccumulator};
+use crate::exec::{Share, Window};
 use spgemm_obs as obs;
 use spgemm_sparse::{ColIdx, Csr, Semiring};
-use std::ops::Range;
 
 /// Largest flop count classified [`RowClass::Tiny`].
 pub const TINY_MAX_FLOP: u64 = 8;
 /// Largest flop count classified [`RowClass::Short`]. Also the
 /// capacity of the SIMD insertion array (a row with `flop ≤ 32` has at
 /// most 32 distinct output columns), kept a multiple of every
-/// [`SimdLevel`] chunk width.
+/// [`simd::SimdLevel`] chunk width.
 pub const SHORT_MAX_FLOP: u64 = 32;
-
-/// Sentinel for an empty insertion-array lane (column indices are
-/// non-negative — the same convention as the hash table).
-const EMPTY: i32 = -1;
 
 /// Smallest flop count classified [`RowClass::Dense`] for an output of
 /// `ncols_b` columns: a quarter of the output width (never below the
@@ -116,67 +119,6 @@ pub fn bucket_occupancy<T: Copy>(a: &Csr<T>, b: &Csr<T>) -> [u64; 4] {
         occ[RowClass::classify(flop, b.ncols()) as usize] += 1;
     }
     occ
-}
-
-/// A column-index source for the hot inner loops: the operand's own
-/// `u32` indices, or the plan-private gathered `u16` copy when the
-/// indexed dimension fits ([`RowClassSpec`]'s compression rule).
-pub(crate) trait IdxElem: Copy + Send + Sync + 'static {
-    /// Widen to a row/column index.
-    fn as_usize(self) -> usize;
-    /// Widen to a [`ColIdx`].
-    fn as_col(self) -> ColIdx;
-}
-
-impl IdxElem for u16 {
-    #[inline(always)]
-    fn as_usize(self) -> usize {
-        self as usize
-    }
-    #[inline(always)]
-    fn as_col(self) -> ColIdx {
-        self as ColIdx
-    }
-}
-
-impl IdxElem for u32 {
-    #[inline(always)]
-    fn as_usize(self) -> usize {
-        self as usize
-    }
-    #[inline(always)]
-    fn as_col(self) -> ColIdx {
-        self
-    }
-}
-
-/// The operand arrays a class kernel reads, with each operand's
-/// column indices at whichever width the bind chose.
-#[derive(Clone, Copy)]
-pub(crate) struct Operands<'a, KA, KB, E> {
-    a_rpts: &'a [usize],
-    a_cols: &'a [KA],
-    a_vals: &'a [E],
-    b_rpts: &'a [usize],
-    b_cols: &'a [KB],
-    b_vals: &'a [E],
-    ncols_b: usize,
-}
-
-impl<'a, KA, KB, E> Operands<'a, KA, KB, E> {
-    /// `a` and `b` read through the given column-index arrays (their
-    /// own, or the plan's compressed copies).
-    fn new(a: &'a Csr<E>, a_cols: &'a [KA], b: &'a Csr<E>, b_cols: &'a [KB]) -> Self {
-        Operands {
-            a_rpts: a.rpts(),
-            a_cols,
-            a_vals: a.vals(),
-            b_rpts: b.rpts(),
-            b_cols,
-            b_vals: b.vals(),
-            ncols_b: b.ncols(),
-        }
-    }
 }
 
 /// The plan-private side of a RowClass bind: per-worker per-class row
@@ -260,111 +202,79 @@ impl RowClassSpec {
     }
 }
 
-/// The composite per-thread accumulator behind `Algorithm::RowClass`:
-/// one specialized accumulator per row class, dispatched by the row's
-/// class. Implements the same `RowAccumulator` contract as the
-/// monolithic accumulators, so the delta paths (`rebind_rows` /
-/// `execute_rows`) drive it row-by-row unchanged — each recomputed row
-/// re-derives its class from its current flop count.
-pub struct RowClassAccumulator<S: Semiring> {
-    level: SimdLevel,
-    /// Insertion array for tiny/short rows: `SHORT_MAX_FLOP` lanes of
-    /// keys (`-1` empty, occupied lanes a global prefix in insertion
-    /// order) with a parallel value array. Probed by
-    /// [`simd::probe_prefix`] — a handful of vector compares, no
-    /// hashing, no table reset.
-    skeys: Vec<i32>,
-    svals: Vec<S::Elem>,
-    slen: usize,
-    /// Medium rows: the ordinary linear-probing hash table, sized by
-    /// the *medium* flop bound (strictly below [`dense_cutoff`]) — a
-    /// smaller, more cache-resident table than a monolithic Hash plan
-    /// would allocate when dense rows exist.
-    hash: HashAccumulator<S>,
-    /// Dense rows: the `O(ncols(B))` SPA, created only when the
-    /// accumulator's requirements actually include a dense row.
-    spa: Option<SpaAccumulator<S>>,
+/// The tiny/short-row accumulator: [`SHORT_MAX_FLOP`] lanes of keys
+/// ([`EMPTY`] when free; occupied lanes a global prefix, in insertion
+/// order) with a parallel value array. Probed by
+/// [`simd::probe_prefix`] — a handful of vector compares, no hashing,
+/// no table reset. Holds at most `SHORT_MAX_FLOP` distinct columns.
+pub(crate) struct InsertionArray<S: Semiring> {
+    level: CheckedLevel,
+    keys: Vec<i32>,
+    vals: Vec<S::Elem>,
+    len: usize,
 }
 
-impl<S: Semiring> RowClassAccumulator<S> {
-    /// Accumulator for rows of at most `max_row_flop` intermediate
-    /// products into an output of `ncols_b` columns.
-    pub fn new(max_row_flop: usize, ncols_b: usize, level: SimdLevel) -> Self {
-        let medium_bound = max_row_flop.min((dense_cutoff(ncols_b) - 1) as usize);
-        let spa = matches!(
-            RowClass::classify(max_row_flop as u64, ncols_b),
-            RowClass::Dense
-        )
-        .then(|| SpaAccumulator::new(ncols_b));
-        RowClassAccumulator {
-            level,
-            skeys: vec![EMPTY; SHORT_MAX_FLOP as usize],
-            svals: vec![S::zero(); SHORT_MAX_FLOP as usize],
-            slen: 0,
-            hash: HashAccumulator::new(medium_bound, ncols_b),
-            spa,
+impl<S: Semiring> InsertionArray<S> {
+    /// An empty array probed at [`simd::detect`]'s level.
+    pub(crate) fn new() -> Self {
+        InsertionArray {
+            level: simd::detect().checked(),
+            keys: vec![EMPTY; SHORT_MAX_FLOP as usize],
+            vals: vec![S::zero(); SHORT_MAX_FLOP as usize],
+            len: 0,
         }
     }
 
-    /// The SPA for a dense row, created on first need (steady-state
-    /// executions of a plan with dense rows find it already built by
-    /// the warm-up pass, so this never allocates there).
-    fn spa_mut(&mut self, ncols_b: usize) -> &mut SpaAccumulator<S> {
-        let spa = self.spa.get_or_insert_with(|| SpaAccumulator::new(ncols_b));
-        spa.ensure(&AccumReq {
-            max_row_flop: 0,
-            inner_dim: 0,
-            ncols_b,
-        });
-        spa
-    }
-
+    /// The lane holding `col`, appending it at the first free lane if
+    /// absent. Returns `(lane, inserted)`.
     #[inline(always)]
-    fn short_insert_symbolic(&mut self, col: ColIdx) {
-        match simd::probe_prefix(self.level, &self.skeys, col as i32) {
-            ChunkProbe::Found(_) => {}
-            ChunkProbe::Empty(idx) => {
-                debug_assert_eq!(idx, self.slen, "occupied lanes must stay a prefix");
-                self.skeys[idx] = col as i32;
-                self.slen += 1;
+    fn probe_insert(&mut self, col: ColIdx) -> (usize, bool) {
+        match simd::probe_prefix(self.level, &self.keys, col as i32) {
+            ChunkProbe::Found(lane) => (lane, false),
+            ChunkProbe::Empty(lane) => {
+                debug_assert_eq!(lane, self.len, "occupied lanes must stay a prefix");
+                self.keys[lane] = col as i32;
+                self.len += 1;
+                (lane, true)
             }
             ChunkProbe::Full => unreachable!("short-row flop bound guarantees a free lane"),
         }
     }
+}
 
+impl<S: Semiring> ColumnSet<S> for InsertionArray<S> {
     #[inline(always)]
-    fn short_insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
-        match simd::probe_prefix(self.level, &self.skeys, col as i32) {
-            ChunkProbe::Found(idx) => self.svals[idx] = S::add(self.svals[idx], value),
-            ChunkProbe::Empty(idx) => {
-                debug_assert_eq!(idx, self.slen, "occupied lanes must stay a prefix");
-                self.skeys[idx] = col as i32;
-                self.svals[idx] = value;
-                self.slen += 1;
-            }
-            ChunkProbe::Full => unreachable!("short-row flop bound guarantees a free lane"),
-        }
+    fn insert_symbolic(&mut self, col: ColIdx) {
+        self.probe_insert(col);
     }
 
-    /// Clear the insertion array (occupied lanes only) and return the
-    /// row's distinct-column count.
+    #[inline(always)]
+    fn insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
+        let (lane, inserted) = self.probe_insert(col);
+        self.vals[lane] = if inserted {
+            value
+        } else {
+            S::add(self.vals[lane], value)
+        };
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Clear the occupied lanes only.
     #[inline]
-    fn short_reset(&mut self) -> usize {
-        let n = self.slen;
-        for k in &mut self.skeys[..n] {
-            *k = EMPTY;
-        }
-        self.slen = 0;
-        n
+    fn reset(&mut self) {
+        self.keys[..self.len].fill(EMPTY);
+        self.len = 0;
     }
 
-    /// Emit the insertion array into `cols`/`vals` (first-encounter
-    /// order; insertion-sorted ascending when `sorted`) and reset it.
-    fn short_extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
-        debug_assert_eq!(cols.len(), self.slen);
-        for idx in 0..self.slen {
-            cols[idx] = self.skeys[idx] as ColIdx;
-            vals[idx] = self.svals[idx];
+    /// First-encounter order; insertion-sorted ascending when `sorted`.
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
+        debug_assert_eq!(cols.len(), self.len);
+        for idx in 0..self.len {
+            cols[idx] = self.keys[idx] as ColIdx;
+            vals[idx] = self.vals[idx];
         }
         if sorted {
             // Insertion sort — the right tool at ≤ 32 distinct
@@ -374,123 +284,7 @@ impl<S: Semiring> RowClassAccumulator<S> {
             // the hash accumulator's sort_unstable.
             insertion_sort_pairs(cols, vals);
         }
-        self.short_reset();
-    }
-
-    /// Count row `i`'s distinct output columns with the class kernel.
-    ///
-    /// `inline(always)`: must fold into the `#[target_feature]` drain
-    /// clones below so the vector probes inline (checked by objdump —
-    /// plain `#[inline]` leaves a call per probed key).
-    #[inline(always)]
-    fn symbolic_row_idx<KA: IdxElem, KB: IdxElem>(
-        &mut self,
-        class: RowClass,
-        ops: Operands<'_, KA, KB, S::Elem>,
-        i: usize,
-    ) -> usize {
-        let Operands {
-            a_rpts,
-            a_cols,
-            b_rpts,
-            b_cols,
-            ncols_b,
-            ..
-        } = ops;
-        let arow = &a_cols[a_rpts[i]..a_rpts[i + 1]];
-        match class {
-            RowClass::Tiny | RowClass::Short => {
-                for ka in arow {
-                    let k = ka.as_usize();
-                    for jb in &b_cols[b_rpts[k]..b_rpts[k + 1]] {
-                        self.short_insert_symbolic(jb.as_col());
-                    }
-                }
-                self.short_reset()
-            }
-            RowClass::Medium => {
-                for ka in arow {
-                    let k = ka.as_usize();
-                    for jb in &b_cols[b_rpts[k]..b_rpts[k + 1]] {
-                        self.hash.insert_symbolic(jb.as_col());
-                    }
-                }
-                let n = self.hash.len();
-                self.hash.reset();
-                n
-            }
-            RowClass::Dense => {
-                let spa = self.spa_mut(ncols_b);
-                spa.begin_row();
-                for ka in arow {
-                    let k = ka.as_usize();
-                    for jb in &b_cols[b_rpts[k]..b_rpts[k + 1]] {
-                        spa.insert_symbolic(jb.as_col());
-                    }
-                }
-                spa.len()
-            }
-        }
-    }
-
-    /// Compute row `i` into pre-sliced output with the class kernel.
-    /// (`inline(always)`: see [`Self::symbolic_row_idx`].)
-    #[inline(always)]
-    fn numeric_row_idx<KA: IdxElem, KB: IdxElem>(
-        &mut self,
-        class: RowClass,
-        ops: Operands<'_, KA, KB, S::Elem>,
-        i: usize,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-        sorted: bool,
-    ) {
-        let Operands {
-            a_rpts,
-            a_cols,
-            a_vals,
-            b_rpts,
-            b_cols,
-            b_vals,
-            ncols_b,
-        } = ops;
-        let aspan = a_rpts[i]..a_rpts[i + 1];
-        let arow = &a_cols[aspan.clone()];
-        let arow_vals = &a_vals[aspan];
-        match class {
-            RowClass::Tiny | RowClass::Short => {
-                for (ka, &av) in arow.iter().zip(arow_vals) {
-                    let k = ka.as_usize();
-                    let bspan = b_rpts[k]..b_rpts[k + 1];
-                    for (jb, &bv) in b_cols[bspan.clone()].iter().zip(&b_vals[bspan]) {
-                        self.short_insert_numeric(jb.as_col(), S::mul(av, bv));
-                    }
-                }
-                self.short_extract_into(cols, vals, sorted);
-            }
-            RowClass::Medium => {
-                for (ka, &av) in arow.iter().zip(arow_vals) {
-                    let k = ka.as_usize();
-                    let bspan = b_rpts[k]..b_rpts[k + 1];
-                    for (jb, &bv) in b_cols[bspan.clone()].iter().zip(&b_vals[bspan]) {
-                        self.hash.insert_numeric(jb.as_col(), S::mul(av, bv));
-                    }
-                }
-                self.hash.extract_into(cols, vals, sorted);
-            }
-            RowClass::Dense => {
-                let spa = self.spa_mut(ncols_b);
-                spa.begin_row();
-                for (ka, &av) in arow.iter().zip(arow_vals) {
-                    let k = ka.as_usize();
-                    let bspan = b_rpts[k]..b_rpts[k + 1];
-                    for (jb, &bv) in b_cols[bspan.clone()].iter().zip(&b_vals[bspan]) {
-                        spa.insert_numeric(jb.as_col(), S::mul(av, bv));
-                    }
-                }
-                spa.extract_into(cols, vals, sorted);
-            }
-        }
+        self.reset();
     }
 }
 
@@ -510,52 +304,132 @@ fn insertion_sort_pairs<E: Copy>(cols: &mut [ColIdx], vals: &mut [E]) {
     }
 }
 
+/// The composite per-thread accumulator behind `Algorithm::RowClass`:
+/// one column set per row class, dispatched by the row's class.
+/// Implements the same `RowAccumulator` contract as the monolithic
+/// accumulators, so the delta paths (`rebind_rows` / `execute_rows`)
+/// drive it row-by-row unchanged — each recomputed row re-derives its
+/// class from its current flop count.
+pub struct RowClassAccumulator<S: Semiring> {
+    /// Tiny and short rows.
+    short: InsertionArray<S>,
+    /// Medium rows: the ordinary linear-probing hash table, sized by
+    /// the *medium* flop bound (strictly below [`dense_cutoff`]) — a
+    /// smaller, more cache-resident table than a monolithic Hash plan
+    /// would allocate when dense rows exist.
+    hash: HashAccumulator<S>,
+    /// Dense rows: the `O(ncols(B))` SPA, created only when the
+    /// accumulator's requirements actually include a dense row.
+    spa: Option<SpaAccumulator<S>>,
+}
+
+/// `req` narrowed to what the medium class's table must hold.
+fn medium_req(req: &AccumReq) -> AccumReq {
+    AccumReq {
+        max_row_flop: (req.max_row_flop).min((dense_cutoff(req.ncols_b) - 1) as usize),
+        ..*req
+    }
+}
+
+impl<S: Semiring> RowClassAccumulator<S> {
+    /// The SPA for a dense row, created on first need (steady-state
+    /// executions of a plan with dense rows find it already built by
+    /// the warm-up pass, so this never allocates there).
+    fn spa_mut(&mut self, ncols_b: usize) -> &mut SpaAccumulator<S> {
+        let spa = self.spa.get_or_insert_with(|| SpaAccumulator::new(ncols_b));
+        spa.grow(ncols_b);
+        spa
+    }
+
+    /// Count row `i`'s distinct output columns in its class's set.
+    ///
+    /// `inline(always)`: the insertion array's loop must fold into the
+    /// level-bound instance of the worker's share so the vector probes
+    /// inline (`simd::run_at`); the other two classes have no vector
+    /// probe and run as calls.
+    #[inline(always)]
+    fn symbolic_row_idx<KA: Copy + Into<ColIdx>, KB: Copy + Into<ColIdx>>(
+        &mut self,
+        class: RowClass,
+        ops: Operands<'_, KA, KB, S::Elem>,
+        i: usize,
+    ) -> usize {
+        match class {
+            RowClass::Tiny | RowClass::Short => ops.symbolic_row(&mut self.short, i),
+            RowClass::Medium => ops.symbolic_row_call(&mut self.hash, i),
+            RowClass::Dense => ops.symbolic_row_call(self.spa_mut(ops.b.ncols()), i),
+        }
+    }
+
+    /// Compute row `i` into pre-sliced output in its class's set.
+    /// (`inline(always)`: see [`Self::symbolic_row_idx`].)
+    #[inline(always)]
+    fn numeric_row_idx<KA: Copy + Into<ColIdx>, KB: Copy + Into<ColIdx>>(
+        &mut self,
+        class: RowClass,
+        ops: Operands<'_, KA, KB, S::Elem>,
+        i: usize,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+        sorted: bool,
+    ) {
+        match class {
+            RowClass::Tiny | RowClass::Short => {
+                ops.numeric_row(&mut self.short, i, cols, vals, sorted)
+            }
+            RowClass::Medium => ops.numeric_row_call(&mut self.hash, i, cols, vals, sorted),
+            RowClass::Dense => {
+                let spa = self.spa_mut(ops.b.ncols());
+                ops.numeric_row_call(spa, i, cols, vals, sorted)
+            }
+        }
+    }
+}
+
 /// Bind the four index-width combinations once per worker and pass,
 /// handing the generic body the operands as `$ops`.
 macro_rules! with_operands {
-    ($spec:expr, $a:expr, $b:expr, |$ops:ident| $body:expr) => {
-        match (&$spec.a16, &$spec.b16) {
+    ($share:expr, |$ops:ident| $body:expr) => {{
+        let (a, b) = ($share.a, $share.b);
+        match (&$share.shared.a16, &$share.shared.b16) {
             (Some(a16), Some(b16)) => {
-                let $ops = Operands::new($a, &a16[..], $b, &b16[..]);
+                let $ops = Operands::new(a, &a16[..], b, &b16[..]);
                 $body
             }
             (Some(a16), None) => {
-                let $ops = Operands::new($a, &a16[..], $b, $b.cols());
+                let $ops = Operands::new(a, &a16[..], b, b.cols());
                 $body
             }
             (None, Some(b16)) => {
-                let $ops = Operands::new($a, $a.cols(), $b, &b16[..]);
+                let $ops = Operands::new(a, a.cols(), b, &b16[..]);
                 $body
             }
             (None, None) => {
-                let $ops = Operands::new($a, $a.cols(), $b, $b.cols());
+                let $ops = Operands::of(a, b);
                 $body
             }
         }
-    };
+    }};
 }
 
 impl<S: Semiring> RowAccumulator<S> for RowClassAccumulator<S> {
-    /// The bind-time class queues and compressed indices the drains
-    /// run over.
+    /// The bind-time class queues and compressed indices the range
+    /// methods drain.
     type Shared = RowClassSpec;
 
     fn build(req: &AccumReq, _: &RowClassSpec) -> Self {
-        Self::new(req.max_row_flop, req.ncols_b, simd::detect())
+        let mut acc = RowClassAccumulator {
+            short: InsertionArray::new(),
+            hash: HashAccumulator::build(&medium_req(req), &Linear),
+            spa: None,
+        };
+        acc.ensure(req);
+        acc
     }
 
     fn ensure(&mut self, req: &AccumReq) {
-        let medium = AccumReq {
-            max_row_flop: req
-                .max_row_flop
-                .min((dense_cutoff(req.ncols_b) - 1) as usize),
-            ..*req
-        };
-        self.hash.ensure(&medium);
-        if matches!(
-            RowClass::classify(req.max_row_flop as u64, req.ncols_b),
-            RowClass::Dense
-        ) {
+        self.hash.ensure(&medium_req(req));
+        if RowClass::classify(req.max_row_flop as u64, req.ncols_b) == RowClass::Dense {
             // Pre-build the SPA here (the acquire path) so dense rows
             // never allocate inside the row loop of a steady state.
             self.spa_mut(req.ncols_b);
@@ -563,21 +437,28 @@ impl<S: Semiring> RowAccumulator<S> for RowClassAccumulator<S> {
     }
 
     fn scrub(&mut self) {
-        self.short_reset();
+        self.short.reset();
         self.hash.scrub();
         if let Some(spa) = &mut self.spa {
             spa.scrub();
         }
     }
 
+    /// The insertion array's: the one vector probe RowClass has.
+    fn simd_level(&self) -> Option<CheckedLevel> {
+        Some(self.short.level)
+    }
+
+    #[inline(always)]
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
         // Per-row class dispatch from the row's *current* flop count —
         // this is what lets `rebind_rows` re-count an edited row that
         // crossed a class boundary without any plan-level bookkeeping.
         let class = RowClass::classify(row_flop(a, b, i), b.ncols());
-        self.symbolic_row_idx(class, Operands::new(a, a.cols(), b, b.cols()), i)
+        self.symbolic_row_idx(class, Operands::of(a, b), i)
     }
 
+    #[inline(always)]
     fn numeric_row(
         &mut self,
         a: &Csr<S::Elem>,
@@ -588,212 +469,37 @@ impl<S: Semiring> RowAccumulator<S> for RowClassAccumulator<S> {
         sorted: bool,
     ) {
         let class = RowClass::classify(row_flop(a, b, i), b.ncols());
-        let ops = Operands::new(a, a.cols(), b, b.cols());
-        self.numeric_row_idx(class, ops, i, cols, vals, sorted);
+        self.numeric_row_idx(class, Operands::of(a, b), i, cols, vals, sorted);
     }
 
     /// The bucketed symbolic share: drain the worker's class queues
     /// back to back (no per-row kernel branching) over the compressed
-    /// column indices.
-    fn symbolic_range(
-        &mut self,
-        spec: &RowClassSpec,
-        wid: usize,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        range: Range<usize>,
-        counts: &mut [u64],
-    ) {
-        let queues = &spec.queues[wid];
-        with_operands!(spec, a, b, |ops| drain_symbolic_at(
-            self,
-            queues,
-            ops,
-            range.start,
-            counts
-        ))
+    /// column indices. `inline(always)` so the pass compiles the whole
+    /// drain under the SIMD level.
+    #[inline(always)]
+    fn symbolic_range(&mut self, share: Share<'_, S, Self>, counts: &mut [u64]) {
+        with_operands!(share, |ops| {
+            for class in CLASSES {
+                for &i in &share.shared.queues[share.wid][class as usize] {
+                    let i = i as usize;
+                    counts[i - share.range.start] = self.symbolic_row_idx(class, ops, i) as u64;
+                }
+            }
+        })
     }
 
     /// The bucketed numeric share — see [`Self::symbolic_range`].
-    fn numeric_range(
-        &mut self,
-        spec: &RowClassSpec,
-        wid: usize,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        range: Range<usize>,
-        rpts: &[usize],
-        sorted: bool,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-    ) {
-        let out = RowWindow {
-            rpts,
-            start: rpts[range.start],
-            cols,
-            vals,
-        };
-        let queues = &spec.queues[wid];
-        with_operands!(spec, a, b, |ops| drain_numeric_at(
-            self, queues, ops, sorted, out
-        ))
-    }
-}
-
-/// One worker's symbolic drain: every class queue back to back. The
-/// body is `#[inline(always)]` so the `#[target_feature]` clones below
-/// monomorphize the *whole* drain loop — the per-key vector probe
-/// ([`simd::probe_prefix`]'s leaf functions) then inlines into the
-/// drain instead of costing a function call per probed key across the
-/// feature boundary.
-#[inline(always)]
-fn drain_symbolic<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    first_row: usize,
-    counts: &mut [u64],
-) {
-    for class in CLASSES {
-        for &i in &queues[class as usize] {
-            let i = i as usize;
-            counts[i - first_row] = acc.symbolic_row_idx(class, ops, i) as u64;
-        }
-    }
-}
-
-/// [`drain_symbolic`] compiled with AVX-512F enabled.
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn drain_symbolic_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    first_row: usize,
-    counts: &mut [u64],
-) {
-    drain_symbolic(acc, queues, ops, first_row, counts)
-}
-
-/// [`drain_symbolic`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn drain_symbolic_avx2<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    first_row: usize,
-    counts: &mut [u64],
-) {
-    drain_symbolic(acc, queues, ops, first_row, counts)
-}
-
-/// Dispatch one worker's symbolic drain to the clone matching the
-/// accumulator's SIMD level (one dispatch per worker per pass).
-fn drain_symbolic_at<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    first_row: usize,
-    counts: &mut [u64],
-) {
-    match acc.level {
-        // SAFETY: the drivers build accumulators at `simd::detect`'s
-        // level (`RowAccumulator::build`), which only reports features
-        // the running CPU supports.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { drain_symbolic_avx512(acc, queues, ops, first_row, counts) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { drain_symbolic_avx2(acc, queues, ops, first_row, counts) },
-        _ => drain_symbolic(acc, queues, ops, first_row, counts),
-    }
-}
-
-/// One worker's window of the output: its rows are contiguous, so row
-/// `i` sits at `rpts[i] - start..rpts[i + 1] - start` of `cols`/`vals`.
-struct RowWindow<'a, E> {
-    rpts: &'a [usize],
-    start: usize,
-    cols: &'a mut [ColIdx],
-    vals: &'a mut [E],
-}
-
-/// One worker's numeric drain — same monomorphization scheme as
-/// [`drain_symbolic`].
-#[inline(always)]
-fn drain_numeric<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    sorted: bool,
-    out: RowWindow<'_, S::Elem>,
-) {
-    for class in CLASSES {
-        for &i in &queues[class as usize] {
-            let i = i as usize;
-            let span = out.rpts[i] - out.start..out.rpts[i + 1] - out.start;
-            let (c, v) = (&mut out.cols[span.clone()], &mut out.vals[span]);
-            acc.numeric_row_idx(class, ops, i, c, v, sorted);
-        }
-    }
-}
-
-/// [`drain_numeric`] compiled with AVX-512F enabled.
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn drain_numeric_avx512<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    sorted: bool,
-    out: RowWindow<'_, S::Elem>,
-) {
-    drain_numeric(acc, queues, ops, sorted, out)
-}
-
-/// [`drain_numeric`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn drain_numeric_avx2<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    sorted: bool,
-    out: RowWindow<'_, S::Elem>,
-) {
-    drain_numeric(acc, queues, ops, sorted, out)
-}
-
-/// Dispatch one worker's numeric drain to the clone matching the
-/// accumulator's SIMD level.
-fn drain_numeric_at<S: Semiring, KA: IdxElem, KB: IdxElem>(
-    acc: &mut RowClassAccumulator<S>,
-    queues: &[Vec<u32>; 4],
-    ops: Operands<'_, KA, KB, S::Elem>,
-    sorted: bool,
-    out: RowWindow<'_, S::Elem>,
-) {
-    match acc.level {
-        // SAFETY: the drivers build accumulators at `simd::detect`'s
-        // level (`RowAccumulator::build`), which only reports features
-        // the running CPU supports.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { drain_numeric_avx512(acc, queues, ops, sorted, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { drain_numeric_avx2(acc, queues, ops, sorted, out) },
-        _ => drain_numeric(acc, queues, ops, sorted, out),
+    #[inline(always)]
+    fn numeric_range(&mut self, share: Share<'_, S, Self>, mut out: Window<'_, S::Elem>) {
+        let sorted = out.sorted;
+        with_operands!(share, |ops| {
+            for class in CLASSES {
+                for &i in &share.shared.queues[share.wid][class as usize] {
+                    let (cols, vals) = out.row(i as usize);
+                    self.numeric_row_idx(class, ops, i as usize, cols, vals, sorted);
+                }
+            }
+        })
     }
 }
 
@@ -832,43 +538,39 @@ mod tests {
 
     #[test]
     fn short_array_accumulates_in_k_encounter_order() {
-        let mut acc = RowClassAccumulator::<P>::new(16, 1000, simd::detect());
-        acc.short_insert_numeric(42, 1.0);
-        acc.short_insert_numeric(7, 2.0);
-        acc.short_insert_numeric(42, 3.0);
-        assert_eq!(acc.slen, 2);
-        let mut cols = vec![0; 2];
-        let mut vals = vec![0.0; 2];
-        acc.short_extract_into(&mut cols, &mut vals, false);
-        assert_eq!(cols, vec![42, 7], "first-encounter order");
-        assert_eq!(vals, vec![4.0, 2.0]);
-        assert_eq!(acc.slen, 0, "extract resets");
-        // sorted emit
-        acc.short_insert_numeric(42, 1.0);
-        acc.short_insert_numeric(7, 2.0);
-        acc.short_insert_numeric(42, 3.0);
-        let mut cols = vec![0; 2];
-        let mut vals = vec![0.0; 2];
-        acc.short_extract_into(&mut cols, &mut vals, true);
-        assert_eq!(cols, vec![7, 42]);
-        assert_eq!(vals, vec![2.0, 4.0]);
+        let mut acc = InsertionArray::<P>::new();
+        for sorted in [false, true] {
+            acc.insert_numeric(42, 1.0);
+            acc.insert_numeric(7, 2.0);
+            acc.insert_numeric(42, 3.0);
+            assert_eq!(acc.len(), 2);
+            let mut cols = vec![0; 2];
+            let mut vals = vec![0.0; 2];
+            acc.extract_into(&mut cols, &mut vals, sorted);
+            if sorted {
+                assert_eq!((cols, vals), (vec![7, 42], vec![2.0, 4.0]));
+            } else {
+                assert_eq!((cols, vals), (vec![42, 7], vec![4.0, 2.0]));
+            }
+            assert_eq!(acc.len(), 0, "extract resets");
+        }
     }
 
     #[test]
     fn short_array_handles_full_capacity() {
-        let mut acc = RowClassAccumulator::<P>::new(32, 1 << 20, simd::detect());
+        let mut acc = InsertionArray::<P>::new();
         for c in 0..SHORT_MAX_FLOP as u32 {
-            acc.short_insert_numeric(c * 3, 1.0);
+            acc.insert_numeric(c * 3, 1.0);
         }
-        assert_eq!(acc.slen, SHORT_MAX_FLOP as usize);
+        assert_eq!(acc.len(), SHORT_MAX_FLOP as usize);
         // duplicates at full load must still resolve (no livelock,
         // unlike a full hash table)
         for c in 0..SHORT_MAX_FLOP as u32 {
-            acc.short_insert_numeric(c * 3, 1.0);
+            acc.insert_numeric(c * 3, 1.0);
         }
         let mut cols = vec![0; 32];
         let mut vals = vec![0.0; 32];
-        acc.short_extract_into(&mut cols, &mut vals, true);
+        acc.extract_into(&mut cols, &mut vals, true);
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         assert!(vals.iter().all(|&v| v == 2.0));
     }
@@ -908,8 +610,13 @@ mod tests {
             let b = Csr::from_triplets(a_nnz, ncols, &tri_b).unwrap();
             let flop = row_flop(&a, &b, 0);
             let class = RowClass::classify(flop, ncols);
-            let mut hash = HashAccumulator::<P>::new(flop as usize, ncols);
-            let mut rc = RowClassAccumulator::<P>::new(flop as usize, ncols, simd::detect());
+            let mut hash = HashAccumulator::<P>::new(flop as usize, ncols, Linear);
+            let req = AccumReq {
+                max_row_flop: flop as usize,
+                inner_dim: a_nnz,
+                ncols_b: ncols,
+            };
+            let mut rc = RowClassAccumulator::<P>::build(&req, &RowClassSpec::default());
             let n = RowAccumulator::<P>::symbolic_row(&mut hash, &a, &b, 0);
             let n2 = RowAccumulator::<P>::symbolic_row(&mut rc, &a, &b, 0);
             assert_eq!(n, n2, "class {class:?} symbolic count");

@@ -18,15 +18,15 @@
 //!
 //! | [`Algorithm`] | paper code | phases | accumulator | input / output order |
 //! |---------------|-----------|--------|-------------|----------------------|
-//! | `Hash`        | Hash (§4.2.1) | 2 | linear-probing hash table | any / selectable |
-//! | `HashVec`     | HashVector (§4.2.2) | 2 | SIMD-probed chunked hash table | any / selectable |
+//! | `Hash`        | Hash (§4.2.1) | 2 | the hash table, linear probe (Fig. 8a) | any / selectable |
+//! | `HashVec`     | HashVector (§4.2.2) | 2 | the same table, SIMD chunk probe (Fig. 8b) | any / selectable |
 //! | `Heap`        | Heap (§4.2.3) | 1 | column-indexed binary heap | sorted / sorted |
 //! | `Spa`         | MKL stand-in (unsorted runs) | 2 | dense sparse accumulator | any / selectable |
 //! | `Merge`       | MKL stand-in (sorted runs) | 2 | iterative sorted-row merging | sorted / sorted |
-//! | `Inspector`   | MKL-inspector stand-in | 1 | hash table, no symbolic phase | any / unsorted natively, sorted via post-sort |
+//! | `Inspector`   | MKL-inspector stand-in | 1 | the hash table (linear probe), no symbolic phase | any / unsorted natively, sorted via post-sort |
 //! | `KkHash`      | KokkosKernels `kkmem` stand-in | 2 | chained (linked-list) hash map | any / selectable |
 //! | `Ikj`         | Sulatycke–Ghose IKJ (§2) | 2 | dense row scan + SPA | any / selectable |
-//! | `RowClass`    | per-row-class selection ([`kgen`]) | 2 | SIMD insertion array / hash / SPA by row class | any / selectable |
+//! | `RowClass`    | per-row-class selection ([`kgen`]) | 2 | SIMD insertion array / hash table / SPA by row class | any / selectable |
 //! | `Reference`   | correctness oracle | 1 | `BTreeMap`, sequential | any / sorted |
 //!
 //! All kernels share the architecture-specific machinery the paper
@@ -37,7 +37,14 @@
 //! row-pass driver (`exec`: one symbolic, one numeric, one staged
 //! pass) into which each kernel plugs as a per-row accumulator;
 //! planned and one-shot products, RowClass, the masked product and
-//! — under a dirty-row mask — the row-subset paths all run it.
+//! — under a dirty-row mask — the row-subset paths all run it. One
+//! level down the Gustavson row loop is written once too, over a
+//! column set ([`algos::ColumnSet`]: the accumulate / emit contract
+//! the hash table, chained map, SPA, insertion array and gated SPA
+//! meet) — a table-like kernel is its column set, a hash kernel just
+//! its probe ([`algos::hash::Probe`]) — and a kernel that probes with
+//! vector instructions has its workers' row loops compiled under its
+//! SIMD level ([`algos::simd`]).
 //!
 //! Kernels are generic over a [`spgemm_sparse::Semiring`], so boolean
 //! BFS and counting workloads run through the identical code paths as

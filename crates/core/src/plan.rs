@@ -36,8 +36,8 @@
 //! `crate::exec`; the plan only decides *which* accumulator type the
 //! passes are instantiated with.
 
-use crate::algos::hash::HashAccumulator;
-use crate::algos::hashvec::HashVecAccumulator;
+use crate::algos::hash::{HashAccumulator, Linear};
+use crate::algos::hashvec::{Chunked, HashVecAccumulator};
 use crate::algos::heap::HeapKernel;
 use crate::algos::ikj::IkjKernel;
 use crate::algos::kkhash::KkHashAccumulator;
@@ -94,12 +94,14 @@ enum PlanKernel<S: Semiring> {
 impl<S: Semiring> PlanKernel<S> {
     fn new(algo: Algorithm, nthreads: usize) -> Self {
         match algo {
-            Algorithm::Hash => PlanKernel::Hash(Workers::new(nthreads, ())),
-            Algorithm::HashVec => PlanKernel::HashVec(Workers::new(nthreads, simd::detect())),
+            Algorithm::Hash => PlanKernel::Hash(Workers::new(nthreads, Linear)),
+            Algorithm::HashVec => {
+                PlanKernel::HashVec(Workers::new(nthreads, Chunked::new(simd::detect())))
+            }
             Algorithm::Heap => PlanKernel::Heap(Workers::new(nthreads, ())),
             Algorithm::Spa => PlanKernel::Spa(Workers::new(nthreads, ())),
             Algorithm::Merge => PlanKernel::Merge(Workers::new(nthreads, ())),
-            Algorithm::Inspector => PlanKernel::Inspector(Workers::new(nthreads, ())),
+            Algorithm::Inspector => PlanKernel::Inspector(Workers::new(nthreads, Linear)),
             Algorithm::KkHash => PlanKernel::KkHash(Workers::new(nthreads, ())),
             Algorithm::Ikj => PlanKernel::Ikj(Workers::new(nthreads, ())),
             // The class queues are bound with the operands.

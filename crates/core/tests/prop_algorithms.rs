@@ -46,17 +46,12 @@ fn arb_pair(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = (Csr<f64>, 
     })
 }
 
+/// Every kernel but the oracle itself.
 fn all_concrete() -> Vec<Algorithm> {
-    vec![
-        Algorithm::Hash,
-        Algorithm::HashVec,
-        Algorithm::Heap,
-        Algorithm::Spa,
-        Algorithm::Merge,
-        Algorithm::Inspector,
-        Algorithm::KkHash,
-        Algorithm::Ikj,
-    ]
+    let kernels = Algorithm::ALL.into_iter();
+    kernels
+        .filter(|&algo| algo != Algorithm::Reference)
+        .collect()
 }
 
 proptest! {
@@ -99,8 +94,7 @@ proptest! {
         let sorted_twin = unsorted.to_sorted();
         let expect = algos::reference::multiply::<P>(&sorted_twin, &sorted_twin);
         let pool = Pool::new(2);
-        for algo in [Algorithm::Hash, Algorithm::HashVec, Algorithm::Spa,
-                     Algorithm::KkHash, Algorithm::Inspector, Algorithm::Ikj] {
+        for algo in all_concrete().into_iter().filter(|algo| !algo.requires_sorted_inputs()) {
             let got = multiply_in::<P>(&unsorted, &unsorted, algo, OutputOrder::Sorted, &pool)
                 .unwrap();
             prop_assert!(approx_eq_f64(&expect, &got, 1e-9), "{algo}");

@@ -289,3 +289,91 @@ fn rebind_grows_output_width() {
         );
     }
 }
+
+/// RowClass at the compression boundary: a dimension of 65 535 gets
+/// the plan's `u16` index copy, 65 536 does not, and at 65 537 the
+/// last index would no longer fit one. With each width on either side
+/// (all four index-width instances of the drains), an entry in the
+/// last column of both operands and a row of every class, RowClass
+/// stays bit-identical to Hash.
+#[test]
+fn rowclass_matches_hash_at_the_u16_boundary() {
+    let pool = Pool::new(2);
+    for inner in [65_535usize, 65_536, 65_537] {
+        for width in [65_535usize, 65_536, 65_537] {
+            // B's heavy rows (512 entries) make A's last row dense;
+            // its light rows hold five entries, one in the shared
+            // column 5 so sums accumulate across `k`.
+            let heavy: Vec<usize> = (0..40).map(|t| 7 + t * 1601).collect();
+            let light: Vec<usize> = (1..=3).chain((0..30).map(|t| 10 + t * 13)).collect();
+            let last = inner - 1;
+            let value = |k: usize, j: usize| 0.25 * ((k + j) % 9) as f64 - 1.0;
+            let mut b = Coo::new(inner, width).unwrap();
+            for &k in &heavy {
+                for u in 0..512 {
+                    let j = (k + u * 127) % width;
+                    b.push(k, j as ColIdx, value(k, j)).unwrap();
+                }
+            }
+            for &k in light.iter().chain([&last]) {
+                for j in (0..4).map(|u| (k * 31 + u * 8191) % width).chain([5]) {
+                    b.push(k, j as ColIdx, value(k, j)).unwrap();
+                }
+            }
+            b.push(last, (width - 1) as ColIdx, 3.5).unwrap();
+            let b = b.into_csr_sum();
+            // A: one row per class, each ending in the last column.
+            let rows = [&[][..], &light[..3], &light[3..], &heavy[..]];
+            let mut a = Coo::new(rows.len(), inner).unwrap();
+            for (i, ks) in rows.iter().enumerate() {
+                for &k in ks.iter().chain([&last]) {
+                    a.push(i, k as ColIdx, value(i, k) + 2.0).unwrap();
+                }
+            }
+            let a = a.into_csr_sum();
+            let occupancy = spgemm::kgen::bucket_occupancy(&a, &b);
+            assert_eq!(occupancy, [1; 4], "one row per class: {inner} x {width}");
+            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                let hash = oneshot(&a, &b, Algorithm::Hash, order, &pool);
+                let got = oneshot(&a, &b, Algorithm::RowClass, order, &pool);
+                assert!(bits_eq(&got, &hash), "{inner} x {width} {order:?}");
+                let corner = hash.get(0, (width - 1) as ColIdx);
+                assert!(corner.is_some(), "last row of B reaches the last column");
+            }
+        }
+    }
+}
+
+/// HashVec at an explicit level is the one call that reaches the
+/// level-bound range bodies at a level other than `detect()`'s. On an
+/// input with rows longer than one chunk and tables of several chunks,
+/// salted with NaN / -0.0 / inf, every level the CPU supports is
+/// bit-identical to Hash under both orders at 1 and 3 threads.
+#[test]
+fn hashvec_at_every_level_is_bit_identical_to_hash() {
+    use algos::simd::SimdLevel;
+    let kind = spgemm_gen::RmatKind::G500;
+    let a = spgemm_gen::rmat::generate_kind(kind, 8, 8, &mut spgemm_gen::rng(20));
+    let salt = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+    let salted = std::cell::Cell::new(0usize);
+    let a = a.map(|v| {
+        salted.set(salted.get() + 1);
+        let n = salted.get();
+        if n.is_multiple_of(13) {
+            salt[n / 13 % 4]
+        } else {
+            v
+        }
+    });
+    assert!((0..a.nrows()).any(|i| a.row_nnz(i) > 16));
+    for nt in [1usize, 3] {
+        let pool = Pool::new(nt);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let hash = oneshot(&a, &a, Algorithm::Hash, order, &pool);
+            for level in SimdLevel::supported() {
+                let got = algos::hashvec::multiply_with_level::<P>(&a, &a, order, &pool, level);
+                assert!(bits_eq(&got, &hash), "{level:?} {order:?} nt={nt}");
+            }
+        }
+    }
+}
