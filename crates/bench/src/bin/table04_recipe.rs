@@ -1,26 +1,40 @@
 //! Table 4: the empirical recipe — measure every scenario cell, name
 //! the winner on this machine, and print it next to the paper's
-//! recommendation.
+//! recommendation and next to what `Algorithm::Auto`'s footprint rule
+//! picks (with that pick's time over the winner's).
 //!
 //! ```text
-//! cargo run --release -p spgemm-bench --bin table04_recipe [--scale N] [--reps N]
+//! cargo run --release -p spgemm-bench --bin table04_recipe \
+//!     [--scale N] [--reps N] [--threads N] [--seed N]
+//!     [--smoke]          # CI: scale 8, fails on an inadmissible pick or a parity mismatch only
+//!     [--sweep LO..HI]   # the crossover table of ARCHITECTURE.md "Auto" instead of Table 4
 //! ```
+//!
+//! `--sweep` runs ER and G500 squares at edge factor 8 (`--ef`) over
+//! scales `LO..=HI`, both orders, through reused plans (numeric pass
+//! only, minimum of `--reps`), and prints the dense accumulator's
+//! footprint against the per-thread L2 share beside the SPA / Hash /
+//! Heap times: where the SPA stops winning is where the rule must
+//! flip.
 
-use spgemm::{recipe, Algorithm, OutputOrder};
+use spgemm::{cost, recipe, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_bench::{args::BenchArgs, runner};
 use spgemm_gen::{perm, rmat, tallskinny, RmatKind};
 use spgemm_par::Pool;
-use spgemm_sparse::Csr;
+use spgemm_sparse::{ops, Csr, PlusTimes};
+use std::time::Instant;
 
-fn winner(
+type P = PlusTimes<f64>;
+
+/// One-shot seconds of every panel kernel that accepts the cell.
+fn panel(
     a: &Csr<f64>,
     b: &Csr<f64>,
     order: OutputOrder,
     pool: &Pool,
     reps: usize,
-) -> (Algorithm, f64) {
-    let mut best = (Algorithm::Hash, f64::INFINITY);
-    for algo in [
+) -> Vec<(Algorithm, f64)> {
+    [
         Algorithm::Hash,
         Algorithm::HashVec,
         Algorithm::Heap,
@@ -28,30 +42,93 @@ fn winner(
         Algorithm::Merge,
         Algorithm::Inspector,
         Algorithm::KkHash,
-    ] {
-        if let Ok(m) = runner::time_multiply(a, b, algo, order, pool, reps) {
-            if m.secs < best.1 {
-                best = (algo, m.secs);
-            }
-        }
-    }
-    best
+    ]
+    .into_iter()
+    .filter_map(|algo| {
+        let m = runner::time_multiply(a, b, algo, order, pool, reps).ok()?;
+        Some((algo, m.secs))
+    })
+    .collect()
 }
 
-fn main() {
-    let args = BenchArgs::parse();
-    let pool = args.pool();
-    print!(
-        "{}",
-        spgemm_bench::envinfo::environment_banner(pool.nthreads())
-    );
-    let scale = args.scale_or(12);
-    println!("# table04b analogue: synthetic scenarios at scale {scale}; winner on this machine vs paper recipe");
-    println!(
-        "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12}",
-        "op", "pattern", "sparsity", "order", "measured", "paper"
-    );
+/// What the footprint rule picks for the cell. Exits non-zero on an
+/// inadmissible pick or — under `--smoke`, where the sequential oracle
+/// is affordable — when the pick's product differs from `Reference`:
+/// the two things `--smoke` fails on.
+fn auto_pick(
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    order: OutputOrder,
+    pool: &Pool,
+    smoke: bool,
+) -> Algorithm {
+    let ctx = recipe::auto_context(a, b, order);
+    let pick = recipe::static_select(&ctx);
+    if !recipe::pick_admissible(&ctx, pick) {
+        eprintln!("FAIL: Auto picked {pick}, inadmissible for {ctx:?}");
+        std::process::exit(1);
+    }
+    if smoke {
+        let got = spgemm::multiply_in::<P>(a, b, pick, order, pool).expect("admissible pick runs");
+        let oracle = spgemm::algos::reference::multiply::<P>(a, b);
+        if !spgemm_sparse::approx_eq_f64(&oracle, &got, 1e-9) {
+            eprintln!("FAIL: {pick} ({order:?}) differs from Reference");
+            std::process::exit(1);
+        }
+    }
+    pick
+}
 
+/// How the table is run: on which pool, how many timed repetitions,
+/// and whether every `Auto` pick is checked against `Reference`.
+struct Run<'a> {
+    pool: &'a Pool,
+    reps: usize,
+    smoke: bool,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn table_row(
+    run: &Run<'_>,
+    op: &str,
+    pattern: &str,
+    sparsity: &str,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    order: OutputOrder,
+    paper: Algorithm,
+) {
+    let times = panel(a, b, order, run.pool, run.reps);
+    let (winner, best) = times
+        .iter()
+        .copied()
+        .min_by(|x, y| x.1.total_cmp(&y.1))
+        .expect("Hash accepts every cell");
+    let auto = auto_pick(a, b, order, run.pool, run.smoke);
+    let auto_secs = times
+        .iter()
+        .find(|(algo, _)| *algo == auto)
+        .map_or(f64::NAN, |t| t.1);
+    println!(
+        "{op:<12} {pattern:>8} {sparsity:>9} {:>10} {:>12} {:>12} {:>12} {:>7.2}",
+        if order.is_sorted() {
+            "sorted"
+        } else {
+            "unsorted"
+        },
+        winner.name(),
+        paper.name(),
+        auto.name(),
+        auto_secs / best,
+    );
+}
+
+fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
+    println!("# table04b analogue: synthetic scenarios at scale {scale}; winner on this machine vs paper recipe vs Auto's footprint rule");
+    println!(
+        "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12} {:>12} {:>7}",
+        "op", "pattern", "sparsity", "order", "measured", "paper", "auto", "auto/best"
+    );
     for kind in [RmatKind::Er, RmatKind::G500] {
         let pattern = if kind == RmatKind::Er {
             recipe::Pattern::Uniform
@@ -62,11 +139,10 @@ fn main() {
             let a = rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(args.seed));
             let ua = perm::randomize_columns(&a, &mut spgemm_gen::rng(args.seed ^ 1));
             for (order, m) in [(OutputOrder::Sorted, &a), (OutputOrder::Unsorted, &ua)] {
-                let (w, _) = winner(m, m, order, &pool, args.reps);
                 let paper =
                     recipe::recommend_synthetic(recipe::OpKind::Square, pattern, ef as f64, order);
-                println!(
-                    "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12}",
+                table_row(
+                    run,
                     "AxA",
                     if pattern == recipe::Pattern::Uniform {
                         "uniform"
@@ -74,13 +150,10 @@ fn main() {
                         "skewed"
                     },
                     if ef <= 8 { "sparse" } else { "dense" },
-                    if order.is_sorted() {
-                        "sorted"
-                    } else {
-                        "unsorted"
-                    },
-                    w.name(),
-                    paper.name()
+                    m,
+                    m,
+                    order,
+                    paper,
                 );
             }
         }
@@ -91,26 +164,140 @@ fn main() {
     let ts = tallskinny::tall_skinny(&g, 1 << (scale / 2), &mut spgemm_gen::rng(args.seed ^ 2))
         .expect("tall-skinny");
     for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
-        let (w, _) = winner(&g, &ts, order, &pool, args.reps);
         let paper = recipe::recommend_synthetic(
             recipe::OpKind::TallSkinny,
             recipe::Pattern::Skewed,
             16.0,
             order,
         );
-        println!(
-            "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12}",
-            "TallSkinny",
-            "skewed",
-            "dense",
-            if order.is_sorted() {
-                "sorted"
-            } else {
-                "unsorted"
-            },
-            w.name(),
-            paper.name()
-        );
+        table_row(run, "TallSkinny", "skewed", "dense", &g, &ts, order, paper);
     }
-    println!("# paper columns are Table 4's KNL recipe; winners here reflect this machine");
+    println!("# paper: Table 4's KNL recipe; measured: this machine, one-shot; auto: cost::select at this machine's L2 share, its time over the winner's");
+}
+
+/// Minimum seconds of `reps` numeric passes of a reused plan.
+fn steady_min(
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    algo: Algorithm,
+    order: OutputOrder,
+    pool: &Pool,
+    reps: usize,
+) -> Option<f64> {
+    let plan = SpgemmPlan::<P>::new_in(a, b, algo, order, pool).ok()?;
+    let mut c = plan.execute_in(a, b, pool).ok()?;
+    (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            plan.execute_into_in(a, b, &mut c, pool)
+                .expect("a bound plan executes");
+            t.elapsed().as_secs_f64()
+        })
+        .min_by(f64::total_cmp)
+}
+
+fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
+    let ef = args.ef_or(8);
+    println!(
+        "# crossover sweep: A*A at edge factor {ef}, reused plans, min of {} numeric passes, ms",
+        args.reps
+    );
+    println!(
+        "{:<5} {:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>7}",
+        "kind", "scale", "order", "spa_KiB", "l2_KiB", "spa", "hash", "heap", "auto", "auto/best"
+    );
+    for scale in lo..=hi {
+        for kind in [RmatKind::Er, RmatKind::G500] {
+            let a = rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(args.seed));
+            // The unsorted cell is the *same* product from unsorted
+            // operands (§5.1): A's columns relabelled, B's rows
+            // permuted alike.
+            let p = perm::random_col_permutation(a.ncols(), &mut spgemm_gen::rng(args.seed ^ 1));
+            let ua = ops::permute_cols(&a, &p).expect("permutation has the right length");
+            let rows: Vec<usize> = p.iter().map(|&x| x as usize).collect();
+            let ub = ops::permute_rows(&a, &rows).expect("permutation has the right length");
+            for (order, m, b) in [
+                (OutputOrder::Sorted, &a, &a),
+                (OutputOrder::Unsorted, &ua, &ub),
+            ] {
+                let ms = |algo| steady_min(m, b, algo, order, pool, args.reps).map(|s| s * 1e3);
+                let (spa, hash, heap) =
+                    (ms(Algorithm::Spa), ms(Algorithm::Hash), ms(Algorithm::Heap));
+                let auto = recipe::static_select(&recipe::auto_context(m, b, order));
+                let auto_ms = match auto {
+                    Algorithm::Spa => spa,
+                    Algorithm::Heap => heap,
+                    _ => hash,
+                };
+                let best = [spa, hash, heap]
+                    .into_iter()
+                    .flatten()
+                    .min_by(f64::total_cmp);
+                let cell = |t: Option<f64>| t.map_or("-".to_owned(), |t| format!("{t:.2}"));
+                println!(
+                    "{:<5} {scale:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>7.2}",
+                    if kind == RmatKind::Er { "er" } else { "g500" },
+                    if order.is_sorted() {
+                        "sorted"
+                    } else {
+                        "unsorted"
+                    },
+                    cost::spa_footprint_bytes(m.ncols(), 8) >> 10,
+                    cost::l2_share_bytes() >> 10,
+                    cell(spa),
+                    cell(hash),
+                    cell(heap),
+                    auto.name(),
+                    auto_ms.zip(best).map_or(f64::NAN, |(a, b)| a / b),
+                );
+            }
+        }
+    }
+}
+
+fn main() {
+    let mut smoke = false;
+    let mut sweep_range = None;
+    let mut rest = Vec::new();
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--sweep" => {
+                let parsed = it.next().and_then(|v| {
+                    let (lo, hi) = v.split_once("..")?;
+                    Some((lo.parse::<u32>().ok()?, hi.parse::<u32>().ok()?))
+                });
+                let Some(range) = parsed.filter(|(lo, hi)| lo <= hi) else {
+                    eprintln!("--sweep takes LO..HI (R-MAT scales, inclusive)");
+                    std::process::exit(2);
+                };
+                sweep_range = Some(range);
+            }
+            _ => rest.push(flag),
+        }
+    }
+    let mut args = BenchArgs::from_iter(rest);
+    if smoke {
+        args.reps = 1;
+    }
+    let pool = args.pool();
+    print!(
+        "{}",
+        spgemm_bench::envinfo::environment_banner(pool.nthreads())
+    );
+    match sweep_range {
+        Some((lo, hi)) if !smoke => sweep(&args, &pool, lo, hi),
+        _ => {
+            let run = Run {
+                pool: &pool,
+                reps: args.reps,
+                smoke,
+            };
+            table(&args, &run, if smoke { 8 } else { args.scale_or(12) })
+        }
+    }
+    if smoke {
+        println!("smoke OK: every Auto pick admissible and equal to Reference");
+    }
 }

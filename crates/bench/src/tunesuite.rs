@@ -2,7 +2,8 @@
 //!
 //! For each input the suite times three choices of algorithm:
 //!
-//! * **static** — what the paper's Table-4 recipe picks;
+//! * **static** — what `Auto`'s built-in footprint rule picks
+//!   (`recipe::static_select`);
 //! * **tuned** — what the machine profile's [`TunedSelector`] picks
 //!   (absent when no profile is given or the input is out of grid);
 //! * **oracle** — the fastest algorithm found by exhaustively timing
@@ -26,7 +27,7 @@ pub struct SuiteRow {
     pub input: String,
     /// Requested output order.
     pub order: OutputOrder,
-    /// Table-4 static pick and its median seconds.
+    /// The built-in rule's pick.
     pub static_pick: Algorithm,
     /// Seconds for the static pick.
     pub static_secs: f64,
@@ -232,6 +233,10 @@ mod tests {
         assert!(rows
             .iter()
             .all(|r| r.tuned_pick.is_none() && r.tuned_secs.is_none()));
+        // 64 output columns fit any L2 share: the footprint rule's pick.
+        assert!(rows
+            .iter()
+            .all(|r| r.static_pick == Algorithm::Spa && r.static_secs.is_finite()));
         assert!(render(&rows).contains("- (static)"));
     }
 }

@@ -44,6 +44,12 @@ impl<'m, S: Semiring, M: Copy + Send + Sync> MaskedSpa<'m, S, M> {
         }
     }
 
+    /// The gated accumulator.
+    #[cfg(test)]
+    pub(crate) fn spa(&self) -> &SpaAccumulator<S> {
+        &self.spa
+    }
+
     /// Close the mask row in O(1): bump the epoch.
     fn close_row(&mut self) {
         if self.epoch == u32::MAX {

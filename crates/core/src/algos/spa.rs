@@ -6,6 +6,22 @@
 //! `O(n · t)` memory the paper contrasts against hash (`O(flop)`) and
 //! heap (`O(nnz(a_i*))`) accumulators. Rows reset in `O(touched)` by
 //! bumping the epoch. Stands in for MKL in the unsorted comparisons.
+//!
+//! **Sorted output without sorting.** Sorting each output row is what
+//! a hashed accumulator pays for sorted output (§5.4.4); a dense
+//! accumulator's slots are already in column order, so its sorted emit
+//! can be a walk instead. [`SpaAccumulator::extract_into`] keeps one
+//! bit per output column (all zero between rows): it sets the touched
+//! columns' bits, walks the 64-bit words from the row's lowest touched
+//! word `lo` to its highest `hi` with `trailing_zeros`, and writes
+//! `cols` / `vals` ascending, clearing each word as it is read. The
+//! walk costs `hi − lo + 1` word reads however few bits are set, so it
+//! is taken only when that span is at most the `n · log₂ n` of sorting
+//! the row's `n` touched columns — a 250-entry row of an ER scale-11
+//! ef-16 square spans 32 words against ≈ 2 000, a 16-entry row of a
+//! scale-13 ef-4 one spans 128 against 64 and keeps `sort_unstable`.
+//! On the two ef-16 cells of `bm`'s panel the per-row sort was
+//! 37–40 % of the SPA's sorted time.
 
 use crate::exec::{AccumReq, ColumnSet, Operands, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
@@ -18,6 +34,9 @@ pub struct SpaAccumulator<S: Semiring> {
     epoch: u32,
     vals: Vec<S::Elem>,
     touched: Vec<ColIdx>,
+    /// One bit per output column, for the ordered emit; all zero
+    /// between rows.
+    bitmap: Vec<u64>,
 }
 
 impl<S: Semiring> SpaAccumulator<S> {
@@ -28,6 +47,7 @@ impl<S: Semiring> SpaAccumulator<S> {
             epoch: 1,
             vals: vec![S::zero(); ncols_b],
             touched: Vec::new(),
+            bitmap: vec![0; ncols_b.div_ceil(64)],
         }
     }
 
@@ -38,8 +58,43 @@ impl<S: Semiring> SpaAccumulator<S> {
             // growth needs no rescan.
             self.stamp.resize(ncols_b, 0);
             self.vals.resize(ncols_b, S::zero());
+            self.bitmap.resize(ncols_b.div_ceil(64), 0);
         }
     }
+
+    /// Whether every bit of the emit's bitmap is zero, as it must be
+    /// between rows.
+    #[cfg(test)]
+    pub(crate) fn bitmap_is_clear(&self) -> bool {
+        self.bitmap.iter().all(|&w| w == 0)
+    }
+
+    /// The ordered emit: the touched columns, ascending, through the
+    /// bitmap words `lo..=hi`, which it leaves zero again.
+    fn emit_ascending(&mut self, lo: usize, hi: usize, cols: &mut [ColIdx], vals: &mut [S::Elem]) {
+        for &c in &self.touched {
+            self.bitmap[c as usize >> 6] |= 1 << (c & 63);
+        }
+        let mut out = cols.iter_mut().zip(vals);
+        for (w, word) in self.bitmap[lo..=hi].iter_mut().enumerate() {
+            let base = (lo + w) << 6;
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let j = base | bits.trailing_zeros() as usize;
+                let (col, val) = out.next().expect("one slot per touched column");
+                *col = j as ColIdx;
+                *val = self.vals[j];
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// The span test of the ordered emit: walking `words` bitmap words
+/// against the `n · log₂ n` of sorting `n` touched columns.
+#[inline]
+fn walk_beats_sort(n: usize, words: usize) -> bool {
+    words <= n * n.ilog2() as usize
 }
 
 impl<S: Semiring> ColumnSet<S> for SpaAccumulator<S> {
@@ -80,9 +135,22 @@ impl<S: Semiring> ColumnSet<S> for SpaAccumulator<S> {
     }
 
     /// Sorted on request — touched order is insertion order otherwise.
+    /// A sorted row whose touched words span no more than sorting it
+    /// would cost is walked out of the bitmap instead (module docs).
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
         debug_assert_eq!(cols.len(), self.touched.len());
-        if sorted {
+        // (One entry is in order already.)
+        let n = self.touched.len();
+        if sorted && n > 1 {
+            let (lo, hi) = self
+                .touched
+                .iter()
+                .fold((ColIdx::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+            let (lo, hi) = (lo as usize >> 6, hi as usize >> 6);
+            if walk_beats_sort(n, hi - lo + 1) {
+                self.emit_ascending(lo, hi, cols, vals);
+                return self.reset();
+            }
             self.touched.sort_unstable();
         }
         for (idx, &c) in self.touched.iter().enumerate() {
@@ -106,6 +174,8 @@ impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
 
     fn scrub(&mut self) {
         self.reset();
+        // An emit that panicked mid-walk may have left bits behind.
+        self.bitmap.fill(0);
     }
 
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
@@ -176,6 +246,55 @@ mod tests {
         let mut v = vec![0.0; 1];
         acc.extract_into(&mut c, &mut v, true);
         assert_eq!(v[0], 9.0);
+    }
+
+    #[test]
+    fn span_test_on_the_two_panel_rows() {
+        // a 16-entry row of an ER scale-13 ef-4 square spans 128 words
+        assert!(!walk_beats_sort(16, 128));
+        // a 250-entry row of an ER scale-11 ef-16 square spans 32
+        assert!(walk_beats_sort(250, 32));
+        assert!(!walk_beats_sort(1, 1), "a single entry needs neither");
+        assert!(walk_beats_sort(2, 2) && !walk_beats_sort(2, 3));
+    }
+
+    /// Both emits in one accumulator, row after row, across a `grow`:
+    /// each row ascending with its own sums, the bitmap zero after
+    /// every row and after a scrub of a half-built one.
+    #[test]
+    fn walked_and_sorted_rows_alternate_in_one_accumulator() {
+        let emit = |acc: &mut SpaAccumulator<P>, row: &[ColIdx]| {
+            for &c in row {
+                acc.insert_numeric(c, c as f64);
+                acc.insert_numeric(c, 0.5);
+            }
+            let (mut cols, mut vals) = (vec![0; row.len()], vec![0.0; row.len()]);
+            acc.extract_into(&mut cols, &mut vals, true);
+            let mut want = row.to_vec();
+            want.sort_unstable();
+            assert_eq!(cols, want);
+            assert!(cols.iter().zip(&vals).all(|(&c, &v)| v == c as f64 + 0.5));
+            assert!(acc.is_empty() && acc.bitmap_is_clear());
+        };
+        let mut acc = SpaAccumulator::<P>::new(8192);
+        // 16 columns 512 apart, descending: 128 words, sorted.
+        let sparse: Vec<ColIdx> = (0..16).rev().map(|k| k * 512 + 63).collect();
+        // 250 columns of 2048..4096, scattered: 32 words, walked.
+        let dense: Vec<ColIdx> = (0..250).map(|k| 2048 + (k * 1031) % 2048).collect();
+        assert!(!walk_beats_sort(sparse.len(), 128) && walk_beats_sort(dense.len(), 32));
+        for _ in 0..2 {
+            emit(&mut acc, &sparse);
+            emit(&mut acc, &dense);
+        }
+        acc.grow(8192 + 65);
+        emit(&mut acc, &[8192 + 64, 8191, 8192, 64, 63, 65]);
+        emit(&mut acc, &(8100..8192 + 65).rev().collect::<Vec<_>>());
+        emit(&mut acc, &sparse);
+        // a row abandoned before its emit
+        acc.insert_numeric(8192 + 64, 1.0);
+        acc.scrub();
+        assert!(acc.is_empty() && acc.bitmap_is_clear());
+        emit(&mut acc, &dense);
     }
 
     #[test]

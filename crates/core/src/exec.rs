@@ -785,33 +785,50 @@ mod tests {
         /// order (ascending when sorted), duplicates summed in
         /// insertion order, bit for bit — on streams with duplicates,
         /// clustered hashes and NaN / ±0.0 / ±inf values, row after
-        /// row on the same (reused) set.
+        /// row on the same (reused) set. The dense sets' ordered emit
+        /// walks a bitmap of 64-column words: streams reach columns
+        /// 63 / 64 / 65 and the last one of a width that is 0, 1 or 63
+        /// past a word boundary, short wide rows are sorted and long
+        /// narrow ones walked in the same accumulator, the SPA runs
+        /// its first row narrow and the rest after a `grow`, and the
+        /// bitmap is zero after every emit and after a scrub.
         #[test]
         fn every_column_set_matches_the_model(
+            tail in 0usize..3,
             rows in prop::collection::vec(
-                (0usize..4, prop::collection::vec((0u32..48, -3.0f64..3.0, 0usize..16), 0..160)),
+                (
+                    0usize..4,
+                    prop::collection::vec((0u32..48, -3.0f64..3.0, 0usize..16, 0usize..16), 0..160),
+                ),
                 1..4,
             ),
         ) {
-            const NCOLS: usize = 48 * 128;
-            let every_col = (0..NCOLS as ColIdx).collect();
-            let all_ones = Csr::from_parts(1, NCOLS, vec![0, NCOLS], every_col, vec![1u8; NCOLS]);
+            let ncols = 48 * 128 + [0, 1, 63][tail];
+            let edges = [63, 64, 65, ncols as ColIdx - 1];
+            let every_col = (0..ncols as ColIdx).collect();
+            let all_ones = Csr::from_parts(1, ncols, vec![0, ncols], every_col, vec![1u8; ncols]);
             let all_ones = all_ones.unwrap();
-            let mut linear = HashAccumulator::<P>::new(160, NCOLS, Linear);
+            let mut linear = HashAccumulator::<P>::new(160, ncols, Linear);
             let mut chunked: Vec<_> = SimdLevel::supported()
-                .map(|l| (l, Table::<P, _>::new(160, NCOLS, Chunked::new(l))))
+                .map(|l| (l, Table::<P, _>::new(160, ncols, Chunked::new(l))))
                 .collect();
-            let mut chained = KkHashAccumulator::<P>::new(160, NCOLS);
-            let mut spa = SpaAccumulator::<P>::new(NCOLS);
-            let mut gated = MaskedSpa::<P, u8>::new(&all_ones, NCOLS);
+            let mut chained = KkHashAccumulator::<P>::new(160, ncols);
+            let mut spa: Option<SpaAccumulator<P>> = None;
+            let mut gated = MaskedSpa::<P, u8>::new(&all_ones, ncols);
             let mut lanes = InsertionArray::<P>::new();
             for (stride, picks) in rows {
                 let salt = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
                 let stride = [1, 7, 107, 128][stride];
                 let stream: Vec<(ColIdx, f64)> = picks
                     .into_iter()
-                    .map(|(c, v, special)| (c * stride, salt.get(special).copied().unwrap_or(v)))
+                    .map(|(c, v, special, edge)| {
+                        let col = edges.get(edge).copied().unwrap_or(c * stride);
+                        (col, salt.get(special).copied().unwrap_or(v))
+                    })
                     .collect();
+                // The first row's SPA is as narrow as the row allows.
+                let widest = stream.iter().map(|&(c, _)| c as usize + 1).max().unwrap_or(1);
+                let spa = spa.get_or_insert_with(|| SpaAccumulator::new(widest));
                 for sorted in [false, true] {
                     let (s, expect) = (&stream[..], model(&stream, sorted));
                     prop_assert_eq!(row_through(&mut linear, |_| {}, s, sorted), &expect[..], "linear");
@@ -819,13 +836,27 @@ mod tests {
                         prop_assert_eq!(row_through(table, |_| {}, s, sorted), &expect[..], "{:?}", level);
                     }
                     prop_assert_eq!(row_through(&mut chained, |_| {}, s, sorted), &expect[..], "chained");
-                    prop_assert_eq!(row_through(&mut spa, |_| {}, s, sorted), &expect[..], "spa");
+                    prop_assert_eq!(row_through(spa, |_| {}, s, sorted), &expect[..], "spa");
+                    prop_assert!(spa.bitmap_is_clear(), "spa bitmap after the emit");
                     let through_gate = row_through(&mut gated, |g| g.open_row(0), s, sorted);
                     prop_assert_eq!(through_gate, &expect[..], "gated spa");
+                    prop_assert!(gated.spa().bitmap_is_clear(), "gated bitmap after the emit");
                     if expect.len() <= SHORT_MAX_FLOP as usize {
                         prop_assert_eq!(row_through(&mut lanes, |_| {}, s, sorted), &expect[..], "lanes");
                     }
                 }
+                // A row abandoned before its emit, then the acquire path.
+                gated.open_row(0);
+                for &(col, v) in &stream {
+                    spa.insert_numeric(col, v);
+                    gated.insert_numeric(col, v);
+                }
+                let req = AccumReq { max_row_flop: 160, inner_dim: 1, ncols_b: ncols };
+                spa.ensure(&req);
+                spa.scrub();
+                gated.scrub();
+                prop_assert!(spa.is_empty() && spa.bitmap_is_clear(), "spa after scrub");
+                prop_assert!(gated.is_empty() && gated.spa().bitmap_is_clear(), "gated after scrub");
             }
         }
     }

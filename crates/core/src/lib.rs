@@ -21,7 +21,7 @@
 //! | `Hash`        | Hash (§4.2.1) | 2 | the hash table, linear probe (Fig. 8a) | any / selectable |
 //! | `HashVec`     | HashVector (§4.2.2) | 2 | the same table, SIMD chunk probe (Fig. 8b) | any / selectable |
 //! | `Heap`        | Heap (§4.2.3) | 1 | column-indexed binary heap | sorted / sorted |
-//! | `Spa`         | MKL stand-in (unsorted runs) | 2 | dense sparse accumulator | any / selectable |
+//! | `Spa`         | MKL stand-in (unsorted runs); what `Auto` runs while it fits the L2 ([`cost::select`]) | 2 | dense sparse accumulator, sorted rows walked out of a bitmap | any / selectable |
 //! | `Merge`       | MKL stand-in (sorted runs) | 2 | iterative sorted-row merging | sorted / sorted |
 //! | `Inspector`   | MKL-inspector stand-in | 1 | the hash table (linear probe), no symbolic phase | any / unsorted natively, sorted via post-sort |
 //! | `KkHash`      | KokkosKernels `kkmem` stand-in | 2 | chained (linked-list) hash map | any / selectable |
@@ -52,6 +52,39 @@
 
 #![warn(missing_docs)]
 
+/// Bump the `plan`-category counter `<prefix><algorithm name>`: one
+/// static site per algorithm, shared by the execution census
+/// (`plan.exec.*`) and `Auto`'s resolution census (`plan.auto.*`).
+/// The caller has checked `obs::enabled()`.
+macro_rules! count_algorithm {
+    ($prefix:literal, $algo:expr) => {{
+        macro_rules! site {
+            ($name:literal) => {{
+                static SITE: spgemm_obs::CounterSite =
+                    spgemm_obs::CounterSite::new("plan", concat!($prefix, $name));
+                SITE.incr()
+            }};
+        }
+        match $algo {
+            $crate::Algorithm::Hash => site!("hash"),
+            $crate::Algorithm::HashVec => site!("hashvec"),
+            $crate::Algorithm::Heap => site!("heap"),
+            $crate::Algorithm::Spa => site!("spa"),
+            $crate::Algorithm::Merge => site!("merge"),
+            $crate::Algorithm::Inspector => site!("inspector"),
+            $crate::Algorithm::KkHash => site!("kkhash"),
+            $crate::Algorithm::Ikj => site!("ikj"),
+            $crate::Algorithm::RowClass => site!("rowclass"),
+            $crate::Algorithm::Reference => site!("reference"),
+            // plans always carry a resolved kernel and `Auto` never
+            // resolves to itself; count it rather than panic if either
+            // ever breaks
+            $crate::Algorithm::Auto => site!("auto"),
+        }
+    }};
+}
+pub(crate) use count_algorithm;
+
 pub mod algos;
 pub mod cost;
 pub mod delta;
@@ -77,7 +110,7 @@ use spgemm_sparse::{Csr, PlusTimes, Semiring, SparseError};
 /// (see the table in the crate docs); `Algorithm::Auto` consults
 /// [`recipe`] — first the tuned-selector hook if one is installed
 /// (see [`recipe::set_auto_hook`] and the `spgemm-tune` crate), then
-/// the static Table-4 recipe.
+/// the accumulator-footprint rule ([`cost::select`]).
 ///
 /// Internally this is exactly [`SpgemmPlan::new_in`] followed by one
 /// [`SpgemmPlan::execute_in`] — the inspector–executor split with the

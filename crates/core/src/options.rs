@@ -38,8 +38,10 @@ pub enum Algorithm {
     Reference,
     /// Pick from the input structure: a tuned per-machine selector if
     /// one is installed ([`crate::recipe::set_auto_hook`], see the
-    /// `spgemm-tune` crate), otherwise the paper's static Table-4
-    /// recipe via [`crate::recipe`].
+    /// `spgemm-tune` crate), otherwise the accumulator-footprint rule
+    /// of [`crate::cost::select`]: the dense accumulator while it fits
+    /// a thread's L2 share, else Heap or Hash by the paper's Eq (1) /
+    /// Eq (2).
     Auto,
 }
 

@@ -177,6 +177,10 @@ pub struct SpgemmPlan<S: Semiring> {
     requested: Algorithm,
     /// The resolved, concrete algorithm.
     algo: Algorithm,
+    /// Set by the first [`SpgemmPlan::rebind_rows`]: from then on
+    /// `Auto` resolves among two-phase kernels only (a one-phase plan
+    /// has no row structure to patch until it has run).
+    row_patched: bool,
     order: OutputOrder,
     /// `(nrows(A), ncols(A) == nrows(B), ncols(B))`.
     dims: (usize, usize, usize),
@@ -241,10 +245,11 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
         fingerprint: bool,
     ) -> Result<Self, SparseError> {
-        let (resolved, stats) = Self::analyze(a, b, algo, order, pool)?;
+        let (resolved, stats) = Self::analyze(a, b, algo, order, pool, false)?;
         let mut plan = SpgemmPlan {
             requested: algo,
             algo: resolved,
+            row_patched: false,
             order,
             dims: (a.nrows(), a.ncols(), b.ncols()),
             a_nnz: a.nnz(),
@@ -265,7 +270,7 @@ impl<S: Semiring> SpgemmPlan<S> {
     fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
         self.bind_row_classes(a, b);
         *self.symbolic.get_mut() =
-            (!self.symbolic_is_deferred()).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
+            (!defers_symbolic(self.algo)).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
     }
 
     /// RowClass plans only: re-derive the per-class work queues and
@@ -276,14 +281,18 @@ impl<S: Semiring> SpgemmPlan<S> {
         }
     }
 
-    /// Validate shapes/contracts and resolve `Auto`; shared by
-    /// [`SpgemmPlan::new_in`] and [`SpgemmPlan::rebind_in`].
+    /// Validate shapes/contracts, analyze the work and resolve `Auto`
+    /// (which reads the analysis); shared by [`SpgemmPlan::new_in`] and
+    /// [`SpgemmPlan::rebind_in`]. With `two_phase_only`, an `Auto` that
+    /// would defer its symbolic phase takes `Hash` instead — the
+    /// model's other sparse accumulator, admissible everywhere.
     fn analyze(
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
         algo: Algorithm,
         order: OutputOrder,
         pool: &Pool,
+        two_phase_only: bool,
     ) -> Result<(Algorithm, MultiplyStats), SparseError> {
         let _g = obs::span!("plan", "plan.analyze");
         if a.ncols() != b.nrows() {
@@ -293,8 +302,26 @@ impl<S: Semiring> SpgemmPlan<S> {
                 op: "multiply",
             });
         }
+        // The sequential Reference oracle never consults the work
+        // analysis; skip the parallel flop-counting pass it would pay
+        // on every oracle multiply.
+        let stats = if algo == Algorithm::Reference {
+            MultiplyStats {
+                row_flops: Vec::new(),
+                total_flop: 0,
+                offsets: vec![0; pool.nthreads() + 1],
+            }
+        } else {
+            exec::plan(a, b, pool)
+        };
         let resolved = match algo {
-            Algorithm::Auto => recipe::auto_select(a, b, order),
+            Algorithm::Auto => {
+                let ctx = recipe::auto_context_from(a, b, order, &stats.row_flops);
+                match recipe::resolve(&ctx) {
+                    pick if two_phase_only && defers_symbolic(pick) => Algorithm::Hash,
+                    pick => pick,
+                }
+            }
             other => other,
         };
         if resolved.requires_sorted_inputs() && (!a.is_sorted() || !b.is_sorted()) {
@@ -305,18 +332,6 @@ impl<S: Semiring> SpgemmPlan<S> {
                 },
             });
         }
-        // The sequential Reference oracle never consults the work
-        // analysis; skip the parallel flop-counting pass it would pay
-        // on every oracle multiply.
-        let stats = if resolved == Algorithm::Reference {
-            MultiplyStats {
-                row_flops: Vec::new(),
-                total_flop: 0,
-                offsets: vec![0; pool.nthreads() + 1],
-            }
-        } else {
-            exec::plan(a, b, pool)
-        };
         Ok((resolved, stats))
     }
 
@@ -337,7 +352,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<(), SparseError> {
         let _g = obs::span!("plan", "plan.rebind");
-        let (resolved, stats) = Self::analyze(a, b, self.requested, self.order, pool)?;
+        let (resolved, stats) =
+            Self::analyze(a, b, self.requested, self.order, pool, self.row_patched)?;
         if resolved != self.algo || pool.nthreads() != self.nthreads {
             // The workspace pool holds the wrong accumulator type (or
             // the wrong number of slots); rebuild it.
@@ -374,11 +390,15 @@ impl<S: Semiring> SpgemmPlan<S> {
     ///
     /// Falls back to a full [`SpgemmPlan::rebind`] — returning
     /// `DirtyRows::all` — whenever incremental repair is impossible:
-    /// shape changes, an `Auto` plan resolving to a different kernel
-    /// on the new structure, the sequential `Reference` oracle, a
-    /// pool-width change, or a one-phase plan whose first (staged)
-    /// execution hasn't happened yet. Either way the plan afterwards
-    /// is indistinguishable from one rebound from scratch.
+    /// shape changes, the sequential `Reference` oracle, a pool-width
+    /// change, or a one-phase plan whose first (staged) execution
+    /// hasn't happened yet. Either way the plan afterwards is
+    /// indistinguishable from one rebound from scratch — with one
+    /// exception that only shortens later edits: an `Auto` plan keeps
+    /// its resolved kernel across row patches, and once it has been
+    /// row-patched every full rebind resolves `Auto` among two-phase
+    /// kernels (`Hash` where the model would say `Heap`), so a
+    /// one-phase pick costs one full batch, not one per rebind.
     ///
     /// ```
     /// use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
@@ -430,14 +450,14 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        let resolved = match self.requested {
-            Algorithm::Auto => recipe::auto_select(a, b, self.order),
-            other => other,
-        };
+        self.row_patched = true;
+        // An `Auto` plan keeps the kernel it resolved to: what the
+        // dense-accumulator rule reads (dimensions, element size, L2
+        // share) is invariant under a row patch, and re-deriving the
+        // flop statistics of the other branch is a full analysis.
         let incremental = self.sigs.is_some()
             && self.dims == (a.nrows(), a.ncols(), b.ncols())
             && a.ncols() == b.nrows()
-            && resolved == self.algo
             && self.algo != Algorithm::Reference
             && pool.nthreads() == self.nthreads
             && self.symbolic.get_mut().is_some();
@@ -583,16 +603,6 @@ impl<S: Semiring> SpgemmPlan<S> {
             RECOMP.add(dirty.count() as u64);
         }
         Ok(())
-    }
-
-    /// Whether this plan's symbolic structure is computed lazily by
-    /// the first execution (the one-phase kernels, which would
-    /// otherwise pay a second pass they are designed to skip).
-    fn symbolic_is_deferred(&self) -> bool {
-        matches!(
-            self.kernel,
-            PlanKernel::Heap(_) | PlanKernel::Inspector(_) | PlanKernel::Reference
-        )
     }
 
     /// The resolved, concrete algorithm this plan runs.
@@ -924,33 +934,22 @@ impl<S: Semiring> SpgemmPlan<S> {
     }
 }
 
+/// Whether `algo` runs one-phase: no symbolic pass at bind (it would
+/// pay a second pass it is designed to skip); the row structure is
+/// captured by the first execution — never, for the sequential oracle.
+fn defers_symbolic(algo: Algorithm) -> bool {
+    matches!(
+        algo,
+        Algorithm::Heap | Algorithm::Inspector | Algorithm::Reference
+    )
+}
+
 /// Per-algorithm execution counters (`plan/plan.exec.*`): one bump
 /// per numeric or staged pass, keyed by the plan's *resolved* kernel
 /// — the runtime census behind per-kernel profiles (paper fig15).
 fn count_execute(algo: Algorithm) {
-    if !obs::enabled() {
-        return;
-    }
-    macro_rules! site {
-        ($name:literal) => {{
-            static SITE: obs::CounterSite = obs::CounterSite::new("plan", $name);
-            SITE.incr()
-        }};
-    }
-    match algo {
-        Algorithm::Hash => site!("plan.exec.hash"),
-        Algorithm::HashVec => site!("plan.exec.hashvec"),
-        Algorithm::Heap => site!("plan.exec.heap"),
-        Algorithm::Spa => site!("plan.exec.spa"),
-        Algorithm::Merge => site!("plan.exec.merge"),
-        Algorithm::Inspector => site!("plan.exec.inspector"),
-        Algorithm::KkHash => site!("plan.exec.kkhash"),
-        Algorithm::Ikj => site!("plan.exec.ikj"),
-        Algorithm::RowClass => site!("plan.exec.rowclass"),
-        Algorithm::Reference => site!("plan.exec.reference"),
-        // plans always carry a resolved kernel; `Auto` cannot reach
-        // an execute, but count it rather than panic if it ever does
-        Algorithm::Auto => site!("plan.exec.auto"),
+    if obs::enabled() {
+        crate::count_algorithm!("plan.exec.", algo);
     }
 }
 

@@ -1,6 +1,8 @@
-//! The paper's recipe: which SpGEMM algorithm to use when (§5.7,
-//! Table 4), plus the automatic selector behind
+//! Which SpGEMM algorithm to use when: the paper's recipe (§5.7,
+//! Table 4) as a reproduction target, and the selector behind
 //! [`crate::Algorithm::Auto`].
+//!
+//! # `Auto`
 //!
 //! The selector consults two sources, in order:
 //!
@@ -8,9 +10,32 @@
 //!    installed by `spgemm-tune` from a per-machine calibration
 //!    profile; it may decline (return `None`) for inputs outside its
 //!    calibrated grid;
-//! 2. the **static recipe** below — Table 4 exactly as the paper
-//!    measured it on KNL and Haswell, used whenever no hook is
-//!    installed or the hook declines.
+//! 2. the **footprint rule** ([`static_select`] =
+//!    [`crate::cost::select`] at this machine's per-thread L2 share),
+//!    used whenever no hook is installed or the hook declines: the
+//!    dense accumulator (`Spa`) while one thread's
+//!    `ncols(B) × (size_of(elem) + 4 + ⅛)` bytes fit its share of the
+//!    L2, otherwise the paper's Eq (1) vs Eq (2) between `Heap`
+//!    (sorted operands and sorted output only) and `Hash`. It reads
+//!    dimensions, the element size, sortedness, flop counts and one
+//!    number of the machine read once from sysfs — no clock, no
+//!    environment — so the same program picks the same kernel on
+//!    every run.
+//!
+//! Why a rule of the machine and not the table below: Table 4 is what
+//! won on a 68-core KNL (and a Haswell) in 2018. On the reference box
+//! of this repository (2 cores, 2 MiB private L2 each) it sends
+//! uniform sorted cells to Heap, unsorted cells to HashVec and skewed
+//! cells to Hash, and the SPA — which it never considers — wins or
+//! ties every one of those cells (ARCHITECTURE.md, "Auto", has the
+//! sweep that places each constant). The hashed kernels' headline
+//! cost in the paper is sorting the output (§5.4.4); a dense
+//! accumulator that fits the cache does not pay it at all.
+//!
+//! # Table 4 (the paper's measurement, reproduced by `table04_recipe`)
+//!
+//! [`recommend_real`] / [`recommend_synthetic`] are the table verbatim
+//! and are *not* on `Auto`'s path.
 //!
 //! Table 4a (real data, keyed on compression ratio CR = flop/nnz(C)):
 //!
@@ -33,7 +58,9 @@
 //! (Dashes: combinations the paper did not measure; we fall back to
 //! the skewed column, which its tall-skinny experiments used.)
 
+use crate::cost::{self, CostEstimate};
 use crate::{Algorithm, OutputOrder};
+use spgemm_obs as obs;
 use spgemm_sparse::{stats, Csr};
 
 /// The multiplication scenario, following the paper's use cases.
@@ -127,7 +154,7 @@ pub fn classify_pattern<T: Copy + Send + Sync>(a: &Csr<T>) -> Pattern {
 }
 
 /// The structural summary of one multiply that algorithm selection
-/// keys on — everything both the static recipe and a tuned-selector
+/// keys on — everything both the footprint rule and a tuned-selector
 /// hook need, and nothing that requires a symbolic pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoContext {
@@ -152,6 +179,12 @@ pub struct AutoContext {
     pub sorted_inputs: bool,
     /// Requested output order.
     pub order: OutputOrder,
+    /// `size_of` one stored value: with `ncols_b`, what sizes the
+    /// dense accumulator.
+    pub elem_bytes: usize,
+    /// Eq (1) / Eq (2) a priori ([`cost::estimate_apriori`] at
+    /// [`cost::AUTO_COLLISION_FACTOR`]), total flop included.
+    pub cost: CostEstimate,
 }
 
 /// Build the [`AutoContext`] for `A · B` from row statistics only.
@@ -159,6 +192,16 @@ pub fn auto_context<T: Copy + Send + Sync>(
     a: &Csr<T>,
     b: &Csr<T>,
     order: OutputOrder,
+) -> AutoContext {
+    auto_context_from(a, b, order, &stats::row_flops(a, b))
+}
+
+/// [`auto_context`] from per-row flop counts the caller already has.
+pub(crate) fn auto_context_from<T: Copy + Send + Sync>(
+    a: &Csr<T>,
+    b: &Csr<T>,
+    order: OutputOrder,
+    row_flops: &[u64],
 ) -> AutoContext {
     let op = if b.ncols() * 4 <= a.nrows() {
         OpKind::TallSkinny
@@ -178,24 +221,31 @@ pub fn auto_context<T: Copy + Send + Sync>(
         row_cv: ss.row_cv,
         sorted_inputs: a.is_sorted() && b.is_sorted(),
         order,
+        elem_bytes: std::mem::size_of::<T>(),
+        cost: cost::estimate_from_row_flops(a, b.ncols(), row_flops, cost::AUTO_COLLISION_FACTOR),
     }
 }
 
-/// The static Table-4b selection as a pure function of the context —
-/// exactly the paper's recipe, with the sorted-input fallback. This is
-/// the path [`auto_select`] takes when no tuned hook is installed, and
-/// what a tuned selector falls back to outside its calibrated grid.
+/// The footprint rule as a pure function of the context:
+/// [`cost::select`] at this machine's per-thread L2 share
+/// ([`cost::l2_share_bytes`]). This is the path [`auto_select`] takes
+/// when no tuned hook is installed, and what a tuned selector falls
+/// back to outside its calibrated grid.
 pub fn static_select(ctx: &AutoContext) -> Algorithm {
-    let mut rec = recommend_synthetic(ctx.op, ctx.pattern, ctx.edge_factor, ctx.order);
-    // Heap requires sorted inputs; fall back to the hash family when
-    // the recipe picks it but the inputs do not qualify.
-    if rec.requires_sorted_inputs() && !ctx.sorted_inputs {
-        rec = match ctx.order {
-            OutputOrder::Sorted => Algorithm::Hash,
-            OutputOrder::Unsorted => Algorithm::HashVec,
-        };
-    }
-    rec
+    cost::select(ctx, cost::l2_share_bytes())
+}
+
+/// The kernel `Auto` resolves to for *every* product whose right
+/// operand has `ncols_b` columns of `elem_bytes`-sized values, whatever
+/// the operands' entries — `Some(Spa)` when the dense accumulator fits
+/// the L2 share outright and no tuned hook is installed, `None` when
+/// the resolution depends on the entries. A cached product requested
+/// as `Auto` may be row-patched in place exactly when this answers:
+/// the product's clean rows and the recomputed ones are then known to
+/// come from one kernel although the operands changed in between.
+pub fn entry_independent_pick(ncols_b: usize, elem_bytes: usize) -> Option<Algorithm> {
+    let fits = cost::spa_footprint_bytes(ncols_b, elem_bytes) <= cost::l2_share_bytes();
+    (fits && !auto_hook_installed()).then_some(Algorithm::Spa)
 }
 
 /// A tuned-selector callback: maps a context to a concrete algorithm,
@@ -208,14 +258,14 @@ static AUTO_HOOK: std::sync::RwLock<Option<AutoHook>> = std::sync::RwLock::new(N
 /// process-wide, replacing any previous hook. `spgemm-tune` calls this
 /// when a machine profile is loaded; installing a hook never makes
 /// `Auto` unsound — a pick violating an input contract is discarded in
-/// favour of the static recipe.
+/// favour of the footprint rule.
 pub fn set_auto_hook(hook: AutoHook) {
     *AUTO_HOOK
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(hook);
 }
 
-/// Remove the tuned-selector hook, restoring pure Table-4 behaviour.
+/// Remove the tuned-selector hook, restoring the footprint rule.
 pub fn clear_auto_hook() {
     *AUTO_HOOK
         .write()
@@ -243,25 +293,36 @@ pub fn pick_admissible(ctx: &AutoContext, pick: Algorithm) -> bool {
 }
 
 /// The automatic selector used by [`crate::Algorithm::Auto`]: build
-/// the [`AutoContext`] from row statistics, offer it to the tuned
-/// hook if one is installed, and otherwise (or if the hook declines
-/// or picks an algorithm the context rules out — see
-/// [`pick_admissible`]) apply the static Table-4b recipe via
-/// [`static_select`].
+/// the [`AutoContext`] from row statistics, offer it to the tuned hook
+/// if one is installed, and otherwise (or if the hook declines or
+/// picks an algorithm the context rules out — see [`pick_admissible`])
+/// apply the footprint rule via [`static_select`]. Every resolution is
+/// counted (`plan.auto.<algo>`), with the dense accumulator's
+/// footprint and the L2 share it was held against as gauges, so
+/// `/metrics` shows what `Auto` picked and how close the bound was.
 pub fn auto_select<T: Copy + Send + Sync>(a: &Csr<T>, b: &Csr<T>, order: OutputOrder) -> Algorithm {
-    let ctx = auto_context(a, b, order);
+    resolve(&auto_context(a, b, order))
+}
+
+/// [`auto_select`] on a context the caller built.
+pub(crate) fn resolve(ctx: &AutoContext) -> Algorithm {
     let hook = AUTO_HOOK
         .read()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clone();
-    if let Some(hook) = hook {
-        if let Some(pick) = hook(&ctx) {
-            if pick_admissible(&ctx, pick) {
-                return pick;
-            }
-        }
+    let pick = hook
+        .and_then(|hook| hook(ctx))
+        .filter(|&pick| pick_admissible(ctx, pick))
+        .unwrap_or_else(|| static_select(ctx));
+    if obs::enabled() {
+        static FOOTPRINT: obs::GaugeSite =
+            obs::GaugeSite::new("plan", "plan.auto.spa_footprint_bytes");
+        static L2_SHARE: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.auto.l2_share_bytes");
+        crate::count_algorithm!("plan.auto.", pick);
+        FOOTPRINT.set(cost::spa_footprint_bytes(ctx.ncols_b, ctx.elem_bytes) as i64);
+        L2_SHARE.set(cost::l2_share_bytes() as i64);
     }
-    static_select(&ctx)
+    pick
 }
 
 #[cfg(test)]
@@ -341,6 +402,8 @@ mod tests {
             row_cv: 0.1,
             sorted_inputs,
             order,
+            elem_bytes: 8,
+            cost: CostEstimate::default(),
         };
         for algo in Algorithm::ALL {
             // contracts per variant, stated exhaustively
@@ -400,8 +463,33 @@ mod tests {
         let _guard = hook_lock();
         let g = rmat::generate_kind(RmatKind::G500, 9, 16, &mut spgemm_gen::rng(4));
         let ts = spgemm_gen::tallskinny::tall_skinny(&g, 16, &mut spgemm_gen::rng(5)).unwrap();
+        let ctx = auto_context(&g, &ts, OutputOrder::Unsorted);
+        assert_eq!(ctx.op, OpKind::TallSkinny);
+        assert_eq!(
+            recommend_synthetic(ctx.op, ctx.pattern, ctx.edge_factor, ctx.order),
+            Algorithm::Hash,
+            "Table 4b tall-skinny unsorted row"
+        );
+        // Sixteen output columns: the dense accumulator is 200 bytes.
         let pick = auto_select(&g, &ts, OutputOrder::Unsorted);
-        assert_eq!(pick, Algorithm::Hash, "Table 4b tall-skinny unsorted row");
+        assert_eq!(pick, Algorithm::Spa, "the footprint rule");
+    }
+
+    #[test]
+    fn auto_context_carries_what_the_model_reads() {
+        let a = rmat::generate_kind(RmatKind::G500, 8, 8, &mut spgemm_gen::rng(11));
+        let ctx = auto_context(&a, &a, OutputOrder::Sorted);
+        assert_eq!(ctx.elem_bytes, 8);
+        assert_eq!(ctx.cost.flop, stats::flop(&a, &a));
+        assert_eq!(
+            ctx.cost,
+            cost::estimate_apriori(&a, &a, cost::AUTO_COLLISION_FACTOR)
+        );
+        let narrow = a.map(|v| v as f32);
+        assert_eq!(
+            auto_context(&narrow, &narrow, OutputOrder::Sorted).elem_bytes,
+            4
+        );
     }
 
     #[test]

@@ -79,7 +79,12 @@ fn execute_into_steady_state_allocates_nothing() {
         (Algorithm::Hash, OutputOrder::Sorted),
         (Algorithm::Hash, OutputOrder::Unsorted),
         (Algorithm::HashVec, OutputOrder::Sorted),
+        // The dense accumulator's ordered emit walks a bitmap that is
+        // allocated with the accumulator, never in a row (ten-entry
+        // rows inside one or two words: every row is walked). `Auto`
+        // resolves to it here, at bind.
         (Algorithm::Spa, OutputOrder::Sorted),
+        (Algorithm::Auto, OutputOrder::Sorted),
         (Algorithm::Merge, OutputOrder::Sorted),
         (Algorithm::KkHash, OutputOrder::Sorted),
         (Algorithm::Ikj, OutputOrder::Sorted),
@@ -141,8 +146,9 @@ fn all_classes(n: usize) -> Csr<f64> {
 }
 
 /// RowClass steady state with every class queue occupied: the
-/// insertion array, the clamped hash table, and the dense SPA all
-/// reach the allocation-free regime together.
+/// insertion array, the clamped hash table, and the dense SPA (whose
+/// sorted rows are walked out of its bitmap) all reach the
+/// allocation-free regime together.
 #[test]
 fn rowclass_all_classes_steady_state_allocates_nothing() {
     let a = all_classes(512);

@@ -4,7 +4,7 @@
 //! sequential `BTreeMap` oracle.
 
 use proptest::prelude::*;
-use spgemm::{algos, multiply_in, Algorithm, OutputOrder};
+use spgemm::{algos, cost, multiply_in, recipe, Algorithm, OutputOrder};
 use spgemm_par::Pool;
 use spgemm_sparse::{approx_eq_f64, ColIdx, Coo, Csr, OrAnd, PlusTimes};
 
@@ -147,6 +147,39 @@ proptest! {
         for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
             let got = multiply_in::<P>(&a, &a, Algorithm::Auto, order, &pool).unwrap();
             prop_assert!(approx_eq_f64(&expect, &got, 1e-9));
+        }
+    }
+
+    /// `Auto`'s model on both sides of its footprint bound: with every
+    /// accumulator fitting (`usize::MAX`) it picks the dense one, with
+    /// none fitting (0) a sparse one, never an inadmissible one, the
+    /// same one at every pool width — and the product is `Reference`'s,
+    /// bit for bit where the pick sums in `Reference`'s order (Heap
+    /// pops equal columns in heap order: same structure, values to
+    /// rounding).
+    #[test]
+    fn auto_model_matches_oracle_on_both_sides_of_the_bound(a in arb_square(20, 120)) {
+        let expect = algos::reference::multiply::<P>(&a, &a);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let ctx = recipe::auto_context(&a, &a, order);
+            for (l2_share, dense) in [(usize::MAX, true), (0, false)] {
+                let pick = cost::select(&ctx, l2_share);
+                prop_assert!(recipe::pick_admissible(&ctx, pick), "{pick} {order:?}");
+                prop_assert_eq!(pick == Algorithm::Spa, dense, "{} {:?}", pick, order);
+                for nt in [1usize, 2, 3] {
+                    let pool = Pool::new(nt);
+                    let mut got = multiply_in::<P>(&a, &a, pick, order, &pool).unwrap();
+                    got.sort_rows();
+                    prop_assert_eq!(got.rpts(), expect.rpts(), "{} nt={}", pick, nt);
+                    prop_assert_eq!(got.cols(), expect.cols(), "{} nt={}", pick, nt);
+                    if pick == Algorithm::Heap {
+                        prop_assert!(approx_eq_f64(&expect, &got, 1e-9), "Heap nt={nt}");
+                    } else {
+                        let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(&got), bits(&expect), "{} {:?} nt={}", pick, order, nt);
+                    }
+                }
+            }
         }
     }
 

@@ -743,7 +743,11 @@ fn eval_expr(
 /// family (Hash, HashVec, SPA, KkHash, IKJ, and RowClass — whose
 /// per-class kernels all accumulate in `k`-encounter order and are
 /// byte-identical to Hash) exactly, so the patch is gated on those
-/// kernels and on the node *not* routing to the shard fleet. The
+/// kernels — for an `Auto` job, on the selector naming one of them
+/// for this output width whatever the operands hold
+/// (`recipe::entry_independent_pick`: the cached product was computed
+/// from *other* operands, and its clean rows must come from the same
+/// family) — and on the node *not* routing to the shard fleet. The
 /// fleet's `Hash` product is bit-identical to the monolithic one, so
 /// that half of the gate is about placement, not bytes: an oversized
 /// product stays on the fleet instead of being patched on one worker.
@@ -753,17 +757,6 @@ fn try_patch_multiply(
     node: usize,
     pool: &Pool,
 ) -> Option<Arc<Csr<f64>>> {
-    if !matches!(
-        job.algo,
-        Algorithm::Hash
-            | Algorithm::HashVec
-            | Algorithm::Spa
-            | Algorithm::KkHash
-            | Algorithm::Ikj
-            | Algorithm::RowClass
-    ) {
-        return None;
-    }
     let graph = &job.spec.graph;
     let ExprOp::Multiply { a, b } = graph.nodes()[node] else {
         return None;
@@ -776,6 +769,25 @@ fn try_patch_multiply(
     };
     let am = job.inputs[sa].csr();
     let bm = job.inputs[sb].csr();
+    // `Auto` is patched when it names one kernel for the cached product
+    // and for the patched one alike, i.e. whatever the operands hold.
+    let kernel = match job.algo {
+        Algorithm::Auto => {
+            spgemm::recipe::entry_independent_pick(bm.ncols(), std::mem::size_of::<f64>())?
+        }
+        concrete => concrete,
+    };
+    if !matches!(
+        kernel,
+        Algorithm::Hash
+            | Algorithm::HashVec
+            | Algorithm::Spa
+            | Algorithm::KkHash
+            | Algorithm::Ikj
+            | Algorithm::RowClass
+    ) {
+        return None;
+    }
     if dist_route(shared, am, bm).is_some() {
         return None;
     }

@@ -1,11 +1,12 @@
 //! Empirical auto-tuning for the SpGEMM kernel roster.
 //!
-//! The paper's algorithm recipe (§5.7, Table 4, implemented statically
-//! in `spgemm::recipe`) was measured on two specific machines — a KNL
+//! The paper's algorithm recipe (§5.7, Table 4, kept verbatim in
+//! `spgemm::recipe`) was measured on two specific machines — a KNL
 //! and a Haswell — and its cost model (§4.2.4) leaves the hash
 //! collision factor `c` as a parameter to be measured. On any other
 //! host the crossover points between Hash, HashVector, Heap and the
-//! rest shift. This crate closes that gap the way related auto-tuners
+//! rest shift; `Auto`'s built-in rule (`spgemm::cost::select`) reads
+//! one number of the machine, the per-thread L2 share. This crate closes that gap the way related auto-tuners
 //! do (kease-sparse-knl; Deveci et al.'s kernel selection): measure
 //! once, remember, select.
 //!
@@ -22,7 +23,7 @@
 //! * [`TunedSelector`] — a deterministic context → algorithm map that
 //!   installs as the [`spgemm::recipe`] auto-hook, making
 //!   `Algorithm::Auto` consult the profile first and fall back to the
-//!   paper's static Table-4 recipe outside the calibrated grid.
+//!   built-in footprint rule outside the calibrated grid.
 //!
 //! # Calibrate once, then multiply
 //!

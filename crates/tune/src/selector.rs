@@ -13,8 +13,8 @@ use std::sync::Arc;
 /// context always yield the same answer. The selector declines
 /// (returns `None`) whenever the query falls outside the calibrated
 /// grid — unknown cell, or a row count far outside the swept sizes —
-/// so the caller (the `Auto` path in `spgemm`) falls back to the
-/// paper's static Table-4 recipe.
+/// so the caller (the `Auto` path in `spgemm`) falls back to its
+/// built-in footprint rule.
 #[derive(Clone, Debug)]
 pub struct TunedSelector {
     profile: Arc<MachineProfile>,
@@ -64,7 +64,7 @@ impl TunedSelector {
     }
 }
 
-/// Remove any installed tuned selector, restoring the static recipe.
+/// Remove any installed tuned selector, restoring the built-in rule.
 pub fn uninstall() {
     recipe::clear_auto_hook();
 }
@@ -93,6 +93,8 @@ mod tests {
             row_cv: 0.3,
             sorted_inputs: sorted,
             order,
+            elem_bytes: 8,
+            cost: Default::default(),
         }
     }
 

@@ -150,7 +150,7 @@ pub fn nearest_thread_count(available: &[usize], want: usize) -> Option<usize> {
 /// This is the lookup worker pools should use: a serving engine sized
 /// at, say, 3 threads per worker on a host calibrated at 2 and 4
 /// gets the 4-thread profile instead of silently reverting to the
-/// static Table-4 recipe.
+/// built-in rule.
 pub fn load_nearest(threads: usize) -> Result<(MachineProfile, usize), LoadError> {
     load_nearest_in(&profile_dir(), &hostname(), threads)
 }

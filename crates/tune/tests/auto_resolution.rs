@@ -2,8 +2,9 @@
 //!
 //! * with a calibrated profile installed, `Auto` resolves through the
 //!   [`TunedSelector`] for in-grid inputs;
-//! * with no profile, `Auto` is byte-for-byte the static Table-4
-//!   recipe;
+//! * with no profile, `Auto` is exactly the footprint rule
+//!   (`recipe::static_select` = `cost::select` at the machine's L2
+//!   share) — Table 4 stays pinned as the table, off `Auto`'s path;
 //! * both paths are exercised over the representative scenarios —
 //!   square, `L · U`, and tall-skinny, each sorted and unsorted.
 //!
@@ -69,24 +70,53 @@ fn without_profile_auto_is_exactly_the_static_recipe() {
 
 #[test]
 fn static_recipe_picks_expected_table4_algorithms() {
+    // Pin the concrete Table-4b cells for the roster so a regression
+    // in either auto_context or the table is visible. The G500 scale-6
+    // ef-4 generator measures an edge factor ≤ 8, so Table 4b's
+    // "sparse" column applies to the square cases whichever way the
+    // pattern classifies.
+    let roster = roster();
+    let cell = |i: usize, order| {
+        let ctx = auto_context(&roster[i].1, &roster[i].2, order);
+        recipe::recommend_synthetic(ctx.op, ctx.pattern, ctx.edge_factor, ctx.order)
+    };
+    // square: sparse skewed → Heap (sorted out), HashVec (unsorted)
+    for i in [0, 1] {
+        assert_eq!(cell(i, OutputOrder::Sorted), Algorithm::Heap);
+        assert_eq!(cell(i, OutputOrder::Unsorted), Algorithm::HashVec);
+    }
+    // tall-skinny sorted, skewed sparse → Hash both ways (Table 4b)
+    assert_eq!(cell(4, OutputOrder::Sorted), Algorithm::Hash);
+    assert_eq!(cell(4, OutputOrder::Unsorted), Algorithm::Hash);
+}
+
+#[test]
+fn static_select_picks_what_the_footprint_rule_says() {
     let _guard = hook_lock();
     recipe::clear_auto_hook();
-    // Pin the concrete Table-4b picks for the roster so a regression
-    // in either auto_context or static_select is visible, not just
-    // self-consistency. The G500 scale-6 ef-4 generator measures an
-    // edge factor ≤ 8, so Table 4b's "sparse" column applies to the
-    // square cases whichever way the pattern classifies.
-    let roster = roster();
-    let pick = |i: usize, order| recipe::auto_select(&roster[i].1, &roster[i].2, order);
-    // square sorted input: sparse skewed → Heap (sorted out)
-    assert_eq!(pick(0, OutputOrder::Sorted), Algorithm::Heap);
-    assert_eq!(pick(0, OutputOrder::Unsorted), Algorithm::HashVec);
-    // square unsorted input: Heap is invalid → Hash under sorted out
-    assert_eq!(pick(1, OutputOrder::Sorted), Algorithm::Hash);
-    assert_eq!(pick(1, OutputOrder::Unsorted), Algorithm::HashVec);
-    // tall-skinny sorted, skewed sparse → Hash both ways (Table 4b)
-    assert_eq!(pick(4, OutputOrder::Sorted), Algorithm::Hash);
-    assert_eq!(pick(4, OutputOrder::Unsorted), Algorithm::Hash);
+    // 64 output columns at most: the dense accumulator is under 1 KiB
+    // and fits any L2 share, so every roster cell resolves to the SPA;
+    // with nothing fitting (a share of 0) the same contexts fall to
+    // the equations — Hash, or Heap where its contract holds.
+    for (label, a, b) in roster() {
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let ctx = auto_context(&a, &b, order);
+            assert_eq!(
+                recipe::auto_select(&a, &b, order),
+                Algorithm::Spa,
+                "{label} {order:?}"
+            );
+            let sparse = spgemm::cost::select(&ctx, 0);
+            assert!(recipe::pick_admissible(&ctx, sparse), "{label} {order:?}");
+            assert!(
+                matches!(sparse, Algorithm::Hash | Algorithm::Heap),
+                "{label} {order:?}: {sparse}"
+            );
+            if !ctx.sorted_inputs || !order.is_sorted() {
+                assert_eq!(sparse, Algorithm::Hash, "{label} {order:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -146,6 +146,8 @@ fn arb_ctx() -> impl Strategy<Value = AutoContext> {
                     } else {
                         OutputOrder::Unsorted
                     },
+                    elem_bytes: 8,
+                    cost: Default::default(),
                 }
             },
         )

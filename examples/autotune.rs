@@ -1,5 +1,5 @@
 //! Calibrate-then-multiply: build a machine profile with `spgemm-tune`
-//! and watch `Algorithm::Auto` switch from the paper's static recipe
+//! and watch `Algorithm::Auto` switch from its built-in footprint rule
 //! to the tuned selector.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 
 use spgemm::recipe::{auto_context, static_select};
-use spgemm::{multiply_f64, Algorithm, OutputOrder};
+use spgemm::{cost, multiply_f64, Algorithm, OutputOrder};
 use spgemm_gen::{perm, rmat, RmatKind};
 use spgemm_par::Pool;
 use spgemm_tune::{CalibrationConfig, TunedSelector};
@@ -29,12 +29,20 @@ fn main() {
         a.nnz()
     );
 
-    // 1. Before calibration: Auto is the paper's Table-4 recipe.
+    // 1. Before calibration: Auto is the footprint rule — the dense
+    //    accumulator while it fits one thread's share of the L2.
+    println!(
+        "dense accumulator: {} bytes per thread, L2 share {} bytes",
+        cost::spa_footprint_bytes(a.ncols(), std::mem::size_of::<f64>()),
+        cost::l2_share_bytes()
+    );
     for (label, m) in [("sorted", &a), ("shuffled", &au)] {
         let ctx = auto_context(m, m, OutputOrder::Sorted);
+        let pick = static_select(&ctx);
+        assert_eq!(pick, cost::select(&ctx, cost::l2_share_bytes()));
         println!(
-            "static recipe picks {:<8} for the {label} input",
-            static_select(&ctx).name()
+            "footprint rule picks {:<8} for the {label} input",
+            pick.name()
         );
     }
 

@@ -470,3 +470,113 @@ fn stale_cached_product_is_rejected_before_anything_is_written() {
         assert_bits_eq(&got, &stale, "rejected product");
     }
 }
+
+/// The two tests below resolve `Algorithm::Auto`, one of them under a
+/// process-global hook.
+fn auto_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One 1 % batch: upserts in 10 of the 1024 rows of `m`.
+fn one_percent_patch(m: &Csr<f64>, batch: u64) -> RowPatch<f64> {
+    let mut rng = spgemm_gen::rng(900 + batch);
+    let rows = spgemm_gen::perm::random_permutation(m.nrows(), &mut rng);
+    let mut patch = RowPatch::new();
+    for (k, &row) in rows.iter().take(m.nrows() / 100).enumerate() {
+        patch.insert(row, ((row * 7 + k) % m.ncols()) as u32, 0.25 + k as f64);
+    }
+    patch
+}
+
+/// An `Auto` plan is row-patched incrementally from the first batch
+/// on — it keeps the kernel it resolved to instead of re-resolving
+/// (and, when that was one-phase, rebinding every row) — and stays
+/// byte-identical to a fresh `Auto` product, across a reset to the
+/// base operands too.
+#[test]
+fn auto_plans_patch_incrementally_from_the_first_batch() {
+    let _guard = auto_lock();
+    let rmat_of =
+        |kind, seed| spgemm_gen::rmat::generate_kind(kind, 10, 8, &mut spgemm_gen::rng(seed));
+    let a0 = rmat_of(spgemm_gen::RmatKind::G500, 61);
+    let b0 = rmat_of(spgemm_gen::RmatKind::Er, 62);
+    for nt in 1..=3 {
+        let pool = Pool::new(nt);
+        let auto = |a: &Csr<f64>, b: &Csr<f64>| {
+            Plan::new_in(a, b, Algorithm::Auto, OutputOrder::Sorted, &pool).expect("plan")
+        };
+        let mut plan = auto(&a0, &b0);
+        for stream in 0..2 {
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let mut c = plan.execute_in(&a, &b, &pool).expect("base product");
+            for batch in 0..4u64 {
+                let mut dirty_a = DirtyRows::new(a.nrows());
+                let mut dirty_b = DirtyRows::new(b.nrows());
+                if batch % 2 == 0 {
+                    (a, dirty_a) = a.apply_patch(&one_percent_patch(&a, batch)).unwrap();
+                } else {
+                    (b, dirty_b) = b.apply_patch(&one_percent_patch(&b, batch)).unwrap();
+                }
+                let out = plan
+                    .rebind_rows_in(&a, &b, &dirty_a, &dirty_b, &pool)
+                    .expect("rebind_rows");
+                assert!(
+                    out.count() < a.nrows(),
+                    "nt={nt} stream {stream} batch {batch}: {} of {} rows invalidated",
+                    out.count(),
+                    a.nrows()
+                );
+                plan.execute_rows_in(&a, &b, &out, &mut c, &pool)
+                    .expect("execute_rows");
+                let fresh = auto(&a, &b).execute_in(&a, &b, &pool).expect("fresh");
+                assert_bits_eq(&c, &fresh, &format!("Auto, nt={nt}, batch {batch}"));
+            }
+            // back to the base operands, as a caller replaying edits does
+            plan.rebind_in(&a0, &b0, &pool).expect("reset");
+        }
+    }
+}
+
+/// When `Auto` resolved to a one-phase kernel (here: a hook that says
+/// Heap), the first row patch pays one full rebind and moves the plan
+/// to a two-phase kernel for good: every later batch — across full
+/// rebinds too — is incremental.
+#[test]
+fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
+    let _guard = auto_lock();
+    spgemm::recipe::set_auto_hook(std::sync::Arc::new(|_| Some(Algorithm::Heap)));
+    let (a0, b0) = (rmat(7, 4, 71), rmat(7, 4, 72));
+    let pool = Pool::new(2);
+    let product = |a: &Csr<f64>, algo| {
+        Plan::new_in(a, &b0, algo, OutputOrder::Sorted, &pool)
+            .and_then(|p| p.execute_in(a, &b0, &pool))
+            .expect("product")
+    };
+    let mut plan = Plan::new_in(&a0, &b0, Algorithm::Auto, OutputOrder::Sorted, &pool).unwrap();
+    assert_eq!(plan.algorithm(), Algorithm::Heap);
+    // Not yet executed: a one-phase plan has no row structure to patch.
+    let mut c = product(&a0, Algorithm::Heap);
+    let none = DirtyRows::new(b0.nrows());
+    for stream in 0..3 {
+        let mut patch = RowPatch::new();
+        patch.insert(5 + stream, 9, 1.5);
+        let (a, dirty) = a0.apply_patch(&patch).unwrap();
+        let out = plan.rebind_rows_in(&a, &b0, &dirty, &none, &pool).unwrap();
+        assert_eq!(out.count() == a.nrows(), stream == 0, "stream {stream}");
+        assert_eq!(plan.algorithm(), Algorithm::Hash, "stream {stream}");
+        plan.execute_rows_in(&a, &b0, &out, &mut c, &pool).unwrap();
+        assert_bits_eq(
+            &c,
+            &product(&a, Algorithm::Hash),
+            &format!("stream {stream}"),
+        );
+        // Back to the base operands: `Auto` is resolved again, among
+        // two-phase kernels now.
+        plan.rebind_in(&a0, &b0, &pool).unwrap();
+        assert_eq!(plan.algorithm(), Algorithm::Hash, "stream {stream} reset");
+        c = plan.execute_in(&a0, &b0, &pool).unwrap();
+    }
+    spgemm::recipe::clear_auto_hook();
+}

@@ -165,8 +165,17 @@ fn patch_and_reregistration_are_equivalent() {
     engine.shutdown();
 }
 
+/// Under a concrete kernel of the ascending-`k` family, and under
+/// `Auto` — which names one of them for a 32-column product whatever
+/// the operands hold, so the cached product may be patched too.
 #[test]
 fn expr_results_are_patched_in_place_and_counted() {
+    for algo in [Algorithm::Hash, Algorithm::Auto] {
+        expr_result_is_patched_in_place_and_counted(algo);
+    }
+}
+
+fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
     use spgemm::expr::{ExprGraph, ExprSpec};
 
     let a = rmat(5, 4, 61);
@@ -186,13 +195,13 @@ fn expr_results_are_patched_in_place_and_counted() {
 
     // First evaluation computes and caches the product.
     let r1 = engine
-        .try_submit_expr(ExprRequest::new(spec.clone(), ["a", "b"]).algo(Algorithm::Hash))
+        .try_submit_expr(ExprRequest::new(spec.clone(), ["a", "b"]).algo(algo))
         .unwrap()
         .wait()
         .unwrap();
     assert!(bits_eq(
         &r1,
-        &multiply_f64(&a, &b, Algorithm::Hash, OutputOrder::Sorted).unwrap()
+        &multiply_f64(&a, &b, algo, OutputOrder::Sorted).unwrap()
     ));
 
     // Row-update A, then resubmit: the node fingerprint misses, but
@@ -204,16 +213,16 @@ fn expr_results_are_patched_in_place_and_counted() {
     let a2 = engine.store().get("a").unwrap().csr().clone();
 
     let r2 = engine
-        .try_submit_expr(ExprRequest::new(spec.clone(), ["a", "b"]).algo(Algorithm::Hash))
+        .try_submit_expr(ExprRequest::new(spec.clone(), ["a", "b"]).algo(algo))
         .unwrap()
         .wait()
         .unwrap();
     assert!(
         bits_eq(
             &r2,
-            &multiply_f64(&a2, &b, Algorithm::Hash, OutputOrder::Sorted).unwrap()
+            &multiply_f64(&a2, &b, algo, OutputOrder::Sorted).unwrap()
         ),
-        "patched-in-place result must equal a from-scratch evaluation"
+        "{algo}: patched-in-place result must equal a from-scratch evaluation"
     );
 
     let m = engine.shutdown();
@@ -221,7 +230,7 @@ fn expr_results_are_patched_in_place_and_counted() {
     assert_eq!(m.rows_dirtied, 2);
     assert!(
         m.expr_results_patched >= 1,
-        "the second evaluation must be served by patch-in-place: {m:?}"
+        "{algo}: the second evaluation must be served by patch-in-place: {m:?}"
     );
     assert_eq!(m.expr_jobs, 2);
 }

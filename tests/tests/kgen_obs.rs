@@ -48,3 +48,32 @@ fn rowclass_plan_counters_reach_the_scrape_page() {
     }
     assert!(page.ends_with("# EOF\n"), "scrape page must be terminated");
 }
+
+/// Every `Auto` resolution is counted under the kernel it picked, with
+/// the dense accumulator's footprint and the L2 share it was held
+/// against as gauges — and the pick is the same at every pool width.
+#[test]
+fn auto_resolutions_reach_the_scrape_page() {
+    spgemm_obs::enable();
+    let a = all_classes(512);
+    for nt in 1..=3 {
+        let plan = Plan::new_in(&a, &a, Algorithm::Auto, OutputOrder::Sorted, &Pool::new(nt))
+            .expect("Auto plan");
+        assert_eq!(plan.algorithm(), Algorithm::Spa, "{nt} threads");
+    }
+    let page = spgemm_obs::openmetrics::render();
+    let footprint = spgemm::cost::spa_footprint_bytes(512, 8);
+    for line in [
+        "spgemm_plan_auto_spa_total{cat=\"plan\"} 3".to_owned(),
+        format!("spgemm_plan_auto_spa_footprint_bytes{{cat=\"plan\"}} {footprint}"),
+        format!(
+            "spgemm_plan_auto_l2_share_bytes{{cat=\"plan\"}} {}",
+            spgemm::cost::l2_share_bytes()
+        ),
+    ] {
+        assert!(
+            page.contains(&line),
+            "{line:?} missing from scrape:\n{page}"
+        );
+    }
+}
