@@ -74,14 +74,21 @@ proptest! {
         .unwrap();
         let agg = amg::greedy_aggregate(&a);
         let p = amg::prolongation_from_aggregates(&agg).unwrap();
-        let mut plan = amg::GalerkinPlan::new(&a, &p, Algorithm::Hash, &pool).unwrap();
-        let expect = amg::galerkin_product(&a, &p, Algorithm::Hash, &pool).unwrap();
-        prop_assert!(bits_eq(plan.coarse(), &expect), "initial coarse operator");
-        // value drift under the fixed stencil: numeric-only recoarsen
-        let scaled = a.map(|v| v * (1.0 + step_scale as f64 * 0.125));
-        let expect2 = amg::galerkin_product(&scaled, &p, Algorithm::Hash, &pool).unwrap();
-        let got2 = plan.recoarsen(&scaled, &pool).unwrap();
-        prop_assert!(bits_eq(got2, &expect2), "recoarsened operator");
+        // `Auto` is the dense kernel at this size: its two product
+        // nodes discover their column patterns over the build and the
+        // first recoarsen, and replay them from the second one on.
+        for algo in [Algorithm::Hash, Algorithm::Auto] {
+            let mut plan = amg::GalerkinPlan::new(&a, &p, algo, &pool).unwrap();
+            let expect = amg::galerkin_product(&a, &p, Algorithm::Hash, &pool).unwrap();
+            prop_assert!(bits_eq(plan.coarse(), &expect), "{}: initial coarse operator", algo);
+            // value drift under the fixed stencil: numeric-only recoarsens
+            for step in 0..4 {
+                let scaled = a.map(|v| v * (1.0 + (step_scale + step) as f64 * 0.125));
+                let expect = amg::galerkin_product(&scaled, &p, Algorithm::Hash, &pool).unwrap();
+                let got = plan.recoarsen(&scaled, &pool).unwrap();
+                prop_assert!(bits_eq(got, &expect), "{}: recoarsen {}", algo, step);
+            }
+        }
     }
 
     #[test]

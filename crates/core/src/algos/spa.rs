@@ -22,8 +22,36 @@
 //! scale-13 ef-4 one spans 128 against 64 and keeps `sort_unstable`.
 //! On the two ef-16 cells of `bm`'s panel the per-row sort was
 //! 37–40 % of the SPA's sorted time.
+//!
+//! **The replay set.** Everything above *discovers* a row's column
+//! set; a reused plan computes the same set on every execution. Once a
+//! plan has seen its product twice it keeps the column indices the
+//! stamped pass emitted (a `Pattern`, see `SpgemmPlan`'s "numeric
+//! replay") and runs its later passes over `ReplayAccumulator`: a
+//! dense value array and nothing else. Its share of a pass first
+//! copies its window of the pattern into the output `cols`; a row is
+//! then a scatter — `vals[j] = add(vals[j], v)`, unconditionally — and
+//! a gather along the row's own (pre-filled) `cols`, which is why
+//! [`ColumnSet::extract_into`] *reads* `cols` there instead of writing
+//! them: `out[idx] = vals[cols[idx]]`, and the slot goes back to the
+//! seed. No stamp, no touched list, no bitmap, no sort, and sorted
+//! output costs what unsorted does, because the order is the
+//! pattern's.
+//!
+//! *The seed invariant*: between rows every slot holds
+//! [`Semiring::seed`], the `e` with `add(e, x)` bit-identical to `x`.
+//! The stamped pass stores a column's first product and adds the
+//! rest; the replay adds all of them to the seed, in the same `k`
+//! order — the same bits by the seed law (`S::zero()` would not do:
+//! `0.0 + -0.0` is `+0.0`). A semiring without a seed never replays.
+//! The gather restores the invariant for exactly the pattern's
+//! columns, which are the row's columns as long as the operands have
+//! the planned structure; `scrub` refills every slot, so an execution
+//! that panicked mid-row or broke that contract cannot leak into the
+//! next one (clear-on-acquire, as for every pooled accumulator).
 
-use crate::exec::{AccumReq, ColumnSet, Operands, RowAccumulator};
+use crate::exec::{AccumReq, ColumnSet, Operands, RowAccumulator, Share, Window};
+use spgemm_obs as obs;
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// Dense sparse-accumulator for one thread.
@@ -192,6 +220,149 @@ impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
         sorted: bool,
     ) {
         Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
+    }
+}
+
+/// Bytes of column pattern held by live plans.
+static PATTERN_BYTES: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.replay.pattern_bytes");
+
+/// A product's column indices, row after row at the symbolic row
+/// pointers, exactly as a stamped numeric pass emitted them — two
+/// bytes an entry wherever the output is at most 2¹⁶ columns wide
+/// (every `bm` cell; a plan that replays holds one of these per
+/// `nnz(C)` for as long as it stays bound).
+pub(crate) enum Pattern {
+    Narrow(Vec<u16>),
+    Wide(Vec<ColIdx>),
+}
+
+impl Pattern {
+    /// Keep `cols`, the column indices of a product `ncols_b` wide.
+    pub fn capture(cols: &[ColIdx], ncols_b: usize) -> Self {
+        let pattern = if ncols_b <= 1 << 16 {
+            // Every index is below `ncols_b`: the narrowing is exact.
+            Pattern::Narrow(cols.iter().map(|&c| c as u16).collect())
+        } else {
+            Pattern::Wide(cols.to_vec())
+        };
+        PATTERN_BYTES.add(pattern.bytes() as i64);
+        pattern
+    }
+
+    /// Heap bytes held.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Pattern::Narrow(p) => std::mem::size_of_val(&p[..]),
+            Pattern::Wide(p) => std::mem::size_of_val(&p[..]),
+        }
+    }
+
+    /// Copy entries `start..start + cols.len()` into `cols`.
+    fn fill(&self, start: usize, cols: &mut [ColIdx]) {
+        let span = start..start + cols.len();
+        match self {
+            Pattern::Narrow(p) => {
+                for (c, &j) in cols.iter_mut().zip(&p[span]) {
+                    *c = j.into();
+                }
+            }
+            Pattern::Wide(p) => cols.copy_from_slice(&p[span]),
+        }
+    }
+}
+
+impl Drop for Pattern {
+    fn drop(&mut self) {
+        PATTERN_BYTES.sub(self.bytes() as i64);
+    }
+}
+
+/// The replay set (module docs): one thread's dense value array, every
+/// slot at the seed between rows. Numeric passes only — the pattern it
+/// replays *is* the symbolic result.
+pub(crate) struct ReplayAccumulator<S: Semiring> {
+    seed: S::Elem,
+    vals: Vec<S::Elem>,
+}
+
+impl<S: Semiring> ColumnSet<S> for ReplayAccumulator<S> {
+    fn insert_symbolic(&mut self, _: ColIdx) {
+        unreachable!("the replay set runs numeric passes only");
+    }
+
+    #[inline(always)]
+    fn insert_numeric(&mut self, col: ColIdx, value: S::Elem) {
+        let j = col as usize;
+        self.vals[j] = S::add(self.vals[j], value);
+    }
+
+    fn len(&self) -> usize {
+        unreachable!("the replay set does not track its columns: the pattern names them");
+    }
+
+    /// `O(ncols(B))`: every slot back to the seed.
+    fn reset(&mut self) {
+        self.vals.fill(self.seed);
+    }
+
+    /// Gather along `cols`, which hold the row's pattern on entry;
+    /// `sorted` is the pattern's own order already.
+    #[inline(always)]
+    fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], _sorted: bool) {
+        for (&c, out) in cols.iter().zip(vals) {
+            *out = std::mem::replace(&mut self.vals[c as usize], self.seed);
+        }
+    }
+}
+
+impl<S: Semiring> RowAccumulator<S> for ReplayAccumulator<S> {
+    type Shared = Pattern;
+
+    fn build(req: &AccumReq, _: &Pattern) -> Self {
+        let seed = S::seed().expect("a plan replays only under a seeded semiring");
+        ReplayAccumulator {
+            seed,
+            vals: vec![seed; req.ncols_b],
+        }
+    }
+
+    fn ensure(&mut self, req: &AccumReq) {
+        if req.ncols_b > self.vals.len() {
+            self.vals.resize(req.ncols_b, self.seed);
+        }
+    }
+
+    fn scrub(&mut self) {
+        self.reset();
+    }
+
+    fn symbolic_row(&mut self, _: &Csr<S::Elem>, _: &Csr<S::Elem>, _: usize) -> usize {
+        unreachable!("the replay set runs numeric passes only");
+    }
+
+    /// `cols` must hold the row's pattern (see [`Self::numeric_range`]).
+    fn numeric_row(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        i: usize,
+        cols: &mut [ColIdx],
+        vals: &mut [S::Elem],
+        sorted: bool,
+    ) {
+        Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
+    }
+
+    /// The worker's window of the pattern into the output `cols`, then
+    /// its rows.
+    #[inline(always)]
+    fn numeric_range(&mut self, share: Share<'_, S, Self>, mut out: Window<'_, S::Elem>) {
+        share.shared.fill(out.start, out.cols);
+        let sorted = out.sorted;
+        for i in share.range {
+            let (cols, vals) = out.row(i);
+            self.numeric_row(share.a, share.b, i, cols, vals, sorted);
+        }
     }
 }
 

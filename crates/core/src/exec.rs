@@ -691,7 +691,8 @@ mod tests {
     use crate::algos::hash::{HashAccumulator, Linear, Table};
     use crate::algos::hashvec::Chunked;
     use crate::algos::simd::SimdLevel;
-    use crate::algos::{kkhash::KkHashAccumulator, masked::MaskedSpa, spa::SpaAccumulator};
+    use crate::algos::spa::{Pattern, ReplayAccumulator, SpaAccumulator};
+    use crate::algos::{kkhash::KkHashAccumulator, masked::MaskedSpa};
     use crate::kgen::{InsertionArray, SHORT_MAX_FLOP};
     use proptest::prelude::*;
     use spgemm_sparse::PlusTimes;
@@ -791,7 +792,11 @@ mod tests {
         /// past a word boundary, short wide rows are sorted and long
         /// narrow ones walked in the same accumulator, the SPA runs
         /// its first row narrow and the rest after a `grow`, and the
-        /// bitmap is zero after every emit and after a scrub.
+        /// bitmap is zero after every emit and after a scrub. The
+        /// replay set is held to the model's *values*: it is handed the
+        /// model's columns, as a plan hands it its pattern, and must
+        /// gather the same bits along them — the seed law at work on
+        /// the salted streams — and be all-seed again afterwards.
         #[test]
         fn every_column_set_matches_the_model(
             tail in 0usize..3,
@@ -816,6 +821,8 @@ mod tests {
             let mut spa: Option<SpaAccumulator<P>> = None;
             let mut gated = MaskedSpa::<P, u8>::new(&all_ones, ncols);
             let mut lanes = InsertionArray::<P>::new();
+            let req = AccumReq { max_row_flop: 160, inner_dim: 1, ncols_b: ncols };
+            let mut replay = ReplayAccumulator::<P>::build(&req, &Pattern::capture(&[], ncols));
             for (stride, picks) in rows {
                 let salt = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
                 let stride = [1, 7, 107, 128][stride];
@@ -844,6 +851,15 @@ mod tests {
                     if expect.len() <= SHORT_MAX_FLOP as usize {
                         prop_assert_eq!(row_through(&mut lanes, |_| {}, s, sorted), &expect[..], "lanes");
                     }
+                    for twice in 0..2 {
+                        let mut cols: Vec<ColIdx> = expect.iter().map(|&(c, _)| c).collect();
+                        let mut vals = vec![0.0; cols.len()];
+                        for &(col, v) in s {
+                            replay.insert_numeric(col, v);
+                        }
+                        replay.extract_into(&mut cols, &mut vals, sorted);
+                        prop_assert_eq!(bits(&cols, &vals), &expect[..], "replay, row run {}", twice);
+                    }
                 }
                 // A row abandoned before its emit, then the acquire path.
                 gated.open_row(0);
@@ -851,7 +867,6 @@ mod tests {
                     spa.insert_numeric(col, v);
                     gated.insert_numeric(col, v);
                 }
-                let req = AccumReq { max_row_flop: 160, inner_dim: 1, ncols_b: ncols };
                 spa.ensure(&req);
                 spa.scrub();
                 gated.scrub();

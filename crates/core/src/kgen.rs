@@ -145,6 +145,13 @@ fn fits_u16(dim: usize) -> bool {
 }
 
 impl RowClassSpec {
+    /// Heap bytes of the queues and the index copies.
+    pub(crate) fn bytes(&self) -> usize {
+        let queues: usize = self.queues.iter().flatten().map(|q| 4 * q.len()).sum();
+        let narrow = |c: &Option<Vec<u16>>| c.as_ref().map_or(0, |c| 2 * c.len());
+        queues + narrow(&self.a16) + narrow(&self.b16)
+    }
+
     /// Classify every row from the plan's flop counts, build the
     /// per-worker class queues, and gather the compressed index
     /// copies. Also publishes the `plan.rowclass.*` obs counters.

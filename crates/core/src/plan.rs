@@ -18,6 +18,44 @@
 //!   state performs **zero heap allocations** when writing into a
 //!   reused output via [`SpgemmPlan::execute_into`].
 //!
+//! **Numeric replay.** The symbolic pass only *sizes* `C`; a numeric
+//! pass re-discovers every row's column set each time it runs, to
+//! recompute a pattern the same plan produced one execution earlier.
+//! "Execute many" therefore has two states for a fingerprinted plan on
+//! the dense kernel (`Spa`, named or through `Auto`) over a semiring
+//! with a [`Semiring::seed`]:
+//!
+//! * *discovering* — the stamped SPA pass. The **second** full pass
+//!   under one binding leaves the `cols` it wrote as the plan's
+//!   *pattern* (`u16` entries when `ncols(B) ≤ 65 536`, `ColIdx`
+//!   otherwise: `nnz(C)` × 2 or 4 bytes, held until the next rebind,
+//!   counted by [`SpgemmPlan::owned_bytes`]). Waiting for the second
+//!   pass means a plan that is bound, run once and rebound — every MCL
+//!   round, every one-shot serve job — copies nothing.
+//! * *replaying* — every later full pass (`execute_in`,
+//!   `execute_into_in`, `execute_into_slices_in`, hence expression
+//!   nodes, serve's cached plans and dist shards that ask for `Spa` /
+//!   `Auto`) is the same `exec::numeric_pass` over the replay set of
+//!   `algos::spa`: copy the pattern into the output, then per row a
+//!   branch-free scatter and a gather along the row's own columns. No
+//!   stamp, no touched list, no bitmap, no sort; the `k`-order of every
+//!   sum and the emit order are the stamped pass's, so the output is
+//!   byte-identical by construction.
+//!
+//! What drops the pattern (back to *discovering*, count zero):
+//! [`SpgemmPlan::rebind`] and [`SpgemmPlan::rebind_rows`], and with
+//! them every [`PlanCache`] / `ExprCache` rebind. What never has one:
+//! the throwaway plan under `multiply_in`, plans that name any other
+//! kernel (they keep measuring that kernel), a semiring without a
+//! seed, and a pass under a dirty mask — `execute_rows` recomputes its
+//! dirty rows with the stamped accumulator and leaves the pattern of
+//! an unchanged binding alone. There is no switch: the rule is "same
+//! binding, second full pass, dense kernel, seeded semiring". The
+//! pattern is whatever that second pass wrote, so the one contract a
+//! plan already had — operands of the planned *structure* — now also
+//! covers later executions: break it on the capturing pass and the
+//! replays are wrong (never unsafe) until the next rebind.
+//!
 //! One-phase kernels (`Heap`, `Inspector`) have no symbolic pass to
 //! front-load; their first execution runs the staged one-phase pass
 //! and *captures* the row pointers it discovers, so one-shot use costs
@@ -43,7 +81,7 @@ use crate::algos::ikj::IkjKernel;
 use crate::algos::kkhash::KkHashAccumulator;
 use crate::algos::merge::MergeAccumulator;
 use crate::algos::simd;
-use crate::algos::spa::SpaAccumulator;
+use crate::algos::spa::{Pattern, ReplayAccumulator, SpaAccumulator};
 use crate::delta::{rows_touching, DirtyRows};
 use crate::exec::{self, MultiplyStats, RowMask, Workers};
 use crate::kgen::{RowClassAccumulator, RowClassSpec};
@@ -145,6 +183,27 @@ enum FirstRun<E> {
     Ready(Arc<SymbolicPlan>),
 }
 
+/// Where a plan stands with its product's column pattern (module
+/// docs, "numeric replay").
+enum Replay<S: Semiring> {
+    /// No pattern yet: the payload counts the full stamped numeric
+    /// passes run under the current binding.
+    Discovering(u32),
+    /// The pattern the second of those passes emitted, as the shared
+    /// state of the replay set's pooled workers.
+    Replaying(Arc<Workers<S, ReplayAccumulator<S>>>),
+}
+
+/// Patterns captured / full passes replayed, over every plan (counted
+/// while `obs` is enabled, like `plan.exec.*`).
+static REPLAY_CAPTURES: obs::CounterSite = obs::CounterSite::new("plan", "plan.replay.captures");
+static REPLAY_PASSES: obs::CounterSite = obs::CounterSite::new("plan", "plan.replay.passes");
+
+/// The full stamped pass whose output a plan keeps as its pattern: the
+/// second, so that a plan bound, run once and rebound (an MCL round, a
+/// one-shot serve job) never pays for a copy it will not use.
+const CAPTURE_PASS: u32 = 2;
+
 /// A reusable two-phase execution plan for `C = A · B` over a fixed
 /// sparsity structure.
 ///
@@ -197,6 +256,8 @@ pub struct SpgemmPlan<S: Semiring> {
     /// deferred to its first execution.
     symbolic: Mutex<Option<Arc<SymbolicPlan>>>,
     kernel: PlanKernel<S>,
+    /// Held only to read or swap the state, never across a pass.
+    replay: Mutex<Replay<S>>,
 }
 
 impl<S: Semiring> SpgemmPlan<S> {
@@ -259,6 +320,7 @@ impl<S: Semiring> SpgemmPlan<S> {
             nthreads: pool.nthreads(),
             symbolic: Mutex::new(None),
             kernel: PlanKernel::new(resolved, pool.nthreads()),
+            replay: Mutex::new(Replay::Discovering(0)),
         };
         plan.bind_kernel(a, b, pool);
         Ok(plan)
@@ -268,9 +330,16 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// current: RowClass's class queues, then the symbolic phase
     /// (unless this kernel defers it to its first execution).
     fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
+        self.forget_pattern();
         self.bind_row_classes(a, b);
         *self.symbolic.get_mut() =
             (!defers_symbolic(self.algo)).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
+    }
+
+    /// A new binding starts over: the pattern (and the replay set's
+    /// accumulators) go, the pass count returns to zero.
+    fn forget_pattern(&mut self) {
+        *self.replay.get_mut() = Replay::Discovering(0);
     }
 
     /// RowClass plans only: re-derive the per-class work queues and
@@ -475,6 +544,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         }
 
         let out_dirty = rows_touching(a, dirty_b, dirty_a.clone());
+        self.forget_pattern();
 
         // Per-row flops change exactly on the invalidated rows (a
         // clean row's A pattern and consumed B row sizes are both
@@ -648,6 +718,35 @@ impl<S: Semiring> SpgemmPlan<S> {
             return WorkspaceStats::default();
         }
         with_kernel!(self, |w| w.slots.stats())
+    }
+
+    /// [`SpgemmPlan::workspace_stats`] of the replay set's pool: `None`
+    /// until the plan holds its pattern, and growing instead of
+    /// `workspace_stats` with every full pass from then on.
+    #[doc(hidden)]
+    pub fn replay_stats(&self) -> Option<WorkspaceStats> {
+        self.replaying().map(|w| w.slots.stats())
+    }
+
+    /// Heap bytes of what the plan holds about its product, beyond the
+    /// pooled accumulators: the work analysis (per-row flops, the
+    /// partition), the row pointers once known, RowClass's queues and
+    /// index copies, and — while it replays — the column pattern at
+    /// its width. What a plan cache charges an idle plan.
+    pub fn owned_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let stats = size_of_val(&self.stats.row_flops[..]) + size_of_val(&self.stats.offsets[..]);
+        let rpts = self
+            .symbolic
+            .lock()
+            .as_ref()
+            .map_or(0, |sym| size_of_val(&sym.rpts[..]));
+        let classes = match &self.kernel {
+            PlanKernel::RowClass(w) => w.shared.bytes(),
+            _ => 0,
+        };
+        let pattern = self.replaying().map_or(0, |w| w.shared.bytes());
+        stats + rpts + classes + pattern
     }
 
     /// Whether `(a, b)` share the exact sparsity structure this plan
@@ -900,7 +999,9 @@ impl<S: Semiring> SpgemmPlan<S> {
     }
 
     /// The numeric pass into pre-sliced output (under `mask`, only its
-    /// dirty rows are computed; the rest are copied).
+    /// dirty rows are computed; the rest are copied). A full pass of a
+    /// plan that holds its pattern is a replay; a full stamped pass is
+    /// counted towards capturing one.
     #[allow(clippy::too_many_arguments)]
     fn run_numeric(
         &self,
@@ -915,9 +1016,57 @@ impl<S: Semiring> SpgemmPlan<S> {
         let _g = obs::span!("plan", "plan.numeric");
         count_execute(self.algo);
         let (stats, sorted) = (&self.stats, self.output_is_sorted());
+        let replayable = mask.is_none() && self.can_replay();
+        if replayable {
+            if let Some(w) = self.replaying() {
+                REPLAY_PASSES.incr();
+                return exec::numeric_pass(&w, a, b, stats, rpts, sorted, pool, cols, vals, None);
+            }
+        }
         with_kernel!(self, |w| exec::numeric_pass(
             w, a, b, stats, rpts, sorted, pool, cols, vals, mask
-        ))
+        ));
+        if replayable {
+            self.note_stamped_pass(cols);
+        }
+    }
+
+    /// The replay set's workers, if the plan holds its pattern.
+    fn replaying(&self) -> Option<Arc<Workers<S, ReplayAccumulator<S>>>> {
+        match &*self.replay.lock() {
+            Replay::Replaying(w) => Some(Arc::clone(w)),
+            Replay::Discovering(_) => None,
+        }
+    }
+
+    /// The replay rule's static half: a fingerprinted plan (never the
+    /// throwaway one under `multiply_in`) on the dense kernel, over a
+    /// semiring with a seed.
+    fn can_replay(&self) -> bool {
+        self.sigs.is_some() && matches!(self.kernel, PlanKernel::Spa(_)) && S::seed().is_some()
+    }
+
+    /// Count a full stamped pass that wrote `cols`; the
+    /// [`CAPTURE_PASS`]-th under one binding leaves them as the plan's
+    /// pattern. The copy is made outside the lock; two executions
+    /// racing here both captured the same product, and one copy wins.
+    fn note_stamped_pass(&self, cols: &[ColIdx]) {
+        match &mut *self.replay.lock() {
+            Replay::Discovering(passes) => {
+                *passes += 1;
+                if *passes < CAPTURE_PASS {
+                    return;
+                }
+            }
+            Replay::Replaying(_) => return,
+        }
+        let pattern = Pattern::capture(cols, self.dims.2);
+        let workers = Arc::new(Workers::new(self.nthreads, pattern));
+        let mut state = self.replay.lock();
+        if matches!(*state, Replay::Discovering(_)) {
+            *state = Replay::Replaying(workers);
+            REPLAY_CAPTURES.incr();
+        }
     }
 
     /// One-phase staged first execution (Heap / Inspector), drawing

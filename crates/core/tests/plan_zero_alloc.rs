@@ -85,6 +85,11 @@ fn execute_into_steady_state_allocates_nothing() {
         // resolves to it here, at bind.
         (Algorithm::Spa, OutputOrder::Sorted),
         (Algorithm::Auto, OutputOrder::Sorted),
+        // These four plans hold their column pattern after the second
+        // warm-up pass and build the replay set's value array in the
+        // third: the ten measured passes are replays (asserted below).
+        (Algorithm::Spa, OutputOrder::Unsorted),
+        (Algorithm::Auto, OutputOrder::Unsorted),
         (Algorithm::Merge, OutputOrder::Sorted),
         (Algorithm::KkHash, OutputOrder::Sorted),
         (Algorithm::Ikj, OutputOrder::Sorted),
@@ -106,12 +111,24 @@ fn execute_into_steady_state_allocates_nothing() {
         }
         let nnz = c.nnz();
         assert!(nnz > 0);
+        let replays = plan.algorithm() == Algorithm::Spa;
+        let (stamped, replayed) = (plan.workspace_stats(), plan.replay_stats());
+        assert_eq!(replayed.is_some(), replays, "{algo} {order:?}");
 
         let before = allocations();
         for _ in 0..10 {
             plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
         }
         let after = allocations();
+        if let Some(warm) = replayed {
+            let now = plan.replay_stats().expect("still replaying");
+            assert_eq!((now.created, now.reused), (warm.created, warm.reused + 10));
+            assert_eq!(
+                plan.workspace_stats(),
+                stamped,
+                "{algo} {order:?}: a stamped pass ran"
+            );
+        }
         assert_eq!(
             after - before,
             0,

@@ -5,14 +5,16 @@
 //! executions, RowClass's bucketed passes, the masked product and the
 //! serve patch's dirty-masked recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
-//! and ±inf, and that repeated executions are deterministic.
+//! and ±inf, and that repeated executions are deterministic — across
+//! the point where a reused dense-kernel plan stops discovering its
+//! product's column pattern and starts replaying it.
 
 use proptest::prelude::*;
 use spgemm::delta::recompute_product_rows;
 use spgemm::{algos, multiply_in, multiply_masked};
-use spgemm::{Algorithm, DirtyRows, OutputOrder, PlanCache, SpgemmPlan};
+use spgemm::{Algorithm, DirtyRows, OutputOrder, PlanCache, RowPatch, SpgemmPlan};
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Coo, Csr, PlusTimes};
+use spgemm_sparse::{ops, ColIdx, Coo, Csr, MaxTimes, OrAnd, PlusTimes, Semiring};
 
 type P = PlusTimes<f64>;
 
@@ -40,22 +42,29 @@ fn oneshot(
     multiply_in::<P>(a, b, algo, order, pool).unwrap()
 }
 
-/// Same shape, sortedness, structure and value **bits** (`==` on `f64`
-/// would equate ±0.0), except that any NaN matches any NaN: IEEE 754
-/// leaves the sign and payload of a NaN *result* unspecified and the
-/// compiler may commute an addition's operands, so two kernels doing
-/// the same sums in the same order can still differ there (seen in
-/// release builds: `0x7ff8…` from RowClass's insertion array where
-/// Hash gives `0xfff8…`). Signed zeros and infinities match exactly.
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+/// Same shape, sortedness and structure, and values equal under `eq`.
+fn same_by<E: Copy>(a: &Csr<E>, b: &Csr<E>, eq: impl Fn(E, E) -> bool) -> bool {
     a.shape() == b.shape()
         && a.is_sorted() == b.is_sorted()
         && a.rpts() == b.rpts()
         && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        && a.vals().iter().zip(b.vals()).all(|(&x, &y)| eq(x, y))
+}
+
+/// Value **bits** (`==` on `f64` would equate ±0.0), except that any
+/// NaN matches any NaN: IEEE 754 leaves the sign and payload of a NaN
+/// *result* unspecified and the compiler may commute an addition's
+/// operands, so two kernels doing the same sums in the same order can
+/// still differ there (seen in release builds: `0x7ff8…` from
+/// RowClass's insertion array where Hash gives `0xfff8…`). Signed
+/// zeros and infinities match exactly.
+fn f64_bits(x: f64, y: f64) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// [`same_by`] on [`f64_bits`].
+fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    same_by(a, b, f64_bits)
 }
 
 /// Square matrices whose values are mostly ordinary reals with NaN,
@@ -83,8 +92,134 @@ fn arb_square(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>>
     })
 }
 
+/// One plan of `a · a` per `{Spa, Auto} × order × {1, 2, 3}` threads,
+/// executed five times through its three entry points: the first two
+/// passes discover (the second leaves its `cols` as the plan's
+/// pattern), the rest replay. Every output has the bits of the first
+/// and — rows sorted — of `Reference`, and the pool counters say which
+/// accumulator ran.
+fn replay_parity<S: Semiring>(
+    a: &Csr<S::Elem>,
+    eq: fn(S::Elem, S::Elem) -> bool,
+) -> Result<(), TestCaseError> {
+    let oracle = algos::reference::multiply::<S>(a, a);
+    let n = a.nrows();
+    for nt in 1..=3usize {
+        let pool = Pool::new(nt);
+        for algo in [Algorithm::Spa, Algorithm::Auto] {
+            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                let at = format!("{algo} {order:?} nt={nt}");
+                let plan = SpgemmPlan::<S>::new_in(a, a, algo, order, &pool).unwrap();
+                prop_assert_eq!(plan.algorithm(), Algorithm::Spa);
+                let first = plan.execute_in(a, a, &pool).unwrap();
+                let mut ascending = first.clone();
+                ascending.sort_rows();
+                prop_assert!(same_by(&ascending, &oracle, eq), "{} vs reference", at);
+                prop_assert!(
+                    plan.replay_stats().is_none(),
+                    "{}: one pass captures nothing",
+                    at
+                );
+
+                let mut c = Csr::zero(0, 0);
+                plan.execute_into_in(a, a, &mut c, &pool).unwrap();
+                prop_assert!(same_by(&c, &first, eq), "{} (second, captures)", at);
+                let fresh = plan.replay_stats().map(|st| st.acquisitions());
+                prop_assert_eq!(fresh, Some(0), "{}: captured, not yet replayed", at);
+                let stamped = plan.workspace_stats();
+
+                let (mut cols, mut vals) = (vec![0; first.nnz()], vec![S::zero(); first.nnz()]);
+                plan.execute_into_slices_in(a, a, &mut cols, &mut vals, &pool)
+                    .unwrap();
+                let rpts = first.rpts().to_vec();
+                let third = Csr::from_parts_unchecked(n, n, rpts, cols, vals, first.is_sorted());
+                prop_assert!(same_by(&third, &first, eq), "{} (third, into slices)", at);
+                let fourth = plan.execute_in(a, a, &pool).unwrap();
+                prop_assert!(
+                    same_by(&fourth, &first, eq),
+                    "{} (fourth, fresh output)",
+                    at
+                );
+                plan.execute_into_in(a, a, &mut c, &pool).unwrap();
+                prop_assert!(same_by(&c, &first, eq), "{} (fifth, reused output)", at);
+
+                let replayed = plan.replay_stats().map_or(0, |st| st.acquisitions());
+                prop_assert!(
+                    replayed >= 3,
+                    "{}: three replays, {} acquisitions",
+                    at,
+                    replayed
+                );
+                prop_assert_eq!(
+                    plan.workspace_stats(),
+                    stamped,
+                    "{}: a stamped pass ran",
+                    at
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Numeric replay is byte-identical to the stamped pass it
+    /// replaces, on every semiring with a seed: salted `f64` under
+    /// `(+, ×)` and `(max, ×)`, wrapping `u64`, and `bool`.
+    #[test]
+    fn replay_has_the_stamped_bits_on_every_seeded_semiring(a in arb_square(24, 140)) {
+        replay_parity::<P>(&a, f64_bits)?;
+        replay_parity::<MaxTimes>(&a, f64_bits)?;
+        let counts = a.map(|v| match v {
+            v if v.is_nan() => u64::MAX,
+            v if v.is_infinite() => 1 << 63,
+            v => (v * 1000.0) as i64 as u64,
+        });
+        replay_parity::<PlusTimes<u64>>(&counts, |x, y| x == y)?;
+        replay_parity::<OrAnd>(&a.map(|v| v > 0.0), |x, y| x == y)?;
+    }
+
+    /// What drops the pattern: a full rebind and a row patch, each in
+    /// the middle of a replaying sequence. The executions after either
+    /// discover and replay the *new* product.
+    #[test]
+    fn rebinds_drop_the_pattern_mid_sequence(
+        a in arb_square(20, 120),
+        b in arb_square(20, 120),
+    ) {
+        let pool = Pool::new(2);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let mut plan = SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Auto, order, &pool).unwrap();
+            let three_more = |plan: &SpgemmPlan<P>, m: &Csr<f64>, what: &str| {
+                let expect = oneshot(m, m, Algorithm::Hash, order, &pool);
+                for round in 0..3 {
+                    let got = plan.execute_in(m, m, &pool).unwrap();
+                    prop_assert!(bits_eq(&got, &expect), "{} {:?} round {}", what, order, round);
+                }
+                prop_assert!(plan.replay_stats().is_some(), "{} {:?}: replaying", what, order);
+                Ok(())
+            };
+            three_more(&plan, &a, "bound")?;
+
+            plan.rebind_in(&b, &b, &pool).unwrap();
+            prop_assert!(plan.replay_stats().is_none(), "a rebind drops the pattern");
+            three_more(&plan, &b, "rebound")?;
+
+            let mut c = plan.execute_in(&b, &b, &pool).unwrap();
+            let mut patch = RowPatch::new();
+            patch.insert(0, 0, 2.5);
+            patch.insert(b.nrows() - 1, 1, -0.0);
+            let (b2, dirty) = b.apply_patch(&patch).unwrap();
+            let out = plan.rebind_rows_in(&b2, &b2, &dirty, &dirty, &pool).unwrap();
+            prop_assert!(plan.replay_stats().is_none(), "a row patch drops the pattern");
+            plan.execute_rows_in(&b2, &b2, &out, &mut c, &pool).unwrap();
+            let expect = oneshot(&b2, &b2, Algorithm::Hash, order, &pool);
+            prop_assert!(bits_eq(&c, &expect), "spliced {:?}", order);
+            three_more(&plan, &b2, "row-patched")?;
+        }
+    }
 
     #[test]
     fn every_route_into_the_driver_agrees_bit_for_bit(a in arb_square(24, 140)) {
@@ -290,47 +425,51 @@ fn rebind_grows_output_width() {
     }
 }
 
+/// Operands for the `u16` boundary tests, `A` 4 × `inner` and `B`
+/// `inner` × `width`: an entry in the last column of both, and one row
+/// of `A` per RowClass class — B's heavy rows (512 entries) make A's
+/// last row dense; its light rows hold five entries, one in the shared
+/// column 5 so sums accumulate across `k`.
+fn boundary_operands(inner: usize, width: usize) -> (Csr<f64>, Csr<f64>) {
+    let heavy: Vec<usize> = (0..40).map(|t| 7 + t * 1601).collect();
+    let light: Vec<usize> = (1..=3).chain((0..30).map(|t| 10 + t * 13)).collect();
+    let last = inner - 1;
+    let value = |k: usize, j: usize| 0.25 * ((k + j) % 9) as f64 - 1.0;
+    let mut b = Coo::new(inner, width).unwrap();
+    for &k in &heavy {
+        for u in 0..512 {
+            let j = (k + u * 127) % width;
+            b.push(k, j as ColIdx, value(k, j)).unwrap();
+        }
+    }
+    for &k in light.iter().chain([&last]) {
+        for j in (0..4).map(|u| (k * 31 + u * 8191) % width).chain([5]) {
+            b.push(k, j as ColIdx, value(k, j)).unwrap();
+        }
+    }
+    b.push(last, (width - 1) as ColIdx, 3.5).unwrap();
+    // A: one row per class, each ending in the last column.
+    let rows = [&[][..], &light[..3], &light[3..], &heavy[..]];
+    let mut a = Coo::new(rows.len(), inner).unwrap();
+    for (i, ks) in rows.iter().enumerate() {
+        for &k in ks.iter().chain([&last]) {
+            a.push(i, k as ColIdx, value(i, k) + 2.0).unwrap();
+        }
+    }
+    (a.into_csr_sum(), b.into_csr_sum())
+}
+
 /// RowClass at the compression boundary: a dimension of 65 535 gets
 /// the plan's `u16` index copy, 65 536 does not, and at 65 537 the
 /// last index would no longer fit one. With each width on either side
-/// (all four index-width instances of the drains), an entry in the
-/// last column of both operands and a row of every class, RowClass
-/// stays bit-identical to Hash.
+/// (all four index-width instances of the drains), RowClass stays
+/// bit-identical to Hash.
 #[test]
 fn rowclass_matches_hash_at_the_u16_boundary() {
     let pool = Pool::new(2);
     for inner in [65_535usize, 65_536, 65_537] {
         for width in [65_535usize, 65_536, 65_537] {
-            // B's heavy rows (512 entries) make A's last row dense;
-            // its light rows hold five entries, one in the shared
-            // column 5 so sums accumulate across `k`.
-            let heavy: Vec<usize> = (0..40).map(|t| 7 + t * 1601).collect();
-            let light: Vec<usize> = (1..=3).chain((0..30).map(|t| 10 + t * 13)).collect();
-            let last = inner - 1;
-            let value = |k: usize, j: usize| 0.25 * ((k + j) % 9) as f64 - 1.0;
-            let mut b = Coo::new(inner, width).unwrap();
-            for &k in &heavy {
-                for u in 0..512 {
-                    let j = (k + u * 127) % width;
-                    b.push(k, j as ColIdx, value(k, j)).unwrap();
-                }
-            }
-            for &k in light.iter().chain([&last]) {
-                for j in (0..4).map(|u| (k * 31 + u * 8191) % width).chain([5]) {
-                    b.push(k, j as ColIdx, value(k, j)).unwrap();
-                }
-            }
-            b.push(last, (width - 1) as ColIdx, 3.5).unwrap();
-            let b = b.into_csr_sum();
-            // A: one row per class, each ending in the last column.
-            let rows = [&[][..], &light[..3], &light[3..], &heavy[..]];
-            let mut a = Coo::new(rows.len(), inner).unwrap();
-            for (i, ks) in rows.iter().enumerate() {
-                for &k in ks.iter().chain([&last]) {
-                    a.push(i, k as ColIdx, value(i, k) + 2.0).unwrap();
-                }
-            }
-            let a = a.into_csr_sum();
+            let (a, b) = boundary_operands(inner, width);
             let occupancy = spgemm::kgen::bucket_occupancy(&a, &b);
             assert_eq!(occupancy, [1; 4], "one row per class: {inner} x {width}");
             for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
@@ -341,6 +480,78 @@ fn rowclass_matches_hash_at_the_u16_boundary() {
                 assert!(corner.is_some(), "last row of B reaches the last column");
             }
         }
+    }
+}
+
+/// The replay pattern at its width switch: `u16` entries up to an
+/// output 65 536 columns wide (the last index is 65 535), `u32` from
+/// 65 537 on. Either side of it, four executions of a dense-kernel
+/// plan — two stamped, two replayed — are bit-identical to Hash, the
+/// last column included, and a pattern entry costs two bytes or four.
+#[test]
+fn replay_matches_hash_at_the_u16_boundary() {
+    let pool = Pool::new(2);
+    for width in [65_535usize, 65_536, 65_537] {
+        let (a, b) = boundary_operands(65_536, width);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let hash = oneshot(&a, &b, Algorithm::Hash, order, &pool);
+            assert!(hash.get(0, (width - 1) as ColIdx).is_some());
+            let plan = SpgemmPlan::<P>::new_in(&a, &b, Algorithm::Spa, order, &pool).unwrap();
+            let discovering = plan.owned_bytes();
+            for round in 0..4 {
+                let got = plan.execute_in(&a, &b, &pool).unwrap();
+                assert!(bits_eq(&got, &hash), "{width} {order:?} round {round}");
+            }
+            assert!(plan.replay_stats().is_some_and(|st| st.acquisitions() >= 2));
+            let entry = if width <= 65_536 { 2 } else { 4 };
+            assert_eq!(
+                plan.owned_bytes() - discovering,
+                entry * hash.nnz(),
+                "{width}"
+            );
+        }
+    }
+}
+
+/// A semiring without a seed never replays: `(min, +)` has no `e` with
+/// `min(e, x) = x` in `u32` short of reserving a value, so its plan
+/// stays on the stamped pass, execution after execution.
+#[test]
+fn a_seedless_semiring_stays_on_the_stamped_pass() {
+    struct MinPlus;
+    impl Semiring for MinPlus {
+        type Elem = u32;
+        fn zero() -> u32 {
+            u32::MAX
+        }
+        fn add(a: u32, b: u32) -> u32 {
+            a.min(b)
+        }
+        fn mul(a: u32, b: u32) -> u32 {
+            a.saturating_add(b)
+        }
+    }
+    let a =
+        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::Er, 7, 6, &mut spgemm_gen::rng(5));
+    let a = a.map(|v| (v * 100.0) as u32);
+    let pool = Pool::new(2);
+    let oracle = algos::reference::multiply::<MinPlus>(&a, &a);
+    let plan =
+        SpgemmPlan::<MinPlus>::new_in(&a, &a, Algorithm::Spa, OutputOrder::Sorted, &pool).unwrap();
+    let mut acquisitions = plan.workspace_stats().acquisitions();
+    for round in 0..4 {
+        assert_eq!(
+            plan.execute_in(&a, &a, &pool).unwrap(),
+            oracle,
+            "round {round}"
+        );
+        assert!(plan.replay_stats().is_none(), "round {round}");
+        let now = plan.workspace_stats().acquisitions();
+        assert!(
+            now > acquisitions,
+            "round {round}: the stamped accumulators ran"
+        );
+        acquisitions = now;
     }
 }
 

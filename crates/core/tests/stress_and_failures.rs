@@ -2,9 +2,11 @@
 //! multiplies on shared pools, degenerate shapes, adversarial
 //! structures, and contract violations.
 
-use spgemm::{multiply_in, Algorithm, OutputOrder};
+use spgemm::{multiply_in, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_par::Pool;
-use spgemm_sparse::{approx_eq_f64, ColIdx, Coo, Csr, PlusTimes, SparseError};
+use spgemm_sparse::{approx_eq_f64, ColIdx, Coo, Csr, PlusTimes, Semiring, SparseError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 type P = PlusTimes<f64>;
 
@@ -167,4 +169,144 @@ fn u64_counting_semiring_exact() {
     assert_eq!(c.nnz(), 4);
     assert_eq!(c.get(0, 2), Some(&1));
     assert_eq!(c.get(3, 1), Some(&1));
+}
+
+/// A G500 square salted with `-0.0` / NaN / ±inf, and a dense-kernel
+/// plan of its square that has run `passes` times — from the third
+/// pass on, a plan that replays its column pattern.
+fn warmed_plan<S: Semiring<Elem = f64>>(
+    passes: usize,
+    pool: &Pool,
+) -> (Csr<f64>, SpgemmPlan<S>, Csr<f64>) {
+    let kind = spgemm_gen::RmatKind::G500;
+    let a = spgemm_gen::rmat::generate_kind(kind, 8, 8, &mut spgemm_gen::rng(22));
+    let salt = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let (cols, n) = (a.cols().to_vec(), a.ncols());
+    let vals = a.vals().iter().enumerate().map(|(at, &v)| match at % 11 {
+        0 => salt[at / 11 % 4],
+        _ => v,
+    });
+    let a = Csr::from_parts(n, n, a.rpts().to_vec(), cols, vals.collect()).unwrap();
+    let plan = SpgemmPlan::<S>::new_in(&a, &a, Algorithm::Spa, OutputOrder::Sorted, pool).unwrap();
+    let mut c = Csr::zero(0, 0);
+    for _ in 0..passes {
+        plan.execute_into_in(&a, &a, &mut c, pool).unwrap();
+    }
+    assert_eq!(plan.replay_stats().is_some(), passes >= 2);
+    (a, plan, c)
+}
+
+/// Value bits, any NaN matching any NaN.
+fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    a.rpts() == b.rpts() && a.cols() == b.cols() && a.vals().iter().zip(b.vals()).all(same)
+}
+
+/// Operands of the planned shape and `nnz` but another structure are a
+/// contract violation the per-execute checks cannot see. A replaying
+/// plan scatters them into slots its pattern never gathers: the call
+/// returns *a* matrix (or panics) without touching memory it does not
+/// own, and the residue is gone from the next execution — the replay
+/// set refills its seed on acquire.
+#[test]
+fn a_structure_swap_under_a_replaying_plan_does_not_leak_into_the_next_execution() {
+    for nt in [1usize, 2] {
+        let pool = Pool::new(nt);
+        let (a, plan, expect) = warmed_plan::<P>(3, &pool);
+        let relabel: Vec<ColIdx> = (0..a.ncols() as ColIdx).rev().collect();
+        let swapped = spgemm_sparse::ops::permute_cols(&a, &relabel).unwrap();
+        assert_eq!((swapped.shape(), swapped.nnz()), (a.shape(), a.nnz()));
+        assert_ne!(swapped.structure_fingerprint(), a.structure_fingerprint());
+        let replays = |plan: &SpgemmPlan<P>| plan.replay_stats().unwrap().acquisitions();
+        let before = replays(&plan);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            plan.execute_in(&swapped, &swapped, &pool)
+        }));
+        assert!(replays(&plan) > before, "the violating pass was a replay");
+        let got = plan.execute_in(&a, &a, &pool).unwrap();
+        assert!(same_bits(&got, &expect), "nt={nt}");
+    }
+}
+
+/// `(+, ×)` on `f64` whose `mul` panics on a spawned pool worker when
+/// the fuse burns down to zero (a negative fuse is inert).
+struct Tripwire;
+static FUSE: AtomicI64 = AtomicI64::new(-1);
+thread_local! {
+    static IS_CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+impl Semiring for Tripwire {
+    type Elem = f64;
+    fn zero() -> f64 {
+        0.0
+    }
+    fn seed() -> Option<f64> {
+        P::seed()
+    }
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+    fn mul(a: f64, b: f64) -> f64 {
+        if !IS_CALLER.get() && FUSE.load(Ordering::Relaxed) >= 0 {
+            assert!(FUSE.fetch_sub(1, Ordering::Relaxed) != 0, "tripwire");
+        }
+        a * b
+    }
+}
+
+/// A worker that panics in the middle of a replayed pass fails that
+/// call only: the panic surfaces on the caller, the pool and the plan
+/// survive, and the half-scattered row the worker abandoned is scrubbed
+/// before its accumulator runs again.
+#[test]
+fn a_worker_panic_mid_replay_fails_one_call_only() {
+    IS_CALLER.set(true);
+    let pool = Pool::new(2);
+    let (a, plan, expect) = warmed_plan::<Tripwire>(3, &pool);
+    // Worker 1 owns about half of the flops: a fuse of a tenth of them
+    // burns out well inside its share, partway through some row.
+    let flops = plan.stats().total_flop as i64;
+    FUSE.store(flops / 10, Ordering::Relaxed);
+    let mut c = expect.clone();
+    let failed = catch_unwind(AssertUnwindSafe(|| {
+        plan.execute_into_in(&a, &a, &mut c, &pool)
+    }));
+    let fuse_left = FUSE.swap(-1, Ordering::Relaxed);
+    assert!(
+        failed.is_err() && fuse_left < 0,
+        "the tripwire fired on worker 1"
+    );
+    for round in 0..2 {
+        plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
+        assert!(same_bits(&c, &expect), "round {round} after the panic");
+    }
+    assert!(plan.replay_stats().is_some(), "still replaying");
+}
+
+/// Two threads executing one `&SpgemmPlan` on a shared pool, released
+/// together round after round from the plan's first pass on — so the
+/// discovering passes, the capture and the first replays of the two
+/// interleave — both read exact products every time.
+#[test]
+fn two_threads_share_one_plan_across_the_capture() {
+    let pool = Pool::new(2);
+    let (a, _, expect) = warmed_plan::<P>(1, &pool);
+    let plan =
+        SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Auto, OutputOrder::Sorted, &pool).unwrap();
+    let gate = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (plan, a, pool, gate, expect) = (&plan, &a, &pool, &gate, &expect);
+            s.spawn(move || {
+                let mut c = Csr::zero(0, 0);
+                for round in 0..6 {
+                    gate.wait();
+                    plan.execute_into_in(a, a, &mut c, pool).unwrap();
+                    assert!(same_bits(&c, expect), "thread {t} round {round}");
+                }
+            });
+        }
+    });
+    assert!(plan.replay_stats().is_some_and(|st| st.acquisitions() >= 8));
 }

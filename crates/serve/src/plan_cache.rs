@@ -88,20 +88,14 @@ impl PlanKey {
 /// Live cache keys (mirrors `SharedPlanCache::stats().entries`).
 static PLAN_CACHE_ENTRIES: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.entries");
-/// Approximate bytes of *idle* (checked-in) plan instances pooled
-/// across every live slot; see [`plan_approx_bytes`].
+/// Bytes held by the *idle* (checked-in) plan instances pooled across
+/// every live slot: each one's [`SpgemmPlan::owned_bytes`] — work
+/// analysis, row pointers and, once a dense-kernel plan replays, its
+/// column pattern — read at check-in, so an instance that captured its
+/// pattern while checked out comes back at its new size. ("approx":
+/// the pooled per-thread accumulators are not in it.)
 static PLAN_CACHE_BYTES: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.approx_bytes");
-
-/// Rough heap footprint of one pooled plan instance: the symbolic
-/// result's output row pointers and per-entry index/value storage,
-/// `O(symbolic_nnz)` with small fixed overhead. Deliberately a cheap
-/// estimate (the plan does not expose its exact allocation), good
-/// enough for the capacity trend the gauge exists to show.
-fn plan_approx_bytes(plan: &SpgemmPlan<S>) -> u64 {
-    256 + plan.symbolic_nnz().unwrap_or(0) as u64
-        * (std::mem::size_of::<spgemm_sparse::ColIdx>() + std::mem::size_of::<f64>()) as u64
-}
 
 /// One cache entry: a pool of interchangeable plan instances for the
 /// key (built lazily by executors as concurrency demands) and an LRU
@@ -109,8 +103,8 @@ fn plan_approx_bytes(plan: &SpgemmPlan<S>) -> u64 {
 pub(crate) struct PlanSlot {
     instances: Mutex<Vec<SpgemmPlan<S>>>,
     last_used: AtomicU64,
-    /// Approximate bytes currently pooled in `instances` (this
-    /// slot's share of [`PLAN_CACHE_BYTES`]).
+    /// Bytes currently pooled in `instances` (this slot's share of
+    /// [`PLAN_CACHE_BYTES`]).
     pooled_bytes: AtomicU64,
 }
 
@@ -121,7 +115,7 @@ impl PlanSlot {
     pub(crate) fn checkout(&self, nthreads: usize) -> Option<SpgemmPlan<S>> {
         let mut pool = self.instances.lock();
         while let Some(plan) = pool.pop() {
-            let bytes = plan_approx_bytes(&plan);
+            let bytes = plan.owned_bytes() as u64;
             self.pooled_bytes.fetch_sub(bytes, Ordering::Relaxed);
             PLAN_CACHE_BYTES.sub(bytes as i64);
             if plan.nthreads() == nthreads {
@@ -133,7 +127,7 @@ impl PlanSlot {
 
     /// Return an instance for the next executor.
     pub(crate) fn checkin(&self, plan: SpgemmPlan<S>) {
-        let bytes = plan_approx_bytes(&plan);
+        let bytes = plan.owned_bytes() as u64;
         let mut pool = self.instances.lock();
         self.pooled_bytes.fetch_add(bytes, Ordering::Relaxed);
         PLAN_CACHE_BYTES.add(bytes as i64);
@@ -301,6 +295,28 @@ mod tests {
         // 2 was evicted: a fresh, empty slot comes back.
         let s2_new = cache.slot(key(2));
         assert!(s2_new.checkout(1).is_none());
+    }
+
+    /// A slot charges an idle instance what it holds: the analysis and
+    /// row pointers at first, two bytes per output entry more once the
+    /// instance has captured its column pattern while checked out.
+    #[test]
+    fn pooled_bytes_follow_the_plan_across_its_capture() {
+        let a = spgemm_sparse::Csr::<f64>::identity(300);
+        let pool = spgemm_par::Pool::new(1);
+        let plan = SpgemmPlan::<S>::new_in(&a, &a, Algorithm::Auto, OutputOrder::Sorted, &pool);
+        let slot = SharedPlanCache::new(1).slot(key(1));
+        let pooled = || slot.pooled_bytes.load(Ordering::Relaxed);
+        slot.checkin(plan.unwrap());
+        // 300 row flops + 2 partition offsets + 301 row pointers, 8 B each.
+        assert_eq!(pooled(), 8 * (300 + 2 + 301));
+        let plan = slot.checkout(1).expect("pooled above");
+        assert_eq!(pooled(), 0);
+        for _ in 0..2 {
+            plan.execute_in(&a, &a, &pool).unwrap();
+        }
+        slot.checkin(plan);
+        assert_eq!(pooled(), 8 * (300 + 2 + 301) + 2 * 300, "the u16 pattern");
     }
 
     #[test]

@@ -129,6 +129,41 @@ fn repeated_pattern_hits_shared_cache_and_tracks_new_values() {
     assert_eq!(m.plan_cache.misses, 1, "one symbolic build total");
 }
 
+/// A hot product requested as `Auto` runs on one cached plan
+/// instance (one worker): stamped on the first two jobs, a replay of
+/// the plan's column pattern from the third on — and every response,
+/// under either order and across a change of values, has `Reference`'s
+/// bits.
+#[test]
+fn hot_auto_product_is_bit_exact_across_the_plans_capture() {
+    let engine = ServeEngine::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let a = rmat(7, 6, 12).map(|v| if v < 0.1 { -0.0 } else { v });
+    for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+        for job in 0..4 {
+            let now = a.map(|v| v * (1.0 - job as f64));
+            let expect = spgemm::algos::reference::multiply::<P>(&now, &now);
+            engine.store().insert("hot", now);
+            let request = ProductRequest::new("hot", "hot").algo(Algorithm::Auto);
+            let c = engine
+                .try_submit(request.order(order))
+                .unwrap()
+                .wait()
+                .unwrap();
+            let mut c = Csr::clone(&c);
+            c.sort_rows();
+            let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!((c.rpts(), c.cols()), (expect.rpts(), expect.cols()));
+            assert_eq!(bits(&c), bits(&expect), "{order:?} job {job}");
+        }
+    }
+    let m = engine.shutdown();
+    assert_eq!(m.plan_cache.misses, 2, "one plan per order");
+    assert_eq!(m.plan_cache.hits, 6);
+}
+
 #[test]
 fn cancellation_and_shutdown_deliver_every_job_exactly_once() {
     let engine = ServeEngine::new(ServeConfig {

@@ -14,6 +14,13 @@ pub trait Scalar: Copy + Send + Sync + PartialEq + Debug + 'static {
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
+    /// A value `e` with `e.add(x)` bit-identical to `x` for every `x`
+    /// (any NaN for a NaN): what a dense accumulator slot can hold
+    /// between rows so that the first `add` into it needs no "is this
+    /// slot fresh" test. `ZERO` for the integers and `bool`; `-0.0`
+    /// for IEEE floats, because `0.0 + -0.0` is `+0.0` — `ZERO` there
+    /// is an identity in value but not in bits.
+    const SEED: Self;
 
     /// Addition in the conventional arithmetic of the type.
     #[must_use]
@@ -35,6 +42,7 @@ macro_rules! impl_scalar_num {
         impl Scalar for $t {
             const ZERO: Self = 0 as $t;
             const ONE: Self = 1 as $t;
+            const SEED: Self = -0.0;
             #[inline]
             fn add(self, other: Self) -> Self { self + other }
             #[inline]
@@ -50,6 +58,7 @@ macro_rules! impl_scalar_int {
         impl Scalar for $t {
             const ZERO: Self = 0;
             const ONE: Self = 1;
+            const SEED: Self = 0;
             // Integer matrices are used for counting (e.g. wedges in
             // triangle counting); wrapping keeps release/debug behaviour
             // identical if a synthetic workload overflows.
@@ -66,6 +75,7 @@ impl_scalar_int!(i32, i64, u32, u64);
 impl Scalar for bool {
     const ZERO: Self = false;
     const ONE: Self = true;
+    const SEED: Self = false;
     /// Boolean "addition" is disjunction, matching the `(∨, ∧)`
     /// semiring used for reachability / BFS workloads.
     #[inline]

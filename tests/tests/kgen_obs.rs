@@ -1,6 +1,7 @@
 //! The RowClass bind publishes its bucket occupancy and
-//! compressed-index selection through the obs registry, so both are
-//! visible on the `/metrics` scrape page. This file enables the
+//! compressed-index selection through the obs registry, `Auto` its
+//! picks, and a replaying plan its captures, passes and pattern bytes,
+//! so all are visible on the `/metrics` scrape page. This file enables the
 //! process-global obs switch, which is why it lives alone in its own
 //! test binary.
 
@@ -76,4 +77,39 @@ fn auto_resolutions_reach_the_scrape_page() {
             "{line:?} missing from scrape:\n{page}"
         );
     }
+}
+
+/// A dense-kernel plan's third execution is a replay of the column
+/// pattern its second one left: one capture, one replayed pass and the
+/// pattern's bytes (`u16` entries at this width) on the scrape page —
+/// and a rebind gives the bytes back. (No other test of this binary
+/// executes a plan, so the sites read exactly.)
+#[test]
+fn replay_counters_reach_the_scrape_page_and_a_rebind_zeroes_the_gauge() {
+    spgemm_obs::enable();
+    let a = all_classes(512);
+    let pool = Pool::new(2);
+    let mut plan = Plan::new_in(&a, &a, Algorithm::Spa, OutputOrder::Unsorted, &pool).unwrap();
+    let mut c = Csr::zero(0, 0);
+    for _ in 0..3 {
+        plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
+    }
+    let page = spgemm_obs::openmetrics::render();
+    for line in [
+        "spgemm_plan_replay_captures_total{cat=\"plan\"} 1".to_owned(),
+        "spgemm_plan_replay_passes_total{cat=\"plan\"} 1".to_owned(),
+        format!(
+            "spgemm_plan_replay_pattern_bytes{{cat=\"plan\"}} {}",
+            2 * c.nnz()
+        ),
+    ] {
+        assert!(
+            page.contains(&line),
+            "{line:?} missing from scrape:\n{page}"
+        );
+    }
+    plan.rebind_in(&a, &a, &pool).unwrap();
+    let page = spgemm_obs::openmetrics::render();
+    let zero = "spgemm_plan_replay_pattern_bytes{cat=\"plan\"} 0";
+    assert!(page.contains(zero), "{zero:?} missing from scrape:\n{page}");
 }
