@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_apps::{amg, mcl, triangles};
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Coo, Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, PlusTimes};
 
 type P = PlusTimes<f64>;
 
@@ -22,16 +22,6 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Csr<f64>> {
             coo.into_csr_sum()
         })
     })
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The pre-expression MCL round: one-shot square, materialized
@@ -58,7 +48,7 @@ proptest! {
         for round in 0..3 {
             let expect = mcl_step_unfused(&m, &params, &pool);
             let (got, _) = mcl::mcl_step(&m, &params, &mut pipe, &pool).unwrap();
-            prop_assert!(bits_eq(&got, &expect), "round {}", round);
+            prop_assert!(bits_eq_f64(&got, &expect), "round {}", round);
             m = got;
         }
     }
@@ -80,13 +70,13 @@ proptest! {
         for algo in [Algorithm::Hash, Algorithm::Auto] {
             let mut plan = amg::GalerkinPlan::new(&a, &p, algo, &pool).unwrap();
             let expect = amg::galerkin_product(&a, &p, Algorithm::Hash, &pool).unwrap();
-            prop_assert!(bits_eq(plan.coarse(), &expect), "{}: initial coarse operator", algo);
+            prop_assert!(bits_eq_f64(plan.coarse(), &expect), "{}: initial coarse operator", algo);
             // value drift under the fixed stencil: numeric-only recoarsens
             for step in 0..4 {
                 let scaled = a.map(|v| v * (1.0 + (step_scale + step) as f64 * 0.125));
                 let expect = amg::galerkin_product(&scaled, &p, Algorithm::Hash, &pool).unwrap();
                 let got = plan.recoarsen(&scaled, &pool).unwrap();
-                prop_assert!(bits_eq(got, &expect), "{}: recoarsen {}", algo, step);
+                prop_assert!(bits_eq_f64(got, &expect), "{}: recoarsen {}", algo, step);
             }
         }
     }

@@ -27,7 +27,7 @@
 //! ```
 
 use spgemm::{Algorithm, DirtyRows, OutputOrder, RowPatch, SpgemmPlan};
-use spgemm_sparse::{Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
@@ -93,16 +93,6 @@ fn parse_args() -> Args {
         out.reps = out.reps.min(4);
     }
     out
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Deterministic edit batch `step`, touching `k` distinct rows with
@@ -178,7 +168,7 @@ fn run_stream(args: &Args, pool: &spgemm_par::Pool) -> Totals {
             .expect("fresh execute");
         t.full_ms += start.elapsed().as_secs_f64() * 1e3;
 
-        t.bytes_ok &= bits_eq(&c, &fresh);
+        t.bytes_ok &= bits_eq_f64(&c, &fresh);
         std::hint::black_box(&fresh);
     }
     t

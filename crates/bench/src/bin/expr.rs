@@ -26,7 +26,7 @@ use spgemm::expr::{ElemMap, ExprCache, ExprGraph, NodeId};
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_apps::amg;
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, ops, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
@@ -97,16 +97,6 @@ fn parse_args() -> Args {
         out.reps = out.reps.min(4);
     }
     out
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn kib(bytes: usize) -> f64 {
@@ -210,7 +200,7 @@ fn run_workload(w: &Workload, reps: usize, pool: &Pool) -> Row {
     let fused_ms = t.elapsed().as_secs_f64() * 1e3 / reps as f64;
 
     let expect = (w.baseline)(&inputs, pool);
-    let bytes_ok = bits_eq(&out, &expect);
+    let bytes_ok = bits_eq_f64(&out, &expect);
 
     let t = Instant::now();
     for _ in 0..reps {

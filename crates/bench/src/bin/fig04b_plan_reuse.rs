@@ -32,7 +32,7 @@ use spgemm_bench::args::BenchArgs;
 use spgemm_bench::perfjson::PerfReport;
 use spgemm_bench::runner::time_multiply;
 use spgemm_gen::{rmat, RmatKind};
-use spgemm_sparse::{Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
@@ -47,14 +47,6 @@ fn ms(f: impl FnOnce()) -> f64 {
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
-}
-
-/// Structure and value bits (the generator emits no NaN).
-fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    let vals = a.vals().iter().zip(b.vals());
-    a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && vals.into_iter().all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn main() {
@@ -108,12 +100,12 @@ fn main() {
             let first = c.clone();
             let mut same = true;
             let exec2 = run(&mut c);
-            same &= same_bits(&c, &first);
+            same &= bits_eq_f64(&c, &first);
             let steady = median(
                 (0..iters)
                     .map(|_| {
                         let t = run(&mut c);
-                        same &= same_bits(&c, &first);
+                        same &= bits_eq_f64(&c, &first);
                         t
                     })
                     .collect(),
@@ -123,7 +115,7 @@ fn main() {
                     .map(|_| {
                         let mut out = None;
                         let t = ms(|| out = plan.execute_in(&a, &a, &pool).ok());
-                        same &= out.is_some_and(|out| same_bits(&out, &first));
+                        same &= out.is_some_and(|out| bits_eq_f64(&out, &first));
                         t
                     })
                     .collect(),

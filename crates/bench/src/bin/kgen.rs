@@ -29,7 +29,7 @@
 
 use spgemm::{kgen, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_gen::RmatKind;
-use spgemm_sparse::{Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
@@ -112,16 +112,6 @@ fn parse_args() -> Args {
     out
 }
 
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// Steady-state ms/iter for one bound plan, plus its output (for the
 /// parity check). Two warm-up executions size every pooled buffer so
 /// the timed loop runs the allocation-free regime.
@@ -195,7 +185,7 @@ fn run_cell(
         best_mono = best_mono.min(m);
         if algo == Algorithm::Hash {
             hash_ms = m;
-            parity_ok &= bits_eq(&rc_out, &out);
+            parity_ok &= bits_eq_f64(&rc_out, &out);
         }
     }
     // parity must hold under the other order too (first-encounter
@@ -208,7 +198,7 @@ fn run_cell(
     };
     let (_, rc_u) = time_steady(&a, Algorithm::RowClass, other, 1, pool);
     let (_, hash_u) = time_steady(&a, Algorithm::Hash, other, 1, pool);
-    parity_ok &= bits_eq(&rc_u, &hash_u);
+    parity_ok &= bits_eq_f64(&rc_u, &hash_u);
 
     CellResult {
         label,

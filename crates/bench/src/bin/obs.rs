@@ -981,7 +981,7 @@ fn main() {
         if args.smoke {
             // The gate must at least pass against the stamp it just
             // wrote (identity compare — exercises parse + compare).
-            let doc = spgemm_tune::json::parse(&stamp.to_json()).expect("own stamp parses");
+            let doc = spgemm_bench::json::parse(&stamp.to_json()).expect("own stamp parses");
             let report = spgemm_bench::regress::compare(
                 &doc,
                 &doc,

@@ -13,9 +13,9 @@
 //! no baseline metric went missing (warnings print but do not fail);
 //! 1 on regression; 2 on usage or file errors.
 
+use spgemm_bench::json;
 use spgemm_bench::perfjson;
 use spgemm_bench::regress::{compare, render, RegressConfig};
-use spgemm_tune::json;
 use std::path::PathBuf;
 
 struct Args {

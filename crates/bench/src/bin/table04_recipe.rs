@@ -15,7 +15,9 @@
 //! only, minimum of `--reps`), and prints the dense accumulator's
 //! footprint against the per-thread L2 share beside the SPA / Hash /
 //! Heap times: where the SPA stops winning is where the rule must
-//! flip.
+//! flip. The `coll` column is the cell's measured Eq (2) collision
+//! factor (`cost::measure_collision_factor`), the provenance of
+//! `cost::AUTO_COLLISION_FACTOR`.
 
 use spgemm::{cost, recipe, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_bench::{args::BenchArgs, runner};
@@ -203,8 +205,18 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
         args.reps
     );
     println!(
-        "{:<5} {:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>7}",
-        "kind", "scale", "order", "spa_KiB", "l2_KiB", "spa", "hash", "heap", "auto", "auto/best"
+        "{:<5} {:>5} {:>9} {:>10} {:>9} {:>5} {:>9} {:>9} {:>9} {:>6} {:>7}",
+        "kind",
+        "scale",
+        "order",
+        "spa_KiB",
+        "l2_KiB",
+        "coll",
+        "spa",
+        "hash",
+        "heap",
+        "auto",
+        "auto/best"
     );
     for scale in lo..=hi {
         for kind in [RmatKind::Er, RmatKind::G500] {
@@ -235,7 +247,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
                     .min_by(f64::total_cmp);
                 let cell = |t: Option<f64>| t.map_or("-".to_owned(), |t| format!("{t:.2}"));
                 println!(
-                    "{:<5} {scale:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>7.2}",
+                    "{:<5} {scale:>5} {:>9} {:>10} {:>9} {:>5.2} {:>9} {:>9} {:>9} {:>6} {:>7.2}",
                     if kind == RmatKind::Er { "er" } else { "g500" },
                     if order.is_sorted() {
                         "sorted"
@@ -244,6 +256,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
                     },
                     cost::spa_footprint_bytes(m.ncols(), 8) >> 10,
                     cost::l2_share_bytes() >> 10,
+                    cost::measure_collision_factor::<P>(m, b),
                     cell(spa),
                     cell(hash),
                     cell(heap),

@@ -1,14 +1,11 @@
-//! Minimal JSON reading/writing for the machine-profile database.
-//!
-//! The build environment has no registry access, so serde is not
-//! available; the profile schema is small and flat enough that a
-//! ~200-line value model with a recursive-descent parser covers it.
-//! Numbers round-trip through Rust's shortest-representation float
-//! formatting, so `parse(emit(v)) == v` for every value this crate
-//! produces.
+//! The bench harness's JSON *reader*: the perf-regression gate
+//! ([`crate::regress`], `spgemm-regress`) and the stamp self-checks
+//! parse `BENCH_*.json` with it. The build environment has no registry
+//! access, so serde is not available; a small value model with a
+//! recursive-descent parser covers the flat stamp schema. Writing is
+//! [`crate::perfjson`]'s job, not this module's.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,7 +20,7 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object; `BTreeMap` keeps emission deterministic.
+    /// An object.
     Obj(BTreeMap<String, Value>),
 }
 
@@ -32,14 +29,6 @@ impl Value {
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Borrow as array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
             _ => None,
         }
     }
@@ -60,94 +49,10 @@ impl Value {
         }
     }
 
-    /// Read as integer (rejecting fractional values).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// Read as boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Field of an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_obj()?.get(key)
     }
-
-    /// Serialize to a compact JSON string.
-    pub fn emit(&self) -> String {
-        let mut out = String::new();
-        self.emit_into(&mut out);
-        out
-    }
-
-    fn emit_into(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` prints the shortest string that parses
-                    // back to the same f64.
-                    let _ = write!(out, "{n:?}");
-                } else {
-                    // JSON has no Inf/NaN; null is the conventional spelling.
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => emit_string(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.emit_into(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    emit_string(k, out);
-                    out.push(':');
-                    v.emit_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn emit_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure with a byte offset for context.
@@ -322,7 +227,7 @@ impl Parser<'_> {
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed for this
-                            // schema (profiles are ASCII); map lone
+                            // schema (stamps are ASCII); map lone
                             // surrogates to the replacement character.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -377,6 +282,7 @@ mod tests {
 
     #[test]
     fn round_trips_a_profile_like_document() {
+        let text = r#"{"cells":[{"samples":[0.00123,3e-9],"sorted":true,"winner":"Hash"}],"collision":1.0625,"hostname":"box-1","version":1.0}"#;
         let doc = obj(&[
             ("version", Value::Num(1.0)),
             ("hostname", Value::Str("box-1".into())),
@@ -393,24 +299,24 @@ mod tests {
                 ])]),
             ),
         ]);
-        let text = doc.emit();
-        assert_eq!(parse(&text).unwrap(), doc);
+        assert_eq!(parse(text).unwrap(), doc);
     }
 
     #[test]
     fn floats_round_trip_exactly() {
-        for x in [0.1, 1.0 / 3.0, 6.02e23, 5e-324, -0.0, 123456789.123456] {
-            let v = Value::Num(x);
-            let back = parse(&v.emit()).unwrap().as_f64().unwrap();
+        // `{:?}` prints the shortest string that parses back to the
+        // same f64 — how `perfjson` writes a metric.
+        for x in [0.1f64, 1.0 / 3.0, 6.02e23, 5e-324, -0.0, 123456789.123456] {
+            let back = parse(&format!("{x:?}")).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
     }
 
     #[test]
     fn strings_with_escapes_round_trip() {
+        let text = r#""a\"b\\c\nd\te\u0001π""#;
         let s = "a\"b\\c\nd\te\u{1}π";
-        let v = Value::Str(s.into());
-        assert_eq!(parse(&v.emit()).unwrap().as_str().unwrap(), s);
+        assert_eq!(parse(text).unwrap().as_str().unwrap(), s);
     }
 
     #[test]
@@ -429,8 +335,8 @@ mod tests {
     #[test]
     fn nesting_escapes_and_numbers() {
         let doc = parse(r#"{"a":[1,-2.5,3e2],"s":"q\"\\\nA😀","o":{"n":null,"b":true}}"#).unwrap();
-        let nums = [Value::Num(1.0), Value::Num(-2.5), Value::Num(300.0)];
-        assert_eq!(doc.get("a").and_then(Value::as_arr), Some(&nums[..]));
+        let nums = vec![Value::Num(1.0), Value::Num(-2.5), Value::Num(300.0)];
+        assert_eq!(doc.get("a"), Some(&Value::Arr(nums)));
         assert_eq!(doc.get("s").and_then(Value::as_str), Some("q\"\\\nA😀"));
         assert_eq!(doc.get("o").unwrap().get("n"), Some(&Value::Null));
         assert_eq!(doc.get("o").unwrap().get("b"), Some(&Value::Bool(true)));
@@ -439,6 +345,7 @@ mod tests {
     #[test]
     fn whitespace_tolerated() {
         let v = parse(" {\n \"a\" : [ 1 , true , \"x\" ] }\t").unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
+        let items = vec![Value::Num(1.0), Value::Bool(true), Value::Str("x".into())];
+        assert_eq!(v.get("a"), Some(&Value::Arr(items)));
     }
 }

@@ -9,8 +9,9 @@
 //! * [`profiles`] — Dolan–Moré performance profiles (Figure 15);
 //! * [`suites`] — the SuiteSparse stand-in catalog (or real `.mtx`
 //!   files when `--suitesparse DIR` is given);
-//! * [`tunesuite`] — the static-recipe vs tuned-selector vs
-//!   best-oracle comparison behind `tune --suite`.
+//! * [`perfjson`] / [`regress`] / [`json`] — the `BENCH_*.json` stamp
+//!   writer, the regression gate over two stamps, and the JSON reader
+//!   the gate parses them with.
 //!
 //! Defaults are scaled to finish on a small container; every binary
 //! accepts overrides to approach the paper's full sizes on bigger
@@ -21,12 +22,12 @@
 
 pub mod args;
 pub mod envinfo;
+pub mod json;
 pub mod perfjson;
 pub mod profiles;
 pub mod regress;
 pub mod runner;
 pub mod suites;
-pub mod tunesuite;
 
 /// The algorithm roster of a "sorted" comparison panel, in the order
 /// the paper's figures list them: MKL(≈Merge), Heap, Hash, HashVector.

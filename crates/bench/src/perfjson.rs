@@ -1,7 +1,7 @@
 //! Persisted bench perf trajectory: the machine-readable
 //! `BENCH_<name>.json` stamp every bench binary's `--smoke` path
 //! writes. `spgemm-regress` reads stamps and committed baselines back
-//! with [`spgemm_tune::json`], the workspace's one JSON parser.
+//! with [`crate::json`], the workspace's one JSON parser.
 //!
 //! The stamp is deliberately flat — one `metrics` object of numeric
 //! keys — so a regression gate can diff two files key-by-key without
@@ -89,7 +89,7 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spgemm_tune::json::{parse, Value};
+    use crate::json::{parse, Value};
 
     #[test]
     fn report_roundtrips_through_parser() {

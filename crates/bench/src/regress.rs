@@ -10,8 +10,8 @@
 //! quadratic, a lost cache), not single-digit percent drift. Non-
 //! timing metrics (counts, coverages) are reported but never gate.
 
+use crate::json::Value;
 use crate::perfjson::SCHEMA;
-use spgemm_tune::json::Value;
 
 /// Relative tolerances of the gate.
 #[derive(Clone, Copy, Debug)]
@@ -226,7 +226,7 @@ pub fn render(report: &RegressReport, cfg: RegressConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spgemm_tune::json::parse;
+    use crate::json::parse;
 
     fn stamp(name: &str, metrics: &str) -> Value {
         parse(&format!(

@@ -155,10 +155,11 @@ pub(crate) fn estimate_from_row_flops<A>(
 }
 
 /// The collision factor `c` of Eq (2) that `Auto` assumes.
-/// [`measure_collision_factor`] reads 1.00 on G500 squares (every
-/// thread's table is sized for its hub rows) and 1.08 / 1.21 / 1.26 on
-/// ER squares at edge factor 16 / 8 / 4: the uniform end, where the
-/// equations decide.
+/// [`measure_collision_factor`] (the `coll` column of `table04_recipe
+/// --sweep`; `--ef` sets the edge factor) reads 1.00 on G500 squares
+/// (every thread's table is sized for its hub rows) and 1.08 / 1.21 /
+/// 1.26 on ER squares at edge factor 16 / 8 / 4: the uniform end,
+/// where the equations decide.
 pub const AUTO_COLLISION_FACTOR: f64 = 1.2;
 
 /// How many L2 shares a dense accumulator may span when `A`'s row
@@ -286,8 +287,9 @@ impl Probe for CountingLinear {
 /// probe counts, and report probes per access.
 ///
 /// On the paper's inputs this sits close to 1 (the multiply-and-mask
-/// hash with a strictly-oversized power-of-two table collides rarely);
-/// the ablation bench uses it to relate Eq (2) to measurements.
+/// hash with a strictly-oversized power-of-two table collides rarely).
+/// `table04_recipe --sweep` prints it per cell (the `coll` column):
+/// that is where [`AUTO_COLLISION_FACTOR`] is read from.
 pub fn measure_collision_factor<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> f64 {
     let row_flops = spgemm_sparse::stats::row_flops(a, b);
     let max_flop = row_flops.iter().copied().max().unwrap_or(0) as usize;
@@ -336,12 +338,8 @@ mod tests {
         AutoContext {
             op: OpKind::Square,
             pattern,
-            nrows: ncols_b,
-            ncols_a: ncols_b,
             ncols_b,
-            nnz_a: 8 * ncols_b,
             edge_factor: 8.0,
-            row_cv: 0.3,
             sorted_inputs,
             order,
             elem_bytes,

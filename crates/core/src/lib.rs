@@ -107,10 +107,9 @@ use spgemm_sparse::{Csr, PlusTimes, Semiring, SparseError};
 /// Multiply `C = A · B` over semiring `S` with an explicit pool.
 ///
 /// Validates shapes and each algorithm's input-sortedness contract
-/// (see the table in the crate docs); `Algorithm::Auto` consults
-/// [`recipe`] — first the tuned-selector hook if one is installed
-/// (see [`recipe::set_auto_hook`] and the `spgemm-tune` crate), then
-/// the accumulator-footprint rule ([`cost::select`]).
+/// (see the table in the crate docs); `Algorithm::Auto` resolves
+/// through [`recipe::auto_select`]: the accumulator-footprint rule
+/// ([`cost::select`]) at this machine's L2 share.
 ///
 /// Internally this is exactly [`SpgemmPlan::new_in`] followed by one
 /// [`SpgemmPlan::execute_in`] — the inspector–executor split with the

@@ -36,9 +36,7 @@ pub enum Algorithm {
     RowClass,
     /// Sequential `BTreeMap` oracle (tests, tiny inputs).
     Reference,
-    /// Pick from the input structure: a tuned per-machine selector if
-    /// one is installed ([`crate::recipe::set_auto_hook`], see the
-    /// `spgemm-tune` crate), otherwise the accumulator-footprint rule
+    /// Pick from the input structure by the accumulator-footprint rule
     /// of [`crate::cost::select`]: the dense accumulator while it fits
     /// a thread's L2 share, else Heap or Hash by the paper's Eq (1) /
     /// Eq (2).
@@ -88,9 +86,9 @@ impl Algorithm {
     /// rows in accumulator order, which is why Table 4a only
     /// recommends it for unsorted outputs. An explicit
     /// `Inspector`+`Sorted` request is still honoured by
-    /// `multiply_in` via a post-sort, but selectors (static recipe,
-    /// tuned profile) never pick it for sorted output — the extra
-    /// sort forfeits exactly the work its one-phase design skips.
+    /// `multiply_in` via a post-sort, but Table 4a never names it for
+    /// sorted output — the extra sort forfeits exactly the work its
+    /// one-phase design skips.
     /// RowClass honours sorted output because *every* class kernel
     /// does (insertion array, hash table, and SPA all emit ascending
     /// rows on request) — if a future class kernel cannot, this must

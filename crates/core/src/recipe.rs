@@ -4,23 +4,17 @@
 //!
 //! # `Auto`
 //!
-//! The selector consults two sources, in order:
-//!
-//! 1. an optional **tuned-selector hook** ([`set_auto_hook`]) —
-//!    installed by `spgemm-tune` from a per-machine calibration
-//!    profile; it may decline (return `None`) for inputs outside its
-//!    calibrated grid;
-//! 2. the **footprint rule** ([`static_select`] =
-//!    [`crate::cost::select`] at this machine's per-thread L2 share),
-//!    used whenever no hook is installed or the hook declines: the
-//!    dense accumulator (`Spa`) while one thread's
-//!    `ncols(B) × (size_of(elem) + 4 + ⅛)` bytes fit its share of the
-//!    L2, otherwise the paper's Eq (1) vs Eq (2) between `Heap`
-//!    (sorted operands and sorted output only) and `Hash`. It reads
-//!    dimensions, the element size, sortedness, flop counts and one
-//!    number of the machine read once from sysfs — no clock, no
-//!    environment — so the same program picks the same kernel on
-//!    every run.
+//! `Auto` is one pure function: the **footprint rule**
+//! ([`static_select`] = [`crate::cost::select`] at this machine's
+//! per-thread L2 share) — the dense accumulator (`Spa`) while one
+//! thread's `ncols(B) × (size_of(elem) + 4 + ⅛)` bytes fit its share of
+//! the L2, otherwise the paper's Eq (1) vs Eq (2) between `Heap`
+//! (sorted operands and sorted output only) and `Hash`. It reads
+//! dimensions, the element size, sortedness, flop counts and one
+//! number of the machine read once from sysfs — no clock, no
+//! environment, no calibration file, nothing a caller can install — so
+//! the same program picks the same kernel for the same operands on
+//! every run and in every layer (plan, expr, delta, dist, serve).
 //!
 //! Why a rule of the machine and not the table below: Table 4 is what
 //! won on a 68-core KNL (and a Haswell) in 2018. On the reference box
@@ -154,8 +148,8 @@ pub fn classify_pattern<T: Copy + Send + Sync>(a: &Csr<T>) -> Pattern {
 }
 
 /// The structural summary of one multiply that algorithm selection
-/// keys on — everything both the footprint rule and a tuned-selector
-/// hook need, and nothing that requires a symbolic pass.
+/// keys on — Table 4b's keys plus what [`cost::select`] reads, and
+/// nothing that requires a symbolic pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoContext {
     /// Inferred scenario (square vs tall-skinny; `L · U` cannot be
@@ -163,18 +157,10 @@ pub struct AutoContext {
     pub op: OpKind,
     /// Row-skew class of `A`.
     pub pattern: Pattern,
-    /// Rows of `A`.
-    pub nrows: usize,
-    /// Columns of `A` (= rows of `B`).
-    pub ncols_a: usize,
     /// Columns of `B`.
     pub ncols_b: usize,
-    /// Stored entries of `A`.
-    pub nnz_a: usize,
     /// Mean entries per row of `A` (the edge factor of Table 4b).
     pub edge_factor: f64,
-    /// Coefficient of variation of `A`'s row sizes.
-    pub row_cv: f64,
     /// Whether both operands are column-sorted.
     pub sorted_inputs: bool,
     /// Requested output order.
@@ -209,16 +195,11 @@ pub(crate) fn auto_context_from<T: Copy + Send + Sync>(
         OpKind::Square
     };
     let ss = stats::structure_stats(a);
-    let pattern = classify_row_cv(ss.row_cv);
     AutoContext {
         op,
-        pattern,
-        nrows: ss.nrows,
-        ncols_a: ss.ncols,
+        pattern: classify_row_cv(ss.row_cv),
         ncols_b: b.ncols(),
-        nnz_a: ss.nnz,
         edge_factor: ss.avg_row_nnz,
-        row_cv: ss.row_cv,
         sorted_inputs: a.is_sorted() && b.is_sorted(),
         order,
         elem_bytes: std::mem::size_of::<T>(),
@@ -228,9 +209,7 @@ pub(crate) fn auto_context_from<T: Copy + Send + Sync>(
 
 /// The footprint rule as a pure function of the context:
 /// [`cost::select`] at this machine's per-thread L2 share
-/// ([`cost::l2_share_bytes`]). This is the path [`auto_select`] takes
-/// when no tuned hook is installed, and what a tuned selector falls
-/// back to outside its calibrated grid.
+/// ([`cost::l2_share_bytes`]) — what [`auto_select`] returns.
 pub fn static_select(ctx: &AutoContext) -> Algorithm {
     cost::select(ctx, cost::l2_share_bytes())
 }
@@ -238,46 +217,14 @@ pub fn static_select(ctx: &AutoContext) -> Algorithm {
 /// The kernel `Auto` resolves to for *every* product whose right
 /// operand has `ncols_b` columns of `elem_bytes`-sized values, whatever
 /// the operands' entries — `Some(Spa)` when the dense accumulator fits
-/// the L2 share outright and no tuned hook is installed, `None` when
-/// the resolution depends on the entries. A cached product requested
-/// as `Auto` may be row-patched in place exactly when this answers:
-/// the product's clean rows and the recomputed ones are then known to
-/// come from one kernel although the operands changed in between.
+/// the L2 share outright, `None` when the resolution depends on the
+/// entries. A cached product requested as `Auto` may be row-patched in
+/// place exactly when this answers: the product's clean rows and the
+/// recomputed ones are then known to come from one kernel although the
+/// operands changed in between.
 pub fn entry_independent_pick(ncols_b: usize, elem_bytes: usize) -> Option<Algorithm> {
     let fits = cost::spa_footprint_bytes(ncols_b, elem_bytes) <= cost::l2_share_bytes();
-    (fits && !auto_hook_installed()).then_some(Algorithm::Spa)
-}
-
-/// A tuned-selector callback: maps a context to a concrete algorithm,
-/// or `None` to decline (input outside the calibrated grid).
-pub type AutoHook = std::sync::Arc<dyn Fn(&AutoContext) -> Option<Algorithm> + Send + Sync>;
-
-static AUTO_HOOK: std::sync::RwLock<Option<AutoHook>> = std::sync::RwLock::new(None);
-
-/// Install `hook` as the first consultation of [`auto_select`]
-/// process-wide, replacing any previous hook. `spgemm-tune` calls this
-/// when a machine profile is loaded; installing a hook never makes
-/// `Auto` unsound — a pick violating an input contract is discarded in
-/// favour of the footprint rule.
-pub fn set_auto_hook(hook: AutoHook) {
-    *AUTO_HOOK
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(hook);
-}
-
-/// Remove the tuned-selector hook, restoring the footprint rule.
-pub fn clear_auto_hook() {
-    *AUTO_HOOK
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-}
-
-/// Whether a tuned-selector hook is currently installed.
-pub fn auto_hook_installed() -> bool {
-    AUTO_HOOK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .is_some()
+    fits.then_some(Algorithm::Spa)
 }
 
 /// Whether `pick` may be used for the multiply `ctx` describes: it
@@ -293,27 +240,18 @@ pub fn pick_admissible(ctx: &AutoContext, pick: Algorithm) -> bool {
 }
 
 /// The automatic selector used by [`crate::Algorithm::Auto`]: build
-/// the [`AutoContext`] from row statistics, offer it to the tuned hook
-/// if one is installed, and otherwise (or if the hook declines or
-/// picks an algorithm the context rules out — see [`pick_admissible`])
-/// apply the footprint rule via [`static_select`]. Every resolution is
-/// counted (`plan.auto.<algo>`), with the dense accumulator's
-/// footprint and the L2 share it was held against as gauges, so
-/// `/metrics` shows what `Auto` picked and how close the bound was.
+/// the [`AutoContext`] from row statistics and apply the footprint
+/// rule ([`static_select`]). Every resolution is counted
+/// (`plan.auto.<algo>`), with the dense accumulator's footprint and
+/// the L2 share it was held against as gauges, so `/metrics` shows
+/// what `Auto` picked and how close the bound was.
 pub fn auto_select<T: Copy + Send + Sync>(a: &Csr<T>, b: &Csr<T>, order: OutputOrder) -> Algorithm {
     resolve(&auto_context(a, b, order))
 }
 
 /// [`auto_select`] on a context the caller built.
 pub(crate) fn resolve(ctx: &AutoContext) -> Algorithm {
-    let hook = AUTO_HOOK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    let pick = hook
-        .and_then(|hook| hook(ctx))
-        .filter(|&pick| pick_admissible(ctx, pick))
-        .unwrap_or_else(|| static_select(ctx));
+    let pick = static_select(ctx);
     if obs::enabled() {
         static FOOTPRINT: obs::GaugeSite =
             obs::GaugeSite::new("plan", "plan.auto.spa_footprint_bytes");
@@ -394,12 +332,8 @@ mod tests {
         let ctx = |sorted_inputs: bool, order: OutputOrder| AutoContext {
             op: OpKind::Square,
             pattern: Pattern::Uniform,
-            nrows: 64,
-            ncols_a: 64,
             ncols_b: 64,
-            nnz_a: 256,
             edge_factor: 4.0,
-            row_cv: 0.1,
             sorted_inputs,
             order,
             elem_bytes: 8,
@@ -442,16 +376,8 @@ mod tests {
         ));
     }
 
-    /// Serializes tests that read or write the process-global hook.
-    fn hook_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn auto_select_never_picks_sorted_only_kernel_for_unsorted_input() {
-        let _guard = hook_lock();
         let er = rmat::generate_kind(RmatKind::Er, 8, 4, &mut spgemm_gen::rng(2));
         let unsorted = spgemm_gen::perm::randomize_columns(&er, &mut spgemm_gen::rng(3));
         let pick = auto_select(&unsorted, &unsorted, OutputOrder::Sorted);
@@ -460,7 +386,6 @@ mod tests {
 
     #[test]
     fn auto_select_detects_tall_skinny() {
-        let _guard = hook_lock();
         let g = rmat::generate_kind(RmatKind::G500, 9, 16, &mut spgemm_gen::rng(4));
         let ts = spgemm_gen::tallskinny::tall_skinny(&g, 16, &mut spgemm_gen::rng(5)).unwrap();
         let ctx = auto_context(&g, &ts, OutputOrder::Unsorted);
@@ -490,68 +415,5 @@ mod tests {
             auto_context(&narrow, &narrow, OutputOrder::Sorted).elem_bytes,
             4
         );
-    }
-
-    #[test]
-    fn auto_select_matches_static_select_without_hook() {
-        let _guard = hook_lock();
-        clear_auto_hook();
-        for (kind, ef) in [
-            (RmatKind::Er, 4),
-            (RmatKind::G500, 4),
-            (RmatKind::Er, 16),
-            (RmatKind::G500, 16),
-        ] {
-            let a = rmat::generate_kind(kind, 8, ef, &mut spgemm_gen::rng(6));
-            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
-                let ctx = auto_context(&a, &a, order);
-                assert_eq!(auto_select(&a, &a, order), static_select(&ctx));
-            }
-        }
-    }
-
-    #[test]
-    fn hook_overrides_and_clears() {
-        let _guard = hook_lock();
-        let a = rmat::generate_kind(RmatKind::Er, 8, 4, &mut spgemm_gen::rng(7));
-        let ctx = auto_context(&a, &a, OutputOrder::Sorted);
-        let static_pick = static_select(&ctx);
-        assert_ne!(
-            static_pick,
-            Algorithm::KkHash,
-            "fixture must disagree with the hook"
-        );
-        set_auto_hook(std::sync::Arc::new(|_| Some(Algorithm::KkHash)));
-        assert!(auto_hook_installed());
-        assert_eq!(auto_select(&a, &a, OutputOrder::Sorted), Algorithm::KkHash);
-        clear_auto_hook();
-        assert!(!auto_hook_installed());
-        assert_eq!(auto_select(&a, &a, OutputOrder::Sorted), static_pick);
-    }
-
-    #[test]
-    fn declining_hook_falls_back_to_static() {
-        let _guard = hook_lock();
-        set_auto_hook(std::sync::Arc::new(|_| None));
-        let a = rmat::generate_kind(RmatKind::G500, 8, 16, &mut spgemm_gen::rng(8));
-        let ctx = auto_context(&a, &a, OutputOrder::Unsorted);
-        assert_eq!(
-            auto_select(&a, &a, OutputOrder::Unsorted),
-            static_select(&ctx)
-        );
-        clear_auto_hook();
-    }
-
-    #[test]
-    fn contract_violating_hook_pick_is_discarded() {
-        let _guard = hook_lock();
-        // Hook insists on Heap, but the inputs are unsorted: Auto must
-        // refuse and fall back to the static recipe.
-        set_auto_hook(std::sync::Arc::new(|_| Some(Algorithm::Heap)));
-        let er = rmat::generate_kind(RmatKind::Er, 8, 4, &mut spgemm_gen::rng(9));
-        let unsorted = spgemm_gen::perm::randomize_columns(&er, &mut spgemm_gen::rng(10));
-        let pick = auto_select(&unsorted, &unsorted, OutputOrder::Sorted);
-        assert!(!pick.requires_sorted_inputs(), "picked {pick}");
-        clear_auto_hook();
     }
 }

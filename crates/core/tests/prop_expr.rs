@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use spgemm::expr::{ElemMap, ExprCache, ExprGraph, ExprPlan};
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Coo, Csr, PlusTimes, SparseError};
+use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, PlusTimes, SparseError};
 
 type P = PlusTimes<f64>;
 
@@ -38,16 +38,6 @@ fn arb_square_pair(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = (Csr
         };
         (one(), one())
     })
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The unfused reference for the composite DAG below.
@@ -88,14 +78,14 @@ proptest! {
         let mut out = Csr::zero(0, 0);
         for round in 0..3 {
             plan.execute_into_in(&[&a, &b], &[&rf], &mut out, &pool).unwrap();
-            prop_assert!(bits_eq(&out, &expect), "round {}", round);
+            prop_assert!(bits_eq_f64(&out, &expect), "round {}", round);
             prop_assert!(out.validate().is_ok());
         }
         // Values drift under a fixed structure: still numeric-only.
         let a2 = a.map(|v| v * -0.5);
         let b2 = b.map(|v| v + 0.25);
         plan.execute_into_in(&[&a2, &b2], &[&rf], &mut out, &pool).unwrap();
-        prop_assert!(bits_eq(&out, &composite_reference(&a2, &b2, &rf, &pool)));
+        prop_assert!(bits_eq_f64(&out, &composite_reference(&a2, &b2, &rf, &pool)));
     }
 
     #[test]
@@ -110,7 +100,7 @@ proptest! {
         plan.execute_into_in(&[&a, &mask], &[], &mut out, &pool).unwrap();
         let prod = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
         let expect = ops::hadamard(&prod, &mask).unwrap();
-        prop_assert!(bits_eq(&out, &expect));
+        prop_assert!(bits_eq_f64(&out, &expect));
     }
 
     #[test]
@@ -144,9 +134,9 @@ proptest! {
         let r = std::hint::black_box(2.0f64);
         let sqm = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
         let expect_f = sqm.map(|v| v.abs().powf(r));
-        prop_assert!(bits_eq(&of, &expect_f));
+        prop_assert!(bits_eq_f64(&of, &expect_f));
         let expect_u = ops::hadamard(&expect_f, &sqm).unwrap();
-        prop_assert!(bits_eq(&ou, &expect_u));
+        prop_assert!(bits_eq_f64(&ou, &expect_u));
     }
 
     #[test]
@@ -165,16 +155,16 @@ proptest! {
         };
         for _ in 0..3 {
             cache.execute_into_in(&[&a], &[], &mut out, &pool).unwrap();
-            prop_assert!(bits_eq(&out, &oracle(&a)));
+            prop_assert!(bits_eq_f64(&out, &oracle(&a)));
         }
         prop_assert_eq!(cache.stats().rebuilds, 1);
         prop_assert_eq!(cache.stats().hits, 2);
         // drift to a different pattern and back
         cache.execute_into_in(&[&b], &[], &mut out, &pool).unwrap();
-        prop_assert!(bits_eq(&out, &oracle(&b)));
+        prop_assert!(bits_eq_f64(&out, &oracle(&b)));
         prop_assert_eq!(cache.stats().rebuilds, 2);
         cache.execute_into_in(&[&a], &[], &mut out, &pool).unwrap();
-        prop_assert!(bits_eq(&out, &oracle(&a)));
+        prop_assert!(bits_eq_f64(&out, &oracle(&a)));
         prop_assert_eq!(cache.stats().rebuilds, 3);
     }
 }
@@ -255,7 +245,7 @@ fn rebind_keeps_multiply_workspaces() {
     );
     assert!(after.reused > before.reused);
     let expect = multiply_in::<P>(&b, &b, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-    assert!(bits_eq(&out, &expect));
+    assert!(bits_eq_f64(&out, &expect));
 }
 
 #[test]
@@ -321,7 +311,7 @@ fn failed_rebind_poisons_the_plan_until_a_good_rebind() {
     plan.execute_into_in(&[&bigger, &bigger], &[], &mut out, &pool)
         .unwrap();
     let expect = ops::add(&bigger, &bigger).unwrap();
-    assert!(bits_eq(&out, &expect));
+    assert!(bits_eq_f64(&out, &expect));
 }
 
 #[test]
@@ -350,5 +340,5 @@ fn expr_cache_recovers_after_a_failed_rebind() {
         .execute_into_in(&[&a, &a], &[], &mut out, &pool)
         .unwrap();
     let expect = ops::add(&a, &a).unwrap();
-    assert!(bits_eq(&out, &expect));
+    assert!(bits_eq_f64(&out, &expect));
 }

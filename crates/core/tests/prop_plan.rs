@@ -14,7 +14,7 @@ use spgemm::delta::recompute_product_rows;
 use spgemm::{algos, multiply_in, multiply_masked};
 use spgemm::{Algorithm, DirtyRows, OutputOrder, PlanCache, RowPatch, SpgemmPlan};
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Coo, Csr, MaxTimes, OrAnd, PlusTimes, Semiring};
+use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, MaxTimes, OrAnd, PlusTimes, Semiring};
 
 type P = PlusTimes<f64>;
 
@@ -51,20 +51,12 @@ fn same_by<E: Copy>(a: &Csr<E>, b: &Csr<E>, eq: impl Fn(E, E) -> bool) -> bool {
         && a.vals().iter().zip(b.vals()).all(|(&x, &y)| eq(x, y))
 }
 
-/// Value **bits** (`==` on `f64` would equate ±0.0), except that any
-/// NaN matches any NaN: IEEE 754 leaves the sign and payload of a NaN
-/// *result* unspecified and the compiler may commute an addition's
-/// operands, so two kernels doing the same sums in the same order can
-/// still differ there (seen in release builds: `0x7ff8…` from
-/// RowClass's insertion array where Hash gives `0xfff8…`). Signed
-/// zeros and infinities match exactly.
+/// [`bits_eq_f64`]'s value rule as a [`same_by`] predicate: value
+/// **bits**, any NaN matching any NaN (seen in release builds:
+/// `0x7ff8…` from RowClass's insertion array where Hash gives
+/// `0xfff8…`).
 fn f64_bits(x: f64, y: f64) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
-}
-
-/// [`same_by`] on [`f64_bits`].
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    same_by(a, b, f64_bits)
 }
 
 /// Square matrices whose values are mostly ordinary reals with NaN,
@@ -196,7 +188,7 @@ proptest! {
                 let expect = oneshot(m, m, Algorithm::Hash, order, &pool);
                 for round in 0..3 {
                     let got = plan.execute_in(m, m, &pool).unwrap();
-                    prop_assert!(bits_eq(&got, &expect), "{} {:?} round {}", what, order, round);
+                    prop_assert!(bits_eq_f64(&got, &expect), "{} {:?} round {}", what, order, round);
                 }
                 prop_assert!(plan.replay_stats().is_some(), "{} {:?}: replaying", what, order);
                 Ok(())
@@ -216,7 +208,7 @@ proptest! {
             prop_assert!(plan.replay_stats().is_none(), "a row patch drops the pattern");
             plan.execute_rows_in(&b2, &b2, &out, &mut c, &pool).unwrap();
             let expect = oneshot(&b2, &b2, Algorithm::Hash, order, &pool);
-            prop_assert!(bits_eq(&c, &expect), "spliced {:?}", order);
+            prop_assert!(bits_eq_f64(&c, &expect), "spliced {:?}", order);
             three_more(&plan, &b2, "row-patched")?;
         }
     }
@@ -234,12 +226,12 @@ proptest! {
                     let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).unwrap();
                     // first execution (staged for one-phase algorithms)
                     let first = plan.execute_in(&a, &a, &pool).unwrap();
-                    prop_assert!(bits_eq(&expect, &first), "{} {:?} nt={} (first)", algo, order, nt);
+                    prop_assert!(bits_eq_f64(&expect, &first), "{} {:?} nt={} (first)", algo, order, nt);
                     // steady-state numeric-only execution
                     let second = plan.execute_in(&a, &a, &pool).unwrap();
-                    prop_assert!(bits_eq(&expect, &second), "{} {:?} nt={} (second)", algo, order, nt);
+                    prop_assert!(bits_eq_f64(&expect, &second), "{} {:?} nt={} (second)", algo, order, nt);
                     if ASCENDING_K.contains(&algo) {
-                        prop_assert!(bits_eq(&expect, &hash), "{} vs hash, {:?} nt={}", algo, order, nt);
+                        prop_assert!(bits_eq_f64(&expect, &hash), "{} vs hash, {:?} nt={}", algo, order, nt);
                     }
                 }
                 // The masked product gates the same sums: the full
@@ -251,20 +243,20 @@ proptest! {
                 }
                 let sorted_hash = oneshot(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool);
                 let gated = ops::hadamard(&sorted_hash, &mask).unwrap();
-                prop_assert!(bits_eq(&masked, &gated), "masked {:?} nt={}", order, nt);
+                prop_assert!(bits_eq_f64(&masked, &gated), "masked {:?} nt={}", order, nt);
             }
             let hash = oneshot(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool);
-            prop_assert!(bits_eq(&hash, &oracle), "sorted hash vs reference, nt={}", nt);
+            prop_assert!(bits_eq_f64(&hash, &oracle), "sorted hash vs reference, nt={}", nt);
             // The serve patch recomputes rows through the driver's
             // masked passes, on this width: all of them from nothing,
             // or a few on top of the product they belong to.
             let n = a.nrows();
             let from_nothing =
                 recompute_product_rows(&a, &a, &DirtyRows::all(n), &Csr::zero(n, n), &pool);
-            prop_assert!(bits_eq(&from_nothing, &hash), "recompute all rows, nt={}", nt);
+            prop_assert!(bits_eq_f64(&from_nothing, &hash), "recompute all rows, nt={}", nt);
             let some = DirtyRows::from_rows(n, (0..n).step_by(3));
             let patched = recompute_product_rows(&a, &a, &some, &hash, &pool);
-            prop_assert!(bits_eq(&patched, &hash), "recompute every third row, nt={}", nt);
+            prop_assert!(bits_eq_f64(&patched, &hash), "recompute every third row, nt={}", nt);
         }
     }
 
@@ -279,7 +271,7 @@ proptest! {
                 let baseline = c.clone();
                 for round in 0..3 {
                     plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
-                    prop_assert!(bits_eq(&baseline, &c), "{} {:?} round {}", algo, order, round);
+                    prop_assert!(bits_eq_f64(&baseline, &c), "{} {:?} round {}", algo, order, round);
                 }
             }
         }
@@ -289,7 +281,7 @@ proptest! {
     /// structure drift (one plan rebound over a random sequence of
     /// operands) its output is byte-for-byte the hash kernel's under
     /// both output orders, and byte-for-byte Reference's when sorted.
-    /// This is what lets tune swap RowClass in for Hash sight unseen.
+    /// This is what lets a caller swap RowClass in for Hash sight unseen.
     #[test]
     fn rowclass_parity_across_drift_and_rebind(
         a in arb_square(20, 120),
@@ -304,10 +296,10 @@ proptest! {
                 plan.rebind_in(m, m, &pool).unwrap();
                 let got = plan.execute_in(m, m, &pool).unwrap();
                 let hash = oneshot(m, m, Algorithm::Hash, order, &pool);
-                prop_assert!(bits_eq(&got, &hash), "vs hash, {:?}", order);
+                prop_assert!(bits_eq_f64(&got, &hash), "vs hash, {:?}", order);
                 if order.is_sorted() {
                     let oracle = algos::reference::multiply::<P>(m, m);
-                    prop_assert!(bits_eq(&got, &oracle), "vs reference");
+                    prop_assert!(bits_eq_f64(&got, &oracle), "vs reference");
                 }
             }
         }
@@ -325,7 +317,7 @@ proptest! {
         for m in [&a, &a, &b, &a, &b, &b] {
             let expect = oneshot(m, m, Algorithm::Hash, OutputOrder::Sorted, &pool);
             let got = cache.multiply_in(m, m, &pool).unwrap();
-            prop_assert!(bits_eq(&expect, &got));
+            prop_assert!(bits_eq_f64(&expect, &got));
         }
         let st = cache.stats();
         prop_assert_eq!(st.hits + st.rebuilds, 6);
@@ -475,7 +467,7 @@ fn rowclass_matches_hash_at_the_u16_boundary() {
             for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
                 let hash = oneshot(&a, &b, Algorithm::Hash, order, &pool);
                 let got = oneshot(&a, &b, Algorithm::RowClass, order, &pool);
-                assert!(bits_eq(&got, &hash), "{inner} x {width} {order:?}");
+                assert!(bits_eq_f64(&got, &hash), "{inner} x {width} {order:?}");
                 let corner = hash.get(0, (width - 1) as ColIdx);
                 assert!(corner.is_some(), "last row of B reaches the last column");
             }
@@ -500,7 +492,7 @@ fn replay_matches_hash_at_the_u16_boundary() {
             let discovering = plan.owned_bytes();
             for round in 0..4 {
                 let got = plan.execute_in(&a, &b, &pool).unwrap();
-                assert!(bits_eq(&got, &hash), "{width} {order:?} round {round}");
+                assert!(bits_eq_f64(&got, &hash), "{width} {order:?} round {round}");
             }
             assert!(plan.replay_stats().is_some_and(|st| st.acquisitions() >= 2));
             let entry = if width <= 65_536 { 2 } else { 4 };
@@ -583,7 +575,7 @@ fn hashvec_at_every_level_is_bit_identical_to_hash() {
             let hash = oneshot(&a, &a, Algorithm::Hash, order, &pool);
             for level in SimdLevel::supported() {
                 let got = algos::hashvec::multiply_with_level::<P>(&a, &a, order, &pool, level);
-                assert!(bits_eq(&got, &hash), "{level:?} {order:?} nt={nt}");
+                assert!(bits_eq_f64(&got, &hash), "{level:?} {order:?} nt={nt}");
             }
         }
     }

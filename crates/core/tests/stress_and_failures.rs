@@ -4,7 +4,9 @@
 
 use spgemm::{multiply_in, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_par::Pool;
-use spgemm_sparse::{approx_eq_f64, ColIdx, Coo, Csr, PlusTimes, Semiring, SparseError};
+use spgemm_sparse::{
+    approx_eq_f64, bits_eq_f64, ColIdx, Coo, Csr, PlusTimes, Semiring, SparseError,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -196,12 +198,6 @@ fn warmed_plan<S: Semiring<Elem = f64>>(
     (a, plan, c)
 }
 
-/// Value bits, any NaN matching any NaN.
-fn same_bits(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-    a.rpts() == b.rpts() && a.cols() == b.cols() && a.vals().iter().zip(b.vals()).all(same)
-}
-
 /// Operands of the planned shape and `nnz` but another structure are a
 /// contract violation the per-execute checks cannot see. A replaying
 /// plan scatters them into slots its pattern never gathers: the call
@@ -224,7 +220,7 @@ fn a_structure_swap_under_a_replaying_plan_does_not_leak_into_the_next_execution
         }));
         assert!(replays(&plan) > before, "the violating pass was a replay");
         let got = plan.execute_in(&a, &a, &pool).unwrap();
-        assert!(same_bits(&got, &expect), "nt={nt}");
+        assert!(bits_eq_f64(&got, &expect), "nt={nt}");
     }
 }
 
@@ -279,7 +275,7 @@ fn a_worker_panic_mid_replay_fails_one_call_only() {
     );
     for round in 0..2 {
         plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
-        assert!(same_bits(&c, &expect), "round {round} after the panic");
+        assert!(bits_eq_f64(&c, &expect), "round {round} after the panic");
     }
     assert!(plan.replay_stats().is_some(), "still replaying");
 }
@@ -303,7 +299,7 @@ fn two_threads_share_one_plan_across_the_capture() {
                 for round in 0..6 {
                     gate.wait();
                     plan.execute_into_in(a, a, &mut c, pool).unwrap();
-                    assert!(same_bits(&c, expect), "thread {t} round {round}");
+                    assert!(bits_eq_f64(&c, expect), "thread {t} round {round}");
                 }
             });
         }

@@ -43,16 +43,12 @@ pub struct ServeConfig {
     /// every job a cold one-shot multiply (the baseline the
     /// `spgemm-serve --compare` bench measures against).
     pub plan_cache_plans: usize,
-    /// Install this host's calibrated tuning profile for
-    /// `threads_per_worker` workers at startup (nearest calibrated
-    /// thread count when the exact one is missing), so `Auto` requests
-    /// resolve through measured data.
-    ///
-    /// The installed selector is **process-global**
-    /// (`spgemm::recipe`'s auto hook): it also affects `Auto`
-    /// resolution outside this engine, the last installer wins, and
-    /// dropping the engine does not uninstall it. Leave this off when
-    /// the process manages the hook itself.
+    /// Inert: read by nothing. It selected the calibration-profile
+    /// path that left with `crates/tune`; the field stays only because
+    /// the frozen repo benchmark (`bm/src/workloads/serve_mix.rs`)
+    /// names it in a struct literal, and goes with the next
+    /// benchmark-only change.
+    #[doc(hidden)]
     pub use_tuned_profile: bool,
     /// Route oversized products to a shared sharded backend
     /// (`spgemm_dist::ShardRuntime`) instead of the monolithic plan
@@ -163,18 +159,12 @@ struct EngineShared {
 pub struct ServeEngine {
     shared: Arc<EngineShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    tuned_profile_threads: Option<usize>,
 }
 
 impl ServeEngine {
     /// Start the engine: spawns `cfg.workers` worker threads, each
     /// owning an execution pool of `cfg.threads_per_worker` threads.
     pub fn new(cfg: ServeConfig) -> Self {
-        let tuned_profile_threads = if cfg.use_tuned_profile {
-            spgemm_tune::init_from_saved_at(cfg.threads_per_worker.max(1))
-        } else {
-            None
-        };
         let dist = cfg.dist.map(|routing| {
             let runtime = ShardRuntime::new(DistConfig {
                 grid: routing.grid,
@@ -208,11 +198,7 @@ impl ServeEngine {
                     .expect("failed to spawn serve worker")
             })
             .collect();
-        ServeEngine {
-            shared,
-            workers,
-            tuned_profile_threads,
-        }
+        ServeEngine { shared, workers }
     }
 
     /// The matrix registry.
@@ -457,13 +443,6 @@ impl ServeEngine {
     /// The submission queue's capacity.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()
-    }
-
-    /// Thread count of the tuning profile installed at startup, if
-    /// [`ServeConfig::use_tuned_profile`] found one (may differ from
-    /// `threads_per_worker` after the nearest-count fallback).
-    pub fn tuned_profile_threads(&self) -> Option<usize> {
-        self.tuned_profile_threads
     }
 
     /// Current counters.

@@ -5,7 +5,7 @@
 use spgemm::{Algorithm, OutputOrder};
 use spgemm_dist::GridSpec;
 use spgemm_serve::{DistRouting, Priority, ProductRequest, ServeConfig, ServeEngine, ServeError};
-use spgemm_sparse::{approx_eq_f64, Csr, PlusTimes};
+use spgemm_sparse::{approx_eq_f64, bits_eq_f64, Csr, PlusTimes};
 
 type P = PlusTimes<f64>;
 
@@ -380,16 +380,6 @@ mod expr_jobs {
     use spgemm_serve::ExprRequest;
     use spgemm_sparse::ops;
 
-    fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-        a.shape() == b.shape()
-            && a.rpts() == b.rpts()
-            && a.cols() == b.cols()
-            && a.vals()
-                .iter()
-                .zip(b.vals())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
     /// normalize_cols(|A·A|^2) — the MCL expansion+inflation DAG.
     fn mcl_spec() -> ExprSpec {
         let mut g = ExprGraph::new();
@@ -416,7 +406,10 @@ mod expr_jobs {
             .try_submit_expr(ExprRequest::new(mcl_spec(), ["a"]).algo(Algorithm::Hash))
             .unwrap();
         let got = job.wait().unwrap();
-        assert!(bits_eq(&got, &expect), "expr result must equal composition");
+        assert!(
+            bits_eq_f64(&got, &expect),
+            "expr result must equal composition"
+        );
         let m = engine.shutdown();
         assert_eq!(m.expr_jobs, 1);
         assert_eq!(
@@ -443,7 +436,7 @@ mod expr_jobs {
             .try_submit_expr(ExprRequest::new(mcl_spec(), ["a"]).algo(Algorithm::Hash))
             .unwrap();
         let r2 = second.wait().unwrap();
-        assert!(bits_eq(&r1, &r2));
+        assert!(bits_eq_f64(&r1, &r2));
         let m = engine.shutdown();
         assert_eq!(
             m.expr_nodes_computed, computed_after_first,

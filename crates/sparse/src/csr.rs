@@ -800,6 +800,26 @@ pub fn approx_eq_f64(a: &Csr<f64>, b: &Csr<f64>, rel: f64) -> bool {
     })
 }
 
+/// Bit-for-bit equality of two `f64` matrices: shape, the sortedness
+/// flag, row pointers, stored column order and value **bits** — `==`
+/// on `f64` would equate ±0.0 and reject NaN == NaN. Any NaN matches
+/// any NaN: IEEE 754 leaves the sign and payload of a NaN *result*
+/// unspecified and the compiler may commute an addition's operands, so
+/// two kernels doing the same sums in the same order can still differ
+/// there. Signed zeros and infinities match exactly. This is the
+/// parity contract every kernel, plan, incremental and sharded path is
+/// held to against its oracle.
+pub fn bits_eq_f64(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    a.shape() == b.shape()
+        && a.is_sorted() == b.is_sorted()
+        && a.rpts() == b.rpts()
+        && a.cols() == b.cols()
+        && a.vals()
+            .iter()
+            .zip(b.vals())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,6 +908,30 @@ mod tests {
         assert_eq!(s.row_cols(0), &[0, 2, 3]);
         assert_eq!(s.row_vals(0), &[2.0, 1.0, 3.0]);
         assert!(approx_eq_f64(&m, &s, 0.0));
+    }
+
+    #[test]
+    fn bits_eq_separates_signed_zeros_and_matches_any_nan() {
+        let with = |vals: Vec<f64>| Csr::from_parts(1, 4, vec![0, 2], vec![0, 2], vals).unwrap();
+        let m = with(vec![1.0, f64::NAN]);
+        assert!(bits_eq_f64(&m, &m.clone()), "NaN matches itself");
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1 << 63 | 1);
+        assert!(other_nan.is_nan() && other_nan.to_bits() != f64::NAN.to_bits());
+        assert!(bits_eq_f64(&m, &with(vec![1.0, other_nan])), "any NaN");
+        assert!(!bits_eq_f64(&m, &with(vec![1.0, f64::INFINITY])));
+        assert!(!bits_eq_f64(&with(vec![0.0, 1.0]), &with(vec![-0.0, 1.0])));
+        assert!(bits_eq_f64(&with(vec![-0.0, 1.0]), &with(vec![-0.0, 1.0])));
+        // Shape, structure and the sortedness flag all count.
+        let wider = Csr::from_parts(1, 5, vec![0, 2], vec![0, 2], vec![1.0, 2.0]).unwrap();
+        let taller = Csr::from_parts(2, 4, vec![0, 2, 2], vec![0, 2], vec![1.0, 2.0]).unwrap();
+        let base = with(vec![1.0, 2.0]);
+        assert!(!bits_eq_f64(&base, &wider));
+        assert!(!bits_eq_f64(&base, &taller));
+        let moved = Csr::from_parts(1, 4, vec![0, 2], vec![0, 3], vec![1.0, 2.0]).unwrap();
+        assert!(!bits_eq_f64(&base, &moved));
+        let (nr, nc, rpts, cols, vals, _) = base.clone().into_parts();
+        let flagged = Csr::from_parts_unchecked(nr, nc, rpts, cols, vals, false);
+        assert!(!bits_eq_f64(&base, &flagged), "sortedness flag");
     }
 
     #[test]

@@ -42,6 +42,10 @@ pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<Csr<f64>, SparseErro
     read_matrix_market_from(BufReader::new(f))
 }
 
+/// Most triplets [`read_matrix_market_from`] reserves room for on the
+/// size line's say-so (20 MB of `f64` triplets).
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// Read Matrix Market data from any reader.
 pub fn read_matrix_market_from(reader: impl Read) -> Result<Csr<f64>, SparseError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
@@ -152,10 +156,15 @@ pub fn read_matrix_market_from(reader: impl Read) -> Result<Csr<f64>, SparseErro
     let ncols = parse_usize(dims[1], "column count")?;
     let nnz = parse_usize(dims[2], "nnz count")?;
 
+    // The size line is the file's word, not a fact: reserve no more
+    // than the matrix has cells, nor than a fixed ceiling, and let
+    // `push` grow past it if the entries really come.
     let cap = match symmetry {
         Symmetry::General => nnz,
-        Symmetry::Symmetric => nnz * 2,
-    };
+        Symmetry::Symmetric => nnz.saturating_mul(2),
+    }
+    .min(nrows.saturating_mul(ncols))
+    .min(MAX_RESERVED_ENTRIES);
     let mut coo = Coo::with_capacity(nrows, ncols, cap)?;
     let mut seen = 0usize;
     for (n, line) in lines {
@@ -184,6 +193,13 @@ pub fn read_matrix_market_from(reader: impl Read) -> Result<Csr<f64>, SparseErro
             return Err(SparseError::Parse {
                 line: lineno,
                 detail: "Matrix Market indices are 1-based".into(),
+            });
+        }
+        // Compared as `usize`, before any narrowing to `ColIdx`.
+        if r > nrows || c > ncols {
+            return Err(SparseError::Parse {
+                line: lineno,
+                detail: format!("entry ({r}, {c}) outside the {nrows} x {ncols} matrix"),
             });
         }
         let v: f64 = match field {
@@ -502,6 +518,39 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 3.0\n";
         let e = read_matrix_market_from(text.as_bytes());
         assert!(matches!(e, Err(SparseError::Parse { .. })));
+    }
+
+    #[test]
+    fn rejects_an_index_that_only_fits_after_truncation() {
+        // 4294967297 = 2^32 + 1 narrows to column 1.
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 4294967297 1.0\n";
+        let err = read_matrix_market_from(src.as_bytes());
+        assert!(
+            matches!(err, Err(SparseError::Parse { line: 3, .. })),
+            "{err:?}"
+        );
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
+        let err = read_matrix_market_from(src.as_bytes());
+        assert!(
+            matches!(err, Err(SparseError::Parse { line: 3, .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_absurd_entry_count_is_an_error_not_an_allocation() {
+        for symmetry in ["general", "symmetric"] {
+            for nnz in ["1000000000000000000", "18446744073709551615"] {
+                let src = format!(
+                    "%%MatrixMarket matrix coordinate real {symmetry}\n1000000 1000000 {nnz}\n1 1 1.0\n"
+                );
+                let err = read_matrix_market_from(src.as_bytes());
+                assert!(
+                    matches!(err, Err(SparseError::Parse { .. })),
+                    "{symmetry} {nnz}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod stats;
 
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::{approx_eq_f64, csr_bytes, Csr, RowView};
+pub use csr::{approx_eq_f64, bits_eq_f64, csr_bytes, Csr, RowView};
 pub use delta::{DirtyRows, RowPatch};
 pub use error::SparseError;
 pub use scalar::Scalar;

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Coo, Csr, SparseError};
+use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, SparseError};
 
 /// A random sparse matrix with shape up to `max_dim`; values are small
 /// integers cast to `f64`, so every sum/product in the oracles is
@@ -49,18 +49,6 @@ fn is_unsorted<T>(r: &Result<T, SparseError>) -> bool {
     matches!(r, Err(SparseError::Unsorted { .. }))
 }
 
-/// Exact structural + value equality (rpts, cols and value bits).
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.shape() == b.shape()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.is_sorted() == b.is_sorted()
-}
-
 /// Unsort a matrix's rows by reversing each row's entries (keeps the
 /// (row, col, val) content identical).
 fn reversed_rows(a: &Csr<f64>) -> Csr<f64> {
@@ -83,7 +71,7 @@ proptest! {
         let pool = Pool::new(nt);
         let par = ops::transpose_in(&m, &pool);
         let ser = ops::transpose_serial(&m);
-        prop_assert!(bits_eq(&par, &ser));
+        prop_assert!(bits_eq_f64(&par, &ser));
         prop_assert!(par.validate().is_ok());
     }
 
@@ -93,7 +81,7 @@ proptest! {
         // order regardless, so both paths must still agree bit-wise.
         let u = reversed_rows(&m);
         let pool = Pool::new(nt);
-        prop_assert!(bits_eq(&ops::transpose_in(&u, &pool), &ops::transpose_serial(&u)));
+        prop_assert!(bits_eq_f64(&ops::transpose_in(&u, &pool), &ops::transpose_serial(&u)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use spgemm::expr::{DeltaPlan, ElemMap, ExprGraph};
 use spgemm::{Algorithm, RowPatch};
-use spgemm_sparse::Csr;
+use spgemm_sparse::{bits_eq_f64, Csr};
 
 const ALGO: Algorithm = Algorithm::Hash;
 
@@ -18,15 +18,6 @@ fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
         ef,
         &mut spgemm_gen::rng(seed),
     )
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn to_dense(m: &Csr<f64>) -> Vec<f64> {
@@ -100,7 +91,7 @@ fn check_node(
     };
     let fresh = DeltaPlan::bind(&g, root, ALGO, &fresh_inputs, &vecs).expect("fresh bind");
     assert!(
-        bits_eq(plan.root(), fresh.root()),
+        bits_eq_f64(plan.root(), fresh.root()),
         "{ctx}: incremental root diverged from fresh bind"
     );
 
@@ -294,7 +285,7 @@ fn untouched_branch_is_not_recomputed() {
     assert_eq!(report.rows_recomputed, 1, "only the Add row touched by B");
     let a2 = plan.input(1).clone();
     let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a, &a2], &[]).unwrap();
-    assert!(bits_eq(plan.root(), fresh.root()));
+    assert!(bits_eq_f64(plan.root(), fresh.root()));
 }
 
 /// The headline claim: a one-row numeric edit through the MCL pipeline
@@ -333,5 +324,5 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     // And the cheap update is still exactly right.
     let a2 = plan.input(0).clone();
     let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a2], &[]).unwrap();
-    assert!(bits_eq(plan.root(), fresh.root()));
+    assert!(bits_eq_f64(plan.root(), fresh.root()));
 }

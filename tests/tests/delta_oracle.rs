@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use spgemm::{Algorithm, DirtyRows, OutputOrder, RowPatch, SpgemmPlan};
 use spgemm_par::Pool;
-use spgemm_sparse::{Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 
 type P = PlusTimes<f64>;
 type Plan = SpgemmPlan<P>;
@@ -46,26 +46,9 @@ const UNSORTED_INPUT_OK: &[Algorithm] = &[
     Algorithm::Reference,
 ];
 
-/// Bitwise equality: the contract under test (`f64::eq` would equate
-/// ±0.0 and reject NaN == NaN). Any NaN matches any NaN: IEEE 754
-/// leaves the sign and payload of a NaN *result* unspecified, see
-/// `crates/core/tests/prop_plan.rs`.
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.nrows() == b.nrows()
-        && a.ncols() == b.ncols()
-        && a.is_sorted() == b.is_sorted()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals().len() == b.vals().len()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
-}
-
 fn assert_bits_eq(got: &Csr<f64>, want: &Csr<f64>, ctx: &str) {
     assert!(
-        bits_eq(got, want),
+        bits_eq_f64(got, want),
         "{ctx}: incremental product diverged from the fresh-plan oracle \
          (got {}x{} nnz={}, want {}x{} nnz={})",
         got.nrows(),
@@ -471,14 +454,6 @@ fn stale_cached_product_is_rejected_before_anything_is_written() {
     }
 }
 
-/// The two tests below resolve `Algorithm::Auto`, one of them under a
-/// process-global hook.
-fn auto_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// One 1 % batch: upserts in 10 of the 1024 rows of `m`.
 fn one_percent_patch(m: &Csr<f64>, batch: u64) -> RowPatch<f64> {
     let mut rng = spgemm_gen::rng(900 + batch);
@@ -497,7 +472,6 @@ fn one_percent_patch(m: &Csr<f64>, batch: u64) -> RowPatch<f64> {
 /// base operands too.
 #[test]
 fn auto_plans_patch_incrementally_from_the_first_batch() {
-    let _guard = auto_lock();
     let rmat_of =
         |kind, seed| spgemm_gen::rmat::generate_kind(kind, 10, 8, &mut spgemm_gen::rng(seed));
     let a0 = rmat_of(spgemm_gen::RmatKind::G500, 61);
@@ -539,15 +513,29 @@ fn auto_plans_patch_incrementally_from_the_first_batch() {
     }
 }
 
-/// When `Auto` resolved to a one-phase kernel (here: a hook that says
-/// Heap), the first row patch pays one full rebind and moves the plan
-/// to a two-phase kernel for good: every later batch — across full
-/// rebinds too — is incremental.
+/// When `Auto` resolved to a one-phase kernel, the first row patch
+/// pays one full rebind and moves the plan to a two-phase kernel for
+/// good: every later batch — across full rebinds too — is incremental.
+/// The operands are ones the footprint rule sends to Heap on any
+/// machine: sorted, two entries per row of `A` and four per row of a
+/// `B` with 2²² columns — a 50.9 MB dense accumulator, and Eq (1) at
+/// `log₂ 2` per flop under Eq (2) plus its sort.
 #[test]
 fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
-    let _guard = auto_lock();
-    spgemm::recipe::set_auto_hook(std::sync::Arc::new(|_| Some(Algorithm::Heap)));
-    let (a0, b0) = (rmat(7, 4, 71), rmat(7, 4, 72));
+    let (n, width) = (64usize, 1usize << 22);
+    let a_entries: Vec<_> = (0..n)
+        .flat_map(|i| {
+            [
+                (i, i as u32, 1.0 + i as f64),
+                (i, ((i + 17) % n) as u32, 0.5),
+            ]
+        })
+        .collect();
+    let b_entries: Vec<_> = (0..n)
+        .flat_map(|k| (0..4).map(move |j| (k, (k * 4099 + j * (width / 4)) as u32, 2.0 + j as f64)))
+        .collect();
+    let a0 = Csr::from_triplets(n, n, &a_entries).unwrap();
+    let b0 = Csr::from_triplets(n, width, &b_entries).unwrap();
     let pool = Pool::new(2);
     let product = |a: &Csr<f64>, algo| {
         Plan::new_in(a, &b0, algo, OutputOrder::Sorted, &pool)
@@ -555,7 +543,7 @@ fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
             .expect("product")
     };
     let mut plan = Plan::new_in(&a0, &b0, Algorithm::Auto, OutputOrder::Sorted, &pool).unwrap();
-    assert_eq!(plan.algorithm(), Algorithm::Heap);
+    assert_eq!(plan.algorithm(), Algorithm::Heap, "fixture precondition");
     // Not yet executed: a one-phase plan has no row structure to patch.
     let mut c = product(&a0, Algorithm::Heap);
     let none = DirtyRows::new(b0.nrows());
@@ -578,5 +566,4 @@ fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
         assert_eq!(plan.algorithm(), Algorithm::Hash, "stream {stream} reset");
         c = plan.execute_in(&a0, &b0, &pool).unwrap();
     }
-    spgemm::recipe::clear_auto_hook();
 }

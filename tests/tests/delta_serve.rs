@@ -6,7 +6,7 @@
 
 use spgemm::{multiply_f64, Algorithm, OutputOrder, RowPatch};
 use spgemm_serve::{ExprRequest, ProductRequest, ServeConfig, ServeEngine};
-use spgemm_sparse::Csr;
+use spgemm_sparse::{bits_eq_f64, Csr};
 
 fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
     spgemm_gen::rmat::generate_kind(
@@ -15,17 +15,6 @@ fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
         ef,
         &mut spgemm_gen::rng(seed),
     )
-}
-
-fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
-    a.nrows() == b.nrows()
-        && a.ncols() == b.ncols()
-        && a.rpts() == b.rpts()
-        && a.cols() == b.cols()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The (deterministic) patch submitter thread `t` applies at `step`:
@@ -102,7 +91,7 @@ fn concurrent_updates_and_products_match_some_version() {
         cur = next;
     }
     assert!(
-        bits_eq(engine.store().get("a").unwrap().csr(), &cur),
+        bits_eq_f64(engine.store().get("a").unwrap().csr(), &cur),
         "store must converge to the replayed history"
     );
 
@@ -115,7 +104,7 @@ fn concurrent_updates_and_products_match_some_version() {
     for (k, h) in handles.into_iter().enumerate() {
         let c = h.wait().expect("job result");
         assert!(
-            oracles.iter().any(|want| bits_eq(&c, want)),
+            oracles.iter().any(|want| bits_eq_f64(&c, want)),
             "job {k} matches no version of the history"
         );
     }
@@ -145,7 +134,7 @@ fn patch_and_reregistration_are_equivalent() {
 
     // The stored matrix after the streaming update is byte-identical
     // to registering the patched matrix wholesale...
-    assert!(bits_eq(
+    assert!(bits_eq_f64(
         engine.store().get("p").unwrap().csr(),
         &patched_local
     ));
@@ -161,7 +150,7 @@ fn patch_and_reregistration_are_equivalent() {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(bits_eq(&via_patch, &via_rereg));
+    assert!(bits_eq_f64(&via_patch, &via_rereg));
     engine.shutdown();
 }
 
@@ -199,7 +188,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(bits_eq(
+    assert!(bits_eq_f64(
         &r1,
         &multiply_f64(&a, &b, algo, OutputOrder::Sorted).unwrap()
     ));
@@ -218,7 +207,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
         .wait()
         .unwrap();
     assert!(
-        bits_eq(
+        bits_eq_f64(
             &r2,
             &multiply_f64(&a2, &b, algo, OutputOrder::Sorted).unwrap()
         ),
