@@ -7,16 +7,18 @@
 //! `multiply_in` (symbolic + numeric + fresh accumulators + fresh
 //! output every time):
 //!
-//! * **exec #1** — the first `execute_into_in`: sizes the output and
-//!   the pooled accumulators (a one-phase kernel's staged pass);
-//! * **exec #2** — numeric-only; a dense-kernel plan (`spa`, and
-//!   `auto` wherever it resolves to it) also copies the column pattern
-//!   this pass emitted;
+//! * **exec #1** — the first `execute_into_in`: sizes the output (a
+//!   one-phase kernel's staged pass). A dense-kernel plan (`spa`, and
+//!   `auto` wherever it resolves to it) already replays here the column
+//!   pattern its bind's symbolic pass wrote;
+//! * **exec #2** — numeric-only into the sized output;
 //! * **steady** — the median of the executions after those: a replay
 //!   of the pattern for the dense kernel (sorted costs what unsorted
 //!   does), the stamped numeric pass for everyone else;
 //! * **fresh** — the same steady state through `execute_in`, which
-//!   allocates its output (Figure 4's cost, isolated).
+//!   allocates its output (Figure 4's cost, isolated). The dense
+//!   kernel's exec #1 is printed beside it again below the table: both
+//!   replay into a fresh output.
 //!
 //! Every execution's output is compared with the first one's, bit for
 //! bit; `--smoke` (CI: scale 9, fails on a mismatch, never on a
@@ -74,6 +76,7 @@ fn main() {
 
     let mut stamp = PerfReport::new("plan_reuse", pool.nthreads());
     let mut drifted = Vec::new();
+    let mut dense_first = Vec::new();
     for algo in [
         Algorithm::Hash,
         Algorithm::HashVec,
@@ -129,6 +132,9 @@ fn main() {
             if !same {
                 drifted.push(format!("{} {tag}", algo.name()));
             }
+            if plan.algorithm() == Algorithm::Spa {
+                dense_first.push(format!("{} {tag} {exec1:.3} / {fresh:.3}", algo.name()));
+            }
             println!(
                 "{}\t{tag}\t{oneshot:.3}\t{exec1:.3}\t{exec2:.3}\t{steady:.3}\t{fresh:.3}\t{:.2}x",
                 algo.name(),
@@ -142,7 +148,12 @@ fn main() {
     }
     println!(
         "# a plan amortizes the symbolic phase, accumulator and output allocation; \
-         from its third execution the dense kernel's plan also replays its column pattern"
+         from its first execution the dense kernel's plan also replays the column pattern \
+         its bind wrote"
+    );
+    println!(
+        "# dense kernel, exec #1 / fresh (ms): {}",
+        dense_first.join(", ")
     );
     println!(
         "(every execution's output was compared bit for bit with its plan's first: {})",

@@ -10,49 +10,56 @@
 //! **Sorted output without sorting.** Sorting each output row is what
 //! a hashed accumulator pays for sorted output (§5.4.4); a dense
 //! accumulator's slots are already in column order, so its sorted emit
-//! can be a walk instead. [`SpaAccumulator::extract_into`] keeps one
-//! bit per output column (all zero between rows): it sets the touched
-//! columns' bits, walks the 64-bit words from the row's lowest touched
-//! word `lo` to its highest `hi` with `trailing_zeros`, and writes
-//! `cols` / `vals` ascending, clearing each word as it is read. The
-//! walk costs `hi − lo + 1` word reads however few bits are set, so it
-//! is taken only when that span is at most the `n · log₂ n` of sorting
-//! the row's `n` touched columns — a 250-entry row of an ER scale-11
-//! ef-16 square spans 32 words against ≈ 2 000, a 16-entry row of a
-//! scale-13 ef-4 one spans 128 against 64 and keeps `sort_unstable`.
-//! On the two ef-16 cells of `bm`'s panel the per-row sort was
-//! 37–40 % of the SPA's sorted time.
+//! can be a walk instead. The SPA keeps one bit per output column (all
+//! zero between rows): it sets the touched columns' bits, walks the
+//! 64-bit words from the row's lowest touched word `lo` to its highest
+//! `hi` with `trailing_zeros`, and emits ascending, clearing each word
+//! as it is read. The walk costs `hi − lo + 1` word reads however few
+//! bits are set, so it is taken only when that span is at most the
+//! `n · log₂ n` of sorting the row's `n` touched columns — a 250-entry
+//! row of an ER scale-11 ef-16 square spans 32 words against ≈ 2 000, a
+//! 16-entry row of a scale-13 ef-4 one spans 128 against 64 and keeps
+//! `sort_unstable`. On the two ef-16 cells of `bm`'s panel the per-row
+//! sort was 37–40 % of the SPA's sorted time.
 //!
-//! **The replay set.** Everything above *discovers* a row's column
-//! set; a reused plan computes the same set on every execution. Once a
-//! plan has seen its product twice it keeps the column indices the
-//! stamped pass emitted (a `Pattern`, see `SpgemmPlan`'s "numeric
-//! replay") and runs its later passes over `ReplayAccumulator`: a
-//! dense value array and nothing else. Its share of a pass first
-//! copies its window of the pattern into the output `cols`; a row is
-//! then a scatter — `vals[j] = add(vals[j], v)`, unconditionally — and
-//! a gather along the row's own (pre-filled) `cols`, which is why
-//! [`ColumnSet::extract_into`] *reads* `cols` there instead of writing
-//! them: `out[idx] = vals[cols[idx]]`, and the slot goes back to the
-//! seed. No stamp, no touched list, no bitmap, no sort, and sorted
-//! output costs what unsorted does, because the order is the
-//! pattern's.
+//! **The symbolic pass writes the pattern.** A plan's symbolic pass
+//! visits every `(i, j)` of the product to count it; `emit_pass` also
+//! writes what it visited: each row's columns, in the order the numeric
+//! pass would emit them (ascending through the same walk or sort when
+//! sorted, first insertion otherwise), appended to the worker's
+//! segment — `u16` entries while `ncols(B)` ≤ 2¹⁶. The segments,
+//! one per worker of the partition, are the plan's `Pattern`
+//! (`SpgemmPlan`'s "numeric replay"). A full rebind refills the previous
+//! binding's segments; a row patch re-derives its dirty rows and copies
+//! every clean row from the previous pattern.
 //!
-//! *The seed invariant*: between rows every slot holds
+//! **Replay.** Given a pattern, the SPA's share of a numeric pass
+//! copies its segment into its window of the output `cols`; a row is
+//! then a scatter — `vals[j] = add(vals[j], v)`, unconditionally — and a
+//! gather along the row's own (pre-filled) `cols`: `out[idx] =
+//! vals[cols[idx]]`, and the slot goes back to the seed. No stamp, no
+//! touched list, no bitmap, no sort, and sorted output costs what
+//! unsorted does, because the order is the pattern's.
+//!
+//! *The seed invariant*: a replayed row finds every slot at
 //! [`Semiring::seed`], the `e` with `add(e, x)` bit-identical to `x`.
-//! The stamped pass stores a column's first product and adds the
-//! rest; the replay adds all of them to the seed, in the same `k`
-//! order — the same bits by the seed law (`S::zero()` would not do:
-//! `0.0 + -0.0` is `+0.0`). A semiring without a seed never replays.
-//! The gather restores the invariant for exactly the pattern's
-//! columns, which are the row's columns as long as the operands have
-//! the planned structure; `scrub` refills every slot, so an execution
-//! that panicked mid-row or broke that contract cannot leak into the
-//! next one (clear-on-acquire, as for every pooled accumulator).
+//! The stamped pass stores a column's first product and adds the rest;
+//! the replay adds all of them to the seed, in the same `k` order — the
+//! same bits by the seed law (`S::zero()` would not do: `0.0 + -0.0` is
+//! `+0.0`). A semiring without a seed never replays. The gather restores
+//! the invariant for exactly the pattern's columns, which are the row's
+//! columns as long as the operands have the planned structure; every
+//! replay after any numeric pass of the same accumulator refills every
+//! slot first, so a pass that panicked mid-row or broke that contract
+//! cannot leak into the next one (clear-on-acquire, as for every pooled
+//! accumulator).
 
-use crate::exec::{AccumReq, ColumnSet, Operands, RowAccumulator, Share, Window};
+use crate::exec::{self, AccumReq, ColumnSet, MultiplyStats, Operands, RowAccumulator, RowMask};
+use crate::exec::{Share, Window, Workers};
+use parking_lot::Mutex;
 use spgemm_obs as obs;
-use spgemm_sparse::{ColIdx, Csr, Semiring};
+use spgemm_par::Pool;
+use spgemm_sparse::{ColIdx, Csr, DirtyRows, Semiring};
 
 /// Dense sparse-accumulator for one thread.
 pub struct SpaAccumulator<S: Semiring> {
@@ -65,6 +72,12 @@ pub struct SpaAccumulator<S: Semiring> {
     /// One bit per output column, for the ordered emit; all zero
     /// between rows.
     bitmap: Vec<u64>,
+    /// [`Semiring::seed`] (`zero` for a semiring without one, which
+    /// never replays).
+    seed: S::Elem,
+    /// Whether `vals` may hold anything but the seed: a fresh or grown
+    /// array, any numeric pass. A replay refills it first.
+    unseeded: bool,
 }
 
 impl<S: Semiring> SpaAccumulator<S> {
@@ -76,6 +89,8 @@ impl<S: Semiring> SpaAccumulator<S> {
             vals: vec![S::zero(); ncols_b],
             touched: Vec::new(),
             bitmap: vec![0; ncols_b.div_ceil(64)],
+            seed: S::seed().unwrap_or_else(S::zero),
+            unseeded: true,
         }
     }
 
@@ -87,6 +102,7 @@ impl<S: Semiring> SpaAccumulator<S> {
             self.stamp.resize(ncols_b, 0);
             self.vals.resize(ncols_b, S::zero());
             self.bitmap.resize(ncols_b.div_ceil(64), 0);
+            self.unseeded = true;
         }
     }
 
@@ -97,23 +113,64 @@ impl<S: Semiring> SpaAccumulator<S> {
         self.bitmap.iter().all(|&w| w == 0)
     }
 
-    /// The ordered emit: the touched columns, ascending, through the
-    /// bitmap words `lo..=hi`, which it leaves zero again.
-    fn emit_ascending(&mut self, lo: usize, hi: usize, cols: &mut [ColIdx], vals: &mut [S::Elem]) {
-        for &c in &self.touched {
-            self.bitmap[c as usize >> 6] |= 1 << (c & 63);
+    /// The replay's view of the value array, every slot at the seed:
+    /// refilled first unless nothing has written it since it was last
+    /// filled. Using the view counts as writing it.
+    pub(crate) fn seeded(&mut self) -> Seeded<'_, S> {
+        if std::mem::replace(&mut self.unseeded, true) {
+            self.vals.fill(self.seed);
         }
-        let mut out = cols.iter_mut().zip(vals);
-        for (w, word) in self.bitmap[lo..=hi].iter_mut().enumerate() {
-            let base = (lo + w) << 6;
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let j = base | bits.trailing_zeros() as usize;
-                let (col, val) = out.next().expect("one slot per touched column");
-                *col = j as ColIdx;
-                *val = self.vals[j];
-                bits &= bits - 1;
-            }
+        Seeded {
+            vals: &mut self.vals,
+            seed: self.seed,
+        }
+    }
+
+    /// The emitting symbolic row: insert row `i`'s columns, append them
+    /// to `seg` in the order [`ColumnSet::extract_into`] would write
+    /// them, return their count and leave the set empty.
+    #[inline(always)]
+    fn emit_row<K: PatternIndex>(
+        &mut self,
+        ops: Operands<'_, ColIdx, ColIdx, S::Elem>,
+        i: usize,
+        sorted: bool,
+        seg: &mut Vec<K>,
+    ) -> usize {
+        ops.insert_row(self, i);
+        let n = self.touched.len();
+        if sorted {
+            seg.reserve(n);
+            in_order(&mut self.touched, &mut self.bitmap, true, |_, c| {
+                seg.push(K::narrow(c))
+            });
+        } else {
+            // A copy of the touched list vectorises where a push per
+            // column does not.
+            seg.extend(self.touched.iter().map(|&c| K::narrow(c)));
+        }
+        self.reset();
+        n
+    }
+
+    /// The share's part of [`emit_pass`]: count every row of the range
+    /// into `counts` and append its columns to `seg` — emitted for a
+    /// dirty row (every row, without a `prior`), copied from the
+    /// previous pattern for a clean one.
+    fn emit_range<K: PatternIndex>(
+        &mut self,
+        share: Share<'_, S, Self>,
+        counts: &mut [u64],
+        sorted: bool,
+        prior: Option<&Prior<'_>>,
+        seg: &mut Vec<K>,
+    ) {
+        let ops = Operands::of(share.a, share.b);
+        for (cnt, i) in counts.iter_mut().zip(share.range) {
+            *cnt = match prior {
+                Some(p) if !p.dirty.contains(i) => p.extend_row(i, seg),
+                _ => self.emit_row(ops, i, sorted, seg),
+            } as u64;
         }
     }
 }
@@ -123,6 +180,47 @@ impl<S: Semiring> SpaAccumulator<S> {
 #[inline]
 fn walk_beats_sort(n: usize, words: usize) -> bool {
     words <= n * n.ilog2() as usize
+}
+
+/// Hand `f` every touched column with its emit position: ascending when
+/// `sorted` — walked out of `bitmap`, or sorted where the walk would
+/// cost more (module docs) — in insertion order otherwise. Leaves
+/// `bitmap` zero.
+#[inline(always)]
+fn in_order(
+    touched: &mut [ColIdx],
+    bitmap: &mut [u64],
+    sorted: bool,
+    mut f: impl FnMut(usize, ColIdx),
+) {
+    // (One entry is in order already.)
+    let n = touched.len();
+    if sorted && n > 1 {
+        let (lo, hi) = touched
+            .iter()
+            .fold((ColIdx::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+        let (lo, hi) = (lo as usize >> 6, hi as usize >> 6);
+        if walk_beats_sort(n, hi - lo + 1) {
+            for &c in touched.iter() {
+                bitmap[c as usize >> 6] |= 1 << (c & 63);
+            }
+            let mut idx = 0;
+            for (w, word) in bitmap[lo..=hi].iter_mut().enumerate() {
+                let base = (lo + w) << 6;
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    f(idx, (base | bits.trailing_zeros() as usize) as ColIdx);
+                    idx += 1;
+                    bits &= bits - 1;
+                }
+            }
+            return;
+        }
+        touched.sort_unstable();
+    }
+    for (idx, &c) in touched.iter().enumerate() {
+        f(idx, c);
+    }
 }
 
 impl<S: Semiring> ColumnSet<S> for SpaAccumulator<S> {
@@ -167,32 +265,20 @@ impl<S: Semiring> ColumnSet<S> for SpaAccumulator<S> {
     /// would cost is walked out of the bitmap instead (module docs).
     fn extract_into(&mut self, cols: &mut [ColIdx], vals: &mut [S::Elem], sorted: bool) {
         debug_assert_eq!(cols.len(), self.touched.len());
-        // (One entry is in order already.)
-        let n = self.touched.len();
-        if sorted && n > 1 {
-            let (lo, hi) = self
-                .touched
-                .iter()
-                .fold((ColIdx::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
-            let (lo, hi) = (lo as usize >> 6, hi as usize >> 6);
-            if walk_beats_sort(n, hi - lo + 1) {
-                self.emit_ascending(lo, hi, cols, vals);
-                return self.reset();
-            }
-            self.touched.sort_unstable();
-        }
-        for (idx, &c) in self.touched.iter().enumerate() {
+        let acc = &self.vals;
+        in_order(&mut self.touched, &mut self.bitmap, sorted, |idx, c| {
             cols[idx] = c;
-            vals[idx] = self.vals[c as usize];
-        }
+            vals[idx] = acc[c as usize];
+        });
         self.reset();
     }
 }
 
 impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
-    type Shared = ();
+    /// The pattern of the plan's current binding, if it replays.
+    type Shared = Option<Pattern>;
 
-    fn build(req: &AccumReq, _: &()) -> Self {
+    fn build(req: &AccumReq, _: &Option<Pattern>) -> Self {
         Self::new(req.ncols_b)
     }
 
@@ -219,75 +305,42 @@ impl<S: Semiring> RowAccumulator<S> for SpaAccumulator<S> {
         vals: &mut [S::Elem],
         sorted: bool,
     ) {
+        self.unseeded = true;
         Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
     }
-}
 
-/// Bytes of column pattern held by live plans.
-static PATTERN_BYTES: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.replay.pattern_bytes");
-
-/// A product's column indices, row after row at the symbolic row
-/// pointers, exactly as a stamped numeric pass emitted them — two
-/// bytes an entry wherever the output is at most 2¹⁶ columns wide
-/// (every `bm` cell; a plan that replays holds one of these per
-/// `nnz(C)` for as long as it stays bound).
-pub(crate) enum Pattern {
-    Narrow(Vec<u16>),
-    Wide(Vec<ColIdx>),
-}
-
-impl Pattern {
-    /// Keep `cols`, the column indices of a product `ncols_b` wide.
-    pub fn capture(cols: &[ColIdx], ncols_b: usize) -> Self {
-        let pattern = if ncols_b <= 1 << 16 {
-            // Every index is below `ncols_b`: the narrowing is exact.
-            Pattern::Narrow(cols.iter().map(|&c| c as u16).collect())
-        } else {
-            Pattern::Wide(cols.to_vec())
-        };
-        PATTERN_BYTES.add(pattern.bytes() as i64);
-        pattern
-    }
-
-    /// Heap bytes held.
-    pub fn bytes(&self) -> usize {
-        match self {
-            Pattern::Narrow(p) => std::mem::size_of_val(&p[..]),
-            Pattern::Wide(p) => std::mem::size_of_val(&p[..]),
-        }
-    }
-
-    /// Copy entries `start..start + cols.len()` into `cols`.
-    fn fill(&self, start: usize, cols: &mut [ColIdx]) {
-        let span = start..start + cols.len();
-        match self {
-            Pattern::Narrow(p) => {
-                for (c, &j) in cols.iter_mut().zip(&p[span]) {
-                    *c = j.into();
-                }
+    /// A replay of the worker's pattern segment when the plan holds
+    /// one, the stamped rows otherwise.
+    #[inline(always)]
+    fn numeric_range(&mut self, share: Share<'_, S, Self>, mut out: Window<'_, S::Elem>) {
+        let (ops, sorted) = (Operands::of(share.a, share.b), out.sorted);
+        let Some(pattern) = share.shared else {
+            for i in share.range {
+                let (cols, vals) = out.row(i);
+                self.numeric_row(share.a, share.b, i, cols, vals, sorted);
             }
-            Pattern::Wide(p) => cols.copy_from_slice(&p[span]),
+            return;
+        };
+        pattern.segments[share.wid].fill(out.cols);
+        let mut set = self.seeded();
+        for i in share.range {
+            let (cols, vals) = out.row(i);
+            ops.numeric_row(&mut set, i, cols, vals, sorted);
         }
     }
 }
 
-impl Drop for Pattern {
-    fn drop(&mut self) {
-        PATTERN_BYTES.sub(self.bytes() as i64);
-    }
-}
-
-/// The replay set (module docs): one thread's dense value array, every
-/// slot at the seed between rows. Numeric passes only — the pattern it
-/// replays *is* the symbolic result.
-pub(crate) struct ReplayAccumulator<S: Semiring> {
+/// The replay's column set (module docs): a value array with every
+/// slot at the seed between rows, and nothing else. Numeric rows only —
+/// the pattern names the columns.
+pub(crate) struct Seeded<'a, S: Semiring> {
+    vals: &'a mut [S::Elem],
     seed: S::Elem,
-    vals: Vec<S::Elem>,
 }
 
-impl<S: Semiring> ColumnSet<S> for ReplayAccumulator<S> {
+impl<S: Semiring> ColumnSet<S> for Seeded<'_, S> {
     fn insert_symbolic(&mut self, _: ColIdx) {
-        unreachable!("the replay set runs numeric passes only");
+        unreachable!("a replay runs numeric rows only");
     }
 
     #[inline(always)]
@@ -297,12 +350,11 @@ impl<S: Semiring> ColumnSet<S> for ReplayAccumulator<S> {
     }
 
     fn len(&self) -> usize {
-        unreachable!("the replay set does not track its columns: the pattern names them");
+        unreachable!("a replayed row does not track its columns: the pattern names them");
     }
 
-    /// `O(ncols(B))`: every slot back to the seed.
     fn reset(&mut self) {
-        self.vals.fill(self.seed);
+        unreachable!("a replayed row is emptied by its gather");
     }
 
     /// Gather along `cols`, which hold the row's pattern on entry;
@@ -315,55 +367,243 @@ impl<S: Semiring> ColumnSet<S> for ReplayAccumulator<S> {
     }
 }
 
-impl<S: Semiring> RowAccumulator<S> for ReplayAccumulator<S> {
-    type Shared = Pattern;
+/// A pattern entry: `u16` while the output is at most 2¹⁶ columns wide
+/// (every `bm` cell), `ColIdx` past that.
+pub(crate) trait PatternIndex: Copy + Into<ColIdx> {
+    /// `col`, which is below the output width.
+    fn narrow(col: ColIdx) -> Self;
+}
 
-    fn build(req: &AccumReq, _: &Pattern) -> Self {
-        let seed = S::seed().expect("a plan replays only under a seeded semiring");
-        ReplayAccumulator {
-            seed,
-            vals: vec![seed; req.ncols_b],
-        }
-    }
-
-    fn ensure(&mut self, req: &AccumReq) {
-        if req.ncols_b > self.vals.len() {
-            self.vals.resize(req.ncols_b, self.seed);
-        }
-    }
-
-    fn scrub(&mut self) {
-        self.reset();
-    }
-
-    fn symbolic_row(&mut self, _: &Csr<S::Elem>, _: &Csr<S::Elem>, _: usize) -> usize {
-        unreachable!("the replay set runs numeric passes only");
-    }
-
-    /// `cols` must hold the row's pattern (see [`Self::numeric_range`]).
-    fn numeric_row(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        i: usize,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-        sorted: bool,
-    ) {
-        Operands::of(a, b).numeric_row(self, i, cols, vals, sorted);
-    }
-
-    /// The worker's window of the pattern into the output `cols`, then
-    /// its rows.
+impl PatternIndex for u16 {
     #[inline(always)]
-    fn numeric_range(&mut self, share: Share<'_, S, Self>, mut out: Window<'_, S::Elem>) {
-        share.shared.fill(out.start, out.cols);
-        let sorted = out.sorted;
-        for i in share.range {
-            let (cols, vals) = out.row(i);
-            self.numeric_row(share.a, share.b, i, cols, vals, sorted);
+    fn narrow(col: ColIdx) -> u16 {
+        col as u16
+    }
+}
+
+impl PatternIndex for ColIdx {
+    #[inline(always)]
+    fn narrow(col: ColIdx) -> ColIdx {
+        col
+    }
+}
+
+/// One worker's rows of a product's column pattern, row after row, at
+/// the narrowest entry width the output allows.
+pub(crate) enum Segment {
+    Narrow(Vec<u16>),
+    Wide(Vec<ColIdx>),
+}
+
+impl Segment {
+    /// An empty segment for an output `ncols_b` wide.
+    fn new(ncols_b: usize) -> Segment {
+        if ncols_b <= 1 << 16 {
+            Segment::Narrow(Vec::new())
+        } else {
+            Segment::Wide(Vec::new())
         }
     }
+
+    /// [`Segment::new`], in `self`'s buffer when the widths agree.
+    fn reuse(self, ncols_b: usize) -> Segment {
+        match (self, Segment::new(ncols_b)) {
+            (Segment::Narrow(mut v), Segment::Narrow(_)) => {
+                v.clear();
+                Segment::Narrow(v)
+            }
+            (Segment::Wide(mut v), Segment::Wide(_)) => {
+                v.clear();
+                Segment::Wide(v)
+            }
+            (_, fresh) => fresh,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Segment::Narrow(p) => p.len(),
+            Segment::Wide(p) => p.len(),
+        }
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        match self {
+            Segment::Narrow(p) => p.capacity() * std::mem::size_of::<u16>(),
+            Segment::Wide(p) => p.capacity() * std::mem::size_of::<ColIdx>(),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Segment::Narrow(p) => p.shrink_to_fit(),
+            Segment::Wide(p) => p.shrink_to_fit(),
+        }
+    }
+
+    /// Entries `span` appended to `out`.
+    fn extend<K: PatternIndex>(&self, span: std::ops::Range<usize>, out: &mut Vec<K>) {
+        match self {
+            Segment::Narrow(p) => out.extend(p[span].iter().map(|&c| K::narrow(c.into()))),
+            Segment::Wide(p) => out.extend(p[span].iter().map(|&c| K::narrow(c))),
+        }
+    }
+
+    /// The whole segment into `cols`, a worker's output window.
+    fn fill(&self, cols: &mut [ColIdx]) {
+        debug_assert_eq!(
+            self.len(),
+            cols.len(),
+            "a segment spans its worker's window"
+        );
+        match self {
+            Segment::Narrow(p) => {
+                for (c, &j) in cols.iter_mut().zip(p) {
+                    *c = j.into();
+                }
+            }
+            Segment::Wide(p) => cols.copy_from_slice(p),
+        }
+    }
+}
+
+/// Bytes of column pattern held by live plans.
+static PATTERN_BYTES: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.replay.pattern_bytes");
+
+/// A bound plan's column pattern: the segments its symbolic pass
+/// emitted, one per worker of the partition. Held until the plan's next
+/// bind, which refills or rewrites it.
+pub(crate) struct Pattern {
+    segments: Vec<Segment>,
+}
+
+impl Pattern {
+    fn new(segments: Vec<Segment>) -> Self {
+        let pattern = Pattern { segments };
+        PATTERN_BYTES.add(pattern.bytes() as i64);
+        pattern
+    }
+
+    /// Heap bytes held.
+    pub fn bytes(&self) -> usize {
+        self.segments.iter().map(Segment::bytes).sum()
+    }
+
+    /// The buffers, for the next binding to refill.
+    fn into_segments(mut self) -> Vec<Segment> {
+        PATTERN_BYTES.sub(self.bytes() as i64);
+        std::mem::take(&mut self.segments)
+    }
+}
+
+impl Drop for Pattern {
+    fn drop(&mut self) {
+        PATTERN_BYTES.sub(self.bytes() as i64);
+    }
+}
+
+/// What a row-patch emit keeps: the previous binding's pattern, read at
+/// its row pointers for every row outside `dirty`.
+struct Prior<'p> {
+    dirty: &'p DirtyRows,
+    rpts: &'p [usize],
+    pattern: &'p Pattern,
+    /// Where each segment starts in the product, and its end.
+    starts: Vec<usize>,
+}
+
+impl<'p> Prior<'p> {
+    fn new(dirty: &'p DirtyRows, rpts: &'p [usize], pattern: &'p Pattern) -> Self {
+        let starts = std::iter::once(0)
+            .chain(pattern.segments.iter().scan(0, |end, s| {
+                *end += s.len();
+                Some(*end)
+            }))
+            .collect();
+        Prior {
+            dirty,
+            rpts,
+            pattern,
+            starts,
+        }
+    }
+
+    /// Append row `i`'s previous columns to `out`; return their count.
+    fn extend_row<K: PatternIndex>(&self, i: usize, out: &mut Vec<K>) -> usize {
+        let (at, n) = (self.rpts[i], self.rpts[i + 1] - self.rpts[i]);
+        if n > 0 {
+            // The last segment starting at or before `at`: a row is
+            // never split, and an empty segment starts where the next
+            // one does.
+            let s = self.starts.partition_point(|&start| start <= at) - 1;
+            let from = at - self.starts[s];
+            self.pattern.segments[s].extend(from..from + n, out);
+        }
+        n
+    }
+}
+
+/// The symbolic pass of a plan that replays: the ordinary count and
+/// scan ([`exec::count_rows`]), each row's columns appended to its
+/// worker's segment on the way, and the segments left in `w.shared` as
+/// the binding's pattern. Returns `(rpts, nnz)`.
+///
+/// A full pass refills the previous pattern's buffers. Under a `mask`
+/// (a row patch: `prev` are the previous row pointers) the dirty rows
+/// are emitted and every clean row is copied from the previous pattern
+/// into fresh segments.
+pub(crate) fn emit_pass<S: Semiring>(
+    w: &mut Workers<S, SpaAccumulator<S>>,
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    stats: &MultiplyStats,
+    pool: &Pool,
+    sorted: bool,
+    mask: Option<RowMask<'_, [usize]>>,
+) -> (Vec<usize>, usize) {
+    let ncols_b = b.ncols();
+    let (reused, kept) = match mask {
+        None => (w.shared.take(), None),
+        Some(_) => (None, w.shared.take()),
+    };
+    // (Without a previous pattern every row is emitted: a clean row's
+    // columns are a function of the operands as much as a dirty one's.)
+    let prior = mask
+        .zip(kept.as_ref())
+        .map(|((dirty, rpts), p)| Prior::new(dirty, rpts, p));
+    let buffers = reused.map_or_else(Vec::new, Pattern::into_segments);
+    let mut segments: Vec<Segment> = buffers.into_iter().map(|s| s.reuse(ncols_b)).collect();
+    let nworkers = stats.offsets.len() - 1;
+    segments.truncate(nworkers);
+    segments.resize_with(nworkers, || Segment::new(ncols_b));
+    let (rpts, nnz) = {
+        // One worker per segment: the locks are never contended.
+        let cells: Vec<Mutex<&mut Segment>> = segments.iter_mut().map(Mutex::new).collect();
+        let prior = prior.as_ref();
+        exec::count_rows(
+            w,
+            a,
+            b,
+            stats,
+            pool,
+            |acc, share, counts| match &mut **cells[share.wid].lock() {
+                Segment::Narrow(seg) => acc.emit_range(share, counts, sorted, prior, seg),
+                Segment::Wide(seg) => acc.emit_range(share, counts, sorted, prior, seg),
+            },
+        )
+    };
+    for (wid, seg) in segments.iter_mut().enumerate() {
+        let rows = stats.offsets[wid]..stats.offsets[wid + 1];
+        debug_assert_eq!(
+            seg.len(),
+            rpts[rows.end] - rpts[rows.start],
+            "worker {wid}'s segment spans its rows"
+        );
+        seg.shrink_to_fit();
+    }
+    w.shared = Some(Pattern::new(segments));
+    (rpts, nnz)
 }
 
 #[cfg(test)]

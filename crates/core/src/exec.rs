@@ -22,7 +22,10 @@
 //!    serve patch) is the same two passes under a [`RowMask`]: same
 //!    region, same partition, same pooled accumulators, but a worker
 //!    runs only the dirty rows of its range and takes every clean
-//!    row's count / bytes from the previous structure / product.
+//!    row's count / bytes from the previous structure / product. The
+//!    dense kernel's symbolic pass (`algos::spa::emit_pass`) is the same
+//!    [`count_rows`] frame writing each row's columns on the way: the
+//!    pattern its numeric passes then replay.
 //!
 //! 4. **Rows** — one level down, the Gustavson loop `for k in A[i] {
 //!    for j in B[k] { insert } }` is written once too:
@@ -174,14 +177,9 @@ impl<'a, E> Operands<'a, ColIdx, ColIdx, E> {
 /// siblings, the SPA loop reloaded `set` from the stack five times per
 /// key).
 impl<KA: Copy + Into<ColIdx>, KB: Copy + Into<ColIdx>, E: Copy> Operands<'_, KA, KB, E> {
-    /// The symbolic row: insert every column of every `B` row that
-    /// `A[i]` selects, return the distinct count, leave `set` empty.
+    /// Insert every column of every `B` row that `A[i]` selects.
     #[inline(always)]
-    pub fn symbolic_row<S: Semiring<Elem = E>>(
-        self,
-        set: &mut impl ColumnSet<S>,
-        i: usize,
-    ) -> usize {
+    pub fn insert_row<S: Semiring<Elem = E>>(self, set: &mut impl ColumnSet<S>, i: usize) {
         let (a_rpts, b_rpts) = (self.a.rpts(), self.b.rpts());
         for &ka in &self.a_cols[a_rpts[i]..a_rpts[i + 1]] {
             let k = ka.into() as usize;
@@ -189,6 +187,17 @@ impl<KA: Copy + Into<ColIdx>, KB: Copy + Into<ColIdx>, E: Copy> Operands<'_, KA,
                 set.insert_symbolic(jb.into());
             }
         }
+    }
+
+    /// The symbolic row: [`Self::insert_row`], return the distinct
+    /// count, leave `set` empty.
+    #[inline(always)]
+    pub fn symbolic_row<S: Semiring<Elem = E>>(
+        self,
+        set: &mut impl ColumnSet<S>,
+        i: usize,
+    ) -> usize {
+        self.insert_row(set, i);
         let n = set.len();
         set.reset();
         n
@@ -511,6 +520,30 @@ fn scan_row_ptrs(pool: &Pool, mut counts: Vec<u64>) -> (Vec<usize>, usize) {
     (counts.iter().map(|&x| x as usize).collect(), total)
 }
 
+/// The frame of every symbolic pass: each worker fills the counts of
+/// its range's rows (one slot per row) through `body`, then a scan turns
+/// the counts into row pointers. Returns `(rpts, nnz)`.
+pub(crate) fn count_rows<'a, S: Semiring, A: RowAccumulator<S>>(
+    w: &'a Workers<S, A>,
+    a: &'a Csr<S::Elem>,
+    b: &'a Csr<S::Elem>,
+    stats: &MultiplyStats,
+    pool: &Pool,
+    body: impl Fn(&mut A, Share<'a, S, A>, &mut [u64]) + Sync,
+) -> (Vec<usize>, usize) {
+    let mut counts = vec![0u64; a.nrows() + 1];
+    {
+        let counts_s = SharedMutSlice::new(&mut counts[1..]);
+        w.for_each_worker(a, b, stats, pool, |acc, share| {
+            // SAFETY: the partition's ranges are disjoint, so each
+            // worker owns the count slots of its rows.
+            let counts = unsafe { counts_s.slice_mut(share.range.clone()) };
+            body(acc, share, counts)
+        });
+    }
+    scan_row_ptrs(pool, counts)
+}
+
 /// Symbolic phase: per-row counts, then a scan into row pointers
 /// (Figure 7 lines 1–8). Returns `(rpts, nnz)`. Under a `mask` only
 /// its dirty rows are counted; the rest keep the count the previous
@@ -523,26 +556,18 @@ pub(crate) fn symbolic_pass<S: Semiring, A: RowAccumulator<S>>(
     pool: &Pool,
     mask: Option<RowMask<'_, [usize]>>,
 ) -> (Vec<usize>, usize) {
-    let mut counts = vec![0u64; a.nrows() + 1];
-    {
-        let counts_s = SharedMutSlice::new(&mut counts[1..]);
-        w.for_each_worker(a, b, stats, pool, |acc, share| {
-            // SAFETY: the partition's ranges are disjoint, so each
-            // worker owns the count slots of its rows.
-            let counts = unsafe { counts_s.slice_mut(share.range.clone()) };
-            let Some((dirty, prev)) = mask else {
-                return simd::run_at(acc.simd_level(), (acc, share, counts));
-            };
-            for (cnt, i) in counts.iter_mut().zip(share.range) {
-                *cnt = if dirty.contains(i) {
-                    acc.symbolic_row(a, b, i)
-                } else {
-                    prev[i + 1] - prev[i]
-                } as u64;
-            }
-        });
-    }
-    scan_row_ptrs(pool, counts)
+    count_rows(w, a, b, stats, pool, |acc, share, counts| {
+        let Some((dirty, prev)) = mask else {
+            return simd::run_at(acc.simd_level(), (acc, share, counts));
+        };
+        for (cnt, i) in counts.iter_mut().zip(share.range) {
+            *cnt = if dirty.contains(i) {
+                acc.symbolic_row(a, b, i)
+            } else {
+                prev[i + 1] - prev[i]
+            } as u64;
+        }
+    })
 }
 
 /// Numeric phase into pre-sliced output (Figure 7 lines 9–21): row `i`
@@ -691,7 +716,7 @@ mod tests {
     use crate::algos::hash::{HashAccumulator, Linear, Table};
     use crate::algos::hashvec::Chunked;
     use crate::algos::simd::SimdLevel;
-    use crate::algos::spa::{Pattern, ReplayAccumulator, SpaAccumulator};
+    use crate::algos::spa::SpaAccumulator;
     use crate::algos::{kkhash::KkHashAccumulator, masked::MaskedSpa};
     use crate::kgen::{InsertionArray, SHORT_MAX_FLOP};
     use proptest::prelude::*;
@@ -793,10 +818,11 @@ mod tests {
         /// narrow ones walked in the same accumulator, the SPA runs
         /// its first row narrow and the rest after a `grow`, and the
         /// bitmap is zero after every emit and after a scrub. The
-        /// replay set is held to the model's *values*: it is handed the
-        /// model's columns, as a plan hands it its pattern, and must
-        /// gather the same bits along them — the seed law at work on
-        /// the salted streams — and be all-seed again afterwards.
+        /// replay's set is held to the model's *values*: it is handed
+        /// the model's columns, as a plan's pattern hands them, and
+        /// must gather the same bits along them — the seed law at work
+        /// on the salted streams — and be all-seed again afterwards
+        /// (each row runs twice through one unrefilled view).
         #[test]
         fn every_column_set_matches_the_model(
             tail in 0usize..3,
@@ -822,7 +848,7 @@ mod tests {
             let mut gated = MaskedSpa::<P, u8>::new(&all_ones, ncols);
             let mut lanes = InsertionArray::<P>::new();
             let req = AccumReq { max_row_flop: 160, inner_dim: 1, ncols_b: ncols };
-            let mut replay = ReplayAccumulator::<P>::build(&req, &Pattern::capture(&[], ncols));
+            let mut replayed = SpaAccumulator::<P>::new(ncols);
             for (stride, picks) in rows {
                 let salt = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
                 let stride = [1, 7, 107, 128][stride];
@@ -851,6 +877,7 @@ mod tests {
                     if expect.len() <= SHORT_MAX_FLOP as usize {
                         prop_assert_eq!(row_through(&mut lanes, |_| {}, s, sorted), &expect[..], "lanes");
                     }
+                    let mut replay = replayed.seeded();
                     for twice in 0..2 {
                         let mut cols: Vec<ColIdx> = expect.iter().map(|&(c, _)| c).collect();
                         let mut vals = vec![0.0; cols.len()];

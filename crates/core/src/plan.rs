@@ -18,43 +18,32 @@
 //!   state performs **zero heap allocations** when writing into a
 //!   reused output via [`SpgemmPlan::execute_into`].
 //!
-//! **Numeric replay.** The symbolic pass only *sizes* `C`; a numeric
-//! pass re-discovers every row's column set each time it runs, to
-//! recompute a pattern the same plan produced one execution earlier.
-//! "Execute many" therefore has two states for a fingerprinted plan on
-//! the dense kernel (`Spa`, named or through `Auto`) over a semiring
-//! with a [`Semiring::seed`]:
+//! **Numeric replay.** The symbolic pass visits every `(i, j)` of the
+//! product to size `C`. On the dense kernel (`Spa`, named or through
+//! `Auto`) over a semiring with a [`Semiring::seed`] it also *writes*
+//! what it visits: each row's columns in emit order, into per-worker
+//! segments that are the plan's *pattern* (`u16` entries when
+//! `ncols(B) ≤ 65 536`, `ColIdx` otherwise: `nnz(C)` × 2 or 4 bytes,
+//! counted by [`SpgemmPlan::owned_bytes`]). Every full numeric pass of
+//! such a plan — from the first, and under every entry point
+//! (`execute_in`, `execute_into_in`, `execute_into_slices_in`, hence
+//! one-shot `multiply_in`, expression nodes, serve's cached plans and
+//! dist shards that ask for `Spa` / `Auto`) — replays it: copy the
+//! pattern into the output, then per row a branch-free scatter and a
+//! gather along the row's own columns. No stamp, no touched list, no
+//! bitmap, no sort; the `k`-order of every sum and the emit order are
+//! the stamped pass's, so the output is byte-identical by construction
+//! (`algos::spa`).
 //!
-//! * *discovering* — the stamped SPA pass. The **second** full pass
-//!   under one binding leaves the `cols` it wrote as the plan's
-//!   *pattern* (`u16` entries when `ncols(B) ≤ 65 536`, `ColIdx`
-//!   otherwise: `nnz(C)` × 2 or 4 bytes, held until the next rebind,
-//!   counted by [`SpgemmPlan::owned_bytes`]). Waiting for the second
-//!   pass means a plan that is bound, run once and rebound — every MCL
-//!   round, every one-shot serve job — copies nothing.
-//! * *replaying* — every later full pass (`execute_in`,
-//!   `execute_into_in`, `execute_into_slices_in`, hence expression
-//!   nodes, serve's cached plans and dist shards that ask for `Spa` /
-//!   `Auto`) is the same `exec::numeric_pass` over the replay set of
-//!   `algos::spa`: copy the pattern into the output, then per row a
-//!   branch-free scatter and a gather along the row's own columns. No
-//!   stamp, no touched list, no bitmap, no sort; the `k`-order of every
-//!   sum and the emit order are the stamped pass's, so the output is
-//!   byte-identical by construction.
-//!
-//! What drops the pattern (back to *discovering*, count zero):
-//! [`SpgemmPlan::rebind`] and [`SpgemmPlan::rebind_rows`], and with
-//! them every [`PlanCache`] / `ExprCache` rebind. What never has one:
-//! the throwaway plan under `multiply_in`, plans that name any other
-//! kernel (they keep measuring that kernel), a semiring without a
-//! seed, and a pass under a dirty mask — `execute_rows` recomputes its
-//! dirty rows with the stamped accumulator and leaves the pattern of
-//! an unchanged binding alone. There is no switch: the rule is "same
-//! binding, second full pass, dense kernel, seeded semiring". The
-//! pattern is whatever that second pass wrote, so the one contract a
-//! plan already had — operands of the planned *structure* — now also
-//! covers later executions: break it on the capturing pass and the
-//! replays are wrong (never unsafe) until the next rebind.
+//! Every bind emits — [`SpgemmPlan::new`], [`SpgemmPlan::rebind`] and
+//! with it every [`PlanCache`] / `ExprCache` rebind, reusing the
+//! previous binding's buffers — and [`SpgemmPlan::rebind_rows`] emits
+//! its dirty rows and copies the clean ones from the old pattern, so a
+//! row-patched plan keeps replaying. What never replays: plans that
+//! name any other kernel (they keep measuring that kernel), a semiring
+//! without a seed, and the dirty rows of `execute_rows`, which the
+//! stamped accumulator recomputes. There is no switch: the rule is
+//! "dense kernel, seeded semiring".
 //!
 //! One-phase kernels (`Heap`, `Inspector`) have no symbolic pass to
 //! front-load; their first execution runs the staged one-phase pass
@@ -81,7 +70,7 @@ use crate::algos::ikj::IkjKernel;
 use crate::algos::kkhash::KkHashAccumulator;
 use crate::algos::merge::MergeAccumulator;
 use crate::algos::simd;
-use crate::algos::spa::{Pattern, ReplayAccumulator, SpaAccumulator};
+use crate::algos::spa::{self, Pattern, SpaAccumulator};
 use crate::delta::{rows_touching, DirtyRows};
 use crate::exec::{self, MultiplyStats, RowMask, Workers};
 use crate::kgen::{RowClassAccumulator, RowClassSpec};
@@ -137,7 +126,8 @@ impl<S: Semiring> PlanKernel<S> {
                 PlanKernel::HashVec(Workers::new(nthreads, Chunked::new(simd::detect())))
             }
             Algorithm::Heap => PlanKernel::Heap(Workers::new(nthreads, ())),
-            Algorithm::Spa => PlanKernel::Spa(Workers::new(nthreads, ())),
+            // The pattern is emitted with the operands.
+            Algorithm::Spa => PlanKernel::Spa(Workers::new(nthreads, None)),
             Algorithm::Merge => PlanKernel::Merge(Workers::new(nthreads, ())),
             Algorithm::Inspector => PlanKernel::Inspector(Workers::new(nthreads, Linear)),
             Algorithm::KkHash => PlanKernel::KkHash(Workers::new(nthreads, ())),
@@ -183,26 +173,11 @@ enum FirstRun<E> {
     Ready(Arc<SymbolicPlan>),
 }
 
-/// Where a plan stands with its product's column pattern (module
-/// docs, "numeric replay").
-enum Replay<S: Semiring> {
-    /// No pattern yet: the payload counts the full stamped numeric
-    /// passes run under the current binding.
-    Discovering(u32),
-    /// The pattern the second of those passes emitted, as the shared
-    /// state of the replay set's pooled workers.
-    Replaying(Arc<Workers<S, ReplayAccumulator<S>>>),
-}
-
-/// Patterns captured / full passes replayed, over every plan (counted
-/// while `obs` is enabled, like `plan.exec.*`).
+/// Patterns emitted (one per emitting bind) / full passes replayed,
+/// over every plan (counted while `obs` is enabled, like
+/// `plan.exec.*`).
 static REPLAY_CAPTURES: obs::CounterSite = obs::CounterSite::new("plan", "plan.replay.captures");
 static REPLAY_PASSES: obs::CounterSite = obs::CounterSite::new("plan", "plan.replay.passes");
-
-/// The full stamped pass whose output a plan keeps as its pattern: the
-/// second, so that a plan bound, run once and rebound (an MCL round, a
-/// one-shot serve job) never pays for a copy it will not use.
-const CAPTURE_PASS: u32 = 2;
 
 /// A reusable two-phase execution plan for `C = A · B` over a fixed
 /// sparsity structure.
@@ -256,8 +231,6 @@ pub struct SpgemmPlan<S: Semiring> {
     /// deferred to its first execution.
     symbolic: Mutex<Option<Arc<SymbolicPlan>>>,
     kernel: PlanKernel<S>,
-    /// Held only to read or swap the state, never across a pass.
-    replay: Mutex<Replay<S>>,
 }
 
 impl<S: Semiring> SpgemmPlan<S> {
@@ -320,7 +293,6 @@ impl<S: Semiring> SpgemmPlan<S> {
             nthreads: pool.nthreads(),
             symbolic: Mutex::new(None),
             kernel: PlanKernel::new(resolved, pool.nthreads()),
-            replay: Mutex::new(Replay::Discovering(0)),
         };
         plan.bind_kernel(a, b, pool);
         Ok(plan)
@@ -328,18 +300,13 @@ impl<S: Semiring> SpgemmPlan<S> {
 
     /// Bind the kernel to the operands' structure once `stats` is
     /// current: RowClass's class queues, then the symbolic phase
-    /// (unless this kernel defers it to its first execution).
+    /// (unless this kernel defers it to its first execution), which
+    /// writes the dense kernel's pattern.
     fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
-        self.forget_pattern();
         self.bind_row_classes(a, b);
-        *self.symbolic.get_mut() =
+        let sym =
             (!defers_symbolic(self.algo)).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
-    }
-
-    /// A new binding starts over: the pattern (and the replay set's
-    /// accumulators) go, the pass count returns to zero.
-    fn forget_pattern(&mut self) {
-        *self.replay.get_mut() = Replay::Discovering(0);
+        *self.symbolic.get_mut() = sym;
     }
 
     /// RowClass plans only: re-derive the per-class work queues and
@@ -544,7 +511,6 @@ impl<S: Semiring> SpgemmPlan<S> {
         }
 
         let out_dirty = rows_touching(a, dirty_b, dirty_a.clone());
-        self.forget_pattern();
 
         // Per-row flops change exactly on the invalidated rows (a
         // clean row's A pattern and consumed B row sizes are both
@@ -561,7 +527,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         self.bind_row_classes(a, b);
 
         // The symbolic pass under the mask: invalidated rows are
-        // re-counted by the kernel, clean rows keep their cached count.
+        // re-counted (and re-emitted) by the kernel, clean rows keep
+        // their cached count (and pattern).
         let old_sym = self
             .symbolic
             .get_mut()
@@ -720,19 +687,19 @@ impl<S: Semiring> SpgemmPlan<S> {
         with_kernel!(self, |w| w.slots.stats())
     }
 
-    /// [`SpgemmPlan::workspace_stats`] of the replay set's pool: `None`
-    /// until the plan holds its pattern, and growing instead of
-    /// `workspace_stats` with every full pass from then on.
+    /// Whether the plan's full numeric passes replay its column pattern
+    /// (module docs): the dense kernel over a seeded semiring, once
+    /// bound.
     #[doc(hidden)]
-    pub fn replay_stats(&self) -> Option<WorkspaceStats> {
-        self.replaying().map(|w| w.slots.stats())
+    pub fn replays(&self) -> bool {
+        matches!(&self.kernel, PlanKernel::Spa(w) if w.shared.is_some())
     }
 
     /// Heap bytes of what the plan holds about its product, beyond the
     /// pooled accumulators: the work analysis (per-row flops, the
     /// partition), the row pointers once known, RowClass's queues and
-    /// index copies, and — while it replays — the column pattern at
-    /// its width. What a plan cache charges an idle plan.
+    /// index copies, and — if it replays — the column pattern at its
+    /// width. What a plan cache charges an idle plan.
     pub fn owned_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let stats = size_of_val(&self.stats.row_flops[..]) + size_of_val(&self.stats.offsets[..]);
@@ -741,12 +708,12 @@ impl<S: Semiring> SpgemmPlan<S> {
             .lock()
             .as_ref()
             .map_or(0, |sym| size_of_val(&sym.rpts[..]));
-        let classes = match &self.kernel {
+        let kernel = match &self.kernel {
             PlanKernel::RowClass(w) => w.shared.bytes(),
+            PlanKernel::Spa(w) => w.shared.as_ref().map_or(0, Pattern::bytes),
             _ => 0,
         };
-        let pattern = self.replaying().map_or(0, |w| w.shared.bytes());
-        stats + rpts + classes + pattern
+        stats + rpts + kernel
     }
 
     /// Whether `(a, b)` share the exact sparsity structure this plan
@@ -984,15 +951,22 @@ impl<S: Semiring> SpgemmPlan<S> {
     }
 
     /// The symbolic pass over the planned partition (under `mask`,
-    /// only its dirty rows are re-counted).
+    /// only its dirty rows are re-counted). The dense kernel over a
+    /// seeded semiring also emits its pattern.
     fn run_symbolic(
-        &self,
+        &mut self,
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
         pool: &Pool,
         mask: Option<RowMask<'_, [usize]>>,
     ) -> SymbolicPlan {
         let _g = obs::span!("plan", "plan.symbolic");
+        let sorted = self.output_is_sorted();
+        if let (PlanKernel::Spa(w), Some(_)) = (&mut self.kernel, S::seed()) {
+            REPLAY_CAPTURES.incr();
+            let (rpts, nnz) = spa::emit_pass(w, a, b, &self.stats, pool, sorted, mask);
+            return SymbolicPlan { rpts, nnz };
+        }
         let stats = &self.stats;
         let (rpts, nnz) = with_kernel!(self, |w| exec::symbolic_pass(w, a, b, stats, pool, mask));
         SymbolicPlan { rpts, nnz }
@@ -1000,8 +974,7 @@ impl<S: Semiring> SpgemmPlan<S> {
 
     /// The numeric pass into pre-sliced output (under `mask`, only its
     /// dirty rows are computed; the rest are copied). A full pass of a
-    /// plan that holds its pattern is a replay; a full stamped pass is
-    /// counted towards capturing one.
+    /// plan that holds its pattern is a replay.
     #[allow(clippy::too_many_arguments)]
     fn run_numeric(
         &self,
@@ -1015,58 +988,13 @@ impl<S: Semiring> SpgemmPlan<S> {
     ) {
         let _g = obs::span!("plan", "plan.numeric");
         count_execute(self.algo);
-        let (stats, sorted) = (&self.stats, self.output_is_sorted());
-        let replayable = mask.is_none() && self.can_replay();
-        if replayable {
-            if let Some(w) = self.replaying() {
-                REPLAY_PASSES.incr();
-                return exec::numeric_pass(&w, a, b, stats, rpts, sorted, pool, cols, vals, None);
-            }
+        if mask.is_none() && self.replays() {
+            REPLAY_PASSES.incr();
         }
+        let (stats, sorted) = (&self.stats, self.output_is_sorted());
         with_kernel!(self, |w| exec::numeric_pass(
             w, a, b, stats, rpts, sorted, pool, cols, vals, mask
         ));
-        if replayable {
-            self.note_stamped_pass(cols);
-        }
-    }
-
-    /// The replay set's workers, if the plan holds its pattern.
-    fn replaying(&self) -> Option<Arc<Workers<S, ReplayAccumulator<S>>>> {
-        match &*self.replay.lock() {
-            Replay::Replaying(w) => Some(Arc::clone(w)),
-            Replay::Discovering(_) => None,
-        }
-    }
-
-    /// The replay rule's static half: a fingerprinted plan (never the
-    /// throwaway one under `multiply_in`) on the dense kernel, over a
-    /// semiring with a seed.
-    fn can_replay(&self) -> bool {
-        self.sigs.is_some() && matches!(self.kernel, PlanKernel::Spa(_)) && S::seed().is_some()
-    }
-
-    /// Count a full stamped pass that wrote `cols`; the
-    /// [`CAPTURE_PASS`]-th under one binding leaves them as the plan's
-    /// pattern. The copy is made outside the lock; two executions
-    /// racing here both captured the same product, and one copy wins.
-    fn note_stamped_pass(&self, cols: &[ColIdx]) {
-        match &mut *self.replay.lock() {
-            Replay::Discovering(passes) => {
-                *passes += 1;
-                if *passes < CAPTURE_PASS {
-                    return;
-                }
-            }
-            Replay::Replaying(_) => return,
-        }
-        let pattern = Pattern::capture(cols, self.dims.2);
-        let workers = Arc::new(Workers::new(self.nthreads, pattern));
-        let mut state = self.replay.lock();
-        if matches!(*state, Replay::Discovering(_)) {
-            *state = Replay::Replaying(workers);
-            REPLAY_CAPTURES.incr();
-        }
     }
 
     /// One-phase staged first execution (Heap / Inspector), drawing

@@ -79,15 +79,13 @@ fn execute_into_steady_state_allocates_nothing() {
         (Algorithm::Hash, OutputOrder::Sorted),
         (Algorithm::Hash, OutputOrder::Unsorted),
         (Algorithm::HashVec, OutputOrder::Sorted),
-        // The dense accumulator's ordered emit walks a bitmap that is
-        // allocated with the accumulator, never in a row (ten-entry
-        // rows inside one or two words: every row is walked). `Auto`
-        // resolves to it here, at bind.
+        // The dense accumulator (`Auto` resolves to it here, at bind):
+        // the bind's symbolic pass writes the column pattern — walking
+        // the ten-entry sorted rows out of the bitmap — and every pass
+        // after it, the ten measured ones included, is a replay on the
+        // accumulators that pass built (asserted below).
         (Algorithm::Spa, OutputOrder::Sorted),
         (Algorithm::Auto, OutputOrder::Sorted),
-        // These four plans hold their column pattern after the second
-        // warm-up pass and build the replay set's value array in the
-        // third: the ten measured passes are replays (asserted below).
         (Algorithm::Spa, OutputOrder::Unsorted),
         (Algorithm::Auto, OutputOrder::Unsorted),
         (Algorithm::Merge, OutputOrder::Sorted),
@@ -112,23 +110,21 @@ fn execute_into_steady_state_allocates_nothing() {
         let nnz = c.nnz();
         assert!(nnz > 0);
         let replays = plan.algorithm() == Algorithm::Spa;
-        let (stamped, replayed) = (plan.workspace_stats(), plan.replay_stats());
-        assert_eq!(replayed.is_some(), replays, "{algo} {order:?}");
+        assert_eq!(plan.replays(), replays, "{algo} {order:?}");
+        let warm = plan.workspace_stats();
 
         let before = allocations();
         for _ in 0..10 {
             plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
         }
         let after = allocations();
-        if let Some(warm) = replayed {
-            let now = plan.replay_stats().expect("still replaying");
-            assert_eq!((now.created, now.reused), (warm.created, warm.reused + 10));
-            assert_eq!(
-                plan.workspace_stats(),
-                stamped,
-                "{algo} {order:?}: a stamped pass ran"
-            );
-        }
+        let now = plan.workspace_stats();
+        assert_eq!(
+            (now.created, now.reused),
+            (warm.created, warm.reused + 10),
+            "{algo} {order:?}: one pooled accumulator, reused by every pass"
+        );
+        assert_eq!(plan.replays(), replays, "{algo} {order:?}");
         assert_eq!(
             after - before,
             0,

@@ -5,9 +5,9 @@
 //! executions, RowClass's bucketed passes, the masked product and the
 //! serve patch's dirty-masked recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
-//! and ±inf, and that repeated executions are deterministic — across
-//! the point where a reused dense-kernel plan stops discovering its
-//! product's column pattern and starts replaying it.
+//! and ±inf, and that repeated executions are deterministic — including
+//! a dense-kernel plan's, every one of which replays the column pattern
+//! its bind emitted.
 
 use proptest::prelude::*;
 use spgemm::delta::recompute_product_rows;
@@ -84,12 +84,21 @@ fn arb_square(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>>
     })
 }
 
+/// `a` as wrapping `u64` counts, its NaNs and infinities at the top of
+/// the range.
+fn as_counts(a: &Csr<f64>) -> Csr<u64> {
+    a.map(|v| match v {
+        v if v.is_nan() => u64::MAX,
+        v if v.is_infinite() => 1 << 63,
+        v => (v * 1000.0) as i64 as u64,
+    })
+}
+
 /// One plan of `a · a` per `{Spa, Auto} × order × {1, 2, 3}` threads,
-/// executed five times through its three entry points: the first two
-/// passes discover (the second leaves its `cols` as the plan's
-/// pattern), the rest replay. Every output has the bits of the first
-/// and — rows sorted — of `Reference`, and the pool counters say which
-/// accumulator ran.
+/// executed five times through its three entry points, every one a
+/// replay of the pattern the bind emitted. Every output has the bits of
+/// the first and — rows sorted — of `Reference`, and the pool counters
+/// say the replays ran on the accumulators the symbolic pass built.
 fn replay_parity<S: Semiring>(
     a: &Csr<S::Elem>,
     eq: fn(S::Elem, S::Elem) -> bool,
@@ -103,22 +112,16 @@ fn replay_parity<S: Semiring>(
                 let at = format!("{algo} {order:?} nt={nt}");
                 let plan = SpgemmPlan::<S>::new_in(a, a, algo, order, &pool).unwrap();
                 prop_assert_eq!(plan.algorithm(), Algorithm::Spa);
+                prop_assert!(plan.replays(), "{}: the bind emits the pattern", at);
+                let bound = plan.workspace_stats();
                 let first = plan.execute_in(a, a, &pool).unwrap();
                 let mut ascending = first.clone();
                 ascending.sort_rows();
                 prop_assert!(same_by(&ascending, &oracle, eq), "{} vs reference", at);
-                prop_assert!(
-                    plan.replay_stats().is_none(),
-                    "{}: one pass captures nothing",
-                    at
-                );
 
                 let mut c = Csr::zero(0, 0);
                 plan.execute_into_in(a, a, &mut c, &pool).unwrap();
-                prop_assert!(same_by(&c, &first, eq), "{} (second, captures)", at);
-                let fresh = plan.replay_stats().map(|st| st.acquisitions());
-                prop_assert_eq!(fresh, Some(0), "{}: captured, not yet replayed", at);
-                let stamped = plan.workspace_stats();
+                prop_assert!(same_by(&c, &first, eq), "{} (second, reused output)", at);
 
                 let (mut cols, mut vals) = (vec![0; first.nnz()], vec![S::zero(); first.nnz()]);
                 plan.execute_into_slices_in(a, a, &mut cols, &mut vals, &pool)
@@ -135,19 +138,60 @@ fn replay_parity<S: Semiring>(
                 plan.execute_into_in(a, a, &mut c, &pool).unwrap();
                 prop_assert!(same_by(&c, &first, eq), "{} (fifth, reused output)", at);
 
-                let replayed = plan.replay_stats().map_or(0, |st| st.acquisitions());
+                let now = plan.workspace_stats();
+                prop_assert_eq!(now.created, bound.created, "{}: a second pool", at);
                 prop_assert!(
-                    replayed >= 3,
-                    "{}: three replays, {} acquisitions",
+                    now.reused >= bound.reused + 5,
+                    "{}: five passes, {:?} after {:?}",
                     at,
-                    replayed
+                    now,
+                    bound
                 );
-                prop_assert_eq!(
-                    plan.workspace_stats(),
-                    stamped,
-                    "{}: a stamped pass ran",
-                    at
-                );
+                prop_assert!(plan.replays(), "{}: still replaying", at);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `(+, ×)` over `u64` whose seed is *not* an identity: `add(MARK, x)`
+/// sets the top bit of a small `x`. Never a semiring to compute with —
+/// the probe of which pass ran: a replay lands every column's first
+/// product on the seed and so marks every value it writes, the stamped
+/// pass marks none.
+struct Marked;
+const MARK: u64 = 1 << 63;
+
+impl Semiring for Marked {
+    type Elem = u64;
+    fn zero() -> u64 {
+        0
+    }
+    fn seed() -> Option<u64> {
+        Some(MARK)
+    }
+    fn add(a: u64, b: u64) -> u64 {
+        a.wrapping_add(b)
+    }
+    fn mul(a: u64, b: u64) -> u64 {
+        a.wrapping_mul(b)
+    }
+}
+
+/// One-shot `multiply_in` of `a · a` through the dense kernel, named
+/// and through `Auto`, against one-shot Hash: the same bits at
+/// `{1, 2, 3}` threads in both orders.
+fn oneshot_parity<S: Semiring>(
+    a: &Csr<S::Elem>,
+    eq: fn(S::Elem, S::Elem) -> bool,
+) -> Result<(), TestCaseError> {
+    for nt in 1..=3usize {
+        let pool = Pool::new(nt);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let hash = multiply_in::<S>(a, a, Algorithm::Hash, order, &pool).unwrap();
+            for algo in [Algorithm::Spa, Algorithm::Auto] {
+                let got = multiply_in::<S>(a, a, algo, order, &pool).unwrap();
+                prop_assert!(same_by(&got, &hash, eq), "{} {:?} nt={}", algo, order, nt);
             }
         }
     }
@@ -164,18 +208,38 @@ proptest! {
     fn replay_has_the_stamped_bits_on_every_seeded_semiring(a in arb_square(24, 140)) {
         replay_parity::<P>(&a, f64_bits)?;
         replay_parity::<MaxTimes>(&a, f64_bits)?;
-        let counts = a.map(|v| match v {
-            v if v.is_nan() => u64::MAX,
-            v if v.is_infinite() => 1 << 63,
-            v => (v * 1000.0) as i64 as u64,
-        });
-        replay_parity::<PlusTimes<u64>>(&counts, |x, y| x == y)?;
+        replay_parity::<PlusTimes<u64>>(&as_counts(&a), |x, y| x == y)?;
         replay_parity::<OrAnd>(&a.map(|v| v > 0.0), |x, y| x == y)?;
     }
 
-    /// What drops the pattern: a full rebind and a row patch, each in
-    /// the middle of a replaying sequence. The executions after either
-    /// discover and replay the *new* product.
+    /// A one-shot product through the dense kernel (`Spa`, or `Auto`
+    /// resolving to it) replays the pattern its throwaway plan's bind
+    /// emitted — every value of a [`Marked`] product carries the mark —
+    /// and has Hash's bits on all four seeded semirings, at 1–3 threads
+    /// in both orders.
+    #[test]
+    fn oneshot_dense_products_replay_with_the_stamped_bits(a in arb_square(24, 140)) {
+        let ones = a.map(|_| 1u64);
+        for nt in 1..=3usize {
+            let pool = Pool::new(nt);
+            for algo in [Algorithm::Spa, Algorithm::Auto] {
+                for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                    let c = multiply_in::<Marked>(&ones, &ones, algo, order, &pool).unwrap();
+                    let marked = c.vals().iter().all(|&v| v & MARK != 0);
+                    prop_assert!(marked, "{} {:?} nt={}: a stamped pass ran", algo, order, nt);
+                }
+            }
+        }
+        oneshot_parity::<P>(&a, f64_bits)?;
+        oneshot_parity::<MaxTimes>(&a, f64_bits)?;
+        oneshot_parity::<PlusTimes<u64>>(&as_counts(&a), |x, y| x == y)?;
+        oneshot_parity::<OrAnd>(&a.map(|v| v > 0.0), |x, y| x == y)?;
+    }
+
+    /// A full rebind and a row patch, each in the middle of a replaying
+    /// sequence: the rebind re-emits the pattern of the *new* product,
+    /// the row patch re-emits its dirty rows, and both keep the plan
+    /// replaying.
     #[test]
     fn rebinds_drop_the_pattern_mid_sequence(
         a in arb_square(20, 120),
@@ -190,13 +254,13 @@ proptest! {
                     let got = plan.execute_in(m, m, &pool).unwrap();
                     prop_assert!(bits_eq_f64(&got, &expect), "{} {:?} round {}", what, order, round);
                 }
-                prop_assert!(plan.replay_stats().is_some(), "{} {:?}: replaying", what, order);
+                prop_assert!(plan.replays(), "{} {:?}: replaying", what, order);
                 Ok(())
             };
             three_more(&plan, &a, "bound")?;
 
             plan.rebind_in(&b, &b, &pool).unwrap();
-            prop_assert!(plan.replay_stats().is_none(), "a rebind drops the pattern");
+            prop_assert!(plan.replays(), "a rebind re-emits the pattern");
             three_more(&plan, &b, "rebound")?;
 
             let mut c = plan.execute_in(&b, &b, &pool).unwrap();
@@ -205,7 +269,7 @@ proptest! {
             patch.insert(b.nrows() - 1, 1, -0.0);
             let (b2, dirty) = b.apply_patch(&patch).unwrap();
             let out = plan.rebind_rows_in(&b2, &b2, &dirty, &dirty, &pool).unwrap();
-            prop_assert!(plan.replay_stats().is_none(), "a row patch drops the pattern");
+            prop_assert!(plan.replays(), "a row patch keeps the plan replaying");
             plan.execute_rows_in(&b2, &b2, &out, &mut c, &pool).unwrap();
             let expect = oneshot(&b2, &b2, Algorithm::Hash, order, &pool);
             prop_assert!(bits_eq_f64(&c, &expect), "spliced {:?}", order);
@@ -475,11 +539,21 @@ fn rowclass_matches_hash_at_the_u16_boundary() {
     }
 }
 
+/// Bytes a dense-kernel plan of `a · b` holds beyond what any
+/// two-phase plan of the same operands does (its analysis and row
+/// pointers): the column pattern, right after the bind that wrote it.
+fn pattern_bytes(plan: &SpgemmPlan<P>, a: &Csr<f64>, b: &Csr<f64>, pool: &Pool) -> usize {
+    let order = plan.output_order();
+    let hash = SpgemmPlan::<P>::new_in(a, b, Algorithm::Hash, order, pool).unwrap();
+    plan.owned_bytes() - hash.owned_bytes()
+}
+
 /// The replay pattern at its width switch: `u16` entries up to an
 /// output 65 536 columns wide (the last index is 65 535), `u32` from
 /// 65 537 on. Either side of it, four executions of a dense-kernel
-/// plan — two stamped, two replayed — are bit-identical to Hash, the
-/// last column included, and a pattern entry costs two bytes or four.
+/// plan — every one a replay — are bit-identical to Hash, the last
+/// column included, and from the bind on a pattern entry costs exactly
+/// two bytes or four: the segments keep no spare capacity.
 #[test]
 fn replay_matches_hash_at_the_u16_boundary() {
     let pool = Pool::new(2);
@@ -489,18 +563,66 @@ fn replay_matches_hash_at_the_u16_boundary() {
             let hash = oneshot(&a, &b, Algorithm::Hash, order, &pool);
             assert!(hash.get(0, (width - 1) as ColIdx).is_some());
             let plan = SpgemmPlan::<P>::new_in(&a, &b, Algorithm::Spa, order, &pool).unwrap();
-            let discovering = plan.owned_bytes();
+            let entry = if width <= 65_536 { 2 } else { 4 };
+            let bound = pattern_bytes(&plan, &a, &b, &pool);
+            assert_eq!(bound, entry * hash.nnz(), "{width} {order:?}");
             for round in 0..4 {
                 let got = plan.execute_in(&a, &b, &pool).unwrap();
                 assert!(bits_eq_f64(&got, &hash), "{width} {order:?} round {round}");
             }
-            assert!(plan.replay_stats().is_some_and(|st| st.acquisitions() >= 2));
-            let entry = if width <= 65_536 { 2 } else { 4 };
-            assert_eq!(
-                plan.owned_bytes() - discovering,
-                entry * hash.nnz(),
-                "{width}"
-            );
+            assert!(plan.replays());
+            assert_eq!(pattern_bytes(&plan, &a, &b, &pool), bound, "{width}");
+        }
+    }
+}
+
+/// A dense square of ones squares to `flop / nnz(C)` = its order, 96:
+/// the symbolic pass visits 96 columns per entry it keeps. Whatever the
+/// emit reserved on the way, the bound pattern holds exactly `nnz(C)`
+/// entries at every pool width — after the bind, after a rebind that
+/// refills the same buffers with a much smaller product, and after a
+/// row patch — and replays to Hash's bits.
+#[test]
+fn a_high_compression_pattern_holds_one_entry_per_output_entry() {
+    let n = 96;
+    let ones: Vec<_> = (0..n * n)
+        .map(|x| (x / n, (x % n) as ColIdx, 1.0))
+        .collect();
+    let dense = Csr::from_triplets(n, n, &ones).unwrap();
+    let band: Vec<_> = (0..n).map(|i| (i, ((i * 7) % n) as ColIdx, 0.5)).collect();
+    let sparse = Csr::from_triplets(n, n, &band).unwrap();
+    for nt in 1..=3 {
+        let pool = Pool::new(nt);
+        for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+            let mut plan =
+                SpgemmPlan::<P>::new_in(&dense, &dense, Algorithm::Spa, order, &pool).unwrap();
+            let flop = plan.stats().total_flop as usize;
+            let nnz = plan.symbolic_nnz().unwrap();
+            assert!(flop >= 64 * nnz, "{flop} flops for {nnz} entries");
+            assert_eq!(pattern_bytes(&plan, &dense, &dense, &pool), 2 * nnz);
+            let got = plan.execute_in(&dense, &dense, &pool).unwrap();
+            let hash = oneshot(&dense, &dense, Algorithm::Hash, order, &pool);
+            assert!(bits_eq_f64(&got, &hash), "dense {order:?} nt={nt}");
+
+            plan.rebind_in(&sparse, &sparse, &pool).unwrap();
+            let nnz = plan.symbolic_nnz().unwrap();
+            assert_eq!(pattern_bytes(&plan, &sparse, &sparse, &pool), 2 * nnz);
+
+            let mut c = plan.execute_in(&sparse, &sparse, &pool).unwrap();
+            let mut patch = RowPatch::new();
+            patch.insert(1, 2, 4.0);
+            let (patched, dirty) = sparse.apply_patch(&patch).unwrap();
+            let out = plan
+                .rebind_rows_in(&patched, &patched, &dirty, &dirty, &pool)
+                .unwrap();
+            let nnz = plan.symbolic_nnz().unwrap();
+            assert_eq!(pattern_bytes(&plan, &patched, &patched, &pool), 2 * nnz);
+            plan.execute_rows_in(&patched, &patched, &out, &mut c, &pool)
+                .unwrap();
+            let hash = oneshot(&patched, &patched, Algorithm::Hash, order, &pool);
+            assert!(bits_eq_f64(&c, &hash), "patched {order:?} nt={nt}");
+            let replayed = plan.execute_in(&patched, &patched, &pool).unwrap();
+            assert!(bits_eq_f64(&replayed, &hash), "replayed {order:?} nt={nt}");
         }
     }
 }
@@ -537,7 +659,7 @@ fn a_seedless_semiring_stays_on_the_stamped_pass() {
             oracle,
             "round {round}"
         );
-        assert!(plan.replay_stats().is_none(), "round {round}");
+        assert!(!plan.replays(), "round {round}");
         let now = plan.workspace_stats().acquisitions();
         assert!(
             now > acquisitions,

@@ -90,10 +90,10 @@ static PLAN_CACHE_ENTRIES: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.entries");
 /// Bytes held by the *idle* (checked-in) plan instances pooled across
 /// every live slot: each one's [`SpgemmPlan::owned_bytes`] — work
-/// analysis, row pointers and, once a dense-kernel plan replays, its
-/// column pattern — read at check-in, so an instance that captured its
-/// pattern while checked out comes back at its new size. ("approx":
-/// the pooled per-thread accumulators are not in it.)
+/// analysis, row pointers and, for a dense-kernel plan, the column
+/// pattern its bind wrote — read at check-in, so an instance rebound
+/// while checked out comes back at its new size. ("approx": the pooled
+/// per-thread accumulators are not in it.)
 static PLAN_CACHE_BYTES: spgemm_obs::GaugeSite =
     spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.approx_bytes");
 
@@ -297,9 +297,10 @@ mod tests {
         assert!(s2_new.checkout(1).is_none());
     }
 
-    /// A slot charges an idle instance what it holds: the analysis and
-    /// row pointers at first, two bytes per output entry more once the
-    /// instance has captured its column pattern while checked out.
+    /// A slot charges an idle instance what it holds: the analysis, the
+    /// row pointers and the `u16` column pattern the bind captured, two
+    /// bytes per output entry — no more after executions while checked
+    /// out, since they replay the pattern rather than add to it.
     #[test]
     fn pooled_bytes_follow_the_plan_across_its_capture() {
         let a = spgemm_sparse::Csr::<f64>::identity(300);
@@ -308,15 +309,17 @@ mod tests {
         let slot = SharedPlanCache::new(1).slot(key(1));
         let pooled = || slot.pooled_bytes.load(Ordering::Relaxed);
         slot.checkin(plan.unwrap());
-        // 300 row flops + 2 partition offsets + 301 row pointers, 8 B each.
-        assert_eq!(pooled(), 8 * (300 + 2 + 301));
+        // 300 row flops + 2 partition offsets + 301 row pointers, 8 B
+        // each, and the pattern.
+        let held = 8 * (300 + 2 + 301) + 2 * 300;
+        assert_eq!(pooled(), held);
         let plan = slot.checkout(1).expect("pooled above");
         assert_eq!(pooled(), 0);
         for _ in 0..2 {
             plan.execute_in(&a, &a, &pool).unwrap();
         }
         slot.checkin(plan);
-        assert_eq!(pooled(), 8 * (300 + 2 + 301) + 2 * 300, "the u16 pattern");
+        assert_eq!(pooled(), held, "the u16 pattern, unchanged");
     }
 
     #[test]

@@ -130,10 +130,9 @@ fn repeated_pattern_hits_shared_cache_and_tracks_new_values() {
 }
 
 /// A hot product requested as `Auto` runs on one cached plan
-/// instance (one worker): stamped on the first two jobs, a replay of
-/// the plan's column pattern from the third on — and every response,
-/// under either order and across a change of values, has `Reference`'s
-/// bits.
+/// instance (one worker): every job, the first included, replays the
+/// column pattern the plan's bind captured — and every response, under
+/// either order and across a change of values, has `Reference`'s bits.
 #[test]
 fn hot_auto_product_is_bit_exact_across_the_plans_capture() {
     let engine = ServeEngine::new(ServeConfig {

@@ -8,8 +8,21 @@
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_par::Pool;
 use spgemm_sparse::{Csr, PlusTimes};
+use std::sync::Mutex;
 
 type Plan = SpgemmPlan<PlusTimes<f64>>;
+
+/// Every dense-kernel bind touches the replay sites: the tests that
+/// bind one take turns, so each reads the sites as only it moved them.
+static DENSE_BINDS: Mutex<()> = Mutex::new(());
+
+/// The value of `series` on the scrape `page` (0 before its first
+/// sample).
+fn sample(page: &str, series: &str) -> u64 {
+    page.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
 
 /// A square matrix whose self-product populates every row class:
 /// row groups of 1/4/10/80 entries over 512 columns give flop counts
@@ -55,6 +68,7 @@ fn rowclass_plan_counters_reach_the_scrape_page() {
 /// against as gauges — and the pick is the same at every pool width.
 #[test]
 fn auto_resolutions_reach_the_scrape_page() {
+    let _turn = DENSE_BINDS.lock().unwrap_or_else(|e| e.into_inner());
     spgemm_obs::enable();
     let a = all_classes(512);
     for nt in 1..=3 {
@@ -79,14 +93,17 @@ fn auto_resolutions_reach_the_scrape_page() {
     }
 }
 
-/// A dense-kernel plan's third execution is a replay of the column
-/// pattern its second one left: one capture, one replayed pass and the
-/// pattern's bytes (`u16` entries at this width) on the scrape page —
-/// and a rebind gives the bytes back. (No other test of this binary
-/// executes a plan, so the sites read exactly.)
+/// A dense-kernel plan captures its column pattern at bind and replays
+/// it from its first execution: one capture, three replayed passes and
+/// the pattern's bytes (`u16` entries at this width) on the scrape page
+/// — and a rebind to an empty product gives the bytes back.
 #[test]
 fn replay_counters_reach_the_scrape_page_and_a_rebind_zeroes_the_gauge() {
+    let _turn = DENSE_BINDS.lock().unwrap_or_else(|e| e.into_inner());
     spgemm_obs::enable();
+    let captures = "spgemm_plan_replay_captures_total{cat=\"plan\"}";
+    let passes = "spgemm_plan_replay_passes_total{cat=\"plan\"}";
+    let before = spgemm_obs::openmetrics::render();
     let a = all_classes(512);
     let pool = Pool::new(2);
     let mut plan = Plan::new_in(&a, &a, Algorithm::Spa, OutputOrder::Unsorted, &pool).unwrap();
@@ -95,21 +112,20 @@ fn replay_counters_reach_the_scrape_page_and_a_rebind_zeroes_the_gauge() {
         plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
     }
     let page = spgemm_obs::openmetrics::render();
-    for line in [
-        "spgemm_plan_replay_captures_total{cat=\"plan\"} 1".to_owned(),
-        "spgemm_plan_replay_passes_total{cat=\"plan\"} 1".to_owned(),
-        format!(
-            "spgemm_plan_replay_pattern_bytes{{cat=\"plan\"}} {}",
-            2 * c.nnz()
-        ),
-    ] {
-        assert!(
-            page.contains(&line),
-            "{line:?} missing from scrape:\n{page}"
-        );
-    }
-    plan.rebind_in(&a, &a, &pool).unwrap();
+    assert_eq!(sample(&page, captures) - sample(&before, captures), 1);
+    assert_eq!(sample(&page, passes) - sample(&before, passes), 3);
+    let bytes = format!(
+        "spgemm_plan_replay_pattern_bytes{{cat=\"plan\"}} {}",
+        2 * c.nnz()
+    );
+    assert!(
+        page.contains(&bytes),
+        "{bytes:?} missing from scrape:\n{page}"
+    );
+    plan.rebind_in(&Csr::zero(512, 512), &Csr::zero(512, 512), &pool)
+        .unwrap();
     let page = spgemm_obs::openmetrics::render();
     let zero = "spgemm_plan_replay_pattern_bytes{cat=\"plan\"} 0";
     assert!(page.contains(zero), "{zero:?} missing from scrape:\n{page}");
+    assert_eq!(sample(&page, captures) - sample(&before, captures), 2);
 }
