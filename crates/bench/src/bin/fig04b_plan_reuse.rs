@@ -7,10 +7,12 @@
 //! `multiply_in` (symbolic + numeric + fresh accumulators + fresh
 //! output every time):
 //!
-//! * **exec #1** — the first `execute_into_in`: sizes the output (a
-//!   one-phase kernel's staged pass). A dense-kernel plan (`spa`, and
-//!   `auto` wherever it resolves to it) already replays here the column
-//!   pattern its bind's symbolic pass wrote;
+//! * **bind** — `SpgemmPlan::new_in`: the analysis and the symbolic
+//!   pass, which every plan runs here (a one-shot Heap skips it);
+//! * **exec #1** — the first `execute_into_in`: sizes the output. A
+//!   dense-kernel plan (`spa`, and `auto` wherever it resolves to it)
+//!   already replays here the column pattern its bind's symbolic pass
+//!   wrote;
 //! * **exec #2** — numeric-only into the sized output;
 //! * **steady** — the median of the executions after those: a replay
 //!   of the pattern for the dense kernel (sorted costs what unsorted
@@ -72,7 +74,7 @@ fn main() {
         a.nnz()
     );
     println!("# milliseconds; speedup = one-shot / steady");
-    println!("algo\torder\toneshot_ms\texec1_ms\texec2_ms\tsteady_ms\tfresh_ms\tspeedup");
+    println!("algo\torder\toneshot_ms\tbind_ms\texec1_ms\texec2_ms\tsteady_ms\tfresh_ms\tspeedup");
 
     let mut stamp = PerfReport::new("plan_reuse", pool.nthreads());
     let mut drifted = Vec::new();
@@ -91,7 +93,9 @@ fn main() {
                 .secs
                 * 1e3;
 
+            let started = Instant::now();
             let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).expect("plan");
+            let bind = started.elapsed().as_secs_f64() * 1e3;
             let mut c = Csr::<f64>::zero(0, 0);
             let run = |c: &mut Csr<f64>| {
                 ms(|| {
@@ -136,11 +140,17 @@ fn main() {
                 dense_first.push(format!("{} {tag} {exec1:.3} / {fresh:.3}", algo.name()));
             }
             println!(
-                "{}\t{tag}\t{oneshot:.3}\t{exec1:.3}\t{exec2:.3}\t{steady:.3}\t{fresh:.3}\t{:.2}x",
+                "{}\t{tag}\t{oneshot:.3}\t{bind:.3}\t{exec1:.3}\t{exec2:.3}\t{steady:.3}\t{fresh:.3}\t{:.2}x",
                 algo.name(),
                 oneshot / steady
             );
-            for (what, t) in [("exec1", exec1), ("exec2", exec2), ("steady", steady)] {
+            let phases = [
+                ("bind", bind),
+                ("exec1", exec1),
+                ("exec2", exec2),
+                ("steady", steady),
+            ];
+            for (what, t) in phases {
                 let kernel = algo.name().to_lowercase();
                 stamp.metric(&format!("{kernel}_{tag}_{what}_ms"), t);
             }

@@ -7,9 +7,11 @@
 //! the fly — `O(flop · log nnz(a_i*))` per Eq (1), but only
 //! `O(nnz(a_i*))` accumulator space.
 //!
-//! Contracts (paper Table 1): inputs sorted, output sorted. One-phase:
-//! no symbolic pass — every thread stages its rows into a flop-bound
-//! private buffer, then the driver copies them into place.
+//! Contracts (paper Table 1): inputs sorted, output sorted. One-phase
+//! as a one-shot product: no symbolic pass — every thread stages its
+//! rows into a flop-bound private buffer, then the driver copies them
+//! into place. A plan runs it two-phase: the same merge counts each
+//! row's columns at bind.
 
 use crate::exec::{AccumReq, RowAccumulator, StagedRowKernel};
 use spgemm_sparse::{ColIdx, Csr, Semiring};

@@ -6,7 +6,9 @@
 //! hash accumulator as [`crate::algos::hash`], staging rows into
 //! thread-private flop-bound buffers instead of running symbolic
 //! first. It trades the symbolic pass for the staging memory — the
-//! same trade the paper's Figure 7 two-phase structure avoids.
+//! same trade the paper's Figure 7 two-phase structure avoids — which
+//! pays only once: one-shot products run it, while a plan of it is the
+//! two-phase `Hash` kernel.
 
 use crate::algos::hash::HashAccumulator;
 use crate::exec::{ColumnSet, Operands, StagedRowKernel};

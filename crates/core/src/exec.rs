@@ -16,9 +16,10 @@
 //!    the [`AccumReq`] of its rows on first use and growing/scrubbing
 //!    it on every reuse.
 //! 3. **Passes** — [`symbolic_pass`] (counts → scan → row pointers),
-//!    [`numeric_pass`] (fill pre-sliced output) and, for the one-phase
-//!    kernels, [`staged_pass`] (stage per thread, then copy into
-//!    place). A patched product (`rebind_rows`, `execute_rows`, the
+//!    [`numeric_pass`] (fill pre-sliced output) and, for one-shot
+//!    products of the one-phase kernels and fig 9's schedules,
+//!    [`staged_pass`] (stage per thread, then copy into place). A
+//!    patched product (`rebind_rows`, `execute_rows`, the
 //!    serve patch) is the same two passes under a [`RowMask`]: same
 //!    region, same partition, same pooled accumulators, but a worker
 //!    runs only the dirty rows of its range and takes every clean

@@ -400,9 +400,6 @@ impl ExprPlan {
                         }
                         _ => Box::new(SpgemmPlan::new_in(ar, br, algo, OutputOrder::Sorted, pool)?),
                     };
-                    // One-phase kernels defer symbolic to this first
-                    // execution; afterwards every node is two-phase-
-                    // shaped for the executor.
                     plan.execute_into_in(ar, br, me, pool)?;
                     NodeState::Multiply { a: va, b: vb, plan }
                 }

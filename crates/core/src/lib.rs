@@ -20,10 +20,10 @@
 //! |---------------|-----------|--------|-------------|----------------------|
 //! | `Hash`        | Hash (§4.2.1) | 2 | the hash table, linear probe (Fig. 8a) | any / selectable |
 //! | `HashVec`     | HashVector (§4.2.2) | 2 | the same table, SIMD chunk probe (Fig. 8b) | any / selectable |
-//! | `Heap`        | Heap (§4.2.3) | 1 | column-indexed binary heap | sorted / sorted |
+//! | `Heap`        | Heap (§4.2.3) | 1 one-shot, 2 planned | column-indexed binary heap | sorted / sorted |
 //! | `Spa`         | MKL stand-in (unsorted runs); what `Auto` runs while it fits the L2 ([`cost::select`]) | 2 | dense sparse accumulator, sorted rows walked out of a bitmap | any / selectable |
 //! | `Merge`       | MKL stand-in (sorted runs) | 2 | iterative sorted-row merging | sorted / sorted |
-//! | `Inspector`   | MKL-inspector stand-in | 1 | the hash table (linear probe), no symbolic phase | any / unsorted natively, sorted via post-sort |
+//! | `Inspector`   | MKL-inspector stand-in | 1 one-shot, 2 planned (as `Hash`) | the hash table (linear probe) | any / unsorted natively, sorted via post-sort (one-shot) |
 //! | `KkHash`      | KokkosKernels `kkmem` stand-in | 2 | chained (linked-list) hash map | any / selectable |
 //! | `Ikj`         | Sulatycke–Ghose IKJ (§2) | 2 | dense row scan + SPA | any / selectable |
 //! | `RowClass`    | per-row-class selection ([`kgen`]) | 2 | SIMD insertion array / hash table / SPA by row class | any / selectable |
@@ -34,8 +34,9 @@
 //! partition (`RowsToThreads`), thread-private hash/heap/scratch
 //! storage allocated inside the parallel region, and output buffers
 //! written through pre-computed disjoint slices. That machinery is one
-//! row-pass driver (`exec`: one symbolic, one numeric, one staged
-//! pass) into which each kernel plugs as a per-row accumulator;
+//! row-pass driver (`exec`: one symbolic, one numeric, and — for
+//! one-shot Heap / Inspector products only — one staged pass) into
+//! which each kernel plugs as a per-row accumulator;
 //! planned and one-shot products, RowClass, the masked product and
 //! — under a dirty-row mask — the row-subset paths all run it. One
 //! level down the Gustavson row loop is written once too, over a
@@ -111,7 +112,9 @@ use spgemm_sparse::{Csr, PlusTimes, Semiring, SparseError};
 /// through [`recipe::auto_select`]: the accumulator-footprint rule
 /// ([`cost::select`]) at this machine's L2 share.
 ///
-/// Internally this is exactly [`SpgemmPlan::new_in`] followed by one
+/// Internally the one-phase kernels (`Heap`, `Inspector`) run their
+/// single staged pass and the `Reference` oracle runs as is; every
+/// other algorithm is [`SpgemmPlan::new_in`] followed by one
 /// [`SpgemmPlan::execute_in`] — the inspector–executor split with the
 /// plan thrown away. Callers that repeat a product over a fixed (or
 /// slowly drifting) sparsity structure should hold the plan (or a
@@ -124,7 +127,7 @@ pub fn multiply_in<S: Semiring>(
     order: OutputOrder,
     pool: &Pool,
 ) -> Result<Csr<S::Elem>, SparseError> {
-    SpgemmPlan::<S>::new_oneshot(a, b, algo, order, pool)?.execute_in(a, b, pool)
+    plan::multiply_oneshot::<S>(a, b, algo, order, pool)
 }
 
 /// [`multiply_in`] on the process-global pool.

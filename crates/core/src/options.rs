@@ -8,8 +8,9 @@ pub enum Algorithm {
     Hash,
     /// Hash SpGEMM with SIMD-vectorized probing (§4.2.2).
     HashVec,
-    /// One-phase heap SpGEMM (§4.2.3); requires sorted inputs and
-    /// always emits sorted output.
+    /// Heap SpGEMM (§4.2.3); requires sorted inputs and always emits
+    /// sorted output. One-phase as a one-shot `multiply_in`; a plan
+    /// counts each row's columns with the same heap merge at bind.
     Heap,
     /// Dense sparse-accumulator SpGEMM (Gustavson/Gilbert); stands in
     /// for MKL in unsorted comparisons.
@@ -17,8 +18,9 @@ pub enum Algorithm {
     /// Iterative sorted-row-merging SpGEMM (ViennaCL-style); stands in
     /// for MKL in sorted comparisons. Requires sorted inputs.
     Merge,
-    /// One-phase hash SpGEMM without a symbolic pass, always unsorted;
-    /// stands in for MKL-inspector.
+    /// Hash SpGEMM without a symbolic pass, unsorted natively; stands
+    /// in for MKL-inspector. One-phase as a one-shot `multiply_in`; a
+    /// plan runs it as the two-phase [`Algorithm::Hash`] kernel.
     Inspector,
     /// Chained-hash-map SpGEMM after KokkosKernels' `kkmem`.
     KkHash,
@@ -82,13 +84,13 @@ impl Algorithm {
     }
 
     /// Whether the algorithm's kernel produces sorted rows natively
-    /// when asked. Inspector does not: its single pass always emits
+    /// when asked. Inspector does not: its one-shot single pass emits
     /// rows in accumulator order, which is why Table 4a only
     /// recommends it for unsorted outputs. An explicit
-    /// `Inspector`+`Sorted` request is still honoured by
-    /// `multiply_in` via a post-sort, but Table 4a never names it for
-    /// sorted output — the extra sort forfeits exactly the work its
-    /// one-phase design skips.
+    /// `Inspector`+`Sorted` request is still honoured — one-shot by a
+    /// post-sort, planned by the `Hash` kernel's sorted emit — but
+    /// Table 4a never names it for sorted output: the extra sort
+    /// forfeits exactly the work its one-phase design skips.
     /// RowClass honours sorted output because *every* class kernel
     /// does (insertion array, hash table, and SPA all emit ascending
     /// rows on request) — if a future class kernel cannot, this must
@@ -99,8 +101,8 @@ impl Algorithm {
 
     /// Whether the algorithm can honour `OutputOrder::Unsorted` with a
     /// genuine sort-skip (the §5.4.4 optimization). Heap/Merge/
-    /// Reference produce sorted output for free; Inspector is always
-    /// unsorted.
+    /// Reference produce sorted output for free; Inspector is unsorted
+    /// natively.
     pub fn supports_sort_skip(self) -> bool {
         matches!(
             self,

@@ -9,8 +9,9 @@
 //!
 //! * **Plan once** (`SpgemmPlan::new`): per-row flop counts, the
 //!   flop-balanced row partition of §4.1, the resolved algorithm, and
-//!   — for two-phase kernels — the symbolic pass producing the output
-//!   row pointers.
+//!   the symbolic pass producing the output row pointers. A plan is
+//!   fully bound when built, whatever its kernel: a bound plan is
+//!   immutable under `&self`, and its executions take no lock.
 //! * **Execute many** (`execute` / `execute_into`): numeric-only
 //!   passes over matrices with the *same sparsity structure*. All
 //!   per-thread accumulators live in a
@@ -45,23 +46,27 @@
 //! stamped accumulator recomputes. There is no switch: the rule is
 //! "dense kernel, seeded semiring".
 //!
-//! One-phase kernels (`Heap`, `Inspector`) have no symbolic pass to
-//! front-load; their first execution runs the staged one-phase pass
-//! and *captures* the row pointers it discovers, so one-shot use costs
-//! one pass while later executions become numeric-only like everyone
-//! else's.
+//! The paper's one-phase kernels (`Heap`, `Inspector`) skip the
+//! symbolic pass by staging rows into flop-bound per-thread buffers, a
+//! trade that pays only when the product runs once. So they run
+//! one-phase only there: [`crate::multiply_in`] sends them to the staged
+//! pass on fresh workers ([`multiply_oneshot`]). A *plan* of either is
+//! two-phase like every other — Heap's symbolic pass is its heap merge
+//! counting columns, and a planned `Inspector` is the `Hash` kernel
+//! (its [`SpgemmPlan::algorithm`] still says `Inspector`). The
+//! sequential `Reference` oracle has no symbolic pass: its plan binds
+//! the row pointers of one oracle run.
 //!
 //! [`PlanCache`] layers structure fingerprinting on top for workloads
 //! whose pattern *drifts* (MCL prunes entries every round): it reuses
 //! the plan verbatim while the pattern matches and rebinds — keeping
 //! the pooled accumulators — when it changes.
 //!
-//! The one-shot [`crate::multiply_in`] is itself `Plan::new` +
-//! `execute`, and every pass a plan runs — symbolic, numeric, staged,
-//! and the same symbolic / numeric passes under a dirty mask for
-//! `rebind_rows` / `execute_rows` — is the single implementation in
-//! `crate::exec`; the plan only decides *which* accumulator type the
-//! passes are instantiated with.
+//! Every pass a plan runs — symbolic, numeric, and the same two under a
+//! dirty mask for `rebind_rows` / `execute_rows` — and the one-shot
+//! staged pass are the single implementation in `crate::exec`; the plan
+//! only decides *which* accumulator type the passes are instantiated
+//! with.
 
 use crate::algos::hash::{HashAccumulator, Linear};
 use crate::algos::hashvec::{Chunked, HashVecAccumulator};
@@ -69,17 +74,15 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::ikj::IkjKernel;
 use crate::algos::kkhash::KkHashAccumulator;
 use crate::algos::merge::MergeAccumulator;
-use crate::algos::simd;
 use crate::algos::spa::{self, Pattern, SpaAccumulator};
+use crate::algos::{reference, simd};
 use crate::delta::{rows_touching, DirtyRows};
 use crate::exec::{self, MultiplyStats, RowMask, Workers};
 use crate::kgen::{RowClassAccumulator, RowClassSpec};
 use crate::{recipe, Algorithm, OutputOrder};
-use parking_lot::Mutex;
 use spgemm_obs as obs;
 use spgemm_par::{Pool, WorkspaceStats};
 use spgemm_sparse::{ColIdx, Csr, Semiring, SparseError};
-use std::sync::Arc;
 
 /// Structure fingerprints (shape, row pointers, column indices —
 /// values excluded) of both operands, hashing the shared structure
@@ -96,6 +99,7 @@ fn signatures<T>(a: &Csr<T>, b: &Csr<T>) -> (u64, u64) {
 }
 
 /// The symbolic phase's result: output row pointers and total nnz.
+#[derive(Default)]
 struct SymbolicPlan {
     rpts: Vec<usize>,
     nnz: usize,
@@ -105,13 +109,12 @@ struct SymbolicPlan {
 /// [`Workers`] — and through it every pass of `crate::exec` — with
 /// that kernel's accumulator type.
 enum PlanKernel<S: Semiring> {
+    /// Also a planned `Inspector`: the same table, run two-phase.
     Hash(Workers<S, HashAccumulator<S>>),
     HashVec(Workers<S, HashVecAccumulator<S>>),
     Heap(Workers<S, HeapKernel<S>>),
     Spa(Workers<S, SpaAccumulator<S>>),
     Merge(Workers<S, MergeAccumulator<S>>),
-    /// The hash accumulator run one-phase (`algos::inspector`).
-    Inspector(Workers<S, HashAccumulator<S>>),
     KkHash(Workers<S, KkHashAccumulator<S>>),
     Ikj(Workers<S, IkjKernel<S>>),
     RowClass(Workers<S, RowClassAccumulator<S>>),
@@ -121,7 +124,9 @@ enum PlanKernel<S: Semiring> {
 impl<S: Semiring> PlanKernel<S> {
     fn new(algo: Algorithm, nthreads: usize) -> Self {
         match algo {
-            Algorithm::Hash => PlanKernel::Hash(Workers::new(nthreads, Linear)),
+            Algorithm::Hash | Algorithm::Inspector => {
+                PlanKernel::Hash(Workers::new(nthreads, Linear))
+            }
             Algorithm::HashVec => {
                 PlanKernel::HashVec(Workers::new(nthreads, Chunked::new(simd::detect())))
             }
@@ -129,7 +134,6 @@ impl<S: Semiring> PlanKernel<S> {
             // The pattern is emitted with the operands.
             Algorithm::Spa => PlanKernel::Spa(Workers::new(nthreads, None)),
             Algorithm::Merge => PlanKernel::Merge(Workers::new(nthreads, ())),
-            Algorithm::Inspector => PlanKernel::Inspector(Workers::new(nthreads, Linear)),
             Algorithm::KkHash => PlanKernel::KkHash(Workers::new(nthreads, ())),
             Algorithm::Ikj => PlanKernel::Ikj(Workers::new(nthreads, ())),
             // The class queues are bound with the operands.
@@ -145,13 +149,11 @@ impl<S: Semiring> PlanKernel<S> {
 /// Static dispatch over the kernel variants: `$body` is instantiated
 /// once per accumulator type with that variant's [`Workers`] bound to
 /// `$w` — the one enum dispatch a pass pays. (`Reference` is handled
-/// by the execute paths before any kernel dispatch; the staged first
-/// run has its own two-variant match because only Heap/Inspector
-/// implement `StagedRowKernel`.)
+/// by the passes before any kernel dispatch.)
 macro_rules! with_kernel {
     ($plan:expr, |$w:ident| $body:expr) => {
         match &$plan.kernel {
-            PlanKernel::Hash($w) | PlanKernel::Inspector($w) => $body,
+            PlanKernel::Hash($w) => $body,
             PlanKernel::HashVec($w) => $body,
             PlanKernel::Heap($w) => $body,
             PlanKernel::Spa($w) => $body,
@@ -162,15 +164,6 @@ macro_rules! with_kernel {
             PlanKernel::Reference => unreachable!("Reference handled before kernel dispatch"),
         }
     };
-}
-
-/// Outcome of resolving the symbolic state for one execution.
-enum FirstRun<E> {
-    /// A deferred (one-phase) plan ran its staged first execution; the
-    /// product is already materialized.
-    Done(Csr<E>),
-    /// Row pointers are known; run the numeric pass.
-    Ready(Arc<SymbolicPlan>),
 }
 
 /// Patterns emitted (one per emitting bind) / full passes replayed,
@@ -196,7 +189,7 @@ static REPLAY_PASSES: obs::CounterSite = obs::CounterSite::new("plan", "plan.rep
 ///
 /// let a = Csr::<f64>::identity(8);
 /// let plan = SpgemmPlan::<PlusTimes<f64>>::new(&a, &a, Algorithm::Hash, OutputOrder::Sorted)?;
-/// assert_eq!(plan.symbolic_nnz(), Some(8));
+/// assert_eq!(plan.symbolic_nnz(), 8);
 ///
 /// let mut c = plan.execute(&a, &a)?;
 /// for _ in 0..10 {
@@ -211,10 +204,6 @@ pub struct SpgemmPlan<S: Semiring> {
     requested: Algorithm,
     /// The resolved, concrete algorithm.
     algo: Algorithm,
-    /// Set by the first [`SpgemmPlan::rebind_rows`]: from then on
-    /// `Auto` resolves among two-phase kernels only (a one-phase plan
-    /// has no row structure to patch until it has run).
-    row_patched: bool,
     order: OutputOrder,
     /// `(nrows(A), ncols(A) == nrows(B), ncols(B))`.
     dims: (usize, usize, usize),
@@ -227,9 +216,7 @@ pub struct SpgemmPlan<S: Semiring> {
     sigs: Option<(u64, u64)>,
     stats: MultiplyStats,
     nthreads: usize,
-    /// `None` while a one-phase plan's symbolic structure is still
-    /// deferred to its first execution.
-    symbolic: Mutex<Option<Arc<SymbolicPlan>>>,
+    symbolic: SymbolicPlan,
     kernel: PlanKernel<S>,
 }
 
@@ -254,36 +241,25 @@ impl<S: Semiring> SpgemmPlan<S> {
         order: OutputOrder,
         pool: &Pool,
     ) -> Result<Self, SparseError> {
-        Self::build(a, b, algo, order, pool, true)
+        let analysis = Self::analyze(a, b, algo, order, pool)?;
+        Ok(Self::build(a, b, algo, analysis, order, pool, true))
     }
 
-    /// A plan for exactly one execution: skips the structure
-    /// fingerprint ([`SpgemmPlan::matches_structure`] will always
-    /// report `false`). This is what the one-shot [`crate::multiply_in`]
-    /// uses internally.
-    pub(crate) fn new_oneshot(
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        algo: Algorithm,
-        order: OutputOrder,
-        pool: &Pool,
-    ) -> Result<Self, SparseError> {
-        Self::build(a, b, algo, order, pool, false)
-    }
-
+    /// Bind a plan of `algo` from its [`SpgemmPlan::analyze`] result.
+    /// Without `fingerprint` the plan is for exactly one execution
+    /// ([`SpgemmPlan::matches_structure`] will always report `false`).
     fn build(
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
         algo: Algorithm,
+        (resolved, stats): (Algorithm, MultiplyStats),
         order: OutputOrder,
         pool: &Pool,
         fingerprint: bool,
-    ) -> Result<Self, SparseError> {
-        let (resolved, stats) = Self::analyze(a, b, algo, order, pool, false)?;
+    ) -> Self {
         let mut plan = SpgemmPlan {
             requested: algo,
             algo: resolved,
-            row_patched: false,
             order,
             dims: (a.nrows(), a.ncols(), b.ncols()),
             a_nnz: a.nnz(),
@@ -291,22 +267,19 @@ impl<S: Semiring> SpgemmPlan<S> {
             sigs: fingerprint.then(|| signatures(a, b)),
             stats,
             nthreads: pool.nthreads(),
-            symbolic: Mutex::new(None),
+            symbolic: SymbolicPlan::default(),
             kernel: PlanKernel::new(resolved, pool.nthreads()),
         };
         plan.bind_kernel(a, b, pool);
-        Ok(plan)
+        plan
     }
 
     /// Bind the kernel to the operands' structure once `stats` is
-    /// current: RowClass's class queues, then the symbolic phase
-    /// (unless this kernel defers it to its first execution), which
+    /// current: RowClass's class queues, then the symbolic phase, which
     /// writes the dense kernel's pattern.
     fn bind_kernel(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) {
         self.bind_row_classes(a, b);
-        let sym =
-            (!defers_symbolic(self.algo)).then(|| Arc::new(self.run_symbolic(a, b, pool, None)));
-        *self.symbolic.get_mut() = sym;
+        self.symbolic = self.run_symbolic(a, b, pool, None);
     }
 
     /// RowClass plans only: re-derive the per-class work queues and
@@ -318,17 +291,14 @@ impl<S: Semiring> SpgemmPlan<S> {
     }
 
     /// Validate shapes/contracts, analyze the work and resolve `Auto`
-    /// (which reads the analysis); shared by [`SpgemmPlan::new_in`] and
-    /// [`SpgemmPlan::rebind_in`]. With `two_phase_only`, an `Auto` that
-    /// would defer its symbolic phase takes `Hash` instead — the
-    /// model's other sparse accumulator, admissible everywhere.
+    /// (which reads the analysis); shared by [`SpgemmPlan::new_in`],
+    /// [`SpgemmPlan::rebind_in`] and [`multiply_oneshot`].
     fn analyze(
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
         algo: Algorithm,
         order: OutputOrder,
         pool: &Pool,
-        two_phase_only: bool,
     ) -> Result<(Algorithm, MultiplyStats), SparseError> {
         let _g = obs::span!("plan", "plan.analyze");
         if a.ncols() != b.nrows() {
@@ -352,22 +322,11 @@ impl<S: Semiring> SpgemmPlan<S> {
         };
         let resolved = match algo {
             Algorithm::Auto => {
-                let ctx = recipe::auto_context_from(a, b, order, &stats.row_flops);
-                match recipe::resolve(&ctx) {
-                    pick if two_phase_only && defers_symbolic(pick) => Algorithm::Hash,
-                    pick => pick,
-                }
+                recipe::resolve(&recipe::auto_context_from(a, b, order, &stats.row_flops))
             }
             other => other,
         };
-        if resolved.requires_sorted_inputs() && (!a.is_sorted() || !b.is_sorted()) {
-            return Err(SparseError::Unsorted {
-                op: match resolved {
-                    Algorithm::Heap => "Heap SpGEMM",
-                    _ => "Merge SpGEMM",
-                },
-            });
-        }
+        check_sorted_inputs(resolved, a, b)?;
         Ok((resolved, stats))
     }
 
@@ -388,8 +347,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<(), SparseError> {
         let _g = obs::span!("plan", "plan.rebind");
-        let (resolved, stats) =
-            Self::analyze(a, b, self.requested, self.order, pool, self.row_patched)?;
+        let (resolved, stats) = Self::analyze(a, b, self.requested, self.order, pool)?;
         if resolved != self.algo || pool.nthreads() != self.nthreads {
             // The workspace pool holds the wrong accumulator type (or
             // the wrong number of slots); rebuild it.
@@ -426,15 +384,10 @@ impl<S: Semiring> SpgemmPlan<S> {
     ///
     /// Falls back to a full [`SpgemmPlan::rebind`] — returning
     /// `DirtyRows::all` — whenever incremental repair is impossible:
-    /// shape changes, the sequential `Reference` oracle, a pool-width
-    /// change, or a one-phase plan whose first (staged) execution
-    /// hasn't happened yet. Either way the plan afterwards is
-    /// indistinguishable from one rebound from scratch — with one
-    /// exception that only shortens later edits: an `Auto` plan keeps
-    /// its resolved kernel across row patches, and once it has been
-    /// row-patched every full rebind resolves `Auto` among two-phase
-    /// kernels (`Hash` where the model would say `Heap`), so a
-    /// one-phase pick costs one full batch, not one per rebind.
+    /// shape changes, the sequential `Reference` oracle or a pool-width
+    /// change. Either way the plan afterwards is indistinguishable from
+    /// one rebound from scratch, except that an `Auto` plan keeps its
+    /// resolved kernel across row patches.
     ///
     /// ```
     /// use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
@@ -486,7 +439,6 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        self.row_patched = true;
         // An `Auto` plan keeps the kernel it resolved to: what the
         // dense-accumulator rule reads (dimensions, element size, L2
         // share) is invariant under a row patch, and re-deriving the
@@ -495,20 +447,12 @@ impl<S: Semiring> SpgemmPlan<S> {
             && self.dims == (a.nrows(), a.ncols(), b.ncols())
             && a.ncols() == b.nrows()
             && self.algo != Algorithm::Reference
-            && pool.nthreads() == self.nthreads
-            && self.symbolic.get_mut().is_some();
+            && pool.nthreads() == self.nthreads;
         if !incremental {
             self.rebind_in(a, b, pool)?;
             return Ok(DirtyRows::all(a.nrows()));
         }
-        if self.algo.requires_sorted_inputs() && (!a.is_sorted() || !b.is_sorted()) {
-            return Err(SparseError::Unsorted {
-                op: match self.algo {
-                    Algorithm::Heap => "Heap SpGEMM",
-                    _ => "Merge SpGEMM",
-                },
-            });
-        }
+        check_sorted_inputs(self.algo, a, b)?;
 
         let out_dirty = rows_touching(a, dirty_b, dirty_a.clone());
 
@@ -529,13 +473,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         // The symbolic pass under the mask: invalidated rows are
         // re-counted (and re-emitted) by the kernel, clean rows keep
         // their cached count (and pattern).
-        let old_sym = self
-            .symbolic
-            .get_mut()
-            .take()
-            .expect("incremental gate checked symbolic presence");
-        let sym = self.run_symbolic(a, b, pool, Some((&out_dirty, &old_sym.rpts[..])));
-        *self.symbolic.get_mut() = Some(Arc::new(sym));
+        let old = std::mem::take(&mut self.symbolic);
+        self.symbolic = self.run_symbolic(a, b, pool, Some((&out_dirty, &old.rpts[..])));
 
         self.a_nnz = a.nnz();
         self.b_nnz = b.nnz();
@@ -591,15 +530,7 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        if matches!(self.kernel, PlanKernel::Reference) {
-            *c = crate::algos::reference::multiply::<S>(a, b);
-            return Ok(());
-        }
-        let Some(sym) = self.symbolic.lock().as_ref().map(Arc::clone) else {
-            // One-phase plan before its staged first run: nothing
-            // cached to splice against, so execute in full.
-            return self.execute_into_in(a, b, c, pool);
-        };
+        let sym = &self.symbolic;
         let (m, _, n) = self.dims;
         let sorted = self.output_is_sorted();
         let full = dirty.count() == m;
@@ -632,8 +563,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         let mask = (!full).then_some((dirty, &*c));
         let mut cols = vec![0 as ColIdx; sym.nnz];
         let mut vals = vec![S::zero(); sym.nnz];
-        self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals, mask);
-        *c = Csr::from_parts_unchecked(m, n, sym.rpts.to_vec(), cols, vals, sorted);
+        self.run_numeric(a, b, pool, &mut cols, &mut vals, mask);
+        *c = Csr::from_parts_unchecked(m, n, sym.rpts.clone(), cols, vals, sorted);
         if obs::enabled() {
             static RECOMP: obs::CounterSite =
                 obs::CounterSite::new("delta", "delta.rows_recomputed");
@@ -642,7 +573,8 @@ impl<S: Semiring> SpgemmPlan<S> {
         Ok(())
     }
 
-    /// The resolved, concrete algorithm this plan runs.
+    /// The resolved, concrete algorithm this plan runs (a planned
+    /// `Inspector` runs it as the `Hash` kernel).
     pub fn algorithm(&self) -> Algorithm {
         self.algo
     }
@@ -663,17 +595,15 @@ impl<S: Semiring> SpgemmPlan<S> {
         self.nthreads
     }
 
-    /// `nnz(C)` once known: immediately for two-phase algorithms,
-    /// after the first execution for one-phase ones (`None` before).
-    pub fn symbolic_nnz(&self) -> Option<usize> {
-        self.symbolic.lock().as_ref().map(|s| s.nnz)
+    /// `nnz(C)`, known from the bind.
+    pub fn symbolic_nnz(&self) -> usize {
+        self.symbolic.nnz
     }
 
-    /// The product's row pointers once known (same availability as
-    /// [`SpgemmPlan::symbolic_nnz`]) — where
+    /// The product's row pointers, known from the bind — where
     /// [`SpgemmPlan::execute_into_slices_in`] places each row.
-    pub fn symbolic_row_ptrs(&self) -> Option<Vec<usize>> {
-        self.symbolic.lock().as_ref().map(|s| s.rpts.clone())
+    pub fn symbolic_row_ptrs(&self) -> &[usize] {
+        &self.symbolic.rpts
     }
 
     /// Reuse counters of the pooled per-thread accumulators. In steady
@@ -697,17 +627,13 @@ impl<S: Semiring> SpgemmPlan<S> {
 
     /// Heap bytes of what the plan holds about its product, beyond the
     /// pooled accumulators: the work analysis (per-row flops, the
-    /// partition), the row pointers once known, RowClass's queues and
-    /// index copies, and — if it replays — the column pattern at its
-    /// width. What a plan cache charges an idle plan.
+    /// partition), the row pointers, RowClass's queues and index copies,
+    /// and — if it replays — the column pattern at its width. What a
+    /// plan cache charges an idle plan.
     pub fn owned_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let stats = size_of_val(&self.stats.row_flops[..]) + size_of_val(&self.stats.offsets[..]);
-        let rpts = self
-            .symbolic
-            .lock()
-            .as_ref()
-            .map_or(0, |sym| size_of_val(&sym.rpts[..]));
+        let rpts = size_of_val(&self.symbolic.rpts[..]);
         let kernel = match &self.kernel {
             PlanKernel::RowClass(w) => w.shared.bytes(),
             PlanKernel::Spa(w) => w.shared.as_ref().map_or(0, Pattern::bytes),
@@ -759,14 +685,7 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        if self.algo.requires_sorted_inputs() && (!a.is_sorted() || !b.is_sorted()) {
-            return Err(SparseError::Unsorted {
-                op: match self.algo {
-                    Algorithm::Heap => "Heap SpGEMM",
-                    _ => "Merge SpGEMM",
-                },
-            });
-        }
+        check_sorted_inputs(self.algo, a, b)?;
         if pool.nthreads() != self.nthreads {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
@@ -802,26 +721,14 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<Csr<S::Elem>, SparseError> {
         self.check(a, b, pool)?;
-        if matches!(self.kernel, PlanKernel::Reference) {
-            return Ok(crate::algos::reference::multiply::<S>(a, b));
-        }
-        match self.symbolic_state(a, b, pool) {
-            FirstRun::Done(c) => Ok(self.finish_first(c)),
-            FirstRun::Ready(sym) => {
-                let (m, _, n) = self.dims;
-                let mut cols = vec![0 as ColIdx; sym.nnz];
-                let mut vals = vec![S::zero(); sym.nnz];
-                self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals, None);
-                Ok(Csr::from_parts_unchecked(
-                    m,
-                    n,
-                    sym.rpts.clone(),
-                    cols,
-                    vals,
-                    self.output_is_sorted(),
-                ))
-            }
-        }
+        let (m, _, n) = self.dims;
+        let sym = &self.symbolic;
+        let mut cols = vec![0 as ColIdx; sym.nnz];
+        let mut vals = vec![S::zero(); sym.nnz];
+        self.run_numeric(a, b, pool, &mut cols, &mut vals, None);
+        let rpts = sym.rpts.clone();
+        let sorted = self.output_is_sorted();
+        Ok(Csr::from_parts_unchecked(m, n, rpts, cols, vals, sorted))
     }
 
     /// Numeric-only multiply into a reused output matrix (global
@@ -838,8 +745,9 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// Numeric-only multiply overwriting `c` in place, reusing its
     /// allocations. After a warm-up execution has sized `c`'s buffers
     /// (and the pooled accumulators), this path performs **zero heap
-    /// allocations** for every two-phase algorithm — the steady state
-    /// of the paper's Figure 4 "parallel + reuse" scheme.
+    /// allocations** for every algorithm but the `Reference` oracle —
+    /// the steady state of the paper's Figure 4 "parallel + reuse"
+    /// scheme.
     pub fn execute_into_in(
         &self,
         a: &Csr<S::Elem>,
@@ -848,38 +756,23 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<(), SparseError> {
         self.check(a, b, pool)?;
-        if matches!(self.kernel, PlanKernel::Reference) {
-            *c = crate::algos::reference::multiply::<S>(a, b);
-            return Ok(());
-        }
-        match self.symbolic_state(a, b, pool) {
-            FirstRun::Done(done) => {
-                *c = self.finish_first(done);
-            }
-            FirstRun::Ready(sym) => {
-                let (m, _, n) = self.dims;
-                let sorted = self.output_is_sorted();
-                c.prepare_overwrite(m, n, sym.nnz, S::zero(), sorted);
-                let (rpts_mut, cols_mut, vals_mut) = c.raw_parts_mut();
-                rpts_mut.copy_from_slice(&sym.rpts);
-                self.numeric_into_slices(a, b, &sym, cols_mut, vals_mut, pool)?;
-                debug_assert!(c.validate().is_ok(), "planned numeric pass built bad CSR");
-            }
-        }
+        let (m, _, n) = self.dims;
+        c.prepare_overwrite(m, n, self.symbolic.nnz, S::zero(), self.output_is_sorted());
+        let (rpts, cols, vals) = c.raw_parts_mut();
+        rpts.copy_from_slice(&self.symbolic.rpts);
+        self.run_numeric(a, b, pool, cols, vals, None);
+        debug_assert!(c.validate().is_ok(), "planned numeric pass built bad CSR");
         Ok(())
     }
 
     /// Numeric-only multiply into caller-owned output arrays: row `i`
     /// of the product lands at `rpts[i]..rpts[i + 1]` of `cols` /
     /// `vals`, with `rpts` = [`SpgemmPlan::symbolic_row_ptrs`], and
-    /// both slices must be exactly [`SpgemmPlan::symbolic_nnz`] long.
-    /// This is the numeric pass under [`SpgemmPlan::execute_into_in`],
-    /// for callers that own a window of a larger output (the shard
-    /// runtime writes each shard's rows straight into the final `C`).
-    ///
-    /// Fails with [`SparseError::PlanMismatch`] while the row
-    /// structure is not known yet — a one-phase plan before its first
-    /// execution, or the `Reference` oracle, which never has one.
+    /// both slices must be exactly [`SpgemmPlan::symbolic_nnz`] long
+    /// ([`SparseError::PlanMismatch`] otherwise). This is the numeric
+    /// pass under [`SpgemmPlan::execute_into_in`], for callers that own
+    /// a window of a larger output (the shard runtime writes each
+    /// shard's rows straight into the final `C`).
     pub fn execute_into_slices_in(
         &self,
         a: &Csr<S::Elem>,
@@ -889,70 +782,24 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<(), SparseError> {
         self.check(a, b, pool)?;
-        let sym = self.symbolic.lock().as_ref().map(Arc::clone);
-        let Some(sym) = sym else {
-            return Err(SparseError::PlanMismatch {
-                detail: "execute_into_slices: the plan's row structure is not known yet \
-                         (one-phase plan before its first execution)"
-                    .into(),
-            });
-        };
-        self.numeric_into_slices(a, b, &sym, cols, vals, pool)
-    }
-
-    /// Length-checked numeric pass into `cols` / `vals` at the
-    /// symbolic row pointers.
-    fn numeric_into_slices(
-        &self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        sym: &SymbolicPlan,
-        cols: &mut [ColIdx],
-        vals: &mut [S::Elem],
-        pool: &Pool,
-    ) -> Result<(), SparseError> {
-        if cols.len() != sym.nnz || vals.len() != sym.nnz {
+        let nnz = self.symbolic.nnz;
+        if cols.len() != nnz || vals.len() != nnz {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
-                    "output slices hold ({}, {}) entries but the plan produces {}",
+                    "output slices hold ({}, {}) entries but the plan produces {nnz}",
                     cols.len(),
                     vals.len(),
-                    sym.nnz
                 ),
             });
         }
-        self.run_numeric(a, b, &sym.rpts, pool, cols, vals, None);
+        self.run_numeric(a, b, pool, cols, vals, None);
         Ok(())
-    }
-
-    /// Get the symbolic structure, running the deferred staged first
-    /// execution if this is a one-phase plan's first use.
-    fn symbolic_state(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> FirstRun<S::Elem> {
-        let mut guard = self.symbolic.lock();
-        if let Some(sym) = guard.as_ref() {
-            return FirstRun::Ready(Arc::clone(sym));
-        }
-        let c = self.run_staged(a, b, pool);
-        *guard = Some(Arc::new(SymbolicPlan {
-            rpts: c.rpts().to_vec(),
-            nnz: c.nnz(),
-        }));
-        FirstRun::Done(c)
-    }
-
-    /// Post-process a staged first run: Inspector's one-phase kernel
-    /// is inherently unsorted, so honour an explicit `Sorted` request
-    /// by paying the sort, exactly as the one-shot path always has.
-    fn finish_first(&self, mut c: Csr<S::Elem>) -> Csr<S::Elem> {
-        if matches!(self.algo, Algorithm::Inspector) && self.order.is_sorted() {
-            c.sort_rows();
-        }
-        c
     }
 
     /// The symbolic pass over the planned partition (under `mask`,
     /// only its dirty rows are re-counted). The dense kernel over a
-    /// seeded semiring also emits its pattern.
+    /// seeded semiring also emits its pattern; the sequential oracle,
+    /// which has no symbolic pass, binds the row pointers of one run.
     fn run_symbolic(
         &mut self,
         a: &Csr<S::Elem>,
@@ -961,6 +808,11 @@ impl<S: Semiring> SpgemmPlan<S> {
         mask: Option<RowMask<'_, [usize]>>,
     ) -> SymbolicPlan {
         let _g = obs::span!("plan", "plan.symbolic");
+        if matches!(self.kernel, PlanKernel::Reference) {
+            let (_, _, rpts, cols, ..) = reference::multiply::<S>(a, b).into_parts();
+            let nnz = cols.len();
+            return SymbolicPlan { rpts, nnz };
+        }
         let sorted = self.output_is_sorted();
         if let (PlanKernel::Spa(w), Some(_)) = (&mut self.kernel, S::seed()) {
             REPLAY_CAPTURES.incr();
@@ -972,15 +824,14 @@ impl<S: Semiring> SpgemmPlan<S> {
         SymbolicPlan { rpts, nnz }
     }
 
-    /// The numeric pass into pre-sliced output (under `mask`, only its
-    /// dirty rows are computed; the rest are copied). A full pass of a
-    /// plan that holds its pattern is a replay.
-    #[allow(clippy::too_many_arguments)]
+    /// The numeric pass into output pre-sliced at the symbolic row
+    /// pointers (under `mask`, only its dirty rows are computed; the
+    /// rest are copied). A full pass of a plan that holds its pattern is
+    /// a replay; the sequential oracle runs whole.
     fn run_numeric(
         &self,
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
-        rpts: &[usize],
         pool: &Pool,
         cols: &mut [ColIdx],
         vals: &mut [S::Elem],
@@ -988,37 +839,71 @@ impl<S: Semiring> SpgemmPlan<S> {
     ) {
         let _g = obs::span!("plan", "plan.numeric");
         count_execute(self.algo);
+        if matches!(self.kernel, PlanKernel::Reference) {
+            let c = reference::multiply::<S>(a, b);
+            cols.copy_from_slice(c.cols());
+            vals.copy_from_slice(c.vals());
+            return;
+        }
         if mask.is_none() && self.replays() {
             REPLAY_PASSES.incr();
         }
-        let (stats, sorted) = (&self.stats, self.output_is_sorted());
+        let (stats, rpts, sorted) = (&self.stats, &self.symbolic.rpts, self.output_is_sorted());
         with_kernel!(self, |w| exec::numeric_pass(
             w, a, b, stats, rpts, sorted, pool, cols, vals, mask
         ));
     }
+}
 
-    /// One-phase staged first execution (Heap / Inspector), drawing
-    /// its per-thread kernels from the plan's workers so later numeric
-    /// passes reuse them.
-    fn run_staged(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Csr<S::Elem> {
-        let _g = obs::span!("plan", "plan.staged");
-        count_execute(self.algo);
-        match &self.kernel {
-            PlanKernel::Heap(w) => exec::staged_pass(w, a, b, &self.stats, pool, true),
-            PlanKernel::Inspector(w) => exec::staged_pass(w, a, b, &self.stats, pool, false),
-            _ => unreachable!("only one-phase kernels defer their first run"),
+/// The one-shot product `A · B` behind [`crate::multiply_in`]. Analysed
+/// like a plan, then a one-phase pick skips the symbolic pass: Heap and
+/// Inspector run the staged pass on fresh workers (Inspector pays a
+/// post-sort when `Sorted` is asked, since its rows come out in
+/// insertion order), the sequential oracle runs as is. Every other
+/// kernel runs through a throwaway plan, which skips the fingerprint
+/// (and, for the dense kernel, still emits and replays).
+pub(crate) fn multiply_oneshot<S: Semiring>(
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    algo: Algorithm,
+    order: OutputOrder,
+    pool: &Pool,
+) -> Result<Csr<S::Elem>, SparseError> {
+    let (resolved, stats) = SpgemmPlan::<S>::analyze(a, b, algo, order, pool)?;
+    let nthreads = pool.nthreads();
+    match resolved {
+        Algorithm::Reference => Ok(reference::multiply::<S>(a, b)),
+        Algorithm::Heap | Algorithm::Inspector => {
+            let _g = obs::span!("plan", "plan.staged");
+            count_execute(resolved);
+            let mut c = if resolved == Algorithm::Heap {
+                let w = Workers::<S, HeapKernel<S>>::new(nthreads, ());
+                exec::staged_pass(&w, a, b, &stats, pool, true)
+            } else {
+                let w = Workers::<S, HashAccumulator<S>>::new(nthreads, Linear);
+                exec::staged_pass(&w, a, b, &stats, pool, false)
+            };
+            if order.is_sorted() {
+                c.sort_rows(); // Inspector's rows; Heap's are sorted
+            }
+            Ok(c)
         }
+        _ => SpgemmPlan::<S>::build(a, b, algo, (resolved, stats), order, pool, false)
+            .execute_in(a, b, pool),
     }
 }
 
-/// Whether `algo` runs one-phase: no symbolic pass at bind (it would
-/// pay a second pass it is designed to skip); the row structure is
-/// captured by the first execution — never, for the sequential oracle.
-fn defers_symbolic(algo: Algorithm) -> bool {
-    matches!(
-        algo,
-        Algorithm::Heap | Algorithm::Inspector | Algorithm::Reference
-    )
+/// `algo`'s input contract: Heap and Merge read sorted rows only.
+fn check_sorted_inputs<E>(algo: Algorithm, a: &Csr<E>, b: &Csr<E>) -> Result<(), SparseError> {
+    if algo.requires_sorted_inputs() && (!a.is_sorted() || !b.is_sorted()) {
+        return Err(SparseError::Unsorted {
+            op: match algo {
+                Algorithm::Heap => "Heap SpGEMM",
+                _ => "Merge SpGEMM",
+            },
+        });
+    }
+    Ok(())
 }
 
 /// Per-algorithm execution counters (`plan/plan.exec.*`): one bump
@@ -1194,32 +1079,43 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_nnz_eager_vs_deferred() {
+    fn every_plan_knows_its_rows_at_bind() {
         let a = sample();
         let pool = Pool::new(2);
-        let eager =
-            SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-        assert!(eager.symbolic_nnz().is_some());
-        let one_phase =
-            SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Heap, OutputOrder::Sorted, &pool).unwrap();
-        assert_eq!(one_phase.symbolic_nnz(), None, "deferred until first run");
-        let c = one_phase.execute_in(&a, &a, &pool).unwrap();
-        assert_eq!(one_phase.symbolic_nnz(), Some(c.nnz()));
+        for algo in Algorithm::ALL {
+            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).unwrap();
+                let (nnz, rpts) = (plan.symbolic_nnz(), plan.symbolic_row_ptrs().to_vec());
+                let c = plan.execute_in(&a, &a, &pool).unwrap();
+                assert_eq!((nnz, &rpts[..]), (c.nnz(), c.rpts()), "{algo} {order:?}");
+            }
+        }
     }
 
     #[test]
     fn execute_into_slices_matches_execute_and_checks_its_contract() {
         let a = sample();
         let pool = Pool::new(2);
-        for algo in [Algorithm::Hash, Algorithm::Spa, Algorithm::Heap] {
+        let algos = [
+            Algorithm::Hash,
+            Algorithm::Spa,
+            Algorithm::Heap,
+            Algorithm::Inspector,
+            Algorithm::Reference,
+        ];
+        for algo in algos {
             let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, OutputOrder::Sorted, &pool).unwrap();
-            if algo == Algorithm::Heap {
-                // One-phase: no row structure before the first run.
-                let early = plan.execute_into_slices_in(&a, &a, &mut [], &mut [], &pool);
-                assert!(matches!(early, Err(SparseError::PlanMismatch { .. })));
-            }
+            // Fresh plans, one-phase kernels' too, write straight into slices.
+            let nnz = plan.symbolic_nnz();
+            let (mut cols, mut vals) = (vec![0; nnz], vec![f64::NAN; nnz]);
+            plan.execute_into_slices_in(&a, &a, &mut cols, &mut vals, &pool)
+                .unwrap();
             let want = plan.execute_in(&a, &a, &pool).unwrap();
-            assert_eq!(plan.symbolic_row_ptrs().as_deref(), Some(want.rpts()));
+            assert_eq!(plan.symbolic_row_ptrs(), want.rpts());
+            assert_eq!(
+                (cols.as_slice(), vals.as_slice()),
+                (want.cols(), want.vals())
+            );
             let (mut cols, mut vals) = (vec![0; want.nnz()], vec![f64::NAN; want.nnz()]);
             plan.execute_into_slices_in(&a, &a, &mut cols, &mut vals, &pool)
                 .unwrap();

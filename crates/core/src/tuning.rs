@@ -11,15 +11,17 @@
 //!   deallocation cost §3.2 blames for poor scaling);
 //! * `balanced parallel` — flop-balanced partition with thread-private
 //!   staging allocated inside the region (the production
-//!   configuration: `Algorithm::Heap` through `exec::staged_pass`).
+//!   configuration: a one-shot `Algorithm::Heap` product).
 //!
-//! These variants exist for measurement — they vary exactly the
-//! schedule and memory scheme the shared row-pass driver fixes, which
-//! is why they keep loops of their own; library users want
+//! Contiguous blocks with the "parallel" scheme — `static` and
+//! `balanced parallel` — are the production staged pass over
+//! equal-row or flop-balanced offsets. Only the alternatives the paper
+//! measures *against* keep loops of their own: the "single" scheme and
+//! `dynamic` / `guided` row claiming. Library users want
 //! [`crate::multiply_in`].
 
 use crate::algos::heap::HeapKernel;
-use crate::exec::{self, StagedRowKernel};
+use crate::exec::{self, MultiplyStats, StagedRowKernel, Workers};
 use spgemm_par::{scan, unsync::SharedMutSlice, Pool, Schedule};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
@@ -86,30 +88,35 @@ pub fn heap_multiply_tuned<S: Semiring>(
         "heap requires sorted inputs"
     );
     match sched {
-        RowSchedule::Static | RowSchedule::FlopBalanced => {
-            contiguous_heap::<S>(a, b, pool, sched, mem)
-        }
         RowSchedule::Dynamic => claimed_heap::<S>(a, b, pool, Schedule::Dynamic { chunk: 1 }),
         RowSchedule::Guided => claimed_heap::<S>(a, b, pool, Schedule::Guided { min_chunk: 1 }),
+        RowSchedule::Static | RowSchedule::FlopBalanced => {
+            let mut stats = exec::plan(a, b, pool);
+            if sched == RowSchedule::Static {
+                let (n, nt) = (a.nrows(), pool.nthreads());
+                stats.offsets = (0..=nt).map(|t| t * n / nt).collect();
+            }
+            match mem {
+                MemScheme::Parallel => {
+                    let workers = Workers::<S, HeapKernel<S>>::new(pool.nthreads(), ());
+                    exec::staged_pass(&workers, a, b, &stats, pool, true)
+                }
+                MemScheme::Single => single_heap::<S>(a, b, pool, &stats),
+            }
+        }
     }
 }
 
-/// Contiguous-blocks path: Static (equal rows) or FlopBalanced
-/// offsets; staging either thread-private or one master buffer.
-fn contiguous_heap<S: Semiring>(
+/// The "single" scheme over the contiguous blocks of `stats.offsets`:
+/// each worker packs its rows into its flop-prefix slice of one
+/// master buffer, then copies them into place.
+fn single_heap<S: Semiring>(
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
     pool: &Pool,
-    sched: RowSchedule,
-    mem: MemScheme,
+    stats: &MultiplyStats,
 ) -> Csr<S::Elem> {
     let n = a.nrows();
-    let nt = pool.nthreads();
-    let stats = exec::plan(a, b, pool);
-    let offsets: Vec<usize> = match sched {
-        RowSchedule::FlopBalanced => stats.offsets.clone(),
-        _ => (0..=nt).map(|t| t * n / nt).collect(),
-    };
     // flop prefix over rows for staging bounds
     let mut flop_prefix = vec![0u64; n + 1];
     for i in 0..n {
@@ -117,67 +124,39 @@ fn contiguous_heap<S: Semiring>(
     }
 
     let mut counts64 = vec![0u64; n + 1];
-    // staging for Parallel: per-worker vectors; for Single: one buffer
-    type Staged<E> = Vec<parking_lot::Mutex<(Vec<ColIdx>, Vec<E>)>>;
-    let staged: Staged<S::Elem> = (0..nt)
-        .map(|_| parking_lot::Mutex::new((Vec::new(), Vec::new())))
-        .collect();
-    let mut single_cols: Vec<ColIdx> = Vec::new();
-    let mut single_vals: Vec<S::Elem> = Vec::new();
-    if mem == MemScheme::Single {
-        // master-side allocation of the full flop bound (the cost the
-        // paper's "single" series pays)
-        let bound = flop_prefix[n] as usize;
-        single_cols = vec![0; bound];
-        single_vals = vec![S::zero(); bound];
-    }
+    // master-side allocation of the full flop bound (the cost the
+    // paper's "single" series pays)
+    let bound = flop_prefix[n] as usize;
+    let mut single_cols: Vec<ColIdx> = vec![0; bound];
+    let mut single_vals: Vec<S::Elem> = vec![S::zero(); bound];
     let single_cols_s = SharedMutSlice::new(&mut single_cols[..]);
     let single_vals_s = SharedMutSlice::new(&mut single_vals[..]);
     {
         let cnt = SharedMutSlice::new(&mut counts64[..]);
-        pool.parallel_ranges(&offsets, |wid, range| {
+        pool.parallel_ranges(&stats.offsets, |_, range| {
             if range.is_empty() {
                 return;
             }
             let mut kernel = HeapKernel::<S>::new();
-            match mem {
-                MemScheme::Parallel => {
-                    let bound = (flop_prefix[range.end] - flop_prefix[range.start]) as usize;
-                    let mut slot = staged[wid].lock();
-                    let (cols, vals) = &mut *slot;
-                    cols.clear();
-                    vals.clear();
-                    cols.reserve(bound);
-                    vals.reserve(bound);
-                    for i in range {
-                        let c = kernel.stage_row(a, b, i, cols, vals) as u64;
-                        // SAFETY: each row staged by exactly one thread.
-                        unsafe { cnt.write(i + 1, c) };
-                    }
-                }
-                MemScheme::Single => {
-                    // write into the worker's disjoint slice of the
-                    // master buffer, rows packed back-to-back
-                    let base = flop_prefix[range.start] as usize;
-                    let end = flop_prefix[range.end] as usize;
-                    // SAFETY: flop-prefix slices are disjoint per range.
-                    let mut cols = unsafe { single_cols_s.slice_mut(base..end) };
-                    let mut vals = unsafe { single_vals_s.slice_mut(base..end) };
-                    let mut tmp_c: Vec<ColIdx> = Vec::new();
-                    let mut tmp_v: Vec<S::Elem> = Vec::new();
-                    let mut written = 0usize;
-                    for i in range {
-                        tmp_c.clear();
-                        tmp_v.clear();
-                        let c = kernel.stage_row(a, b, i, &mut tmp_c, &mut tmp_v);
-                        cols[written..written + c].copy_from_slice(&tmp_c);
-                        vals[written..written + c].copy_from_slice(&tmp_v);
-                        written += c;
-                        // SAFETY: as above.
-                        unsafe { cnt.write(i + 1, c as u64) };
-                    }
-                    let _ = (&mut cols, &mut vals);
-                }
+            // write into the worker's disjoint slice of the master
+            // buffer, rows packed back-to-back
+            let base = flop_prefix[range.start] as usize;
+            let end = flop_prefix[range.end] as usize;
+            // SAFETY: flop-prefix slices are disjoint per range.
+            let cols = unsafe { single_cols_s.slice_mut(base..end) };
+            let vals = unsafe { single_vals_s.slice_mut(base..end) };
+            let mut tmp_c: Vec<ColIdx> = Vec::new();
+            let mut tmp_v: Vec<S::Elem> = Vec::new();
+            let mut written = 0usize;
+            for i in range {
+                tmp_c.clear();
+                tmp_v.clear();
+                let c = kernel.stage_row(a, b, i, &mut tmp_c, &mut tmp_v);
+                cols[written..written + c].copy_from_slice(&tmp_c);
+                vals[written..written + c].copy_from_slice(&tmp_v);
+                written += c;
+                // SAFETY: each row staged by exactly one thread.
+                unsafe { cnt.write(i + 1, c as u64) };
             }
         });
     }
@@ -190,32 +169,19 @@ fn contiguous_heap<S: Semiring>(
         let cols_s = SharedMutSlice::new(&mut cols[..]);
         let vals_s = SharedMutSlice::new(&mut vals[..]);
         let rpts_ref = &rpts;
-        pool.parallel_ranges(&offsets, |wid, range| {
+        pool.parallel_ranges(&stats.offsets, |_, range| {
             if range.is_empty() {
                 return;
             }
             let dst = rpts_ref[range.start]..rpts_ref[range.end];
-            match mem {
-                MemScheme::Parallel => {
-                    let slot = staged[wid].lock();
-                    let (scols, svals) = &*slot;
-                    // SAFETY: destination blocks disjoint per thread.
-                    unsafe {
-                        cols_s.slice_mut(dst.clone()).copy_from_slice(scols);
-                        vals_s.slice_mut(dst).copy_from_slice(svals);
-                    }
-                }
-                MemScheme::Single => {
-                    let base = flop_prefix[range.start] as usize;
-                    let len = dst.len();
-                    // SAFETY: sources and destinations disjoint per thread.
-                    unsafe {
-                        let src_c = single_cols_s.slice_mut(base..base + len);
-                        let src_v = single_vals_s.slice_mut(base..base + len);
-                        cols_s.slice_mut(dst.clone()).copy_from_slice(src_c);
-                        vals_s.slice_mut(dst).copy_from_slice(src_v);
-                    }
-                }
+            let base = flop_prefix[range.start] as usize;
+            let len = dst.len();
+            // SAFETY: sources and destinations disjoint per thread.
+            unsafe {
+                let src_c = single_cols_s.slice_mut(base..base + len);
+                let src_v = single_vals_s.slice_mut(base..base + len);
+                cols_s.slice_mut(dst.clone()).copy_from_slice(src_c);
+                vals_s.slice_mut(dst).copy_from_slice(src_v);
             }
         });
     }

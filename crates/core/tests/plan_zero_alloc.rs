@@ -70,11 +70,11 @@ fn banded(n: usize) -> Csr<f64> {
 #[test]
 fn execute_into_steady_state_allocates_nothing() {
     let a = banded(256);
-    let pool = Pool::new(1); // inline execution: exact accounting
-                             // Every two-phase algorithm must reach the allocation-free steady
-                             // state. (Heap joins after its deferred first run; Inspector with
-                             // Unsorted output likewise. Inspector+Sorted pays a post-sort on
-                             // the staged first run only, then extracts sorted rows in place.)
+    // Inline execution: exact accounting.
+    let pool = Pool::new(1);
+    // Every planned algorithm but the sequential oracle must reach the
+    // allocation-free steady state; a planned Heap or Inspector is
+    // two-phase from its bind like the rest.
     for (algo, order) in [
         (Algorithm::Hash, OutputOrder::Sorted),
         (Algorithm::Hash, OutputOrder::Unsorted),
@@ -101,9 +101,7 @@ fn execute_into_steady_state_allocates_nothing() {
     ] {
         let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).unwrap();
         let mut c = Csr::<f64>::zero(0, 0);
-        // Warm-up: size the output buffers, the pooled accumulators,
-        // and (for one-phase algorithms) capture the deferred
-        // symbolic structure.
+        // Warm-up: size the output buffers and the pooled accumulators.
         for _ in 0..3 {
             plan.execute_into_in(&a, &a, &mut c, &pool).unwrap();
         }

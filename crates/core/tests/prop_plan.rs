@@ -1,7 +1,7 @@
 //! Single-driver parity properties. Every product runs the one
 //! row-pass driver of `spgemm::exec`; these pin down that every
-//! *route* into it — the one-shot `multiply_in`, a plan's first
-//! (staged, for one-phase kernels) and later (numeric-only)
+//! *route* into it — the one-shot `multiply_in` (staged, for the
+//! one-phase kernels), a plan's first and later (numeric-only)
 //! executions, RowClass's bucketed passes, the masked product and the
 //! serve patch's dirty-masked recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
@@ -288,7 +288,8 @@ proptest! {
                 for algo in Algorithm::ALL {
                     let expect = oneshot(&a, &a, algo, order, &pool);
                     let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).unwrap();
-                    // first execution (staged for one-phase algorithms)
+                    // first execution (the one-shot is staged for
+                    // one-phase algorithms)
                     let first = plan.execute_in(&a, &a, &pool).unwrap();
                     prop_assert!(bits_eq_f64(&expect, &first), "{} {:?} nt={} (first)", algo, order, nt);
                     // steady-state numeric-only execution
@@ -597,7 +598,7 @@ fn a_high_compression_pattern_holds_one_entry_per_output_entry() {
             let mut plan =
                 SpgemmPlan::<P>::new_in(&dense, &dense, Algorithm::Spa, order, &pool).unwrap();
             let flop = plan.stats().total_flop as usize;
-            let nnz = plan.symbolic_nnz().unwrap();
+            let nnz = plan.symbolic_nnz();
             assert!(flop >= 64 * nnz, "{flop} flops for {nnz} entries");
             assert_eq!(pattern_bytes(&plan, &dense, &dense, &pool), 2 * nnz);
             let got = plan.execute_in(&dense, &dense, &pool).unwrap();
@@ -605,7 +606,7 @@ fn a_high_compression_pattern_holds_one_entry_per_output_entry() {
             assert!(bits_eq_f64(&got, &hash), "dense {order:?} nt={nt}");
 
             plan.rebind_in(&sparse, &sparse, &pool).unwrap();
-            let nnz = plan.symbolic_nnz().unwrap();
+            let nnz = plan.symbolic_nnz();
             assert_eq!(pattern_bytes(&plan, &sparse, &sparse, &pool), 2 * nnz);
 
             let mut c = plan.execute_in(&sparse, &sparse, &pool).unwrap();
@@ -615,7 +616,7 @@ fn a_high_compression_pattern_holds_one_entry_per_output_entry() {
             let out = plan
                 .rebind_rows_in(&patched, &patched, &dirty, &dirty, &pool)
                 .unwrap();
-            let nnz = plan.symbolic_nnz().unwrap();
+            let nnz = plan.symbolic_nnz();
             assert_eq!(pattern_bytes(&plan, &patched, &patched, &pool), 2 * nnz);
             plan.execute_rows_in(&patched, &patched, &out, &mut c, &pool)
                 .unwrap();

@@ -137,8 +137,7 @@ impl Default for DistConfig {
 pub struct ProductStats {
     /// Bytes each shard held beyond its operand blocks during this
     /// product, flat row-major shard order: its window of `C`, plus
-    /// its local block whenever it computed through one (always on
-    /// multi-column grids).
+    /// its local block on multi-column grids.
     pub per_shard_peak_partial_bytes: Vec<u64>,
     /// Nanoseconds each shard spent binding and computing during this
     /// product (flat row-major shard order) — the number behind
@@ -454,13 +453,13 @@ impl ShardRuntime {
         };
 
         // --- new structure: counts → layout --------------------------------
-        let mut prior = None;
+        let mut bound = None;
         if cache.layout.is_none() {
             let _g = obs::span!("dist", "dist.layout");
-            let bound = self.region(fleet, |s, shard| shard.bind(operands(s)))?;
-            let (reported, ran): (Vec<_>, Vec<_>) = bound.into_iter().unzip();
+            let ran = self.region(fleet, |s, shard| shard.bind(operands(s)))?;
+            let (reported, busy): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
             cache.layout = Some(Layout::build(grid, &cache.col_cuts, &reported));
-            prior = Some(ran);
+            bound = Some(busy);
         }
         let layout = cache.layout.as_ref().expect("layout known or just built");
 
@@ -477,8 +476,8 @@ impl ShardRuntime {
                 if let Some(fail_point) = &self.on_window {
                     fail_point(s);
                 }
-                let prior = prior.as_ref().map(|ran| ran[s]);
-                shard.fill(operands(s), &layout.spans[s], out, prior)
+                let bound = bound.as_ref().map(|busy| busy[s]);
+                shard.fill(operands(s), &layout.spans[s], out, bound)
             })?
         };
         let stats = ProductStats {
@@ -551,20 +550,11 @@ struct Shard {
     /// stable it settles into numeric-only hits.
     plans: PlanCache<PlusTimes<f64>>,
     /// Reused output of products computed through a block, not straight
-    /// into the span (multi-column grids, one-phase first runs).
+    /// into the span (multi-column grids).
     local: Csr<f64>,
     /// Counters of plans retired after a contained panic: the cumulative
     /// `plan_hits` / `plan_rebuilds` never move backwards.
     carried: PlanCacheStats,
-}
-
-/// What a new-structure product's bind region already did on a shard.
-#[derive(Clone, Copy)]
-struct Prior {
-    /// `local` holds the product (a one-phase plan only learns its row
-    /// counts by running).
-    have_local: bool,
-    busy: Duration,
 }
 
 /// A shard's report on its filled span.
@@ -595,40 +585,35 @@ impl Shard {
         self.local = Csr::zero(0, 0);
     }
 
-    /// Bind the plan to `(a, b)` and return the row pointers of the
-    /// shard's local block.
-    fn bind(&mut self, (a, b): (&Csr<f64>, &Csr<f64>)) -> Result<(Vec<usize>, Prior), SparseError> {
+    /// Bind the plan to `(a, b)`; return the row pointers of the shard's
+    /// local block and the time that took.
+    fn bind(
+        &mut self,
+        (a, b): (&Csr<f64>, &Csr<f64>),
+    ) -> Result<(Vec<usize>, Duration), SparseError> {
         let _g = obs::span!("dist", "dist.shard.bind");
         let started = Instant::now();
         let plan = self.plans.plan_for(a, b, &self.pool)?;
-        let (rpts, have_local) = match plan.symbolic_row_ptrs() {
-            Some(rpts) => (rpts, false),
-            None => {
-                plan.execute_into_in(a, b, &mut self.local, &self.pool)?;
-                (self.local.rpts().to_vec(), true)
-            }
-        };
-        let busy = started.elapsed();
-        Ok((rpts, Prior { have_local, busy }))
+        Ok((plan.symbolic_row_ptrs().to_vec(), started.elapsed()))
     }
 
     /// Compute the product into the shard's `span` of `out` (`C`'s
-    /// `cols` and `vals`).
+    /// `cols` and `vals`). `bound` is the time this product's bind
+    /// region spent on the shard, if it ran.
     fn fill(
         &mut self,
         (a, b): (&Csr<f64>, &Csr<f64>),
         span: &Span,
         out: (&SharedMutSlice<'_, ColIdx>, &SharedMutSlice<'_, f64>),
-        prior: Option<Prior>,
+        bound: Option<Duration>,
     ) -> Result<Filled, SparseError> {
         let started = Instant::now();
         // A product gets one plan lookup: the fill of a new structure
         // finds the plan its bind region bound.
-        let plan = match prior {
+        let plan = match bound {
             Some(_) => (self.plans.cached()).expect("bound by this product's bind region"),
             None => self.plans.plan_for(a, b, &self.pool)?,
         };
-        let have_local = prior.is_some_and(|ran| ran.have_local);
         let _g = obs::span!("dist", "dist.shard.compute");
         let window = |range: Range<usize>| {
             let (cols, vals) = out;
@@ -646,10 +631,7 @@ impl Shard {
             unsafe { (cols.slice_mut(range.clone()), vals.slice_mut(range)) }
         };
         let entry_bytes = std::mem::size_of::<ColIdx>() + std::mem::size_of::<f64>();
-        let direct = span
-            .contiguous()
-            .filter(|_| !have_local && plan.symbolic_nnz().is_some());
-        let held_bytes = if let Some(range) = direct {
+        let held_bytes = if let Some(range) = span.contiguous() {
             let held = (range.len() * entry_bytes) as u64;
             let (cols, vals) = window(range);
             // checks both lengths against the plan's nnz
@@ -657,9 +639,7 @@ impl Shard {
             held
         } else {
             let local = &mut self.local;
-            if !have_local {
-                plan.execute_into_in(a, b, local, &self.pool)?;
-            }
+            plan.execute_into_in(a, b, local, &self.pool)?;
             let rows = local.nrows();
             assert_eq!(
                 span.bounds.len(),
@@ -675,15 +655,9 @@ impl Shard {
                 }
                 vals.copy_from_slice(local.row_vals(i));
             }
-            let held = (local.nnz() * entry_bytes) as u64 + csr_bytes(local);
-            if span.contiguous().is_some() {
-                // Single-column shards only compute through the block
-                // on a one-phase plan's first run; don't keep it.
-                *local = Csr::zero(0, 0);
-            }
-            held
+            (local.nnz() * entry_bytes) as u64 + csr_bytes(local)
         };
-        let busy = started.elapsed() + prior.map_or(Duration::ZERO, |ran| ran.busy);
+        let busy = started.elapsed() + bound.unwrap_or_default();
         let busy_ns = busy.as_nanos() as u64;
         let mut plans = self.plans.stats();
         plans.hits += self.carried.hits;

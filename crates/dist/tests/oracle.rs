@@ -75,13 +75,10 @@ fn every_grid_width_and_order_is_bit_identical_to_monolithic_hash() {
 
 #[test]
 fn one_phase_kernels_first_and_second_product() {
-    // Heap and Inspector only learn their row counts by running: the
-    // first product goes through the shard's local block, the second
-    // straight into the window (single-column grids). Inspector drives
-    // the hash accumulator, so the bit contract (and the hostile
-    // values) carry over. Heap pops equal columns in heap order, which
-    // a column block changes: bit parity holds against monolithic Heap
-    // on single-column grids, closeness on the rest.
+    // Inspector drives the hash accumulator, so the bit contract (and
+    // the hostile values) carry over. Heap pops equal columns in heap
+    // order, which a column block changes: bit parity holds against
+    // monolithic Heap on single-column grids, closeness on the rest.
     let plain = generate_kind(RmatKind::G500, 7, 6, &mut spgemm_gen::rng(5));
     for (algo, a) in [
         (Algorithm::Heap, plain.clone()),

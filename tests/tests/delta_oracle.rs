@@ -466,10 +466,9 @@ fn one_percent_patch(m: &Csr<f64>, batch: u64) -> RowPatch<f64> {
 }
 
 /// An `Auto` plan is row-patched incrementally from the first batch
-/// on — it keeps the kernel it resolved to instead of re-resolving
-/// (and, when that was one-phase, rebinding every row) — and stays
-/// byte-identical to a fresh `Auto` product, across a reset to the
-/// base operands too.
+/// on — it keeps the kernel it resolved to instead of re-resolving —
+/// and stays byte-identical to a fresh `Auto` product, across a reset
+/// to the base operands too.
 #[test]
 fn auto_plans_patch_incrementally_from_the_first_batch() {
     let rmat_of =
@@ -513,15 +512,15 @@ fn auto_plans_patch_incrementally_from_the_first_batch() {
     }
 }
 
-/// When `Auto` resolved to a one-phase kernel, the first row patch
-/// pays one full rebind and moves the plan to a two-phase kernel for
-/// good: every later batch — across full rebinds too — is incremental.
-/// The operands are ones the footprint rule sends to Heap on any
-/// machine: sorted, two entries per row of `A` and four per row of a
-/// `B` with 2²² columns — a 50.9 MB dense accumulator, and Eq (1) at
-/// `log₂ 2` per flop under Eq (2) plus its sort.
+/// A Heap plan knows its row structure from its bind, so an `Auto` plan
+/// that resolved to Heap stays Heap and patches incrementally from the
+/// first batch on — across full rebinds too. The operands are ones the
+/// footprint rule sends to Heap on any machine: sorted, two entries per
+/// row of `A` and four per row of a `B` with 2²² columns — a 50.9 MB
+/// dense accumulator, and Eq (1) at `log₂ 2` per flop under Eq (2)
+/// plus its sort.
 #[test]
-fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
+fn heap_auto_plans_patch_incrementally_from_the_first_batch() {
     let (n, width) = (64usize, 1usize << 22);
     let a_entries: Vec<_> = (0..n)
         .flat_map(|i| {
@@ -544,7 +543,7 @@ fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
     };
     let mut plan = Plan::new_in(&a0, &b0, Algorithm::Auto, OutputOrder::Sorted, &pool).unwrap();
     assert_eq!(plan.algorithm(), Algorithm::Heap, "fixture precondition");
-    // Not yet executed: a one-phase plan has no row structure to patch.
+    // Not executed yet: the bind alone gives the plan rows to patch.
     let mut c = product(&a0, Algorithm::Heap);
     let none = DirtyRows::new(b0.nrows());
     for stream in 0..3 {
@@ -552,18 +551,17 @@ fn one_phase_auto_plans_pay_one_full_batch_not_one_per_rebind() {
         patch.insert(5 + stream, 9, 1.5);
         let (a, dirty) = a0.apply_patch(&patch).unwrap();
         let out = plan.rebind_rows_in(&a, &b0, &dirty, &none, &pool).unwrap();
-        assert_eq!(out.count() == a.nrows(), stream == 0, "stream {stream}");
-        assert_eq!(plan.algorithm(), Algorithm::Hash, "stream {stream}");
+        assert!(out.count() < a.nrows(), "stream {stream}: incremental");
+        assert_eq!(plan.algorithm(), Algorithm::Heap, "stream {stream}");
         plan.execute_rows_in(&a, &b0, &out, &mut c, &pool).unwrap();
         assert_bits_eq(
             &c,
-            &product(&a, Algorithm::Hash),
+            &product(&a, Algorithm::Heap),
             &format!("stream {stream}"),
         );
-        // Back to the base operands: `Auto` is resolved again, among
-        // two-phase kernels now.
+        // Back to the base operands: `Auto` resolves to Heap again.
         plan.rebind_in(&a0, &b0, &pool).unwrap();
-        assert_eq!(plan.algorithm(), Algorithm::Hash, "stream {stream} reset");
+        assert_eq!(plan.algorithm(), Algorithm::Heap, "stream {stream} reset");
         c = plan.execute_in(&a0, &b0, &pool).unwrap();
     }
 }
