@@ -38,7 +38,9 @@ pub struct MclParams {
     pub max_iters: usize,
     /// Convergence: stop when the largest entry change is below this.
     pub tolerance: f64,
-    /// SpGEMM kernel for expansion.
+    /// SpGEMM kernel for expansion (default [`Algorithm::Auto`]: the
+    /// dense accumulator while `A`'s width fits the L2 share, whose
+    /// plan replays the pattern its bind wrote, with `Hash`'s bits).
     pub algo: Algorithm,
 }
 
@@ -49,7 +51,7 @@ impl Default for MclParams {
             prune_threshold: 1e-4,
             max_iters: 32,
             tolerance: 1e-6,
-            algo: Algorithm::Hash,
+            algo: Algorithm::Auto,
         }
     }
 }
@@ -377,6 +379,39 @@ mod tests {
             longest_streak >= 3,
             "stable pattern must yield a numeric-only streak: {stats:?}"
         );
+    }
+
+    /// The default kernel's expansions have `Hash`'s bits, so every
+    /// prune decision, every round's plan verdict and every label match
+    /// — on a G500 scale-9 ef-8 graph over eight rounds, at one thread
+    /// and two.
+    #[test]
+    fn default_kernel_clusters_exactly_as_hash() {
+        let graph = spgemm_gen::rmat::generate_kind(
+            spgemm_gen::RmatKind::G500,
+            9,
+            8,
+            &mut spgemm_gen::rng(20180804),
+        );
+        let auto = MclParams {
+            max_iters: 8,
+            ..MclParams::default()
+        };
+        assert_eq!(auto.algo, Algorithm::Auto);
+        let hash = MclParams {
+            algo: Algorithm::Hash,
+            ..auto
+        };
+        for nt in [1, 2] {
+            let pool = Pool::new(nt);
+            let (want, want_stats) = cluster_with_stats(&graph, &hash, &pool).unwrap();
+            let (got, got_stats) = cluster_with_stats(&graph, &auto, &pool).unwrap();
+            assert_eq!(got, want, "labels at {nt} threads");
+            assert_eq!(
+                got_stats.rounds, want_stats.rounds,
+                "rounds at {nt} threads"
+            );
+        }
     }
 
     #[test]

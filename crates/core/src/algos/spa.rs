@@ -29,9 +29,10 @@
 //! sorted, first insertion otherwise), appended to the worker's
 //! segment — `u16` entries while `ncols(B)` ≤ 2¹⁶. The segments,
 //! one per worker of the partition, are the plan's `Pattern`
-//! (`SpgemmPlan`'s "numeric replay"). A full rebind refills the previous
-//! binding's segments; a row patch re-derives its dirty rows and copies
-//! every clean row from the previous pattern.
+//! (`SpgemmPlan`'s "numeric replay"). Every bind emits into fresh
+//! segments: a full rebind drops the previous pattern before it emits,
+//! a row patch re-derives its dirty rows and copies every clean row
+//! from the previous pattern.
 //!
 //! **Replay.** Given a pattern, the SPA's share of a numeric pass
 //! copies its segment into its window of the output `cols`; a row is
@@ -405,21 +406,6 @@ impl Segment {
         }
     }
 
-    /// [`Segment::new`], in `self`'s buffer when the widths agree.
-    fn reuse(self, ncols_b: usize) -> Segment {
-        match (self, Segment::new(ncols_b)) {
-            (Segment::Narrow(mut v), Segment::Narrow(_)) => {
-                v.clear();
-                Segment::Narrow(v)
-            }
-            (Segment::Wide(mut v), Segment::Wide(_)) => {
-                v.clear();
-                Segment::Wide(v)
-            }
-            (_, fresh) => fresh,
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             Segment::Narrow(p) => p.len(),
@@ -473,7 +459,8 @@ static PATTERN_BYTES: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.replay.
 
 /// A bound plan's column pattern: the segments its symbolic pass
 /// emitted, one per worker of the partition. Held until the plan's next
-/// bind, which refills or rewrites it.
+/// bind, which drops it before emitting (a full rebind) or copies its
+/// clean rows (a row patch).
 pub(crate) struct Pattern {
     segments: Vec<Segment>,
 }
@@ -488,12 +475,6 @@ impl Pattern {
     /// Heap bytes held.
     pub fn bytes(&self) -> usize {
         self.segments.iter().map(Segment::bytes).sum()
-    }
-
-    /// The buffers, for the next binding to refill.
-    fn into_segments(mut self) -> Vec<Segment> {
-        PATTERN_BYTES.sub(self.bytes() as i64);
-        std::mem::take(&mut self.segments)
     }
 }
 
@@ -549,10 +530,13 @@ impl<'p> Prior<'p> {
 /// worker's segment on the way, and the segments left in `w.shared` as
 /// the binding's pattern. Returns `(rpts, nnz)`.
 ///
-/// A full pass refills the previous pattern's buffers. Under a `mask`
-/// (a row patch: `prev` are the previous row pointers) the dirty rows
-/// are emitted and every clean row is copied from the previous pattern
-/// into fresh segments.
+/// Every pass emits into fresh segments. A full pass drops the previous
+/// pattern before it emits, so no long-lived segment is regrown above
+/// the outputs freed since: a multi-MB segment at the top of the heap
+/// keeps the allocator from returning what lies below it. Under a
+/// `mask` (a row patch: `prev` are the previous row pointers) the dirty
+/// rows are emitted and every clean row is copied from the previous
+/// pattern.
 pub(crate) fn emit_pass<S: Semiring>(
     w: &mut Workers<S, SpaAccumulator<S>>,
     a: &Csr<S::Elem>,
@@ -562,21 +546,15 @@ pub(crate) fn emit_pass<S: Semiring>(
     sorted: bool,
     mask: Option<RowMask<'_, [usize]>>,
 ) -> (Vec<usize>, usize) {
-    let ncols_b = b.ncols();
-    let (reused, kept) = match mask {
-        None => (w.shared.take(), None),
-        Some(_) => (None, w.shared.take()),
-    };
+    // A full pass drops the previous pattern here, before it emits.
+    let kept = w.shared.take().filter(|_| mask.is_some());
     // (Without a previous pattern every row is emitted: a clean row's
     // columns are a function of the operands as much as a dirty one's.)
     let prior = mask
         .zip(kept.as_ref())
         .map(|((dirty, rpts), p)| Prior::new(dirty, rpts, p));
-    let buffers = reused.map_or_else(Vec::new, Pattern::into_segments);
-    let mut segments: Vec<Segment> = buffers.into_iter().map(|s| s.reuse(ncols_b)).collect();
     let nworkers = stats.offsets.len() - 1;
-    segments.truncate(nworkers);
-    segments.resize_with(nworkers, || Segment::new(ncols_b));
+    let mut segments: Vec<Segment> = (0..nworkers).map(|_| Segment::new(b.ncols())).collect();
     let (rpts, nnz) = {
         // One worker per segment: the locks are never contended.
         let cells: Vec<Mutex<&mut Segment>> = segments.iter_mut().map(Mutex::new).collect();

@@ -29,7 +29,7 @@
 //! such a plan — from the first, and under every entry point
 //! (`execute_in`, `execute_into_in`, `execute_into_slices_in`, hence
 //! one-shot `multiply_in`, expression nodes, serve's cached plans and
-//! dist shards that ask for `Spa` / `Auto`) — replays it: copy the
+//! dist shards, which default to `Auto`) — replays it: copy the
 //! pattern into the output, then per row a branch-free scatter and a
 //! gather along the row's own columns. No stamp, no touched list, no
 //! bitmap, no sort; the `k`-order of every sum and the emit order are
@@ -37,8 +37,9 @@
 //! (`algos::spa`).
 //!
 //! Every bind emits — [`SpgemmPlan::new`], [`SpgemmPlan::rebind`] and
-//! with it every [`PlanCache`] / `ExprCache` rebind, reusing the
-//! previous binding's buffers — and [`SpgemmPlan::rebind_rows`] emits
+//! with it every [`PlanCache`] / `ExprCache` rebind, into fresh
+//! segments once the previous pattern is dropped — and
+//! [`SpgemmPlan::rebind_rows`] emits
 //! its dirty rows and copies the clean ones from the old pattern, so a
 //! row-patched plan keeps replaying. What never replays: plans that
 //! name any other kernel (they keep measuring that kernel), a semiring
@@ -50,7 +51,7 @@
 //! symbolic pass by staging rows into flop-bound per-thread buffers, a
 //! trade that pays only when the product runs once. So they run
 //! one-phase only there: [`crate::multiply_in`] sends them to the staged
-//! pass on fresh workers ([`multiply_oneshot`]). A *plan* of either is
+//! pass on fresh workers (`multiply_oneshot`). A *plan* of either is
 //! two-phase like every other — Heap's symbolic pass is its heap merge
 //! counting columns, and a planned `Inspector` is the `Hash` kernel
 //! (its [`SpgemmPlan::algorithm`] still says `Inspector`). The

@@ -581,8 +581,8 @@ fn replay_matches_hash_at_the_u16_boundary() {
 /// the symbolic pass visits 96 columns per entry it keeps. Whatever the
 /// emit reserved on the way, the bound pattern holds exactly `nnz(C)`
 /// entries at every pool width — after the bind, after a rebind that
-/// refills the same buffers with a much smaller product, and after a
-/// row patch — and replays to Hash's bits.
+/// drops that pattern and emits a much smaller product into fresh
+/// segments, and after a row patch — and replays to Hash's bits.
 #[test]
 fn a_high_compression_pattern_holds_one_entry_per_output_entry() {
     let n = 96;

@@ -19,8 +19,11 @@
 //!   region — a numeric pass per shard written **directly into that
 //!   shard's disjoint window of `C`**, the submitting thread computing
 //!   shard 0's — with no partial products, no merge and no gather
-//!   copy, and the result is bit-identical to the monolithic `Hash`
-//!   product.
+//!   copy. The default shard kernel is `Auto`: a block whose output
+//!   width fits the L2 share runs the dense accumulator and replays the
+//!   column pattern its bind wrote, and the result is bit-identical to
+//!   the monolithic `Hash` product wherever blocks resolve to the SPA
+//!   or `Hash`.
 //!
 //! There are no stage partials because there is one address space:
 //! chunking `B` (Deveci et al.) pays only when fast memory is short,

@@ -25,11 +25,19 @@
 //!   its peers. No output entry is copied after the region.
 //! * **New structure**: one region first, in which every shard binds
 //!   its plan and leaves its per-row counts; their prefix sum is the
-//!   layout — paid once per structure.
+//!   layout — paid once per structure. The runtime caches **one**
+//!   structure pair, and each shard one plan: products that alternate
+//!   between structures rebind every shard plan every time.
 //!
 //! Every output entry is accumulated by exactly one shard in the
-//! ascending-`k` order the monolithic kernel uses, so under the default
-//! [`Algorithm::Hash`] the result is **bit-identical** to it.
+//! ascending-`k` order the monolithic kernel uses. Under the default
+//! [`Algorithm::Auto`] a block resolves to the dense accumulator while
+//! its output width fits the L2 share, and its plan replays the column
+//! pattern its bind wrote. Blocks resolving to `Spa` or `Hash` make the
+//! result **bit-identical** to the monolithic `Hash` product (the SPA's
+//! slots start at the semiring's seed, so its sums have `Hash`'s bits);
+//! a block past the L2 share may resolve to `Heap`, whose sums follow
+//! heap order.
 //!
 //! # Window safety
 //!
@@ -111,9 +119,10 @@ pub struct DistConfig {
     /// Width of each shard's execution [`Pool`] (default 1).
     pub threads_per_shard: usize,
     /// Local kernel of every shard's product (default
-    /// [`Algorithm::Hash`], which makes the sharded result
-    /// bit-identical to the monolithic one; `Auto` resolves per
-    /// block).
+    /// [`Algorithm::Auto`], resolved per block). A block that resolves
+    /// to `Spa` or `Hash` matches the monolithic `Hash` product bit for
+    /// bit (the SPA by its seed law); one past the L2 share may resolve
+    /// to `Heap`, whose sums follow heap order.
     pub algo: Algorithm,
     /// Output order of the product (default sorted — required for
     /// byte-for-byte agreement with the monolithic kernel).
@@ -125,7 +134,7 @@ impl Default for DistConfig {
         DistConfig {
             grid: GridSpec::new(2, 1),
             threads_per_shard: 1,
-            algo: Algorithm::Hash,
+            algo: Algorithm::Auto,
             order: OutputOrder::Sorted,
         }
     }

@@ -1,11 +1,12 @@
 //! Oracle tests: the sharded product must be **bit-identical** to the
 //! monolithic `Hash` product — every output entry is accumulated by
-//! exactly one shard in the same ascending-`k` order — for every grid
-//! × shard width × output order, on real-valued inputs that include
-//! NaN, ±0.0 and ±inf, across structurally **disjoint** sparsity
-//! patterns and a non-square `A·B` pushed through one runtime (the
-//! drift that forces plan rebinds and layout rebuilds and would expose
-//! any stale reuse).
+//! exactly one shard in the same ascending-`k` order, and the default
+//! shards' dense accumulator starts every slot at the seed — for every
+//! shard kernel (the default and `Hash`) × grid × shard width × output
+//! order, on real-valued inputs that include NaN, ±0.0 and ±inf,
+//! across structurally **disjoint** sparsity patterns and a non-square
+//! `A·B` pushed through one runtime (the drift that forces plan
+//! rebinds and layout rebuilds and would expose any stale reuse).
 
 mod common;
 
@@ -49,26 +50,70 @@ fn every_grid_width_and_order_is_bit_identical_to_monolithic_hash() {
     let reaches_output = |p: fn(&f64) -> bool| oracles.iter().any(|c| c.vals().iter().any(p));
     assert!(reaches_output(|v| v.is_nan()) && reaches_output(|v| v.is_infinite()));
     assert!(reaches_output(|v| *v == 0.0 && v.is_sign_negative()));
-    for (rows, cols) in GRIDS {
-        for threads_per_shard in [1, 2] {
-            for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
-                let grid = GridSpec::new(rows, cols);
-                let cfg = DistConfig {
-                    grid,
-                    threads_per_shard,
-                    order,
-                    ..DistConfig::default()
-                };
-                let rt = ShardRuntime::new(cfg);
-                for (round, ((a, b), want)) in inputs.iter().zip(&oracles).enumerate() {
-                    let what = format!("{grid} width {threads_per_shard} {order:?} round {round}");
-                    let mut c = rt.multiply(a, b).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    if order == OutputOrder::Unsorted {
-                        c.sort_rows();
+    // The default shards and `Hash` shards alike.
+    for algo in [DistConfig::default().algo, Algorithm::Hash] {
+        for (rows, cols) in GRIDS {
+            for threads_per_shard in [1, 2] {
+                for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+                    let grid = GridSpec::new(rows, cols);
+                    let cfg = DistConfig {
+                        grid,
+                        threads_per_shard,
+                        algo,
+                        order,
+                    };
+                    let rt = ShardRuntime::new(cfg);
+                    for (round, ((a, b), want)) in inputs.iter().zip(&oracles).enumerate() {
+                        let what = format!(
+                            "{algo} {grid} width {threads_per_shard} {order:?} round {round}"
+                        );
+                        let mut c = rt.multiply(a, b).unwrap_or_else(|e| panic!("{what}: {e}"));
+                        if order == OutputOrder::Unsorted {
+                            c.sort_rows();
+                        }
+                        assert_bit_identical(&c, want, &what);
                     }
-                    assert_bit_identical(&c, want, &what);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn default_shards_replay_every_steady_product() {
+    // Every shard plan of a steady product is a numeric replay of the
+    // pattern its bind wrote: at least one replayed pass per shard (the
+    // counter is process-wide, so the other tests' passes only add).
+    let a = spiced(&generate_kind(
+        RmatKind::G500,
+        7,
+        6,
+        &mut spgemm_gen::rng(41),
+    ));
+    let want = mono_hash(&a, &a);
+    spgemm_obs::enable();
+    let passes = || {
+        spgemm_obs::counter_stats()
+            .iter()
+            .find(|c| c.name == "plan.replay.passes")
+            .map_or(0, |c| c.value)
+    };
+    for (rows, cols) in GRIDS {
+        let grid = GridSpec::new(rows, cols);
+        let rt = ShardRuntime::new(DistConfig {
+            grid,
+            ..DistConfig::default()
+        });
+        rt.multiply(&a, &a).unwrap();
+        for repeat in 1..=2 {
+            let before = passes();
+            let c = rt.multiply(&a, &a).unwrap();
+            let what = format!("grid {grid} repeat {repeat}");
+            assert!(
+                passes() - before >= grid.shards() as u64,
+                "{what}: replayed"
+            );
+            assert_bit_identical(&c, &want, &what);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests: for arbitrary generator inputs, grids and shard
-//! widths, the sharded product is **bit-identical** to the monolithic
-//! `Hash` product on real values salted with NaN, ±0.0 and ±inf.
+//! widths, the sharded product under the default shard kernel is
+//! **bit-identical** to the monolithic `Hash` product on real values
+//! salted with NaN, ±0.0 and ±inf.
 
 mod common;
 

@@ -79,8 +79,10 @@ pub struct ServeConfig {
 /// a single workspace could not serve well). The routed job executes
 /// under the backend's own kernel policy; the request's `algo` is
 /// treated as advisory, like `Auto`, and the result honours either
-/// output-order contract (the fleet runs sorted `Hash`, so its rows
-/// are sorted and bit-identical to the monolithic `Hash` product).
+/// output-order contract (the fleet runs sorted products on
+/// `DistConfig`'s default kernel, `Auto`, so its rows are sorted, and
+/// every block resolving to `Spa` or `Hash` is bit-identical to the
+/// monolithic `Hash` product).
 /// Shard-fleet infrastructure failures are not surfaced to the
 /// job: the worker falls back to its monolithic path and the product
 /// still completes.
@@ -727,7 +729,8 @@ fn eval_expr(
 /// (`recipe::entry_independent_pick`: the cached product was computed
 /// from *other* operands, and its clean rows must come from the same
 /// family) — and on the node *not* routing to the shard fleet. The
-/// fleet's `Hash` product is bit-identical to the monolithic one, so
+/// fleet's default shards run `Auto`, and every block resolving to the
+/// SPA or `Hash` matches the monolithic `Hash` product bit for bit, so
 /// that half of the gate is about placement, not bytes: an oversized
 /// product stays on the fleet instead of being patched on one worker.
 fn try_patch_multiply(
