@@ -3,7 +3,7 @@
 //! workload and checks that the collected trace actually decomposes
 //! the run.
 //!
-//! Four parts:
+//! Five parts:
 //!
 //! 1. **Disabled overhead.** With collection off, a span enter/exit is
 //!    one relaxed atomic load; this part times a million of them and
@@ -24,6 +24,9 @@
 //!    worker and shard threads through flow links, cover ≥ 95% of the
 //!    measured service window, and the per-tenant SLO counters must
 //!    account for every completed job.
+//! 5. **Telemetry export.** Four concurrent scrapers validate every
+//!    `/metrics` page while a serve workload runs, and the registry's
+//!    gauges must equal the engine's own snapshot at quiesce.
 //!
 //! The Chrome-format trace is written to `--trace PATH` (default: a
 //! file under the system temp dir) and loads directly into
@@ -403,26 +406,15 @@ fn traced_dist_serve(seed: u64) -> DistTraceReport {
     }
 }
 
-/// What part 5 measured: the scrape endpoint and time-series
-/// collector over a live serve workload, and the disabled-path span
-/// cost with the collector thread still running (idle).
+/// What part 5 measured: the scrape endpoint over a live serve
+/// workload.
 struct TelemetryReport {
     /// Pages served to the 4 concurrent scrapers, all validated.
     pages: usize,
     /// Connections the endpoint answered 200.
     served: u64,
-    /// Collector windows retained after the ring wrapped.
-    windows: usize,
-    /// Total collections (> ring capacity proves the wrap).
-    collections: u64,
-    /// Oldest retained window's sequence number.
-    first_seq: u64,
     /// Engine snapshot at quiesce (gauges asserted against it).
     snap: spgemm_serve::MetricsSnapshot,
-    /// The retained ring, oldest first (smoke asserts its deltas).
-    ring: Vec<obs::timeseries::Window>,
-    /// Disabled-path span cost with the collector thread idle, ns/op.
-    idle_span_ns: f64,
 }
 
 /// Registered level of gauge `name`, panicking if the site never
@@ -437,9 +429,8 @@ fn gauge_level(name: &str) -> i64 {
 
 /// Part 5: telemetry export. Serves `/metrics` (registry families +
 /// the engine snapshot's serve families) to 4 concurrent scrapers
-/// while jobs flow, runs the background collector over a 4-window
-/// ring until it wraps, then checks the gauges against the engine's
-/// own `MetricsSnapshot` at quiesce.
+/// while jobs flow, then returns the engine's own `MetricsSnapshot` at
+/// quiesce for the gauges to be checked against.
 fn telemetry_export(seed: u64) -> TelemetryReport {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -469,20 +460,6 @@ fn telemetry_export(seed: u64) -> TelemetryReport {
     )
     .expect("bind scrape endpoint on 127.0.0.1:0");
     let addr = server.addr();
-
-    // The collector: small ring so the run wraps it, plus a serve
-    // sampler contributing engine-level rows per window.
-    let sampler_engine = Arc::clone(&engine);
-    let mut collector = obs::timeseries::Collector::new(obs::timeseries::CollectorConfig {
-        period: Duration::from_millis(25),
-        windows: 4,
-    });
-    collector.set_sampler(Box::new(move |rows| {
-        let m = sampler_engine.metrics();
-        rows.push(format_args!("serve.completed"), m.completed as f64);
-        rows.push(format_args!("serve.p99_ms"), m.latency.p99_ms);
-    }));
-    collector.run_background();
 
     // 4 concurrent scrapers validating every page while jobs flow.
     let stop = Arc::new(AtomicBool::new(false));
@@ -535,14 +512,6 @@ fn telemetry_export(seed: u64) -> TelemetryReport {
         .sum();
     server.shutdown();
 
-    // Wrap the 4-window ring deterministically.
-    while collector.collections() < 6 {
-        collector.collect_now();
-    }
-    let windows = collector.windows();
-    let collections = collector.collections();
-    let first_seq = windows.first().map_or(0, |w| w.seq);
-
     // Quiesce: gauges must reconcile with the engine's snapshot. The
     // worker-busy decrement races the last job handle's wake-up by a
     // few instructions, so poll it to zero first.
@@ -551,27 +520,12 @@ fn telemetry_export(seed: u64) -> TelemetryReport {
         std::thread::yield_now();
     }
     let snap = engine.metrics();
-
-    // Disabled-path cost with the collector thread still running
-    // (idle between 25 ms periods).
     obs::disable();
-    const ITERS: u64 = 1_000_000;
-    let t = Instant::now();
-    for _ in 0..ITERS {
-        let _g = obs::span!("bench", "bench.disabled_probe");
-    }
-    let idle_span_ns = t.elapsed().as_nanos() as f64 / ITERS as f64;
-    collector.stop();
 
     TelemetryReport {
         pages,
         served: server.served(),
-        windows: windows.len(),
-        collections,
-        first_seq,
         snap,
-        ring: windows,
-        idle_span_ns,
     }
 }
 
@@ -697,20 +651,12 @@ fn main() {
             exemplar_path.display()
         ),
     }
-    // --- part 5: telemetry export (scrape endpoint + collector) ---
+    // --- part 5: telemetry export (scrape endpoint) ---
     let tel = telemetry_export(args.seed);
     println!("\n[5] telemetry export");
     println!(
         "    /metrics: {} pages validated by 4 concurrent scrapers ({} served total)",
         tel.pages, tel.served
-    );
-    println!(
-        "    collector: {} collections into a 4-window ring, {} retained (oldest seq {})",
-        tel.collections, tel.windows, tel.first_seq
-    );
-    println!(
-        "    disabled span with idle collector thread: {:.2} ns/op",
-        tel.idle_span_ns
     );
 
     if let Some(path) = &args.json {
@@ -861,53 +807,8 @@ fn main() {
             tel.pages
         );
         assert!(tel.served >= tel.pages as u64, "served < validated pages");
-        // ...the collector ring must have wrapped with clean windows...
-        assert!(
-            tel.collections > 4 && tel.windows == 4,
-            "ring did not wrap: {} collections, {} windows retained",
-            tel.collections,
-            tel.windows
-        );
-        assert!(
-            tel.first_seq > 1,
-            "oldest retained seq {} should postdate evicted windows",
-            tel.first_seq
-        );
-        let mut prev_seq = 0u64;
-        for w in &tel.ring {
-            assert!(w.seq == prev_seq + 1 || prev_seq == 0, "seq gap in ring");
-            prev_seq = w.seq;
-            assert!(w.end_ns >= w.start_ns, "window runs backwards");
-            for row in &w.rows {
-                match row.kind {
-                    obs::timeseries::SeriesKind::Counter { rate_per_s, .. } => {
-                        assert!(rate_per_s >= 0.0, "{}/{}: negative rate", row.cat, row.name);
-                    }
-                    obs::timeseries::SeriesKind::Gauge { .. } => {}
-                    obs::timeseries::SeriesKind::Span {
-                        count_delta,
-                        ns_delta,
-                    } => {
-                        assert!(
-                            count_delta > 0 || ns_delta == 0,
-                            "{}/{}: time without completions",
-                            row.cat,
-                            row.name
-                        );
-                    }
-                    obs::timeseries::SeriesKind::Hist(stats) => {
-                        assert!(
-                            stats.count > 0 || stats.sum == 0,
-                            "{}/{}: sum without samples",
-                            row.cat,
-                            row.name
-                        );
-                    }
-                }
-            }
-        }
-        // ...gauges must reconcile with the engine's own snapshot at
-        // quiesce (both sides come from the same locked reads)...
+        // ...and gauges must reconcile with the engine's own snapshot
+        // at quiesce (both sides come from the same locked reads).
         let lanes = [
             gauge_level("serve.queue_depth.high"),
             gauge_level("serve.queue_depth.normal"),
@@ -938,26 +839,18 @@ fn main() {
             gauge_level("serve.store.registrations") >= 1,
             "store registrations gauge"
         );
-        // ...and the disabled path must stay cheap with the collector
-        // thread alive.
-        assert!(
-            tel.idle_span_ns < 250.0,
-            "disabled span with idle collector: {:.1} ns/op",
-            tel.idle_span_ns
-        );
         println!(
             "smoke OK: disabled path {span_ns:.1} ns/op, coverage {:.1}%, \
              queue+service == total across {} tenants, dist trace over \
              {} threads at {:.1}% service coverage, SLO tracks {}/{} jobs, \
-             {} scraped pages valid, ring wrapped at seq {}",
+             {} scraped pages valid",
             mcl.coverage * 100.0,
             snap.per_tenant.len(),
             dist.tids,
             dist.coverage * 100.0,
             tracked,
             dist.snap.completed,
-            tel.pages,
-            tel.first_seq
+            tel.pages
         );
     }
 
@@ -966,14 +859,12 @@ fn main() {
         let mut stamp = spgemm_bench::perfjson::PerfReport::new("obs", pool.nthreads());
         stamp
             .metric("disabled_span_ns", span_ns)
-            .metric("idle_collector_span_ns", tel.idle_span_ns)
             .metric("plan_loop_off_ms", off_ms)
             .metric("plan_loop_on_ms", on_ms)
             .metric("mcl_wall_ms", mcl.wall_ms)
             .metric("mcl_coverage", mcl.coverage)
             .metric("serve_completed", snap.completed as f64)
-            .metric("scrape_pages", tel.pages as f64)
-            .metric("collector_windows", tel.windows as f64);
+            .metric("scrape_pages", tel.pages as f64);
         match stamp.write() {
             Ok(path) => println!("perf stamp: {}", path.display()),
             Err(e) => eprintln!("could not write perf stamp: {e}"),

@@ -218,14 +218,16 @@ fn claimed_heap<S: Semiring>(
             cols.clear();
             vals.clear();
             log.clear();
-            // Claim rows with the same arithmetic as Pool::parallel_for
-            // but inline, so the staging stays worker-local.
-            claim_rows(&next, n, nt, sched, |i| {
-                let c = kernel.stage_row(a, b, i, cols, vals);
-                log.push((i as u32, c as u32));
-                // SAFETY: each row claimed exactly once across workers.
-                unsafe { cnt.write(i + 1, c as u64) };
-            });
+            // Pool::parallel_for's claim loop, inline so the staging
+            // stays worker-local.
+            while let Some(rows) = sched.claim(&next, n, nt) {
+                for i in rows {
+                    let c = kernel.stage_row(a, b, i, cols, vals);
+                    log.push((i as u32, c as u32));
+                    // SAFETY: each row claimed exactly once across workers.
+                    unsafe { cnt.write(i + 1, c as u64) };
+                }
+            }
         });
     }
     let total = scan::parallel_inclusive_scan(pool, &mut counts64) as usize;
@@ -257,53 +259,6 @@ fn claimed_heap<S: Semiring>(
         });
     }
     Csr::from_parts_unchecked(n, b.ncols(), rpts, cols, vals, true)
-}
-
-/// Row claiming shared by the workers of one [`claimed_heap`] region;
-/// the counter lives in the region's frame, so concurrent multiplies
-/// never interfere.
-fn claim_rows(
-    next: &std::sync::atomic::AtomicUsize,
-    n: usize,
-    nt: usize,
-    sched: Schedule,
-    mut body: impl FnMut(usize),
-) {
-    use std::sync::atomic::Ordering;
-    loop {
-        let (start, end) = match sched {
-            Schedule::Dynamic { chunk } => {
-                let c = chunk.max(1);
-                let s = next.fetch_add(c, Ordering::Relaxed);
-                (s, (s + c).min(n))
-            }
-            Schedule::Guided { min_chunk } => {
-                let mut cur = next.load(Ordering::Relaxed);
-                loop {
-                    if cur >= n {
-                        break (n, n);
-                    }
-                    let chunk = ((n - cur) / nt).max(min_chunk.max(1));
-                    match next.compare_exchange_weak(
-                        cur,
-                        cur + chunk,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break (cur, (cur + chunk).min(n)),
-                        Err(seen) => cur = seen,
-                    }
-                }
-            }
-            Schedule::Static => unreachable!("contiguous path handles static"),
-        };
-        if start >= n {
-            break;
-        }
-        for i in start..end {
-            body(i);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -120,50 +120,6 @@ impl Histogram {
         }
     }
 
-    /// [`Histogram::snapshot`] into an existing snapshot, reusing its
-    /// bucket storage: after the first call on a given snapshot this
-    /// performs no heap allocation, which is what lets the
-    /// time-series collector run allocation-free at steady state.
-    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
-        out.counts.resize(NUM_BUCKETS, 0);
-        for (dst, src) in out.counts.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        out.count = self.count.load(Ordering::Relaxed);
-        out.sum = self.sum.load(Ordering::Relaxed);
-        out.min = if out.count == 0 {
-            0
-        } else {
-            self.min.load(Ordering::Relaxed)
-        };
-        out.max = self.max.load(Ordering::Relaxed);
-    }
-
-    /// Fold every sample of `other` into `self`, bucket-wise. Totals
-    /// (`count`, `sum`) are exact; `min`/`max` are the true combined
-    /// extrema. Both histograms stay usable and concurrent recording
-    /// on either side remains safe (a racing record lands wholly in
-    /// one side or the other of the merge).
-    pub fn merge(&self, other: &Histogram) {
-        if other.count.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for (b, o) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = o.load(Ordering::Relaxed);
-            if v > 0 {
-                b.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Zero every bucket and aggregate.
     pub fn reset(&self) {
         for b in &self.buckets {
@@ -198,76 +154,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot with zero samples and no bucket storage yet
-    /// (the first [`Histogram::snapshot_into`] sizes it).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: Vec::new(),
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-
-    /// Bucket-wise interval totals against an earlier snapshot of the
-    /// same histogram, without materializing a delta snapshot:
-    /// `(count, sum, min_bound, max_bound, p50, p99)` of the window,
-    /// allocation-free. Equivalent to `self.since(prev)` queried for
-    /// those fields.
-    pub fn window_stats(&self, prev: &HistogramSnapshot) -> WindowStats {
-        let count = self.count.saturating_sub(prev.count);
-        let sum = self.sum.saturating_sub(prev.sum);
-        if count == 0 {
-            return WindowStats {
-                count: 0,
-                sum,
-                min: 0,
-                max: 0,
-                p50: 0,
-                p99: 0,
-            };
-        }
-        let delta =
-            |i: usize| self.counts[i].saturating_sub(prev.counts.get(i).copied().unwrap_or(0));
-        let n = self.counts.len();
-        let (mut first, mut last) = (None, None);
-        for i in 0..n {
-            if delta(i) > 0 {
-                if first.is_none() {
-                    first = Some(i);
-                }
-                last = Some(i);
-            }
-        }
-        let (min, max) = match (first, last) {
-            (Some(f), Some(l)) => (
-                bucket_low(f).clamp(self.min, self.max),
-                bucket_high(l).clamp(self.min, self.max),
-            ),
-            _ => (self.min, self.max),
-        };
-        let quantile = |q: f64| {
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for i in 0..n {
-                seen += delta(i);
-                if seen >= rank {
-                    return bucket_high(i).clamp(min, max);
-                }
-            }
-            max
-        };
-        WindowStats {
-            count,
-            sum,
-            min,
-            max,
-            p50: quantile(0.50),
-            p99: quantile(0.99),
-        }
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the
     /// bucket holding that rank, clamped into `[min, max]` — so the
     /// result is never below the true quantile and overshoots it by
@@ -371,25 +257,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Interval aggregates of one histogram over a collection window
-/// (see [`HistogramSnapshot::window_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Samples recorded during the window.
-    pub count: u64,
-    /// Sum of values recorded during the window.
-    pub sum: u64,
-    /// Lower bound of the smallest bucket that gained samples.
-    pub min: u64,
-    /// Upper bound of the largest bucket that gained samples.
-    pub max: u64,
-    /// Window median (bucket upper bound, like
-    /// [`HistogramSnapshot::quantile`]).
-    pub p50: u64,
-    /// Window 99th percentile.
-    pub p99: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,35 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_totals_are_exact() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 1..=1000u64 {
-            a.record(v);
-        }
-        for v in 500..=2000u64 {
-            b.record(v * 3);
-        }
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        a.merge(&b);
-        let m = a.snapshot();
-        assert_eq!(m.count, sa.count + sb.count);
-        assert_eq!(m.sum, sa.sum + sb.sum);
-        assert_eq!(m.min, sa.min.min(sb.min));
-        assert_eq!(m.max, sa.max.max(sb.max));
-        // bucket-wise: merged quantiles consistent with the pooled data
-        assert!(m.quantile(1.0) == m.max);
-        // merging an empty histogram changes nothing
-        let before = a.snapshot();
-        a.merge(&Histogram::new());
-        let after = a.snapshot();
-        assert_eq!(after.count, before.count);
-        assert_eq!(after.sum, before.sum);
-        assert_eq!(after.min, before.min);
-        assert_eq!(after.max, before.max);
-    }
-
-    #[test]
     fn since_of_identical_snapshot_is_zero() {
         let h = Histogram::new();
         for v in [3u64, 17, 4096, 99_999] {
@@ -540,49 +378,6 @@ mod tests {
         assert_eq!(d.sum, 0);
         assert_eq!((d.min, d.max), (0, 0));
         assert!(d.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn snapshot_into_matches_snapshot() {
-        let h = Histogram::new();
-        for v in [1u64, 5, 900, 77_777] {
-            h.record(v);
-        }
-        let mut out = HistogramSnapshot::empty();
-        h.snapshot_into(&mut out);
-        let s = h.snapshot();
-        assert_eq!(out.count, s.count);
-        assert_eq!(out.sum, s.sum);
-        assert_eq!(out.min, s.min);
-        assert_eq!(out.max, s.max);
-        assert_eq!(out.nonzero_buckets(), s.nonzero_buckets());
-        // reuse: a second fill tracks new samples in place
-        h.record(12);
-        h.snapshot_into(&mut out);
-        assert_eq!(out.count, 5);
-    }
-
-    #[test]
-    fn window_stats_match_since() {
-        let h = Histogram::new();
-        h.record(10);
-        h.record(1_000_000);
-        let prev = h.snapshot();
-        for v in [200u64, 300, 400, 50_000] {
-            h.record(v);
-        }
-        let cur = h.snapshot();
-        let w = cur.window_stats(&prev);
-        let d = cur.since(&prev);
-        assert_eq!(w.count, d.count);
-        assert_eq!(w.sum, d.sum);
-        assert_eq!(w.min, d.min);
-        assert_eq!(w.max, d.max);
-        assert_eq!(w.p50, d.quantile(0.50));
-        assert_eq!(w.p99, d.quantile(0.99));
-        // empty window
-        let z = cur.window_stats(&cur.clone());
-        assert_eq!(z, WindowStats::default());
     }
 
     #[test]

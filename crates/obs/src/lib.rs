@@ -66,7 +66,6 @@ pub mod http;
 pub mod openmetrics;
 mod ring;
 mod site;
-pub mod timeseries;
 mod trace;
 
 pub use export::{
@@ -74,7 +73,7 @@ pub use export::{
     json_snapshot, span_coverage, span_stats, text_report, CounterStat, GaugeStat, HistogramStat,
     SiteCoverage, SpanStat,
 };
-pub use hist::{bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot, WindowStats};
+pub use hist::{bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot};
 pub use hist::{NUM_BUCKETS, PRECISION};
 pub use ring::{trace_events, trace_overwritten, EventKind, TraceEvent};
 pub use site::{CounterSite, GaugeSite, HistogramSite, SpanGuard, SpanSite};

@@ -22,7 +22,7 @@ use crate::schedule::{static_block, Schedule};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 /// A fixed-size team of worker threads executing parallel regions.
@@ -182,48 +182,14 @@ impl Pool {
                     }
                 });
             }
-            Schedule::Dynamic { chunk } => {
-                let chunk = chunk.max(1);
-                let next = AtomicUsize::new(0);
-                self.broadcast(|_| loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        body(i);
-                    }
-                });
-            }
-            Schedule::Guided { min_chunk } => {
-                let min_chunk = min_chunk.max(1);
+            Schedule::Dynamic { .. } | Schedule::Guided { .. } => {
                 let nt = self.nthreads;
                 let next = AtomicUsize::new(0);
-                self.broadcast(|_| loop {
-                    // Claim `max(min_chunk, remaining / nthreads)`
-                    // iterations with a CAS so the shrinking chunk size
-                    // is computed against a consistent `remaining`.
-                    let mut cur = next.load(Ordering::Relaxed);
-                    let (start, end) = loop {
-                        if cur >= n {
-                            break (n, n);
+                self.broadcast(|_| {
+                    while let Some(chunk) = sched.claim(&next, n, nt) {
+                        for i in chunk {
+                            body(i);
                         }
-                        let chunk = ((n - cur) / nt).max(min_chunk);
-                        match next.compare_exchange_weak(
-                            cur,
-                            cur + chunk,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break (cur, (cur + chunk).min(n)),
-                            Err(seen) => cur = seen,
-                        }
-                    };
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..end {
-                        body(i);
                     }
                 });
             }
@@ -300,7 +266,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]

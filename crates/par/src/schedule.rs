@@ -1,5 +1,8 @@
 //! Loop scheduling policies, mirroring OpenMP's `schedule` clause.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// How the iterations of a [`crate::Pool::parallel_for`] loop are
 /// distributed over workers.
 ///
@@ -37,6 +40,51 @@ impl Schedule {
     pub const DYNAMIC: Schedule = Schedule::Dynamic { chunk: 1 };
     /// OpenMP-default guided scheduling (`min_chunk = 1`).
     pub const GUIDED: Schedule = Schedule::Guided { min_chunk: 1 };
+
+    /// Claim the next chunk of `0..n` from the counter `next` that all
+    /// `nthreads` workers of one region share (it starts at 0). Returns
+    /// `None` once the iterations are exhausted; across the workers the
+    /// claimed chunks cover `0..n` exactly once. This is the claim loop
+    /// of [`crate::Pool::parallel_for`], exposed so a region that keeps
+    /// worker-local state between iterations can claim the same way.
+    ///
+    /// # Panics
+    ///
+    /// On [`Schedule::Static`], whose blocks are fixed per worker and
+    /// never claimed.
+    #[inline]
+    pub fn claim(&self, next: &AtomicUsize, n: usize, nthreads: usize) -> Option<Range<usize>> {
+        let (start, end) = match *self {
+            Schedule::Dynamic { chunk } => {
+                let chunk = chunk.max(1);
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                (start, start.saturating_add(chunk).min(n))
+            }
+            Schedule::Guided { min_chunk } => {
+                // Claim `max(min_chunk, remaining / nthreads)` iterations
+                // with a CAS so the shrinking chunk size is computed
+                // against a consistent `remaining`.
+                let mut cur = next.load(Ordering::Relaxed);
+                loop {
+                    if cur >= n {
+                        return None;
+                    }
+                    let chunk = ((n - cur) / nthreads).max(min_chunk.max(1));
+                    match next.compare_exchange_weak(
+                        cur,
+                        cur + chunk,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => break (cur, (cur + chunk).min(n)),
+                        Err(seen) => cur = seen,
+                    }
+                }
+            }
+            Schedule::Static => panic!("static blocks are fixed per worker, not claimed"),
+        };
+        (start < n).then_some(start..end)
+    }
 }
 
 /// The contiguous iteration block worker `wid` of `nthreads` receives

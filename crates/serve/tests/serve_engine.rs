@@ -687,4 +687,56 @@ mod tracing_and_slo {
             assert!(json.contains("serve.batch"));
         }
     }
+
+    /// `MetricsSnapshot::since` over a block of jobs reports exactly
+    /// that block — the window diff the benchmark's serve probes read —
+    /// and a tenant first seen inside the window diffs against empty,
+    /// so all of its samples and SLO counts land in the window.
+    #[test]
+    fn since_reports_exactly_the_jobs_of_the_window() {
+        let engine = ServeEngine::new(ServeConfig {
+            workers: 2,
+            slo: SloPolicy {
+                default_target: Some(Duration::from_secs(3600)),
+                ..SloPolicy::default()
+            },
+            ..ServeConfig::default()
+        });
+        engine.store().insert("w/a", rmat(5, 4, 5));
+        let run = |tenants: &[&str]| {
+            let handles: Vec<_> = tenants
+                .iter()
+                .map(|&t| {
+                    engine
+                        .try_submit(ProductRequest::new("w/a", "w/a").tenant(t))
+                        .unwrap()
+                })
+                .collect();
+            for h in handles {
+                h.wait().unwrap();
+            }
+        };
+        run(&["old", "old", "old"]);
+        let prev = engine.metrics();
+        run(&["old", "new", "old", "new", "old", "old"]);
+        let cur = engine.metrics();
+        let w = cur.since(&prev);
+        engine.shutdown();
+
+        let n = 6;
+        assert_eq!(w.accepted, n);
+        assert_eq!(w.completed, n);
+        assert_eq!(w.batched_jobs, n);
+        assert_eq!(w.latency.count, n);
+        assert_eq!(w.queue_delay.count, n);
+        assert_eq!(w.service.count, n);
+        for (tenant, jobs) in [("old", 4), ("new", 2)] {
+            let t = w.per_tenant.iter().find(|t| t.tenant == tenant).unwrap();
+            let counts = (t.latency.count, t.queue_delay.count, t.service.count);
+            assert_eq!(counts, (jobs, jobs, jobs), "{tenant}");
+            let s = w.slo.iter().find(|s| s.tenant == tenant).unwrap();
+            assert_eq!((s.good, s.bad), (jobs, 0), "{tenant}");
+        }
+        assert!(prev.per_tenant.iter().all(|t| t.tenant != "new"));
+    }
 }

@@ -652,42 +652,6 @@ impl<T> Csr<T> {
         }
     }
 
-    /// Copy of the `rows × cols` sub-block with column indices rebased
-    /// to the block (entry `(i, j)` of the result is entry
-    /// `(rows.start + i, cols.start + j)` of `self`). Within each row,
-    /// surviving entries keep their relative order, so sorted inputs
-    /// yield sorted blocks. Fails with [`SparseError::BadPartition`]
-    /// when either range is decreasing or out of bounds.
-    pub fn extract_block(
-        &self,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> Result<Csr<T>, SparseError>
-    where
-        T: Copy,
-    {
-        if rows.start > rows.end || rows.end > self.nrows {
-            return Err(SparseError::BadPartition {
-                detail: format!(
-                    "extract_block: row range {rows:?} out of bounds for {} rows",
-                    self.nrows
-                ),
-            });
-        }
-        if cols.start > cols.end || cols.end > self.ncols {
-            return Err(SparseError::BadPartition {
-                detail: format!(
-                    "extract_block: column range {cols:?} out of bounds for {} columns",
-                    self.ncols
-                ),
-            });
-        }
-        let parts = self
-            .extract_rows(rows)
-            .split_col_ranges(&[0, cols.start, cols.end, self.ncols])?;
-        Ok(parts.into_iter().nth(1).expect("three ranges produced"))
-    }
-
     /// Split into column-range sub-matrices in one pass: part `p`
     /// holds exactly the entries whose column lies in
     /// `cuts[p]..cuts[p + 1]`, with columns rebased so each part is a
@@ -1035,8 +999,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::reversed_empty_ranges)] // the error path under test
-    fn extract_rows_and_block() {
+    fn extract_rows_keeps_the_column_space() {
         let m = sample(); // 3x4: row0 {1:1, 3:2}, row1 {}, row2 {0:3, 2:4, 3:5}
         let top = m.extract_rows(0..2);
         assert_eq!(top.shape(), (2, 4));
@@ -1045,25 +1008,8 @@ mod tests {
         assert!(top.is_sorted());
         let empty = m.extract_rows(1..1);
         assert_eq!(empty.shape(), (0, 4));
-
-        let b = m.extract_block(1..3, 2..4).unwrap();
-        assert_eq!(b.shape(), (2, 2));
-        assert_eq!(b.get(1, 0), Some(&4.0), "columns rebased by 2");
-        assert_eq!(b.get(1, 1), Some(&5.0));
-        assert_eq!(b.nnz(), 2);
-        assert!(b.validate().is_ok());
-
-        // Full-range block is the matrix itself.
-        assert_eq!(m.extract_block(0..3, 0..4).unwrap(), m);
-        // Bad ranges are errors, not panics.
-        assert!(matches!(
-            m.extract_block(2..1, 0..4),
-            Err(SparseError::BadPartition { .. })
-        ));
-        assert!(matches!(
-            m.extract_block(0..3, 2..9),
-            Err(SparseError::BadPartition { .. })
-        ));
+        // The full range is the matrix itself.
+        assert_eq!(m.extract_rows(0..3), m);
     }
 
     #[test]

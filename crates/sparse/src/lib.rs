@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod coo;
-mod csc;
 mod csr;
 pub mod delta;
 mod error;
@@ -41,7 +40,6 @@ mod semiring;
 pub mod stats;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::{approx_eq_f64, bits_eq_f64, csr_bytes, Csr, RowView};
 pub use delta::{DirtyRows, RowPatch};
 pub use error::SparseError;
