@@ -19,7 +19,7 @@
 //!    must reassemble total latency, and every tenant gets its own
 //!    p50/p99.
 //! 4. **Request tracing + SLO.** Submits a mixed workload where one
-//!    expression job routes through the shard fleet, then inspects the
+//!    product job routes through the shard fleet, then inspects the
 //!    retained tail exemplar: its span tree must connect submission,
 //!    worker and shard threads through flow links, cover ≥ 95% of the
 //!    measured service window, and the per-tenant SLO counters must
@@ -285,8 +285,8 @@ struct DistTraceReport {
     window: (u64, u64),
 }
 
-/// Part 4: one expression job whose `Multiply` node crosses the dist
-/// thresholds (tenant "mcl", SLO-tracked) next to plain monolithic
+/// Part 4: one product job that crosses the dist thresholds (tenant
+/// "mcl", SLO-tracked) next to plain monolithic
 /// products (tenant "adhoc"); returns the engine snapshot and the
 /// dist-routed request's exemplar trace.
 fn traced_dist_serve(seed: u64) -> DistTraceReport {
@@ -324,22 +324,15 @@ fn traced_dist_serve(seed: u64) -> DistTraceReport {
     engine.store().insert("mcl/big", big);
     engine.store().insert("adhoc/small", small);
 
-    // The dist-routed pipeline: normalize_cols(A²) over the big graph.
-    let spec = {
-        let mut g = ExprGraph::new();
-        let a = g.input();
-        let sq = g.multiply(a, a);
-        let root = g.normalize_cols(sq);
-        ExprSpec::new(g, root)
-    };
+    // The dist-routed product: A² over the big graph.
     let dist_job = engine
-        .try_submit_expr(
-            ExprRequest::new(spec, ["mcl/big"])
+        .try_submit(
+            ProductRequest::new("mcl/big", "mcl/big")
                 .algo(Algorithm::Hash)
                 .tenant("mcl")
                 .priority(Priority::High),
         )
-        .expect("submit dist expr job");
+        .expect("submit dist product job");
     let mut handles = Vec::new();
     for _ in 0..8 {
         handles.push(
@@ -590,7 +583,7 @@ fn main() {
 
     // --- part 4: request tracing + SLO over a dist-routed workload ---
     let dist = traced_dist_serve(args.seed);
-    println!("\n[4] request tracing + SLO (dist-routed expr job)");
+    println!("\n[4] request tracing + SLO (dist-routed product job)");
     println!(
         "    exemplar trace {} ({}): {} spans over {} threads, {} cross-thread flow links",
         dist.exemplar.trace_id,
@@ -752,7 +745,7 @@ fn main() {
         assert!(trace.contains("\"mcl.round\""), "mcl spans missing");
         // Part 4: the dist-routed request must yield one connected
         // cross-thread trace...
-        assert!(dist.snap.dist_routed >= 1, "expr job did not route");
+        assert!(dist.snap.dist_routed >= 1, "product job did not route");
         dist.exemplar
             .validate()
             .expect("exemplar span tree well-formed");

@@ -75,7 +75,7 @@ pub fn multiply_with_level<S: Semiring>(
     level: SimdLevel,
 ) -> Csr<S::Elem> {
     let workers = Workers::<S, HashVecAccumulator<S>>::new(pool.nthreads(), Chunked::new(level));
-    exec::multiply_on(&workers, a, b, order.is_sorted(), pool, None)
+    exec::multiply_on(&workers, a, b, order.is_sorted(), pool)
 }
 
 #[cfg(test)]

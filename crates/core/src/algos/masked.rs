@@ -159,7 +159,7 @@ pub fn multiply_masked<S: Semiring, M: Copy + Send + Sync>(
         });
     }
     let w = Workers::<S, MaskedSpa<'_, S, M>>::new(pool.nthreads(), mask);
-    Ok(exec::multiply_on(&w, a, b, order.is_sorted(), pool, None))
+    Ok(exec::multiply_on(&w, a, b, order.is_sorted(), pool))
 }
 
 #[cfg(test)]

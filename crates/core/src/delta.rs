@@ -23,11 +23,10 @@
 //! from the previous structure / product (see
 //! `SpgemmPlan::execute_rows`). `spgemm::expr`'s [`DeltaPlan`] chains
 //! per-node transfer functions on top so a k-row edit flows through a
-//! whole pipeline recomputing `O(k · fanout)` rows, and `spgemm-serve`
-//! patches its cross-tenant result cache with
-//! [`recompute_product_rows`], the same two masked passes on the Hash
-//! accumulator — there is no second accumulator, and no second driver,
-//! whose bytes could drift from a full evaluation's.
+//! whole pipeline recomputing `O(k · fanout)` rows; `spgemm-serve`'s
+//! expression jobs run on cached `DeltaPlan`s, so this is the only
+//! incremental product path — there is no second driver whose bytes
+//! could drift from a full evaluation's.
 //!
 //! Every incremental path is **byte-for-byte identical** to a
 //! from-scratch rebind — the extraction order of every accumulator is
@@ -35,10 +34,7 @@
 //! capacity and of which worker runs the row — and the `tests/`
 //! differential-oracle harness enforces exactly that.
 
-use crate::algos::hash::{HashAccumulator, Linear};
-use crate::exec::{self, Workers};
-use spgemm_par::Pool;
-use spgemm_sparse::{ColIdx, Csr, PlusTimes};
+use spgemm_sparse::{ColIdx, Csr};
 
 pub use crate::expr::{DeltaPlan, DeltaReport, NodeDelta};
 pub use spgemm_sparse::delta::{DirtyRows, RowPatch};
@@ -69,39 +65,6 @@ pub fn rows_touching<T>(m: &Csr<T>, dirty_cols: &DirtyRows, seed: DirtyRows) -> 
         }
     }
     out
-}
-
-/// Replace the rows in `patched` of `old` with freshly computed rows
-/// of the sorted product `A · B`, leaving every other row's bytes
-/// untouched.
-///
-/// This is the hash accumulator's ordinary symbolic and numeric pass
-/// on `pool`, masked by `patched` over `old` (`exec::RowMask`), so it
-/// is bit-identical to [`crate::Algorithm::Hash`]'s sorted output by
-/// construction — and, for *sorted* operands, to the rest of the
-/// ascending-`k` family (HashVec, SPA, KkHash, IKJ, RowClass), whose
-/// per-column sums run in the same order. `spgemm-serve` uses this to
-/// patch cached products in place instead of discarding them on every
-/// upstream row update.
-///
-/// # Panics
-/// Debug-asserts that operands are sorted and shapes line up; the
-/// caller (an engine that planned the product) has already validated
-/// them.
-pub fn recompute_product_rows(
-    a: &Csr<f64>,
-    b: &Csr<f64>,
-    patched: &DirtyRows,
-    old: &Csr<f64>,
-    pool: &Pool,
-) -> Csr<f64> {
-    debug_assert!(a.is_sorted() && b.is_sorted());
-    debug_assert_eq!(a.ncols(), b.nrows());
-    debug_assert_eq!((old.nrows(), old.ncols()), (a.nrows(), b.ncols()));
-    debug_assert_eq!(patched.nrows(), a.nrows());
-
-    let workers = Workers::<PlusTimes<f64>, HashAccumulator<_>>::new(pool.nthreads(), Linear);
-    exec::multiply_on(&workers, a, b, true, pool, Some((patched, old)))
 }
 
 /// Rebuild `old` with each row in `rows` replaced by what `emit(row,
@@ -176,52 +139,6 @@ mod tests {
                 .filter(|&i| dirty_a.contains(i) || holds_k(i))
                 .collect();
             assert_eq!(out.iter().collect::<Vec<_>>(), want, "col {k}");
-        }
-    }
-
-    /// Bit-for-bit against the full `Hash` product — the serve patch's
-    /// contract. The `[[-1.0]] · [[0.0]]` input is the signed-zero
-    /// case a private accumulator once got wrong (it seeded the column
-    /// with `+0.0` and added, yielding `+0.0` where every kernel
-    /// assigns the first product, `-0.0`); the R-MAT pair is the
-    /// `delta_oracle` suite's.
-    #[test]
-    fn recompute_product_rows_patches_exactly() {
-        let rmat = |seed| {
-            spgemm_gen::rmat::generate_kind(
-                spgemm_gen::RmatKind::G500,
-                5,
-                4,
-                &mut spgemm_gen::rng(seed),
-            )
-        };
-        let neg_one = Csr::from_triplets(1, 1, &[(0, 0, -1.0)]).unwrap();
-        let stored_zero = Csr::from_triplets(1, 1, &[(0, 0, 0.0)]).unwrap();
-        let cases = [
-            (sample(), sample(), vec![0usize, 2]),
-            (neg_one, stored_zero, vec![0]),
-            (rmat(7), rmat(8), (0..32).step_by(3).collect()),
-        ];
-        let pool = Pool::new(2);
-        for (a, b, rows) in cases {
-            let full = crate::multiply_in::<PlusTimes<f64>>(
-                &a,
-                &b,
-                crate::Algorithm::Hash,
-                crate::OutputOrder::Sorted,
-                &pool,
-            )
-            .unwrap();
-            // Perturb the rows of the cached product, then ask for them back.
-            let patched = DirtyRows::from_rows(a.nrows(), rows);
-            let broken = splice_rows(&full, &patched, |_, cols, vals| {
-                cols.push(0);
-                vals.push(99.0);
-            });
-            let fixed = recompute_product_rows(&a, &b, &patched, &broken, &pool);
-            assert_eq!((fixed.rpts(), fixed.cols()), (full.rpts(), full.cols()));
-            let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fixed), bits(&full));
         }
     }
 }

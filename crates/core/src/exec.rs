@@ -19,8 +19,8 @@
 //!    [`numeric_pass`] (fill pre-sliced output) and, for one-shot
 //!    products of the one-phase kernels and fig 9's schedules,
 //!    [`staged_pass`] (stage per thread, then copy into place). A
-//!    patched product (`rebind_rows`, `execute_rows`, the
-//!    serve patch) is the same two passes under a [`RowMask`]: same
+//!    patched product (`rebind_rows`, `execute_rows`) is the same two
+//!    passes under a [`RowMask`]: same
 //!    region, same partition, same pooled accumulators, but a worker
 //!    runs only the dirty rows of its range and takes every clean
 //!    row's count / bytes from the previous structure / product. The
@@ -619,24 +619,21 @@ pub(crate) fn numeric_pass<S: Semiring, A: RowAccumulator<S>>(
 
 /// A one-shot two-phase product on caller-supplied workers (symbolic →
 /// allocate → numeric), for the products that are not an
-/// [`crate::Algorithm`]: the masked product, HashVec at an explicit
-/// SIMD level and — under a `mask` over the previous product — the
-/// serve patch.
+/// [`crate::Algorithm`]: the masked product and HashVec at an
+/// explicit SIMD level.
 pub(crate) fn multiply_on<S: Semiring, A: RowAccumulator<S>>(
     w: &Workers<S, A>,
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
     sorted: bool,
     pool: &Pool,
-    mask: Option<RowMask<'_, Csr<S::Elem>>>,
 ) -> Csr<S::Elem> {
     let stats = plan(a, b, pool);
-    let counted = mask.map(|(dirty, prev)| (dirty, prev.rpts()));
-    let (rpts, nnz) = symbolic_pass(w, a, b, &stats, pool, counted);
+    let (rpts, nnz) = symbolic_pass(w, a, b, &stats, pool, None);
     let mut cols = vec![0 as ColIdx; nnz];
     let mut vals = vec![S::zero(); nnz];
     numeric_pass(
-        w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals, mask,
+        w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals, None,
     );
     Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted)
 }

@@ -14,20 +14,24 @@
 //! | `NormalizeCols` | `rows(child) ∪ rows of child touching cols(child)` ([`rows_touching`]) | `cols(child)` |
 //!
 //! A [`DeltaPlan`] holds every needed node's value (and per-`Multiply`
-//! [`SpgemmPlan`]s); [`DeltaPlan::update`] applies a [`RowPatch`] to
-//! one input slot and walks the DAG once, recomputing **only** each
-//! node's dirty rows and splicing them into the cached value — so a
-//! k-row edit costs `O(k · fanout)` recomputed rows instead of the
-//! whole pipeline. Every spliced value is byte-for-byte what
-//! [`DeltaPlan::bind`] would produce from scratch on the patched
-//! inputs; the `tests/` differential oracle pins exactly that.
+//! [`SpgemmPlan`]s); [`DeltaPlan::update_in`] takes one input slot's
+//! new value with the rows that may differ (what
+//! [`Csr::apply_patch`] returns) and walks the DAG once, recomputing
+//! **only** each node's dirty rows and splicing them into the cached
+//! value — so a k-row edit costs `O(k · fanout)` recomputed rows
+//! instead of the whole pipeline. Every spliced value is byte-for-byte
+//! what [`DeltaPlan::bind`] would produce from scratch on the new
+//! inputs; the `tests/` differential oracle pins exactly that. Node
+//! values are shared `Arc`s, so a reader (`spgemm-serve`'s expression
+//! jobs, which run on cached `DeltaPlan`s) takes one without a copy.
 
-use crate::delta::{rows_touching, splice_rows, DirtyRows, RowPatch};
+use crate::delta::{rows_touching, splice_rows, DirtyRows};
 use crate::expr::{ExprGraph, ExprOp, NodeId};
 use crate::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_obs as obs;
 use spgemm_par::Pool;
 use spgemm_sparse::{ops, ColIdx, Csr, PlusTimes, SparseError};
+use std::sync::Arc;
 
 /// The dirty footprint of one node's value: which rows changed, and
 /// which columns hold at least one changed entry. Both are sound
@@ -40,7 +44,7 @@ pub struct NodeDelta {
     pub cols: DirtyRows,
 }
 
-/// What one [`DeltaPlan::update`] recomputed, against the size of the
+/// What one [`DeltaPlan::update_in`] recomputed, against the size of the
 /// pipeline — the "k-row edit touches O(k·fanout) rows" claim in
 /// numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,9 +90,9 @@ pub fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRo
 /// Unlike the fused [`crate::expr::ExprPlan`], a `DeltaPlan`
 /// materializes every needed node's value — that is the state delta
 /// propagation splices into. Bind once with [`DeltaPlan::bind`], then
-/// feed row patches to input slots with [`DeltaPlan::update`]; the
-/// root (and every intermediate) is kept current at the cost of the
-/// dirty rows only.
+/// hand input slots their new values with [`DeltaPlan::update_in`];
+/// the root (and every intermediate) is kept current at the cost of
+/// the dirty rows only.
 ///
 /// ```
 /// use spgemm::delta::DeltaPlan;
@@ -106,7 +110,8 @@ pub fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRo
 ///
 /// let mut patch = RowPatch::new();
 /// patch.insert(3, 9, 0.5);
-/// let report = plan.update(0, &patch)?;
+/// let (m2, dirty) = m.apply_patch(&patch)?;
+/// let report = plan.update_in(0, &m2, &dirty, spgemm_par::global_pool())?;
 /// assert!(report.rows_recomputed < report.rows_total / 2);
 /// assert!(plan.root().get(3, 9).is_some());
 /// # Ok::<(), spgemm_sparse::SparseError>(())
@@ -116,9 +121,9 @@ pub struct DeltaPlan {
     root: NodeId,
     algo: Algorithm,
     needed: Vec<bool>,
-    inputs: Vec<Csr<f64>>,
+    inputs: Vec<Arc<Csr<f64>>>,
     vecs: Vec<Vec<f64>>,
-    outs: Vec<Option<Csr<f64>>>,
+    outs: Vec<Option<Arc<Csr<f64>>>>,
     plans: Vec<Option<SpgemmPlan<PlusTimes<f64>>>>,
 }
 
@@ -165,7 +170,7 @@ impl DeltaPlan {
             root,
             algo,
             needed: graph.reachable(root),
-            inputs: inputs.iter().map(|m| (*m).clone()).collect(),
+            inputs: inputs.iter().map(|m| Arc::new((*m).clone())).collect(),
             vecs: vecs.iter().map(|v| v.to_vec()).collect(),
             outs: vec![None; graph.len()],
             plans: (0..graph.len()).map(|_| None).collect(),
@@ -181,12 +186,12 @@ impl DeltaPlan {
     }
 
     /// Fully evaluate node `idx` (operands already evaluated).
-    fn eval_node(&mut self, idx: usize, pool: &Pool) -> Result<Csr<f64>, SparseError> {
-        fn out(outs: &[Option<Csr<f64>>], id: NodeId) -> &Csr<f64> {
+    fn eval_node(&mut self, idx: usize, pool: &Pool) -> Result<Arc<Csr<f64>>, SparseError> {
+        fn out(outs: &[Option<Arc<Csr<f64>>>], id: NodeId) -> &Csr<f64> {
             outs[id.index()].as_ref().expect("topological order")
         }
-        Ok(match self.graph.nodes()[idx] {
-            ExprOp::Input { slot } => self.inputs[slot].clone(),
+        Ok(Arc::new(match self.graph.nodes()[idx] {
+            ExprOp::Input { slot } => return Ok(Arc::clone(&self.inputs[slot])),
             ExprOp::Multiply { a, b } => {
                 let (av, bv) = (out(&self.outs, a), out(&self.outs, b));
                 let plan = SpgemmPlan::<PlusTimes<f64>>::new_in(
@@ -211,16 +216,17 @@ impl DeltaPlan {
             }
             ExprOp::Map { a, f } => out(&self.outs, a).map(|v| f.apply(v)),
             ExprOp::NormalizeCols { a } => ops::normalize_columns(out(&self.outs, a)),
-        })
+        }))
     }
 
-    /// The root node's current value.
-    pub fn root(&self) -> &Csr<f64> {
+    /// The root node's current value, shared: clone the `Arc` to keep
+    /// it past the next update.
+    pub fn root(&self) -> &Arc<Csr<f64>> {
         self.value(self.root).expect("root is always needed")
     }
 
     /// A needed node's current value (`None` for unneeded nodes).
-    pub fn value(&self, node: NodeId) -> Option<&Csr<f64>> {
+    pub fn value(&self, node: NodeId) -> Option<&Arc<Csr<f64>>> {
         self.outs[node.index()].as_ref()
     }
 
@@ -229,38 +235,54 @@ impl DeltaPlan {
         &self.inputs[slot]
     }
 
-    /// Apply `patch` to input slot `slot` and propagate the delta
-    /// through the DAG on the global pool, recomputing only dirty
-    /// rows of each node. Every node's value afterwards is
-    /// byte-for-byte what a fresh [`DeltaPlan::bind`] on the patched
-    /// inputs would hold.
-    pub fn update(
-        &mut self,
-        slot: usize,
-        patch: &RowPatch<f64>,
-    ) -> Result<DeltaReport, SparseError> {
-        self.update_in(slot, patch, spgemm_par::global_pool())
-    }
-
-    /// [`DeltaPlan::update`] on an explicit pool.
+    /// Replace input slot `slot` with `new_input` and propagate the
+    /// delta through the DAG on `pool`, recomputing only dirty rows of
+    /// each node. `dirty` names the rows of `new_input` that may differ
+    /// from the slot's current value — what
+    /// [`Csr::apply_patch`] returns; any superset is fine, rows outside
+    /// it must match byte for byte. Every node's value afterwards is
+    /// byte-for-byte what a fresh [`DeltaPlan::bind`] on the new inputs
+    /// would hold.
+    ///
+    /// A slot out of range, a `new_input` of another shape or unsorted,
+    /// or a `dirty` set over another row count is rejected before
+    /// anything changes. An error from further in (a node's operands
+    /// no longer fitting) leaves the nodes before it updated and the
+    /// rest stale: a plan whose update returned `Err` must be dropped,
+    /// not updated or read again.
     pub fn update_in(
         &mut self,
         slot: usize,
-        patch: &RowPatch<f64>,
+        new_input: &Csr<f64>,
+        dirty: &DirtyRows,
         pool: &Pool,
     ) -> Result<DeltaReport, SparseError> {
         let _g = obs::span!("delta", "delta.expr_update");
-        if slot >= self.inputs.len() {
+        let Some(old) = self.inputs.get(slot) else {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
-                    "DeltaPlan::update: slot {slot} out of {} inputs",
+                    "DeltaPlan::update_in: slot {slot} out of {} inputs",
                     self.inputs.len()
                 ),
             });
+        };
+        if new_input.shape() != old.shape() || dirty.nrows() != old.nrows() {
+            return Err(SparseError::PlanMismatch {
+                detail: format!(
+                    "DeltaPlan::update_in: slot {slot} is {:?}; got a {:?} input over {} dirty rows",
+                    old.shape(),
+                    new_input.shape(),
+                    dirty.nrows()
+                ),
+            });
         }
-        let (new_input, dirty) = self.inputs[slot].apply_patch(patch)?;
-        let base_cols = touched_cols(&self.inputs[slot], &new_input, &dirty);
-        self.inputs[slot] = new_input;
+        if !new_input.is_sorted() {
+            return Err(SparseError::Unsorted {
+                op: "DeltaPlan::update_in",
+            });
+        }
+        let base_cols = touched_cols(old, new_input, dirty);
+        self.inputs[slot] = Arc::new(new_input.clone());
 
         let mut deltas: Vec<Option<NodeDelta>> = vec![None; self.graph.len()];
         let mut report = DeltaReport::default();
@@ -272,7 +294,7 @@ impl DeltaPlan {
             if !matches!(op, ExprOp::Input { .. }) {
                 report.rows_total += self.outs[idx].as_ref().expect("bound").nrows();
             }
-            let delta = self.propagate_node(idx, op, slot, &dirty, &base_cols, &deltas, pool)?;
+            let delta = self.propagate_node(idx, op, slot, dirty, &base_cols, &deltas, pool)?;
             if let Some(d) = &delta {
                 if !matches!(op, ExprOp::Input { .. }) {
                     report.rows_recomputed += d.rows.count();
@@ -307,7 +329,7 @@ impl DeltaPlan {
                 if slot != edited_slot {
                     return Ok(None);
                 }
-                self.outs[idx] = Some(self.inputs[slot].clone());
+                self.outs[idx] = Some(Arc::clone(&self.inputs[slot]));
                 Ok(Some(NodeDelta {
                     rows: input_rows.clone(),
                     cols: input_cols.clone(),
@@ -330,12 +352,12 @@ impl DeltaPlan {
                         .unwrap_or_else(|| DirtyRows::new(bv.nrows()));
                     let plan = self.plans[idx].as_mut().expect("bound Multiply node");
                     let out_rows = plan.rebind_rows_in(av, bv, &dirty_a, &dirty_b, pool)?;
-                    let mut c = old.clone();
+                    let mut c = Csr::clone(&old);
                     plan.execute_rows_in(av, bv, &out_rows, &mut c, pool)?;
                     (out_rows, c)
                 };
                 let cols = touched_cols(&old, &c, &out_rows);
-                self.outs[idx] = Some(c);
+                self.outs[idx] = Some(Arc::new(c));
                 Ok(Some(NodeDelta {
                     rows: out_rows,
                     cols,
@@ -351,7 +373,7 @@ impl DeltaPlan {
                     rows: da.cols.clone(),
                     cols: da.rows.clone(),
                 };
-                self.outs[idx] = Some(ops::transpose_in(av, pool));
+                self.outs[idx] = Some(Arc::new(ops::transpose_in(av, pool)));
                 Ok(Some(delta))
             }
             ExprOp::Add { a, b } => self.recompute_merge(idx, a, b, deltas, false),
@@ -444,7 +466,7 @@ impl DeltaPlan {
                 vals.push(x);
             });
         });
-        self.outs[idx] = Some(new);
+        self.outs[idx] = Some(Arc::new(new));
         Ok(Some(delta))
     }
 }
@@ -453,7 +475,7 @@ impl DeltaPlan {
 /// and splice them into its cached value: each row keeps the operand
 /// row's columns, its values mapped by `f(row, col, value)`.
 fn remap_rows(
-    outs: &mut [Option<Csr<f64>>],
+    outs: &mut [Option<Arc<Csr<f64>>>],
     idx: usize,
     a: NodeId,
     rows: &DirtyRows,
@@ -466,12 +488,13 @@ fn remap_rows(
         let entries = av.row_cols(i).iter().zip(av.row_vals(i));
         vals.extend(entries.map(|(&c, &x)| f(i, c, x)));
     });
-    outs[idx] = Some(new);
+    outs[idx] = Some(Arc::new(new));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RowPatch;
     use crate::expr::ElemMap;
 
     fn ring(n: usize) -> Csr<f64> {
@@ -504,7 +527,8 @@ mod tests {
 
         let mut patch = RowPatch::new();
         patch.insert(5, 20, 0.25).delete(9, 10);
-        let report = plan.update(0, &patch).unwrap();
+        let (m2, dirty) = m.apply_patch(&patch).unwrap();
+        let report = plan.update_in(0, &m2, &dirty, &Pool::new(2)).unwrap();
         assert!(report.rows_recomputed < report.rows_total);
 
         let fresh =
@@ -526,9 +550,34 @@ mod tests {
         let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&ma, &mb], &[]).unwrap();
         let mut patch = RowPatch::new();
         patch.insert(3, 3, 5.0);
-        let report = plan.update(1, &patch).unwrap();
+        let (mb2, dirty) = mb.apply_patch(&patch).unwrap();
+        let report = plan.update_in(1, &mb2, &dirty, &Pool::new(1)).unwrap();
         // one row of Add recomputed; the 16-row Multiply untouched
         assert_eq!(report.rows_recomputed, 1);
         assert_eq!(report.rows_total, 32);
+    }
+
+    /// What no patch of the bound input can produce is refused before
+    /// any node moves.
+    #[test]
+    fn update_rejects_inputs_no_patch_produces() {
+        let mut g = ExprGraph::new();
+        let a = g.input();
+        let root = g.transpose(a);
+        let m = ring(8);
+        let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&m], &[]).unwrap();
+        let pool = Pool::new(1);
+        let all = DirtyRows::all(8);
+        let mut rpts = vec![2usize; 9];
+        rpts[0] = 0;
+        let unsorted = Csr::from_parts(8, 8, rpts, vec![3, 1], vec![1.0, 2.0]).unwrap();
+        assert!(!unsorted.is_sorted(), "fixture precondition");
+        assert!(plan.update_in(1, &m, &all, &pool).is_err(), "slot");
+        let wider = Csr::<f64>::zero(8, 9);
+        assert!(plan.update_in(0, &wider, &all, &pool).is_err(), "shape");
+        let nine = DirtyRows::all(9);
+        assert!(plan.update_in(0, &m, &nine, &pool).is_err(), "dirty set");
+        assert!(plan.update_in(0, &unsorted, &all, &pool).is_err(), "order");
+        assert_eq!(**plan.root(), ops::transpose(&m));
     }
 }

@@ -357,6 +357,15 @@ impl ExprGraph {
         counts
     }
 
+    /// How many non-input nodes `root` depends on, itself included:
+    /// the nodes a full evaluation of `root` computes.
+    pub fn interior_nodes(&self, root: NodeId) -> usize {
+        let needed = self.reachable(root);
+        (self.nodes.iter().zip(needed))
+            .filter(|&(op, needed)| needed && !matches!(op, ExprOp::Input { .. }))
+            .count()
+    }
+
     /// Per-node fingerprints: a 64-bit identity of each node's
     /// *computation* — op kind, op parameters, operand fingerprints,
     /// and the caller-supplied leaf fingerprint of each input slot.
@@ -368,7 +377,9 @@ impl ExprGraph {
     /// sparsity pattern lineage (what [`crate::expr::ExprPlan`] caches
     /// on); with value-identity leaves (e.g. a store's registration
     /// version) it identifies the node's *result*, which is what
-    /// `spgemm-serve`'s cross-tenant subexpression cache keys on.
+    /// `spgemm-serve` batches identical expression jobs on; with the
+    /// slot index as the leaf it identifies the pipeline itself, which
+    /// is what serve's cached evaluators are keyed on.
     pub fn node_fingerprints(
         &self,
         leaf_fp: impl Fn(usize) -> u64,

@@ -23,9 +23,8 @@
 //!
 //! The application pipelines in `spgemm-apps` (`mcl`, `amg`,
 //! `triangles`) are thin wrappers over shared expression plans, and
-//! `spgemm-serve` accepts whole graphs as jobs (`ExprRequest`) with
-//! cross-tenant subexpression result caching keyed by the node
-//! fingerprints defined here.
+//! `spgemm-serve` accepts whole graphs as jobs (`ExprRequest`) and
+//! runs them on cached [`DeltaPlan`]s, advanced through row updates.
 //!
 //! [`Multiply`]: ExprGraph::multiply
 //! [`Transpose`]: ExprGraph::transpose

@@ -385,10 +385,13 @@ impl<S: Semiring> SpgemmPlan<S> {
     ///
     /// Falls back to a full [`SpgemmPlan::rebind`] — returning
     /// `DirtyRows::all` — whenever incremental repair is impossible:
-    /// shape changes, the sequential `Reference` oracle or a pool-width
-    /// change. Either way the plan afterwards is indistinguishable from
-    /// one rebound from scratch, except that an `Auto` plan keeps its
-    /// resolved kernel across row patches.
+    /// shape changes, the sequential `Reference` oracle, a pool-width
+    /// change, or an `Auto` plan whose kernel a fresh bind on the
+    /// patched operands would not pick (the footprint rule reads row
+    /// skew and flop counts past the L2 share; within it, where
+    /// [`recipe::entry_independent_pick`] names the kernel, nothing is
+    /// re-read). Either way the plan afterwards is indistinguishable
+    /// from one rebound from scratch.
     ///
     /// ```
     /// use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
@@ -440,15 +443,12 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
-        // An `Auto` plan keeps the kernel it resolved to: what the
-        // dense-accumulator rule reads (dimensions, element size, L2
-        // share) is invariant under a row patch, and re-deriving the
-        // flop statistics of the other branch is a full analysis.
         let incremental = self.sigs.is_some()
             && self.dims == (a.nrows(), a.ncols(), b.ncols())
             && a.ncols() == b.nrows()
             && self.algo != Algorithm::Reference
-            && pool.nthreads() == self.nthreads;
+            && pool.nthreads() == self.nthreads
+            && self.keeps_auto_pick(a, b, dirty_a, dirty_b);
         if !incremental {
             self.rebind_in(a, b, pool)?;
             return Ok(DirtyRows::all(a.nrows()));
@@ -486,6 +486,33 @@ impl<S: Semiring> SpgemmPlan<S> {
             RESYM.add(out_dirty.count() as u64);
         }
         Ok(out_dirty)
+    }
+
+    /// Whether a fresh bind on the patched operands would resolve to
+    /// this plan's kernel: always for a named kernel and for an `Auto`
+    /// plan whose kernel [`recipe::entry_independent_pick`] names;
+    /// otherwise the footprint rule is re-read on the patched rows'
+    /// flop counts (`O(nrows)`, against the full analysis's
+    /// `O(nnz(A))`).
+    fn keeps_auto_pick(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        dirty_a: &DirtyRows,
+        dirty_b: &DirtyRows,
+    ) -> bool {
+        let elem_bytes = std::mem::size_of::<S::Elem>();
+        if self.requested != Algorithm::Auto
+            || recipe::entry_independent_pick(b.ncols(), elem_bytes) == Some(self.algo)
+        {
+            return true;
+        }
+        let mut row_flops = self.stats.row_flops.clone();
+        for i in rows_touching(a, dirty_b, dirty_a.clone()).iter() {
+            row_flops[i] = exec::row_flop(a, b, i);
+        }
+        let ctx = recipe::auto_context_from(a, b, self.order, &row_flops);
+        recipe::static_select(&ctx) == self.algo
     }
 
     /// Recompute **only** the rows in `dirty` of the product, reusing

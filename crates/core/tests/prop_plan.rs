@@ -2,15 +2,14 @@
 //! row-pass driver of `spgemm::exec`; these pin down that every
 //! *route* into it — the one-shot `multiply_in` (staged, for the
 //! one-phase kernels), a plan's first and later (numeric-only)
-//! executions, RowClass's bucketed passes, the masked product and the
-//! serve patch's dirty-masked recompute — produces the same bytes (NaN
+//! executions, RowClass's bucketed passes, the masked product and a
+//! plan's dirty-masked recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
 //! and ±inf, and that repeated executions are deterministic — including
 //! a dense-kernel plan's, every one of which replays the column pattern
 //! its bind emitted.
 
 use proptest::prelude::*;
-use spgemm::delta::recompute_product_rows;
 use spgemm::{algos, multiply_in, multiply_masked};
 use spgemm::{Algorithm, DirtyRows, OutputOrder, PlanCache, RowPatch, SpgemmPlan};
 use spgemm_par::Pool;
@@ -312,15 +311,17 @@ proptest! {
             }
             let hash = oneshot(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool);
             prop_assert!(bits_eq_f64(&hash, &oracle), "sorted hash vs reference, nt={}", nt);
-            // The serve patch recomputes rows through the driver's
-            // masked passes, on this width: all of them from nothing,
-            // or a few on top of the product they belong to.
+            // A plan recomputes rows through the driver's masked
+            // passes, on this width: all of them from nothing, or a
+            // few on top of the product they belong to.
             let n = a.nrows();
-            let from_nothing =
-                recompute_product_rows(&a, &a, &DirtyRows::all(n), &Csr::zero(n, n), &pool);
+            let plan = SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
+            let mut from_nothing = Csr::zero(n, n);
+            plan.execute_rows_in(&a, &a, &DirtyRows::all(n), &mut from_nothing, &pool).unwrap();
             prop_assert!(bits_eq_f64(&from_nothing, &hash), "recompute all rows, nt={}", nt);
+            let mut patched = hash.clone();
             let some = DirtyRows::from_rows(n, (0..n).step_by(3));
-            let patched = recompute_product_rows(&a, &a, &some, &hash, &pool);
+            plan.execute_rows_in(&a, &a, &some, &mut patched, &pool).unwrap();
             prop_assert!(bits_eq_f64(&patched, &hash), "recompute every third row, nt={}", nt);
         }
     }
@@ -702,4 +703,83 @@ fn hashvec_at_every_level_is_bit_identical_to_hash() {
             }
         }
     }
+}
+
+/// An `Auto` plan repairs a row patch in place only while a fresh bind
+/// would pick its kernel. `B` is wider than the dense accumulator's
+/// uniform L2 bound but within the skewed one, so the pick reads `A`'s
+/// row skew: a patch that makes one row of a uniform `A` long (values
+/// salted with NaN and ±0.0) moves a fresh bind from Heap / Hash to the
+/// SPA, and the patch back moves it home — the patched plan follows
+/// both times, kernel and bytes.
+#[test]
+fn auto_follows_a_row_patch_that_changes_its_pick() {
+    use spgemm::cost;
+    let share = cost::l2_share_bytes();
+    let width = 2 * share / 12;
+    let footprint = cost::spa_footprint_bytes(width, 8);
+    assert!(
+        share < footprint && footprint <= cost::SKEW_FOOTPRINT_FACTOR * share,
+        "fixture precondition: {footprint} B against a {share} B share"
+    );
+    let n = 64usize;
+    let a_entries: Vec<_> = (0..n)
+        .flat_map(|i| {
+            [
+                (i, i as u32, 1.0 + i as f64),
+                (i, ((i + 17) % n) as u32, 0.5),
+            ]
+        })
+        .collect();
+    let b_entries: Vec<_> = (0..n)
+        .flat_map(|k| {
+            let j = k * 7919 % width;
+            [
+                (k, j as u32, 2.0),
+                (k, ((j + width / 2) % width) as u32, -0.0),
+            ]
+        })
+        .collect();
+    let a0 = Csr::from_triplets(n, n, &a_entries).unwrap();
+    let b = Csr::from_triplets(n, width, &b_entries).unwrap();
+    let mut long = RowPatch::new();
+    let mut back = RowPatch::new();
+    for c in (0..n as u32).filter(|&c| a0.get(5, c).is_none()) {
+        let v = match c % 3 {
+            0 => -0.0,
+            1 => f64::NAN,
+            _ => 1.0 + c as f64,
+        };
+        long.insert(5, c, v);
+        back.delete(5, c);
+    }
+    let (a1, dirty1) = a0.apply_patch(&long).unwrap();
+    let (a2, dirty2) = a1.apply_patch(&back).unwrap();
+    assert_eq!(a2, a0, "fixture precondition");
+    let pool = Pool::new(2);
+    let auto = |a: &Csr<f64>| {
+        SpgemmPlan::<P>::new_in(a, &b, Algorithm::Auto, OutputOrder::Sorted, &pool).unwrap()
+    };
+    let mut plan = auto(&a0);
+    let home = plan.algorithm();
+    assert!(
+        matches!(home, Algorithm::Heap | Algorithm::Hash),
+        "fixture precondition: uniform A resolves to {home}"
+    );
+    assert_eq!(
+        auto(&a1).algorithm(),
+        Algorithm::Spa,
+        "fixture precondition"
+    );
+    let mut c = plan.execute_in(&a0, &b, &pool).unwrap();
+    let clean = DirtyRows::new(n);
+    for (ctx, a, dirty) in [("long row", &a1, dirty1), ("back", &a2, dirty2)] {
+        let out = plan.rebind_rows_in(a, &b, &dirty, &clean, &pool).unwrap();
+        plan.execute_rows_in(a, &b, &out, &mut c, &pool).unwrap();
+        let fresh = auto(a);
+        assert_eq!(plan.algorithm(), fresh.algorithm(), "{ctx}");
+        let want = fresh.execute_in(a, &b, &pool).unwrap();
+        assert!(bits_eq_f64(&c, &want), "{ctx}");
+    }
+    assert_eq!(plan.algorithm(), home);
 }

@@ -12,19 +12,14 @@
 //! un-consumed version), so the tracker stays one bounded record per
 //! name no matter how fast edits arrive.
 //!
-//! Expression evaluation consumes those records for **patch-in-place**
-//! of the cross-tenant subexpression cache: a `Multiply`-of-inputs
-//! node whose fingerprint misses because an operand was row-updated
-//! can recover the *old* version's cached product, recompute only the
-//! invalidated output rows (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`)
-//! with [`spgemm::delta::recompute_product_rows`], and re-cache the
-//! result under the new fingerprint — byte-for-byte what a full
-//! evaluation would have produced, because the recompute runs the
-//! same accumulator through the same row-pass driver a full
-//! evaluation does (stored zeros and signed zeros included). Full
-//! re-registration (or any
-//! version the tracker no longer covers) simply misses and
-//! recomputes: divergence invalidates, it never corrupts.
+//! Expression jobs consume those records: a cached evaluator at an
+//! older version of the name is advanced with
+//! [`spgemm::delta::DeltaPlan::update_in`] over the window's dirty
+//! rows when the window reaches back to its version — any superset of
+//! the changed rows is exact, so one stretched window serves every
+//! evaluator inside it. A version the tracker no longer covers (a
+//! wholesale re-registration in between) simply binds a new
+//! evaluator: divergence invalidates, it never corrupts.
 //!
 //! [`ServeEngine::try_submit_row_update`]: crate::ServeEngine::try_submit_row_update
 
@@ -45,9 +40,9 @@ pub struct RowUpdateReceipt {
     pub rows_dirtied: usize,
 }
 
-/// One name's un-consumed edit window: everything that changed between
-/// `from_version` (a version whose derived results may still be
-/// cached) and `to_version` (the current registration).
+/// One name's edit window: everything that changed between
+/// `from_version` (a version an evaluator may still be at) and
+/// `to_version` (the current registration).
 #[derive(Clone, Debug)]
 pub(crate) struct DeltaRecord {
     pub(crate) from_version: u64,
@@ -99,8 +94,8 @@ impl DeltaTracker {
     }
 
     /// The edit window ending at exactly `version` of `name`, if the
-    /// tracker holds one. `None` means no patch-in-place is possible
-    /// for results derived from older versions of this name.
+    /// tracker holds one. `None` means no evaluator at an older version
+    /// of this name can be advanced to `version`.
     pub(crate) fn applicable(&self, name: &str, version: u64) -> Option<DeltaRecord> {
         let map = self.map.lock();
         map.get(name)

@@ -3,19 +3,18 @@
 
 use crate::delta::{DeltaTracker, RowUpdateReceipt};
 use crate::error::ServeError;
-use crate::expr_results::ExprResultCache;
+use crate::expr_results::{self, EvalKey, EvaluatorCache};
 use crate::job::{ExprRequest, JobCore, JobHandle, ProductRequest};
 use crate::metrics::{Metrics, MetricsSnapshot, SloPolicy};
-use crate::plan_cache::{PlanKey, PlanSlot, SharedPlanCache, S};
+use crate::plan_cache::{PlanKey, SharedPlanCache, Slot, S};
 use crate::queue::{BatchKey, ExprJob, JobPayload, JobQueue, QueuedJob};
 use crate::store::MatrixStore;
-use spgemm::delta::{recompute_product_rows, rows_touching, DirtyRows, RowPatch};
-use spgemm::expr::{fnv64, ExprOp};
-use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+use spgemm::delta::RowPatch;
+use spgemm::SpgemmPlan;
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
 use spgemm_obs as obs;
 use spgemm_par::{panic_text, Pool};
-use spgemm_sparse::{ops, stats, Csr, SparseError};
+use spgemm_sparse::{stats, Csr, SparseError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,19 +49,17 @@ pub struct ServeConfig {
     /// benchmark-only change.
     #[doc(hidden)]
     pub use_tuned_profile: bool,
-    /// Route oversized products to a shared sharded backend
+    /// Route oversized product jobs to a shared sharded backend
     /// (`spgemm_dist::ShardRuntime`) instead of the monolithic plan
     /// path. `None` (the default) disables routing. Expression jobs
-    /// route their `Multiply` *nodes* through the same thresholds.
+    /// never route: they run on their evaluator.
     pub dist: Option<DistRouting>,
-    /// Budget (in entries) of the cross-tenant **subexpression result
-    /// cache** for expression jobs: every evaluated DAG node is cached
-    /// under its value fingerprint (op lineage + input registration
-    /// versions), so pipelines sharing a subexpression over the same
-    /// stored matrices — across tenants and workers — reuse the
-    /// computed intermediate instead of recomputing it. LRU beyond the
-    /// budget; **0 disables** result sharing (plan-cache sharing still
-    /// applies per node).
+    /// Budget of the **evaluator cache** for expression jobs, in keys:
+    /// one per pipeline (graph, input names, kernel) whatever tenant
+    /// submits it, each pooling up to one evaluator — a
+    /// `spgemm::delta::DeltaPlan` — per worker that demanded it at
+    /// once. LRU beyond the budget; **0 disables** it: each job binds
+    /// its own evaluator and drops it.
     pub expr_result_entries: usize,
     /// Per-tenant latency objectives. Jobs of a tenant with a target
     /// are classified good/bad on completion and surfaced as
@@ -71,7 +68,7 @@ pub struct ServeConfig {
     pub slo: SloPolicy,
 }
 
-/// When and how the engine hands a job to the sharded backend.
+/// When and how the engine hands a product job to the sharded backend.
 ///
 /// One [`ShardRuntime`] is spawned at engine startup and **shared by
 /// all workers**; a routed job occupies the whole shard fleet, so
@@ -131,7 +128,7 @@ struct EngineShared {
     store: MatrixStore,
     queue: JobQueue,
     cache: SharedPlanCache,
-    expr_results: ExprResultCache,
+    evaluators: EvaluatorCache,
     metrics: Arc<Metrics>,
     /// Per-name edit windows behind `try_submit_row_update`; also the
     /// lock serializing its read-modify-write against the store.
@@ -179,7 +176,7 @@ impl ServeEngine {
             store: MatrixStore::new(),
             queue: JobQueue::new(cfg.queue_capacity),
             cache: SharedPlanCache::new(cfg.plan_cache_plans),
-            expr_results: ExprResultCache::new(cfg.expr_result_entries),
+            evaluators: EvaluatorCache::new(cfg.expr_result_entries),
             metrics: Arc::new(Metrics::with_slo(cfg.slo.clone())),
             deltas: DeltaTracker::default(),
             next_job: AtomicU64::new(0),
@@ -213,8 +210,9 @@ impl ServeEngine {
     /// registered as a new immutable version (in-flight jobs keep
     /// their snapshots — the usual bounded-staleness contract), and
     /// the engine records *which rows changed* so expression jobs
-    /// submitted against the new version can **patch** previous
-    /// versions' cached products in place instead of recomputing them
+    /// submitted against the new version can **advance** the cached
+    /// evaluator of an earlier version, recomputing only the rows the
+    /// edit dirtied in every node, instead of evaluating from scratch
     /// (see [`MetricsSnapshot::expr_results_patched`]).
     ///
     /// Errors mirror the patch contract of
@@ -266,12 +264,17 @@ impl ServeEngine {
     ) -> Result<RowUpdateReceipt, ServeError> {
         let shared = &self.shared;
         let _g = shared.deltas.update_guard();
-        let cur = shared
-            .store
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownMatrix { name: name.into() })?;
-        let (patched, dirty) = cur.csr().apply_patch(patch).map_err(ServeError::Sparse)?;
-        let stored = shared.store.insert(name, patched);
+        // The write lands only on the version it patched: a wholesale
+        // registration in between would sit inside the window.
+        let (cur, stored, dirty) = loop {
+            let unknown = || ServeError::UnknownMatrix { name: name.into() };
+            let cur = shared.store.get(name).ok_or_else(unknown)?;
+            let (patched, dirty) = cur.csr().apply_patch(patch).map_err(ServeError::Sparse)?;
+            let version = Some(cur.version());
+            if let Some(stored) = shared.store.replace(name.into(), version, patched) {
+                break (cur, stored, dirty);
+            }
+        };
         shared
             .deltas
             .record(name, cur.version(), stored.version(), &dirty);
@@ -399,12 +402,18 @@ impl ServeEngine {
             }
             inputs.push(m);
         }
-        // Value-identity fingerprints: leaves are registration
-        // versions (snapshots are immutable), so equal node
-        // fingerprints mean equal results across tenants.
-        let node_fps =
-            Arc::new(graph.node_fingerprints(|slot| inputs[slot].version(), req.algo as u64));
-        let batch_fp = fnv64(&[node_fps[req.spec.root.index()], req.algo as u64]);
+        // Leaves as registration versions (snapshots are immutable)
+        // and the kernel salting every product: equal root fingerprints
+        // mean equal results, so such jobs batch. Leaves as slots: the
+        // pipeline, evaluators' key.
+        let root = req.spec.root.index();
+        let salt = req.algo as u64;
+        let value_fp = graph.node_fingerprints(|slot| inputs[slot].version(), salt)[root];
+        let key = EvalKey {
+            graph: graph.node_fingerprints(|slot| slot as u64, salt)[root],
+            inputs: req.inputs.clone(),
+            algo: req.algo,
+        };
         let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
         // Same ordering constraint as `submit_inner`: close the submit
         // span before the job becomes visible to workers.
@@ -420,12 +429,11 @@ impl ServeEngine {
             );
             let job = QueuedJob {
                 core: Arc::clone(&core),
-                key: BatchKey::Expr(batch_fp),
+                key: BatchKey::Expr(value_fp),
                 payload: JobPayload::Expr(ExprJob {
                     spec: req.spec.clone(),
                     inputs,
-                    algo: req.algo,
-                    node_fps,
+                    key,
                 }),
             };
             (core, job)
@@ -452,7 +460,7 @@ impl ServeEngine {
         self.shared.metrics.snapshot(
             self.shared.queue.lane_depths(),
             self.shared.cache.stats(),
-            self.shared.expr_results.stats(),
+            self.shared.evaluators.stats(),
             self.shared.started,
         )
     }
@@ -516,8 +524,9 @@ fn worker_loop(shared: &EngineShared, pool: &Pool) {
 /// Execute one same-key batch: skip jobs cancelled while queued, then
 /// dispatch on the payload kind — products run numeric-only under the
 /// cached plan (building it once on miss) or as cold one-shot
-/// multiplies when the cache is disabled; expression batches evaluate
-/// their (identical) DAG once and fan the shared result out.
+/// multiplies when the cache is disabled; expression batches run
+/// their (identical) job once on an evaluator and fan the shared root
+/// out.
 fn execute_batch(shared: &EngineShared, pool: &Pool, batch: Vec<QueuedJob>) {
     let runnable: Vec<QueuedJob> = batch.into_iter().filter(|j| j.core.start()).collect();
     let Some(first) = runnable.first() else {
@@ -542,7 +551,11 @@ fn execute_batch(shared: &EngineShared, pool: &Pool, batch: Vec<QueuedJob>) {
                 // Same batch key = same DAG over the same snapshots
                 // with the same kernel: one evaluation serves the
                 // whole batch.
-                let result = run_expr(shared, job, pool);
+                let result = {
+                    let _g = obs::span!("serve", "serve.expr_eval");
+                    let (cache, deltas) = (&shared.evaluators, &shared.deltas);
+                    contained(|| expr_results::evaluate(cache, deltas, &shared.metrics, job, pool))
+                };
                 shared
                     .metrics
                     .expr_jobs
@@ -589,17 +602,12 @@ fn execute_product_batch(shared: &EngineShared, pool: &Pool, runnable: &[QueuedJ
             job.core.complete(result);
         }
     }
-    checkin(held);
+    if let Some((slot, plan)) = held {
+        slot.checkin(plan);
+    }
     for (job, result) in undelivered {
         job.core.complete(result);
     }
-}
-
-/// Evaluate one expression job node-by-node, panic-contained like
-/// every other execution path.
-fn run_expr(shared: &EngineShared, job: &ExprJob, pool: &Pool) -> crate::job::JobResult {
-    let _g = obs::span!("serve", "serve.expr_eval");
-    contained(|| eval_expr(shared, job, pool))
 }
 
 /// The per-job panic net every execution path runs under: a panic
@@ -615,243 +623,12 @@ fn contained<T, E: Into<ServeError>>(f: impl FnOnce() -> Result<T, E>) -> Result
     }
 }
 
-/// The DAG interpreter: walk the topological order, serving each node
-/// from the cross-tenant subexpression cache when possible and
-/// computing it otherwise — `Multiply` through the shared plan cache
-/// (or the shard fleet past the dist thresholds), element-wise ops
-/// through `spgemm_sparse::ops`.
-fn eval_expr(
-    shared: &EngineShared,
-    job: &ExprJob,
-    pool: &Pool,
-) -> Result<Arc<Csr<f64>>, ServeError> {
-    let graph = &job.spec.graph;
-    let root = job.spec.root.index();
-    let needed = graph.reachable(job.spec.root);
-    let mut values: Vec<Option<Arc<Csr<f64>>>> = vec![None; graph.len()];
-    // Structure fingerprints of computed intermediates, memoized for
-    // plan-cache keys (input leaves reuse the store's fingerprint).
-    let mut struct_fps: Vec<Option<u64>> = vec![None; graph.len()];
-    for i in 0..graph.len() {
-        if !needed[i] {
-            continue;
-        }
-        // Input leaves are snapshots the job already holds: serving
-        // them through the result cache would spend LRU slots (and
-        // the computed-nodes counter) on matrices the store pins
-        // anyway.
-        if let ExprOp::Input { slot } = graph.nodes()[i] {
-            values[i] = Some(job.inputs[slot].csr_arc());
-            continue;
-        }
-        if let Some(cached) = shared.expr_results.get(job.node_fps[i]) {
-            values[i] = Some(cached);
-            continue;
-        }
-        // Before recomputing a multiply of row-updated inputs, try to
-        // recover the previous version's cached product and patch only
-        // the invalidated rows.
-        if let Some(patched) = try_patch_multiply(shared, job, i, pool) {
-            shared
-                .metrics
-                .expr_results_patched
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .expr_results
-                .insert(job.node_fps[i], Arc::clone(&patched));
-            values[i] = Some(patched);
-            continue;
-        }
-        let value_at = |k: usize| -> &Arc<Csr<f64>> {
-            values[k].as_ref().expect("operands precede consumers")
-        };
-        let value: Arc<Csr<f64>> = match graph.nodes()[i] {
-            ExprOp::Input { .. } => unreachable!("inputs handled above"),
-            ExprOp::Multiply { a, b } => {
-                let (ai, bi) = (a.index(), b.index());
-                let fp_a = structure_fp(graph, job, &values, &mut struct_fps, ai);
-                let fp_b = structure_fp(graph, job, &values, &mut struct_fps, bi);
-                let key = PlanKey {
-                    fp_a,
-                    fp_b,
-                    algo: job.algo,
-                    order: OutputOrder::Sorted,
-                };
-                let (a, b) = (value_at(ai), value_at(bi));
-                let mut held = None;
-                let product =
-                    routed_multiply(shared, dist_route(shared, a, b), a, b, key, pool, &mut held);
-                checkin(held);
-                Arc::new(product?)
-            }
-            ExprOp::Transpose { a } => Arc::new(ops::transpose_in(value_at(a.index()), pool)),
-            ExprOp::Add { a, b } => Arc::new(ops::add(value_at(a.index()), value_at(b.index()))?),
-            ExprOp::Hadamard { a, b } => {
-                Arc::new(ops::hadamard(value_at(a.index()), value_at(b.index()))?)
-            }
-            ExprOp::ScaleRows { .. } | ExprOp::ScaleCols { .. } => {
-                unreachable!("vector-input graphs are rejected at submission")
-            }
-            ExprOp::Map { a, f } => Arc::new(value_at(a.index()).map(|v| f.apply(v))),
-            ExprOp::NormalizeCols { a } => Arc::new(ops::normalize_columns(value_at(a.index()))),
-        };
-        shared
-            .metrics
-            .expr_nodes_computed
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .expr_results
-            .insert(job.node_fps[i], Arc::clone(&value));
-        values[i] = Some(value);
-    }
-    Ok(values[root].take().expect("root is needed"))
-}
-
-/// Patch-in-place for one expression node: when node `i` is a
-/// `Multiply` of two input leaves, at least one of which was
-/// row-updated since a previous evaluation, recover the *previous*
-/// version's cached product and recompute only the output rows the
-/// edits invalidated (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`,
-/// [`rows_touching`]) via [`recompute_product_rows`]. Returns `None`
-/// whenever any precondition fails — the caller then evaluates the
-/// node normally, so this path can only save work, never change
-/// results.
-///
-/// Byte-for-byte safety: `recompute_product_rows` runs the Hash
-/// accumulator itself (core's ordinary symbolic and numeric passes on
-/// the worker's pool, masked by the invalidated rows), so it
-/// reproduces the sorted output of the ascending-`k` accumulator
-/// family (Hash, HashVec, SPA, KkHash, IKJ, and RowClass — whose
-/// per-class kernels all accumulate in `k`-encounter order and are
-/// byte-identical to Hash) exactly, so the patch is gated on those
-/// kernels — for an `Auto` job, on the selector naming one of them
-/// for this output width whatever the operands hold
-/// (`recipe::entry_independent_pick`: the cached product was computed
-/// from *other* operands, and its clean rows must come from the same
-/// family) — and on the node *not* routing to the shard fleet. The
-/// fleet's default shards run `Auto`, and every block resolving to the
-/// SPA or `Hash` matches the monolithic `Hash` product bit for bit, so
-/// that half of the gate is about placement, not bytes: an oversized
-/// product stays on the fleet instead of being patched on one worker.
-fn try_patch_multiply(
-    shared: &EngineShared,
-    job: &ExprJob,
-    node: usize,
-    pool: &Pool,
-) -> Option<Arc<Csr<f64>>> {
-    let graph = &job.spec.graph;
-    let ExprOp::Multiply { a, b } = graph.nodes()[node] else {
-        return None;
-    };
-    let ExprOp::Input { slot: sa } = graph.nodes()[a.index()] else {
-        return None;
-    };
-    let ExprOp::Input { slot: sb } = graph.nodes()[b.index()] else {
-        return None;
-    };
-    let am = job.inputs[sa].csr();
-    let bm = job.inputs[sb].csr();
-    // `Auto` is patched when it names one kernel for the cached product
-    // and for the patched one alike, i.e. whatever the operands hold.
-    let kernel = match job.algo {
-        Algorithm::Auto => {
-            spgemm::recipe::entry_independent_pick(bm.ncols(), std::mem::size_of::<f64>())?
-        }
-        concrete => concrete,
-    };
-    if !matches!(
-        kernel,
-        Algorithm::Hash
-            | Algorithm::HashVec
-            | Algorithm::Spa
-            | Algorithm::KkHash
-            | Algorithm::Ikj
-            | Algorithm::RowClass
-    ) {
-        return None;
-    }
-    if dist_route(shared, am, bm).is_some() {
-        return None;
-    }
-    // Resolve each operand's edit window once, so the old fingerprint
-    // and the dirty sets describe the same version transition even if
-    // further updates land concurrently.
-    let rec_a = shared
-        .deltas
-        .applicable(job.inputs[sa].name(), job.inputs[sa].version());
-    let rec_b = if sb == sa {
-        rec_a.clone()
-    } else {
-        shared
-            .deltas
-            .applicable(job.inputs[sb].name(), job.inputs[sb].version())
-    };
-    if rec_a.is_none() && rec_b.is_none() {
-        return None; // nothing upstream changed incrementally
-    }
-    let old_version = |slot: usize| -> u64 {
-        let rec = if slot == sa {
-            &rec_a
-        } else if slot == sb {
-            &rec_b
-        } else {
-            &None
-        };
-        rec.as_ref()
-            .map(|r| r.from_version)
-            .unwrap_or_else(|| job.inputs[slot].version())
-    };
-    let old_fp = graph.node_fingerprints(old_version, job.algo as u64)[node];
-    let old_c = shared.expr_results.peek(old_fp)?;
-    if (old_c.nrows(), old_c.ncols()) != (am.nrows(), bm.ncols()) || !old_c.is_sorted() {
-        return None; // fingerprint collision or foreign entry: recompute
-    }
-    let dirty_for = |rec: &Option<crate::delta::DeltaRecord>, nrows: usize| match rec {
-        Some(r) if r.dirty.nrows() == nrows => Some(r.dirty.clone()),
-        Some(_) => None, // universe drifted from the snapshot: recompute
-        None => Some(DirtyRows::new(nrows)),
-    };
-    let dirty_a = dirty_for(&rec_a, am.nrows())?;
-    let dirty_b = dirty_for(&rec_b, bm.nrows())?;
-    let out = rows_touching(am, &dirty_b, dirty_a);
-    let _g = obs::span!("delta", "delta.serve_patch");
-    Some(Arc::new(recompute_product_rows(am, bm, &out, &old_c, pool)))
-}
-
-/// Structure fingerprint of node `k`'s value: the store's
-/// registration-time fingerprint for input leaves, a memoized
-/// `O(nnz)` hash for computed intermediates.
-fn structure_fp(
-    graph: &spgemm::expr::ExprGraph,
-    job: &ExprJob,
-    values: &[Option<Arc<Csr<f64>>>],
-    memo: &mut [Option<u64>],
-    k: usize,
-) -> u64 {
-    if let ExprOp::Input { slot } = graph.nodes()[k] {
-        return job.inputs[slot].fingerprint();
-    }
-    *memo[k].get_or_insert_with(|| {
-        values[k]
-            .as_ref()
-            .expect("operands precede consumers")
-            .structure_fingerprint()
-    })
-}
-
 /// A plan instance a worker holds across its products of one key,
 /// with the slot it goes back to.
-type HeldPlan = Option<(Arc<PlanSlot>, SpgemmPlan<S>)>;
+type HeldPlan = Option<(Arc<Slot<SpgemmPlan<S>>>, SpgemmPlan<S>)>;
 
-fn checkin(held: HeldPlan) {
-    if let Some((slot, plan)) = held {
-        slot.checkin(plan);
-    }
-}
-
-/// One `(a, b, key)` product — a product job or a `Multiply` node of
-/// an expression job — down the routing ladder, panic-contained on
-/// every rung:
+/// One product job's `(a, b, key)` down the routing ladder,
+/// panic-contained on every rung:
 ///
 /// 1. Past the dist thresholds (`fleet` = [`dist_route`]'s answer for
 ///    these operands), the shared shard fleet. An
@@ -864,9 +641,9 @@ fn checkin(held: HeldPlan) {
 /// 2. With the plan cache disabled, a cold one-shot multiply.
 /// 3. Otherwise numeric-only under a plan instance checked out of the
 ///    key's slot — built on a miss — into `held`, where the caller's
-///    next product of the same key finds it; the caller [`checkin`]s
-///    it. No slot lock is held during execution, so same-key batches
-///    on other workers run in parallel on instances of their own.
+///    next product of the same key finds it, and which the caller
+///    checks back in. No slot lock is held during execution, so
+///    same-key batches on other workers run on instances of their own.
 fn routed_multiply(
     shared: &EngineShared,
     fleet: Option<&ShardRuntime>,
@@ -895,30 +672,21 @@ fn routed_multiply(
         shared.cache.note_hits(1);
     } else {
         let slot = shared.cache.slot(key);
-        let plan = match slot.checkout(pool.nthreads()) {
+        let plan = match slot.checkout(|p| (p.nthreads() == pool.nthreads()).then_some(0)) {
             Some(plan) => {
                 shared.cache.note_hits(1);
                 plan
             }
             None => {
                 shared.cache.note_misses(1);
-                build_plan(a, b, key, pool)?
+                let _g = obs::span!("serve", "serve.plan_build");
+                contained(|| SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool))?
             }
         };
         *held = Some((slot, plan));
     }
     let (_, plan) = held.as_ref().expect("checked out or built above");
     contained(|| plan.execute_in(a, b, pool))
-}
-
-fn build_plan(
-    a: &Csr<f64>,
-    b: &Csr<f64>,
-    key: PlanKey,
-    pool: &Pool,
-) -> Result<SpgemmPlan<S>, ServeError> {
-    let _g = obs::span!("serve", "serve.plan_build");
-    contained(|| SpgemmPlan::<S>::new_in(a, b, key.algo, key.order, pool))
 }
 
 /// The shard fleet, when `(a, b)` crosses the dist thresholds: cheap

@@ -1,220 +1,215 @@
-//! The cross-tenant subexpression result cache.
+//! Expression evaluators: the cached [`DeltaPlan`]s expression jobs
+//! run on, pooled in a [`SlotCache`] keyed by the pipeline — graph,
+//! input names, kernel ([`EvalKey`]) — so tenants submitting the same
+//! pipeline share them. Per job:
 //!
-//! Expression jobs name their intermediates precisely: every node of
-//! an [`spgemm::expr::ExprGraph`] has a 64-bit *value* fingerprint —
-//! op kind, op parameters, operand fingerprints, and, at the leaves,
-//! the [`crate::MatrixStore`] registration version of the bound input.
-//! Stored matrices are immutable snapshots, so equal fingerprints mean
-//! equal *results* (up to fingerprint collision — the same cooperating
-//! -tenant trust model as the plan cache), and a node computed for one
-//! tenant's pipeline can be handed, as a shared `Arc`, to any other
-//! pipeline that contains the same subexpression over the same
-//! snapshots — MCL tenants sharing one graph's `A²`, an AMG tenant
-//! re-submitting `Pᵀ(AP)` after a no-op re-registration, or two
-//! dashboards masking the same product differently.
+//! * an evaluator already at the job's input versions serves its root
+//!   `Arc` — a **hit**;
+//! * one behind, where every input that moved has a [`DeltaTracker`]
+//!   window reaching back to the evaluator's version, is advanced with
+//!   [`DeltaPlan::update_in`] once per moved input, recomputing only
+//!   the dirtied rows of every node
+//!   ([`crate::MetricsSnapshot::expr_results_patched`]);
+//! * otherwise the job binds a new evaluator — a **miss**, adding the
+//!   graph's interior nodes to
+//!   [`crate::MetricsSnapshot::expr_nodes_computed`].
 //!
-//! Eviction is least-recently-used over a fixed entry budget; `0`
-//! disables the cache (every node recomputes).
+//! A job never moves an evaluator backward: one older than any pooled
+//! evaluator drops the evaluator it used. An evaluator is out of its
+//! slot while a worker advances it, so a panic or an error drops it; a
+//! half-updated one is never pooled.
 
-use parking_lot::Mutex;
-use spgemm_sparse::Csr;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::delta::DeltaTracker;
+use crate::metrics::Metrics;
+use crate::plan_cache::{Pooled, SlotCache};
+use crate::queue::ExprJob;
+use spgemm::delta::DeltaPlan;
+use spgemm::Algorithm;
+use spgemm_obs::GaugeSite;
+use spgemm_par::Pool;
+use spgemm_sparse::{Csr, SparseError};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Counters of the subexpression result cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExprResultCacheStats {
-    /// Node evaluations served by a cached result.
-    pub hits: u64,
-    /// Node lookups that missed (the node was then computed and
-    /// stored).
-    pub misses: u64,
-    /// Entries evicted to stay within the budget.
-    pub evictions: u64,
-    /// Live cached results.
-    pub entries: usize,
-}
+/// Counters of the evaluator cache: `hits` are jobs served by an
+/// evaluator already at their input versions, `misses` jobs that bound
+/// one, `entries` the live keys.
+pub type ExprResultCacheStats = crate::plan_cache::PlanCacheStats;
 
-impl ExprResultCacheStats {
-    /// Per-window deltas against an earlier snapshot of the same
-    /// cache: counters are differenced, `entries` (a gauge) keeps its
-    /// end-of-window value.
-    pub fn since(&self, prev: &ExprResultCacheStats) -> ExprResultCacheStats {
-        ExprResultCacheStats {
-            hits: self.hits.saturating_sub(prev.hits),
-            misses: self.misses.saturating_sub(prev.misses),
-            evictions: self.evictions.saturating_sub(prev.evictions),
-            entries: self.entries,
-        }
-    }
-
-    /// `hits / (hits + misses)`, 0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Live cached node results across every live cache (mirrors
+/// Live evaluator keys across every live cache (mirrors
 /// `stats().entries`; published under the map lock).
-static EXPR_RESULTS_ENTRIES: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.expr_results.entries");
+static EXPR_RESULTS_ENTRIES: GaugeSite = GaugeSite::new("serve", "serve.expr_results.entries");
 
-struct Entry {
-    value: Arc<Csr<f64>>,
-    last_used: u64,
+/// What an evaluator is cached under: the pipeline — its root's
+/// lineage fingerprint with input *slots* as leaves — the store names
+/// bound to the slots, and the kernel.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct EvalKey {
+    pub(crate) graph: u64,
+    pub(crate) inputs: Vec<String>,
+    pub(crate) algo: Algorithm,
 }
 
-pub(crate) struct ExprResultCache {
-    map: Mutex<HashMap<u64, Entry>>,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    capacity: usize,
+/// A [`DeltaPlan`] and the store versions of the inputs it holds.
+pub(crate) struct Evaluator {
+    plan: DeltaPlan,
+    versions: Vec<u64>,
 }
 
-impl ExprResultCache {
-    /// A cache holding at most `capacity` node results; 0 disables it.
-    pub(crate) fn new(capacity: usize) -> Self {
-        ExprResultCache {
-            map: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity,
-        }
+impl Pooled for Evaluator {
+    const ENTRIES: &'static GaugeSite = &EXPR_RESULTS_ENTRIES;
+    const BYTES: Option<&'static GaugeSite> = None;
+}
+
+impl Evaluator {
+    /// Evaluate `job` in full, counting the nodes it computes.
+    fn bind(
+        job: &ExprJob,
+        versions: Vec<u64>,
+        metrics: &Metrics,
+        pool: &Pool,
+    ) -> Result<Self, SparseError> {
+        let (graph, root) = (&job.spec.graph, job.spec.root);
+        let computed = graph.interior_nodes(root) as u64;
+        metrics
+            .expr_nodes_computed
+            .fetch_add(computed, Ordering::Relaxed);
+        let inputs: Vec<&Csr<f64>> = job.inputs.iter().map(|m| m.csr()).collect();
+        let plan = DeltaPlan::bind_in(graph, root, job.key.algo, &inputs, &[], pool)?;
+        Ok(Evaluator { plan, versions })
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
+    /// Checkout rank for a job at `versions`: 0 at them, 1 behind in
+    /// some input, `None` ahead in any (never moved backward).
+    fn rank(&self, versions: &[u64]) -> Option<u32> {
+        let ahead = self
+            .versions
+            .iter()
+            .zip(versions)
+            .any(|(own, job)| own > job);
+        (!ahead).then(|| u32::from(self.versions != versions))
     }
 
-    /// The cached result for a node fingerprint, if present (counts a
-    /// hit/miss either way; disabled caches count nothing).
-    pub(crate) fn get(&self, fp: u64) -> Option<Arc<Csr<f64>>> {
-        if !self.enabled() {
-            return None;
-        }
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut map = self.map.lock();
-        match map.get_mut(&fp) {
-            Some(entry) => {
-                entry.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Like [`ExprResultCache::get`] but **without** touching the
-    /// hit/miss counters or the LRU clock — a speculative probe. The
-    /// delta patch-in-place path uses it to look for a *previous*
-    /// version's product: finding one is not a serving hit (the
-    /// current fingerprint already counted its miss), and failing to
-    /// find one should not skew the hit rate.
-    pub(crate) fn peek(&self, fp: u64) -> Option<Arc<Csr<f64>>> {
-        if !self.enabled() {
-            return None;
-        }
-        self.map.lock().get(&fp).map(|e| Arc::clone(&e.value))
-    }
-
-    /// Store a computed node result, LRU-evicting beyond the budget.
-    pub(crate) fn insert(&self, fp: u64, value: Arc<Csr<f64>>) {
-        if !self.enabled() {
-            return;
-        }
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut map = self.map.lock();
-        if !map.contains_key(&fp) && map.len() >= self.capacity {
-            let victim = map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// The evaluator brought to `versions` through the row updates
+    /// since its own; `None` — it is dropped — when an input that moved
+    /// has no tracker window reaching back to this evaluator's version,
+    /// or an update fails.
+    fn advance(
+        mut self,
+        job: &ExprJob,
+        versions: &[u64],
+        deltas: &DeltaTracker,
+        pool: &Pool,
+    ) -> Option<Self> {
+        let moved: Vec<usize> = (0..versions.len())
+            .filter(|&s| self.versions[s] != versions[s])
+            .collect();
+        let mut windows = Vec::with_capacity(moved.len());
+        for &s in &moved {
+            match deltas.applicable(job.inputs[s].name(), versions[s]) {
+                Some(rec) if rec.from_version <= self.versions[s] => windows.push(rec.dirty),
+                _ => return None,
             }
         }
-        map.insert(
-            fp,
-            Entry {
-                value,
-                last_used: stamp,
-            },
-        );
-        EXPR_RESULTS_ENTRIES.set(map.len() as i64);
-    }
-
-    pub(crate) fn stats(&self) -> ExprResultCacheStats {
-        ExprResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.map.lock().len(),
+        for (&s, dirty) in moved.iter().zip(&windows) {
+            self.plan
+                .update_in(s, job.inputs[s].csr(), dirty, pool)
+                .ok()?;
+            self.versions[s] = versions[s];
         }
+        Some(self)
     }
+}
+
+/// The evaluator cache.
+pub(crate) type EvaluatorCache = SlotCache<EvalKey, Evaluator>;
+
+/// One expression job's root: hit, advance or bind (module docs).
+pub(crate) fn evaluate(
+    cache: &EvaluatorCache,
+    deltas: &DeltaTracker,
+    metrics: &Metrics,
+    job: &ExprJob,
+    pool: &Pool,
+) -> Result<Arc<Csr<f64>>, SparseError> {
+    let versions: Vec<u64> = job.inputs.iter().map(|m| m.version()).collect();
+    if !cache.enabled() {
+        let ev = Evaluator::bind(job, versions, metrics, pool)?;
+        return Ok(Arc::clone(ev.plan.root()));
+    }
+    let slot = cache.slot(job.key.clone());
+    let mut newer = false;
+    let found = slot.checkout(|ev| {
+        let rank = ev.rank(&versions);
+        newer |= rank.is_none();
+        rank
+    });
+    let current = match found {
+        Some(ev) if ev.versions == versions => {
+            cache.note_hits(1);
+            Some(ev)
+        }
+        Some(ev) => ev.advance(job, &versions, deltas, pool).inspect(|_| {
+            metrics.expr_results_patched.fetch_add(1, Ordering::Relaxed);
+        }),
+        None => None,
+    };
+    let ev = match current {
+        Some(ev) => ev,
+        None => {
+            cache.note_misses(1);
+            Evaluator::bind(job, versions.clone(), metrics, pool)?
+        }
+    };
+    let root = Arc::clone(ev.plan.root());
+    if !newer {
+        slot.checkin(ev);
+    }
+    Ok(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{MatrixStore, StoredMatrix};
+    use spgemm::expr::{ExprGraph, ExprSpec};
 
-    fn arc(n: usize) -> Arc<Csr<f64>> {
-        Arc::new(Csr::identity(n))
-    }
-
+    /// A job at version v reaching an evaluator already at v + 1 gets
+    /// the v result from an evaluator of its own, which it drops: the
+    /// next v + 1 job still finds the pooled one, a hit.
     #[test]
-    fn get_insert_roundtrip_and_counters() {
-        let cache = ExprResultCache::new(4);
-        assert!(cache.get(1).is_none());
-        cache.insert(1, arc(3));
-        let hit = cache.get(1).expect("stored");
-        assert_eq!(hit.nrows(), 3);
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
-        assert!((st.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lru_evicts_coldest_entry() {
-        let cache = ExprResultCache::new(2);
-        cache.insert(1, arc(1));
-        cache.insert(2, arc(2));
-        let _ = cache.get(1); // 2 is now coldest
-        cache.insert(3, arc(3)); // evicts 2
-        assert!(cache.get(2).is_none());
-        assert!(cache.get(1).is_some() && cache.get(3).is_some());
-        let st = cache.stats();
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.entries, 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let cache = ExprResultCache::new(0);
-        cache.insert(1, arc(1));
-        assert!(cache.get(1).is_none());
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses, st.entries), (0, 0, 0));
-    }
-
-    #[test]
-    fn reinserting_same_key_does_not_evict() {
-        let cache = ExprResultCache::new(2);
-        cache.insert(1, arc(1));
-        cache.insert(2, arc(2));
-        cache.insert(1, arc(5)); // overwrite, no eviction
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.get(1).unwrap().nrows(), 5);
-        assert!(cache.get(2).is_some());
+    fn a_stale_job_binds_its_own_and_leaves_the_pool_alone() {
+        let mut g = ExprGraph::new();
+        let a = g.input();
+        let root = g.multiply(a, a);
+        let spec = ExprSpec::new(g, root);
+        let store = MatrixStore::new();
+        let v0 = store.insert("a", Csr::identity(16));
+        let v1 = store.insert("a", Csr::<f64>::identity(16).map(|_| -0.0));
+        let (cache, deltas, metrics) = (
+            EvaluatorCache::new(4),
+            DeltaTracker::default(),
+            Metrics::default(),
+        );
+        let eval = |m: &Arc<StoredMatrix>| {
+            let job = ExprJob {
+                spec: spec.clone(),
+                inputs: vec![Arc::clone(m)],
+                key: EvalKey {
+                    graph: 0,
+                    inputs: vec!["a".into()],
+                    algo: Algorithm::Hash,
+                },
+            };
+            evaluate(&cache, &deltas, &metrics, &job, &Pool::new(1)).unwrap()
+        };
+        let newest = eval(&v1);
+        assert!(spgemm_sparse::bits_eq_f64(&eval(&v0), v0.csr()), "I·I = I");
+        assert!(
+            Arc::ptr_eq(&newest, &eval(&v1)),
+            "served by the pooled evaluator"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 }

@@ -102,14 +102,11 @@ impl ProductRequest {
 /// ([`spgemm::expr::ExprGraph`]) over *stored* matrices bound to its
 /// input slots.
 ///
-/// Expression jobs run node-by-node on a worker: every `Multiply`
-/// node goes through the shared plan cache (or the sharded backend
-/// when it crosses the [`crate::DistRouting`] thresholds), and every
-/// node's *result* is cached cross-tenant in the engine's
-/// subexpression cache, keyed by the node's value fingerprint (op
-/// lineage + the registration versions of the inputs it depends on).
-/// Two tenants submitting pipelines that share a subexpression over
-/// the same stored matrices share the computed intermediate.
+/// Expression jobs run on a worker through a cached evaluator (a
+/// [`spgemm::delta::DeltaPlan`]) keyed by the graph, the input names
+/// and the kernel, so tenants submitting the same pipeline over the
+/// same stored matrices share it; after row updates it is advanced,
+/// not rebuilt ([`crate::ServeConfig::expr_result_entries`]).
 ///
 /// Vector input slots ([`spgemm::expr::ExprGraph::vec_input`]) are
 /// not accepted by the serving layer.

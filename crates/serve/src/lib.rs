@@ -24,29 +24,27 @@
 //! * [`JobHandle`]s (wait / poll / cancel) and [`MetricsSnapshot`]
 //!   (p50/p99 latency, throughput, plan-cache hit rate, per-lane
 //!   queue depths);
-//! * optional **sharded routing** ([`ServeConfig::dist`]): products
-//!   crossing a configurable nnz/flop threshold execute on a shared
-//!   `spgemm_dist::ShardRuntime` instead of one worker's monolithic
-//!   plan path ([`MetricsSnapshot::dist_routed`] counts them);
+//! * optional **sharded routing** ([`ServeConfig::dist`]): product
+//!   jobs crossing a configurable nnz/flop threshold execute on a
+//!   shared `spgemm_dist::ShardRuntime` instead of one worker's
+//!   monolithic plan path ([`MetricsSnapshot::dist_routed`] counts
+//!   them);
 //! * **expression jobs** ([`ExprRequest`]): whole
 //!   [`spgemm::expr::ExprGraph`] pipelines (MCL rounds, Galerkin
-//!   triple products, masked wedge counts) evaluated node-by-node —
-//!   every `Multiply` node shares the plan cache (and routes through
-//!   the dist thresholds), and every node *result* is cached
-//!   cross-tenant under its value fingerprint
-//!   ([`ServeConfig::expr_result_entries`],
-//!   [`MetricsSnapshot::expr_results`]), so pipelines sharing a
-//!   subexpression over the same stored matrices share the computed
-//!   intermediate;
+//!   triple products, masked wedge counts) run on a cached evaluator —
+//!   a [`spgemm::delta::DeltaPlan`] keyed by the graph, its input
+//!   names and the kernel, shared across tenants and pooled like
+//!   plans ([`ServeConfig::expr_result_entries`],
+//!   [`MetricsSnapshot::expr_results`]); identical jobs batch onto one
+//!   evaluation;
 //! * **streaming row updates**
 //!   ([`ServeEngine::try_submit_row_update`]): registered matrices
 //!   accept row-granular [`spgemm::delta::RowPatch`]es; the engine
-//!   tracks which rows each update dirtied, and expression jobs
-//!   submitted against the new version **patch** the previous
-//!   version's cached products in place — recomputing only the
-//!   invalidated output rows, byte-for-byte equal to a full
-//!   re-evaluation ([`MetricsSnapshot::expr_results_patched`] counts
-//!   the saves);
+//!   tracks which rows each update dirtied, and the next expression
+//!   job on the new version **advances** the evaluator of the old one
+//!   through every node — recomputing only the invalidated rows,
+//!   byte-for-byte equal to a full re-evaluation
+//!   ([`MetricsSnapshot::expr_results_patched`] counts the saves);
 //! * **request tracing and SLO tracking**: every accepted job opens a
 //!   `spgemm_obs` trace context at submission that follows it across
 //!   the queue, the executing worker, and (for routed products) the

@@ -153,12 +153,12 @@ pub(crate) struct Metrics {
     pub(crate) duplicate_completions: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_jobs: AtomicU64,
-    /// Jobs executed on the sharded backend instead of the plan path.
+    /// Product jobs executed on the sharded backend instead of the plan
+    /// path.
     pub(crate) dist_routed: AtomicU64,
     /// Jobs that evaluated a whole expression DAG.
     pub(crate) expr_jobs: AtomicU64,
-    /// Expression nodes actually computed (subexpression-cache misses
-    /// and uncached evaluations; cache hits are counted by the cache).
+    /// Interior nodes evaluated by binding expression evaluators.
     pub(crate) expr_nodes_computed: AtomicU64,
     /// Streaming row updates applied through
     /// `ServeEngine::try_submit_row_update`.
@@ -166,8 +166,8 @@ pub(crate) struct Metrics {
     /// Total rows dirtied by those updates (sum of per-update
     /// `DirtyRows` counts).
     pub(crate) rows_dirtied: AtomicU64,
-    /// Expression `Multiply` nodes served by patching a previous
-    /// version's cached product in place instead of recomputing it.
+    /// Expression jobs served by advancing a cached evaluator through
+    /// row updates instead of binding a new one.
     pub(crate) expr_results_patched: AtomicU64,
     /// Engine-wide latency histograms (always on; fixed footprint).
     overall: LatencyRecorder,
@@ -463,26 +463,27 @@ pub struct MetricsSnapshot {
     /// Jobs executed through batches (`batched_jobs / batches` is the
     /// mean batch size).
     pub batched_jobs: u64,
-    /// Jobs executed on the sharded (`spgemm-dist`) backend because
-    /// they crossed the configured size threshold (see
-    /// `ServeConfig::dist`) — whole products and routed expression
-    /// `Multiply` nodes alike.
+    /// Product jobs executed on the sharded (`spgemm-dist`) backend
+    /// because they crossed the configured size threshold (see
+    /// `ServeConfig::dist`).
     pub dist_routed: u64,
     /// Jobs that evaluated a whole expression DAG
     /// (`ServeEngine::try_submit_expr`).
     pub expr_jobs: u64,
-    /// Expression nodes computed (as opposed to served from the
-    /// subexpression result cache).
+    /// Interior expression nodes evaluated in full: each evaluator
+    /// bind (an `expr_results` miss) adds its graph's non-input nodes;
+    /// a hit or an advanced evaluator adds none.
     pub expr_nodes_computed: u64,
     /// Streaming row updates applied
     /// (`ServeEngine::try_submit_row_update`).
     pub row_updates: u64,
     /// Total matrix rows dirtied across those updates.
     pub rows_dirtied: u64,
-    /// Expression `Multiply` nodes served by **patching** a previous
-    /// version's cached product (recomputing only the rows the
-    /// intervening row updates invalidated) instead of evaluating the
-    /// node from scratch.
+    /// Expression jobs served by **advancing** a cached evaluator of
+    /// earlier input versions through the row updates since —
+    /// recomputing only the rows they invalidated, in every node —
+    /// instead of binding a new one (neither an `expr_results` hit nor
+    /// a miss).
     pub expr_results_patched: u64,
     /// Queued jobs at snapshot time (sum of the per-lane depths).
     pub queue_depth: usize,
@@ -491,7 +492,9 @@ pub struct MetricsSnapshot {
     pub queue_depth_per_lane: [usize; Priority::COUNT],
     /// Shared plan cache counters.
     pub plan_cache: PlanCacheStats,
-    /// Cross-tenant subexpression result cache counters.
+    /// Expression evaluator cache counters: hits are jobs whose
+    /// evaluator was already at their input versions, misses jobs that
+    /// bound one.
     pub expr_results: ExprResultCacheStats,
     /// Time since the engine started.
     pub elapsed: Duration,
@@ -570,32 +573,21 @@ impl MetricsSnapshot {
             append_type(out, fam, "counter");
             append_counter(out, fam, &[], v);
         }
-        let caches: [(&str, u64, u64, u64); 2] = [
-            (
-                "plan",
-                self.plan_cache.hits,
-                self.plan_cache.misses,
-                self.plan_cache.evictions,
-            ),
-            (
-                "expr_results",
-                self.expr_results.hits,
-                self.expr_results.misses,
-                self.expr_results.evictions,
-            ),
+        let caches = [
+            ("plan", self.plan_cache),
+            ("expr_results", self.expr_results),
         ];
         for (kind, fam) in [
-            ("hits", "spgemm_serve_cache_hits"),
-            ("misses", "spgemm_serve_cache_misses"),
-            ("evictions", "spgemm_serve_cache_evictions"),
-        ] {
+            "spgemm_serve_cache_hits",
+            "spgemm_serve_cache_misses",
+            "spgemm_serve_cache_evictions",
+        ]
+        .into_iter()
+        .enumerate()
+        {
             append_type(out, fam, "counter");
-            for (cache, hits, misses, evictions) in caches {
-                let v = match kind {
-                    "hits" => hits,
-                    "misses" => misses,
-                    _ => evictions,
-                };
+            for (cache, c) in caches {
+                let v = [c.hits, c.misses, c.evictions][kind];
                 append_counter(out, fam, &[("cache", cache)], v);
             }
         }

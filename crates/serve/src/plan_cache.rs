@@ -1,38 +1,41 @@
-//! The shared, concurrency-safe plan cache.
+//! The shared, concurrency-safe slot caches: one for plans, one for
+//! expression evaluators (`crate::expr_results`).
 //!
 //! [`spgemm::PlanCache`] amortizes symbolic work for *one* caller;
 //! this cache turns the same amortization into a cross-tenant,
-//! cross-worker resource. It maps a [`PlanKey`] — the operands'
-//! structure fingerprints (computed once at registration, see
-//! [`crate::MatrixStore`]) plus the kernel options — to a slot holding
-//! one [`SpgemmPlan`]. Repeated products over stable structures, from
-//! any tenant on any worker, reuse the symbolic phase and the plan's
-//! pooled per-thread accumulators.
+//! cross-worker resource. The plan cache maps a [`PlanKey`] — the
+//! operands' structure fingerprints (computed once at registration,
+//! see [`crate::MatrixStore`]) plus the kernel options — to a slot
+//! holding [`SpgemmPlan`]s. Repeated products over stable structures,
+//! from any tenant on any worker, reuse the symbolic phase and the
+//! plan's pooled per-thread accumulators.
 //!
 //! # Concurrency model
 //!
 //! A plan's workspace pool is indexed by worker id within one
 //! execution pool, so a single plan instance must not run on two
-//! worker teams at once. Serializing a hot key on one instance would
-//! throttle the dominant tenant to one worker, so each slot holds a
-//! small **pool of plan instances**: a worker checks an instance out
-//! ([`PlanSlot::checkout`]), executes its whole batch without holding
-//! any slot lock, and returns it ([`PlanSlot::checkin`]). A hot key
-//! thus fans out to as many instances as there are workers demanding
-//! it — each instance pays its own symbolic build once (a miss) and
-//! is reused ever after (hits) — while cold keys cost exactly one
-//! instance.
+//! worker teams at once (nor may an evaluator be advanced by two).
+//! Serializing a hot key on one instance would throttle the dominant
+//! tenant to one worker, so each slot holds a small **pool of
+//! instances**: a worker checks an instance out ([`Slot::checkout`]),
+//! runs its whole batch without holding any slot lock, and returns it
+//! ([`Slot::checkin`]). A hot key thus fans out to as many instances
+//! as there are workers demanding it — each instance pays its own
+//! build once (a miss) and is reused ever after (hits) — while cold
+//! keys cost exactly one instance.
 //!
-//! Eviction is least-recently-used over a fixed entry budget. An
+//! Eviction is least-recently-used over a fixed key budget. An
 //! evicted slot still held by a worker stays alive (the map holds
 //! `Arc`s); checked-out instances are simply returned to the orphaned
 //! slot and dropped with it.
 
 use parking_lot::Mutex;
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+use spgemm_obs::GaugeSite;
 use spgemm_sparse::PlusTimes;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::store::StoredMatrix;
@@ -86,74 +89,106 @@ impl PlanKey {
 }
 
 /// Live cache keys (mirrors `SharedPlanCache::stats().entries`).
-static PLAN_CACHE_ENTRIES: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.entries");
+static PLAN_CACHE_ENTRIES: GaugeSite = GaugeSite::new("serve", "serve.plan_cache.entries");
 /// Bytes held by the *idle* (checked-in) plan instances pooled across
 /// every live slot: each one's [`SpgemmPlan::owned_bytes`] — work
 /// analysis, row pointers and, for a dense-kernel plan, the column
 /// pattern its bind wrote — read at check-in, so an instance rebound
 /// while checked out comes back at its new size. ("approx": the pooled
 /// per-thread accumulators are not in it.)
-static PLAN_CACHE_BYTES: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.plan_cache.approx_bytes");
+static PLAN_CACHE_BYTES: GaugeSite = GaugeSite::new("serve", "serve.plan_cache.approx_bytes");
 
-/// One cache entry: a pool of interchangeable plan instances for the
-/// key (built lazily by executors as concurrency demands) and an LRU
-/// stamp.
-pub(crate) struct PlanSlot {
-    instances: Mutex<Vec<SpgemmPlan<S>>>,
+/// What a [`SlotCache`] pools: instances a worker checks out, runs
+/// with no slot lock held and checks back in.
+pub(crate) trait Pooled: Send {
+    /// Gauge of the live keys of every cache of this kind.
+    const ENTRIES: &'static GaugeSite;
+    /// Gauge the idle instances' [`Pooled::owned_bytes`] are charged
+    /// to, if any.
+    const BYTES: Option<&'static GaugeSite>;
+
+    /// Bytes an idle instance holds.
+    fn owned_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl Pooled for SpgemmPlan<S> {
+    const ENTRIES: &'static GaugeSite = &PLAN_CACHE_ENTRIES;
+    const BYTES: Option<&'static GaugeSite> = Some(&PLAN_CACHE_BYTES);
+
+    fn owned_bytes(&self) -> usize {
+        SpgemmPlan::owned_bytes(self)
+    }
+}
+
+/// One cache entry: a pool of interchangeable instances for the key
+/// (built lazily by workers as concurrency demands) and an LRU stamp.
+pub(crate) struct Slot<V: Pooled> {
+    instances: Mutex<Vec<V>>,
     last_used: AtomicU64,
     /// Bytes currently pooled in `instances` (this slot's share of
-    /// [`PLAN_CACHE_BYTES`]).
-    pooled_bytes: AtomicU64,
+    /// `V::BYTES`).
+    pooled_bytes: AtomicI64,
 }
 
-impl PlanSlot {
-    /// Take an idle plan instance sized for `nthreads`-wide execution,
-    /// if one is pooled. Instances of a different width (possible only
-    /// after a reconfiguration) are discarded on sight.
-    pub(crate) fn checkout(&self, nthreads: usize) -> Option<SpgemmPlan<S>> {
-        let mut pool = self.instances.lock();
-        while let Some(plan) = pool.pop() {
-            let bytes = plan.owned_bytes() as u64;
-            self.pooled_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            PLAN_CACHE_BYTES.sub(bytes as i64);
-            if plan.nthreads() == nthreads {
-                return Some(plan);
-            }
+impl<V: Pooled> Slot<V> {
+    /// Move an instance's bytes into (`idle`) or out of the slot's
+    /// share of `V::BYTES`.
+    fn charge(&self, v: &V, idle: bool) {
+        if let Some(gauge) = V::BYTES {
+            let bytes = v.owned_bytes() as i64;
+            let delta = if idle { bytes } else { -bytes };
+            self.pooled_bytes.fetch_add(delta, Ordering::Relaxed);
+            gauge.add(delta);
         }
-        None
     }
 
-    /// Return an instance for the next executor.
-    pub(crate) fn checkin(&self, plan: SpgemmPlan<S>) {
-        let bytes = plan.owned_bytes() as u64;
+    /// Take the idle instance `fit` ranks lowest — the most recently
+    /// returned among equals; instances it ranks `None` stay pooled.
+    pub(crate) fn checkout(&self, mut fit: impl FnMut(&V) -> Option<u32>) -> Option<V> {
         let mut pool = self.instances.lock();
-        self.pooled_bytes.fetch_add(bytes, Ordering::Relaxed);
-        PLAN_CACHE_BYTES.add(bytes as i64);
-        pool.push(plan);
+        let (at, _) = (pool.iter().enumerate().rev())
+            .filter_map(|(i, v)| fit(v).map(|rank| (i, rank)))
+            .min_by_key(|&(_, rank)| rank)?;
+        let v = pool.remove(at);
+        self.charge(&v, false);
+        Some(v)
+    }
+
+    /// Return an instance for the next worker.
+    pub(crate) fn checkin(&self, v: V) {
+        let mut pool = self.instances.lock();
+        self.charge(&v, true);
+        pool.push(v);
     }
 }
 
-impl Drop for PlanSlot {
+impl<V: Pooled> Drop for Slot<V> {
     fn drop(&mut self) {
         // an evicted slot's pooled instances leave the cache with it
-        PLAN_CACHE_BYTES.sub(self.pooled_bytes.load(Ordering::Relaxed) as i64);
+        if let Some(gauge) = V::BYTES {
+            gauge.sub(self.pooled_bytes.load(Ordering::Relaxed));
+        }
     }
 }
 
-/// Counters of the shared cache.
+/// Counters of a slot cache — the plan cache's, and
+/// [`crate::ExprResultCacheStats`] for the evaluator cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Jobs that executed numeric-only under an already-built plan
-    /// (including batch-mates of the job that built it).
+    /// Jobs served by an instance already built: numeric-only under a
+    /// plan (batch-mates of the job that built it included), or on an
+    /// evaluator already at the job's input versions.
     pub hits: u64,
-    /// Jobs that paid a symbolic build.
+    /// Jobs that paid a build: a plan's symbolic phase, or a whole
+    /// expression evaluation (an advanced evaluator is neither).
     pub misses: u64,
     /// Entries evicted to stay within the budget.
     pub evictions: u64,
-    /// Live cache **keys** (each may pool several plan instances —
-    /// see [`crate::ServeConfig::plan_cache_plans`]).
+    /// Live cache **keys** (each may pool several instances — see
+    /// [`crate::ServeConfig::plan_cache_plans`] and
+    /// [`crate::ServeConfig::expr_result_entries`]).
     pub entries: usize,
 }
 
@@ -181,8 +216,12 @@ impl PlanCacheStats {
     }
 }
 
-pub(crate) struct SharedPlanCache {
-    map: Mutex<HashMap<PlanKey, Arc<PlanSlot>>>,
+/// The product plans' cache.
+pub(crate) type SharedPlanCache = SlotCache<PlanKey, SpgemmPlan<S>>;
+
+/// Key → [`Slot`] of pooled instances, LRU over a key budget.
+pub(crate) struct SlotCache<K, V: Pooled> {
+    map: Mutex<HashMap<K, Arc<Slot<V>>>>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -190,12 +229,13 @@ pub(crate) struct SharedPlanCache {
     capacity: usize,
 }
 
-impl SharedPlanCache {
-    /// A cache holding at most `capacity` plans; 0 disables caching
-    /// (the engine then runs every job as a cold one-shot — the
-    /// baseline the `spgemm-serve --compare` bench measures against).
+impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
+    /// A cache holding at most `capacity` keys; 0 disables caching
+    /// (the engine then builds an instance per job and drops it — for
+    /// plans, the cold one-shot baseline the `spgemm-serve --compare`
+    /// bench measures against).
     pub(crate) fn new(capacity: usize) -> Self {
-        SharedPlanCache {
+        SlotCache {
             map: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -210,7 +250,7 @@ impl SharedPlanCache {
     }
 
     /// The slot for `key`, creating (and LRU-evicting) as needed.
-    pub(crate) fn slot(&self, key: PlanKey) -> Arc<PlanSlot> {
+    pub(crate) fn slot(&self, key: K) -> Arc<Slot<V>> {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut map = self.map.lock();
         if let Some(slot) = map.get(&key) {
@@ -221,28 +261,28 @@ impl SharedPlanCache {
             let victim = map
                 .iter()
                 .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
+                .map(|(k, _)| k.clone());
             if let Some(victim) = victim {
                 map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let slot = Arc::new(PlanSlot {
+        let slot = Arc::new(Slot {
             instances: Mutex::new(Vec::new()),
             last_used: AtomicU64::new(stamp),
-            pooled_bytes: AtomicU64::new(0),
+            pooled_bytes: AtomicI64::new(0),
         });
         map.insert(key, Arc::clone(&slot));
-        PLAN_CACHE_ENTRIES.set(map.len() as i64);
+        V::ENTRIES.set(map.len() as i64);
         slot
     }
 
-    /// Record `n` jobs served numeric-only by a cached plan.
+    /// Record `n` jobs served by a built instance.
     pub(crate) fn note_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` jobs that paid (or shared) a symbolic build.
+    /// Record `n` jobs that paid (or shared) a build.
     pub(crate) fn note_misses(&self, n: u64) {
         self.misses.fetch_add(n, Ordering::Relaxed);
     }
@@ -294,7 +334,7 @@ mod tests {
         assert!(Arc::ptr_eq(&s1, &cache.slot(key(1))), "1 survived");
         // 2 was evicted: a fresh, empty slot comes back.
         let s2_new = cache.slot(key(2));
-        assert!(s2_new.checkout(1).is_none());
+        assert!(s2_new.checkout(|_| Some(0)).is_none());
     }
 
     /// A slot charges an idle instance what it holds: the analysis, the
@@ -313,7 +353,7 @@ mod tests {
         // each, and the pattern.
         let held = 8 * (300 + 2 + 301) + 2 * 300;
         assert_eq!(pooled(), held);
-        let plan = slot.checkout(1).expect("pooled above");
+        let plan = slot.checkout(|_| Some(0)).expect("pooled above");
         assert_eq!(pooled(), 0);
         for _ in 0..2 {
             plan.execute_in(&a, &a, &pool).unwrap();

@@ -17,12 +17,12 @@
 //! bargain.
 
 use crate::error::ServeError;
+use crate::expr_results::EvalKey;
 use crate::job::{JobCore, Priority};
 use crate::plan_cache::PlanKey;
 use crate::store::StoredMatrix;
 use parking_lot::{Condvar, Mutex};
 use spgemm::expr::ExprSpec;
-use spgemm::Algorithm;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -39,13 +39,11 @@ pub(crate) enum BatchKey {
 }
 
 /// A resolved expression job: the spec, the captured input snapshots,
-/// and the per-node value fingerprints (leaf = registration version)
-/// the subexpression cache keys on.
+/// and the key (kernel included) of the evaluators that can serve it.
 pub(crate) struct ExprJob {
     pub(crate) spec: ExprSpec,
     pub(crate) inputs: Vec<Arc<StoredMatrix>>,
-    pub(crate) algo: Algorithm,
-    pub(crate) node_fps: Arc<Vec<u64>>,
+    pub(crate) key: EvalKey,
 }
 
 /// What the worker executes for one job.

@@ -108,15 +108,32 @@ impl MatrixStore {
     /// using it (snapshot semantics). Computes the structure
     /// fingerprint once, here.
     pub fn insert(&self, name: impl Into<String>, matrix: Csr<f64>) -> Arc<StoredMatrix> {
-        let name = name.into();
+        let stored = self.replace(name.into(), None, matrix);
+        stored.expect("an unconditional registration always lands")
+    }
+
+    /// [`MatrixStore::insert`], only while `name`'s current
+    /// registration is `expect` when one is given; `None` otherwise.
+    pub(crate) fn replace(
+        &self,
+        name: String,
+        expect: Option<u64>,
+        matrix: Csr<f64>,
+    ) -> Option<Arc<StoredMatrix>> {
+        let fingerprint = matrix.structure_fingerprint();
+        let bytes = csr_bytes(&matrix) as i64;
+        let mut map = self.inner.lock();
+        if expect.is_some() && map.get(&name).map(|m| m.version) != expect {
+            return None;
+        }
+        // Drawn under the lock: one name's versions rise in the order
+        // its registrations land.
         let stored = Arc::new(StoredMatrix {
-            fingerprint: matrix.structure_fingerprint(),
+            fingerprint,
             version: self.next_version.fetch_add(1, Ordering::Relaxed),
             matrix: Arc::new(matrix),
             name: name.clone(),
         });
-        let bytes = csr_bytes(stored.csr()) as i64;
-        let mut map = self.inner.lock();
         let prev = map.insert(name, Arc::clone(&stored));
         if prev.is_none() {
             STORE_REGISTRATIONS.add(1);
@@ -124,7 +141,7 @@ impl MatrixStore {
         let prev_bytes = prev.map_or(0, |p| csr_bytes(p.csr()) as i64);
         STORE_BYTES.add(bytes - prev_bytes);
         drop(map);
-        stored
+        Some(stored)
     }
 
     /// The current registration of `name`, if any.

@@ -446,57 +446,6 @@ mod expr_jobs {
     }
 
     #[test]
-    fn different_pipelines_share_subexpressions_cross_tenant() {
-        let engine = ServeEngine::new(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        engine.store().insert("a", rmat(6, 4, 9));
-        // tenant 1: scaled square; tenant 2: normalized square — the
-        // A·A node is the shared subexpression.
-        let spec1 = {
-            let mut g = ExprGraph::new();
-            let a = g.input();
-            let sq = g.multiply(a, a);
-            let root = g.map(sq, ElemMap::Scale(2.0));
-            ExprSpec::new(g, root)
-        };
-        let spec2 = {
-            let mut g = ExprGraph::new();
-            let a = g.input();
-            let sq = g.multiply(a, a);
-            let root = g.normalize_cols(sq);
-            ExprSpec::new(g, root)
-        };
-        engine
-            .try_submit_expr(
-                ExprRequest::new(spec1, ["a"])
-                    .algo(Algorithm::Hash)
-                    .tenant("t1"),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        let before = engine.metrics().expr_results.hits;
-        engine
-            .try_submit_expr(
-                ExprRequest::new(spec2, ["a"])
-                    .algo(Algorithm::Hash)
-                    .tenant("t2"),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        let m = engine.shutdown();
-        assert!(
-            m.expr_results.hits > before,
-            "tenant 2's A·A node must be served from tenant 1's result: {:?}",
-            m.expr_results
-        );
-        assert_eq!(m.failed, 0);
-    }
-
-    #[test]
     fn reregistration_changes_leaf_identity() {
         let engine = ServeEngine::new(ServeConfig {
             workers: 1,
@@ -554,39 +503,6 @@ mod expr_jobs {
         let m = engine.shutdown();
         assert_eq!(m.accepted, 0);
         assert_eq!(m.rejected, 3);
-    }
-
-    #[test]
-    fn oversized_multiply_nodes_route_to_the_shard_fleet() {
-        let engine = ServeEngine::new(ServeConfig {
-            workers: 1,
-            dist: Some(DistRouting {
-                grid: GridSpec::new(2, 1),
-                threads_per_shard: 1,
-                min_operand_nnz: 1, // everything routes
-                min_flop: None,
-            }),
-            ..ServeConfig::default()
-        });
-        let a = rmat(6, 4, 5);
-        let pool = Pool::new(1);
-        let expect = {
-            let r = std::hint::black_box(2.0f64); // defeat powf const-folding
-            let sq = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-            ops::normalize_columns(&sq.map(|v| v.abs().powf(r)))
-        };
-        engine.store().insert("a", a);
-        let got = engine
-            .try_submit_expr(ExprRequest::new(mcl_spec(), ["a"]).algo(Algorithm::Hash))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let m = engine.shutdown();
-        assert!(m.dist_routed >= 1, "the A·A node must route: {m:?}");
-        // sharded product is numerically identical here (sorted gather
-        // of exact sums of the same per-entry contributions)
-        assert!(approx_eq_f64(&got, &expect, 1e-12));
-        assert_eq!(m.failed, 0);
     }
 }
 

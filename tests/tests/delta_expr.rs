@@ -5,8 +5,10 @@
 //! claim — a one-row edit flowing through an MCL-shaped pipeline on a
 //! scale-10 R-MAT graph recomputes well under 5% of the rows.
 
+use spgemm::delta::DirtyRows;
 use spgemm::expr::{DeltaPlan, ElemMap, ExprGraph};
 use spgemm::{Algorithm, RowPatch};
+use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, Csr};
 
 const ALGO: Algorithm = Algorithm::Hash;
@@ -79,11 +81,11 @@ fn check_node(
     let vecs: Vec<&[f64]> = vec_data.iter().map(|v| v.as_slice()).collect();
     let mut plan = DeltaPlan::bind(&g, root, ALGO, &inputs, &vecs).expect("bind");
 
-    let patch = small_patch(&a);
-    let report = plan.update(0, &patch).expect("update");
+    let (a2, dirty) = a.apply_patch(&small_patch(&a)).expect("patch");
+    let report = plan
+        .update_in(0, &a2, &dirty, &Pool::new(2))
+        .expect("update");
     assert!(report.rows_recomputed <= report.rows_total, "{ctx}: report");
-
-    let a2 = plan.input(0).clone();
     let fresh_inputs: Vec<&Csr<f64>> = if g.num_inputs() == 2 {
         vec![&a2, &b]
     } else {
@@ -280,10 +282,10 @@ fn untouched_branch_is_not_recomputed() {
     // Edit only B: the A·A node must not recompute a single row.
     let mut patch = RowPatch::new();
     patch.insert(5, 3, 2.5);
-    let report = plan.update(1, &patch).unwrap();
+    let (a2, dirty) = b.apply_patch(&patch).unwrap();
+    let report = plan.update_in(1, &a2, &dirty, &Pool::new(1)).unwrap();
     // Recomputed rows: 1 for the Add node only.
     assert_eq!(report.rows_recomputed, 1, "only the Add row touched by B");
-    let a2 = plan.input(1).clone();
     let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a, &a2], &[]).unwrap();
     assert!(bits_eq_f64(plan.root(), fresh.root()));
 }
@@ -310,7 +312,8 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     let col = a.row_cols(r)[0];
     let mut patch = RowPatch::new();
     patch.insert(r, col, 123.456);
-    let report = plan.update(0, &patch).unwrap();
+    let (a2, dirty) = a.apply_patch(&patch).unwrap();
+    let report = plan.update_in(0, &a2, &dirty, &Pool::new(2)).unwrap();
 
     assert!(report.rows_total >= 3 * a.nrows(), "3 non-input nodes");
     assert!(
@@ -322,7 +325,78 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     );
 
     // And the cheap update is still exactly right.
-    let a2 = plan.input(0).clone();
     let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a2], &[]).unwrap();
     assert!(bits_eq_f64(plan.root(), fresh.root()));
+}
+
+/// A `Multiply` of two inputs with the listed rows of `A` recomputed,
+/// bit for bit against a fresh bind — first over an unchanged `A`
+/// (the rows are dirty by declaration only, so they are recomputed,
+/// not copied), then after an edit of each of them to NaN or `-0.0`.
+/// The `[[-1.0]] · [[0.0]]` pair is the signed-zero case a private
+/// accumulator once got wrong (it seeded the column with `+0.0` and
+/// added, yielding `+0.0` where every kernel assigns the first
+/// product, `-0.0`); the R-MAT pair is the `delta_oracle` suite's.
+#[test]
+fn multiply_recomputes_listed_rows_exactly() {
+    let sample = Csr::from_triplets(
+        4,
+        4,
+        &[
+            (0, 0, 1.0),
+            (0, 2, 2.0),
+            (1, 1, 3.0),
+            (2, 0, 4.0),
+            (2, 3, 5.0),
+            (3, 2, 6.0),
+        ],
+    )
+    .unwrap();
+    let g500 = |seed| {
+        spgemm_gen::rmat::generate_kind(
+            spgemm_gen::RmatKind::G500,
+            5,
+            4,
+            &mut spgemm_gen::rng(seed),
+        )
+    };
+    let neg_one = Csr::from_triplets(1, 1, &[(0, 0, -1.0)]).unwrap();
+    let stored_zero = Csr::from_triplets(1, 1, &[(0, 0, 0.0)]).unwrap();
+    let cases = [
+        (sample.clone(), sample, vec![0usize, 2]),
+        (neg_one, stored_zero, vec![0]),
+        (g500(7), g500(8), (0..32).step_by(3).collect()),
+    ];
+    let mut g = ExprGraph::new();
+    let (x, y) = (g.input(), g.input());
+    let root = g.multiply(x, y);
+    let pool = Pool::new(2);
+    for algo in [Algorithm::Hash, Algorithm::Auto] {
+        for (k, (a, b, rows)) in cases.iter().enumerate() {
+            let ctx = format!("{algo} case {k}");
+            let fresh = |a: &Csr<f64>| {
+                DeltaPlan::bind_in(&g, root, algo, &[a, b], &[], &pool).expect("fresh bind")
+            };
+            let mut plan = fresh(a);
+            let listed = DirtyRows::from_rows(a.nrows(), rows.iter().copied());
+            let report = plan.update_in(0, a, &listed, &pool).expect("update");
+            assert_eq!(report.rows_recomputed, rows.len(), "{ctx}");
+            assert!(
+                bits_eq_f64(plan.root(), fresh(a).root()),
+                "{ctx}: unchanged"
+            );
+
+            let mut patch = RowPatch::new();
+            for (j, &r) in rows.iter().enumerate() {
+                let v = if j % 2 == 0 { -0.0 } else { f64::NAN };
+                match a.row_cols(r).first() {
+                    Some(&c) => patch.update(r, c, v),
+                    None => patch.insert(r, 0, v),
+                };
+            }
+            let (a2, dirty) = a.apply_patch(&patch).expect("patch");
+            plan.update_in(0, &a2, &dirty, &pool).expect("update");
+            assert!(bits_eq_f64(plan.root(), fresh(&a2).root()), "{ctx}: edited");
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Streaming row updates through the serving engine: concurrent
 //! submitters racing `try_submit_row_update` against multiply jobs
 //! (every job result oracle-checked against a reconstructed version
-//! history), patch-vs-re-registration equivalence, and the cached
-//! expression result patch-in-place path with its metrics accounting.
+//! history), patch-vs-re-registration equivalence, and expression
+//! jobs advancing their cached evaluator through row updates, with
+//! the metrics accounting.
 
 use spgemm::{multiply_f64, Algorithm, OutputOrder, RowPatch};
 use spgemm_serve::{ExprRequest, ProductRequest, ServeConfig, ServeEngine};
@@ -154,9 +155,7 @@ fn patch_and_reregistration_are_equivalent() {
     engine.shutdown();
 }
 
-/// Under a concrete kernel of the ascending-`k` family, and under
-/// `Auto` — which names one of them for a 32-column product whatever
-/// the operands hold, so the cached product may be patched too.
+/// Under a concrete kernel and under `Auto`.
 #[test]
 fn expr_results_are_patched_in_place_and_counted() {
     for algo in [Algorithm::Hash, Algorithm::Auto] {
@@ -182,7 +181,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
     let root = g.multiply(sa, sb);
     let spec = ExprSpec::new(g, root);
 
-    // First evaluation computes and caches the product.
+    // First evaluation binds the evaluator.
     let r1 = engine
         .try_submit_expr(ExprRequest::new(spec.clone(), ["a", "b"]).algo(algo))
         .unwrap()
@@ -193,8 +192,8 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
         &multiply_f64(&a, &b, algo, OutputOrder::Sorted).unwrap()
     ));
 
-    // Row-update A, then resubmit: the node fingerprint misses, but
-    // the engine must recover the old cached product and patch it.
+    // Row-update A, then resubmit: the evaluator is one version
+    // behind and must be advanced, not rebound.
     let mut patch = RowPatch::new();
     patch.insert(6, 11, 3.75).insert(20, 2, -0.5);
     let receipt = engine.try_submit_row_update("a", &patch).unwrap();
@@ -219,7 +218,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
     assert_eq!(m.rows_dirtied, 2);
     assert!(
         m.expr_results_patched >= 1,
-        "{algo}: the second evaluation must be served by patch-in-place: {m:?}"
+        "{algo}: the second evaluation must advance the evaluator: {m:?}"
     );
     assert_eq!(m.expr_jobs, 2);
 }
@@ -244,4 +243,106 @@ fn unknown_name_and_bad_patch_leave_the_store_untouched() {
     let m = engine.shutdown();
     assert_eq!(m.row_updates, 0);
     assert_eq!(m.rows_dirtied, 0);
+}
+
+/// The update `step` of the stream below makes to `m`: an upsert and a
+/// fresh entry salted with NaN / ±0.0, and a delete, over rows that
+/// move with the step.
+fn salted_patch(m: &Csr<f64>, step: usize) -> RowPatch<f64> {
+    let n = m.nrows();
+    let salt = [f64::NAN, -0.0, 0.0, 1.5 + step as f64];
+    let mut p = RowPatch::new();
+    p.insert(
+        (3 * step + 1) % n,
+        ((5 * step + 2) % n) as u32,
+        salt[step % 4],
+    );
+    p.insert(
+        (7 * step + 4) % n,
+        ((step + 9) % n) as u32,
+        salt[(step + 1) % 4],
+    );
+    let r = (11 * step + 6) % n;
+    if let Some(&c) = m.row_cols(r).last() {
+        p.delete(r, c);
+    }
+    p
+}
+
+/// Expression jobs interleaved with row updates, through every node
+/// kind a pipeline here holds: (i) the MCL step, and (ii) a two-input
+/// graph whose only `Multiply` has a non-leaf operand. Each job waits
+/// for the one before, so the pooled evaluator is exactly one update
+/// behind every job after the first (patched), level with the repeat
+/// after it (a hit), and bound once; every result is bit-equal to a
+/// fresh `DeltaPlan` bound on that job's own snapshot — at 1 and 2
+/// workers, under `Hash` and `Auto`.
+#[test]
+fn serve_patches_every_node_kind() {
+    use spgemm::delta::DeltaPlan;
+    use spgemm::expr::{ElemMap, ExprGraph, ExprSpec};
+
+    const UPDATES: usize = 8;
+    let mcl = {
+        let mut g = ExprGraph::new();
+        let a = g.input();
+        let sq = g.multiply(a, a);
+        let inflated = g.map(sq, ElemMap::AbsPow(2.0));
+        let root = g.normalize_cols(inflated);
+        ExprSpec::new(g, root)
+    };
+    let mixed = {
+        let mut g = ExprGraph::new();
+        let (a, b) = (g.input(), g.input());
+        let at = g.transpose(a);
+        let prod = g.multiply(at, b);
+        let masked = g.hadamard(prod, a);
+        let root = g.add(masked, b);
+        ExprSpec::new(g, root)
+    };
+    for workers in [1, 2] {
+        for algo in [Algorithm::Hash, Algorithm::Auto] {
+            for (label, spec, names) in [("mcl", &mcl, &["a"][..]), ("mixed", &mixed, &["a", "b"])]
+            {
+                let ctx = format!("{label} {algo} workers={workers}");
+                let engine = ServeEngine::new(ServeConfig {
+                    workers,
+                    ..ServeConfig::default()
+                });
+                engine.store().insert("a", rmat(5, 4, 71));
+                engine.store().insert("b", rmat(5, 4, 72));
+                let run = |job: usize| {
+                    let snapshot: Vec<Csr<f64>> = names
+                        .iter()
+                        .map(|n| engine.store().get(n).unwrap().csr().clone())
+                        .collect();
+                    let got = engine
+                        .try_submit_expr(ExprRequest::new(spec.clone(), names.to_vec()).algo(algo))
+                        .unwrap()
+                        .wait()
+                        .unwrap();
+                    let inputs: Vec<&Csr<f64>> = snapshot.iter().collect();
+                    let fresh =
+                        DeltaPlan::bind(&spec.graph, spec.root, algo, &inputs, &[]).unwrap();
+                    assert!(bits_eq_f64(&got, fresh.root()), "{ctx}: job {job}");
+                };
+                run(0);
+                for step in 0..UPDATES {
+                    let name = names[step % names.len()];
+                    let cur = engine.store().get(name).unwrap();
+                    engine
+                        .try_submit_row_update(name, &salted_patch(cur.csr(), step))
+                        .unwrap();
+                    run(2 * step + 1);
+                    run(2 * step + 2);
+                }
+                let m = engine.shutdown();
+                assert_eq!(m.failed, 0, "{ctx}");
+                assert_eq!(m.row_updates, UPDATES as u64, "{ctx}");
+                assert_eq!(m.expr_results_patched, UPDATES as u64, "{ctx}: {m:?}");
+                let counts = (m.expr_results.hits, m.expr_results.misses);
+                assert_eq!(counts, (UPDATES as u64, 1), "{ctx}");
+            }
+        }
+    }
 }
