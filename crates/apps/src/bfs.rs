@@ -3,14 +3,28 @@
 //! "Many graph processing algorithms perform multiple breadth-first
 //! searches in parallel … In linear algebraic terms, this corresponds
 //! to multiplying a square sparse matrix with a tall skinny one"
-//! (§5.5). The frontier stack `F` has one column per source; one
-//! SpGEMM over the `(∨, ∧)` semiring advances every frontier one
-//! level: `F' = Aᵀ · F` (for our row-major CSR and an undirected or
-//! pre-transposed graph, `A · F`).
+//! (§5.5). The frontier `F` is `n × s`, one column per source: `(u, s)`
+//! is stored iff `u` was reached from source `s` at the last level.
+//! Vertex `v` is reached from `s` at the next level iff one of its
+//! in-neighbours is in `s`'s frontier and `v` has not been reached from
+//! `s` yet — over `(∨, ∧)`,
+//!
+//! ```text
+//! F' = (Aᵀ · F)⟨U⟩
+//! ```
+//!
+//! where row `v` of `Aᵀ` (the graph transposed once per call) lists
+//! `v`'s in-neighbours and `U`, the unvisited set, is a dense `n × s`
+//! bitmap of `⌈s/64⌉` words per vertex. A level is one
+//! [`masked_pattern`] pass: an already visited `(v, s)` is rejected
+//! before it reaches the accumulator, only the pattern is emitted, and
+//! the pass's output *is* the next frontier. Recording the new pairs'
+//! level and clearing their bits costs `O(nnz(F'))`.
 
-use spgemm::{multiply_in, Algorithm, OutputOrder};
+use spgemm::{masked_pattern, Algorithm, OutputOrder};
+use spgemm_obs as obs;
 use spgemm_par::Pool;
-use spgemm_sparse::{ColIdx, Coo, Csr, OrAnd, SparseError};
+use spgemm_sparse::{ops, ColIdx, Csr, SparseError, MAX_DIM};
 
 /// Result of a multi-source BFS: `levels[v][s]` is the BFS level of
 /// vertex `v` from source `s` (`u32::MAX` when unreachable).
@@ -27,12 +41,24 @@ pub struct BfsLevels {
 pub const UNREACHED: u32 = u32::MAX;
 
 impl BfsLevels {
-    fn new(nverts: usize, nsources: usize) -> Self {
-        BfsLevels {
+    /// An all-[`UNREACHED`] table, or an error when the sources do not
+    /// fit a frontier's columns or the table does not fit in memory.
+    fn new(nverts: usize, nsources: usize) -> Result<Self, SparseError> {
+        if nsources > MAX_DIM {
+            return Err(SparseError::DimensionTooLarge { dim: nsources });
+        }
+        let too_large = || SparseError::Unsupported {
+            what: format!("a level table of {nverts} vertices × {nsources} sources"),
+        };
+        let len = nverts.checked_mul(nsources).ok_or_else(too_large)?;
+        let mut levels = Vec::new();
+        levels.try_reserve_exact(len).map_err(|_| too_large())?;
+        levels.resize(len, UNREACHED);
+        Ok(BfsLevels {
             nverts,
             nsources,
-            levels: vec![UNREACHED; nverts * nsources],
-        }
+            levels,
+        })
     }
 
     /// Level of `vertex` from `source` (`UNREACHED` if not reached).
@@ -54,29 +80,41 @@ impl BfsLevels {
     }
 }
 
-/// Build the initial frontier matrix: `n × s`, one true per column at
-/// the source vertex.
+/// The level-0 frontier: `n × s`, `(v, s)` stored for source `s` at
+/// vertex `v` (a repeated vertex holds several sources).
 fn initial_frontier(n: usize, sources: &[usize]) -> Result<Csr<bool>, SparseError> {
-    let mut coo = Coo::with_capacity(n, sources.len(), sources.len())?;
-    for (s, &v) in sources.iter().enumerate() {
-        coo.push(v, s as ColIdx, true)?;
-    }
-    Ok(coo.into_csr_sum())
+    let trips: Vec<_> = sources
+        .iter()
+        .enumerate()
+        .map(|(s, &v)| (v, s as ColIdx, true))
+        .collect();
+    Csr::from_triplets(n, sources.len(), &trips)
 }
 
-/// Multi-source BFS by SpGEMM over the boolean semiring.
+/// Record `v`'s level from source `s` and clear `(v, s)` from the
+/// unvisited set.
+#[inline]
+fn visit(levels: &mut BfsLevels, unvisited: &mut [u64], v: usize, s: usize, depth: u32) {
+    levels.set(v, s, depth);
+    let words = levels.nsources.div_ceil(64);
+    unvisited[v * words + s / 64] &= !(1 << (s % 64));
+}
+
+/// Multi-source BFS by SpGEMM over the boolean semiring: one masked,
+/// pattern-only product per level (module docs).
 ///
 /// `graph` is interpreted as directed edges `u → v` for entry
-/// `(u, v)`; pass a symmetric matrix for undirected search. Because
-/// frontiers expand along *incoming* edges of the product's row space,
-/// the graph is transposed internally once.
+/// `(u, v)`, whatever its stored value; pass a symmetric matrix for
+/// undirected search.
 ///
-/// `algo` selects the SpGEMM kernel (the paper's recipe recommends the
-/// hash family for tall-skinny operands, Table 4b).
+/// The kernel argument is accepted and not consulted: over `(∨, ∧)`
+/// the levels do not depend on the kernel, and every level runs the
+/// mask-gated dense accumulator — for an `s`-column frontier, what
+/// `Auto`'s footprint rule picks anyway.
 pub fn multi_source_bfs(
     graph: &Csr<bool>,
     sources: &[usize],
-    algo: Algorithm,
+    _algo: Algorithm,
     pool: &Pool,
 ) -> Result<BfsLevels, SparseError> {
     if graph.nrows() != graph.ncols() {
@@ -96,31 +134,30 @@ pub fn multi_source_bfs(
             });
         }
     }
-    // F' = Aᵀ F: frontier at v spreads to u for each edge u → v... we
-    // want the forward direction (v receives from u when u is in the
-    // frontier), i.e. F'[v] = ∨_u A[u][v] ∧ F[u] = (Aᵀ F)[v].
-    let at = spgemm_sparse::ops::transpose(graph);
-
-    let mut levels = BfsLevels::new(n, sources.len());
+    let mut levels = BfsLevels::new(n, sources.len())?;
+    let words = sources.len().div_ceil(64);
+    let mut unvisited = vec![!0u64; n * words];
+    let at = {
+        let _g = obs::span!("bfs", "bfs.transpose");
+        ops::transpose(graph)
+    };
     let mut frontier = initial_frontier(n, sources)?;
     for (s, &v) in sources.iter().enumerate() {
-        levels.set(v, s, 0);
+        visit(&mut levels, &mut unvisited, v, s, 0);
     }
     let mut depth = 0u32;
     while frontier.nnz() > 0 {
         depth += 1;
-        let next = multiply_in::<OrAnd>(&at, &frontier, algo, OutputOrder::Unsorted, pool)?;
-        // keep only newly-discovered (vertex, source) pairs
-        let mut coo = Coo::with_capacity(n, sources.len(), next.nnz())?;
+        frontier = {
+            let _g = obs::span!("bfs", "bfs.level");
+            masked_pattern(&at, &frontier, &unvisited, OutputOrder::Unsorted, pool)?
+        };
+        let _g = obs::span!("bfs", "bfs.mark");
         for v in 0..n {
-            for &s in next.row_cols(v) {
-                if levels.level(v, s as usize) == UNREACHED {
-                    levels.set(v, s as usize, depth);
-                    coo.push(v, s, true)?;
-                }
+            for &s in frontier.row_cols(v) {
+                visit(&mut levels, &mut unvisited, v, s as usize, depth);
             }
         }
-        frontier = coo.into_csr_sum();
     }
     Ok(levels)
 }
@@ -212,6 +249,21 @@ mod tests {
         let l = multi_source_bfs(&g, &[0], Algorithm::Hash, &pool).unwrap();
         assert_eq!(l.level(0, 0), 0);
         assert_eq!(l.level(1, 0), 1);
+    }
+
+    #[test]
+    fn oversized_level_tables_are_errors() {
+        // vertices × sources overflows
+        assert!(BfsLevels::new(usize::MAX / 2, 3).is_err());
+        // more sources than a frontier has column indices
+        let too_many = BfsLevels::new(1, MAX_DIM + 1);
+        assert!(matches!(
+            too_many,
+            Err(SparseError::DimensionTooLarge { .. })
+        ));
+        // 2⁶² levels: past what an allocation can ask for
+        assert!(BfsLevels::new(1 << 40, 1 << 22).is_err());
+        assert_eq!(BfsLevels::new(0, MAX_DIM).unwrap().nsources, MAX_DIM);
     }
 
     #[test]

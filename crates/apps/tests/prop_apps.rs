@@ -1,10 +1,12 @@
 //! Property tests for the application layer: BFS against the queue
-//! reference on arbitrary digraphs, triangle counts against brute
-//! force, and structural invariants of the AMG hierarchy.
+//! reference for every source on arbitrary and R-MAT digraphs,
+//! triangle counts against brute force, and structural invariants of
+//! the AMG hierarchy.
 
 use proptest::prelude::*;
 use spgemm::Algorithm;
 use spgemm_apps::{amg, bfs, triangles};
+use spgemm_gen::{rmat, RmatKind};
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Coo, Csr};
 
@@ -20,17 +22,58 @@ fn arb_digraph(max_n: usize, max_m: usize) -> impl Strategy<Value = Csr<bool>> {
     })
 }
 
+/// A BFS input: an arbitrary digraph or an R-MAT G500 / ER one, with
+/// a self loop at vertex 0 and every seventh stored edge `false`.
+fn arb_bfs_graph() -> impl Strategy<Value = Csr<bool>> {
+    (0usize..3, 3u32..8, 0u64..1 << 20, arb_digraph(40, 200)).prop_map(
+        |(kind, scale, seed, arbitrary)| {
+            let rmat = |kind| {
+                let g = rmat::generate_kind(kind, scale, 4, &mut spgemm_gen::rng(seed));
+                g.map(|_| true)
+            };
+            let g = match kind {
+                0 => arbitrary,
+                1 => rmat(RmatKind::G500),
+                _ => rmat(RmatKind::Er),
+            };
+            let mut trips = vec![(0, 0, false)];
+            for u in 0..g.nrows() {
+                for &v in g.row_cols(u) {
+                    trips.push((u, v, trips.len() % 7 != 0));
+                }
+            }
+            Csr::from_triplets(g.nrows(), g.ncols(), &trips).unwrap()
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Every source's levels equal the queue reference's, for source
+    /// counts on both sides of the unvisited bitmap's 64-bit words,
+    /// with repeated sources, at 1–3 threads. A stored `false` is an
+    /// edge to both.
     #[test]
-    fn bfs_levels_match_queue_reference(g in arb_digraph(30, 150), src_sel in 0usize..30) {
-        let src = src_sel % g.nrows();
-        let pool = Pool::new(2);
-        let l = bfs::multi_source_bfs(&g, &[src], Algorithm::Hash, &pool).unwrap();
-        let seq = bfs::sequential_bfs(&g, src);
-        for (v, &lvl) in seq.iter().enumerate() {
-            prop_assert_eq!(l.level(v, 0), lvl, "vertex {}", v);
+    fn bfs_levels_match_queue_reference(
+        g in arb_bfs_graph(),
+        count in 0usize..5,
+        picks in prop::collection::vec(0usize..1 << 20, 129),
+    ) {
+        let n = g.nrows();
+        let count = [1, 63, 64, 65, 129][count];
+        let mut sources: Vec<usize> = picks[..count].iter().map(|&p| p % n).collect();
+        sources[count - 1] = sources[0];
+        let expect: Vec<Vec<u32>> = sources.iter().map(|&src| bfs::sequential_bfs(&g, src)).collect();
+        for nt in 1..=3 {
+            let pool = Pool::new(nt);
+            let l = bfs::multi_source_bfs(&g, &sources, Algorithm::Auto, &pool).unwrap();
+            prop_assert_eq!((l.nverts, l.nsources), (n, count));
+            for (s, seq) in expect.iter().enumerate() {
+                for (v, &lvl) in seq.iter().enumerate() {
+                    prop_assert_eq!(l.level(v, s), lvl, "source #{} vertex {} at {} threads", s, v, nt);
+                }
+            }
         }
     }
 

@@ -127,9 +127,8 @@ impl<S: Semiring> SpaAccumulator<S> {
         }
     }
 
-    /// The emitting symbolic row: insert row `i`'s columns, append them
-    /// to `seg` in the order [`ColumnSet::extract_into`] would write
-    /// them, return their count and leave the set empty.
+    /// The emitting symbolic row: insert row `i`'s columns, then
+    /// [`Self::emit_into`].
     #[inline(always)]
     fn emit_row<K: PatternIndex>(
         &mut self,
@@ -139,6 +138,14 @@ impl<S: Semiring> SpaAccumulator<S> {
         seg: &mut Vec<K>,
     ) -> usize {
         ops.insert_row(self, i);
+        self.emit_into(sorted, seg)
+    }
+
+    /// Append the set's columns to `seg` in the order
+    /// [`ColumnSet::extract_into`] would write them, return their count
+    /// and leave the set empty.
+    #[inline(always)]
+    pub(crate) fn emit_into<K: PatternIndex>(&mut self, sorted: bool, seg: &mut Vec<K>) -> usize {
         let n = self.touched.len();
         if sorted {
             seg.reserve(n);

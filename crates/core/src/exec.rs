@@ -713,9 +713,10 @@ mod tests {
     use super::*;
     use crate::algos::hash::{HashAccumulator, Linear, Table};
     use crate::algos::hashvec::Chunked;
+    use crate::algos::kkhash::KkHashAccumulator;
+    use crate::algos::masked::{BitRows, MaskedSpa, PatternGate};
     use crate::algos::simd::SimdLevel;
     use crate::algos::spa::SpaAccumulator;
-    use crate::algos::{kkhash::KkHashAccumulator, masked::MaskedSpa};
     use crate::kgen::{InsertionArray, SHORT_MAX_FLOP};
     use proptest::prelude::*;
     use spgemm_sparse::PlusTimes;
@@ -843,7 +844,10 @@ mod tests {
                 .collect();
             let mut chained = KkHashAccumulator::<P>::new(160, ncols);
             let mut spa: Option<SpaAccumulator<P>> = None;
-            let mut gated = MaskedSpa::<P, u8>::new(&all_ones, ncols);
+            let mut gated = MaskedSpa::<P, PatternGate<u8>>::new(&all_ones, ncols);
+            let bit_row = vec![!0u64; ncols.div_ceil(64)];
+            let bit_rows = BitRows::new(&bit_row, bit_row.len());
+            let mut bit_gated = MaskedSpa::<P, BitRows>::new(bit_rows, ncols);
             let mut lanes = InsertionArray::<P>::new();
             let req = AccumReq { max_row_flop: 160, inner_dim: 1, ncols_b: ncols };
             let mut replayed = SpaAccumulator::<P>::new(ncols);
@@ -872,6 +876,9 @@ mod tests {
                     let through_gate = row_through(&mut gated, |g| g.open_row(0), s, sorted);
                     prop_assert_eq!(through_gate, &expect[..], "gated spa");
                     prop_assert!(gated.spa().bitmap_is_clear(), "gated bitmap after the emit");
+                    let through_bits = row_through(&mut bit_gated, |g| g.open_row(0), s, sorted);
+                    prop_assert_eq!(through_bits, &expect[..], "bit-gated spa");
+                    prop_assert!(bit_gated.spa().bitmap_is_clear(), "bit-gated bitmap after the emit");
                     if expect.len() <= SHORT_MAX_FLOP as usize {
                         prop_assert_eq!(row_through(&mut lanes, |_| {}, s, sorted), &expect[..], "lanes");
                     }
@@ -888,15 +895,19 @@ mod tests {
                 }
                 // A row abandoned before its emit, then the acquire path.
                 gated.open_row(0);
+                bit_gated.open_row(0);
                 for &(col, v) in &stream {
                     spa.insert_numeric(col, v);
                     gated.insert_numeric(col, v);
+                    bit_gated.insert_numeric(col, v);
                 }
                 spa.ensure(&req);
                 spa.scrub();
                 gated.scrub();
+                bit_gated.scrub();
                 prop_assert!(spa.is_empty() && spa.bitmap_is_clear(), "spa after scrub");
                 prop_assert!(gated.is_empty() && gated.spa().bitmap_is_clear(), "gated after scrub");
+                prop_assert!(bit_gated.is_empty() && bit_gated.spa().bitmap_is_clear(), "bit-gated after scrub");
             }
         }
     }

@@ -154,3 +154,7 @@ pub fn multiply_f64(
 /// Masked SpGEMM `C = (A · B) ∘ M` without materializing `A · B` —
 /// see [`algos::masked::multiply_masked`].
 pub use algos::masked::multiply_masked;
+
+/// Masked pattern product `C = (A · B)⟨U⟩` under a dense bitmap, one
+/// pass — see [`algos::masked::masked_pattern`].
+pub use algos::masked::masked_pattern;

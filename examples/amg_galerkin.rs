@@ -3,7 +3,7 @@
 //! introduction.
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin amg_galerkin [grid]
+//! cargo run --release --example amg_galerkin -- [grid]
 //! ```
 
 use spgemm::Algorithm;

@@ -2,7 +2,7 @@
 //! the paper cites as a primary SpGEMM consumer (HipMCL).
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin markov_cluster [clusters] [per_cluster]
+//! cargo run --release --example markov_cluster -- [clusters] [per_cluster]
 //! ```
 
 use rand::Rng as _;

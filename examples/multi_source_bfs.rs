@@ -3,7 +3,7 @@
 //! batched searches).
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin multi_source_bfs [scale] [edge_factor] [sources]
+//! cargo run --release --example multi_source_bfs -- [scale] [edge_factor] [sources]
 //! ```
 
 use spgemm::Algorithm;
@@ -28,8 +28,7 @@ fn main() {
 
     let pool = spgemm_par::global_pool();
     let t = std::time::Instant::now();
-    // Table 4b: tall-skinny workloads want the hash family.
-    let levels = bfs::multi_source_bfs(&graph, &sources, Algorithm::Hash, pool).expect("bfs");
+    let levels = bfs::multi_source_bfs(&graph, &sources, Algorithm::Auto, pool).expect("bfs");
     let secs = t.elapsed().as_secs_f64();
 
     println!("ran {} simultaneous BFS in {:.3}s", sources.len(), secs);

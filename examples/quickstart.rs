@@ -2,7 +2,7 @@
 //! algorithm, and verify they agree.
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use spgemm::{multiply_f64, Algorithm, OutputOrder};

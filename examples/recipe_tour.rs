@@ -3,7 +3,7 @@
 //! timed shoot-out on this machine.
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin recipe_tour [scale]
+//! cargo run --release --example recipe_tour -- [scale]
 //! ```
 
 use spgemm::{multiply_f64, recipe, Algorithm, OutputOrder};

@@ -2,7 +2,7 @@
 //! reordering, triangular split, SpGEMM, masked reduction.
 //!
 //! ```text
-//! cargo run --release -p spgemm-examples --bin triangle_count [scale] [edge_factor]
+//! cargo run --release --example triangle_count -- [scale] [edge_factor]
 //! ```
 
 use spgemm::Algorithm;
