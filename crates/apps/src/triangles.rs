@@ -14,13 +14,31 @@ use spgemm::{Algorithm, OutputOrder};
 use spgemm_par::Pool;
 use spgemm_sparse::{ops, Csr, PlusTimes, SparseError};
 
+/// `(reordered, L, U)`: the degree-reordered simple graph, whose edges
+/// are the mask that closes the wedges of `L · U`, and its strict
+/// lower and upper triangles.
+pub type LuOperands = (Csr<f64>, Csr<f64>, Csr<f64>);
+
+/// The §5.6 preprocessing shared by every `L · U` triangle count:
+/// symmetrize `graph` with its diagonal dropped, set every value to
+/// 1 (weights are irrelevant; wedges are counted), reorder rows and
+/// columns by ascending degree, and split the result into its strict
+/// triangles.
+pub fn lu_operands(graph: &Csr<f64>) -> Result<LuOperands, SparseError> {
+    let simple = ops::symmetrize_simple(&graph.map(|_| 1.0))?.map(|_| 1.0f64);
+    let perm = ops::degree_ascending_permutation(&simple);
+    let reordered = ops::permute_symmetric(&simple, &perm)?;
+    let (l, u) = ops::split_lu(&reordered)?;
+    Ok((reordered, l, u))
+}
+
 /// A triangle-counting pipeline with its preprocessing and masked
 /// wedge product precompiled as one expression plan
 /// (`masked_multiply(L, U, A)` — see [`spgemm::expr`]), for workloads
 /// that count repeatedly over a fixed topology (monitoring a stream
 /// of same-structure snapshots, re-counting after weight updates,
-/// benchmarking): construction does the symmetrize / degree-reorder /
-/// `L + U` split and plans the product once; every
+/// benchmarking): construction runs [`lu_operands`] and plans the
+/// product once; every
 /// [`TriangleCounter::count`] after the first is a numeric-only
 /// pipeline execution into reused storage — the wedge matrix refills
 /// a cached buffer and the mask application is a cached-intersection
@@ -38,13 +56,7 @@ impl TriangleCounter {
     /// Preprocess `graph` and plan the masked wedge product with
     /// `algo`.
     pub fn new(graph: &Csr<f64>, algo: Algorithm, pool: &Pool) -> Result<Self, SparseError> {
-        let simple = ops::symmetrize_simple(&graph.map(|_| 1.0))?;
-        // weights irrelevant; count wedges
-        let simple = simple.map(|_| 1.0f64);
-        // degree reordering: ascending row size
-        let perm = ops::degree_ascending_permutation(&simple);
-        let reordered = ops::permute_symmetric(&simple, &perm)?;
-        let (l, u) = ops::split_lu(&reordered)?;
+        let (reordered, l, u) = lu_operands(graph)?;
         let mut g = ExprGraph::new();
         let il = g.input();
         let iu = g.input();
@@ -105,11 +117,7 @@ pub fn count_triangles(graph: &Csr<f64>, algo: Algorithm, pool: &Pool) -> Result
 /// instead of `O(flop)`). Same preprocessing and result as
 /// [`count_triangles`].
 pub fn count_triangles_masked(graph: &Csr<f64>, pool: &Pool) -> Result<u64, SparseError> {
-    let simple = ops::symmetrize_simple(&graph.map(|_| 1.0))?;
-    let simple = simple.map(|_| 1.0f64);
-    let perm = ops::degree_ascending_permutation(&simple);
-    let reordered = ops::permute_symmetric(&simple, &perm)?;
-    let (l, u) = ops::split_lu(&reordered)?;
+    let (reordered, l, u) = lu_operands(graph)?;
     let wedges_on_edges = spgemm::multiply_masked::<PlusTimes<f64>, f64>(
         &l,
         &u,

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices ARCHITECTURE.md describes:
 //!
 //! * sort-skip: sorted vs unsorted output on the same kernel (§5.4.4);
 //! * SIMD level: HashVector probing at scalar / AVX2 / AVX-512;

@@ -107,6 +107,11 @@ impl BenchArgs {
     }
 }
 
+/// A flag's count value; exits with status 2 when `s` is not one.
+pub fn num(s: &str) -> usize {
+    parse_or_die(s, "a count")
+}
+
 fn parse_or_die<T: std::str::FromStr>(s: &str, what: &str) -> T {
     s.parse().unwrap_or_else(|_| {
         eprintln!("bad value {s:?} for {what}");

@@ -27,6 +27,7 @@
 //! ```
 
 use spgemm::{Algorithm, DirtyRows, OutputOrder, RowPatch, SpgemmPlan};
+use spgemm_bench::args::num;
 use spgemm_sparse::{bits_eq_f64, PlusTimes};
 use std::time::Instant;
 
@@ -39,13 +40,6 @@ struct Args {
     reps: usize,
     seed: u64,
     smoke: bool,
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {

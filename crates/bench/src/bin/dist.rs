@@ -30,6 +30,7 @@
 //! monolithic footprint.
 
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+use spgemm_bench::args::num;
 use spgemm_dist::{csr_bytes, DistConfig, GridSpec, ShardRuntime};
 use spgemm_par::Pool;
 use spgemm_sparse::{Csr, PlusTimes};
@@ -45,13 +46,6 @@ struct Args {
     reps: usize,
     seed: u64,
     smoke: bool,
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {

@@ -25,6 +25,7 @@
 use spgemm::expr::{ElemMap, ExprCache, ExprGraph, NodeId};
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_apps::amg;
+use spgemm_bench::args::num;
 use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, ops, Csr, PlusTimes};
 use std::time::Instant;
@@ -38,13 +39,6 @@ struct Args {
     reps: usize,
     seed: u64,
     smoke: bool,
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {

@@ -3,7 +3,7 @@
 //!
 //! The "DDR only" series is a real measurement on this machine; the
 //! "MCDRAM as Cache" series applies the paper-calibrated two-level
-//! model (DESIGN.md substitution S15) on top of the measured DDR
+//! model (`spgemm_membench::memmodel`) on top of the measured DDR
 //! curve — reproducing the figure's shape: no benefit below ~64 B
 //! stanzas, 3.4× at wide stanzas.
 //!

@@ -5,7 +5,7 @@
 //! EF 64, where its working set overflows MCDRAM) and ~1.4×. With no
 //! MCDRAM present, each kernel is *measured* on DDR here and its
 //! Cache-mode time *predicted* by the memory model from the kernel's
-//! analytic stanza profile (DESIGN.md substitution S15).
+//! analytic stanza profile (`spgemm_membench::memmodel`).
 //!
 //! ```text
 //! cargo run --release -p spgemm-bench --bin fig10_mcdram_model [--scale N] [--reps N]

@@ -7,8 +7,8 @@
 //! bucketed work queues and compressed column indices are amortized
 //! across executions. The rival roster is the paper's Figure 11
 //! comparison panel for the chosen output order
-//! ([`spgemm_bench::sorted_panel`] / [`spgemm_bench::unsorted_panel`]
-//! — the same rosters the fig11–13 binaries plot): sorted output is
+//! ([`spgemm_bench::panels::roster`] — the same rosters
+//! `figs 11`–`13` plot): sorted output is
 //! compared against MKL~Merge, Heap, Hash, and HashVector; unsorted
 //! against MKL~SPA, MKL-inspector, Kokkos~KkHash, Hash, and
 //! HashVector. Reported per cell: ms/iter for RowClass and every
@@ -28,6 +28,7 @@
 //! ```
 
 use spgemm::{kgen, Algorithm, OutputOrder, SpgemmPlan};
+use spgemm_bench::{args::num, panels};
 use spgemm_gen::RmatKind;
 use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
@@ -42,13 +43,6 @@ struct Args {
     seed: u64,
     smoke: bool,
     order: OutputOrder,
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {
@@ -146,16 +140,6 @@ struct CellResult {
     parity_ok: bool,
 }
 
-/// The paper's Figure 11 comparison panel for this output order — the
-/// monolithic roster RowClass is judged against.
-fn rivals(order: OutputOrder) -> Vec<Algorithm> {
-    if order.is_sorted() {
-        spgemm_bench::sorted_panel()
-    } else {
-        spgemm_bench::unsorted_panel()
-    }
-}
-
 fn run_cell(
     kind: RmatKind,
     scale: u32,
@@ -179,7 +163,7 @@ fn run_cell(
     let mut hash_ms = f64::NAN;
     let mut parity_ok = true;
     let mut best_mono = f64::INFINITY;
-    for algo in rivals(args.order) {
+    for &algo in panels::roster(args.order) {
         let (m, out) = time_steady(&a, algo, args.order, args.reps, pool);
         rival_ms.push(m);
         best_mono = best_mono.min(m);
@@ -237,8 +221,8 @@ fn main() {
 
     let sorted = args.order.is_sorted();
     let mut header = format!("\n{:<8} {:>12}", "cell", "RowClass");
-    for algo in rivals(args.order) {
-        header.push_str(&format!(" {:>13}", spgemm_bench::panel_label(algo, sorted)));
+    for &algo in panels::roster(args.order) {
+        header.push_str(&format!(" {:>13}", panels::label(algo)));
     }
     header.push_str(&format!(" {:>9}   {}", "speedup", "rows by class t/s/m/d"));
     println!("{header}");

@@ -43,7 +43,7 @@
 use spgemm::expr::{ExprGraph, ExprSpec};
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_apps::mcl::{mcl_step, MclParams, MclPipeline};
-use spgemm_bench::envinfo;
+use spgemm_bench::{args::num, envinfo};
 use spgemm_dist::GridSpec;
 use spgemm_obs as obs;
 use spgemm_serve::{
@@ -62,13 +62,6 @@ struct Args {
     smoke: bool,
     trace: Option<std::path::PathBuf>,
     json: Option<std::path::PathBuf>,
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 fn parse_args() -> Args {

@@ -9,6 +9,8 @@
 
 use std::process::Command;
 
+/// Each entry is a binary and the arguments that go before the
+/// forwarded flags.
 const BINARIES: &[&str] = &[
     "fig02_sched_cost",
     "fig04_dealloc_cost",
@@ -16,13 +18,7 @@ const BINARIES: &[&str] = &[
     "fig05_stanza_bandwidth",
     "fig09_sched_spgemm",
     "fig10_mcdram_model",
-    "fig11_density_scaling",
-    "fig12_size_scaling",
-    "fig13_strong_scaling",
-    "fig14_compression_ratio",
-    "fig15_perf_profiles",
-    "fig16_tall_skinny",
-    "fig17_triangle_lu",
+    "figs all",
     "table02_matrix_stats",
     "table04_recipe",
     "spgemm-dist",
@@ -37,24 +33,26 @@ fn main() {
     let me = std::env::current_exe().expect("current_exe");
     let dir = me.parent().expect("binary directory");
     let mut failed = Vec::new();
-    for bin in BINARIES {
+    for entry in BINARIES {
+        let mut words = entry.split_whitespace();
+        let bin = words.next().expect("a binary name");
         let path = dir.join(bin);
         if !path.exists() {
             eprintln!("== {bin}: not built (run `cargo build --release -p spgemm-bench` first)");
-            failed.push(*bin);
+            failed.push(*entry);
             continue;
         }
-        println!("\n================= {bin} =================");
-        let status = Command::new(&path).args(&forward).status();
+        println!("\n================= {entry} =================");
+        let status = Command::new(&path).args(words).args(&forward).status();
         match status {
             Ok(s) if s.success() => {}
             Ok(s) => {
-                eprintln!("== {bin} exited with {s}");
-                failed.push(*bin);
+                eprintln!("== {entry} exited with {s}");
+                failed.push(*entry);
             }
             Err(e) => {
-                eprintln!("== {bin} failed to launch: {e}");
-                failed.push(*bin);
+                eprintln!("== {entry} failed to launch: {e}");
+                failed.push(*entry);
             }
         }
     }

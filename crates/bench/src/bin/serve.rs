@@ -27,6 +27,7 @@
 //! throughput, p50/p99 latency, plan-cache hit rate, shed submissions.
 
 use spgemm::Algorithm;
+use spgemm_bench::args::num;
 use spgemm_serve::{
     MetricsSnapshot, Priority, ProductRequest, ServeConfig, ServeEngine, ServeError,
 };
@@ -133,13 +134,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-fn num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number {s:?}");
-        std::process::exit(2);
-    })
 }
 
 /// Submit with bounded retries on backpressure; sheds (drops the

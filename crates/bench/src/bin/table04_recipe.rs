@@ -20,38 +20,13 @@
 //! `cost::AUTO_COLLISION_FACTOR`.
 
 use spgemm::{cost, recipe, Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_bench::{args::BenchArgs, runner};
-use spgemm_gen::{perm, rmat, tallskinny, RmatKind};
+use spgemm_bench::{args::BenchArgs, panels};
+use spgemm_gen::{rmat, tallskinny, RmatKind};
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, Csr, PlusTimes};
+use spgemm_sparse::{Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
-
-/// One-shot seconds of every panel kernel that accepts the cell.
-fn panel(
-    a: &Csr<f64>,
-    b: &Csr<f64>,
-    order: OutputOrder,
-    pool: &Pool,
-    reps: usize,
-) -> Vec<(Algorithm, f64)> {
-    [
-        Algorithm::Hash,
-        Algorithm::HashVec,
-        Algorithm::Heap,
-        Algorithm::Spa,
-        Algorithm::Merge,
-        Algorithm::Inspector,
-        Algorithm::KkHash,
-    ]
-    .into_iter()
-    .filter_map(|algo| {
-        let m = runner::time_multiply(a, b, algo, order, pool, reps).ok()?;
-        Some((algo, m.secs))
-    })
-    .collect()
-}
 
 /// What the footprint rule picks for the cell. Exits non-zero on an
 /// inadmissible pick or — under `--smoke`, where the sequential oracle
@@ -100,7 +75,14 @@ fn table_row(
     order: OutputOrder,
     paper: Algorithm,
 ) {
-    let times = panel(a, b, order, run.pool, run.reps);
+    use Algorithm::*;
+    let roster = [Hash, HashVec, Heap, Spa, Merge, Inspector, KkHash];
+    // One-shot seconds of every kernel that accepts the cell.
+    let times: Vec<(Algorithm, f64)> =
+        panels::time_roster(a, b, &roster, order, run.pool, run.reps)
+            .into_iter()
+            .filter_map(|(algo, m)| Some((algo, m.ok()?.secs)))
+            .collect();
     let (winner, best) = times
         .iter()
         .copied()
@@ -139,8 +121,11 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
         };
         for ef in [4usize, 16] {
             let a = rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(args.seed));
-            let ua = perm::randomize_columns(&a, &mut spgemm_gen::rng(args.seed ^ 1));
-            for (order, m) in [(OutputOrder::Sorted, &a), (OutputOrder::Unsorted, &ua)] {
+            let (ua, ub) = panels::unsorted_twin(&a, &a, &mut spgemm_gen::rng(args.seed ^ 1));
+            for (order, m, b) in [
+                (OutputOrder::Sorted, &a, &a),
+                (OutputOrder::Unsorted, &ua, &ub),
+            ] {
                 let paper =
                     recipe::recommend_synthetic(recipe::OpKind::Square, pattern, ef as f64, order);
                 table_row(
@@ -153,7 +138,7 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
                     },
                     if ef <= 8 { "sparse" } else { "dense" },
                     m,
-                    m,
+                    b,
                     order,
                     paper,
                 );
@@ -165,14 +150,18 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
     let g = rmat::generate_kind(RmatKind::G500, scale, 16, &mut spgemm_gen::rng(args.seed));
     let ts = tallskinny::tall_skinny(&g, 1 << (scale / 2), &mut spgemm_gen::rng(args.seed ^ 2))
         .expect("tall-skinny");
-    for order in [OutputOrder::Sorted, OutputOrder::Unsorted] {
+    let (ug, uts) = panels::unsorted_twin(&g, &ts, &mut spgemm_gen::rng(args.seed ^ 1));
+    for (order, a, b) in [
+        (OutputOrder::Sorted, &g, &ts),
+        (OutputOrder::Unsorted, &ug, &uts),
+    ] {
         let paper = recipe::recommend_synthetic(
             recipe::OpKind::TallSkinny,
             recipe::Pattern::Skewed,
             16.0,
             order,
         );
-        table_row(run, "TallSkinny", "skewed", "dense", &g, &ts, order, paper);
+        table_row(run, "TallSkinny", "skewed", "dense", a, b, order, paper);
     }
     println!("# paper: Table 4's KNL recipe; measured: this machine, one-shot; auto: cost::select at this machine's L2 share, its time over the winner's");
 }
@@ -221,13 +210,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
     for scale in lo..=hi {
         for kind in [RmatKind::Er, RmatKind::G500] {
             let a = rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(args.seed));
-            // The unsorted cell is the *same* product from unsorted
-            // operands (§5.1): A's columns relabelled, B's rows
-            // permuted alike.
-            let p = perm::random_col_permutation(a.ncols(), &mut spgemm_gen::rng(args.seed ^ 1));
-            let ua = ops::permute_cols(&a, &p).expect("permutation has the right length");
-            let rows: Vec<usize> = p.iter().map(|&x| x as usize).collect();
-            let ub = ops::permute_rows(&a, &rows).expect("permutation has the right length");
+            let (ua, ub) = panels::unsorted_twin(&a, &a, &mut spgemm_gen::rng(args.seed ^ 1));
             for (order, m, b) in [
                 (OutputOrder::Sorted, &a, &a),
                 (OutputOrder::Unsorted, &ua, &ub),

@@ -9,19 +9,17 @@
 /// Performance profile of several solvers over a common problem set.
 #[derive(Clone, Debug)]
 pub struct Profile {
-    /// Solver names, in input order.
-    pub solvers: Vec<String>,
     /// `ratios[s][p]` = time(s, p) / best time(p); `INFINITY` when the
     /// solver failed problem `p`.
     pub ratios: Vec<Vec<f64>>,
 }
 
-/// Build a profile from `times[s][p]` (seconds; `None` = failed).
-pub fn build(solvers: &[&str], times: &[Vec<Option<f64>>]) -> Profile {
-    assert_eq!(solvers.len(), times.len(), "one time-vector per solver");
+/// Build a profile from `times[s][p]` (seconds; `None` = failed),
+/// one time-vector per solver.
+pub fn build(times: &[Vec<Option<f64>>]) -> Profile {
     let nprob = times.first().map_or(0, |t| t.len());
     assert!(times.iter().all(|t| t.len() == nprob), "ragged time matrix");
-    let mut ratios = vec![vec![f64::INFINITY; nprob]; solvers.len()];
+    let mut ratios = vec![vec![f64::INFINITY; nprob]; times.len()];
     for p in 0..nprob {
         let best = times
             .iter()
@@ -36,10 +34,7 @@ pub fn build(solvers: &[&str], times: &[Vec<Option<f64>>]) -> Profile {
             }
         }
     }
-    Profile {
-        solvers: solvers.iter().map(|s| s.to_string()).collect(),
-        ratios,
-    }
+    Profile { ratios }
 }
 
 impl Profile {
@@ -51,16 +46,6 @@ impl Profile {
             return 0.0;
         }
         r.iter().filter(|&&x| x <= theta).count() as f64 / r.len() as f64
-    }
-
-    /// The profile curve of solver `s` sampled at the given thetas.
-    pub fn curve(&self, s: usize, thetas: &[f64]) -> Vec<f64> {
-        thetas.iter().map(|&t| self.fraction_within(s, t)).collect()
-    }
-
-    /// Area-under-curve score over `thetas` (higher = better overall).
-    pub fn auc(&self, s: usize, thetas: &[f64]) -> f64 {
-        self.curve(s, thetas).iter().sum::<f64>() / thetas.len().max(1) as f64
     }
 }
 
@@ -75,13 +60,10 @@ mod tests {
 
     fn sample() -> Profile {
         // 3 problems: A wins p0 & p1, B wins p2; B fails p1.
-        build(
-            &["A", "B"],
-            &[
-                vec![Some(1.0), Some(2.0), Some(3.0)],
-                vec![Some(2.0), None, Some(1.0)],
-            ],
-        )
+        build(&[
+            vec![Some(1.0), Some(2.0), Some(3.0)],
+            vec![Some(2.0), None, Some(1.0)],
+        ])
     }
 
     #[test]
@@ -107,15 +89,8 @@ mod tests {
     }
 
     #[test]
-    fn auc_orders_solvers() {
-        let p = sample();
-        let thetas = default_thetas();
-        assert!(p.auc(0, &thetas) > p.auc(1, &thetas), "A dominates overall");
-    }
-
-    #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_input_rejected() {
-        let _ = build(&["A", "B"], &[vec![Some(1.0)], vec![Some(1.0), Some(2.0)]]);
+        let _ = build(&[vec![Some(1.0)], vec![Some(1.0), Some(2.0)]]);
     }
 }

@@ -69,11 +69,6 @@ pub fn time_multiply(
     })
 }
 
-/// Format one figure row: `series label, x, MFLOPS`.
-pub fn series_row(series: &str, x: impl std::fmt::Display, m: &Measurement) -> String {
-    format!("{series}\t{x}\t{:.1}", m.mflops())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,16 +108,9 @@ mod tests {
             4,
             &mut spgemm_gen::rng(2),
         );
-        let unsorted = spgemm_gen::perm::randomize_columns(&a, &mut spgemm_gen::rng(3));
+        let (ua, ub) = crate::panels::unsorted_twin(&a, &a, &mut spgemm_gen::rng(3));
         let pool = Pool::new(1);
-        let r = time_multiply(
-            &unsorted,
-            &unsorted,
-            Algorithm::Heap,
-            OutputOrder::Sorted,
-            &pool,
-            1,
-        );
+        let r = time_multiply(&ua, &ub, Algorithm::Heap, OutputOrder::Sorted, &pool, 1);
         assert!(r.is_err());
     }
 }

@@ -52,8 +52,8 @@ pub struct StandinSpec {
     pub n_millions: f64,
     /// Stored entries, in millions (paper's `nnz(A)`).
     pub nnz_millions: f64,
-    /// Paper-reported `flop(A²)`, in millions (for EXPERIMENTS.md
-    /// comparisons; not used for generation).
+    /// Paper-reported `flop(A²)`, in millions (for comparisons against
+    /// the paper; not used for generation).
     pub flop_sq_millions: f64,
     /// Paper-reported `nnz(A²)`, in millions.
     pub nnz_sq_millions: f64,

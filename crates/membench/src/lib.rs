@@ -10,8 +10,8 @@
 //!   random locations.
 //! * [`memmodel`] — a two-level bandwidth model calibrated on the
 //!   paper's Figure 5 shape, standing in for physical MCDRAM when
-//!   predicting Cache-mode speedups (Figure 10). See DESIGN.md §2 for
-//!   the substitution rationale.
+//!   predicting Cache-mode speedups (Figure 10); ARCHITECTURE.md
+//!   "Paper → code" maps both figures.
 
 #![warn(missing_docs)]
 

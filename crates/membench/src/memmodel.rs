@@ -1,5 +1,5 @@
-//! Two-level memory model standing in for MCDRAM (substitution S15,
-//! DESIGN.md §2).
+//! Two-level memory model standing in for MCDRAM (ARCHITECTURE.md
+//! "Paper → code", the Fig 5 row).
 //!
 //! This container has no MCDRAM, so the "MCDRAM as Cache" series of
 //! Figure 5 and the Cache-vs-Flat speedups of Figure 10 cannot be
