@@ -9,19 +9,19 @@
 //! Iterated to convergence, columns concentrate onto "attractor" rows
 //! that identify clusters.
 //!
-//! Expansion *and* inflation run as one fused expression plan
-//! ([`spgemm::expr`]): the pipeline
-//! `normalize_cols(|A·A|^r)` compiles to a single SpGEMM whose
-//! epilogue applies the inflation power and the column
-//! renormalization in place — neither the raw square nor the inflated
-//! copy is ever materialized separately. The plan lives in a
-//! [`MclPipeline`] across rounds: while pruning still changes the
-//! pattern, each round rebinds the plan (keeping the pooled
-//! per-thread accumulators — the Figure 4 allocation cost is paid
-//! once, not per round), and once the pattern stabilizes near
-//! convergence every further expansion is a numeric-only plan hit.
+//! Expansion *and* inflation run as one expression plan
+//! ([`spgemm::expr`]): the pipeline `normalize_cols(|A·A|^r)`
+//! compiles to a single SpGEMM whose epilogue applies the inflation
+//! power in place — the raw square is never materialized separately —
+//! followed by the column renormalization into the plan's one other
+//! buffer. The plan lives in a [`MclPipeline`] across rounds: while
+//! pruning still changes the pattern, each round rebinds the plan
+//! (keeping the pooled per-thread accumulators — the Figure 4
+//! allocation cost is paid once, not per round), and once the pattern
+//! stabilizes near convergence every further expansion is a
+//! numeric-only plan hit.
 
-use spgemm::expr::{ElemMap, ExprCache, ExprCacheStats, ExprGraph, ExprPlan};
+use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, NodeId};
 use spgemm::Algorithm;
 use spgemm_obs as obs;
 use spgemm_par::Pool;
@@ -59,8 +59,8 @@ impl Default for MclParams {
 /// Normalize columns to sum 1 (column-stochastic). Matrices here are
 /// row-major, so this transposes the problem: normalize each column's
 /// entries across rows. (Thin wrapper over
-/// [`spgemm_sparse::ops::normalize_columns`], which the fused
-/// expression epilogue shares.)
+/// [`spgemm_sparse::ops::normalize_columns`], whose value pass the
+/// expression plan's `NormalizeCols` node shares.)
 pub fn normalize_columns(a: &Csr<f64>) -> Csr<f64> {
     ops::normalize_columns(a)
 }
@@ -70,7 +70,7 @@ pub fn inflate(a: &Csr<f64>, r: f64) -> Csr<f64> {
     normalize_columns(&a.map(|v| v.abs().powf(r)))
 }
 
-/// What the expression-plan cache did for one MCL round.
+/// What the expression plan did for one MCL round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MclRound {
     /// The round's pattern matched the cached plan: expansion +
@@ -81,21 +81,36 @@ pub enum MclRound {
     Rebuilt,
 }
 
+/// Counters of how an [`MclPipeline`]'s expression plan served its
+/// rounds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MclPlanStats {
+    /// Rounds run numeric-only by the plan (the input structure
+    /// matched).
+    pub hits: u64,
+    /// Rounds that (re)bound the plan — the first plus every pattern
+    /// change. `Multiply` workspace pools survive rebinds.
+    pub rebuilds: u64,
+}
+
 /// Per-run plan-reuse report of [`cluster_with_stats`].
 #[derive(Clone, Debug, Default)]
 pub struct MclStats {
-    /// Aggregate expression-plan cache counters (hits = numeric-only
-    /// rounds, rebuilds = first round + every pattern change).
-    pub expr: ExprCacheStats,
+    /// Aggregate expression-plan counters.
+    pub expr: MclPlanStats,
     /// Per-iteration record, in round order.
     pub rounds: Vec<MclRound>,
 }
 
 /// The fused expansion+inflation pipeline MCL threads through its
-/// rounds: a cached expression plan for `normalize_cols(|A·A|^r)`
-/// plus the reused output buffer it executes into.
+/// rounds: the graph `normalize_cols(|A·A|^r)`, its expression plan
+/// once the first round binds one, and the reused output buffer it
+/// executes into.
 pub struct MclPipeline {
-    cache: ExprCache,
+    graph: ExprGraph,
+    root: NodeId,
+    plan: Option<ExprPlan>,
+    stats: MclPlanStats,
     /// Reused fused expansion+inflation output.
     expanded: Csr<f64>,
     /// The inflation exponent and kernel baked into the compiled DAG.
@@ -116,21 +131,47 @@ impl MclPipeline {
         let inf = g.map(sq, ElemMap::AbsPow(params.inflation));
         let root = g.normalize_cols(inf);
         MclPipeline {
-            cache: ExprCache::new(g, root, params.algo),
+            graph: g,
+            root,
+            plan: None,
+            stats: MclPlanStats::default(),
             expanded: Csr::zero(0, 0),
             inflation: params.inflation,
             algo: params.algo,
         }
     }
 
-    /// Expression-plan cache counters so far.
-    pub fn stats(&self) -> ExprCacheStats {
-        self.cache.stats()
+    /// Expression-plan counters so far.
+    pub fn stats(&self) -> MclPlanStats {
+        self.stats
     }
 
     /// The compiled plan, once the first round has bound one.
     pub fn plan(&self) -> Option<&ExprPlan> {
-        self.cache.plan()
+        self.plan.as_ref()
+    }
+
+    /// Expansion + inflation of `a` into the reused output: a
+    /// numeric-only execution while `a`'s structure matches the plan's,
+    /// a (re)bind — whose pass materializes the values — otherwise.
+    fn expand(&mut self, a: &Csr<f64>, pool: &Pool) -> Result<(), SparseError> {
+        match &mut self.plan {
+            Some(p) if p.nthreads() == pool.nthreads() && p.matches_inputs(&[a]) => {
+                self.stats.hits += 1;
+                return p.execute_into_in(&[a], &[], &mut self.expanded, pool);
+            }
+            Some(p) => {
+                self.stats.rebuilds += 1;
+                p.rebind_in(&[a], &[], pool)?;
+            }
+            None => {
+                self.stats.rebuilds += 1;
+                let p = ExprPlan::new_in(&self.graph, self.root, &[a], &[], self.algo, pool)?;
+                self.plan = Some(p);
+            }
+        }
+        let plan = self.plan.as_ref().expect("bound above");
+        plan.root_into(&mut self.expanded)
     }
 }
 
@@ -162,8 +203,7 @@ pub fn mcl_step(
     }
     // expansion + inflation in one fused plan execution (the expr
     // layer traces its own bind/multiply/unary phases)
-    pipe.cache
-        .execute_into_in(&[a], &[], &mut pipe.expanded, pool)?;
+    pipe.expand(a, pool)?;
     let renorm = {
         let _g = obs::span!("mcl", "mcl.prune");
         let pruned = pipe.expanded.filter(|_, _, v| v >= params.prune_threshold);
@@ -466,9 +506,13 @@ mod tests {
         let plan = pipe.plan().expect("bound by the first step");
         assert_eq!(
             plan.fused_nodes(),
-            2,
-            "inflation power and renormalization both fuse into A²"
+            1,
+            "the inflation power fuses into A²; the renormalization materializes"
         );
         assert!(plan.fused_bytes_eliminated() > 0);
+        assert!(
+            plan.intermediate_bytes() >= 2 * plan.fused_bytes_eliminated(),
+            "two buffers of A²'s structure: the inflated square and its renormalized copy"
+        );
     }
 }

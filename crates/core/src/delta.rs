@@ -21,12 +21,13 @@
 //! flop-balanced partition, same pooled accumulators; a worker counts
 //! / computes the dirty rows of its range and takes every clean row
 //! from the previous structure / product (see
-//! `SpgemmPlan::execute_rows`). `spgemm::expr`'s [`DeltaPlan`] chains
-//! per-node transfer functions on top so a k-row edit flows through a
-//! whole pipeline recomputing `O(k · fanout)` rows; `spgemm-serve`'s
-//! expression jobs run on cached `DeltaPlan`s, so this is the only
-//! incremental product path — there is no second driver whose bytes
-//! could drift from a full evaluation's.
+//! `SpgemmPlan::execute_rows`). [`crate::expr::ExprPlan::update_in`]
+//! chains per-node transfer functions on top so a k-row edit flows
+//! through a whole pipeline recomputing `O(k · fanout)` product rows
+//! ([`DeltaReport`]); `spgemm-serve`'s expression jobs run on cached
+//! `ExprPlan`s, so this is the only incremental product path — there
+//! is no second driver whose bytes could drift from a full
+//! evaluation's.
 //!
 //! Every incremental path is **byte-for-byte identical** to a
 //! from-scratch rebind — the extraction order of every accumulator is
@@ -36,7 +37,7 @@
 
 use spgemm_sparse::{ColIdx, Csr};
 
-pub use crate::expr::{DeltaPlan, DeltaReport, NodeDelta};
+pub use crate::expr::DeltaReport;
 pub use spgemm_sparse::delta::{DirtyRows, RowPatch};
 
 /// `seed` plus every row of `m` whose pattern meets `dirty_cols`: the
@@ -65,29 +66,6 @@ pub fn rows_touching<T>(m: &Csr<T>, dirty_cols: &DirtyRows, seed: DirtyRows) -> 
         }
     }
     out
-}
-
-/// Rebuild `old` with each row in `rows` replaced by what `emit(row,
-/// cols, vals)` appends, preserving the sorted flag.
-pub(crate) fn splice_rows<T: Copy>(
-    old: &Csr<T>,
-    rows: &DirtyRows,
-    mut emit: impl FnMut(usize, &mut Vec<ColIdx>, &mut Vec<T>),
-) -> Csr<T> {
-    let mut rpts = Vec::with_capacity(old.nrows() + 1);
-    rpts.push(0usize);
-    let mut cols = Vec::with_capacity(old.nnz());
-    let mut vals = Vec::with_capacity(old.nnz());
-    for i in 0..old.nrows() {
-        if rows.contains(i) {
-            emit(i, &mut cols, &mut vals);
-        } else {
-            cols.extend_from_slice(old.row_cols(i));
-            vals.extend_from_slice(old.row_vals(i));
-        }
-        rpts.push(cols.len());
-    }
-    Csr::from_parts_unchecked(old.nrows(), old.ncols(), rpts, cols, vals, old.is_sorted())
 }
 
 #[cfg(test)]

@@ -1,50 +1,45 @@
-//! Delta propagation through expression DAGs: [`DeltaPlan`].
+//! Row updates through a bound [`ExprPlan`]: [`ExprPlan::update_in`].
 //!
-//! [`crate::expr::ExprPlan`] re-executes a whole pipeline when any
-//! input changes. For dynamic-graph workloads the change is a handful
-//! of rows, and every node kind admits a *dirty-set transfer
-//! function* mapping input deltas to output deltas:
+//! For dynamic-graph workloads an input changes a handful of rows at a
+//! time, and every node kind admits a *dirty-set transfer function*
+//! mapping its operands' deltas to its own:
 //!
-//! | node | rows out | cols out |
-//! |------|----------|----------|
-//! | `Multiply` | `rows(A) ∪ rows of A touching rows(B)` ([`rows_touching`]) | changed entries' columns |
-//! | `Transpose` | `cols(child)` | `rows(child)` |
-//! | `Add` / `Hadamard` | union of operand rows | union of operand cols |
-//! | `ScaleRows` / `ScaleCols` / `Map` | pass-through | pass-through |
-//! | `NormalizeCols` | `rows(child) ∪ rows of child touching cols(child)` ([`rows_touching`]) | `cols(child)` |
+//! | node | rows out | cols out | the plan's work |
+//! |------|----------|----------|-----------------|
+//! | `Multiply` | `rows(A) ∪ rows of A touching rows(B)` ([`rows_touching`]) | changed entries' columns | those rows only |
+//! | `Transpose` | `cols(child)` | `rows(child)` | structure rebuilt |
+//! | `Add` / `Hadamard` | union of operand rows | union of operand cols | provenance rebuilt |
+//! | `ScaleRows` / `ScaleCols` / `Map` | pass-through | pass-through | fused: with its owner; else rebuilt |
+//! | `NormalizeCols` | `rows(child) ∪ rows of child touching cols(child)` ([`rows_touching`]) | `cols(child)` | rebuilt |
 //!
-//! A [`DeltaPlan`] holds every needed node's value (and per-`Multiply`
-//! [`SpgemmPlan`]s); [`DeltaPlan::update_in`] takes one input slot's
-//! new value with the rows that may differ (what
-//! [`Csr::apply_patch`] returns) and walks the DAG once, recomputing
-//! **only** each node's dirty rows and splicing them into the cached
-//! value — so a k-row edit costs `O(k · fanout)` recomputed rows
-//! instead of the whole pipeline. Every spliced value is byte-for-byte
-//! what [`DeltaPlan::bind`] would produce from scratch on the new
-//! inputs; the `tests/` differential oracle pins exactly that. Node
-//! values are shared `Arc`s, so a reader (`spgemm-serve`'s expression
-//! jobs, which run on cached `DeltaPlan`s) takes one without a copy.
+//! A `Multiply` recomputes only its dirty rows in its own buffer
+//! ([`crate::SpgemmPlan::rebind_rows_in`] +
+//! [`crate::SpgemmPlan::execute_rows_in`]); the row-local epilogues fused
+//! into that buffer then rewrite just those rows — which is why only
+//! row-local nodes fuse. Every other node rebuilds its cached refill
+//! state from its operands, so the next
+//! [`ExprPlan::execute_into_in`] is still a numeric-only refill. The
+//! plan after an update is byte-for-byte the one a fresh
+//! [`ExprPlan::new_in`] on the new inputs would hold; the `tests/`
+//! differential oracle pins exactly that.
 
-use crate::delta::{rows_touching, splice_rows, DirtyRows};
-use crate::expr::{ExprGraph, ExprOp, NodeId};
-use crate::{Algorithm, OutputOrder, SpgemmPlan};
+use super::plan::{apply_unary, dims, resolve, NodeState, ValueLoc};
+use crate::delta::{rows_touching, DirtyRows};
+use crate::expr::{ExprOp, ExprPlan, NodeId};
 use spgemm_obs as obs;
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, ColIdx, Csr, PlusTimes, SparseError};
-use std::sync::Arc;
+use spgemm_sparse::{ops, Csr, SparseError};
 
 /// The dirty footprint of one node's value: which rows changed, and
 /// which columns hold at least one changed entry. Both are sound
 /// over-approximations (supersets of the truly-changed sets).
 #[derive(Clone, Debug)]
-pub struct NodeDelta {
-    /// Rows of the node's value that may differ from before the edit.
-    pub rows: DirtyRows,
-    /// Columns holding at least one changed entry.
-    pub cols: DirtyRows,
+struct NodeDelta {
+    rows: DirtyRows,
+    cols: DirtyRows,
 }
 
-/// What one [`DeltaPlan::update_in`] recomputed, against the size of the
+/// What one [`ExprPlan::update_in`] recomputed, against the size of the
 /// pipeline — the "k-row edit touches O(k·fanout) rows" claim in
 /// numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,8 +64,8 @@ impl DeltaReport {
 
 /// The columns in `rows` where `old` and `new` differ (structurally
 /// or in value bits). Both matrices must be sorted and equal-shaped;
-/// rows outside `rows` are assumed identical (not inspected).
-pub fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRows {
+/// rows outside `rows` are not inspected.
+fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRows {
     debug_assert_eq!(old.shape(), new.shape());
     debug_assert!(old.is_sorted() && new.is_sorted());
     let mut cols = DirtyRows::new(old.ncols());
@@ -85,223 +80,99 @@ pub fn touched_cols(old: &Csr<f64>, new: &Csr<f64>, rows: &DirtyRows) -> DirtyRo
     cols
 }
 
-/// An incrementally-updatable evaluation of one expression DAG.
-///
-/// Unlike the fused [`crate::expr::ExprPlan`], a `DeltaPlan`
-/// materializes every needed node's value — that is the state delta
-/// propagation splices into. Bind once with [`DeltaPlan::bind`], then
-/// hand input slots their new values with [`DeltaPlan::update_in`];
-/// the root (and every intermediate) is kept current at the cost of
-/// the dirty rows only.
-///
-/// ```
-/// use spgemm::delta::DeltaPlan;
-/// use spgemm::expr::{ElemMap, ExprGraph};
-/// use spgemm::Algorithm;
-/// use spgemm_sparse::{Csr, RowPatch};
-///
-/// let mut g = ExprGraph::new();
-/// let a = g.input();
-/// let sq = g.multiply(a, a);
-/// let root = g.normalize_cols(sq);
-///
-/// let m = Csr::<f64>::identity(64);
-/// let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&m], &[])?;
-///
-/// let mut patch = RowPatch::new();
-/// patch.insert(3, 9, 0.5);
-/// let (m2, dirty) = m.apply_patch(&patch)?;
-/// let report = plan.update_in(0, &m2, &dirty, spgemm_par::global_pool())?;
-/// assert!(report.rows_recomputed < report.rows_total / 2);
-/// assert!(plan.root().get(3, 9).is_some());
-/// # Ok::<(), spgemm_sparse::SparseError>(())
-/// ```
-pub struct DeltaPlan {
-    graph: ExprGraph,
-    root: NodeId,
-    algo: Algorithm,
-    needed: Vec<bool>,
-    inputs: Vec<Arc<Csr<f64>>>,
-    vecs: Vec<Vec<f64>>,
-    outs: Vec<Option<Arc<Csr<f64>>>>,
-    plans: Vec<Option<SpgemmPlan<PlusTimes<f64>>>>,
-}
-
-impl DeltaPlan {
-    /// Bind `graph`'s `root` against concrete inputs on the global
-    /// pool, fully evaluating every needed node.
-    pub fn bind(
-        graph: &ExprGraph,
-        root: NodeId,
-        algo: Algorithm,
-        inputs: &[&Csr<f64>],
-        vecs: &[&[f64]],
-    ) -> Result<Self, SparseError> {
-        Self::bind_in(graph, root, algo, inputs, vecs, spgemm_par::global_pool())
-    }
-
-    /// [`DeltaPlan::bind`] on an explicit pool.
-    pub fn bind_in(
-        graph: &ExprGraph,
-        root: NodeId,
-        algo: Algorithm,
-        inputs: &[&Csr<f64>],
-        vecs: &[&[f64]],
-        pool: &Pool,
-    ) -> Result<Self, SparseError> {
-        if inputs.len() != graph.num_inputs() || vecs.len() != graph.num_vec_inputs() {
-            return Err(SparseError::PlanMismatch {
-                detail: format!(
-                    "DeltaPlan::bind: got {} inputs / {} vectors, graph declares {} / {}",
-                    inputs.len(),
-                    vecs.len(),
-                    graph.num_inputs(),
-                    graph.num_vec_inputs()
-                ),
-            });
-        }
-        if inputs.iter().any(|m| !m.is_sorted()) {
-            return Err(SparseError::Unsorted {
-                op: "DeltaPlan::bind",
-            });
-        }
-        let mut plan = DeltaPlan {
-            graph: graph.clone(),
-            root,
-            algo,
-            needed: graph.reachable(root),
-            inputs: inputs.iter().map(|m| Arc::new((*m).clone())).collect(),
-            vecs: vecs.iter().map(|v| v.to_vec()).collect(),
-            outs: vec![None; graph.len()],
-            plans: (0..graph.len()).map(|_| None).collect(),
-        };
-        for idx in 0..plan.graph.len() {
-            if !plan.needed[idx] {
-                continue;
-            }
-            let value = plan.eval_node(idx, pool)?;
-            plan.outs[idx] = Some(value);
-        }
-        Ok(plan)
-    }
-
-    /// Fully evaluate node `idx` (operands already evaluated).
-    fn eval_node(&mut self, idx: usize, pool: &Pool) -> Result<Arc<Csr<f64>>, SparseError> {
-        fn out(outs: &[Option<Arc<Csr<f64>>>], id: NodeId) -> &Csr<f64> {
-            outs[id.index()].as_ref().expect("topological order")
-        }
-        Ok(Arc::new(match self.graph.nodes()[idx] {
-            ExprOp::Input { slot } => return Ok(Arc::clone(&self.inputs[slot])),
-            ExprOp::Multiply { a, b } => {
-                let (av, bv) = (out(&self.outs, a), out(&self.outs, b));
-                let plan = SpgemmPlan::<PlusTimes<f64>>::new_in(
-                    av,
-                    bv,
-                    self.algo,
-                    OutputOrder::Sorted,
-                    pool,
-                )?;
-                let c = plan.execute_in(av, bv, pool)?;
-                self.plans[idx] = Some(plan);
-                c
-            }
-            ExprOp::Transpose { a } => ops::transpose_in(out(&self.outs, a), pool),
-            ExprOp::Add { a, b } => ops::add(out(&self.outs, a), out(&self.outs, b))?,
-            ExprOp::Hadamard { a, b } => ops::hadamard(out(&self.outs, a), out(&self.outs, b))?,
-            ExprOp::ScaleRows { a, v } => {
-                ops::scale_rows(out(&self.outs, a), &self.vecs[v.index()])?
-            }
-            ExprOp::ScaleCols { a, v } => {
-                ops::scale_cols(out(&self.outs, a), &self.vecs[v.index()])?
-            }
-            ExprOp::Map { a, f } => out(&self.outs, a).map(|v| f.apply(v)),
-            ExprOp::NormalizeCols { a } => ops::normalize_columns(out(&self.outs, a)),
-        }))
-    }
-
-    /// The root node's current value, shared: clone the `Arc` to keep
-    /// it past the next update.
-    pub fn root(&self) -> &Arc<Csr<f64>> {
-        self.value(self.root).expect("root is always needed")
-    }
-
-    /// A needed node's current value (`None` for unneeded nodes).
-    pub fn value(&self, node: NodeId) -> Option<&Arc<Csr<f64>>> {
-        self.outs[node.index()].as_ref()
-    }
-
-    /// The current value of input slot `slot`.
-    pub fn input(&self, slot: usize) -> &Csr<f64> {
-        &self.inputs[slot]
-    }
-
-    /// Replace input slot `slot` with `new_input` and propagate the
-    /// delta through the DAG on `pool`, recomputing only dirty rows of
-    /// each node. `dirty` names the rows of `new_input` that may differ
-    /// from the slot's current value — what
-    /// [`Csr::apply_patch`] returns; any superset is fine, rows outside
-    /// it must match byte for byte. Every node's value afterwards is
-    /// byte-for-byte what a fresh [`DeltaPlan::bind`] on the new inputs
-    /// would hold.
+impl ExprPlan {
+    /// Bring the plan to new inputs that differ from the bound ones in
+    /// input slot `slot` only, recomputing just the dirty rows of each
+    /// node on `pool`. `inputs` and `vecs` are what
+    /// [`ExprPlan::execute_into_in`] takes, with `inputs[slot]` already
+    /// at its new value and `vecs` as last executed; `old` is the
+    /// slot's previous value and `dirty` the rows of `inputs[slot]`
+    /// that may differ from it — what [`Csr::apply_patch`] returns; any
+    /// superset is fine, rows outside it must match byte for byte.
+    /// Afterwards every node, the root and the input fingerprints are
+    /// byte-for-byte what a fresh [`ExprPlan::new_in`] on `inputs`
+    /// holds, so [`ExprPlan::matches_inputs`] accepts them and the next
+    /// [`ExprPlan::execute_into_in`] is a numeric-only refill.
     ///
-    /// A slot out of range, a `new_input` of another shape or unsorted,
-    /// or a `dirty` set over another row count is rejected before
-    /// anything changes. An error from further in (a node's operands
-    /// no longer fitting) leaves the nodes before it updated and the
-    /// rest stale: a plan whose update returned `Err` must be dropped,
-    /// not updated or read again.
+    /// A slot out of range, an `old` of another shape or entry count
+    /// than the bound value, a new value of another shape or unsorted, another slot or vector
+    /// off its bound shape, a `dirty` set over another row count or a
+    /// pool of another width is rejected before anything changes. An
+    /// error from further in leaves the plan unbound: it refuses to
+    /// execute until a [`ExprPlan::rebind_in`] succeeds.
+    ///
+    /// ```
+    /// use spgemm::expr::{ExprGraph, ExprPlan};
+    /// use spgemm::Algorithm;
+    /// use spgemm_sparse::{Csr, RowPatch};
+    ///
+    /// let mut g = ExprGraph::new();
+    /// let a = g.input();
+    /// let sq = g.multiply(a, a);
+    /// let root = g.normalize_cols(sq);
+    ///
+    /// let pool = spgemm_par::global_pool();
+    /// let m = Csr::<f64>::identity(64);
+    /// let mut plan = ExprPlan::new_in(&g, root, &[&m], &[], Algorithm::Hash, pool)?;
+    ///
+    /// let mut patch = RowPatch::new();
+    /// patch.insert(3, 9, 0.5);
+    /// let (m2, dirty) = m.apply_patch(&patch)?;
+    /// let report = plan.update_in(&[&m2], &[], 0, &m, &dirty, pool)?;
+    /// assert!(report.rows_recomputed < report.rows_total / 2);
+    /// assert!(plan.matches_inputs(&[&m2]));
+    /// let mut root_value = Csr::zero(0, 0);
+    /// plan.root_into(&mut root_value)?;
+    /// assert!(root_value.get(3, 9).is_some());
+    /// # Ok::<(), spgemm_sparse::SparseError>(())
+    /// ```
     pub fn update_in(
         &mut self,
+        inputs: &[&Csr<f64>],
+        vecs: &[&[f64]],
         slot: usize,
-        new_input: &Csr<f64>,
+        old: &Csr<f64>,
         dirty: &DirtyRows,
         pool: &Pool,
     ) -> Result<DeltaReport, SparseError> {
         let _g = obs::span!("delta", "delta.expr_update");
-        let Some(old) = self.inputs.get(slot) else {
+        let planned = self.input_shapes.get(slot).copied();
+        let new_shape = inputs.get(slot).map(|m| m.shape());
+        let (old_dims, nrows) = (dims(old), dirty.nrows());
+        if planned != Some(old_dims) || new_shape != Some(old.shape()) || nrows != old.nrows() {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
-                    "DeltaPlan::update_in: slot {slot} out of {} inputs",
-                    self.inputs.len()
+                    "ExprPlan::update_in: slot {slot} is bound as {planned:?}; got an old \
+                     value {old_dims:?}, a new one {new_shape:?} and {nrows} dirty rows"
                 ),
             });
+        }
+        self.check(inputs, vecs, pool, Some(slot))?;
+        let new = inputs[slot];
+        let edit = NodeDelta {
+            cols: touched_cols(old, new, dirty),
+            rows: dirty.clone(),
         };
-        if new_input.shape() != old.shape() || dirty.nrows() != old.nrows() {
-            return Err(SparseError::PlanMismatch {
-                detail: format!(
-                    "DeltaPlan::update_in: slot {slot} is {:?}; got a {:?} input over {} dirty rows",
-                    old.shape(),
-                    new_input.shape(),
-                    dirty.nrows()
-                ),
-            });
-        }
-        if !new_input.is_sorted() {
-            return Err(SparseError::Unsorted {
-                op: "DeltaPlan::update_in",
-            });
-        }
-        let base_cols = touched_cols(old, new_input, dirty);
-        self.inputs[slot] = Arc::new(new_input.clone());
 
+        self.bound = false;
         let mut deltas: Vec<Option<NodeDelta>> = vec![None; self.graph.len()];
         let mut report = DeltaReport::default();
-        for idx in 0..self.graph.len() {
-            if !self.needed[idx] {
-                continue;
-            }
-            let op = self.graph.nodes()[idx];
-            if !matches!(op, ExprOp::Input { .. }) {
-                report.rows_total += self.outs[idx].as_ref().expect("bound").nrows();
-            }
-            let delta = self.propagate_node(idx, op, slot, dirty, &base_cols, &deltas, pool)?;
-            if let Some(d) = &delta {
-                if !matches!(op, ExprOp::Input { .. }) {
-                    report.rows_recomputed += d.rows.count();
+        for i in 0..self.graph.len() {
+            let op = self.graph.nodes()[i];
+            deltas[i] = match op {
+                _ if !self.needed[i] => None,
+                ExprOp::Input { slot: s } => (s == slot).then(|| edit.clone()),
+                _ => {
+                    report.rows_total += resolve(self.value_of[i], inputs, &self.bufs).nrows();
+                    let delta = self.update_node(i, op, &deltas, inputs, vecs, pool)?;
+                    report.rows_recomputed += delta.as_ref().map_or(0, |d| d.rows.count());
+                    delta
                 }
-            }
-            deltas[idx] = delta;
+            };
         }
+        self.input_shapes[slot] = dims(new);
+        self.input_sigs[slot] = new.structure_fingerprint();
+        self.bound = true;
         if obs::enabled() {
             static ROWS: obs::CounterSite =
                 obs::CounterSite::new("delta", "delta.expr_rows_recomputed");
@@ -310,198 +181,123 @@ impl DeltaPlan {
         Ok(report)
     }
 
-    /// Recompute node `idx`'s dirty rows per its transfer function and
-    /// return the node's output delta (`None` if untouched).
-    #[allow(clippy::too_many_arguments)]
-    fn propagate_node(
+    /// Bring node `i` up to date per its transfer function and return
+    /// its output delta (`None` if no operand moved).
+    fn update_node(
         &mut self,
-        idx: usize,
+        i: usize,
         op: ExprOp,
-        edited_slot: usize,
-        input_rows: &DirtyRows,
-        input_cols: &DirtyRows,
         deltas: &[Option<NodeDelta>],
+        inputs: &[&Csr<f64>],
+        vecs: &[&[f64]],
         pool: &Pool,
     ) -> Result<Option<NodeDelta>, SparseError> {
-        let d = |id: NodeId| deltas[id.index()].as_ref();
-        match op {
-            ExprOp::Input { slot } => {
-                if slot != edited_slot {
-                    return Ok(None);
-                }
-                self.outs[idx] = Some(Arc::clone(&self.inputs[slot]));
-                Ok(Some(NodeDelta {
-                    rows: input_rows.clone(),
-                    cols: input_cols.clone(),
-                }))
-            }
-            ExprOp::Multiply { a, b } => {
-                let (da, db) = (d(a), d(b));
-                if da.is_none() && db.is_none() {
-                    return Ok(None);
-                }
-                let old = self.outs[idx].take().expect("bound");
-                let (out_rows, c) = {
-                    let av = self.outs[a.index()].as_ref().expect("topological order");
-                    let bv = self.outs[b.index()].as_ref().expect("topological order");
-                    let dirty_a = da
-                        .map(|x| x.rows.clone())
-                        .unwrap_or_else(|| DirtyRows::new(av.nrows()));
-                    let dirty_b = db
-                        .map(|x| x.rows.clone())
-                        .unwrap_or_else(|| DirtyRows::new(bv.nrows()));
-                    let plan = self.plans[idx].as_mut().expect("bound Multiply node");
-                    let out_rows = plan.rebind_rows_in(av, bv, &dirty_a, &dirty_b, pool)?;
-                    let mut c = Csr::clone(&old);
-                    plan.execute_rows_in(av, bv, &out_rows, &mut c, pool)?;
-                    (out_rows, c)
-                };
-                let cols = touched_cols(&old, &c, &out_rows);
-                self.outs[idx] = Some(Arc::new(c));
-                Ok(Some(NodeDelta {
-                    rows: out_rows,
-                    cols,
-                }))
-            }
-            ExprOp::Transpose { a } => {
-                let Some(da) = d(a) else { return Ok(None) };
-                let av = self.outs[a.index()].as_ref().expect("topological order");
-                // A transpose relocates every entry; recompute in full
-                // (and report it honestly) — but the *delta* it hands
-                // downstream is the exact rows↔cols swap.
-                let delta = NodeDelta {
-                    rows: da.cols.clone(),
-                    cols: da.rows.clone(),
-                };
-                self.outs[idx] = Some(Arc::new(ops::transpose_in(av, pool)));
-                Ok(Some(delta))
-            }
-            ExprOp::Add { a, b } => self.recompute_merge(idx, a, b, deltas, false),
-            ExprOp::Hadamard { a, b } => self.recompute_merge(idx, a, b, deltas, true),
-            ExprOp::ScaleRows { a, v } => {
-                let factors = &self.vecs[v.index()];
-                Ok(d(a).map(|da| {
-                    remap_rows(&mut self.outs, idx, a, &da.rows, |i, _, x| x * factors[i]);
-                    da.clone()
-                }))
-            }
-            ExprOp::ScaleCols { a, v } => {
-                let factors = &self.vecs[v.index()];
-                Ok(d(a).map(|da| {
-                    remap_rows(&mut self.outs, idx, a, &da.rows, |_, c, x| {
-                        x * factors[c as usize]
-                    });
-                    da.clone()
-                }))
-            }
-            ExprOp::Map { a, f } => Ok(d(a).map(|da| {
-                remap_rows(&mut self.outs, idx, a, &da.rows, |_, _, x| f.apply(x));
-                da.clone()
-            })),
-            ExprOp::NormalizeCols { a } => {
-                let Some(da) = d(a) else { return Ok(None) };
-                let av = self.outs[a.index()].as_ref().expect("topological order");
-                // A dirty column's sum changes, so every row holding
-                // that column renormalizes — not just the edited rows.
-                let rows = rows_touching(av, &da.cols, da.rows.clone());
-                // Column sums are recomputed from scratch in storage
-                // order — clean columns sum identical bytes, dirty
-                // ones get their fresh divisor — so every spliced
-                // value matches `ops::normalize_columns` bit-for-bit.
-                let mut colsum = vec![0.0f64; av.ncols()];
-                for (&c, &x) in av.cols().iter().zip(av.vals()) {
-                    colsum[c as usize] += x;
-                }
-                remap_rows(&mut self.outs, idx, a, &rows, |_, c, x| {
-                    let s = colsum[c as usize];
-                    if s != 0.0 {
-                        x / s
-                    } else {
-                        x
-                    }
-                });
-                Ok(Some(NodeDelta {
-                    rows,
-                    cols: da.cols.clone(),
-                }))
-            }
+        let d = |id: Option<NodeId>| id.and_then(|id| deltas[id.index()].as_ref());
+        let (a, b) = op.operands();
+        let (da, db) = (d(a), d(b));
+        if da.is_none() && db.is_none() {
+            return Ok(None);
+        } else if let ExprOp::Multiply { .. } = op {
+            return self.patch_product(i, da, db, inputs, vecs, pool).map(Some);
         }
-    }
-
-    /// Recompute the dirty rows of an `Add` (`intersect == false`) or
-    /// `Hadamard` (`intersect == true`) node over the same
-    /// [`ops::merge_sorted_rows`] walk as [`ops::add`] /
-    /// [`ops::hadamard`], so the bytes agree by construction.
-    fn recompute_merge(
-        &mut self,
-        idx: usize,
-        a: NodeId,
-        b: NodeId,
-        deltas: &[Option<NodeDelta>],
-        intersect: bool,
-    ) -> Result<Option<NodeDelta>, SparseError> {
-        let delta = match (deltas[a.index()].as_ref(), deltas[b.index()].as_ref()) {
-            (None, None) => return Ok(None),
-            (Some(d), None) | (None, Some(d)) => d.clone(),
-            (Some(da), Some(db)) => {
-                let mut d = da.clone();
-                d.rows.union_with(&db.rows);
-                d.cols.union_with(&db.cols);
-                d
+        let mut delta = da.or(db).expect("an operand moved").clone();
+        if let (Some(_), Some(y)) = (da, db) {
+            delta.rows.union_with(&y.rows);
+            delta.cols.union_with(&y.cols);
+        }
+        let delta = match op {
+            // Rewritten with its owner's rows when the owner updated.
+            _ if matches!(self.value_of[i], ValueLoc::Buf(owner) if owner != i) => {
+                return Ok(Some(delta))
             }
+            // A transpose relocates every entry (its structure is
+            // rebuilt in full), but the delta it hands downstream is
+            // the exact rows ↔ cols swap.
+            ExprOp::Transpose { .. } => NodeDelta {
+                rows: delta.cols,
+                cols: delta.rows,
+            },
+            // A dirty column's sum changes, so every row holding that
+            // column renormalizes — not just the edited rows.
+            ExprOp::NormalizeCols { a } => {
+                let av = resolve(self.value_of[a.index()], inputs, &self.bufs);
+                NodeDelta {
+                    rows: rows_touching(av, &delta.cols, delta.rows),
+                    cols: delta.cols,
+                }
+            }
+            _ => delta,
         };
-        let av = self.outs[a.index()].as_ref().expect("topological order");
-        let bv = self.outs[b.index()].as_ref().expect("topological order");
-        let old = self.outs[idx].as_ref().expect("bound node");
-        let new = splice_rows(old, &delta.rows, |i, cols, vals| {
-            let (avals, bvals) = (av.row_vals(i), bv.row_vals(i));
-            ops::merge_sorted_rows(av.row_cols(i), bv.row_cols(i), |col, p, q| {
-                let x = match (p.map(|p| avals[p]), q.map(|q| bvals[q])) {
-                    (Some(x), Some(y)) if intersect => x * y,
-                    (Some(x), Some(y)) => x + y,
-                    (Some(x), None) | (None, Some(x)) if !intersect => x,
-                    _ => return,
-                };
-                cols.push(col);
-                vals.push(x);
-            });
-        });
-        self.outs[idx] = Some(Arc::new(new));
+        self.bind_node(i, inputs, vecs, pool)?;
+        for j in self.epilogues_of(i) {
+            self.bind_node(j, inputs, vecs, pool)?;
+        }
         Ok(Some(delta))
     }
-}
 
-/// Recompute `rows` of the element-wise node `idx` over operand `a`
-/// and splice them into its cached value: each row keeps the operand
-/// row's columns, its values mapped by `f(row, col, value)`.
-fn remap_rows(
-    outs: &mut [Option<Arc<Csr<f64>>>],
-    idx: usize,
-    a: NodeId,
-    rows: &DirtyRows,
-    f: impl Fn(usize, ColIdx, f64) -> f64,
-) {
-    let av = outs[a.index()].as_ref().expect("topological order");
-    let old = outs[idx].as_ref().expect("bound node");
-    let new = splice_rows(old, rows, |i, cols, vals| {
-        cols.extend_from_slice(av.row_cols(i));
-        let entries = av.row_cols(i).iter().zip(av.row_vals(i));
-        vals.extend(entries.map(|(&c, &x)| f(i, c, x)));
-    });
-    outs[idx] = Some(Arc::new(new));
+    /// Recompute the dirty rows of `Multiply` node `i` in its buffer,
+    /// re-apply the epilogues fused into it on just those rows, and
+    /// return the rows with the columns whose final values moved.
+    fn patch_product(
+        &mut self,
+        i: usize,
+        da: Option<&NodeDelta>,
+        db: Option<&NodeDelta>,
+        inputs: &[&Csr<f64>],
+        vecs: &[&[f64]],
+        pool: &Pool,
+    ) -> Result<NodeDelta, SparseError> {
+        let (head, tail) = self.bufs.split_at_mut(i);
+        let me = &mut tail[0];
+        let NodeState::Multiply { a, b, plan } = &mut self.states[i] else {
+            unreachable!("a Multiply node holds a product plan")
+        };
+        let (ar, br) = (resolve(*a, inputs, head), resolve(*b, inputs, head));
+        let (clean_a, clean_b) = (DirtyRows::new(ar.nrows()), DirtyRows::new(br.nrows()));
+        let dirty_a = da.map_or(&clean_a, |x| &x.rows);
+        let dirty_b = db.map_or(&clean_b, |x| &x.rows);
+        let rows = plan.rebind_rows_in(ar, br, dirty_a, dirty_b, pool)?;
+        // The rows about to be overwritten, every other row empty: all
+        // `touched_cols` reads of the previous value.
+        let before = me.filter(|r, _, _| rows.contains(r));
+        plan.execute_rows_in(ar, br, &rows, me, pool)?;
+        for j in self.epilogues_of(i) {
+            let NodeState::Unary { kind, .. } = &mut self.states[j] else {
+                unreachable!("only unary nodes fuse")
+            };
+            apply_unary(kind, &mut self.bufs[i], vecs, Some(&rows))?;
+        }
+        let cols = touched_cols(&before, &self.bufs[i], &rows);
+        Ok(NodeDelta { rows, cols })
+    }
+
+    /// The fused epilogues rewriting node `i`'s buffer, in node order.
+    fn epilogues_of(&self, i: usize) -> Vec<usize> {
+        (i + 1..self.graph.len())
+            .filter(|&j| matches!(self.value_of[j], ValueLoc::Buf(owner) if owner == i))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::RowPatch;
-    use crate::expr::ElemMap;
+    use crate::expr::{ElemMap, ExprGraph};
+    use crate::Algorithm;
+    use spgemm_sparse::ColIdx;
 
     fn ring(n: usize) -> Csr<f64> {
         let triples: Vec<_> = (0..n)
             .map(|i| (i, ((i + 1) % n) as ColIdx, 1.0 + i as f64))
             .collect();
         Csr::from_triplets(n, n, &triples).unwrap()
+    }
+
+    fn root_of(plan: &ExprPlan) -> Csr<f64> {
+        let mut out = Csr::zero(0, 0);
+        plan.root_into(&mut out).unwrap();
+        out
     }
 
     #[test]
@@ -522,18 +318,17 @@ mod tests {
         let inflated = g.map(sq, ElemMap::AbsPow(2.0));
         let root = g.normalize_cols(inflated);
 
-        let m = ring(32);
-        let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&m], &[]).unwrap();
+        let (m, pool) = (ring(32), Pool::new(2));
+        let mut plan = ExprPlan::new_in(&g, root, &[&m], &[], Algorithm::Hash, &pool).unwrap();
 
         let mut patch = RowPatch::new();
         patch.insert(5, 20, 0.25).delete(9, 10);
         let (m2, dirty) = m.apply_patch(&patch).unwrap();
-        let report = plan.update_in(0, &m2, &dirty, &Pool::new(2)).unwrap();
+        let report = plan.update_in(&[&m2], &[], 0, &m, &dirty, &pool).unwrap();
         assert!(report.rows_recomputed < report.rows_total);
 
-        let fresh =
-            DeltaPlan::bind(&g, root, Algorithm::Hash, &[&plan.input(0).clone()], &[]).unwrap();
-        assert_eq!(plan.root(), fresh.root());
+        let fresh = ExprPlan::new_in(&g, root, &[&m2], &[], Algorithm::Hash, &pool).unwrap();
+        assert_eq!(root_of(&plan), root_of(&fresh));
     }
 
     #[test]
@@ -545,13 +340,15 @@ mod tests {
         let sq = g.multiply(a, a);
         let root = g.add(sq, b);
 
-        let ma = ring(16);
-        let mb = Csr::<f64>::identity(16);
-        let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&ma, &mb], &[]).unwrap();
+        let (ma, mb, pool) = (ring(16), Csr::<f64>::identity(16), Pool::new(1));
+        let mut plan =
+            ExprPlan::new_in(&g, root, &[&ma, &mb], &[], Algorithm::Hash, &pool).unwrap();
         let mut patch = RowPatch::new();
         patch.insert(3, 3, 5.0);
         let (mb2, dirty) = mb.apply_patch(&patch).unwrap();
-        let report = plan.update_in(1, &mb2, &dirty, &Pool::new(1)).unwrap();
+        let report = plan
+            .update_in(&[&ma, &mb2], &[], 1, &mb, &dirty, &pool)
+            .unwrap();
         // one row of Add recomputed; the 16-row Multiply untouched
         assert_eq!(report.rows_recomputed, 1);
         assert_eq!(report.rows_total, 32);
@@ -565,19 +362,43 @@ mod tests {
         let a = g.input();
         let root = g.transpose(a);
         let m = ring(8);
-        let mut plan = DeltaPlan::bind(&g, root, Algorithm::Hash, &[&m], &[]).unwrap();
         let pool = Pool::new(1);
+        let mut plan = ExprPlan::new_in(&g, root, &[&m], &[], Algorithm::Hash, &pool).unwrap();
         let all = DirtyRows::all(8);
         let mut rpts = vec![2usize; 9];
         rpts[0] = 0;
         let unsorted = Csr::from_parts(8, 8, rpts, vec![3, 1], vec![1.0, 2.0]).unwrap();
         assert!(!unsorted.is_sorted(), "fixture precondition");
-        assert!(plan.update_in(1, &m, &all, &pool).is_err(), "slot");
+        assert!(
+            plan.update_in(&[&m], &[], 1, &m, &all, &pool).is_err(),
+            "slot"
+        );
         let wider = Csr::<f64>::zero(8, 9);
-        assert!(plan.update_in(0, &wider, &all, &pool).is_err(), "shape");
+        assert!(
+            plan.update_in(&[&wider], &[], 0, &m, &all, &pool).is_err(),
+            "shape"
+        );
         let nine = DirtyRows::all(9);
-        assert!(plan.update_in(0, &m, &nine, &pool).is_err(), "dirty set");
-        assert!(plan.update_in(0, &unsorted, &all, &pool).is_err(), "order");
-        assert_eq!(**plan.root(), ops::transpose(&m));
+        assert!(
+            plan.update_in(&[&m], &[], 0, &m, &nine, &pool).is_err(),
+            "dirty set"
+        );
+        assert!(
+            plan.update_in(&[&unsorted], &[], 0, &m, &all, &pool)
+                .is_err(),
+            "order"
+        );
+        let other = Csr::<f64>::zero(8, 8);
+        assert!(
+            plan.update_in(&[&m], &[], 0, &other, &all, &pool).is_err(),
+            "old"
+        );
+        assert!(
+            plan.update_in(&[&m], &[], 0, &m, &all, &Pool::new(2))
+                .is_err(),
+            "width"
+        );
+        assert_eq!(root_of(&plan), ops::transpose(&m));
+        assert!(plan.matches_inputs(&[&m]));
     }
 }

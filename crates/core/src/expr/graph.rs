@@ -152,17 +152,23 @@ impl ExprOp {
         }
     }
 
-    /// Whether the op only rewrites values in place (structure — and
-    /// therefore buffer layout — identical to its operand's). These
-    /// are the fusion candidates: applied as an epilogue inside the
-    /// producing node's buffer when nothing else consumes it.
-    pub(crate) fn is_elementwise_unary(&self) -> bool {
+    /// The matrix operands, in order.
+    pub(crate) fn operand_list(&self) -> impl Iterator<Item = NodeId> {
+        let (a, b) = self.operands();
+        a.into_iter().chain(b)
+    }
+
+    /// Whether the op rewrites each stored value from its own row
+    /// alone (structure — and therefore buffer layout — identical to
+    /// its operand's). These are the fusion candidates: applied as an
+    /// epilogue inside the producing node's buffer when nothing else
+    /// consumes it, and re-applied to just the recomputed rows when a
+    /// row update patches that buffer. `NormalizeCols` is not one: its
+    /// column sums read every row of its operand's unnormalised values.
+    pub(crate) fn is_row_local_unary(&self) -> bool {
         matches!(
             self,
-            ExprOp::ScaleRows { .. }
-                | ExprOp::ScaleCols { .. }
-                | ExprOp::Map { .. }
-                | ExprOp::NormalizeCols { .. }
+            ExprOp::ScaleRows { .. } | ExprOp::ScaleCols { .. } | ExprOp::Map { .. }
         )
     }
 }
@@ -196,17 +202,11 @@ impl ExprGraph {
     }
 
     fn push(&mut self, op: ExprOp) -> NodeId {
-        if let (Some(a), b) = op.operands() {
+        for x in op.operand_list() {
             assert!(
-                a.index() < self.nodes.len(),
+                x.index() < self.nodes.len(),
                 "operand NodeId from another graph"
             );
-            if let Some(b) = b {
-                assert!(
-                    b.index() < self.nodes.len(),
-                    "operand NodeId from another graph"
-                );
-            }
         }
         let id = NodeId(u32::try_from(self.nodes.len()).expect("graph too large"));
         self.nodes.push(op);
@@ -323,15 +323,10 @@ impl ExprGraph {
         // Operands precede their consumers, so one reverse sweep
         // propagates the whole closure.
         for i in (0..self.nodes.len()).rev() {
-            if !needed[i] {
-                continue;
-            }
-            let (a, b) = self.nodes[i].operands();
-            if let Some(a) = a {
-                needed[a.index()] = true;
-            }
-            if let Some(b) = b {
-                needed[b.index()] = true;
+            if needed[i] {
+                for x in self.nodes[i].operand_list() {
+                    needed[x.index()] = true;
+                }
             }
         }
         needed
@@ -342,16 +337,9 @@ impl ExprGraph {
     /// fusion opportunity.
     pub(crate) fn consumer_counts(&self, needed: &[bool]) -> Vec<u32> {
         let mut counts = vec![0u32; self.nodes.len()];
-        for (i, op) in self.nodes.iter().enumerate() {
-            if !needed[i] {
-                continue;
-            }
-            let (a, b) = op.operands();
-            if let Some(a) = a {
-                counts[a.index()] += 1;
-            }
-            if let Some(b) = b {
-                counts[b.index()] += 1;
+        for (op, _) in self.nodes.iter().zip(needed).filter(|(_, &n)| n) {
+            for x in op.operand_list() {
+                counts[x.index()] += 1;
             }
         }
         counts

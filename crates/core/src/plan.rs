@@ -37,7 +37,7 @@
 //! (`algos::spa`).
 //!
 //! Every bind emits — [`SpgemmPlan::new`], [`SpgemmPlan::rebind`] and
-//! with it every [`PlanCache`] / `ExprCache` rebind, into fresh
+//! with it every [`PlanCache`] / `ExprPlan` rebind, into fresh
 //! segments once the previous pattern is dropped — and
 //! [`SpgemmPlan::rebind_rows`] emits
 //! its dirty rows and copies the clean ones from the old pattern, so a

@@ -3,17 +3,18 @@
 //! [`ExprPlan`] and its reused output have warmed up,
 //! `execute_into` re-runs the *whole pipeline* (SpGEMM, transpose,
 //! add, hadamard, fused element-wise epilogues, root copy) with
-//! **zero** heap allocations for intermediates.
+//! **zero** heap allocations for intermediates — also once the plan
+//! has taken a row update.
 //!
 //! Same approach as `plan_zero_alloc.rs`: a counting
 //! `#[global_allocator]` tallies allocations per thread and the strict
 //! assertion runs on a single-thread pool (inline execution, exact
 //! thread-local accounting).
 
-use spgemm::expr::{ElemMap, ExprGraph, ExprPlan};
+use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, NodeId};
 use spgemm::Algorithm;
 use spgemm_par::Pool;
-use spgemm_sparse::{ColIdx, Csr};
+use spgemm_sparse::{ColIdx, Csr, RowPatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,20 +65,15 @@ fn banded(n: usize) -> Csr<f64> {
     Csr::from_triplets(n, n, &trips).unwrap()
 }
 
-#[test]
-fn expr_execute_into_steady_state_allocates_nothing() {
-    let a = banded(192);
-    let rf: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();
-    let pool = Pool::new(1); // inline execution: exact accounting
-
-    // Every node kind in one DAG:
-    //   t  = Aᵀ              (cached counting sort, gather refill)
-    //   s  = A + t           (cached union structure, provenance refill)
-    //   sq = s · s           (SpgemmPlan execute_into)
-    //   h  = sq ∘ A          (cached intersection, provenance refill)
-    //   m  = |h|^2           (fused epilogue in h's buffer)
-    //   n  = normalize_cols  (fused epilogue, cached colsum scratch)
-    //   r  = scale_rows(n)   (fused epilogue)
+/// Every node kind in one DAG over one matrix and one vector input:
+///   t  = Aᵀ              (cached counting sort, gather refill)
+///   s  = A + t           (cached union structure, provenance refill)
+///   sq = s · s           (SpgemmPlan execute_into)
+///   h  = sq ∘ A          (cached intersection, provenance refill)
+///   m  = |h|^2           (fused epilogue in h's buffer)
+///   n  = normalize_cols  (materialized, cached colsum scratch)
+///   r  = scale_rows(n)   (fused epilogue in n's buffer)
+fn every_node_kind() -> (ExprGraph, NodeId) {
     let mut g = ExprGraph::new();
     let ia = g.input();
     let vf = g.vec_input();
@@ -88,9 +84,22 @@ fn expr_execute_into_steady_state_allocates_nothing() {
     let m = g.map(h, ElemMap::AbsPow(2.0));
     let n = g.normalize_cols(m);
     let root = g.scale_rows(n, vf);
+    (g, root)
+}
+
+#[test]
+fn expr_execute_into_steady_state_allocates_nothing() {
+    let a = banded(192);
+    let rf: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();
+    let pool = Pool::new(1); // inline execution: exact accounting
+    let (g, root) = every_node_kind();
 
     let mut plan = ExprPlan::new_in(&g, root, &[&a], &[&rf], Algorithm::Hash, &pool).unwrap();
-    assert_eq!(plan.fused_nodes(), 3, "map, normalize and scale all fuse");
+    assert_eq!(
+        plan.fused_nodes(),
+        2,
+        "map and scale fuse; normalize materializes"
+    );
     assert!(plan.fused_bytes_eliminated() > 0);
 
     let mut out = Csr::<f64>::zero(0, 0);
@@ -114,6 +123,38 @@ fn expr_execute_into_steady_state_allocates_nothing() {
         "steady-state expression execution must not allocate"
     );
     assert_eq!(out.nnz(), nnz, "result drifted");
+    assert!(out.validate().is_ok());
+}
+
+/// A plan that took a structural row update refills without
+/// allocating from its second execution on: the update rebuilt every
+/// cached structure at the patched sizes.
+#[test]
+fn expr_execute_after_an_update_allocates_nothing() {
+    let a = banded(192);
+    let rf: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();
+    let pool = Pool::new(1);
+    let (g, root) = every_node_kind();
+    let mut plan = ExprPlan::new_in(&g, root, &[&a], &[&rf], Algorithm::Hash, &pool).unwrap();
+    let mut out = Csr::<f64>::zero(0, 0);
+    plan.execute_into_in(&[&a], &[&rf], &mut out, &pool)
+        .unwrap();
+
+    let mut patch = RowPatch::new();
+    patch.insert(5, 100, 2.5).delete(9, a.row_cols(9)[0]);
+    let (a2, dirty) = a.apply_patch(&patch).unwrap();
+    plan.update_in(&[&a2], &[&rf], 0, &a, &dirty, &pool)
+        .unwrap();
+    plan.execute_into_in(&[&a2], &[&rf], &mut out, &pool)
+        .unwrap();
+    let before = allocations();
+    plan.execute_into_in(&[&a2], &[&rf], &mut out, &pool)
+        .unwrap();
+    assert_eq!(
+        allocations() - before,
+        0,
+        "the second execution after an update must not allocate"
+    );
     assert!(out.validate().is_ok());
 }
 

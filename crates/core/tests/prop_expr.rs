@@ -4,7 +4,7 @@
 //! the error paths must hold.
 
 use proptest::prelude::*;
-use spgemm::expr::{ElemMap, ExprCache, ExprGraph, ExprPlan};
+use spgemm::expr::{ElemMap, ExprGraph, ExprPlan};
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, PlusTimes, SparseError};
@@ -147,25 +147,28 @@ proptest! {
         let ia = g.input();
         let sq = g.multiply(ia, ia);
         let root = g.normalize_cols(sq);
-        let mut cache = ExprCache::new(g, root, Algorithm::Hash);
         let mut out = Csr::zero(0, 0);
         let oracle = |m: &Csr<f64>| {
             let sq = multiply_in::<P>(m, m, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
             ops::normalize_columns(&sq)
         };
-        for _ in 0..3 {
-            cache.execute_into_in(&[&a], &[], &mut out, &pool).unwrap();
+        // A caller's hit/rebind decision: `matches_inputs` → execute,
+        // otherwise rebind and read the root the bind pass wrote.
+        let mut plan = ExprPlan::new_in(&g, root, &[&a], &[], Algorithm::Hash, &pool).unwrap();
+        plan.root_into(&mut out).unwrap();
+        prop_assert!(bits_eq_f64(&out, &oracle(&a)));
+        for _ in 0..2 {
+            prop_assert!(plan.matches_inputs(&[&a]));
+            plan.execute_into_in(&[&a], &[], &mut out, &pool).unwrap();
             prop_assert!(bits_eq_f64(&out, &oracle(&a)));
         }
-        prop_assert_eq!(cache.stats().rebuilds, 1);
-        prop_assert_eq!(cache.stats().hits, 2);
         // drift to a different pattern and back
-        cache.execute_into_in(&[&b], &[], &mut out, &pool).unwrap();
-        prop_assert!(bits_eq_f64(&out, &oracle(&b)));
-        prop_assert_eq!(cache.stats().rebuilds, 2);
-        cache.execute_into_in(&[&a], &[], &mut out, &pool).unwrap();
-        prop_assert!(bits_eq_f64(&out, &oracle(&a)));
-        prop_assert_eq!(cache.stats().rebuilds, 3);
+        for m in [&b, &a] {
+            prop_assert!(!plan.matches_inputs(&[m]));
+            plan.rebind_in(&[m], &[], &pool).unwrap();
+            plan.root_into(&mut out).unwrap();
+            prop_assert!(bits_eq_f64(&out, &oracle(m)));
+        }
     }
 }
 
@@ -316,29 +319,31 @@ fn failed_rebind_poisons_the_plan_until_a_good_rebind() {
 
 #[test]
 fn expr_cache_recovers_after_a_failed_rebind() {
-    // Through the cache: a bad execution errors, then the same bad
-    // inputs error AGAIN (no stale hit), and good inputs recover.
+    // Through a caller's hit/rebind decision: bad inputs fail the
+    // match and their rebind errors, then the same bad inputs fail the
+    // match AGAIN (no stale hit), and good inputs rebind and recover.
     let pool = Pool::new(1);
     let mut g = ExprGraph::new();
     let ia = g.input();
     let ib = g.input();
     let root = g.add(ia, ib);
-    let mut cache = ExprCache::new(g, root, Algorithm::Hash);
     let a = Csr::<f64>::identity(4);
     let bigger = Csr::<f64>::identity(5);
+    let mut plan = ExprPlan::new_in(&g, root, &[&a, &a], &[], Algorithm::Hash, &pool).unwrap();
     let mut out = Csr::zero(0, 0);
-    cache
-        .execute_into_in(&[&a, &a], &[], &mut out, &pool)
-        .unwrap();
     for _ in 0..2 {
+        assert!(!plan.matches_inputs(&[&bigger, &a]));
         assert!(matches!(
-            cache.execute_into_in(&[&bigger, &a], &[], &mut out, &pool),
+            plan.rebind_in(&[&bigger, &a], &[], &pool),
             Err(SparseError::ShapeMismatch { .. })
         ));
     }
-    cache
-        .execute_into_in(&[&a, &a], &[], &mut out, &pool)
-        .unwrap();
+    assert!(
+        !plan.matches_inputs(&[&a, &a]),
+        "a failed rebind leaves the plan unbound"
+    );
+    plan.rebind_in(&[&a, &a], &[], &pool).unwrap();
+    plan.root_into(&mut out).unwrap();
     let expect = ops::add(&a, &a).unwrap();
     assert!(bits_eq_f64(&out, &expect));
 }

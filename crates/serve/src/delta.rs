@@ -14,7 +14,7 @@
 //!
 //! Expression jobs consume those records: a cached evaluator at an
 //! older version of the name is advanced with
-//! [`spgemm::delta::DeltaPlan::update_in`] over the window's dirty
+//! [`spgemm::expr::ExprPlan::update_in`] over the window's dirty
 //! rows when the window reaches back to its version — any superset of
 //! the changed rows is exact, so one stretched window serves every
 //! evaluator inside it. A version the tracker no longer covers (a

@@ -57,7 +57,7 @@ pub struct ServeConfig {
     /// Budget of the **evaluator cache** for expression jobs, in keys:
     /// one per pipeline (graph, input names, kernel) whatever tenant
     /// submits it, each pooling up to one evaluator — a
-    /// `spgemm::delta::DeltaPlan` — per worker that demanded it at
+    /// `spgemm::expr::ExprPlan` — per worker that demanded it at
     /// once. LRU beyond the budget; **0 disables** it: each job binds
     /// its own evaluator and drops it.
     pub expr_result_entries: usize,

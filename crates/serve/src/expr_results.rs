@@ -1,14 +1,15 @@
-//! Expression evaluators: the cached [`DeltaPlan`]s expression jobs
-//! run on, pooled in a [`SlotCache`] keyed by the pipeline — graph,
-//! input names, kernel ([`EvalKey`]) — so tenants submitting the same
+//! Expression evaluators: the cached [`ExprPlan`]s expression jobs run
+//! on, each with the stored inputs it was computed from and its root,
+//! pooled in a [`SlotCache`] keyed by the pipeline — graph, input
+//! names, kernel ([`EvalKey`]) — so tenants submitting the same
 //! pipeline share them. Per job:
 //!
 //! * an evaluator already at the job's input versions serves its root
 //!   `Arc` — a **hit**;
 //! * one behind, where every input that moved has a [`DeltaTracker`]
 //!   window reaching back to the evaluator's version, is advanced with
-//!   [`DeltaPlan::update_in`] once per moved input, recomputing only
-//!   the dirtied rows of every node
+//!   [`ExprPlan::update_in`] once per moved input, recomputing only
+//!   the dirtied rows of every product
 //!   ([`crate::MetricsSnapshot::expr_results_patched`]);
 //! * otherwise the job binds a new evaluator — a **miss**, adding the
 //!   graph's interior nodes to
@@ -23,7 +24,8 @@ use crate::delta::DeltaTracker;
 use crate::metrics::Metrics;
 use crate::plan_cache::{Pooled, SlotCache};
 use crate::queue::ExprJob;
-use spgemm::delta::DeltaPlan;
+use crate::store::StoredMatrix;
+use spgemm::expr::ExprPlan;
 use spgemm::Algorithm;
 use spgemm_obs::GaugeSite;
 use spgemm_par::Pool;
@@ -50,10 +52,13 @@ pub(crate) struct EvalKey {
     pub(crate) algo: Algorithm,
 }
 
-/// A [`DeltaPlan`] and the store versions of the inputs it holds.
+/// An [`ExprPlan`], the stored inputs it was computed from (their
+/// versions, and the old value an update hands the plan), and its
+/// root.
 pub(crate) struct Evaluator {
-    plan: DeltaPlan,
-    versions: Vec<u64>,
+    plan: ExprPlan,
+    inputs: Vec<Arc<StoredMatrix>>,
+    root: Arc<Csr<f64>>,
 }
 
 impl Pooled for Evaluator {
@@ -63,31 +68,53 @@ impl Pooled for Evaluator {
 
 impl Evaluator {
     /// Evaluate `job` in full, counting the nodes it computes.
-    fn bind(
-        job: &ExprJob,
-        versions: Vec<u64>,
-        metrics: &Metrics,
-        pool: &Pool,
-    ) -> Result<Self, SparseError> {
+    fn bind(job: &ExprJob, metrics: &Metrics, pool: &Pool) -> Result<Self, SparseError> {
         let (graph, root) = (&job.spec.graph, job.spec.root);
         let computed = graph.interior_nodes(root) as u64;
         metrics
             .expr_nodes_computed
             .fetch_add(computed, Ordering::Relaxed);
         let inputs: Vec<&Csr<f64>> = job.inputs.iter().map(|m| m.csr()).collect();
-        let plan = DeltaPlan::bind_in(graph, root, job.key.algo, &inputs, &[], pool)?;
-        Ok(Evaluator { plan, versions })
+        let plan = ExprPlan::new_in(graph, root, &inputs, &[], job.key.algo, pool)?;
+        let mut ev = Evaluator {
+            plan,
+            inputs: job.inputs.clone(),
+            root: Arc::new(Csr::zero(0, 0)),
+        };
+        ev.refresh_root()?;
+        Ok(ev)
+    }
+
+    /// Store versions of the inputs the evaluator was computed from.
+    fn versions(&self) -> Vec<u64> {
+        self.inputs.iter().map(|m| m.version()).collect()
+    }
+
+    /// Publish the plan's root: copied into the previous root's
+    /// allocation when no reader still holds it, or served straight
+    /// from the store when the root is a bare input.
+    fn refresh_root(&mut self) -> Result<(), SparseError> {
+        if let Some(slot) = self.plan.root_input() {
+            self.root = self.inputs[slot].csr_arc();
+            return Ok(());
+        }
+        match Arc::get_mut(&mut self.root) {
+            Some(root) => self.plan.root_into(root),
+            None => {
+                let mut root = Csr::zero(0, 0);
+                self.plan.root_into(&mut root)?;
+                self.root = Arc::new(root);
+                Ok(())
+            }
+        }
     }
 
     /// Checkout rank for a job at `versions`: 0 at them, 1 behind in
     /// some input, `None` ahead in any (never moved backward).
     fn rank(&self, versions: &[u64]) -> Option<u32> {
-        let ahead = self
-            .versions
-            .iter()
-            .zip(versions)
-            .any(|(own, job)| own > job);
-        (!ahead).then(|| u32::from(self.versions != versions))
+        let own = self.versions();
+        let ahead = own.iter().zip(versions).any(|(own, job)| own > job);
+        (!ahead).then(|| u32::from(own != versions))
     }
 
     /// The evaluator brought to `versions` through the row updates
@@ -101,22 +128,25 @@ impl Evaluator {
         deltas: &DeltaTracker,
         pool: &Pool,
     ) -> Option<Self> {
+        let own = self.versions();
         let moved: Vec<usize> = (0..versions.len())
-            .filter(|&s| self.versions[s] != versions[s])
+            .filter(|&s| own[s] != versions[s])
             .collect();
         let mut windows = Vec::with_capacity(moved.len());
         for &s in &moved {
             match deltas.applicable(job.inputs[s].name(), versions[s]) {
-                Some(rec) if rec.from_version <= self.versions[s] => windows.push(rec.dirty),
+                Some(rec) if rec.from_version <= own[s] => windows.push(rec.dirty),
                 _ => return None,
             }
         }
         for (&s, dirty) in moved.iter().zip(&windows) {
+            let old = std::mem::replace(&mut self.inputs[s], Arc::clone(&job.inputs[s]));
+            let inputs: Vec<&Csr<f64>> = self.inputs.iter().map(|m| m.csr()).collect();
             self.plan
-                .update_in(s, job.inputs[s].csr(), dirty, pool)
+                .update_in(&inputs, &[], s, old.csr(), dirty, pool)
                 .ok()?;
-            self.versions[s] = versions[s];
         }
+        self.refresh_root().ok()?;
         Some(self)
     }
 }
@@ -134,8 +164,7 @@ pub(crate) fn evaluate(
 ) -> Result<Arc<Csr<f64>>, SparseError> {
     let versions: Vec<u64> = job.inputs.iter().map(|m| m.version()).collect();
     if !cache.enabled() {
-        let ev = Evaluator::bind(job, versions, metrics, pool)?;
-        return Ok(Arc::clone(ev.plan.root()));
+        return Ok(Evaluator::bind(job, metrics, pool)?.root);
     }
     let slot = cache.slot(job.key.clone());
     let mut newer = false;
@@ -145,7 +174,7 @@ pub(crate) fn evaluate(
         rank
     });
     let current = match found {
-        Some(ev) if ev.versions == versions => {
+        Some(ev) if ev.versions() == versions => {
             cache.note_hits(1);
             Some(ev)
         }
@@ -158,10 +187,10 @@ pub(crate) fn evaluate(
         Some(ev) => ev,
         None => {
             cache.note_misses(1);
-            Evaluator::bind(job, versions.clone(), metrics, pool)?
+            Evaluator::bind(job, metrics, pool)?
         }
     };
-    let root = Arc::clone(ev.plan.root());
+    let root = Arc::clone(&ev.root);
     if !newer {
         slot.checkin(ev);
     }
@@ -171,7 +200,7 @@ pub(crate) fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{MatrixStore, StoredMatrix};
+    use crate::store::MatrixStore;
     use spgemm::expr::{ExprGraph, ExprSpec};
 
     /// A job at version v reaching an evaluator already at v + 1 gets

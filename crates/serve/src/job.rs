@@ -103,7 +103,7 @@ impl ProductRequest {
 /// input slots.
 ///
 /// Expression jobs run on a worker through a cached evaluator (a
-/// [`spgemm::delta::DeltaPlan`]) keyed by the graph, the input names
+/// [`spgemm::expr::ExprPlan`]) keyed by the graph, the input names
 /// and the kernel, so tenants submitting the same pipeline over the
 /// same stored matrices share it; after row updates it is advanced,
 /// not rebuilt ([`crate::ServeConfig::expr_result_entries`]).

@@ -32,7 +32,7 @@
 //! * **expression jobs** ([`ExprRequest`]): whole
 //!   [`spgemm::expr::ExprGraph`] pipelines (MCL rounds, Galerkin
 //!   triple products, masked wedge counts) run on a cached evaluator —
-//!   a [`spgemm::delta::DeltaPlan`] keyed by the graph, its input
+//!   a [`spgemm::expr::ExprPlan`] keyed by the graph, its input
 //!   names and the kernel, shared across tenants and pooled like
 //!   plans ([`ServeConfig::expr_result_entries`],
 //!   [`MetricsSnapshot::expr_results`]); identical jobs batch onto one

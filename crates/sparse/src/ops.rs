@@ -654,10 +654,9 @@ pub fn normalize_columns(a: &Csr<f64>) -> Csr<f64> {
 /// arrays: sum each column (in storage order) into `colsum` — which is
 /// cleared and resized, so a caller-retained scratch makes repeated
 /// calls allocation-free — then divide every entry by its column's
-/// sum, skipping zero-sum columns. Exposed separately so fused
-/// pipeline epilogues (`spgemm::expr`) can renormalize a produced
-/// buffer without materializing a copy, byte-for-byte like the
-/// matrix-level function.
+/// sum, skipping zero-sum columns. Exposed separately so an
+/// expression plan (`spgemm::expr`) can renormalize its own reused
+/// buffer in place, byte-for-byte like the matrix-level function.
 pub fn normalize_columns_values(
     ncols: usize,
     cols: &[ColIdx],

@@ -1,17 +1,28 @@
-//! Dirty-propagation tests for `spgemm::expr::DeltaPlan`: one test per
-//! node kind against a dense oracle (semantic correctness) *and*
-//! against a fresh `DeltaPlan::bind` on the patched inputs
-//! (byte-for-byte incremental equality), plus the headline sparsity
-//! claim — a one-row edit flowing through an MCL-shaped pipeline on a
-//! scale-10 R-MAT graph recomputes well under 5% of the rows.
+//! Dirty-propagation tests for `spgemm::expr::ExprPlan::update_in`: one
+//! test per node kind against a dense oracle (semantic correctness),
+//! against a fresh `ExprPlan::new_in` on the patched inputs
+//! (byte-for-byte incremental equality) and through a numeric refill
+//! after the update, plus the headline sparsity claim — a one-row edit
+//! flowing through an MCL-shaped pipeline on a scale-10 R-MAT graph
+//! recomputes well under 5% of the rows.
 
 use spgemm::delta::DirtyRows;
-use spgemm::expr::{DeltaPlan, ElemMap, ExprGraph};
+use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, NodeId};
 use spgemm::{Algorithm, RowPatch};
 use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, Csr};
 
 const ALGO: Algorithm = Algorithm::Hash;
+
+fn bind(g: &ExprGraph, root: NodeId, ins: &[&Csr<f64>], vecs: &[&[f64]], pool: &Pool) -> ExprPlan {
+    ExprPlan::new_in(g, root, ins, vecs, ALGO, pool).expect("bind")
+}
+
+fn root_of(plan: &ExprPlan) -> Csr<f64> {
+    let mut out = Csr::zero(0, 0);
+    plan.root_into(&mut out).expect("root");
+    out
+}
 
 fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
     spgemm_gen::rmat::generate_kind(
@@ -58,10 +69,11 @@ fn small_patch(m: &Csr<f64>) -> RowPatch<f64> {
 }
 
 /// Run one single-op graph through the incremental path and both
-/// oracles. `dense_op` computes the expected dense result from the
-/// dense patched inputs.
+/// oracles at 1–3 threads, then refill the updated plan on rescaled
+/// values of the patched structures. `dense_op` computes the expected
+/// dense result from the dense patched inputs.
 fn check_node(
-    build: impl Fn(&mut ExprGraph) -> spgemm::expr::NodeId,
+    build: impl Fn(&mut ExprGraph) -> NodeId,
     nvecs: usize,
     dense_op: impl Fn(&[Vec<f64>], &[Vec<f64>], (usize, usize)) -> (Vec<f64>, usize),
     ctx: &str,
@@ -77,30 +89,44 @@ fn check_node(
         .collect();
     let mut g = ExprGraph::new();
     let root = build(&mut g);
-    let inputs: Vec<&Csr<f64>> = [&a, &b][..g.num_inputs()].to_vec();
+    let n = g.num_inputs();
     let vecs: Vec<&[f64]> = vec_data.iter().map(|v| v.as_slice()).collect();
-    let mut plan = DeltaPlan::bind(&g, root, ALGO, &inputs, &vecs).expect("bind");
-
     let (a2, dirty) = a.apply_patch(&small_patch(&a)).expect("patch");
-    let report = plan
-        .update_in(0, &a2, &dirty, &Pool::new(2))
-        .expect("update");
-    assert!(report.rows_recomputed <= report.rows_total, "{ctx}: report");
-    let fresh_inputs: Vec<&Csr<f64>> = if g.num_inputs() == 2 {
-        vec![&a2, &b]
-    } else {
-        vec![&a2]
-    };
-    let fresh = DeltaPlan::bind(&g, root, ALGO, &fresh_inputs, &vecs).expect("fresh bind");
-    assert!(
-        bits_eq_f64(plan.root(), fresh.root()),
-        "{ctx}: incremental root diverged from fresh bind"
-    );
+    let (a3, b3) = (a2.map(|v| v * 0.5 - 1.0), b.map(|v| v * 0.5 - 1.0));
+    let (inputs, patched, rescaled) = ([&a, &b], [&a2, &b], [&a3, &b3]);
+    let (inputs, patched, rescaled) = (&inputs[..n], &patched[..n], &rescaled[..n]);
 
-    let dense_inputs: Vec<Vec<f64>> = fresh_inputs.iter().map(|m| to_dense(m)).collect();
-    let shape = (a2.nrows(), a2.ncols());
-    let (want, ncols) = dense_op(&dense_inputs, &vec_data, shape);
-    assert_dense_close(plan.root(), &want, ncols, ctx);
+    for nt in 1..=3 {
+        let ctx = format!("{ctx} at {nt} threads");
+        let pool = Pool::new(nt);
+        let mut plan = bind(&g, root, inputs, &vecs, &pool);
+        let report = plan
+            .update_in(patched, &vecs, 0, &a, &dirty, &pool)
+            .expect("update");
+        assert!(report.rows_recomputed <= report.rows_total, "{ctx}: report");
+        let got = root_of(&plan);
+        assert!(
+            bits_eq_f64(&got, &root_of(&bind(&g, root, patched, &vecs, &pool))),
+            "{ctx}: incremental root diverged from fresh bind"
+        );
+
+        let dense_inputs: Vec<Vec<f64>> = patched.iter().map(|m| to_dense(m)).collect();
+        let shape = (a2.nrows(), a2.ncols());
+        let (want, ncols) = dense_op(&dense_inputs, &vec_data, shape);
+        assert_dense_close(&got, &want, ncols, &ctx);
+
+        assert!(
+            plan.matches_inputs(patched),
+            "{ctx}: bound to the patched inputs"
+        );
+        let mut refill = Csr::zero(0, 0);
+        plan.execute_into_in(rescaled, &vecs, &mut refill, &pool)
+            .expect("refill");
+        assert!(
+            bits_eq_f64(&refill, &root_of(&bind(&g, root, rescaled, &vecs, &pool))),
+            "{ctx}: refill after the update diverged from fresh bind"
+        );
+    }
 }
 
 #[test]
@@ -267,6 +293,47 @@ fn normalize_cols_node_propagates_deltas() {
     );
 }
 
+/// Row-local epilogues fused into a product rewrite just the rows it
+/// recomputed, and the one fused into a rebuilt transpose rewrites it
+/// whole — bit for bit against a fresh bind, at 1–3 threads.
+#[test]
+fn fused_epilogues_follow_their_owner() {
+    let (a, b) = (rmat(5, 4, 51), rmat(5, 4, 52));
+    let n = a.nrows();
+    let rf: Vec<f64> = (0..n).map(|i| 0.5 + i as f64 * 0.125).collect();
+    let cf: Vec<f64> = (0..n).map(|i| 2.0 - i as f64 * 0.03125).collect();
+    let mut g = ExprGraph::new();
+    let (x, y) = (g.input(), g.input());
+    let (vr, vc) = (g.vec_input(), g.vec_input());
+    let p = g.multiply(x, y);
+    let m = g.map(p, ElemMap::AbsPow(2.0));
+    let r = g.scale_rows(m, vr);
+    let c = g.scale_cols(r, vc);
+    let t = g.transpose(x);
+    let s = g.map(t, ElemMap::Shift(1.0));
+    let root = g.add(c, s);
+    let vecs: Vec<&[f64]> = vec![&rf, &cf];
+    let (a2, dirty) = a.apply_patch(&small_patch(&a)).expect("patch");
+    for nt in 1..=3 {
+        let pool = Pool::new(nt);
+        let mut plan = bind(&g, root, &[&a, &b], &vecs, &pool);
+        assert_eq!(
+            plan.fused_nodes(),
+            4,
+            "three into the product, one into the transpose"
+        );
+        let report = plan
+            .update_in(&[&a2, &b], &vecs, 0, &a, &dirty, &pool)
+            .expect("update");
+        assert!(report.rows_recomputed < report.rows_total, "{nt} threads");
+        let fresh = bind(&g, root, &[&a2, &b], &vecs, &pool);
+        assert!(
+            bits_eq_f64(&root_of(&plan), &root_of(&fresh)),
+            "{nt} threads: fused epilogues diverged from fresh bind"
+        );
+    }
+}
+
 /// A two-op chain where only one branch is touched: the untouched
 /// branch must contribute an empty delta (no recomputation).
 #[test]
@@ -278,16 +345,19 @@ fn untouched_branch_is_not_recomputed() {
     let sb = g.input();
     let prod = g.multiply(sa, sa);
     let root = g.add(prod, sb);
-    let mut plan = DeltaPlan::bind(&g, root, ALGO, &[&a, &b], &[]).unwrap();
+    let pool = Pool::new(1);
+    let mut plan = bind(&g, root, &[&a, &b], &[], &pool);
     // Edit only B: the A·A node must not recompute a single row.
     let mut patch = RowPatch::new();
     patch.insert(5, 3, 2.5);
     let (a2, dirty) = b.apply_patch(&patch).unwrap();
-    let report = plan.update_in(1, &a2, &dirty, &Pool::new(1)).unwrap();
+    let report = plan
+        .update_in(&[&a, &a2], &[], 1, &b, &dirty, &pool)
+        .unwrap();
     // Recomputed rows: 1 for the Add node only.
     assert_eq!(report.rows_recomputed, 1, "only the Add row touched by B");
-    let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a, &a2], &[]).unwrap();
-    assert!(bits_eq_f64(plan.root(), fresh.root()));
+    let fresh = bind(&g, root, &[&a, &a2], &[], &pool);
+    assert!(bits_eq_f64(&root_of(&plan), &root_of(&fresh)));
 }
 
 /// The headline claim: a one-row numeric edit through the MCL pipeline
@@ -301,7 +371,8 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     let prod = g.multiply(s, s);
     let infl = g.map(prod, ElemMap::AbsPow(2.0));
     let root = g.normalize_cols(infl);
-    let mut plan = DeltaPlan::bind(&g, root, ALGO, &[&a], &[]).unwrap();
+    let pool = Pool::new(2);
+    let mut plan = bind(&g, root, &[&a], &[], &pool);
 
     // Edit the lightest non-empty row to keep the honest fanout small
     // (the claim is about sparsity of propagation, not worst-case hubs).
@@ -313,7 +384,7 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     let mut patch = RowPatch::new();
     patch.insert(r, col, 123.456);
     let (a2, dirty) = a.apply_patch(&patch).unwrap();
-    let report = plan.update_in(0, &a2, &dirty, &Pool::new(2)).unwrap();
+    let report = plan.update_in(&[&a2], &[], 0, &a, &dirty, &pool).unwrap();
 
     assert!(report.rows_total >= 3 * a.nrows(), "3 non-input nodes");
     assert!(
@@ -325,8 +396,8 @@ fn mcl_pipeline_one_row_edit_recomputes_under_5_percent() {
     );
 
     // And the cheap update is still exactly right.
-    let fresh = DeltaPlan::bind(&g, root, ALGO, &[&a2], &[]).unwrap();
-    assert!(bits_eq_f64(plan.root(), fresh.root()));
+    let fresh = bind(&g, root, &[&a2], &[], &pool);
+    assert!(bits_eq_f64(&root_of(&plan), &root_of(&fresh)));
 }
 
 /// A `Multiply` of two inputs with the listed rows of `A` recomputed,
@@ -375,14 +446,16 @@ fn multiply_recomputes_listed_rows_exactly() {
         for (k, (a, b, rows)) in cases.iter().enumerate() {
             let ctx = format!("{algo} case {k}");
             let fresh = |a: &Csr<f64>| {
-                DeltaPlan::bind_in(&g, root, algo, &[a, b], &[], &pool).expect("fresh bind")
+                ExprPlan::new_in(&g, root, &[a, b], &[], algo, &pool).expect("fresh bind")
             };
             let mut plan = fresh(a);
             let listed = DirtyRows::from_rows(a.nrows(), rows.iter().copied());
-            let report = plan.update_in(0, a, &listed, &pool).expect("update");
+            let report = plan
+                .update_in(&[a, b], &[], 0, a, &listed, &pool)
+                .expect("update");
             assert_eq!(report.rows_recomputed, rows.len(), "{ctx}");
             assert!(
-                bits_eq_f64(plan.root(), fresh(a).root()),
+                bits_eq_f64(&root_of(&plan), &root_of(&fresh(a))),
                 "{ctx}: unchanged"
             );
 
@@ -395,8 +468,12 @@ fn multiply_recomputes_listed_rows_exactly() {
                 };
             }
             let (a2, dirty) = a.apply_patch(&patch).expect("patch");
-            plan.update_in(0, &a2, &dirty, &pool).expect("update");
-            assert!(bits_eq_f64(plan.root(), fresh(&a2).root()), "{ctx}: edited");
+            plan.update_in(&[&a2, b], &[], 0, a, &dirty, &pool)
+                .expect("update");
+            assert!(
+                bits_eq_f64(&root_of(&plan), &root_of(&fresh(&a2))),
+                "{ctx}: edited"
+            );
         }
     }
 }

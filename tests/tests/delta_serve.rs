@@ -275,12 +275,11 @@ fn salted_patch(m: &Csr<f64>, step: usize) -> RowPatch<f64> {
 /// for the one before, so the pooled evaluator is exactly one update
 /// behind every job after the first (patched), level with the repeat
 /// after it (a hit), and bound once; every result is bit-equal to a
-/// fresh `DeltaPlan` bound on that job's own snapshot — at 1 and 2
+/// fresh `ExprPlan` bound on that job's own snapshot — at 1 and 2
 /// workers, under `Hash` and `Auto`.
 #[test]
 fn serve_patches_every_node_kind() {
-    use spgemm::delta::DeltaPlan;
-    use spgemm::expr::{ElemMap, ExprGraph, ExprSpec};
+    use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, ExprSpec};
 
     const UPDATES: usize = 8;
     let mcl = {
@@ -322,9 +321,12 @@ fn serve_patches_every_node_kind() {
                         .wait()
                         .unwrap();
                     let inputs: Vec<&Csr<f64>> = snapshot.iter().collect();
+                    let pool = spgemm_par::global_pool();
                     let fresh =
-                        DeltaPlan::bind(&spec.graph, spec.root, algo, &inputs, &[]).unwrap();
-                    assert!(bits_eq_f64(&got, fresh.root()), "{ctx}: job {job}");
+                        ExprPlan::new_in(&spec.graph, spec.root, &inputs, &[], algo, pool).unwrap();
+                    let mut want = Csr::zero(0, 0);
+                    fresh.root_into(&mut want).unwrap();
+                    assert!(bits_eq_f64(&got, &want), "{ctx}: job {job}");
                 };
                 run(0);
                 for step in 0..UPDATES {
@@ -345,4 +347,36 @@ fn serve_patches_every_node_kind() {
             }
         }
     }
+}
+
+/// An expression whose root is its input node is served the stored
+/// matrix, bit for bit — from the evaluator's bind and after each row
+/// update advances it.
+#[test]
+fn bare_input_root_serves_the_stored_matrix() {
+    use spgemm::expr::{ExprGraph, ExprSpec};
+
+    let engine = ServeEngine::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    engine.store().insert("a", rmat(5, 4, 81));
+    let mut g = ExprGraph::new();
+    let root = g.input();
+    let spec = ExprSpec::new(g, root);
+    for step in 0..3 {
+        let got = engine
+            .try_submit_expr(ExprRequest::new(spec.clone(), ["a"]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let stored = engine.store().get("a").unwrap();
+        assert!(bits_eq_f64(&got, stored.csr()), "job {step}");
+        engine
+            .try_submit_row_update("a", &salted_patch(stored.csr(), step))
+            .unwrap();
+    }
+    let m = engine.shutdown();
+    assert_eq!(m.failed, 0);
+    assert_eq!(m.expr_results_patched, 2, "{m:?}");
 }
