@@ -591,10 +591,10 @@ fn main() {
         dist.exemplar.service_ns as f64 / 1e6,
         dist.coverage * 100.0
     );
-    for slo in &dist.snap.slo {
+    for (tenant, slo) in dist.snap.slo_rows() {
         println!(
             "    slo {:<8} target {:>7.1} ms  good {:>3}  bad {:>3}  burn {:.2}",
-            slo.tenant,
+            tenant,
             slo.target_ms,
             slo.good,
             slo.bad,
@@ -648,13 +648,12 @@ fn main() {
     if let Some(path) = &args.json {
         let slo_json: Vec<String> = dist
             .snap
-            .slo
-            .iter()
-            .map(|s| {
+            .slo_rows()
+            .map(|(tenant, s)| {
                 format!(
                     "{{\"tenant\":\"{}\",\"target_ms\":{:.3},\"goal\":{},\
                      \"good\":{},\"bad\":{},\"burn_rate\":{:.4}}}",
-                    s.tenant,
+                    tenant,
                     s.target_ms,
                     s.goal,
                     s.good,
@@ -776,14 +775,14 @@ fn main() {
         assert!(exemplar_trace.contains("\"ph\":\"s\""), "flow starts");
         assert!(exemplar_trace.contains("\"ph\":\"f\""), "flow ends");
         // ...and the SLO ledger must account for every completed job.
-        assert!(!dist.snap.slo.is_empty(), "no SLO rows");
-        let tracked: u64 = dist.snap.slo.iter().map(|s| s.good + s.bad).sum();
+        assert!(dist.snap.slo_rows().next().is_some(), "no SLO rows");
+        let tracked: u64 = dist.snap.slo_rows().map(|(_, s)| s.good + s.bad).sum();
         assert_eq!(
             tracked, dist.snap.completed,
             "SLO good+bad must equal completed jobs"
         );
-        for slo in &dist.snap.slo {
-            assert!(slo.burn_rate().is_finite(), "{}: burn rate", slo.tenant);
+        for (tenant, slo) in dist.snap.slo_rows() {
+            assert!(slo.burn_rate().is_finite(), "{tenant}: burn rate");
         }
         // Part 5: the scrape endpoint must have served valid pages to
         // every concurrent scraper while the workload ran...

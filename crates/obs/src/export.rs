@@ -1,10 +1,12 @@
-//! Exporters over the global registry: text report, JSON snapshot,
-//! Chrome `trace_event` JSON (including per-request exemplar export
-//! with flow events), and the span-coverage helpers.
+//! Exporters over the global registry: text report and JSON snapshot
+//! of its spans, counters and gauges, Chrome `trace_event` JSON
+//! (including per-request exemplar export with flow events), and the
+//! span-coverage helpers. Subsystem-owned histograms are not in the
+//! registry; they reach `/metrics` through
+//! [`crate::http::ExtraExposition`].
 
 use crate::ring::{EventKind, TraceEvent};
 use crate::site::{lock, REGISTRY};
-use crate::HistogramSnapshot;
 use std::fmt::Write as _;
 
 /// Aggregates of one span callsite.
@@ -42,17 +44,6 @@ pub struct GaugeStat {
     pub cat: &'static str,
     /// Current level.
     pub value: i64,
-}
-
-/// Snapshot of one histogram callsite.
-#[derive(Clone, Debug)]
-pub struct HistogramStat {
-    /// Histogram name.
-    pub name: &'static str,
-    /// Histogram category (layer).
-    pub cat: &'static str,
-    /// The histogram's current state.
-    pub snapshot: HistogramSnapshot,
 }
 
 /// Every registered span's aggregates, sorted by `(cat, name)`.
@@ -102,23 +93,8 @@ pub fn gauge_stats() -> Vec<GaugeStat> {
     out
 }
 
-/// Every registered histogram site's snapshot, sorted by
-/// `(cat, name)`.
-pub fn histogram_stats() -> Vec<HistogramStat> {
-    let mut out: Vec<HistogramStat> = lock(&REGISTRY.hists)
-        .iter()
-        .map(|h| HistogramStat {
-            name: h.name(),
-            cat: h.cat(),
-            snapshot: h.snapshot(),
-        })
-        .collect();
-    out.sort_by_key(|h| (h.cat, h.name));
-    out
-}
-
 /// Human-readable report over every registered site: per-span count,
-/// total, mean and max; counters; histogram quantiles.
+/// total, mean and max; counters; gauges.
 pub fn text_report() -> String {
     let mut out = String::new();
     let spans = span_stats();
@@ -169,25 +145,6 @@ pub fn text_report() -> String {
             );
         }
     }
-    let hists = histogram_stats();
-    if !hists.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<34} {:>10} {:>11} {:>11} {:>11}",
-            "histogram", "count", "p50", "p99", "max"
-        );
-        for h in &hists {
-            let _ = writeln!(
-                out,
-                "{:<34} {:>10} {:>11} {:>11} {:>11}",
-                format!("{}/{}", h.cat, h.name),
-                h.snapshot.count,
-                h.snapshot.quantile(0.50),
-                h.snapshot.quantile(0.99),
-                h.snapshot.max,
-            );
-        }
-    }
     let dropped = crate::trace_overwritten();
     if dropped > 0 {
         let _ = writeln!(out, "trace events overwritten: {dropped}");
@@ -211,7 +168,7 @@ fn json_escape(s: &str, out: &mut String) {
     }
 }
 
-/// JSON snapshot of every registered span, counter and histogram —
+/// JSON snapshot of every registered span, counter and gauge —
 /// hand-rolled (the crate is dependency-free), machine-parseable.
 pub fn json_snapshot() -> String {
     let mut out = String::from("{\"spans\":[");
@@ -250,26 +207,6 @@ pub fn json_snapshot() -> String {
         out.push_str("\",\"name\":\"");
         json_escape(g.name, &mut out);
         let _ = write!(out, "\",\"value\":{}}}", g.value);
-    }
-    out.push_str("],\"histograms\":[");
-    for (i, h) in histogram_stats().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"cat\":\"");
-        json_escape(h.cat, &mut out);
-        out.push_str("\",\"name\":\"");
-        json_escape(h.name, &mut out);
-        let _ = write!(
-            out,
-            "\",\"count\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p99\":{}}}",
-            h.snapshot.count,
-            h.snapshot.min,
-            h.snapshot.max,
-            h.snapshot.mean(),
-            h.snapshot.quantile(0.50),
-            h.snapshot.quantile(0.99),
-        );
     }
     let _ = write!(
         out,
@@ -565,8 +502,6 @@ mod tests {
         }
         static C: crate::CounterSite = crate::CounterSite::new("export", "export.ctr");
         C.add(2);
-        static H: crate::HistogramSite = crate::HistogramSite::new("export", "export.hist");
-        H.record(1234);
         crate::disable();
 
         let text = text_report();
@@ -575,7 +510,10 @@ mod tests {
 
         let json = json_snapshot();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"name\":\"export.hist\""), "{json}");
+        assert!(
+            json.contains("\"name\":\"export.ctr\",\"value\":2"),
+            "{json}"
+        );
 
         let trace = chrome_trace();
         assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");

@@ -1,7 +1,9 @@
 //! Std-only scrape endpoint: one background thread on a
 //! [`TcpListener`] answering `GET /metrics` with the OpenMetrics page
-//! ([`crate::openmetrics::render`], plus any caller-supplied extra
-//! families) and `GET /json` with [`crate::json_snapshot`].
+//! ([`crate::openmetrics::render`] of the registry, plus any
+//! caller-supplied extra families — serve's per-engine counters and
+//! latency histograms arrive that way, see [`ExtraExposition`]) and
+//! `GET /json` with [`crate::json_snapshot`] (registry sites only).
 //!
 //! Off by default — nothing listens unless [`ScrapeServer::start`] is
 //! called. The handler is deliberately minimal and defensive: the
@@ -42,7 +44,8 @@ impl Default for ScrapeConfig {
 }
 
 /// Extra exposition appended to `/metrics` before `# EOF` — the hook
-/// through which serve adds per-tenant latency/SLO families.
+/// through which serve adds its job counters and its engine-wide and
+/// per-tenant latency/SLO families.
 pub type ExtraExposition = Box<dyn Fn(&mut String) + Send + Sync>;
 
 /// Handle to a running scrape endpoint; dropping it stops the

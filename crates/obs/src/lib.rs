@@ -1,8 +1,11 @@
 //! Stack-wide instrumentation for the SpGEMM workspace: span-based
-//! phase timing, log-bucketed histograms, atomic counters, a bounded
-//! ring-buffer event log, and request-scoped causal tracing
-//! ([`TraceCtx`]) with a tail-sampling exemplar store, behind one
-//! process-global registry.
+//! phase timing, atomic counters and gauges, a bounded ring-buffer
+//! event log, and request-scoped causal tracing ([`TraceCtx`]) with a
+//! tail-sampling exemplar store, behind one process-global registry.
+//! Log-bucketed [`Histogram`]s are owned by the subsystem that records
+//! them (serve's per-tenant latency cells), not registered: they are
+//! always on, and reach a `/metrics` page through the
+//! [`http::ExtraExposition`] hook and [`openmetrics::append_histogram`].
 //!
 //! # Design constraints
 //!
@@ -69,14 +72,13 @@ mod site;
 mod trace;
 
 pub use export::{
-    chrome_trace, chrome_trace_for, counter_stats, coverage_by_site, gauge_stats, histogram_stats,
-    json_snapshot, span_coverage, span_stats, text_report, CounterStat, GaugeStat, HistogramStat,
-    SiteCoverage, SpanStat,
+    chrome_trace, chrome_trace_for, counter_stats, coverage_by_site, gauge_stats, json_snapshot,
+    span_coverage, span_stats, text_report, CounterStat, GaugeStat, SiteCoverage, SpanStat,
 };
 pub use hist::{bucket_high, bucket_index, bucket_low, Histogram, HistogramSnapshot};
 pub use hist::{NUM_BUCKETS, PRECISION};
 pub use ring::{trace_events, trace_overwritten, EventKind, TraceEvent};
-pub use site::{CounterSite, GaugeSite, HistogramSite, SpanGuard, SpanSite};
+pub use site::{CounterSite, GaugeSite, SpanGuard, SpanSite};
 pub use trace::{
     ctx_scope, current_ctx, exemplar_for, exemplars, finish_request, flow_out,
     roll_exemplar_window, trace_unsampled, CtxScope, ExemplarTrace, FlowLink, TraceCtx,
@@ -107,7 +109,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Start collecting spans, counters and histograms, provisioning the
+/// Start collecting spans, counters and gauges, provisioning the
 /// trace ring at [`DEFAULT_TRACE_CAPACITY`] events if it has no
 /// capacity yet. Idempotent.
 pub fn enable() {
@@ -115,8 +117,7 @@ pub fn enable() {
 }
 
 /// [`enable`] with an explicit trace-ring capacity (events). A
-/// capacity of 0 keeps aggregates and histograms but records no trace
-/// events. An already-provisioned ring keeps its capacity.
+/// capacity of 0 keeps aggregates but records no trace events. An already-provisioned ring keeps its capacity.
 pub fn enable_with_capacity(capacity: usize) {
     let _ = epoch();
     ring::provision(capacity);
@@ -131,7 +132,7 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Zero every registered span/counter/histogram, clear the trace ring
+/// Zero every registered span/counter/gauge, clear the trace ring
 /// (its capacity is kept), release every active-trace slot, and drop
 /// all retained exemplars. Callsites stay registered.
 pub fn reset() {

@@ -1,12 +1,14 @@
 //! OpenMetrics / Prometheus text exposition over the global registry.
 //!
 //! [`render`] produces a complete scrape page: every registered
-//! counter (`*_total`), gauge, span (calls/ns counters + max gauge)
-//! and histogram (classic cumulative `_bucket{le="..."}` series built
-//! from the log-bucketed [`crate::Histogram`]'s exact bucket bounds,
-//! with `+Inf` == `_count`). Subsystems with metrics outside the
-//! registry append their own families through the `append_*` helpers
-//! (that is how serve exports per-tenant latency and SLO series), and
+//! counter (`*_total`), gauge and span (calls/ns counters + max
+//! gauge). Subsystems with metrics outside the registry append their
+//! own families through the `append_*` helpers — [`append_histogram`]
+//! writes a [`crate::Histogram`] snapshot as classic cumulative
+//! `_bucket{le="..."}` series over its exact bucket bounds, with
+//! `+Inf` == `_count` (that is how serve exports its per-engine and
+//! per-tenant latency and SLO series through the scrape endpoint's
+//! exposition hook), and
 //! [`validate`] is a strict structural checker used by the tests and
 //! the `spgemm-obs` smoke gate: `# TYPE` before samples, known family
 //! for every sample, monotone buckets, `+Inf` equal to `_count`, and
@@ -230,18 +232,6 @@ pub fn render_registry_into(out: &mut String) {
         append_type(out, &max, "gauge");
         for (cat, (_, _, max_ns)) in &cats {
             append_gauge(out, &max, &[("cat", cat)], *max_ns as f64);
-        }
-    }
-    for (fam, cats) in group_by_family(
-        crate::histogram_stats(),
-        |h| h.name,
-        |h| h.cat,
-        |h| h.snapshot.clone(),
-        |a, b| a.absorb(&b),
-    ) {
-        append_type(out, &fam, "histogram");
-        for (cat, snap) in cats {
-            append_histogram(out, &fam, &[("cat", cat)], &snap);
         }
     }
 }
@@ -476,12 +466,8 @@ mod tests {
         crate::reset();
         static C: crate::CounterSite = crate::CounterSite::new("om", "om.ctr");
         static G: crate::GaugeSite = crate::GaugeSite::new("om", "om.gauge");
-        static H: crate::HistogramSite = crate::HistogramSite::new("om", "om.hist");
         C.add(3);
         G.set(-2);
-        for v in [1u64, 50, 3000, 70_000] {
-            H.record(v);
-        }
         {
             let _g = crate::span!("om", "om.phase");
         }
@@ -491,12 +477,6 @@ mod tests {
         assert!(page.contains("# TYPE spgemm_om_ctr counter"), "{page}");
         assert!(page.contains("spgemm_om_ctr_total{cat=\"om\"} 3"), "{page}");
         assert!(page.contains("spgemm_om_gauge{cat=\"om\"} -2"), "{page}");
-        assert!(page.contains("spgemm_om_hist_bucket"), "{page}");
-        assert!(page.contains("le=\"+Inf\"} 4"), "{page}");
-        assert!(
-            page.contains("spgemm_om_hist_count{cat=\"om\"} 4"),
-            "{page}"
-        );
         assert!(page.contains("spgemm_om_phase_calls_total"), "{page}");
         assert!(page.ends_with("# EOF\n"), "{page}");
         crate::reset();

@@ -1,12 +1,14 @@
 //! Static instrumentation callsites and the process-global registry.
 //!
 //! A callsite is a `static` ([`SpanSite`], [`CounterSite`],
-//! [`HistogramSite`]) declared where the instrumented code lives, so
-//! the hot path touches a known address instead of hashing a name.
-//! Each site lazily registers its `&'static self` in a global list on
-//! first use while enabled; the exporters iterate that list.
+//! [`GaugeSite`]) declared where the instrumented code lives, so the
+//! hot path touches a known address instead of hashing a name. Each
+//! site lazily registers its `&'static self` in a global list on first
+//! use while enabled; the exporters iterate that list. Histograms are
+//! not registry sites: a subsystem owns its [`crate::Histogram`]s and
+//! exports them itself (serve's per-engine latency families reach
+//! `/metrics` through the scrape endpoint's exposition hook).
 
-use crate::hist::Histogram;
 use crate::ring::{self, TraceEvent};
 use crate::trace::{self, OpenSpan};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -17,14 +19,12 @@ pub(crate) struct Registry {
     pub(crate) spans: Mutex<Vec<&'static SpanSite>>,
     pub(crate) counters: Mutex<Vec<&'static CounterSite>>,
     pub(crate) gauges: Mutex<Vec<&'static GaugeSite>>,
-    pub(crate) hists: Mutex<Vec<&'static HistogramSite>>,
 }
 
 pub(crate) static REGISTRY: Registry = Registry {
     spans: Mutex::new(Vec::new()),
     counters: Mutex::new(Vec::new()),
     gauges: Mutex::new(Vec::new()),
-    hists: Mutex::new(Vec::new()),
 };
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -43,9 +43,6 @@ pub(crate) fn reset_all() {
     }
     for g in lock(&REGISTRY.gauges).iter() {
         g.value.store(0, Ordering::Relaxed);
-    }
-    for h in lock(&REGISTRY.hists).iter() {
-        h.hist.reset();
     }
 }
 
@@ -301,68 +298,12 @@ impl GaugeSite {
     }
 }
 
-/// A named histogram callsite (a `static` [`Histogram`] that
-/// self-registers and obeys the global enable flag). For always-on
-/// histograms owned by a subsystem — like serve's per-tenant latency
-/// recorders — use [`Histogram`] directly instead.
-pub struct HistogramSite {
-    name: &'static str,
-    cat: &'static str,
-    registered: AtomicBool,
-    pub(crate) hist: Histogram,
-}
-
-impl HistogramSite {
-    /// A new histogram site under `cat` named `name`.
-    pub const fn new(cat: &'static str, name: &'static str) -> Self {
-        HistogramSite {
-            name,
-            cat,
-            registered: AtomicBool::new(false),
-            hist: Histogram::new(),
-        }
-    }
-
-    /// Histogram name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Histogram category (layer).
-    pub fn cat(&self) -> &'static str {
-        self.cat
-    }
-
-    /// Record one value. When disabled: one relaxed load only.
-    #[inline]
-    pub fn record(&'static self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.record_enabled(v);
-    }
-
-    #[cold]
-    fn record_enabled(&'static self, v: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&REGISTRY.hists).push(self);
-        }
-        self.hist.record(v);
-    }
-
-    /// Snapshot the underlying histogram.
-    pub fn snapshot(&self) -> crate::HistogramSnapshot {
-        self.hist.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     static SPAN: SpanSite = SpanSite::new("test", "test.span");
     static CTR: CounterSite = CounterSite::new("test", "test.ctr");
-    static HIST: HistogramSite = HistogramSite::new("test", "test.hist");
     static GAUGE: GaugeSite = GaugeSite::new("test", "test.gauge");
 
     #[test]
@@ -397,10 +338,8 @@ mod tests {
         crate::reset();
         drop(SPAN.enter());
         CTR.incr();
-        HIST.record(9);
         assert_eq!(SPAN.totals().0, 0);
         assert_eq!(CTR.value(), 0);
-        assert_eq!(HIST.snapshot().count, 0);
 
         crate::enable_with_capacity(16);
         {
@@ -408,7 +347,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         CTR.add(3);
-        HIST.record(9);
         crate::disable();
 
         let (count, total, max) = SPAN.totals();
@@ -416,7 +354,6 @@ mod tests {
         assert!(total >= 1_000_000, "slept ≥1ms: {total}ns");
         assert_eq!(max, total);
         assert_eq!(CTR.value(), 3);
-        assert_eq!(HIST.snapshot().count, 1);
         let ev = crate::trace_events();
         assert!(
             ev.iter()

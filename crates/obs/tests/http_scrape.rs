@@ -5,6 +5,8 @@
 //! instrumentation here cannot race the zero-alloc proof.
 
 use spgemm_obs::http::{http_get, ScrapeConfig, ScrapeServer};
+use spgemm_obs::openmetrics::{append_histogram, append_type};
+use spgemm_obs::Histogram;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -22,15 +24,11 @@ fn serial() -> MutexGuard<'static, ()> {
 
 static CTR: spgemm_obs::CounterSite = spgemm_obs::CounterSite::new("scrape", "scrape.ctr");
 static GAUGE: spgemm_obs::GaugeSite = spgemm_obs::GaugeSite::new("scrape", "scrape.gauge");
-static HIST: spgemm_obs::HistogramSite = spgemm_obs::HistogramSite::new("scrape", "scrape.hist");
 
 fn populate() {
     spgemm_obs::enable_with_capacity(0);
     CTR.add(7);
     GAUGE.set(-4);
-    for v in [3u64, 900, 40_000] {
-        HIST.record(v);
-    }
     spgemm_obs::disable();
 }
 
@@ -38,7 +36,20 @@ fn populate() {
 fn concurrent_scrapers_get_valid_pages() {
     let _l = serial();
     populate();
-    let server = ScrapeServer::start(ScrapeConfig::default()).expect("bind");
+    // Histograms are subsystem-owned: the family reaches the page
+    // through the exposition hook, as serve's latency families do.
+    let hist = Histogram::new();
+    for v in [3u64, 900, 40_000] {
+        hist.record(v);
+    }
+    let server = ScrapeServer::start_with(
+        ScrapeConfig::default(),
+        Some(Box::new(move |out: &mut String| {
+            append_type(out, "scrape_hist", "histogram");
+            append_histogram(out, "scrape_hist", &[("src", "test")], &hist.snapshot());
+        })),
+    )
+    .expect("bind");
     let addr = server.addr();
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -53,7 +64,7 @@ fn concurrent_scrapers_get_valid_pages() {
                         body.contains("spgemm_scrape_gauge{cat=\"scrape\"} -4"),
                         "{body}"
                     );
-                    assert!(body.contains("spgemm_scrape_hist_bucket"), "{body}");
+                    assert!(body.contains("scrape_hist_bucket{src=\"test\""), "{body}");
                 }
             })
         })

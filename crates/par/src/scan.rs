@@ -17,18 +17,6 @@ pub fn inclusive_scan_in_place(v: &mut [u64]) -> u64 {
     acc
 }
 
-/// In-place *exclusive* prefix sum: `v[i] ← Σ_{j < i} v[j]`. Returns
-/// the total of the original values.
-pub fn exclusive_scan_in_place(v: &mut [usize]) -> usize {
-    let mut acc = 0usize;
-    for x in v.iter_mut() {
-        let cur = *x;
-        *x = acc;
-        acc += cur;
-    }
-    acc
-}
-
 /// Exclusive prefix sum of `counts` into a fresh `counts.len() + 1`
 /// vector whose last element is the total — exactly the shape of a CSR
 /// row-pointer array built from per-row entry counts.
@@ -113,13 +101,6 @@ mod tests {
         assert_eq!(v, vec![1, 3, 6, 10]);
         let mut empty: Vec<u64> = vec![];
         assert_eq!(inclusive_scan_in_place(&mut empty), 0);
-    }
-
-    #[test]
-    fn exclusive_scan_basics() {
-        let mut v = vec![5usize, 0, 2];
-        assert_eq!(exclusive_scan_in_place(&mut v), 7);
-        assert_eq!(v, vec![0, 5, 5]);
     }
 
     #[test]

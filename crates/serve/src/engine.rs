@@ -1,5 +1,7 @@
 //! The serving engine: worker threads draining the queue through the
-//! shared plan cache.
+//! shared plan cache. A job resolves its tenant's telemetry cell at
+//! submission and records into it once, at completion
+//! ([`crate::metrics`]); [`ServeEngine::metrics`] sums the cells.
 
 use crate::delta::{DeltaTracker, RowUpdateReceipt};
 use crate::error::ServeError;
@@ -20,6 +22,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Most jobs one worker coalesces under a single plan per pop.
+const MAX_BATCH: usize = 16;
+
+/// Budget of the evaluator cache for expression jobs, in keys: one per
+/// pipeline (graph, input names, kernel) whatever tenant submits it,
+/// each pooling up to one evaluator — a `spgemm::expr::ExprPlan` — per
+/// worker that demanded it at once. LRU beyond it.
+const EVALUATOR_KEYS: usize = 128;
+
 /// Engine sizing and policy knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -32,8 +43,6 @@ pub struct ServeConfig {
     /// Submission queue capacity; `try_submit` returns
     /// [`ServeError::Overloaded`] beyond it.
     pub queue_capacity: usize,
-    /// Most jobs one worker coalesces under a single plan per pop.
-    pub max_batch: usize,
     /// Shared plan cache budget in **keys** (distinct operand
     /// structures × options); LRU beyond it. Each hot key retains up
     /// to one plan *instance* per worker that demanded it
@@ -54,17 +63,12 @@ pub struct ServeConfig {
     /// path. `None` (the default) disables routing. Expression jobs
     /// never route: they run on their evaluator.
     pub dist: Option<DistRouting>,
-    /// Budget of the **evaluator cache** for expression jobs, in keys:
-    /// one per pipeline (graph, input names, kernel) whatever tenant
-    /// submits it, each pooling up to one evaluator — a
-    /// `spgemm::expr::ExprPlan` — per worker that demanded it at
-    /// once. LRU beyond the budget; **0 disables** it: each job binds
-    /// its own evaluator and drops it.
-    pub expr_result_entries: usize,
     /// Per-tenant latency objectives. Jobs of a tenant with a target
-    /// are classified good/bad on completion and surfaced as
-    /// [`crate::TenantSlo`] rows (error-budget burn rate included) in
-    /// [`MetricsSnapshot::slo`]. The default policy tracks nothing.
+    /// are classified good/bad on completion and surfaced as the
+    /// [`crate::TenantSlo`] of their [`crate::TenantLatency`] row
+    /// (error-budget burn rate included) in
+    /// [`MetricsSnapshot::per_tenant`]. The default policy tracks
+    /// nothing.
     pub slo: SloPolicy,
 }
 
@@ -114,11 +118,9 @@ impl Default for ServeConfig {
             workers: 2,
             threads_per_worker: 1,
             queue_capacity: 1024,
-            max_batch: 16,
             plan_cache_plans: 64,
             use_tuned_profile: false,
             dist: None,
-            expr_result_entries: 128,
             slo: SloPolicy::default(),
         }
     }
@@ -134,7 +136,6 @@ struct EngineShared {
     /// lock serializing its read-modify-write against the store.
     deltas: DeltaTracker,
     next_job: AtomicU64,
-    max_batch: usize,
     started: Instant,
     /// The sharded backend plus its routing thresholds, when enabled.
     dist: Option<(ShardRuntime, DistRouting)>,
@@ -176,11 +177,10 @@ impl ServeEngine {
             store: MatrixStore::new(),
             queue: JobQueue::new(cfg.queue_capacity),
             cache: SharedPlanCache::new(cfg.plan_cache_plans),
-            evaluators: EvaluatorCache::new(cfg.expr_result_entries),
+            evaluators: EvaluatorCache::new(EVALUATOR_KEYS),
             metrics: Arc::new(Metrics::with_slo(cfg.slo.clone())),
             deltas: DeltaTracker::default(),
             next_job: AtomicU64::new(0),
-            max_batch: cfg.max_batch.max(1),
             started: Instant::now(),
             dist,
         });
@@ -494,7 +494,7 @@ static WORKERS_BUSY: spgemm_obs::GaugeSite =
 
 fn worker_loop(shared: &EngineShared, pool: &Pool) {
     loop {
-        let batch = shared.queue.pop_batch(shared.max_batch);
+        let batch = shared.queue.pop_batch(MAX_BATCH);
         if batch.is_empty() {
             return; // closed and drained
         }

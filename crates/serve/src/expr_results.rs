@@ -163,9 +163,6 @@ pub(crate) fn evaluate(
     pool: &Pool,
 ) -> Result<Arc<Csr<f64>>, SparseError> {
     let versions: Vec<u64> = job.inputs.iter().map(|m| m.version()).collect();
-    if !cache.enabled() {
-        return Ok(Evaluator::bind(job, metrics, pool)?.root);
-    }
     let slot = cache.slot(job.key.clone());
     let mut newer = false;
     let found = slot.checkout(|ev| {

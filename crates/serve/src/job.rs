@@ -2,7 +2,7 @@
 //! engine works.
 
 use crate::error::ServeError;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, TenantCell};
 use parking_lot::{Condvar, Mutex};
 use spgemm::expr::ExprSpec;
 use spgemm::{Algorithm, OutputOrder};
@@ -106,7 +106,7 @@ impl ProductRequest {
 /// [`spgemm::expr::ExprPlan`]) keyed by the graph, the input names
 /// and the kernel, so tenants submitting the same pipeline over the
 /// same stored matrices share it; after row updates it is advanced,
-/// not rebuilt ([`crate::ServeConfig::expr_result_entries`]).
+/// not rebuilt (the evaluator cache holds 128 pipelines, LRU beyond).
 ///
 /// Vector input slots ([`spgemm::expr::ExprGraph::vec_input`]) are
 /// not accepted by the serving layer.
@@ -186,14 +186,11 @@ pub(crate) struct JobCore {
     state: Mutex<Phase>,
     cv: Condvar,
     metrics: Arc<Metrics>,
-    /// This tenant's latency recorder, resolved once at submission so
-    /// completion records lock-free (`None` for the anonymous
-    /// tenant).
-    tenant_rec: Option<Arc<crate::metrics::LatencyRecorder>>,
-    /// This tenant's SLO cell, resolved at submission like the
-    /// recorder (`None` when the engine's policy gives the tenant no
-    /// target).
-    slo: Option<Arc<crate::metrics::SloCell>>,
+    /// The tenant cell this job records into and the target it is
+    /// classified against (`None`: not SLO-tracked), resolved once at
+    /// submission so completion records lock-free.
+    cell: Arc<TenantCell>,
+    target_ns: Option<u64>,
     /// The request's trace context, opened at submission and carried
     /// across every thread that works on the job. Inert when tracing
     /// is disabled.
@@ -212,8 +209,7 @@ impl JobCore {
         metrics: Arc<Metrics>,
         ctx: spgemm_obs::TraceCtx,
     ) -> Arc<Self> {
-        let tenant_rec = metrics.tenant_recorder(&tenant);
-        let slo = metrics.slo_cell(&tenant);
+        let (cell, target_ns) = metrics.tenant_cell(&tenant);
         Arc::new(JobCore {
             id,
             tenant,
@@ -221,8 +217,8 @@ impl JobCore {
             state: Mutex::new(Phase::Pending),
             cv: Condvar::new(),
             metrics,
-            tenant_rec,
-            slo,
+            cell,
+            target_ns,
             ctx,
             service_ns: AtomicU64::new(0),
             trace_finished: AtomicBool::new(false),
@@ -294,11 +290,7 @@ impl JobCore {
                     }
                     _ => (total, Duration::ZERO),
                 };
-                self.metrics
-                    .record_job(self.tenant_rec.as_deref(), total, queue, service);
-                if let Some(slo) = &self.slo {
-                    slo.record(total.as_nanos() as u64);
-                }
+                self.cell.record(total, queue, service, self.target_ns);
                 self.service_ns
                     .store(service.as_nanos() as u64, Ordering::Relaxed);
             }

@@ -34,9 +34,8 @@
 //!   triple products, masked wedge counts) run on a cached evaluator —
 //!   a [`spgemm::expr::ExprPlan`] keyed by the graph, its input
 //!   names and the kernel, shared across tenants and pooled like
-//!   plans ([`ServeConfig::expr_result_entries`],
-//!   [`MetricsSnapshot::expr_results`]); identical jobs batch onto one
-//!   evaluation;
+//!   plans (up to 128 pipelines, [`MetricsSnapshot::expr_results`]);
+//!   identical jobs batch onto one evaluation;
 //! * **streaming row updates**
 //!   ([`ServeEngine::try_submit_row_update`]): registered matrices
 //!   accept row-granular [`spgemm::delta::RowPatch`]es; the engine
@@ -52,7 +51,15 @@
 //!   complete cross-thread span trees exportable as Chrome/Perfetto
 //!   traces ([`spgemm_obs::chrome_trace_for`]); per-tenant latency
 //!   objectives ([`ServeConfig::slo`]) classify completions good/bad
-//!   and surface error-budget burn rates ([`MetricsSnapshot::slo`]).
+//!   and surface error-budget burn rates;
+//! * **one telemetry cell per tenant**: a completed job records its
+//!   queue/service/total latency and its SLO outcome once, into its
+//!   tenant's cell (64 named tenants, the tail under
+//!   [`OVERFLOW_TENANT`], anonymous jobs in one lock-free cell). A
+//!   snapshot has one [`TenantLatency`] row per named cell, SLO
+//!   standing included, and engine-wide summaries that are the sum of
+//!   all cells; [`MetricsSnapshot::since`] diffs two snapshots into a
+//!   window.
 //!
 //! The `spgemm-serve` binary in `spgemm-bench` drives the engine with
 //! an open-loop synthetic traffic generator (MCL-style A² chains, AMG

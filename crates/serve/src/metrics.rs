@@ -1,5 +1,5 @@
 //! Serving metrics: per-job latency decomposition, per-tenant
-//! histograms, aggregate counters, and the snapshot the
+//! telemetry cells, aggregate counters, and the snapshot the
 //! `spgemm-serve` bench prints.
 //!
 //! Latencies are recorded into bounded log-bucketed histograms
@@ -7,35 +7,39 @@
 //! dropped), memory never grows with job count, and quantiles are
 //! exact to within the histogram's bucket error bound (≤ 6.25%
 //! relative). Each completed job is decomposed into queue delay
-//! (submit → worker pickup) and service time (pickup → done), the
-//! split the ROADMAP's async-ingress work needs to reason about
-//! overload.
+//! (submit → worker pickup) and service time (pickup → done).
+//!
+//! A job's telemetry lands in exactly one [`TenantCell`]: its named
+//! tenant's (capped at 64, the tail shares [`OVERFLOW_TENANT`]'s), or
+//! the lock-free anonymous cell. The cell holds the latency histograms
+//! and the tenant's SLO good/bad counts; the engine-wide histograms of
+//! a [`MetricsSnapshot`] are the bucket-wise sum of every cell.
 
 use parking_lot::Mutex;
 use spgemm_obs::{Histogram, HistogramSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::expr_results::ExprResultCacheStats;
 use crate::job::Priority;
 use crate::plan_cache::PlanCacheStats;
 
-/// Hard cap on distinct *named* per-tenant recorders; tenants beyond
-/// it are aggregated under [`OVERFLOW_TENANT`] (which rides on top of
-/// the cap, so a map holds at most `MAX_TENANTS + 1` entries) and a
-/// label-cardinality explosion cannot grow memory without bound.
+/// Hard cap on distinct *named* tenant cells; tenants beyond it share
+/// the [`OVERFLOW_TENANT`] cell (which rides on top of the cap, so the
+/// table holds at most `MAX_TENANTS + 1` cells) and a label-cardinality
+/// explosion cannot grow memory without bound.
 const MAX_TENANTS: usize = 64;
 
-/// Aggregation label for tenants beyond the per-tenant recorder cap
-/// (64 distinct tenants).
+/// Aggregation label for tenants beyond the per-tenant cap (64
+/// distinct tenants).
 pub const OVERFLOW_TENANT: &str = "(other)";
 
-/// Latency histograms for one scope (engine-wide or one tenant):
-/// total latency plus its queue/service decomposition, nanoseconds.
+/// Latency histograms for one tenant cell: total latency plus its
+/// queue/service decomposition, nanoseconds.
 #[derive(Default)]
-pub(crate) struct LatencyRecorder {
+struct LatencyRecorder {
     total: Histogram,
     queue: Histogram,
     service: Histogram,
@@ -51,12 +55,12 @@ impl LatencyRecorder {
     /// Raw (total, queue, service) histogram snapshots — carried in
     /// [`MetricsSnapshot`] so [`MetricsSnapshot::since`] can diff
     /// windows bucket-wise.
-    fn raw_snapshots(&self) -> (HistogramSnapshot, HistogramSnapshot, HistogramSnapshot) {
-        (
+    fn raw_snapshots(&self) -> [HistogramSnapshot; 3] {
+        [
             self.total.snapshot(),
             self.queue.snapshot(),
             self.service.snapshot(),
-        )
+        ]
     }
 }
 
@@ -100,42 +104,39 @@ impl SloPolicy {
     }
 }
 
-/// Shared good/bad counters for one SLO aggregation bucket (a named
-/// tenant, or [`OVERFLOW_TENANT`] for the tail beyond the cap).
-struct SloCounts {
+/// One tenant's telemetry: its latency histograms and its SLO
+/// good/bad counts. Resolved once per job at submission, written
+/// lock-free at completion.
+#[derive(Default)]
+pub(crate) struct TenantCell {
+    latency: LatencyRecorder,
     good: AtomicU64,
     bad: AtomicU64,
+    /// The target the row shows (ns), set by the first SLO-tracked
+    /// job resolved to the cell; unset, the row has no SLO. Jobs are
+    /// classified against their own target, so overflow tenants with
+    /// a stricter override stay strict.
+    shown_target_ns: OnceLock<u64>,
 }
 
-/// A tenant's latency target paired with the counters its outcomes
-/// aggregate into. Resolved at submission (like the latency
-/// recorder), bumped lock-free at completion. Tenants beyond the cap
-/// share the [`OVERFLOW_TENANT`] counters but each keeps its *own*
-/// resolved target, so a strict per-tenant override is still
-/// classified against its override while aggregating under the
-/// overflow label.
-pub(crate) struct SloCell {
-    target_ns: u64,
-    counts: Arc<SloCounts>,
-}
-
-impl SloCell {
-    fn new(target_ns: u64) -> SloCell {
-        SloCell {
-            target_ns,
-            counts: Arc::new(SloCounts {
-                good: AtomicU64::new(0),
-                bad: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Classify one completed job's total latency.
-    pub(crate) fn record(&self, total_ns: u64) {
-        if total_ns <= self.target_ns {
-            self.counts.good.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counts.bad.fetch_add(1, Ordering::Relaxed);
+impl TenantCell {
+    /// Record one completed job, and classify it against `target_ns`
+    /// when it is SLO-tracked.
+    pub(crate) fn record(
+        &self,
+        total: Duration,
+        queue: Duration,
+        service: Duration,
+        target_ns: Option<u64>,
+    ) {
+        self.latency.record(total, queue, service);
+        if let Some(target_ns) = target_ns {
+            let outcome = if total.as_nanos() as u64 <= target_ns {
+                &self.good
+            } else {
+                &self.bad
+            };
+            outcome.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -169,19 +170,14 @@ pub(crate) struct Metrics {
     /// Expression jobs served by advancing a cached evaluator through
     /// row updates instead of binding a new one.
     pub(crate) expr_results_patched: AtomicU64,
-    /// Engine-wide latency histograms (always on; fixed footprint).
-    overall: LatencyRecorder,
-    /// Per-tenant recorders, created on first submission, capped at
-    /// [`MAX_TENANTS`]. The anonymous tenant (empty label) records
-    /// only into `overall`.
-    tenants: Mutex<HashMap<String, Arc<LatencyRecorder>>>,
     /// The engine's SLO policy (installed at construction).
     slo_policy: SloPolicy,
-    /// Per-tenant SLO cells, resolved at submission, capped like the
-    /// latency recorders (tail tenants aggregate under
-    /// [`OVERFLOW_TENANT`], each still classified against its own
-    /// resolved target).
-    slo: Mutex<HashMap<String, Arc<SloCell>>>,
+    /// The anonymous (empty-label) tenant's cell: reached without a
+    /// lock, never a row, only in the engine-wide sums.
+    anonymous: Arc<TenantCell>,
+    /// Named tenants' cells, created on first submission, capped at
+    /// [`MAX_TENANTS`] plus the [`OVERFLOW_TENANT`] cell.
+    tenants: Mutex<HashMap<String, Arc<TenantCell>>>,
 }
 
 impl Metrics {
@@ -193,75 +189,38 @@ impl Metrics {
         }
     }
 
-    /// The SLO cell for `tenant`, creating it under the cap; `None`
-    /// when the policy gives the tenant no target. Resolved once per
-    /// job at submission, so completion stays lock-free.
-    pub(crate) fn slo_cell(&self, tenant: &str) -> Option<Arc<SloCell>> {
-        let target = self.slo_policy.target_for(tenant)?;
-        let target_ns = target.as_nanos() as u64;
-        let mut map = self.slo.lock();
-        if let Some(cell) = map.get(tenant) {
-            return Some(Arc::clone(cell));
-        }
-        if map.len() < MAX_TENANTS {
-            let cell = Arc::new(SloCell::new(target_ns));
-            map.insert(tenant.to_string(), Arc::clone(&cell));
-            return Some(cell);
-        }
-        // At the cap: aggregate counts under the overflow bucket, but
-        // classify against *this tenant's* resolved target (a strict
-        // override stays strict; the overflow row's displayed target
-        // is the default, or the first overflowing tenant's).
-        let overflow = map.entry(OVERFLOW_TENANT.to_string()).or_insert_with(|| {
-            let shown_ns = self
-                .slo_policy
-                .default_target
-                .map_or(target_ns, |d| d.as_nanos() as u64);
-            Arc::new(SloCell::new(shown_ns))
-        });
-        if overflow.target_ns == target_ns {
-            return Some(Arc::clone(overflow));
-        }
-        Some(Arc::new(SloCell {
-            target_ns,
-            counts: Arc::clone(&overflow.counts),
-        }))
-    }
-    /// The recorder for `tenant`, creating it under the cap. `None`
-    /// for the anonymous (empty) tenant label. Called once per job at
-    /// submission, so completion stays lock-free.
-    pub(crate) fn tenant_recorder(&self, tenant: &str) -> Option<Arc<LatencyRecorder>> {
+    /// The cell `tenant`'s job records into, and the target it is
+    /// classified against (`None`: not SLO-tracked). One lock for a
+    /// named tenant, none for the anonymous one; a tenant beyond the
+    /// cap resolves to the [`OVERFLOW_TENANT`] cell but keeps its own
+    /// target (that row shows the default, or the first tracked
+    /// overflow tenant's target).
+    pub(crate) fn tenant_cell(&self, tenant: &str) -> (Arc<TenantCell>, Option<u64>) {
         if tenant.is_empty() {
-            return None;
+            return (Arc::clone(&self.anonymous), None);
         }
+        let target_ns = self
+            .slo_policy
+            .target_for(tenant)
+            .map(|d| d.as_nanos() as u64);
         let mut map = self.tenants.lock();
-        if let Some(rec) = map.get(tenant) {
-            return Some(Arc::clone(rec));
+        if let Some(cell) = map.get(tenant) {
+            return (Arc::clone(cell), target_ns);
         }
-        if map.len() < MAX_TENANTS {
-            let rec = Arc::new(LatencyRecorder::default());
-            map.insert(tenant.to_string(), Arc::clone(&rec));
-            return Some(rec);
+        let (key, shown_ns) = if map.len() < MAX_TENANTS {
+            (tenant, target_ns)
+        } else {
+            let default_ns = self.slo_policy.default_target.map(|d| d.as_nanos() as u64);
+            (OVERFLOW_TENANT, target_ns.map(|t| default_ns.unwrap_or(t)))
+        };
+        if !map.contains_key(key) {
+            map.insert(key.to_string(), Arc::default());
         }
-        let rec = map
-            .entry(OVERFLOW_TENANT.to_string())
-            .or_insert_with(|| Arc::new(LatencyRecorder::default()));
-        Some(Arc::clone(rec))
-    }
-
-    /// Record one completed job's decomposed latency into the
-    /// engine-wide histograms and (when resolved) the tenant's.
-    pub(crate) fn record_job(
-        &self,
-        tenant_rec: Option<&LatencyRecorder>,
-        total: Duration,
-        queue: Duration,
-        service: Duration,
-    ) {
-        self.overall.record(total, queue, service);
-        if let Some(rec) = tenant_rec {
-            rec.record(total, queue, service);
+        let cell = &map[key];
+        if let Some(ns) = shown_ns {
+            cell.shown_target_ns.get_or_init(|| ns);
         }
+        (Arc::clone(cell), target_ns)
     }
 
     pub(crate) fn note_batch(&self, jobs: usize) {
@@ -276,45 +235,28 @@ impl Metrics {
         expr_results: ExprResultCacheStats,
         since: Instant,
     ) -> MetricsSnapshot {
-        let (latency_hist, queue_delay_hist, service_hist) = self.overall.raw_snapshots();
-        let latency = LatencySummary::from_snapshot(&latency_hist);
-        let queue_delay = LatencySummary::from_snapshot(&queue_delay_hist);
-        let service = LatencySummary::from_snapshot(&service_hist);
-        let per_tenant = {
-            let map = self.tenants.lock();
-            let mut rows: Vec<TenantLatency> = map
-                .iter()
-                .map(|(tenant, rec)| {
-                    let (lat, q, sv) = rec.raw_snapshots();
-                    TenantLatency {
-                        tenant: tenant.clone(),
-                        latency: LatencySummary::from_snapshot(&lat),
-                        queue_delay: LatencySummary::from_snapshot(&q),
-                        service: LatencySummary::from_snapshot(&sv),
-                        latency_hist: lat,
-                        queue_delay_hist: q,
-                        service_hist: sv,
-                    }
-                })
-                .collect();
-            rows.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-            rows
-        };
-        let slo = {
-            let map = self.slo.lock();
-            let mut rows: Vec<TenantSlo> = map
-                .iter()
-                .map(|(tenant, cell)| TenantSlo {
-                    tenant: tenant.clone(),
-                    target_ms: cell.target_ns as f64 / 1e6,
+        let mut per_tenant: Vec<TenantLatency> = self
+            .tenants
+            .lock()
+            .iter()
+            .map(|(tenant, cell)| {
+                let slo = cell.shown_target_ns.get().map(|&ns| TenantSlo {
+                    target_ms: ns as f64 / 1e6,
                     goal: self.slo_policy.goal,
-                    good: cell.counts.good.load(Ordering::Relaxed),
-                    bad: cell.counts.bad.load(Ordering::Relaxed),
-                })
-                .collect();
-            rows.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-            rows
-        };
+                    good: cell.good.load(Ordering::Relaxed),
+                    bad: cell.bad.load(Ordering::Relaxed),
+                });
+                TenantLatency::new(tenant.clone(), cell.latency.raw_snapshots(), slo)
+            })
+            .collect();
+        per_tenant.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        let [mut latency_hist, mut queue_delay_hist, mut service_hist] =
+            self.anonymous.latency.raw_snapshots();
+        for t in &per_tenant {
+            latency_hist.absorb(&t.latency_hist);
+            queue_delay_hist.absorb(&t.queue_delay_hist);
+            service_hist.absorb(&t.service_hist);
+        }
         let completed = self.completed.load(Ordering::Relaxed);
         let elapsed = since.elapsed();
         MetricsSnapshot {
@@ -338,14 +280,13 @@ impl Metrics {
             expr_results,
             elapsed,
             throughput_jps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            latency,
-            queue_delay,
-            service,
+            latency: LatencySummary::from_snapshot(&latency_hist),
+            queue_delay: LatencySummary::from_snapshot(&queue_delay_hist),
+            service: LatencySummary::from_snapshot(&service_hist),
             latency_hist,
             queue_delay_hist,
             service_hist,
             per_tenant,
-            slo,
         }
     }
 }
@@ -380,19 +321,17 @@ impl LatencySummary {
     }
 }
 
-/// One tenant's SLO standing at snapshot time.
+/// One tenant's SLO standing at snapshot time (the `slo` of its
+/// [`TenantLatency`] row).
 #[derive(Clone, Debug)]
 pub struct TenantSlo {
-    /// Tenant label ([`OVERFLOW_TENANT`] aggregates the tail beyond
-    /// the cap).
-    pub tenant: String,
-    /// Latency objective for this tenant, milliseconds.
+    /// Latency objective shown for this tenant, milliseconds.
     pub target_ms: f64,
     /// Fraction of jobs that must meet the target (policy-wide).
     pub goal: f64,
-    /// Completed jobs within the target.
+    /// Completed jobs within their target.
     pub good: u64,
-    /// Completed jobs over the target.
+    /// Completed jobs over their target.
     pub bad: u64,
 }
 
@@ -419,7 +358,8 @@ impl TenantSlo {
     }
 }
 
-/// One tenant's latency decomposition at snapshot time.
+/// One tenant's row at snapshot time: its latency decomposition and
+/// SLO standing.
 #[derive(Clone, Debug)]
 pub struct TenantLatency {
     /// The tenant label ([`OVERFLOW_TENANT`] aggregates the tail
@@ -439,6 +379,25 @@ pub struct TenantLatency {
     pub queue_delay_hist: HistogramSnapshot,
     /// Raw service-time histogram (ns).
     pub service_hist: HistogramSnapshot,
+    /// Good/bad counts against the tenant's latency target; `None`
+    /// unless `ServeConfig::slo` gives the tenant (for the overflow
+    /// row: one of its tenants) a target.
+    pub slo: Option<TenantSlo>,
+}
+
+impl TenantLatency {
+    fn new(tenant: String, [lat, q, sv]: [HistogramSnapshot; 3], slo: Option<TenantSlo>) -> Self {
+        TenantLatency {
+            tenant,
+            latency: LatencySummary::from_snapshot(&lat),
+            queue_delay: LatencySummary::from_snapshot(&q),
+            service: LatencySummary::from_snapshot(&sv),
+            latency_hist: lat,
+            queue_delay_hist: q,
+            service_hist: sv,
+            slo,
+        }
+    }
 }
 
 /// A point-in-time view of the engine's counters.
@@ -510,21 +469,18 @@ pub struct MetricsSnapshot {
     /// jobs.
     pub service: LatencySummary,
     /// Raw engine-wide total-latency histogram (ns) behind
-    /// [`MetricsSnapshot::latency`]; kept so
+    /// [`MetricsSnapshot::latency`]: the bucket-wise sum of every
+    /// tenant row and the anonymous jobs; kept so
     /// [`MetricsSnapshot::since`] can diff windows.
     pub latency_hist: HistogramSnapshot,
     /// Raw engine-wide queue-delay histogram (ns).
     pub queue_delay_hist: HistogramSnapshot,
     /// Raw engine-wide service-time histogram (ns).
     pub service_hist: HistogramSnapshot,
-    /// Per-tenant latency decomposition, sorted by tenant label.
-    /// Anonymous (empty-label) jobs appear only in the engine-wide
-    /// summaries.
+    /// One row per tenant — latency decomposition and SLO standing —
+    /// sorted by tenant label. Anonymous (empty-label) jobs appear
+    /// only in the engine-wide summaries.
     pub per_tenant: Vec<TenantLatency>,
-    /// Per-tenant SLO standing (good/bad counts against each tenant's
-    /// latency target), sorted by tenant label. Empty unless
-    /// `ServeConfig::slo` gives tenants a target.
-    pub slo: Vec<TenantSlo>,
 }
 
 impl MetricsSnapshot {
@@ -534,9 +490,18 @@ impl MetricsSnapshot {
         self.completed + self.failed + self.cancelled
     }
 
+    /// The rows that carry an SLO, as `(tenant, standing)`, in row
+    /// order.
+    pub fn slo_rows(&self) -> impl Iterator<Item = (&str, &TenantSlo)> {
+        self.per_tenant
+            .iter()
+            .filter_map(|t| Some((t.tenant.as_str(), t.slo.as_ref()?)))
+    }
+
     /// Append this snapshot as OpenMetrics families (engine job
     /// counters, cache hit/miss counters, the engine-wide and
-    /// per-tenant latency histograms, and per-tenant SLO series) —
+    /// per-tenant latency histograms, and the SLO series of the rows
+    /// that have one) —
     /// the serving layer's contribution to a `/metrics` page, designed
     /// to plug into `spgemm_obs::http::ScrapeServer::start_with` as
     /// the extra-exposition hook. Families are prefixed
@@ -608,39 +573,30 @@ impl MetricsSnapshot {
                 append_histogram(out, fam, &[("tenant", t.tenant.as_str())], &t.latency_hist);
             }
         }
-        if !self.slo.is_empty() {
+        if self.slo_rows().next().is_some() {
             let fam = "spgemm_serve_slo_jobs";
             append_type(out, fam, "counter");
-            for s in &self.slo {
-                append_counter(
-                    out,
-                    fam,
-                    &[("tenant", s.tenant.as_str()), ("outcome", "good")],
-                    s.good,
-                );
-                append_counter(
-                    out,
-                    fam,
-                    &[("tenant", s.tenant.as_str()), ("outcome", "bad")],
-                    s.bad,
-                );
+            for (tenant, s) in self.slo_rows() {
+                for (outcome, v) in [("good", s.good), ("bad", s.bad)] {
+                    append_counter(out, fam, &[("tenant", tenant), ("outcome", outcome)], v);
+                }
             }
             let fam = "spgemm_serve_slo_target_ms";
             append_type(out, fam, "gauge");
-            for s in &self.slo {
-                append_gauge(out, fam, &[("tenant", s.tenant.as_str())], s.target_ms);
+            for (tenant, s) in self.slo_rows() {
+                append_gauge(out, fam, &[("tenant", tenant)], s.target_ms);
             }
             let fam = "spgemm_serve_slo_burn_rate";
             append_type(out, fam, "gauge");
-            for s in &self.slo {
-                append_gauge(out, fam, &[("tenant", s.tenant.as_str())], s.burn_rate());
+            for (tenant, s) in self.slo_rows() {
+                append_gauge(out, fam, &[("tenant", tenant)], s.burn_rate());
             }
         }
     }
 
     /// The interval view between `prev` (an earlier snapshot of the
     /// same engine) and `self`: counters become per-window deltas,
-    /// latency summaries and SLO counts are recomputed over only the
+    /// latency summaries and each row's SLO counts cover only the
     /// window's samples (bucket-wise histogram differences, see
     /// [`HistogramSnapshot::since`]), and `throughput_jps` becomes
     /// the window rate. Gauges (`queue_depth`, cache `entries`) keep
@@ -656,34 +612,22 @@ impl MetricsSnapshot {
             .iter()
             .map(|t| {
                 let p = prev.per_tenant.iter().find(|p| p.tenant == t.tenant);
-                let lat = t.latency_hist.since(p.map_or(&empty, |p| &p.latency_hist));
-                let q = t
-                    .queue_delay_hist
-                    .since(p.map_or(&empty, |p| &p.queue_delay_hist));
-                let sv = t.service_hist.since(p.map_or(&empty, |p| &p.service_hist));
-                TenantLatency {
-                    tenant: t.tenant.clone(),
-                    latency: LatencySummary::from_snapshot(&lat),
-                    queue_delay: LatencySummary::from_snapshot(&q),
-                    service: LatencySummary::from_snapshot(&sv),
-                    latency_hist: lat,
-                    queue_delay_hist: q,
-                    service_hist: sv,
-                }
-            })
-            .collect();
-        let slo = self
-            .slo
-            .iter()
-            .map(|s| {
-                let p = prev.slo.iter().find(|p| p.tenant == s.tenant);
-                TenantSlo {
-                    tenant: s.tenant.clone(),
-                    target_ms: s.target_ms,
-                    goal: s.goal,
-                    good: s.good.saturating_sub(p.map_or(0, |p| p.good)),
-                    bad: s.bad.saturating_sub(p.map_or(0, |p| p.bad)),
-                }
+                let window =
+                    |h: fn(&TenantLatency) -> &HistogramSnapshot| h(t).since(p.map_or(&empty, h));
+                let slo = t.slo.as_ref().map(|s| {
+                    let before = p.and_then(|p| p.slo.as_ref());
+                    TenantSlo {
+                        good: s.good.saturating_sub(before.map_or(0, |b| b.good)),
+                        bad: s.bad.saturating_sub(before.map_or(0, |b| b.bad)),
+                        ..s.clone()
+                    }
+                });
+                let hists = [
+                    window(|t| &t.latency_hist),
+                    window(|t| &t.queue_delay_hist),
+                    window(|t| &t.service_hist),
+                ];
+                TenantLatency::new(t.tenant.clone(), hists, slo)
             })
             .collect();
         let completed = self.completed.saturating_sub(prev.completed);
@@ -722,7 +666,6 @@ impl MetricsSnapshot {
             queue_delay_hist,
             service_hist,
             per_tenant,
-            slo,
         }
     }
 }
@@ -732,13 +675,29 @@ mod tests {
     use super::*;
 
     /// (total, queue, service) summaries of a recorder (test probe).
-    fn summaries(rec: &LatencyRecorder) -> (LatencySummary, LatencySummary, LatencySummary) {
-        let (t, q, s) = rec.raw_snapshots();
-        (
-            LatencySummary::from_snapshot(&t),
-            LatencySummary::from_snapshot(&q),
-            LatencySummary::from_snapshot(&s),
+    fn summaries(rec: &LatencyRecorder) -> [LatencySummary; 3] {
+        rec.raw_snapshots()
+            .map(|h| LatencySummary::from_snapshot(&h))
+    }
+
+    /// Resolve `tenant`'s cell and record one job of `total` split
+    /// evenly into queue and service, as submission and completion do.
+    fn job(m: &Metrics, tenant: &str, total: Duration) {
+        let (cell, target_ns) = m.tenant_cell(tenant);
+        cell.record(total, total / 2, total - total / 2, target_ns);
+    }
+
+    fn snap(m: &Metrics) -> MetricsSnapshot {
+        m.snapshot(
+            [0, 0, 0],
+            PlanCacheStats::default(),
+            ExprResultCacheStats::default(),
+            Instant::now(),
         )
+    }
+
+    fn row<'a>(s: &'a MetricsSnapshot, tenant: &str) -> &'a TenantLatency {
+        s.per_tenant.iter().find(|t| t.tenant == tenant).unwrap()
     }
 
     #[test]
@@ -750,7 +709,7 @@ mod tests {
             let d = Duration::from_millis(i);
             rec.record(d, d / 2, d / 2);
         }
-        let (s, q, v) = summaries(&rec);
+        let [s, q, v] = summaries(&rec);
         assert_eq!(s.count, 100);
         assert!((s.p50_ms - 50.0).abs() <= 50.0 * 0.07, "{}", s.p50_ms);
         assert!((s.p99_ms - 99.0).abs() <= 99.0 * 0.07, "{}", s.p99_ms);
@@ -779,9 +738,8 @@ mod tests {
 
     #[test]
     fn empty_summary_is_zero() {
-        let m = Metrics::default();
-        let (s, q, v) = summaries(&m.overall);
-        for sum in [s, q, v] {
+        let s = snap(&Metrics::default());
+        for sum in [s.latency, s.queue_delay, s.service] {
             assert_eq!(sum.count, 0);
             assert_eq!(sum.p99_ms, 0.0);
             assert_eq!(sum.max_ms, 0.0);
@@ -791,18 +749,13 @@ mod tests {
     #[test]
     fn per_tenant_decomposition_adds_up() {
         let m = Metrics::default();
-        let rec = m.tenant_recorder("acme").unwrap();
+        let (cell, target_ns) = m.tenant_cell("acme");
         for i in 1..=50u64 {
             let queue = Duration::from_millis(i);
             let service = Duration::from_millis(2 * i);
-            m.record_job(Some(&rec), queue + service, queue, service);
+            cell.record(queue + service, queue, service, target_ns);
         }
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
+        let snap = snap(&m);
         assert_eq!(snap.per_tenant.len(), 1);
         let t = &snap.per_tenant[0];
         assert_eq!(t.tenant, "acme");
@@ -820,21 +773,48 @@ mod tests {
     #[test]
     fn anonymous_tenant_records_only_engine_wide() {
         let m = Metrics::default();
-        assert!(m.tenant_recorder("").is_none());
-        m.record_job(
-            None,
-            Duration::from_millis(3),
-            Duration::from_millis(1),
-            Duration::from_millis(2),
-        );
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
+        let (cell, target_ns) = m.tenant_cell("");
+        assert!(Arc::ptr_eq(&cell, &m.anonymous), "the lock-free cell");
+        assert!(target_ns.is_none(), "anonymous jobs are never tracked");
+        job(&m, "", Duration::from_millis(3));
+        let snap = snap(&m);
         assert!(snap.per_tenant.is_empty());
         assert_eq!(snap.latency.count, 1);
+    }
+
+    /// With only named tenants the engine-wide histograms are exactly
+    /// the rows' sum: count and sum add, max is the rows' max.
+    #[test]
+    fn engine_wide_summaries_are_the_sum_of_the_tenant_rows() {
+        let m = Metrics::default();
+        for (tenant, ms) in [("a", [1, 9, 4]), ("b", [30, 2, 7]), ("c", [5, 5, 5])] {
+            for ms in ms {
+                job(&m, tenant, Duration::from_millis(ms));
+            }
+        }
+        let s = snap(&m);
+        assert_eq!(s.per_tenant.len(), 3);
+        let parts: [fn(&TenantLatency) -> &HistogramSnapshot; 3] = [
+            |t| &t.latency_hist,
+            |t| &t.queue_delay_hist,
+            |t| &t.service_hist,
+        ];
+        let wide = [&s.latency_hist, &s.queue_delay_hist, &s.service_hist];
+        for (wide, part) in wide.into_iter().zip(parts) {
+            let rows: Vec<&HistogramSnapshot> = s.per_tenant.iter().map(part).collect();
+            assert_eq!(wide.count, rows.iter().map(|h| h.count).sum::<u64>());
+            assert_eq!(wide.sum, rows.iter().map(|h| h.sum).sum::<u64>());
+            assert_eq!(wide.max, rows.iter().map(|h| h.max).max().unwrap());
+        }
+        assert_eq!(s.latency.count, 9);
+        assert!((s.latency.max_ms - 30.0).abs() < 1e-9);
+        let d = s.since(&s.clone());
+        assert_eq!(
+            (d.latency.count, d.queue_delay.count, d.service.count),
+            (0, 0, 0)
+        );
+        assert_eq!(d.latency.max_ms, 0.0);
+        assert!(d.per_tenant.iter().all(|t| t.latency.count == 0));
     }
 
     #[test]
@@ -844,33 +824,26 @@ mod tests {
             per_tenant: vec![("strict".to_string(), Duration::from_millis(1))],
             goal: 0.9,
         });
-        assert!(m.slo_cell("").is_none(), "anonymous jobs untracked");
-        let lax = m.slo_cell("lax").unwrap();
-        let strict = m.slo_cell("strict").unwrap();
+        assert!(m.tenant_cell("").1.is_none(), "anonymous jobs untracked");
         // 5 ms: within the 10 ms default, over the 1 ms override
-        let five_ms = 5_000_000u64;
+        let five_ms = Duration::from_millis(5);
         for _ in 0..8 {
-            lax.record(five_ms);
+            job(&m, "lax", five_ms);
         }
-        lax.record(50_000_000); // one breach
-        strict.record(five_ms);
-        strict.record(500_000);
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
-        assert_eq!(snap.slo.len(), 2);
-        let lax_row = snap.slo.iter().find(|s| s.tenant == "lax").unwrap();
-        assert_eq!((lax_row.good, lax_row.bad), (8, 1));
-        assert!((lax_row.target_ms - 10.0).abs() < 1e-9);
+        job(&m, "lax", Duration::from_millis(50)); // one breach
+        job(&m, "strict", five_ms);
+        job(&m, "strict", Duration::from_micros(500));
+        let snap = snap(&m);
+        assert_eq!(snap.per_tenant.len(), 2);
+        let lax = row(&snap, "lax").slo.as_ref().unwrap();
+        assert_eq!((lax.good, lax.bad), (8, 1));
+        assert!((lax.target_ms - 10.0).abs() < 1e-9);
         // bad fraction 1/9 over a 0.1 budget ⇒ burn ≈ 1.11
-        assert!((lax_row.burn_rate() - (1.0 / 9.0) / 0.1).abs() < 1e-9);
-        let strict_row = snap.slo.iter().find(|s| s.tenant == "strict").unwrap();
-        assert_eq!((strict_row.good, strict_row.bad), (1, 1));
-        assert!((strict_row.target_ms - 1.0).abs() < 1e-9);
-        assert!((strict_row.burn_rate() - 5.0).abs() < 1e-9);
+        assert!((lax.burn_rate() - (1.0 / 9.0) / 0.1).abs() < 1e-9);
+        let strict = row(&snap, "strict").slo.as_ref().unwrap();
+        assert_eq!((strict.good, strict.bad), (1, 1));
+        assert!((strict.target_ms - 1.0).abs() < 1e-9);
+        assert!((strict.burn_rate() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -889,25 +862,15 @@ mod tests {
             goal: 0.9,
         });
         for i in 0..MAX_TENANTS {
-            m.slo_cell(&format!("t-{i}")).unwrap();
+            assert!(m.tenant_cell(&format!("t-{i}")).1.is_some());
         }
-        let lax = m.slo_cell("lax-tail").expect("tracked beyond the cap");
-        let strict = m.slo_cell("strict-tail").expect("tracked beyond the cap");
-        let five_ms = 5_000_000u64;
-        lax.record(five_ms); // within its 10 ms target
-        strict.record(five_ms); // over its 1 ms target
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
-        assert_eq!(snap.slo.len(), MAX_TENANTS + 1, "cap + overflow");
-        let other = snap
-            .slo
-            .iter()
-            .find(|s| s.tenant == OVERFLOW_TENANT)
-            .expect("overflow bucket present");
+        let five_ms = Duration::from_millis(5);
+        job(&m, "lax-tail", five_ms); // within its 10 ms target
+        job(&m, "strict-tail", five_ms); // over its 1 ms target
+        let snap = snap(&m);
+        assert_eq!(snap.per_tenant.len(), MAX_TENANTS + 1, "cap + overflow");
+        assert!(snap.per_tenant.iter().all(|t| t.slo.is_some()));
+        let other = row(&snap, OVERFLOW_TENANT).slo.as_ref().unwrap();
         assert_eq!(
             (other.good, other.bad),
             (1, 1),
@@ -915,17 +878,44 @@ mod tests {
         );
     }
 
+    /// The cap is shared: once 64 untracked tenants fill the table, a
+    /// tracked tenant's latency and SLO counts both land in the
+    /// overflow row, classified against its own target.
+    #[test]
+    fn a_tracked_tenant_past_the_cap_lands_in_the_overflow_row() {
+        let m = Metrics::with_slo(SloPolicy {
+            default_target: None,
+            per_tenant: vec![("strict-tail".to_string(), Duration::from_millis(1))],
+            goal: 0.9,
+        });
+        for i in 0..MAX_TENANTS {
+            job(&m, &format!("untracked-{i}"), Duration::from_micros(10));
+        }
+        job(&m, "strict-tail", Duration::from_millis(5)); // over 1 ms
+        job(&m, "strict-tail", Duration::from_micros(500)); // within
+        let snap = snap(&m);
+        assert_eq!(snap.per_tenant.len(), MAX_TENANTS + 1, "cap + overflow");
+        assert!(snap.per_tenant.iter().all(|t| t.tenant != "strict-tail"));
+        let other = row(&snap, OVERFLOW_TENANT);
+        assert_eq!(other.latency.count, 2, "latency lands in the overflow row");
+        let slo = other.slo.as_ref().expect("overflow row carries the SLO");
+        assert_eq!((slo.good, slo.bad), (1, 1));
+        assert!((slo.target_ms - 1.0).abs() < 1e-9, "its own target shown");
+        let tracked = snap.per_tenant.iter().filter(|t| t.slo.is_some()).count();
+        assert_eq!(tracked, 1, "untracked rows have no SLO");
+    }
+
     #[test]
     fn no_policy_means_no_slo_rows() {
         let m = Metrics::default();
-        assert!(m.slo_cell("anyone").is_none());
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
-        assert!(snap.slo.is_empty());
+        assert!(m.tenant_cell("anyone").1.is_none());
+        job(&m, "anyone", Duration::from_millis(1));
+        let snap = snap(&m);
+        assert_eq!(snap.per_tenant.len(), 1);
+        assert!(snap.per_tenant[0].slo.is_none());
+        let mut page = String::new();
+        snap.openmetrics_into(&mut page);
+        assert!(!page.contains("spgemm_serve_slo"), "{page}");
     }
 
     #[test]
@@ -936,12 +926,8 @@ mod tests {
         });
         m.accepted.store(7, Ordering::Relaxed);
         m.completed.store(7, Ordering::Relaxed);
-        let rec = m.tenant_recorder("acme").unwrap();
-        let slo = m.slo_cell("acme").unwrap();
         for i in 1..=7u64 {
-            let d = Duration::from_millis(i);
-            m.record_job(Some(&rec), d, d / 2, d / 2);
-            slo.record(d.as_nanos() as u64);
+            job(&m, "acme", Duration::from_millis(i));
         }
         let start = Instant::now();
         let snap = m.snapshot(
@@ -968,9 +954,9 @@ mod tests {
         assert_eq!(d.throughput_jps, 0.0);
         assert_eq!(d.per_tenant.len(), 1);
         assert_eq!(d.per_tenant[0].latency.count, 0);
-        assert_eq!(d.slo.len(), 1);
-        assert_eq!((d.slo[0].good, d.slo[0].bad), (0, 0));
-        assert_eq!(d.slo[0].burn_rate(), 0.0);
+        let slo = d.per_tenant[0].slo.as_ref().unwrap();
+        assert_eq!((slo.good, slo.bad), (0, 0));
+        assert_eq!(slo.burn_rate(), 0.0);
     }
 
     #[test]
@@ -979,26 +965,22 @@ mod tests {
             default_target: Some(Duration::from_millis(5)),
             ..SloPolicy::default()
         });
-        let rec = m.tenant_recorder("w").unwrap();
-        let slo = m.slo_cell("w").unwrap();
-        let job = |ms: u64| {
-            let d = Duration::from_millis(ms);
-            m.record_job(Some(&rec), d, d / 2, d / 2);
-            slo.record(d.as_nanos() as u64);
+        let run = |ms: u64| {
+            job(&m, "w", Duration::from_millis(ms));
             m.completed.fetch_add(1, Ordering::Relaxed);
         };
         let start = Instant::now();
-        job(1);
-        job(100); // slow outlier in the *first* window
+        run(1);
+        run(100); // slow outlier in the *first* window
         let prev = m.snapshot(
             [0, 0, 0],
             PlanCacheStats::default(),
             ExprResultCacheStats::default(),
             start,
         );
-        job(2);
-        job(3);
-        job(4);
+        run(2);
+        run(3);
+        run(4);
         let cur = m.snapshot(
             [0, 0, 0],
             PlanCacheStats::default(),
@@ -1017,7 +999,8 @@ mod tests {
         );
         let t = &w.per_tenant[0];
         assert_eq!(t.latency.count, 3);
-        assert_eq!((w.slo[0].good, w.slo[0].bad), (3, 0));
+        let slo = t.slo.as_ref().unwrap();
+        assert_eq!((slo.good, slo.bad), (3, 0));
         assert!(w.elapsed <= cur.elapsed);
     }
 
@@ -1027,12 +1010,8 @@ mod tests {
             default_target: Some(Duration::from_millis(5)),
             ..SloPolicy::default()
         });
-        let rec = m.tenant_recorder("acme \"prod\"\n").unwrap();
-        let slo = m.slo_cell("acme \"prod\"\n").unwrap();
         for i in 1..=20u64 {
-            let d = Duration::from_millis(i);
-            m.record_job(Some(&rec), d, d / 2, d / 2);
-            slo.record(d.as_nanos() as u64);
+            job(&m, "acme \"prod\"\n", Duration::from_millis(i));
         }
         m.accepted.store(20, Ordering::Relaxed);
         m.completed.store(20, Ordering::Relaxed);
@@ -1064,26 +1043,14 @@ mod tests {
     fn tenant_cardinality_is_capped() {
         let m = Metrics::default();
         for i in 0..(MAX_TENANTS + 10) {
-            let rec = m.tenant_recorder(&format!("tenant-{i}")).unwrap();
-            m.record_job(
-                Some(&rec),
-                Duration::from_micros(10),
-                Duration::from_micros(4),
-                Duration::from_micros(6),
-            );
+            job(&m, &format!("tenant-{i}"), Duration::from_micros(10));
         }
-        let snap = m.snapshot(
-            [0, 0, 0],
-            PlanCacheStats::default(),
-            ExprResultCacheStats::default(),
-            Instant::now(),
-        );
+        let snap = snap(&m);
         assert_eq!(snap.per_tenant.len(), MAX_TENANTS + 1, "cap + overflow");
-        let other = snap
-            .per_tenant
-            .iter()
-            .find(|t| t.tenant == OVERFLOW_TENANT)
-            .expect("overflow bucket present");
-        assert_eq!(other.latency.count, 10, "tail tenants aggregate");
+        assert_eq!(
+            row(&snap, OVERFLOW_TENANT).latency.count,
+            10,
+            "tail tenants aggregate"
+        );
     }
 }

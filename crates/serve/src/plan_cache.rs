@@ -187,8 +187,8 @@ pub struct PlanCacheStats {
     /// Entries evicted to stay within the budget.
     pub evictions: u64,
     /// Live cache **keys** (each may pool several instances — see
-    /// [`crate::ServeConfig::plan_cache_plans`] and
-    /// [`crate::ServeConfig::expr_result_entries`]).
+    /// [`crate::ServeConfig::plan_cache_plans`]; the evaluator cache
+    /// holds up to 128 keys).
     pub entries: usize,
 }
 

@@ -550,26 +550,19 @@ mod tracing_and_slo {
         let snap = engine.shutdown();
         obs::disable();
 
-        let good = snap
-            .slo
-            .iter()
-            .find(|s| s.tenant == "slo-probe-good")
-            .expect("slo row for default-target tenant");
+        let slo_of = |tenant: &str| snap.slo_rows().find(|(t, _)| *t == tenant).map(|(_, s)| s);
+        let good = slo_of("slo-probe-good").expect("slo row for default-target tenant");
         assert_eq!((good.good, good.bad), (2, 0));
         assert!((good.target_ms - 3_600_000.0).abs() < 1e-6);
         assert_eq!(good.burn_rate(), 0.0);
-        let bad = snap
-            .slo
-            .iter()
-            .find(|s| s.tenant == "slo-probe-bad")
-            .expect("slo row for per-tenant override");
+        let bad = slo_of("slo-probe-bad").expect("slo row for per-tenant override");
         assert_eq!((bad.good, bad.bad), (0, 2));
         assert!((bad.bad_fraction() - 1.0).abs() < 1e-12);
         assert!(
             bad.burn_rate() > 1.0,
             "blown budget must burn faster than the goal allows"
         );
-        let tracked: u64 = snap.slo.iter().map(|s| s.good + s.bad).sum();
+        let tracked: u64 = snap.slo_rows().map(|(_, s)| s.good + s.bad).sum();
         assert_eq!(tracked, snap.completed, "every completion is classified");
 
         // The slowest requests per tenant retained complete span trees.
@@ -650,7 +643,7 @@ mod tracing_and_slo {
             let t = w.per_tenant.iter().find(|t| t.tenant == tenant).unwrap();
             let counts = (t.latency.count, t.queue_delay.count, t.service.count);
             assert_eq!(counts, (jobs, jobs, jobs), "{tenant}");
-            let s = w.slo.iter().find(|s| s.tenant == tenant).unwrap();
+            let s = t.slo.as_ref().unwrap();
             assert_eq!((s.good, s.bad), (jobs, 0), "{tenant}");
         }
         assert!(prev.per_tenant.iter().all(|t| t.tenant != "new"));

@@ -339,11 +339,6 @@ impl<T> Csr<T> {
         }
     }
 
-    /// Iterate over all rows as [`RowView`]s.
-    pub fn iter_rows(&self) -> impl Iterator<Item = RowView<'_, T>> + '_ {
-        (0..self.nrows).map(move |i| self.row(i))
-    }
-
     /// Look up the value at `(row, col)`, or `None` if absent. Uses
     /// binary search on sorted rows, linear scan otherwise.
     pub fn get(&self, row: usize, col: ColIdx) -> Option<&T> {
@@ -1034,6 +1029,5 @@ mod tests {
         assert_eq!(m.avg_row_nnz(), 0.0);
         assert_eq!(m.max_row_nnz(), 0);
         assert!(m.validate().is_ok());
-        assert_eq!(m.iter_rows().count(), 0);
     }
 }

@@ -114,16 +114,6 @@ pub fn structure_stats<T: Copy + Send + Sync>(a: &Csr<T>) -> StructureStats {
     }
 }
 
-/// Per-row upper bound for `nnz(c_i*)`: `min(flop(c_i*), ncols(B))`.
-/// Used to size hash tables (§4.2.1: "Required maximum hash table size
-/// is Ncol").
-pub fn row_nnz_upper_bounds(row_flops: &[u64], ncols_b: usize) -> Vec<usize> {
-    row_flops
-        .iter()
-        .map(|&f| (f as usize).min(ncols_b))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,11 +178,5 @@ mod tests {
         let uniform = Csr::<f64>::identity(5);
         let su = structure_stats(&uniform);
         assert_eq!(su.row_cv, 0.0, "identity has perfectly uniform rows");
-    }
-
-    #[test]
-    fn upper_bounds_clamped_by_ncols() {
-        let ub = row_nnz_upper_bounds(&[3, 100, 0], 8);
-        assert_eq!(ub, vec![3, 8, 0]);
     }
 }
