@@ -146,11 +146,6 @@ impl GalerkinPlan {
     pub fn workspace_stats(&self) -> spgemm_par::WorkspaceStats {
         self.plan.workspace_stats()
     }
-
-    /// The compiled expression plan behind the triple product.
-    pub fn expr_plan(&self) -> &ExprPlan {
-        &self.plan
-    }
 }
 
 /// One level of the AMG setup phase: aggregate, build `P`, coarsen.

@@ -92,11 +92,6 @@ impl TriangleCounter {
     pub fn workspace_stats(&self) -> spgemm_par::WorkspaceStats {
         self.plan.workspace_stats()
     }
-
-    /// The compiled expression plan behind the masked product.
-    pub fn expr_plan(&self) -> &ExprPlan {
-        &self.plan
-    }
 }
 
 /// Count triangles in an undirected simple graph.

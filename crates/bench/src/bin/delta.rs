@@ -6,10 +6,10 @@
 //! between the left and right operand). Two maintainers race:
 //!
 //! * **incremental** — `Csr::apply_patch` →
-//!   `SpgemmPlan::rebind_rows` (symbolic re-run for invalidated output
-//!   rows only, row-pointer splice) → `SpgemmPlan::execute_rows`
+//!   `SpgemmPlan::rebind_rows_in` (symbolic re-run for invalidated
+//!   output rows only, row-pointer splice) → `SpgemmPlan::execute_rows_in`
 //!   (numeric recompute of those rows, byte-copy of the rest);
-//! * **full** — a fresh `SpgemmPlan::new` + `execute` per batch, the
+//! * **full** — a fresh `SpgemmPlan::new_in` + `execute_in` per batch, the
 //!   static-structure baseline.
 //!
 //! Reported: ms/batch for both maintainers, the speedup, and the mean
@@ -170,7 +170,7 @@ fn run_stream(args: &Args, pool: &spgemm_par::Pool) -> Totals {
 
 fn main() {
     let args = parse_args();
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     let n = 1usize << args.scale;
     println!(
         "spgemm-delta: incremental plan maintenance vs full rebinds \

@@ -187,7 +187,9 @@ fn monolithic(a: &Csr<f64>, threads: usize, reps: usize) -> MonoBaseline {
 
 /// The product every sharded one must equal bit for bit.
 fn mono_hash(a: &Csr<f64>) -> Csr<f64> {
-    spgemm::multiply_f64(a, a, Algorithm::Hash, OutputOrder::Sorted).expect("monolithic Hash")
+    let pool = Pool::with_all_threads();
+    spgemm::multiply_in::<P>(a, a, Algorithm::Hash, OutputOrder::Sorted, &pool)
+        .expect("monolithic Hash")
 }
 
 fn main() {

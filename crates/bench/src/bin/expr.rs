@@ -219,7 +219,7 @@ fn run_workload(w: &Workload, reps: usize, pool: &Pool) -> Row {
 
 fn main() {
     let args = parse_args();
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     println!(
         "spgemm-expr: fused expression plans vs unfused composition \
          (scale {}, ef {}, grid {}, reps {}, {} threads)",

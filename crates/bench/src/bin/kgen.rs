@@ -197,7 +197,7 @@ fn run_cell(
 
 fn main() {
     let args = parse_args();
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     println!(
         "spgemm-kgen: row-class specialized kernels vs monolithic kernels \
          (A·A steady state, scale {} = {} rows, {} reps/cell, {} threads)",

@@ -524,7 +524,7 @@ fn fmt_summary(s: &spgemm_serve::LatencySummary) -> String {
 
 fn main() {
     let args = parse_args();
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     println!(
         "spgemm-obs: tracing + metrics harness (scale {}, ef {}, reps {}, {} threads)",
         args.scale,

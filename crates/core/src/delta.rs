@@ -1,5 +1,5 @@
 //! Row-granular incremental SpGEMM: the machinery behind
-//! [`SpgemmPlan::rebind_rows`](crate::SpgemmPlan::rebind_rows).
+//! [`SpgemmPlan::rebind_rows_in`](crate::SpgemmPlan::rebind_rows_in).
 //!
 //! The paper's inspector–executor split assumes a static structure;
 //! dynamic-graph workloads break that assumption a few rows at a time.

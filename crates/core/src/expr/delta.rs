@@ -104,6 +104,7 @@ impl ExprPlan {
     /// ```
     /// use spgemm::expr::{ExprGraph, ExprPlan};
     /// use spgemm::Algorithm;
+    /// use spgemm_par::Pool;
     /// use spgemm_sparse::{Csr, RowPatch};
     ///
     /// let mut g = ExprGraph::new();
@@ -111,7 +112,7 @@ impl ExprPlan {
     /// let sq = g.multiply(a, a);
     /// let root = g.normalize_cols(sq);
     ///
-    /// let pool = spgemm_par::global_pool();
+    /// let pool = &Pool::new(2);
     /// let m = Csr::<f64>::identity(64);
     /// let mut plan = ExprPlan::new_in(&g, root, &[&m], &[], Algorithm::Hash, pool)?;
     ///

@@ -6,11 +6,14 @@
 //! against, behind one entry point:
 //!
 //! ```
-//! use spgemm::{multiply_f64, Algorithm, OutputOrder};
-//! use spgemm_sparse::Csr;
+//! use spgemm::{multiply_in, Algorithm, OutputOrder};
+//! use spgemm_par::Pool;
+//! use spgemm_sparse::{Csr, PlusTimes};
 //!
+//! let pool = Pool::new(2);
 //! let a = Csr::<f64>::identity(4);
-//! let c = multiply_f64(&a, &a, Algorithm::Hash, OutputOrder::Sorted).unwrap();
+//! let c = multiply_in::<PlusTimes<f64>>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool)
+//!     .unwrap();
 //! assert_eq!(c.nnz(), 4);
 //! ```
 //!
@@ -103,9 +106,10 @@ pub use options::{Algorithm, OutputOrder};
 pub use plan::{PlanCache, PlanCacheStats, SpgemmPlan};
 
 use spgemm_par::Pool;
-use spgemm_sparse::{Csr, PlusTimes, Semiring, SparseError};
+use spgemm_sparse::{Csr, Semiring, SparseError};
 
-/// Multiply `C = A · B` over semiring `S` with an explicit pool.
+/// Multiply `C = A · B` over semiring `S`. Every parallel region of the
+/// product runs on `pool`, which the caller owns and sizes.
 ///
 /// Validates shapes and each algorithm's input-sortedness contract
 /// (see the table in the crate docs); `Algorithm::Auto` resolves
@@ -128,27 +132,6 @@ pub fn multiply_in<S: Semiring>(
     pool: &Pool,
 ) -> Result<Csr<S::Elem>, SparseError> {
     plan::multiply_oneshot::<S>(a, b, algo, order, pool)
-}
-
-/// [`multiply_in`] on the process-global pool.
-pub fn multiply<S: Semiring>(
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    algo: Algorithm,
-    order: OutputOrder,
-) -> Result<Csr<S::Elem>, SparseError> {
-    multiply_in::<S>(a, b, algo, order, spgemm_par::global_pool())
-}
-
-/// Convenience wrapper: `f64` matrices over the ordinary `(+, ×)`
-/// arithmetic — the configuration every figure of the paper measures.
-pub fn multiply_f64(
-    a: &Csr<f64>,
-    b: &Csr<f64>,
-    algo: Algorithm,
-    order: OutputOrder,
-) -> Result<Csr<f64>, SparseError> {
-    multiply::<PlusTimes<f64>>(a, b, algo, order)
 }
 
 /// Masked SpGEMM `C = (A · B) ∘ M` without materializing `A · B` —

@@ -7,17 +7,17 @@
 //! and multi-round graph algorithms. A [`SpgemmPlan`] factors a
 //! multiply accordingly:
 //!
-//! * **Plan once** (`SpgemmPlan::new`): per-row flop counts, the
+//! * **Plan once** (`SpgemmPlan::new_in`): per-row flop counts, the
 //!   flop-balanced row partition of §4.1, the resolved algorithm, and
 //!   the symbolic pass producing the output row pointers. A plan is
 //!   fully bound when built, whatever its kernel: a bound plan is
 //!   immutable under `&self`, and its executions take no lock.
-//! * **Execute many** (`execute` / `execute_into`): numeric-only
+//! * **Execute many** (`execute_in` / `execute_into_in`): numeric-only
 //!   passes over matrices with the *same sparsity structure*. All
 //!   per-thread accumulators live in a
 //!   [`spgemm_par::WorkspacePool`] owned by the plan, so the steady
 //!   state performs **zero heap allocations** when writing into a
-//!   reused output via [`SpgemmPlan::execute_into`].
+//!   reused output via [`SpgemmPlan::execute_into_in`].
 //!
 //! **Numeric replay.** The symbolic pass visits every `(i, j)` of the
 //! product to size `C`. On the dense kernel (`Spa`, named or through
@@ -36,10 +36,10 @@
 //! the stamped pass's, so the output is byte-identical by construction
 //! (`algos::spa`).
 //!
-//! Every bind emits — [`SpgemmPlan::new`], [`SpgemmPlan::rebind`] and
+//! Every bind emits — [`SpgemmPlan::new_in`], [`SpgemmPlan::rebind_in`] and
 //! with it every [`PlanCache`] / `ExprPlan` rebind, into fresh
 //! segments once the previous pattern is dropped — and
-//! [`SpgemmPlan::rebind_rows`] emits
+//! [`SpgemmPlan::rebind_rows_in`] emits
 //! its dirty rows and copies the clean ones from the old pattern, so a
 //! row-patched plan keeps replaying. What never replays: plans that
 //! name any other kernel (they keep measuring that kernel), a semiring
@@ -176,31 +176,34 @@ static REPLAY_PASSES: obs::CounterSite = obs::CounterSite::new("plan", "plan.rep
 /// A reusable two-phase execution plan for `C = A · B` over a fixed
 /// sparsity structure.
 ///
-/// Create once from the operands' structure, then run
-/// [`SpgemmPlan::execute`] (fresh output) or
-/// [`SpgemmPlan::execute_into`] (reused output, allocation-free in
+/// Create once from the operands' structure on a caller-owned
+/// [`Pool`], then run [`SpgemmPlan::execute_in`] (fresh output) or
+/// [`SpgemmPlan::execute_into_in`] (reused output, allocation-free in
 /// steady state) any number of times with matrices whose *values* may
 /// change but whose *structure* must match the planned one. Use
-/// [`SpgemmPlan::rebind`] or a [`PlanCache`] when the structure
+/// [`SpgemmPlan::rebind_in`] or a [`PlanCache`] when the structure
 /// changes.
 ///
 /// ```
 /// use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+/// use spgemm_par::Pool;
 /// use spgemm_sparse::{Csr, PlusTimes};
 ///
+/// let pool = Pool::new(2);
 /// let a = Csr::<f64>::identity(8);
-/// let plan = SpgemmPlan::<PlusTimes<f64>>::new(&a, &a, Algorithm::Hash, OutputOrder::Sorted)?;
+/// let plan =
+///     SpgemmPlan::<PlusTimes<f64>>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool)?;
 /// assert_eq!(plan.symbolic_nnz(), 8);
 ///
-/// let mut c = plan.execute(&a, &a)?;
+/// let mut c = plan.execute_in(&a, &a, &pool)?;
 /// for _ in 0..10 {
-///     plan.execute_into(&a, &a, &mut c)?; // numeric-only re-multiplies
+///     plan.execute_into_in(&a, &a, &mut c, &pool)?; // numeric-only re-multiplies
 /// }
 /// assert_eq!(c.nnz(), 8);
 /// # Ok::<(), spgemm_sparse::SparseError>(())
 /// ```
 pub struct SpgemmPlan<S: Semiring> {
-    /// What the caller asked for (kept so [`SpgemmPlan::rebind`] can
+    /// What the caller asked for (kept so [`SpgemmPlan::rebind_in`] can
     /// re-resolve `Auto` against the new structure).
     requested: Algorithm,
     /// The resolved, concrete algorithm.
@@ -222,17 +225,7 @@ pub struct SpgemmPlan<S: Semiring> {
 }
 
 impl<S: Semiring> SpgemmPlan<S> {
-    /// Plan `A · B` on the process-global pool.
-    pub fn new(
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        algo: Algorithm,
-        order: OutputOrder,
-    ) -> Result<Self, SparseError> {
-        Self::new_in(a, b, algo, order, spgemm_par::global_pool())
-    }
-
-    /// Plan `A · B` on an explicit pool. The plan is bound to the
+    /// Plan `A · B` on `pool`. The plan is bound to the
     /// pool's thread count; executions must use a pool of the same
     /// width (usually the same pool).
     pub fn new_in(
@@ -336,11 +329,6 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// acquisition — see `exec::RowAccumulator`). This is the
     /// allocation-amortizing path for workloads whose pattern drifts
     /// between products; [`PlanCache`] calls it automatically.
-    pub fn rebind(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Result<(), SparseError> {
-        self.rebind_in(a, b, spgemm_par::global_pool())
-    }
-
-    /// [`SpgemmPlan::rebind`] on an explicit pool.
     pub fn rebind_in(
         &mut self,
         a: &Csr<S::Elem>,
@@ -371,7 +359,7 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// inputs changed — the ordinary symbolic pass on the whole pool,
     /// masked so every other row keeps its cached count — and return
     /// the invalidated output-row set, the argument
-    /// [`SpgemmPlan::execute_rows`] expects next.
+    /// [`SpgemmPlan::execute_rows_in`] expects next.
     ///
     /// `dirty_a` / `dirty_b` name the rows of the *new* `a` / `b`
     /// that differ (structurally or in values) from the operands the
@@ -383,7 +371,7 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// `out = dirty_a ∪ {i : A[i] ∩ dirty_b ≠ ∅}` ([`rows_touching`]: a
     /// stateless scan of the new `a`; the plan keeps no per-edit state).
     ///
-    /// Falls back to a full [`SpgemmPlan::rebind`] — returning
+    /// Falls back to a full [`SpgemmPlan::rebind_in`] — returning
     /// `DirtyRows::all` — whenever incremental repair is impossible:
     /// shape changes, the sequential `Reference` oracle, a pool-width
     /// change, or an `Auto` plan whose kernel a fresh bind on the
@@ -395,34 +383,30 @@ impl<S: Semiring> SpgemmPlan<S> {
     ///
     /// ```
     /// use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+    /// use spgemm_par::Pool;
     /// use spgemm_sparse::{Csr, PlusTimes, RowPatch};
     ///
+    /// let pool = Pool::new(2);
     /// let a = Csr::<f64>::identity(100);
-    /// let mut plan =
-    ///     SpgemmPlan::<PlusTimes<f64>>::new(&a, &a, Algorithm::Hash, OutputOrder::Sorted)?;
-    /// let mut c = plan.execute(&a, &a)?;
+    /// let mut plan = SpgemmPlan::<PlusTimes<f64>>::new_in(
+    ///     &a,
+    ///     &a,
+    ///     Algorithm::Hash,
+    ///     OutputOrder::Sorted,
+    ///     &pool,
+    /// )?;
+    /// let mut c = plan.execute_in(&a, &a, &pool)?;
     ///
     /// let mut patch = RowPatch::new();
     /// patch.insert(7, 3, 2.0);
     /// let (a2, dirty) = a.apply_patch(&patch)?;
     ///
-    /// let out = plan.rebind_rows(&a2, &a2, &dirty, &dirty)?;
+    /// let out = plan.rebind_rows_in(&a2, &a2, &dirty, &dirty, &pool)?;
     /// assert_eq!(out.count(), 1, "only output row 7 consumes the edit");
-    /// plan.execute_rows(&a2, &a2, &out, &mut c)?;
+    /// plan.execute_rows_in(&a2, &a2, &out, &mut c, &pool)?;
     /// assert_eq!(c.get(7, 3), Some(&4.0));
     /// # Ok::<(), spgemm_sparse::SparseError>(())
     /// ```
-    pub fn rebind_rows(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        dirty_a: &DirtyRows,
-        dirty_b: &DirtyRows,
-    ) -> Result<DirtyRows, SparseError> {
-        self.rebind_rows_in(a, b, dirty_a, dirty_b, spgemm_par::global_pool())
-    }
-
-    /// [`SpgemmPlan::rebind_rows`] on an explicit pool.
     pub fn rebind_rows_in(
         &mut self,
         a: &Csr<S::Elem>,
@@ -519,26 +503,15 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// every clean row's bytes from `c` (the product of the previous
     /// execution), and store the spliced result back into `c`.
     ///
-    /// Companion to [`SpgemmPlan::rebind_rows`]: pass the dirty set it
+    /// Companion to [`SpgemmPlan::rebind_rows_in`]: pass the dirty set it
     /// returned, with `c` holding the pre-edit product. The result is
-    /// byte-for-byte what a full [`SpgemmPlan::execute`] would produce
+    /// byte-for-byte what a full [`SpgemmPlan::execute_in`] would produce
     /// — it is the ordinary numeric pass on the whole pool under
     /// `dirty` as a mask: each worker computes the dirty rows of its
     /// range with the kernel's per-row numeric path and copies the
     /// clean ones (their inputs are untouched by contract). A `c`
     /// whose clean rows don't have the planned lengths is rejected
     /// with [`SparseError::PlanMismatch`] before anything is written.
-    pub fn execute_rows(
-        &self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        dirty: &DirtyRows,
-        c: &mut Csr<S::Elem>,
-    ) -> Result<(), SparseError> {
-        self.execute_rows_in(a, b, dirty, c, spgemm_par::global_pool())
-    }
-
-    /// [`SpgemmPlan::execute_rows`] on an explicit pool.
     pub fn execute_rows_in(
         &self,
         a: &Csr<S::Elem>,
@@ -736,12 +709,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         }
     }
 
-    /// Numeric-only multiply into a fresh output matrix (global pool).
-    pub fn execute(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Result<Csr<S::Elem>, SparseError> {
-        self.execute_in(a, b, spgemm_par::global_pool())
-    }
-
-    /// [`SpgemmPlan::execute`] on an explicit pool.
+    /// Numeric-only multiply into a fresh output matrix.
     pub fn execute_in(
         &self,
         a: &Csr<S::Elem>,
@@ -757,17 +725,6 @@ impl<S: Semiring> SpgemmPlan<S> {
         let rpts = sym.rpts.clone();
         let sorted = self.output_is_sorted();
         Ok(Csr::from_parts_unchecked(m, n, rpts, cols, vals, sorted))
-    }
-
-    /// Numeric-only multiply into a reused output matrix (global
-    /// pool). See [`SpgemmPlan::execute_into_in`].
-    pub fn execute_into(
-        &self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        c: &mut Csr<S::Elem>,
-    ) -> Result<(), SparseError> {
-        self.execute_into_in(a, b, c, spgemm_par::global_pool())
     }
 
     /// Numeric-only multiply overwriting `c` in place, reusing its
@@ -963,12 +920,14 @@ pub struct PlanCacheStats {
 ///
 /// ```
 /// use spgemm::{Algorithm, OutputOrder, PlanCache};
+/// use spgemm_par::Pool;
 /// use spgemm_sparse::{Csr, PlusTimes};
 ///
+/// let pool = Pool::new(2);
 /// let a = Csr::<f64>::identity(6);
 /// let mut cache = PlanCache::<PlusTimes<f64>>::new(Algorithm::Hash, OutputOrder::Sorted);
 /// for _ in 0..3 {
-///     let c = cache.multiply(&a, &a)?;
+///     let c = cache.multiply_in(&a, &a, &pool)?;
 ///     assert_eq!(c.nnz(), 6);
 /// }
 /// assert_eq!(cache.stats().rebuilds, 1);
@@ -1022,7 +981,7 @@ impl<S: Semiring> PlanCache<S> {
         self.plan.as_ref()
     }
 
-    /// Multiply through the cache on an explicit pool.
+    /// Multiply through the cache on `pool`.
     pub fn multiply_in(
         &mut self,
         a: &Csr<S::Elem>,
@@ -1030,15 +989,6 @@ impl<S: Semiring> PlanCache<S> {
         pool: &Pool,
     ) -> Result<Csr<S::Elem>, SparseError> {
         self.plan_for(a, b, pool)?.execute_in(a, b, pool)
-    }
-
-    /// Multiply through the cache on the process-global pool.
-    pub fn multiply(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-    ) -> Result<Csr<S::Elem>, SparseError> {
-        self.multiply_in(a, b, spgemm_par::global_pool())
     }
 
     /// Hit/rebuild counters.
@@ -1194,7 +1144,9 @@ mod tests {
     #[test]
     fn matches_structure_ignores_values_only() {
         let a = sample();
-        let plan = SpgemmPlan::<P>::new(&a, &a, Algorithm::Hash, OutputOrder::Sorted).unwrap();
+        let pool = Pool::new(2);
+        let plan =
+            SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
         let scaled = a.map(|v| v * 2.0);
         assert!(plan.matches_structure(&scaled, &scaled));
         let b = a.filter(|_, _, v| v > 0.0);

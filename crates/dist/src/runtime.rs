@@ -703,7 +703,9 @@ mod tests {
     }
 
     fn mono(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
-        spgemm::multiply_f64(a, b, Algorithm::Hash, OutputOrder::Sorted).unwrap()
+        let pool = Pool::new(2);
+        spgemm::multiply_in::<PlusTimes<f64>>(a, b, Algorithm::Hash, OutputOrder::Sorted, &pool)
+            .unwrap()
     }
 
     #[test]

@@ -3,7 +3,8 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use spgemm::{Algorithm, OutputOrder};
-use spgemm_sparse::Csr;
+use spgemm_par::Pool;
+use spgemm_sparse::{Csr, PlusTimes};
 
 /// `m` with every few entries replaced by NaN, ±0.0 or ±inf and a
 /// scattering of sign flips (so infinities of both signs meet in one
@@ -26,7 +27,9 @@ pub fn spiced(m: &Csr<f64>) -> Csr<f64> {
 
 /// The monolithic product the sharded one must reproduce.
 pub fn mono_hash(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
-    spgemm::multiply_f64(a, b, Algorithm::Hash, OutputOrder::Sorted).unwrap()
+    let pool = Pool::new(2);
+    spgemm::multiply_in::<PlusTimes<f64>>(a, b, Algorithm::Hash, OutputOrder::Sorted, &pool)
+        .unwrap()
 }
 
 /// Same shape, same structure, same value **bits** (NaN payloads and

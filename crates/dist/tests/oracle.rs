@@ -14,7 +14,8 @@ use common::{assert_bit_identical, mono_hash, spiced};
 use spgemm::{Algorithm, OutputOrder};
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
 use spgemm_gen::{rmat::generate_kind, RmatKind};
-use spgemm_sparse::{approx_eq_f64, Csr};
+use spgemm_par::Pool;
+use spgemm_sparse::{approx_eq_f64, Csr, PlusTimes};
 
 const GRIDS: [(usize, usize); 5] = [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2)];
 
@@ -125,11 +126,14 @@ fn one_phase_kernels_first_and_second_product() {
     // order, which a column block changes: bit parity holds against
     // monolithic Heap on single-column grids, closeness on the rest.
     let plain = generate_kind(RmatKind::G500, 7, 6, &mut spgemm_gen::rng(5));
+    let pool = Pool::new(2);
     for (algo, a) in [
         (Algorithm::Heap, plain.clone()),
         (Algorithm::Inspector, spiced(&plain)),
     ] {
-        let same_kernel = spgemm::multiply_f64(&a, &a, algo, OutputOrder::Sorted).unwrap();
+        let same_kernel =
+            spgemm::multiply_in::<PlusTimes<f64>>(&a, &a, algo, OutputOrder::Sorted, &pool)
+                .unwrap();
         for (rows, cols) in GRIDS {
             let grid = GridSpec::new(rows, cols);
             let rt = ShardRuntime::new(DistConfig {

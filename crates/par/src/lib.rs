@@ -10,7 +10,9 @@
 //!   *parallel regions* ([`Pool::broadcast`]) and *scheduled loops*
 //!   ([`Pool::parallel_for`]) under [`Schedule::Static`],
 //!   [`Schedule::Dynamic`] or [`Schedule::Guided`] — the subjects of
-//!   the paper's Figure 2 and Figure 9.
+//!   the paper's Figure 2 and Figure 9. There is no process-global
+//!   pool: as in the paper's §3 runs, every region runs on a team the
+//!   caller creates, sizes and passes.
 //! * [`partition`] — the flop-balanced row partitioner of §4.1
 //!   (Figure 6): per-row work estimates, a prefix sum, and a
 //!   lower-bound binary search give each thread an equal-work block of
@@ -58,12 +60,4 @@ pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// A lazily-created process-wide pool using every hardware thread.
-/// Regions on it are serialized, so it is safe (if not maximally
-/// efficient) to share across caller threads.
-pub fn global_pool() -> &'static Pool {
-    static GLOBAL: std::sync::OnceLock<Pool> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(Pool::with_all_threads)
 }

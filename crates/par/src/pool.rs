@@ -33,7 +33,7 @@ pub struct Pool {
     handles: Vec<std::thread::JoinHandle<()>>,
     nthreads: usize,
     /// Serializes whole regions so a pool shared between caller threads
-    /// (e.g. [`crate::global_pool`]) is safe: one region at a time.
+    /// is safe: one region at a time.
     region: Mutex<()>,
 }
 

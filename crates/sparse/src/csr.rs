@@ -8,7 +8,6 @@
 //! [`Csr`] carries an explicit, verified `sorted` flag.
 
 use crate::{ColIdx, SparseError, MAX_DIM};
-use rayon::prelude::*;
 use std::fmt::Debug;
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -424,41 +423,30 @@ impl<T> Csr<T> {
         (0..self.nrows).all(|i| self.row_cols(i).windows(2).all(|w| w[0] < w[1]))
     }
 
-    /// Sort each row by column index (values carried along), in
-    /// parallel across rows. No-op when already sorted.
+    /// Sort each row by column index (values carried along), in place,
+    /// one row at a time through a row-sized scratch. No-op when
+    /// already sorted.
     pub fn sort_rows(&mut self)
     where
-        T: Copy + Send,
+        T: Copy,
     {
         if self.sorted {
             return;
         }
-        let rpts = &self.rpts;
-        // Sort each row independently: zip the two row slices through a
-        // permutation computed per row.
-        let nrows = self.nrows;
-        let cols_ptr = std::mem::take(&mut self.cols);
-        let vals_ptr = std::mem::take(&mut self.vals);
-        let mut paired: Vec<(ColIdx, T)> = cols_ptr.into_iter().zip(vals_ptr).collect();
-        // Per-row unstable sort; rows are disjoint slices of `paired`.
-        {
-            let mut rest: &mut [(ColIdx, T)] = &mut paired;
-            let mut consumed = 0usize;
-            let mut row_slices: Vec<&mut [(ColIdx, T)]> = Vec::with_capacity(nrows);
-            for i in 0..nrows {
-                let len = rpts[i + 1] - rpts[i];
-                debug_assert_eq!(rpts[i], consumed);
-                let (head, tail) = rest.split_at_mut(len);
-                row_slices.push(head);
-                rest = tail;
-                consumed += len;
+        let mut row: Vec<(ColIdx, T)> = Vec::new();
+        for i in 0..self.nrows {
+            let r = self.rpts[i]..self.rpts[i + 1];
+            let (cols, vals) = (&mut self.cols[r.clone()], &mut self.vals[r]);
+            row.clear();
+            row.extend(cols.iter().copied().zip(vals.iter().copied()));
+            // Column indices are unique within a row, so the unstable
+            // sort's order is the only ascending one.
+            row.sort_unstable_by_key(|&(c, _)| c);
+            for ((c, v), &(sc, sv)) in cols.iter_mut().zip(vals.iter_mut()).zip(&row) {
+                *c = sc;
+                *v = sv;
             }
-            row_slices
-                .into_par_iter()
-                .for_each(|s| s.sort_unstable_by_key(|&(c, _)| c));
         }
-        self.cols = paired.iter().map(|&(c, _)| c).collect();
-        self.vals = paired.into_iter().map(|(_, v)| v).collect();
         self.sorted = true;
         debug_assert!(self.detect_sorted());
     }
@@ -466,7 +454,7 @@ impl<T> Csr<T> {
     /// A sorted copy (cheap clone of the flag when already sorted).
     pub fn to_sorted(&self) -> Self
     where
-        T: Copy + Send,
+        T: Copy,
     {
         let mut c = self.clone();
         c.sort_rows();

@@ -7,27 +7,29 @@
 //! triangle-counting pipeline of §5.6), column selection (tall-skinny
 //! frontier matrices of §5.5), element-wise addition, and masked
 //! reduction.
+//!
+//! Every operation here is serial: it runs on the calling thread and
+//! starts no other, so a caller that sizes a pool knows where all of
+//! its work ran. The transpose is one counting sort. A row-slab
+//! parallel version on two threads lost to it on every input below 130k
+//! nonzeros and won only on edge-factor-16 R-MAT graphs above that (its
+//! per-slab `ncols + 1` pointer arrays add memory traffic to a scatter
+//! already bound by it); none of the benchmark's workloads transposes
+//! such a graph.
 
 use crate::{ColIdx, Csr, Scalar, SparseError};
-use spgemm_par::Pool;
-use std::sync::Mutex;
-
-/// Below this many nonzeros [`transpose`] stays on the serial
-/// counting sort: the parallel path's per-slab arrays and extra
-/// region barriers cost more than they save on small inputs.
-const PAR_TRANSPOSE_MIN_NNZ: usize = 1 << 14;
 
 /// Transpose via per-column counting sort: `O(nnz + ncols)`, output
-/// rows sorted. Large inputs fan out over the process-global pool
-/// ([`transpose_in`]); small ones run the serial sort directly. Either
-/// way the result is byte-for-byte [`transpose_serial`]'s output.
+/// rows sorted whatever the input's row order.
 pub fn transpose<T: Copy + Send + Sync>(a: &Csr<T>) -> Csr<T> {
-    let pool = spgemm_par::global_pool();
-    if a.nnz() < PAR_TRANSPOSE_MIN_NNZ {
-        transpose_serial(a)
-    } else {
-        transpose_in(a, pool)
-    }
+    let (rpts, cols, val_order) = transpose_structure(a);
+    let avals = a.vals();
+    let vals: Vec<T> = val_order.iter().map(|&idx| avals[idx]).collect();
+    // Source rows are visited in increasing order, so each output row's
+    // column indices (= source row ids) are strictly increasing,
+    // provided the input had at most one entry per (row, col) — which
+    // is a `Csr` invariant.
+    Csr::from_parts_unchecked(a.ncols(), a.nrows(), rpts, cols, vals, true)
 }
 
 /// The structural half of a transpose: output row pointers, output
@@ -61,147 +63,6 @@ pub fn transpose_structure<T: Copy + Send + Sync>(
         }
     }
     (rpts, cols, val_order)
-}
-
-/// Serial transpose: [`transpose_structure`] plus the value gather.
-pub fn transpose_serial<T: Copy + Send + Sync>(a: &Csr<T>) -> Csr<T> {
-    let (rpts, cols, val_order) = transpose_structure(a);
-    let avals = a.vals();
-    let vals: Vec<T> = val_order.iter().map(|&idx| avals[idx]).collect();
-    // Source rows are visited in increasing order, so each output row's
-    // column indices (= source row ids) are strictly increasing,
-    // provided the input had at most one entry per (row, col) — which
-    // is a `Csr` invariant.
-    Csr::from_parts_unchecked(a.ncols(), a.nrows(), rpts, cols, vals, true)
-}
-
-/// Parallel transpose on an explicit pool, without a line of `unsafe`
-/// (this crate forbids it): each worker counting-sorts a contiguous,
-/// nnz-balanced *row* slab into worker-local arrays, then workers take
-/// ownership of contiguous *column* blocks of the output — disjoint
-/// `split_at_mut` chunks — and concatenate the per-slab segments of
-/// their columns in slab order. Within one output row the source rows
-/// therefore appear in globally ascending order, exactly like the
-/// serial scatter, so the result — structure *and* value bytes — is
-/// [`transpose_serial`]'s output verbatim.
-pub fn transpose_in<T: Copy + Send + Sync>(a: &Csr<T>, pool: &Pool) -> Csr<T> {
-    let (nrows, ncols) = a.shape();
-    let nnz = a.nnz();
-    let nt = pool.nthreads();
-    if nt == 1 || nnz == 0 || ncols == 0 {
-        return transpose_serial(a);
-    }
-
-    // Contiguous row slabs with roughly equal nnz.
-    let rpts_in = a.rpts();
-    let mut row_offsets = Vec::with_capacity(nt + 1);
-    row_offsets.push(0usize);
-    for t in 1..nt {
-        let target = nnz * t / nt;
-        let r = rpts_in.partition_point(|&x| x < target).min(nrows);
-        row_offsets.push(r.max(row_offsets[t - 1]));
-    }
-    row_offsets.push(nrows);
-
-    // Phase 1: per-slab local counting transposes. Each worker fills
-    // its own slot (the Mutex only makes the slot vector `Sync`; slots
-    // are never contended).
-    #[derive(Default)]
-    struct Slab {
-        /// Per-output-row (source column) pointers, length `ncols + 1`.
-        rpts: Vec<usize>,
-        /// Source row of each local entry, grouped by output row.
-        rows: Vec<ColIdx>,
-        /// Index into `a.vals()` of each local entry.
-        src: Vec<usize>,
-    }
-    let slots: Vec<Mutex<Slab>> = (0..nt).map(|_| Mutex::new(Slab::default())).collect();
-    pool.parallel_ranges(&row_offsets, |t, range| {
-        let mut guard = slots[t].lock().expect("slab slot poisoned");
-        let slab = &mut *guard;
-        slab.rpts = vec![0usize; ncols + 1];
-        for i in range.clone() {
-            for &c in a.row_cols(i) {
-                slab.rpts[c as usize + 1] += 1;
-            }
-        }
-        for c in 0..ncols {
-            slab.rpts[c + 1] += slab.rpts[c];
-        }
-        let local_nnz = slab.rpts[ncols];
-        slab.rows = vec![0 as ColIdx; local_nnz];
-        slab.src = vec![0usize; local_nnz];
-        let mut cursor = slab.rpts.clone();
-        for i in range {
-            let r = a.row_range(i);
-            for (off, &c) in a.cols()[r.clone()].iter().enumerate() {
-                let p = cursor[c as usize];
-                slab.rows[p] = i as ColIdx;
-                slab.src[p] = r.start + off;
-                cursor[c as usize] += 1;
-            }
-        }
-    });
-    let slabs: Vec<Slab> = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("slab slot poisoned"))
-        .collect();
-
-    // Phase 2: global output row pointers.
-    let mut rpts = vec![0usize; ncols + 1];
-    for c in 0..ncols {
-        rpts[c + 1] = rpts[c]
-            + slabs
-                .iter()
-                .map(|s| s.rpts[c + 1] - s.rpts[c])
-                .sum::<usize>();
-    }
-
-    // Phase 3: contiguous output-row (column) blocks balanced by
-    // output nnz; each worker owns disjoint `split_at_mut` chunks of
-    // the output arrays and gathers its columns slab-by-slab.
-    let mut col_offsets = Vec::with_capacity(nt + 1);
-    col_offsets.push(0usize);
-    for w in 1..nt {
-        let target = nnz * w / nt;
-        let c = rpts.partition_point(|&x| x < target).min(ncols);
-        col_offsets.push(c.max(col_offsets[w - 1]));
-    }
-    col_offsets.push(ncols);
-
-    let avals = a.vals();
-    let mut cols = vec![0 as ColIdx; nnz];
-    let mut vals = vec![avals[0]; nnz];
-    {
-        let mut rest_c: &mut [ColIdx] = &mut cols;
-        let mut rest_v: &mut [T] = &mut vals;
-        let mut chunks: Vec<Mutex<(&mut [ColIdx], &mut [T])>> = Vec::with_capacity(nt);
-        for w in 0..nt {
-            let here = rpts[col_offsets[w + 1]] - rpts[col_offsets[w]];
-            let (cc, cr) = std::mem::take(&mut rest_c).split_at_mut(here);
-            let (vc, vr) = std::mem::take(&mut rest_v).split_at_mut(here);
-            rest_c = cr;
-            rest_v = vr;
-            chunks.push(Mutex::new((cc, vc)));
-        }
-        pool.parallel_ranges(&col_offsets, |w, crange| {
-            let mut guard = chunks[w].lock().expect("chunk slot poisoned");
-            let (out_c, out_v) = &mut *guard;
-            let mut k = 0usize;
-            for c in crange {
-                for slab in &slabs {
-                    let seg = slab.rpts[c]..slab.rpts[c + 1];
-                    for (&row, &src) in slab.rows[seg.clone()].iter().zip(&slab.src[seg]) {
-                        out_c[k] = row;
-                        out_v[k] = avals[src];
-                        k += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(k, out_c.len());
-        });
-    }
-    Csr::from_parts_unchecked(ncols, nrows, rpts, cols, vals, true)
 }
 
 /// Apply a column permutation: entry `(i, j)` moves to `(i, perm[j])`.
@@ -533,29 +394,6 @@ pub fn symmetrize_simple<T: Scalar>(a: &Csr<T>) -> Result<Csr<T>, SparseError> {
     Ok(sum.filter(|i, c, _| i != c as usize))
 }
 
-/// Sparse matrix–dense vector product `y = A x`.
-///
-/// The downstream sanity check for every SpGEMM identity in the tests:
-/// `(A·B)x == A(Bx)` holds for exact arithmetic and approximately for
-/// floats.
-pub fn spmv<T: Scalar>(a: &Csr<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    if x.len() != a.ncols() {
-        return Err(SparseError::ShapeMismatch {
-            left: a.shape(),
-            right: (x.len(), 1),
-            op: "spmv",
-        });
-    }
-    Ok((0..a.nrows())
-        .map(|i| {
-            a.row_cols(i)
-                .iter()
-                .zip(a.row_vals(i))
-                .fold(T::ZERO, |acc, (&c, &v)| acc.add(v.mul(x[c as usize])))
-        })
-        .collect())
-}
-
 /// Scale row `i` by `factors[i]` (diagonal left-multiplication
 /// `D · A`).
 pub fn scale_rows<T: Scalar>(a: &Csr<T>, factors: &[T]) -> Result<Csr<T>, SparseError> {
@@ -591,13 +429,6 @@ pub fn scale_cols<T: Scalar>(a: &Csr<T>, factors: &[T]) -> Result<Csr<T>, Sparse
         *v = v.mul(factors[c as usize]);
     }
     Ok(Csr::from_parts_unchecked(nr, nc, rpts, cols, vals, sorted))
-}
-
-/// The main diagonal as a dense vector (absent entries are zero).
-pub fn diagonal<T: Scalar>(a: &Csr<T>) -> Vec<T> {
-    (0..a.nrows().min(a.ncols()))
-        .map(|i| a.get(i, i as ColIdx).copied().unwrap_or(T::ZERO))
-        .collect()
 }
 
 /// Element-wise (Hadamard) product `A ∘ B`: entries present in both
@@ -855,15 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_dense() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        let y = spmv(&a, &x).unwrap();
-        assert_eq!(y, vec![1.0 + 6.0, 6.0, 4.0 + 10.0 + 18.0]);
-        assert!(spmv(&a, &[1.0]).is_err());
-    }
-
-    #[test]
     fn scaling_rows_and_cols() {
         let a = sample();
         let r = scale_rows(&a, &[2.0, 3.0, 0.5]).unwrap();
@@ -879,14 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_extraction() {
-        let a = sample();
-        assert_eq!(diagonal(&a), vec![1.0, 3.0, 6.0]);
-        let r = Csr::from_triplets(2, 4, &[(1, 1, 7.0)]).unwrap();
-        assert_eq!(diagonal(&r), vec![0.0, 7.0]);
-    }
-
-    #[test]
     fn hadamard_intersects_structures() {
         let a = sample();
         let i = Csr::<f64>::identity(3);
@@ -899,20 +713,6 @@ mod tests {
         let ms = masked_sum(&a, &i).unwrap();
         let hs: f64 = h.vals().iter().sum();
         assert_eq!(ms, hs);
-    }
-
-    #[test]
-    fn spmv_distributes_over_spgemm_structure() {
-        // (A + I) x == A x + x, a pure-ops identity
-        let a = sample();
-        let i = Csr::<f64>::identity(3);
-        let s = add(&a, &i).unwrap();
-        let x = vec![0.5, -1.0, 2.0];
-        let lhs = spmv(&s, &x).unwrap();
-        let ax = spmv(&a, &x).unwrap();
-        for k in 0..3 {
-            assert!((lhs[k] - (ax[k] + x[k])).abs() < 1e-12);
-        }
     }
 
     #[test]

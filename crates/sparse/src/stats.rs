@@ -8,7 +8,6 @@
 //! the real-matrix evaluation (§5.4.4, Figs 14/15/17).
 
 use crate::Csr;
-use rayon::prelude::*;
 
 /// Number of scalar multiplications required by `A · B`, per row of the
 /// output: `flop(c_i*) = Σ_{k ∈ a_i*} nnz(b_k*)`.
@@ -25,7 +24,6 @@ pub fn row_flops<T: Copy + Send + Sync, U: Copy + Send + Sync>(a: &Csr<T>, b: &C
     );
     let brpts = b.rpts();
     (0..a.nrows())
-        .into_par_iter()
         .map(|i| {
             a.row_cols(i)
                 .iter()
@@ -40,7 +38,7 @@ pub fn flop<T: Copy + Send + Sync, U: Copy + Send + Sync>(a: &Csr<T>, b: &Csr<U>
     assert_eq!(a.ncols(), b.nrows());
     let brpts = b.rpts();
     a.cols()
-        .par_iter()
+        .iter()
         .map(|&k| (brpts[k as usize + 1] - brpts[k as usize]) as u64)
         .sum()
 }

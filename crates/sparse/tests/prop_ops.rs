@@ -1,11 +1,10 @@
 //! Property tests for the element-wise/structural ops the expression
 //! layer composes: `add`, `hadamard`, `scale_rows`, `scale_cols` and
 //! `masked_sum` against a dense oracle (including shape-mismatch and
-//! factor-length error paths), and the parallel transpose against the
-//! serial counting sort, byte for byte, on sorted and unsorted inputs.
+//! factor-length error paths), and the transpose of unsorted input
+//! rows against that of the sorted ones, byte for byte.
 
 use proptest::prelude::*;
-use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, SparseError};
 
 /// A random sparse matrix with shape up to `max_dim`; values are small
@@ -67,21 +66,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn parallel_transpose_matches_serial_sorted(m in arb_csr(48, 400), nt in 2usize..=4) {
-        let pool = Pool::new(nt);
-        let par = ops::transpose_in(&m, &pool);
-        let ser = ops::transpose_serial(&m);
-        prop_assert!(bits_eq_f64(&par, &ser));
-        prop_assert!(par.validate().is_ok());
-    }
-
-    #[test]
-    fn parallel_transpose_matches_serial_unsorted(m in arb_csr(32, 300), nt in 2usize..=4) {
-        // Unsorted *input* rows: the transpose visits source rows in
-        // order regardless, so both paths must still agree bit-wise.
-        let u = reversed_rows(&m);
-        let pool = Pool::new(nt);
-        prop_assert!(bits_eq_f64(&ops::transpose_in(&u, &pool), &ops::transpose_serial(&u)));
+    fn transpose_ignores_input_row_order(m in arb_csr(32, 300)) {
+        // Unsorted *input* rows: the counting sort visits source rows in
+        // order regardless, so the transpose is the sorted input's, bit
+        // for bit.
+        let t = ops::transpose(&reversed_rows(&m));
+        prop_assert!(bits_eq_f64(&t, &ops::transpose(&m)));
+        prop_assert!(t.validate().is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn main() {
     let a = poisson2d(grid);
     println!("A_0: {} rows, {} nonzeros", a.nrows(), a.nnz());
 
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     let t = std::time::Instant::now();
     let levels = amg::setup_hierarchy(a, 64, 12, Algorithm::Hash, pool).expect("setup");
     let secs = t.elapsed().as_secs_f64();

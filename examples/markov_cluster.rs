@@ -38,7 +38,7 @@ fn main() {
     let (g, truth) = planted(k, m, 2024);
     println!("{} vertices, {} edges", g.nrows(), g.nnz() / 2);
 
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     let t = std::time::Instant::now();
     let labels = cluster(&g, &MclParams::default(), pool).expect("mcl");
     println!("MCL converged in {:.3}s", t.elapsed().as_secs_f64());

@@ -26,7 +26,7 @@ fn main() {
         .map(|s| (s * graph.nrows()) / nsources)
         .collect();
 
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     let t = std::time::Instant::now();
     let levels = bfs::multi_source_bfs(&graph, &sources, Algorithm::Auto, pool).expect("bfs");
     let secs = t.elapsed().as_secs_f64();

@@ -5,10 +5,17 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use spgemm::{multiply_f64, Algorithm, OutputOrder};
-use spgemm_sparse::{stats, Csr};
+use spgemm::{multiply_in, Algorithm, OutputOrder};
+use spgemm_par::Pool;
+use spgemm_sparse::{stats, Csr, PlusTimes};
+
+/// `f64` matrices over the ordinary `(+, ×)` arithmetic.
+type P = PlusTimes<f64>;
 
 fn main() {
+    // Every parallel region runs on a pool the caller owns and sizes.
+    let pool = Pool::with_all_threads();
+
     // A small graph-ish matrix built from triplets (rows come out
     // sorted and deduplicated).
     let a = Csr::from_triplets(
@@ -29,7 +36,8 @@ fn main() {
     println!("flop(A^2) = {}\n", stats::flop(&a, &a));
 
     // The paper's workhorse: hash SpGEMM with sorted output.
-    let c = multiply_f64(&a, &a, Algorithm::Hash, OutputOrder::Sorted).expect("multiply");
+    let c =
+        multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).expect("multiply");
     println!("C = A^2 has {} nonzeros:", c.nnz());
     for i in 0..c.nrows() {
         let entries: Vec<String> = c
@@ -53,14 +61,15 @@ fn main() {
         Algorithm::KkHash,
         Algorithm::Ikj,
     ] {
-        let got = multiply_f64(&a, &a, algo, OutputOrder::Sorted).expect("multiply");
+        let got = multiply_in::<P>(&a, &a, algo, OutputOrder::Sorted, &pool).expect("multiply");
         let same = spgemm_sparse::approx_eq_f64(&c, &got, 1e-12);
         println!("  {algo:<10} -> {} nnz, matches: {same}", got.nnz());
         assert!(same);
     }
 
     // Auto selection consults the paper's recipe (Table 4).
-    let auto = multiply_f64(&a, &a, Algorithm::Auto, OutputOrder::Unsorted).expect("multiply");
+    let auto =
+        multiply_in::<P>(&a, &a, Algorithm::Auto, OutputOrder::Unsorted, &pool).expect("multiply");
     println!(
         "\nAuto-selected kernel produced {} nnz (unsorted output)",
         auto.nnz()

@@ -6,14 +6,21 @@
 //! cargo run --release --example recipe_tour -- [scale]
 //! ```
 
-use spgemm::{multiply_f64, recipe, Algorithm, OutputOrder};
+use spgemm::{multiply_in, recipe, Algorithm, OutputOrder};
 use spgemm_gen::{rmat, tallskinny, RmatKind};
-use spgemm_sparse::Csr;
+use spgemm_par::Pool;
+use spgemm_sparse::{Csr, PlusTimes};
 use std::time::Instant;
 
-fn time_algo(a: &Csr<f64>, b: &Csr<f64>, algo: Algorithm, order: OutputOrder) -> Option<f64> {
+fn time_algo(
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    algo: Algorithm,
+    order: OutputOrder,
+    pool: &Pool,
+) -> Option<f64> {
     let t = Instant::now();
-    multiply_f64(a, b, algo, order).ok()?;
+    multiply_in::<PlusTimes<f64>>(a, b, algo, order, pool).ok()?;
     Some(t.elapsed().as_secs_f64())
 }
 
@@ -22,6 +29,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(11);
+    let pool = Pool::with_all_threads();
 
     let contenders = [
         Algorithm::Hash,
@@ -50,7 +58,7 @@ fn main() {
                     if algo.requires_sorted_inputs() && order == OutputOrder::Unsorted {
                         continue; // sorted-only kernels can't skip the sort anyway
                     }
-                    if let Some(t) = time_algo(&a, &a, algo, order) {
+                    if let Some(t) = time_algo(&a, &a, algo, order, &pool) {
                         if t < best.0 {
                             best = (t, algo);
                         }
@@ -89,7 +97,7 @@ fn main() {
     );
     let mut best = (f64::INFINITY, Algorithm::Hash);
     for algo in [Algorithm::Hash, Algorithm::HashVec, Algorithm::Heap] {
-        if let Some(t) = time_algo(&g, &ts, algo, OutputOrder::Unsorted) {
+        if let Some(t) = time_algo(&g, &ts, algo, OutputOrder::Unsorted, &pool) {
             if t < best.0 {
                 best = (t, algo);
             }

@@ -8,7 +8,7 @@
 use spgemm::Algorithm;
 use spgemm_apps::triangles;
 use spgemm_gen::{rmat, RmatKind};
-use spgemm_sparse::stats;
+use spgemm_sparse::{stats, PlusTimes};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -19,7 +19,7 @@ fn main() {
     let g = rmat::generate_kind(RmatKind::G500, scale, ef, &mut spgemm_gen::rng(7));
     println!("graph: {} vertices, {} stored entries", g.nrows(), g.nnz());
 
-    let pool = spgemm_par::global_pool();
+    let pool = &spgemm_par::Pool::with_all_threads();
     // LxU products have low compression ratio; Table 4a recommends
     // Heap for CR <= 2 and Hash above — run both and compare.
     for algo in [Algorithm::Heap, Algorithm::Hash] {
@@ -33,8 +33,14 @@ fn main() {
     let simple = spgemm_sparse::ops::symmetrize_simple(&g).expect("symmetrize");
     let (l, u) = spgemm_sparse::ops::split_lu(&simple).expect("split");
     let flop = stats::flop(&l, &u);
-    let wedges =
-        spgemm::multiply_f64(&l, &u, Algorithm::Hash, spgemm::OutputOrder::Sorted).expect("wedges");
+    let wedges = spgemm::multiply_in::<PlusTimes<f64>>(
+        &l,
+        &u,
+        Algorithm::Hash,
+        spgemm::OutputOrder::Sorted,
+        pool,
+    )
+    .expect("wedges");
     println!(
         "L·U: flop {} / nnz {} -> compression ratio {:.2}",
         flop,

@@ -1,6 +1,6 @@
 //! The differential oracle for incremental SpGEMM: random edit
-//! streams drive `Csr::apply_patch` → `SpgemmPlan::rebind_rows` →
-//! `SpgemmPlan::execute_rows`, and at **every** step the incrementally
+//! streams drive `Csr::apply_patch` → `SpgemmPlan::rebind_rows_in` →
+//! `SpgemmPlan::execute_rows_in`, and at **every** step the incrementally
 //! maintained product must be *byte-for-byte* identical (row pointers,
 //! column indices, and value bits) to a plan built and executed from
 //! scratch on the patched operands. No tolerance, no sorting slack —

@@ -5,9 +5,17 @@
 //! jobs advancing their cached evaluator through row updates, with
 //! the metrics accounting.
 
-use spgemm::{multiply_f64, Algorithm, OutputOrder, RowPatch};
+use spgemm::{multiply_in, Algorithm, OutputOrder, RowPatch};
+use spgemm_par::Pool;
 use spgemm_serve::{ExprRequest, ProductRequest, ServeConfig, ServeEngine};
-use spgemm_sparse::{bits_eq_f64, Csr};
+use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
+
+/// The sorted one-shot product a served job must equal, on a pool of
+/// its own.
+fn sorted_product(a: &Csr<f64>, b: &Csr<f64>, algo: Algorithm) -> Csr<f64> {
+    let pool = Pool::new(2);
+    multiply_in::<PlusTimes<f64>>(a, b, algo, OutputOrder::Sorted, &pool).unwrap()
+}
 
 fn rmat(scale: u32, ef: usize, seed: u64) -> Csr<f64> {
     spgemm_gen::rmat::generate_kind(
@@ -100,7 +108,7 @@ fn concurrent_updates_and_products_match_some_version() {
     // the history (never a torn or stale-mixed matrix).
     let oracles: Vec<Csr<f64>> = versions
         .iter()
-        .map(|v| multiply_f64(v, &b, Algorithm::Hash, OutputOrder::Sorted).unwrap())
+        .map(|v| sorted_product(v, &b, Algorithm::Hash))
         .collect();
     for (k, h) in handles.into_iter().enumerate() {
         let c = h.wait().expect("job result");
@@ -187,10 +195,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(bits_eq_f64(
-        &r1,
-        &multiply_f64(&a, &b, algo, OutputOrder::Sorted).unwrap()
-    ));
+    assert!(bits_eq_f64(&r1, &sorted_product(&a, &b, algo)));
 
     // Row-update A, then resubmit: the evaluator is one version
     // behind and must be advanced, not rebound.
@@ -206,10 +211,7 @@ fn expr_result_is_patched_in_place_and_counted(algo: Algorithm) {
         .wait()
         .unwrap();
     assert!(
-        bits_eq_f64(
-            &r2,
-            &multiply_f64(&a2, &b, algo, OutputOrder::Sorted).unwrap()
-        ),
+        bits_eq_f64(&r2, &sorted_product(&a2, &b, algo)),
         "{algo}: patched-in-place result must equal a from-scratch evaluation"
     );
 
@@ -299,6 +301,7 @@ fn serve_patches_every_node_kind() {
         let root = g.add(masked, b);
         ExprSpec::new(g, root)
     };
+    let pool = Pool::with_all_threads();
     for workers in [1, 2] {
         for algo in [Algorithm::Hash, Algorithm::Auto] {
             for (label, spec, names) in [("mcl", &mcl, &["a"][..]), ("mixed", &mixed, &["a", "b"])]
@@ -321,9 +324,8 @@ fn serve_patches_every_node_kind() {
                         .wait()
                         .unwrap();
                     let inputs: Vec<&Csr<f64>> = snapshot.iter().collect();
-                    let pool = spgemm_par::global_pool();
-                    let fresh =
-                        ExprPlan::new_in(&spec.graph, spec.root, &inputs, &[], algo, pool).unwrap();
+                    let fresh = ExprPlan::new_in(&spec.graph, spec.root, &inputs, &[], algo, &pool)
+                        .unwrap();
                     let mut want = Csr::zero(0, 0);
                     fresh.root_into(&mut want).unwrap();
                     assert!(bits_eq_f64(&got, &want), "{ctx}: job {job}");
