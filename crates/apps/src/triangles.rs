@@ -80,9 +80,9 @@ impl TriangleCounter {
             &mut self.wedges_on_edges,
             pool,
         )?;
-        // The mask's values are all 1.0, so summing the masked wedge
-        // entries equals the masked_sum of the full wedge matrix.
-        // Under the L·U orientation every triangle is counted exactly
+        // The masked product holds the wedge counts `(L·U)[i][j]` of
+        // exactly the edges `(i, j)` of A, so their sum counts closed
+        // wedges. Under the L·U orientation every triangle is counted exactly
         // twice (once per wedge endpoint pair present in A).
         let total: f64 = self.wedges_on_edges.vals().iter().sum();
         Ok((total / 2.0).round() as u64)

@@ -1,30 +1,40 @@
-//! Minimal argument parsing shared by every figure binary.
+//! Argument parsing shared by every bench binary.
 //!
 //! Keeping this hand-rolled avoids a CLI dependency; the harness needs
-//! exactly one flag shape: `--key value` plus `--quick`.
+//! exactly two flag shapes, `--key value` and `--switch`. One loop
+//! reads them all: the common flags below, then each binary's own
+//! through a hook, so every binary accepts what `run_all` forwards.
 
-/// Common knobs. Every figure binary documents which ones it uses.
+use std::str::FromStr;
+
+/// Common knobs. Every binary documents which ones it uses.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
-    /// R-MAT scale (matrix is `2^scale` square). Figure-specific
+    /// R-MAT scale (matrix is `2^scale` square). Binary-specific
     /// defaults apply when absent.
     pub scale: Option<u32>,
     /// Edge factor (average nnz per row).
     pub ef: Option<usize>,
     /// Worker threads (default: all hardware threads).
     pub threads: Option<usize>,
-    /// Timing repetitions per point (median reported). Default 3;
-    /// the paper averages 10 (`--reps 10` reproduces that).
-    pub reps: usize,
+    /// Timing repetitions per point (median reported); see
+    /// [`BenchArgs::reps`].
+    pub reps: Option<usize>,
     /// SuiteSparse stand-in scale divisor (Figures 14/15/17).
     pub divisor: usize,
     /// Directory of real `.mtx` files to use instead of stand-ins.
     pub suitesparse: Option<std::path::PathBuf>,
     /// Shrink every sweep to smoke-test size.
     pub quick: bool,
+    /// The CI assertion run of binaries that have one.
+    pub smoke: bool,
     /// RNG seed for generators.
     pub seed: u64,
 }
+
+/// The common flags, as `--help` lists them.
+const COMMON_USAGE: &str = "--scale N --ef N --threads N --reps N --divisor N --seed N \
+                            --suitesparse DIR --quick --smoke";
 
 impl Default for BenchArgs {
     fn default() -> Self {
@@ -32,54 +42,72 @@ impl Default for BenchArgs {
             scale: None,
             ef: None,
             threads: None,
-            reps: 3,
+            reps: None,
             divisor: 64,
             suitesparse: None,
             quick: false,
+            smoke: false,
             seed: 20180804, // ICPP 2018
         }
     }
 }
 
 impl BenchArgs {
-    /// Parse from `std::env::args`, exiting with usage on errors.
+    /// Parse the common flags from `std::env::args`, exiting with usage
+    /// on errors.
     pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+        Self::parse_with("", |_, _| false)
     }
 
-    /// Parse from an explicit iterator (tests).
+    /// Parse the common flags and a binary's own from `std::env::args`;
+    /// see [`BenchArgs::from_iter`].
+    pub fn parse_with(
+        own_usage: &str,
+        own: impl FnMut(&str, &mut dyn FnMut() -> String) -> bool,
+    ) -> Self {
+        Self::from_iter(std::env::args().skip(1), own_usage, own)
+    }
+
+    /// Parse from an explicit iterator. A flag that is not common goes
+    /// to `own` with a `take` that yields its value; `own` returns
+    /// whether it knew the flag. `own_usage` lists those flags for
+    /// `--help`. A missing value or an unknown flag exits with status 2.
     // Not the std trait: this is fallible-by-exit CLI parsing, and every
     // call site names it explicitly.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(iter: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_iter(
+        iter: impl IntoIterator<Item = String>,
+        own_usage: &str,
+        mut own: impl FnMut(&str, &mut dyn FnMut() -> String) -> bool,
+    ) -> Self {
         let mut out = BenchArgs::default();
         let mut it = iter.into_iter();
         while let Some(flag) = it.next() {
-            let mut take = |what: &str| -> String {
+            let mut take = || {
                 it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {what}");
+                    eprintln!("missing value for {flag}");
                     std::process::exit(2);
                 })
             };
             match flag.as_str() {
-                "--scale" => out.scale = Some(parse_or_die(&take("--scale"), "--scale")),
-                "--ef" => out.ef = Some(parse_or_die(&take("--ef"), "--ef")),
-                "--threads" => out.threads = Some(parse_or_die(&take("--threads"), "--threads")),
-                "--reps" => out.reps = parse_or_die(&take("--reps"), "--reps"),
-                "--divisor" => out.divisor = parse_or_die(&take("--divisor"), "--divisor"),
-                "--seed" => out.seed = parse_or_die(&take("--seed"), "--seed"),
-                "--suitesparse" => out.suitesparse = Some(take("--suitesparse").into()),
+                "--scale" => out.scale = Some(parse(&take(), &flag)),
+                "--ef" => out.ef = Some(parse(&take(), &flag)),
+                "--threads" => out.threads = Some(parse(&take(), &flag)),
+                "--reps" => out.reps = Some(parse(&take(), &flag)),
+                "--divisor" => out.divisor = parse(&take(), &flag),
+                "--seed" => out.seed = parse(&take(), &flag),
+                "--suitesparse" => out.suitesparse = Some(take().into()),
                 "--quick" => out.quick = true,
+                "--smoke" => out.smoke = true,
                 "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --scale N --ef N --threads N --reps N --divisor N \
-                         --seed N --suitesparse DIR --quick"
-                    );
+                    eprintln!("flags: {COMMON_USAGE} {own_usage}");
                     std::process::exit(0);
                 }
                 other => {
-                    eprintln!("unknown flag {other}; try --help");
-                    std::process::exit(2);
+                    if !own(other, &mut take) {
+                        eprintln!("unknown flag {other}; try --help");
+                        std::process::exit(2);
+                    }
                 }
             }
         }
@@ -105,16 +133,24 @@ impl BenchArgs {
     pub fn ef_or(&self, default: usize) -> usize {
         self.ef.unwrap_or(default)
     }
+
+    /// Repetitions with a binary-specific default, at least one.
+    pub fn reps_or(&self, default: usize) -> usize {
+        self.reps.unwrap_or(default).max(1)
+    }
+
+    /// The figures' repetitions: 3 by default. The paper averages 10
+    /// (`--reps 10` reproduces that).
+    pub fn reps(&self) -> usize {
+        self.reps_or(3)
+    }
 }
 
-/// A flag's count value; exits with status 2 when `s` is not one.
-pub fn num(s: &str) -> usize {
-    parse_or_die(s, "a count")
-}
-
-fn parse_or_die<T: std::str::FromStr>(s: &str, what: &str) -> T {
+/// `s` parsed as the value of `flag`; exits with status 2 when it is
+/// not one.
+pub fn parse<T: FromStr>(s: &str, flag: &str) -> T {
     s.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {s:?} for {what}");
+        eprintln!("bad value {s:?} for {flag}");
         std::process::exit(2);
     })
 }
@@ -123,16 +159,20 @@ fn parse_or_die<T: std::str::FromStr>(s: &str, what: &str) -> T {
 mod tests {
     use super::*;
 
+    fn argv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     fn parse(v: &[&str]) -> BenchArgs {
-        BenchArgs::from_iter(v.iter().map(|s| s.to_string()))
+        BenchArgs::from_iter(argv(v), "", |_, _| false)
     }
 
     #[test]
     fn defaults() {
         let a = parse(&[]);
-        assert_eq!(a.reps, 3);
+        assert_eq!(a.reps(), 3);
         assert_eq!(a.divisor, 64);
-        assert!(!a.quick);
+        assert!(!a.quick && !a.smoke);
         assert!(a.scale.is_none());
     }
 
@@ -141,8 +181,46 @@ mod tests {
         let a = parse(&["--scale", "14", "--ef", "8", "--reps", "10", "--quick"]);
         assert_eq!(a.scale, Some(14));
         assert_eq!(a.ef, Some(8));
-        assert_eq!(a.reps, 10);
+        assert_eq!(a.reps(), 10);
         assert!(a.quick);
+        assert_eq!(parse(&["--reps", "0"]).reps(), 1);
+    }
+
+    #[test]
+    fn smoke_parses() {
+        let a = parse(&["--smoke"]);
+        assert!(a.smoke && !a.quick);
+    }
+
+    #[test]
+    fn a_forwarded_common_flag_parses_where_nothing_reads_it() {
+        let mut own_calls = 0;
+        let a = BenchArgs::from_iter(argv(&["--divisor", "8"]), "--grids LIST", |_, _| {
+            own_calls += 1;
+            false
+        });
+        assert_eq!(a.divisor, 8);
+        assert_eq!(own_calls, 0, "a common flag never reaches the hook");
+    }
+
+    #[test]
+    fn own_value_flags_and_switches_reach_the_hook() {
+        let (mut grids, mut compare) = (String::new(), false);
+        let a = BenchArgs::from_iter(
+            argv(&["--grids", "1x1,2x2", "--seed", "5", "--compare"]),
+            "--grids LIST --compare",
+            |flag, take| {
+                match flag {
+                    "--grids" => grids = take(),
+                    "--compare" => compare = true,
+                    _ => return false,
+                }
+                true
+            },
+        );
+        assert_eq!(grids, "1x1,2x2");
+        assert!(compare);
+        assert_eq!(a.seed, 5);
     }
 
     #[test]

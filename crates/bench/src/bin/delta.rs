@@ -27,67 +27,13 @@
 //! ```
 
 use spgemm::{Algorithm, DirtyRows, OutputOrder, RowPatch, SpgemmPlan};
-use spgemm_bench::args::num;
+use spgemm_bench::args::BenchArgs;
+use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
 type Plan = SpgemmPlan<P>;
-
-struct Args {
-    scale: u32,
-    ef: usize,
-    reps: usize,
-    seed: u64,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        scale: 0,
-        ef: 8,
-        reps: 12,
-        seed: 20180804,
-        smoke: false,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef = num(&take("--ef")),
-            "--reps" => out.reps = num(&take("--reps")).max(1),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            // Accepted for run_all flag forwarding; not used here.
-            "--threads" | "--divisor" | "--suitesparse" | "--grid" => {
-                let _ = take(flag.as_str());
-            }
-            "--help" | "-h" => {
-                eprintln!("flags: --scale N --ef N --reps N --seed N --smoke --quick");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if out.scale == 0 {
-        out.scale = if quick || out.smoke { 9 } else { 12 };
-    }
-    if quick {
-        out.reps = out.reps.min(4);
-    }
-    out
-}
 
 /// Deterministic edit batch `step`, touching `k` distinct rows with
 /// one upsert each (a dynamic-graph tick: edge weight changes and new
@@ -111,12 +57,10 @@ struct Totals {
     bytes_ok: bool,
 }
 
-fn run_stream(args: &Args, pool: &spgemm_par::Pool) -> Totals {
-    let mut rng = spgemm_gen::rng(args.seed);
-    let mut a =
-        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, args.scale, args.ef, &mut rng);
-    let mut b =
-        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::Er, args.scale, args.ef, &mut rng);
+fn run_stream(scale: u32, ef: usize, batches: usize, seed: u64, pool: &Pool) -> Totals {
+    let mut rng = spgemm_gen::rng(seed);
+    let mut a = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, scale, ef, &mut rng);
+    let mut b = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::Er, scale, ef, &mut rng);
     let n = a.nrows();
     let edits = (n / 100).max(1); // ~1% of rows per batch
     let mut plan = Plan::new_in(&a, &b, Algorithm::Hash, OutputOrder::Sorted, pool).expect("plan");
@@ -129,7 +73,7 @@ fn run_stream(args: &Args, pool: &spgemm_par::Pool) -> Totals {
         rows_seen: 0,
         bytes_ok: true,
     };
-    for step in 0..args.reps {
+    for step in 0..batches {
         let patch = batch_patch(step, edits, n);
         let on_a = step % 2 == 0;
 
@@ -169,21 +113,32 @@ fn run_stream(args: &Args, pool: &spgemm_par::Pool) -> Totals {
 }
 
 fn main() {
-    let args = parse_args();
-    let pool = &spgemm_par::Pool::with_all_threads();
-    let n = 1usize << args.scale;
+    let args = BenchArgs::parse_with("--grid N (spgemm-expr's; ignored)", |flag, take| {
+        flag == "--grid" && {
+            take();
+            true
+        }
+    });
+    let scale = args
+        .scale
+        .unwrap_or(if args.quick || args.smoke { 9 } else { 12 });
+    let ef = args.ef_or(8);
+    let reps = args.reps_or(12);
+    let batches = if args.quick { reps.min(4) } else { reps };
+    let pool = &Pool::with_all_threads();
+    let n = 1usize << scale;
     println!(
         "spgemm-delta: incremental plan maintenance vs full rebinds \
          (scale {} = {} rows, ef {}, {} batches of ~{} edits, {} threads)",
-        args.scale,
+        scale,
         n,
-        args.ef,
-        args.reps,
+        ef,
+        batches,
         (n / 100).max(1),
         pool.nthreads()
     );
-    let t = run_stream(&args, pool);
-    let reps = args.reps as f64;
+    let t = run_stream(scale, ef, batches, args.seed, pool);
+    let reps = batches as f64;
     let frac = t.recomputed as f64 / t.rows_seen.max(1) as f64;
     println!(
         "{:<28} {:>12} {:>12} {:>9} {:>16}",

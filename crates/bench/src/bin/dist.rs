@@ -30,93 +30,14 @@
 //! monolithic footprint.
 
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_bench::args::num;
+use spgemm_bench::args::{self, BenchArgs};
 use spgemm_dist::{csr_bytes, DistConfig, GridSpec, ShardRuntime};
+use spgemm_membench::median_millis;
 use spgemm_par::Pool;
-use spgemm_sparse::{Csr, PlusTimes};
+use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
-
-struct Args {
-    grids: Vec<GridSpec>,
-    threads_per_shard: usize,
-    scale: u32,
-    ef: usize,
-    reps: usize,
-    seed: u64,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        grids: Vec::new(),
-        threads_per_shard: 1,
-        scale: 0,
-        ef: 8,
-        reps: 3,
-        seed: 20180804,
-        smoke: false,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--grids" => {
-                out.grids = take("--grids")
-                    .split(',')
-                    .map(|s| {
-                        GridSpec::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("bad grid {s:?} (expected RxC, e.g. 2x2)");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--threads-per-shard" => out.threads_per_shard = num(&take("--threads-per-shard")),
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef = num(&take("--ef")),
-            "--reps" => out.reps = num(&take("--reps")).max(1),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            // Accepted for run_all flag forwarding; not used here.
-            "--threads" | "--divisor" | "--suitesparse" => {
-                let _ = take(flag.as_str());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --grids LIST --threads-per-shard N --scale N --ef N \
-                     --reps N --seed N --smoke --quick"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if out.grids.is_empty() {
-        out.grids = ["1x1", "2x1", "4x1", "2x2"]
-            .iter()
-            .map(|s| GridSpec::parse(s).expect("static grids parse"))
-            .collect();
-    }
-    if out.scale == 0 {
-        out.scale = if quick || out.smoke { 8 } else { 11 };
-    }
-    if quick {
-        out.reps = out.reps.min(2);
-    }
-    out
-}
 
 /// The bench inputs: one high-skew graph, one regular stencil, one
 /// shard-hostile block-diagonal (see `gen::suite::BlockSkew`).
@@ -145,21 +66,8 @@ fn inputs(scale: u32, ef: usize, seed: u64) -> Vec<(&'static str, Csr<f64>)> {
     ]
 }
 
-/// Median wall time of `reps` runs of `f`.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut ts: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    ts.sort_by(|a, b| a.total_cmp(b));
-    ts[ts.len() / 2]
-}
-
 struct MonoBaseline {
-    steady_s: f64,
+    steady_ms: f64,
     /// Output-array bytes: the single-domain allocation the monolithic
     /// kernel cannot avoid (a lower bound on its true footprint).
     footprint_bytes: u64,
@@ -174,13 +82,13 @@ fn monolithic(a: &Csr<f64>, threads: usize, reps: usize) -> MonoBaseline {
     let plan =
         SpgemmPlan::<P>::new_in(a, a, algo, OutputOrder::Sorted, &pool).expect("monolithic plan");
     let mut c = plan.execute_in(a, a, &pool).expect("monolithic execute");
-    let steady_s = time_median(reps, || {
+    let steady_ms = median_millis(reps, || {
         plan.execute_into_in(a, a, &mut c, &pool)
             .expect("monolithic steady execute");
     });
     let footprint_bytes = csr_bytes(&c);
     MonoBaseline {
-        steady_s,
+        steady_ms,
         footprint_bytes,
     }
 }
@@ -193,14 +101,48 @@ fn mono_hash(a: &Csr<f64>) -> Csr<f64> {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut grids = Vec::new();
+    let mut threads_per_shard = 1;
+    let args = BenchArgs::parse_with("--grids LIST --threads-per-shard N", |flag, take| {
+        match flag {
+            "--grids" => {
+                grids = take()
+                    .split(',')
+                    .map(|s| {
+                        GridSpec::parse(s.trim()).unwrap_or_else(|| {
+                            eprintln!("bad grid {s:?} (expected RxC, e.g. 2x2)");
+                            std::process::exit(2);
+                        })
+                    })
+                    .collect()
+            }
+            "--threads-per-shard" => threads_per_shard = args::parse(&take(), flag),
+            _ => return false,
+        }
+        true
+    });
+    if grids.is_empty() {
+        grids = ["1x1", "2x1", "4x1", "2x2"]
+            .iter()
+            .map(|s| GridSpec::parse(s).expect("static grids parse"))
+            .collect();
+    }
+    let scale = args
+        .scale
+        .unwrap_or(if args.quick || args.smoke { 8 } else { 11 });
+    let ef = args.ef_or(8);
+    let reps = if args.quick {
+        args.reps().min(2)
+    } else {
+        args.reps()
+    };
     if args.smoke {
-        smoke(&args);
+        smoke(scale, ef, args.seed);
         return;
     }
     println!(
         "# spgemm-dist: scale {} ef {} reps {} threads/shard {}",
-        args.scale, args.ef, args.reps, args.threads_per_shard
+        scale, ef, reps, threads_per_shard
     );
     println!(
         "{:<16} {:<6} {:>10} {:>10} {:>8} {:>14} {:>14} {:>7}",
@@ -213,23 +155,23 @@ fn main() {
         "peak_shard_KiB",
         "ratio"
     );
-    for (name, a) in inputs(args.scale, args.ef, args.seed) {
+    for (name, a) in inputs(scale, ef, args.seed) {
         let want = mono_hash(&a);
-        for &grid in &args.grids {
-            let mono = monolithic(&a, grid.shards() * args.threads_per_shard, args.reps);
+        for &grid in &grids {
+            let mono = monolithic(&a, grid.shards() * threads_per_shard, reps);
             let rt = ShardRuntime::new(DistConfig {
                 grid,
-                threads_per_shard: args.threads_per_shard,
+                threads_per_shard,
                 ..DistConfig::default()
             });
             // Warm the shards' plans, check the result once.
             let (c, _) = rt.multiply_with_stats(&a, &a).expect("sharded product");
             assert!(
-                bit_identical(&c, &want),
+                bits_eq_f64(&c, &want),
                 "{name} {grid}: sharded result diverged from monolithic Hash"
             );
             let mut last_peak = 0u64;
-            let dist_s = time_median(args.reps, || {
+            let dist_ms = median_millis(reps, || {
                 let (_, s) = rt.multiply_with_stats(&a, &a).expect("steady product");
                 last_peak = s.max_peak_partial_bytes();
             });
@@ -237,9 +179,9 @@ fn main() {
                 "{:<16} {:<6} {:>10.2} {:>10.2} {:>8.2} {:>14.1} {:>14.1} {:>7.2}",
                 name,
                 grid.to_string(),
-                mono.steady_s * 1e3,
-                dist_s * 1e3,
-                mono.steady_s / dist_s,
+                mono.steady_ms,
+                dist_ms,
+                mono.steady_ms / dist_ms,
                 mono.footprint_bytes as f64 / 1024.0,
                 last_peak as f64 / 1024.0,
                 last_peak as f64 / mono.footprint_bytes.max(1) as f64,
@@ -248,28 +190,17 @@ fn main() {
     }
 }
 
-/// Same structure and the same value bits — the sharded contract.
-fn bit_identical(x: &Csr<f64>, y: &Csr<f64>) -> bool {
-    x.shape() == y.shape()
-        && x.rpts() == y.rpts()
-        && x.cols() == y.cols()
-        && x.vals()
-            .iter()
-            .map(|v| v.to_bits())
-            .eq(y.vals().iter().map(|v| v.to_bits()))
-}
-
 /// CI smoke: a small R-MAT product on every grid must equal the
 /// monolithic `Hash` product bit for bit, steady-state re-execution must be
 /// one plan hit per shard and nothing else, and on the 2×1 and 2×2
 /// grids every shard must hold less than the monolithic output
 /// footprint.
-fn smoke(args: &Args) {
+fn smoke(scale: u32, ef: usize, seed: u64) {
     let a = spgemm_gen::rmat::generate_kind(
         spgemm_gen::RmatKind::G500,
-        args.scale,
-        args.ef,
-        &mut spgemm_gen::rng(args.seed),
+        scale,
+        ef,
+        &mut spgemm_gen::rng(seed),
     );
     let (want, mono) = (mono_hash(&a), monolithic(&a, 2, 1));
     for grid in [
@@ -283,11 +214,11 @@ fn smoke(args: &Args) {
         });
         let (c1, s1) = rt.multiply_with_stats(&a, &a).expect("sharded product");
         assert!(
-            bit_identical(&c1, &want),
+            bits_eq_f64(&c1, &want),
             "{grid}: sharded != monolithic Hash"
         );
         let (c2, s2) = rt.multiply_with_stats(&a, &a).expect("steady product");
-        assert!(bit_identical(&c2, &want), "{grid}: steady run diverged");
+        assert!(bits_eq_f64(&c2, &want), "{grid}: steady run diverged");
         assert_eq!(
             s2.plan_rebuilds, s1.plan_rebuilds,
             "{grid}: steady-state re-execution recomputed symbolic work"
@@ -324,7 +255,7 @@ fn smoke(args: &Args) {
     let dist_ms = t.elapsed().as_secs_f64() * 1e3;
     let mut stamp = spgemm_bench::perfjson::PerfReport::new("dist", 1);
     stamp
-        .metric("mono_steady_ms", mono.steady_s * 1e3)
+        .metric("mono_steady_ms", mono.steady_ms)
         .metric("dist_2x2_steady_ms", dist_ms)
         .metric(
             "peak_shard_partial_bytes",

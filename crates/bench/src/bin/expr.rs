@@ -26,73 +26,12 @@
 use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, NodeId};
 use spgemm::{multiply_in, Algorithm, OutputOrder};
 use spgemm_apps::amg;
-use spgemm_bench::args::num;
+use spgemm_bench::args::{self, BenchArgs};
 use spgemm_par::Pool;
 use spgemm_sparse::{bits_eq_f64, ops, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
-
-struct Args {
-    scale: u32,
-    ef: usize,
-    grid: usize,
-    reps: usize,
-    seed: u64,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        scale: 0,
-        ef: 8,
-        grid: 0,
-        reps: 10,
-        seed: 20180804,
-        smoke: false,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef = num(&take("--ef")),
-            "--grid" => out.grid = num(&take("--grid")),
-            "--reps" => out.reps = num(&take("--reps")).max(1),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            // Accepted for run_all flag forwarding; not used here.
-            "--threads" | "--divisor" | "--suitesparse" => {
-                let _ = take(flag.as_str());
-            }
-            "--help" | "-h" => {
-                eprintln!("flags: --scale N --ef N --grid N --reps N --seed N --smoke --quick");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if out.scale == 0 {
-        out.scale = if quick || out.smoke { 8 } else { 11 };
-    }
-    if out.grid == 0 {
-        out.grid = if quick || out.smoke { 16 } else { 48 };
-    }
-    if quick {
-        out.reps = out.reps.min(4);
-    }
-    out
-}
 
 fn kib(bytes: usize) -> f64 {
     bytes as f64 / 1024.0
@@ -218,28 +157,40 @@ fn run_workload(w: &Workload, reps: usize, pool: &Pool) -> Row {
 }
 
 fn main() {
-    let args = parse_args();
-    let pool = &spgemm_par::Pool::with_all_threads();
+    let mut grid = None;
+    let args = BenchArgs::parse_with("--grid N", |flag, take| {
+        flag == "--grid" && {
+            grid = Some(args::parse(&take(), flag));
+            true
+        }
+    });
+    let quick = args.quick || args.smoke;
+    let scale = args.scale.unwrap_or(if quick { 8 } else { 11 });
+    let ef = args.ef_or(8);
+    let grid = grid.unwrap_or(if quick { 16 } else { 48 });
+    let reps = if args.quick {
+        args.reps_or(10).min(4)
+    } else {
+        args.reps_or(10)
+    };
+    let pool = &Pool::with_all_threads();
     println!(
         "spgemm-expr: fused expression plans vs unfused composition \
          (scale {}, ef {}, grid {}, reps {}, {} threads)",
-        args.scale,
-        args.ef,
-        args.grid,
-        args.reps,
+        scale,
+        ef,
+        grid,
+        reps,
         pool.nthreads()
     );
-    let workloads = [
-        mcl_workload(args.scale, args.ef, args.seed),
-        amg_workload(args.grid),
-    ];
+    let workloads = [mcl_workload(scale, ef, args.seed), amg_workload(grid)];
     println!(
         "{:<20} {:>10} {:>10} {:>8} {:>12} {:>12} {:>16}",
         "pipeline", "fused ms", "unfused", "speedup", "elim KiB", "kept KiB", "steady hits"
     );
     let mut rows = Vec::new();
     for w in &workloads {
-        let row = run_workload(w, args.reps, pool);
+        let row = run_workload(w, reps, pool);
         println!(
             "{:<20} {:>10.3} {:>10.3} {:>7.2}x {:>12.1} {:>12.1} {:>16}  {}",
             row.name,
@@ -272,7 +223,7 @@ fn main() {
                 row.name
             );
             assert_eq!(
-                row.hits, args.reps as u64,
+                row.hits, reps as u64,
                 "{}: every steady iteration must match the one bind and run numeric-only",
                 row.name
             );

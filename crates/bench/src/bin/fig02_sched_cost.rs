@@ -20,10 +20,10 @@ fn main() {
     );
     println!(
         "# fig02: empty-loop scheduling cost (milliseconds, median of {} reps)",
-        args.reps
+        args.reps()
     );
     let (lo, hi) = if args.quick { (5, 10) } else { (5, 19) }; // paper: 2^5..2^19
-    let series = sched::sweep(&pool, lo, hi, args.reps);
+    let series = sched::sweep(&pool, lo, hi, args.reps());
     println!("policy\titerations\tmillis");
     for (name, pts) in &series {
         for p in pts {

@@ -36,6 +36,7 @@ use spgemm_bench::args::BenchArgs;
 use spgemm_bench::perfjson::PerfReport;
 use spgemm_bench::runner::time_multiply;
 use spgemm_gen::{rmat, RmatKind};
+use spgemm_membench::median_of;
 use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
 
@@ -48,17 +49,9 @@ fn ms(f: impl FnOnce()) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let (smoke, rest): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|f| f == "--smoke");
-    let smoke = !smoke.is_empty();
-    let mut args = BenchArgs::from_iter(rest);
-    args.quick |= smoke;
+    let mut args = BenchArgs::parse();
+    args.quick |= args.smoke;
     let pool = args.pool();
     print!(
         "{}",
@@ -66,7 +59,7 @@ fn main() {
     );
     let scale = args.scale_or(13);
     let ef = args.ef_or(8);
-    let iters = args.reps.max(1) * 10;
+    let iters = args.reps() * 10;
     let mut rng = spgemm_gen::rng(args.seed);
     let a = rmat::generate_kind(RmatKind::G500, scale, ef, &mut rng);
     println!(
@@ -108,25 +101,17 @@ fn main() {
             let mut same = true;
             let exec2 = run(&mut c);
             same &= bits_eq_f64(&c, &first);
-            let steady = median(
-                (0..iters)
-                    .map(|_| {
-                        let t = run(&mut c);
-                        same &= bits_eq_f64(&c, &first);
-                        t
-                    })
-                    .collect(),
-            );
-            let fresh = median(
-                (0..iters)
-                    .map(|_| {
-                        let mut out = None;
-                        let t = ms(|| out = plan.execute_in(&a, &a, &pool).ok());
-                        same &= out.is_some_and(|out| bits_eq_f64(&out, &first));
-                        t
-                    })
-                    .collect(),
-            );
+            let steady = median_of(iters, || {
+                let t = run(&mut c);
+                same &= bits_eq_f64(&c, &first);
+                t
+            });
+            let fresh = median_of(iters, || {
+                let mut out = None;
+                let t = ms(|| out = plan.execute_in(&a, &a, &pool).ok());
+                same &= out.is_some_and(|out| bits_eq_f64(&out, &first));
+                t
+            });
 
             let tag = if order.is_sorted() {
                 "sorted"
@@ -173,7 +158,7 @@ fn main() {
             format!("DIVERGED on {}", drifted.join(", "))
         }
     );
-    if smoke {
+    if args.smoke {
         assert!(
             drifted.is_empty(),
             "a reused plan's executions must be bit-identical: {drifted:?}"

@@ -15,8 +15,8 @@
 use spgemm::tuning::{heap_multiply_tuned, MemScheme, RowSchedule};
 use spgemm_bench::args::BenchArgs;
 use spgemm_gen::{rmat, RmatKind};
+use spgemm_membench::median_millis;
 use spgemm_sparse::{stats, PlusTimes};
-use std::time::Instant;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -50,21 +50,14 @@ fn main() {
         let a = rmat::generate_kind(RmatKind::G500, scale, ef, &mut spgemm_gen::rng(args.seed));
         let flop = stats::flop(&a, &a);
         for (name, sched, mem) in variants {
-            // warmup
-            std::hint::black_box(heap_multiply_tuned::<PlusTimes<f64>>(
-                &a, &a, &pool, sched, mem,
-            ));
-            let mut times = Vec::with_capacity(args.reps);
-            for _ in 0..args.reps.max(1) {
-                let t = Instant::now();
+            let run = || {
                 std::hint::black_box(heap_multiply_tuned::<PlusTimes<f64>>(
                     &a, &a, &pool, sched, mem,
                 ));
-                times.push(t.elapsed().as_secs_f64());
-            }
-            times.sort_by(|x, y| x.total_cmp(y));
-            let secs = times[times.len() / 2];
-            println!("{name}\t{scale}\t{:.1}", 2.0 * flop as f64 / secs / 1e6);
+            };
+            run(); // warm-up
+            let ms = median_millis(args.reps(), run);
+            println!("{name}\t{scale}\t{:.1}", 2.0 * flop as f64 / ms / 1e3);
         }
     }
 }

@@ -69,7 +69,7 @@ fn main() {
         let max_row_flop = rf.iter().copied().max().unwrap_or(0) as usize;
         let b_profile = b_access_profile(&a, &a);
         for (name, algo, order) in panels {
-            let m = match runner::time_multiply(&a, &a, algo, order, &pool, args.reps) {
+            let m = match runner::time_multiply(&a, &a, algo, order, &pool, args.reps()) {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("skipping {name} at EF {ef}: {e}");

@@ -58,7 +58,7 @@ fn main() {
         println!("{usage}");
         return;
     }
-    let args = BenchArgs::from_iter(argv);
+    let args = BenchArgs::from_iter(argv, "", |_, _| false);
     let chosen: Vec<_> = FIGURES
         .iter()
         .filter(|(id, _)| figure == "all" || figure == *id)
@@ -81,7 +81,7 @@ fn main() {
 /// drawn from the run's seed.
 fn both_panels(a: &Csr<f64>, b: &Csr<f64>, args: &BenchArgs, pool: &Pool) -> Vec<Row> {
     let twin = panels::unsorted_twin(a, b, &mut spgemm_gen::rng(args.seed ^ 0xff));
-    panels::run(a, b, Some(&twin), pool, args.reps)
+    panels::run(a, b, Some(&twin), pool, args.reps())
 }
 
 /// The rows that measured, in order; the kernels that rejected `cell`
@@ -192,7 +192,7 @@ fn fig14(args: &BenchArgs, pool: &Pool) {
     // inputs, for the kernels that emit both orders.
     println!("# harmonic-mean speedup of unsorted over sorted (paper: MKL 1.58x, Hash 1.63x, HashVec 1.68x):");
     for algo in [Algorithm::Hash, Algorithm::HashVec, Algorithm::Spa] {
-        let time = |a, order| runner::time_multiply(a, a, algo, order, pool, args.reps);
+        let time = |a, order| runner::time_multiply(a, a, algo, order, pool, args.reps());
         let ratios: Vec<f64> = suite
             .iter()
             .filter_map(|p| {
@@ -271,7 +271,7 @@ fn fig17(args: &BenchArgs, pool: &Pool) {
     println!("algorithm\tmatrix\tcompression_ratio\tmflops");
     for p in &suite {
         let (_, l, u) = spgemm_apps::triangles::lu_operands(&p.matrix).expect("a square matrix");
-        for (r, m) in measured(&panels::run(&l, &u, None, pool, args.reps), &p.name) {
+        for (r, m) in measured(&panels::run(&l, &u, None, pool, args.reps()), &p.name) {
             let cr = m.compression_ratio();
             println!("{}\t{}\t{cr:.2}\t{:.1}", label(r.algo), p.name, m.mflops());
         }

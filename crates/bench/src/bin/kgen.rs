@@ -28,83 +28,13 @@
 //! ```
 
 use spgemm::{kgen, Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_bench::{args::num, panels};
+use spgemm_bench::{args::BenchArgs, panels};
 use spgemm_gen::RmatKind;
 use spgemm_sparse::{bits_eq_f64, Csr, PlusTimes};
 use std::time::Instant;
 
 type P = PlusTimes<f64>;
 type Plan = SpgemmPlan<P>;
-
-struct Args {
-    scale: u32,
-    ef_override: Option<usize>,
-    reps: usize,
-    seed: u64,
-    smoke: bool,
-    order: OutputOrder,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        scale: 0,
-        ef_override: None,
-        reps: 30,
-        seed: 20180804,
-        smoke: false,
-        order: OutputOrder::Sorted,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef_override = Some(num(&take("--ef"))),
-            "--reps" => out.reps = num(&take("--reps")).max(1),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            "--order" => {
-                out.order = match take("--order").as_str() {
-                    "sorted" => OutputOrder::Sorted,
-                    "unsorted" => OutputOrder::Unsorted,
-                    other => {
-                        eprintln!("bad --order {other:?} (sorted|unsorted)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            // Accepted for run_all flag forwarding; not used here.
-            "--threads" | "--divisor" | "--suitesparse" | "--grid" => {
-                let _ = take(flag.as_str());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --scale N --ef N --reps N --seed N --order sorted|unsorted \
-                     --smoke --quick"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if out.scale == 0 {
-        out.scale = if quick || out.smoke { 10 } else { 13 };
-    }
-    if quick {
-        out.reps = out.reps.min(8);
-    }
-    out
-}
 
 /// Steady-state ms/iter for one bound plan, plus its output (for the
 /// parity check). Two warm-up executions size every pooled buffer so
@@ -144,10 +74,12 @@ fn run_cell(
     kind: RmatKind,
     scale: u32,
     ef: usize,
-    args: &Args,
+    order: OutputOrder,
+    reps: usize,
+    seed: u64,
     pool: &spgemm_par::Pool,
 ) -> CellResult {
-    let a = spgemm_gen::rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(args.seed));
+    let a = spgemm_gen::rmat::generate_kind(kind, scale, ef, &mut spgemm_gen::rng(seed));
     let label = format!(
         "{}{}",
         match kind {
@@ -158,13 +90,13 @@ fn run_cell(
     );
     let occupancy = kgen::bucket_occupancy(&a, &a);
 
-    let (rc_ms, rc_out) = time_steady(&a, Algorithm::RowClass, args.order, args.reps, pool);
+    let (rc_ms, rc_out) = time_steady(&a, Algorithm::RowClass, order, reps, pool);
     let mut rival_ms = Vec::new();
     let mut hash_ms = f64::NAN;
     let mut parity_ok = true;
     let mut best_mono = f64::INFINITY;
-    for &algo in panels::roster(args.order) {
-        let (m, out) = time_steady(&a, algo, args.order, args.reps, pool);
+    for &algo in panels::roster(order) {
+        let (m, out) = time_steady(&a, algo, order, reps, pool);
         rival_ms.push(m);
         best_mono = best_mono.min(m);
         if algo == Algorithm::Hash {
@@ -175,7 +107,7 @@ fn run_cell(
     // parity must hold under the other order too (first-encounter
     // emission vs ascending), checked once per cell without timing
     // pressure
-    let other = if args.order.is_sorted() {
+    let other = if order.is_sorted() {
         OutputOrder::Unsorted
     } else {
         OutputOrder::Sorted
@@ -196,18 +128,48 @@ fn run_cell(
 }
 
 fn main() {
-    let args = parse_args();
+    let mut order = OutputOrder::Sorted;
+    let args = BenchArgs::parse_with(
+        "--order sorted|unsorted --grid N (spgemm-expr's; ignored)",
+        |flag, take| {
+            match flag {
+                "--order" => {
+                    order = match take().as_str() {
+                        "sorted" => OutputOrder::Sorted,
+                        "unsorted" => OutputOrder::Unsorted,
+                        other => {
+                            eprintln!("bad --order {other:?} (sorted|unsorted)");
+                            std::process::exit(2);
+                        }
+                    }
+                }
+                "--grid" => {
+                    take();
+                }
+                _ => return false,
+            }
+            true
+        },
+    );
+    let scale = args
+        .scale
+        .unwrap_or(if args.quick || args.smoke { 10 } else { 13 });
+    let reps = if args.quick {
+        args.reps_or(30).min(8)
+    } else {
+        args.reps_or(30)
+    };
     let pool = &spgemm_par::Pool::with_all_threads();
     println!(
         "spgemm-kgen: row-class specialized kernels vs monolithic kernels \
          (A·A steady state, scale {} = {} rows, {} reps/cell, {} threads)",
-        args.scale,
-        1usize << args.scale,
-        args.reps,
+        scale,
+        1usize << scale,
+        reps,
         pool.nthreads()
     );
 
-    let efs: &[usize] = match args.ef_override {
+    let efs: &[usize] = match args.ef {
         Some(ef) => &[ef][..],
         None if args.smoke => &[4, 16],
         None => &[4, 8, 16],
@@ -215,13 +177,13 @@ fn main() {
     let mut cells = Vec::new();
     for kind in [RmatKind::Er, RmatKind::G500] {
         for &ef in efs {
-            cells.push(run_cell(kind, args.scale, ef, &args, pool));
+            cells.push(run_cell(kind, scale, ef, order, reps, args.seed, pool));
         }
     }
 
-    let sorted = args.order.is_sorted();
+    let sorted = order.is_sorted();
     let mut header = format!("\n{:<8} {:>12}", "cell", "RowClass");
-    for &algo in panels::roster(args.order) {
+    for &algo in panels::roster(order) {
         header.push_str(&format!(" {:>13}", panels::label(algo)));
     }
     header.push_str(&format!(" {:>9}   {}", "speedup", "rows by class t/s/m/d"));

@@ -43,80 +43,17 @@
 use spgemm::expr::{ExprGraph, ExprSpec};
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_apps::mcl::{mcl_step, MclParams, MclPipeline};
-use spgemm_bench::{args::num, envinfo};
+use spgemm_bench::{args::BenchArgs, envinfo};
 use spgemm_dist::GridSpec;
 use spgemm_obs as obs;
 use spgemm_serve::{
     DistRouting, ExprRequest, Priority, ProductRequest, ServeConfig, ServeEngine, SloPolicy,
 };
 use spgemm_sparse::{ops, Csr, PlusTimes};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 type P = PlusTimes<f64>;
-
-struct Args {
-    scale: u32,
-    ef: usize,
-    reps: usize,
-    seed: u64,
-    smoke: bool,
-    trace: Option<std::path::PathBuf>,
-    json: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        scale: 0,
-        ef: 8,
-        reps: 0,
-        seed: 20180804,
-        smoke: false,
-        trace: None,
-        json: None,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef = num(&take("--ef")),
-            "--reps" => out.reps = num(&take("--reps")).max(1),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--trace" => out.trace = Some(take("--trace").into()),
-            "--json" => out.json = Some(take("--json").into()),
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            // Accepted for run_all flag forwarding; not used here.
-            "--threads" | "--divisor" | "--suitesparse" => {
-                let _ = take(flag.as_str());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --scale N --ef N --reps N --seed N \
-                     --trace PATH --json PATH --smoke --quick"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if out.scale == 0 {
-        out.scale = if quick || out.smoke { 8 } else { 11 };
-    }
-    if out.reps == 0 {
-        out.reps = if quick || out.smoke { 6 } else { 12 };
-    }
-    out
-}
 
 /// The MCL input: symmetrized R-MAT graph with self-loops,
 /// column-normalized (same preparation as the `spgemm-expr` bench).
@@ -523,18 +460,30 @@ fn fmt_summary(s: &spgemm_serve::LatencySummary) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut trace_out, mut json) = (None::<PathBuf>, None::<PathBuf>);
+    let args = BenchArgs::parse_with("--trace PATH --json PATH", |flag, take| {
+        match flag {
+            "--trace" => trace_out = Some(take().into()),
+            "--json" => json = Some(take().into()),
+            _ => return false,
+        }
+        true
+    });
+    let quick = args.quick || args.smoke;
+    let scale = args.scale.unwrap_or(if quick { 8 } else { 11 });
+    let ef = args.ef_or(8);
+    let reps = args.reps_or(if quick { 6 } else { 12 });
     let pool = &spgemm_par::Pool::with_all_threads();
     println!(
         "spgemm-obs: tracing + metrics harness (scale {}, ef {}, reps {}, {} threads)",
-        args.scale,
-        args.ef,
-        args.reps,
+        scale,
+        ef,
+        reps,
         pool.nthreads()
     );
     print!("{}", envinfo::environment_banner(pool.nthreads()));
 
-    let a = mcl_matrix(args.scale, args.ef, args.seed);
+    let a = mcl_matrix(scale, ef, args.seed);
     println!(
         "\nworkload: MCL on {}x{} column-stochastic graph, {} nnz",
         a.nrows(),
@@ -543,7 +492,7 @@ fn main() {
     );
 
     // --- part 1: disabled path ---
-    let (span_ns, off_ms, on_ms) = disabled_overhead(&a, args.reps, pool);
+    let (span_ns, off_ms, on_ms) = disabled_overhead(&a, reps, pool);
     println!("\n[1] disabled-path overhead");
     println!("    span enter/exit, collection off: {span_ns:.2} ns/op");
     println!("    plan-reuse loop, collection off: {off_ms:.3} ms/iter");
@@ -553,7 +502,7 @@ fn main() {
     );
 
     // --- part 2: traced MCL ---
-    let mcl = traced_mcl(&a, args.reps, pool);
+    let mcl = traced_mcl(&a, reps, pool);
     println!("\n[2] traced MCL run");
     println!(
         "    {} rounds in {:.1} ms, {} trace events ({} overwritten)",
@@ -605,10 +554,8 @@ fn main() {
     // --- exports ---
     println!("\n{}", obs::text_report());
     let trace = obs::chrome_trace();
-    let trace_path = args
-        .trace
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join("spgemm-obs-trace.json"));
+    let trace_path =
+        trace_out.unwrap_or_else(|| std::env::temp_dir().join("spgemm-obs-trace.json"));
     match std::fs::write(&trace_path, &trace) {
         Ok(()) => println!(
             "chrome trace: {} ({} KiB) — load in chrome://tracing or Perfetto",
@@ -645,7 +592,7 @@ fn main() {
         tel.pages, tel.served
     );
 
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         let slo_json: Vec<String> = dist
             .snap
             .slo_rows()
@@ -840,7 +787,7 @@ fn main() {
     }
 
     // --- perf trajectory stamp (BENCH_obs.json) ---
-    if args.smoke || args.json.is_some() {
+    if args.smoke || json.is_some() {
         let mut stamp = spgemm_bench::perfjson::PerfReport::new("obs", pool.nthreads());
         stamp
             .metric("disabled_span_ns", span_ns)

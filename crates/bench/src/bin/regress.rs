@@ -13,60 +13,11 @@
 //! no baseline metric went missing (warnings print but do not fail);
 //! 1 on regression; 2 on usage or file errors.
 
+use spgemm_bench::args::{self, BenchArgs};
 use spgemm_bench::json;
 use spgemm_bench::perfjson;
 use spgemm_bench::regress::{compare, render, RegressConfig};
 use std::path::PathBuf;
-
-struct Args {
-    baseline: PathBuf,
-    current: Option<PathBuf>,
-    cfg: RegressConfig,
-}
-
-fn parse_args() -> Args {
-    let mut baseline: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut cfg = RegressConfig::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        let tol = |s: String, what: &str| -> f64 {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad {what} tolerance {s:?}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--baseline" => baseline = Some(take("--baseline").into()),
-            "--current" => current = Some(take("--current").into()),
-            "--warn" => cfg.warn = tol(take("--warn"), "--warn"),
-            "--fail" => cfg.fail = tol(take("--fail"), "--fail"),
-            "--help" | "-h" => {
-                eprintln!("flags: --baseline PATH [--current PATH] [--warn F] [--fail F]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let baseline = baseline.unwrap_or_else(|| {
-        eprintln!("--baseline PATH is required");
-        std::process::exit(2);
-    });
-    Args {
-        baseline,
-        current,
-        cfg,
-    }
-}
 
 fn load(path: &PathBuf) -> json::Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -80,13 +31,30 @@ fn load(path: &PathBuf) -> json::Value {
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut baseline, mut current) = (None::<PathBuf>, None::<PathBuf>);
+    let mut cfg = RegressConfig::default();
+    BenchArgs::parse_with(
+        "--baseline PATH [--current PATH] [--warn F] [--fail F]",
+        |flag, take| {
+            match flag {
+                "--baseline" => baseline = Some(take().into()),
+                "--current" => current = Some(take().into()),
+                "--warn" => cfg.warn = args::parse(&take(), flag),
+                "--fail" => cfg.fail = args::parse(&take(), flag),
+                _ => return false,
+            }
+            true
+        },
+    );
+    let baseline_path = baseline.unwrap_or_else(|| {
+        eprintln!("--baseline PATH is required");
+        std::process::exit(2);
+    });
     // Default current stamp: the baseline's file name in the bench
     // output directory (where the smoke run just wrote it).
-    let current_path = args.current.clone().unwrap_or_else(|| {
+    let current_path = current.unwrap_or_else(|| {
         let dir = std::env::var(perfjson::DIR_ENV).unwrap_or_else(|_| ".".to_string());
-        let name = args
-            .baseline
+        let name = baseline_path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| {
@@ -95,9 +63,9 @@ fn main() {
             });
         PathBuf::from(dir).join(name)
     });
-    let baseline = load(&args.baseline);
+    let baseline = load(&baseline_path);
     let current = load(&current_path);
-    let report = match compare(&baseline, &current, args.cfg) {
+    let report = match compare(&baseline, &current, cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("regress: {e}");
@@ -106,10 +74,10 @@ fn main() {
     };
     println!(
         "spgemm-regress: {} vs {}",
-        args.baseline.display(),
+        baseline_path.display(),
         current_path.display()
     );
-    print!("{}", render(&report, args.cfg));
+    print!("{}", render(&report, cfg));
     if report.failures() > 0 {
         std::process::exit(1);
     }

@@ -27,7 +27,7 @@
 //! throughput, p50/p99 latency, plan-cache hit rate, shed submissions.
 
 use spgemm::Algorithm;
-use spgemm_bench::args::num;
+use spgemm_bench::args::{self, BenchArgs};
 use spgemm_serve::{
     MetricsSnapshot, Priority, ProductRequest, ServeConfig, ServeEngine, ServeError,
 };
@@ -35,105 +35,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Args {
-    workers: Vec<usize>,
+/// The generated load: tenant inputs and the job budget.
+struct Traffic {
     threads_per_worker: usize,
     jobs: usize,
+    /// Open-loop jobs per second across tenants; 0 submits at full speed.
     rate: f64,
     scale: u32,
     ef: usize,
     seed: u64,
-    compare: bool,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        workers: Vec::new(),
-        threads_per_worker: 1,
-        jobs: 0,
-        rate: 0.0,
-        scale: 0,
-        ef: 8,
-        seed: 20180804,
-        compare: false,
-        smoke: false,
-    };
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--workers" => {
-                out.workers = take("--workers")
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad worker count {s:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--threads-per-worker" => out.threads_per_worker = num(&take("--threads-per-worker")),
-            "--jobs" => out.jobs = num(&take("--jobs")),
-            "--rate" => {
-                out.rate = take("--rate").parse().unwrap_or_else(|_| {
-                    eprintln!("bad rate");
-                    std::process::exit(2);
-                })
-            }
-            "--scale" => out.scale = num(&take("--scale")) as u32,
-            "--ef" => out.ef = num(&take("--ef")),
-            "--seed" => out.seed = num(&take("--seed")) as u64,
-            "--compare" => out.compare = true,
-            "--smoke" => out.smoke = true,
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --workers LIST --threads-per-worker N --jobs N --rate R \
-                     --scale N --ef N --seed N --compare --smoke --quick"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    if quick || out.smoke {
-        if out.scale == 0 {
-            out.scale = 7;
-        }
-        if out.jobs == 0 {
-            out.jobs = 200;
-        }
-        if out.workers.is_empty() {
-            out.workers = vec![2];
-        }
-    } else {
-        if out.scale == 0 {
-            out.scale = 9;
-        }
-        if out.jobs == 0 {
-            out.jobs = 600;
-        }
-        if out.workers.is_empty() {
-            let hw = spgemm_par::hardware_threads();
-            out.workers = [1usize, 2, 4]
-                .iter()
-                .copied()
-                .filter(|&w| w <= hw)
-                .collect();
-        }
-    }
-    out
 }
 
 /// Submit with bounded retries on backpressure; sheds (drops the
@@ -169,23 +79,22 @@ struct RunOutcome {
 
 /// One traffic run: tenants submit `jobs` products total against an
 /// engine with `workers` workers; returns the drained metrics.
-#[allow(clippy::too_many_arguments)]
-fn run_traffic(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome {
+fn run_traffic(load: &Traffic, workers: usize, cache_plans: usize) -> RunOutcome {
     let engine = Arc::new(ServeEngine::new(ServeConfig {
         workers,
-        threads_per_worker: args.threads_per_worker,
+        threads_per_worker: load.threads_per_worker,
         queue_capacity: 512,
         plan_cache_plans: cache_plans,
         ..ServeConfig::default()
     }));
-    let mut rng = spgemm_gen::rng(args.seed);
+    let mut rng = spgemm_gen::rng(load.seed);
 
     // mcl tenant: one stable graph.
     let g =
-        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, args.scale, args.ef, &mut rng);
+        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, load.scale, load.ef, &mut rng);
     engine.store().insert("mcl/g", g.clone());
     // amg tenant: Poisson operator + tall-skinny restriction.
-    let k = ((1usize << args.scale) as f64).sqrt() as usize;
+    let k = ((1usize << load.scale) as f64).sqrt() as usize;
     let a = spgemm_gen::poisson::poisson2d(k);
     let p = spgemm_gen::tallskinny::tall_skinny(&a, (a.ncols() / 4).max(1), &mut rng)
         .expect("restriction shape");
@@ -195,11 +104,11 @@ fn run_traffic(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome {
     engine.store().insert("amg/pt", pt);
 
     // Job budget split: 60% mcl squares, 25% amg (rounds of 2), 15% one-shot.
-    let mcl_jobs = args.jobs * 60 / 100;
-    let amg_rounds = args.jobs * 25 / 100 / 2;
-    let oneshot_jobs = args.jobs - mcl_jobs - 2 * amg_rounds;
+    let mcl_jobs = load.jobs * 60 / 100;
+    let amg_rounds = load.jobs * 25 / 100 / 2;
+    let oneshot_jobs = load.jobs - mcl_jobs - 2 * amg_rounds;
     let pace = |share: f64| -> Option<Duration> {
-        (args.rate > 0.0).then(|| Duration::from_secs_f64(1.0 / (args.rate * share)))
+        (load.rate > 0.0).then(|| Duration::from_secs_f64(1.0 / (load.rate * share)))
     };
 
     let retries = Arc::new(AtomicU64::new(0));
@@ -268,7 +177,7 @@ fn run_traffic(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome {
     {
         let (engine, retries, shed) = (engine.clone(), retries.clone(), shed.clone());
         let pace = pace(0.15);
-        let (scale, seed) = (args.scale.saturating_sub(2).max(4), args.seed);
+        let (scale, seed) = (load.scale.saturating_sub(2).max(4), load.seed);
         tenants.push(std::thread::spawn(move || {
             let mut rng = spgemm_gen::rng(seed ^ 0x1e_5407);
             let mut handles = Vec::new();
@@ -317,28 +226,28 @@ fn run_traffic(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome {
 /// 15% one-shot tail. Everything is submitted up front (the queue is
 /// sized for it), then drained; wall time measures pure service
 /// throughput with no pacing or chained waits on the critical path.
-fn run_saturated(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome {
+fn run_saturated(load: &Traffic, workers: usize, cache_plans: usize) -> RunOutcome {
     let engine = ServeEngine::new(ServeConfig {
         workers,
-        threads_per_worker: args.threads_per_worker,
-        queue_capacity: args.jobs + 16,
+        threads_per_worker: load.threads_per_worker,
+        queue_capacity: load.jobs + 16,
         plan_cache_plans: cache_plans,
         ..ServeConfig::default()
     });
-    let mut rng = spgemm_gen::rng(args.seed);
+    let mut rng = spgemm_gen::rng(load.seed);
     const REPEAT_TENANTS: usize = 4;
     for t in 0..REPEAT_TENANTS {
         let g = spgemm_gen::rmat::generate_kind(
             spgemm_gen::RmatKind::G500,
-            args.scale,
-            args.ef,
+            load.scale,
+            load.ef,
             &mut rng,
         );
         engine.store().insert(format!("repeat{t}/g"), g);
     }
-    let oneshot_jobs = args.jobs * 15 / 100;
-    let repeat_jobs = args.jobs - oneshot_jobs;
-    let oneshot_scale = args.scale.saturating_sub(2).max(4);
+    let oneshot_jobs = load.jobs * 15 / 100;
+    let repeat_jobs = load.jobs - oneshot_jobs;
+    let oneshot_scale = load.scale.saturating_sub(2).max(4);
     for i in 0..oneshot_jobs {
         let m =
             spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::Er, oneshot_scale, 4, &mut rng);
@@ -346,7 +255,7 @@ fn run_saturated(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome 
     }
 
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(args.jobs);
+    let mut handles = Vec::with_capacity(load.jobs);
     for i in 0..repeat_jobs {
         let name = format!("repeat{}/g", i % REPEAT_TENANTS);
         // HashVector: the paper's flagship kernel, and the one whose
@@ -383,18 +292,55 @@ fn run_saturated(args: &Args, workers: usize, cache_plans: usize) -> RunOutcome 
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut workers, mut compare) = (Vec::new(), false);
+    let (mut threads_per_worker, mut jobs, mut rate) = (1, None, 0.0);
+    let bench = BenchArgs::parse_with(
+        "--workers LIST --threads-per-worker N --jobs N --rate JOBS_PER_SEC --compare",
+        |flag, take| {
+            match flag {
+                "--workers" => {
+                    workers = take()
+                        .split(',')
+                        .map(|w| args::parse(w.trim(), flag))
+                        .collect()
+                }
+                "--threads-per-worker" => threads_per_worker = args::parse(&take(), flag),
+                "--jobs" => jobs = Some(args::parse(&take(), flag)),
+                "--rate" => rate = args::parse(&take(), flag),
+                "--compare" => compare = true,
+                _ => return false,
+            }
+            true
+        },
+    );
+    let quick = bench.quick || bench.smoke;
+    let load = &Traffic {
+        threads_per_worker,
+        jobs: jobs.unwrap_or(if quick { 200 } else { 600 }),
+        rate,
+        scale: bench.scale.unwrap_or(if quick { 7 } else { 9 }),
+        ef: bench.ef_or(8),
+        seed: bench.seed,
+    };
+    if workers.is_empty() {
+        workers = if quick {
+            vec![2]
+        } else {
+            let hw = spgemm_par::hardware_threads();
+            [1, 2, 4].into_iter().filter(|&w| w <= hw).collect()
+        };
+    }
     print!(
         "{}",
-        spgemm_bench::envinfo::environment_banner(args.threads_per_worker)
+        spgemm_bench::envinfo::environment_banner(load.threads_per_worker)
     );
     println!(
         "# spgemm-serve: mixed tenants (mcl A² / amg PᵀAP / oneshot), {} jobs, scale {}, ef {}",
-        args.jobs, args.scale, args.ef
+        load.jobs, load.scale, load.ef
     );
 
-    if args.smoke {
-        let out = run_traffic(&args, 2, ServeConfig::default().plan_cache_plans);
+    if bench.smoke {
+        let out = run_traffic(load, 2, ServeConfig::default().plan_cache_plans);
         let m = &out.snapshot;
         println!(
             "smoke: accepted {} delivered {} ok {} err {} dup {} hit_rate {:.1}%",
@@ -419,7 +365,7 @@ fn main() {
             "stable tenant patterns must hit >50%: {:?}",
             m.plan_cache
         );
-        let mut stamp = spgemm_bench::perfjson::PerfReport::new("serve", args.threads_per_worker);
+        let mut stamp = spgemm_bench::perfjson::PerfReport::new("serve", load.threads_per_worker);
         stamp
             .metric("wall_ms", out.wall.as_secs_f64() * 1e3)
             .metric("p50_ms", m.latency.p50_ms)
@@ -434,14 +380,14 @@ fn main() {
         return;
     }
 
-    if args.compare {
-        let workers = args.workers[0];
+    if compare {
+        let workers = workers[0];
         println!("# compare: shared plan cache on vs off (cold plan per job), {workers} workers");
         println!("# saturated mixed repeated-product workload: submit all, then drain");
         // Warm both modes once to even out first-touch effects.
-        let _ = run_saturated(&args, workers, ServeConfig::default().plan_cache_plans);
-        let on = run_saturated(&args, workers, ServeConfig::default().plan_cache_plans);
-        let off = run_saturated(&args, workers, 0);
+        let _ = run_saturated(load, workers, ServeConfig::default().plan_cache_plans);
+        let on = run_saturated(load, workers, ServeConfig::default().plan_cache_plans);
+        let off = run_saturated(load, workers, 0);
         let speedup = off.wall.as_secs_f64() / on.wall.as_secs_f64();
         println!("mode\twall_s\tthroughput_jps\tp50_ms\tp99_ms\thit_rate");
         for (label, o) in [("cache", &on), ("cold", &off)] {
@@ -459,8 +405,8 @@ fn main() {
     }
 
     println!("workers\tthroughput_jps\tp50_ms\tp99_ms\tmax_ms\thit_rate\tbatch_avg\tretries\tshed");
-    for &w in &args.workers {
-        let out = run_traffic(&args, w, ServeConfig::default().plan_cache_plans);
+    for &w in &workers {
+        let out = run_traffic(load, w, ServeConfig::default().plan_cache_plans);
         let m = &out.snapshot;
         let batch_avg = if m.batches > 0 {
             m.batched_jobs as f64 / m.batches as f64

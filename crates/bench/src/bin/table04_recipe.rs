@@ -191,7 +191,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
     let ef = args.ef_or(8);
     println!(
         "# crossover sweep: A*A at edge factor {ef}, reused plans, min of {} numeric passes, ms",
-        args.reps
+        args.reps()
     );
     println!(
         "{:<5} {:>5} {:>9} {:>10} {:>9} {:>5} {:>9} {:>9} {:>9} {:>6} {:>7}",
@@ -215,7 +215,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
                 (OutputOrder::Sorted, &a, &a),
                 (OutputOrder::Unsorted, &ua, &ub),
             ] {
-                let ms = |algo| steady_min(m, b, algo, order, pool, args.reps).map(|s| s * 1e3);
+                let ms = |algo| steady_min(m, b, algo, order, pool, args.reps()).map(|s| s * 1e3);
                 let (spa, hash, heap) =
                     (ms(Algorithm::Spa), ms(Algorithm::Hash), ms(Algorithm::Heap));
                 let auto = recipe::static_select(&recipe::auto_context(m, b, order));
@@ -252,31 +252,22 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
 }
 
 fn main() {
-    let mut smoke = false;
     let mut sweep_range = None;
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--sweep" => {
-                let parsed = it.next().and_then(|v| {
-                    let (lo, hi) = v.split_once("..")?;
-                    Some((lo.parse::<u32>().ok()?, hi.parse::<u32>().ok()?))
-                });
-                let Some(range) = parsed.filter(|(lo, hi)| lo <= hi) else {
-                    eprintln!("--sweep takes LO..HI (R-MAT scales, inclusive)");
-                    std::process::exit(2);
-                };
-                sweep_range = Some(range);
-            }
-            _ => rest.push(flag),
+    let args = BenchArgs::parse_with("--sweep LO..HI", |flag, take| {
+        flag == "--sweep" && {
+            let v = take();
+            let parsed = v
+                .split_once("..")
+                .and_then(|(lo, hi)| Some((lo.parse::<u32>().ok()?, hi.parse::<u32>().ok()?)));
+            let Some(range) = parsed.filter(|(lo, hi)| lo <= hi) else {
+                eprintln!("--sweep takes LO..HI (R-MAT scales, inclusive)");
+                std::process::exit(2);
+            };
+            sweep_range = Some(range);
+            true
         }
-    }
-    let mut args = BenchArgs::from_iter(rest);
-    if smoke {
-        args.reps = 1;
-    }
+    });
+    let smoke = args.smoke;
     let pool = args.pool();
     print!(
         "{}",
@@ -287,7 +278,7 @@ fn main() {
         _ => {
             let run = Run {
                 pool: &pool,
-                reps: args.reps,
+                reps: if smoke { 1 } else { args.reps() },
                 smoke,
             };
             table(&args, &run, if smoke { 8 } else { args.scale_or(12) })

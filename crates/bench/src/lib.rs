@@ -3,10 +3,13 @@
 //! experiment, and one `figs` for the kernel Figures 11–17); this
 //! library holds the shared machinery:
 //!
-//! * [`args`] — the common command-line knobs (`--scale`, `--ef`,
-//!   `--threads`, `--reps`, `--divisor`, `--suitesparse`, `--quick`);
+//! * [`args`] — the one flag reader: the common knobs (`--scale`,
+//!   `--ef`, `--threads`, `--reps`, `--divisor`, `--seed`,
+//!   `--suitesparse`, `--quick`, `--smoke`) and a hook for each
+//!   binary's own flags;
 //! * [`envinfo`] — the Table 3 environment banner every binary prints;
-//! * [`runner`] — timed multiplies and MFLOPS accounting;
+//! * [`runner`] — timed multiplies (medians from
+//!   `spgemm_membench::median_millis`) and MFLOPS accounting;
 //! * [`panels`] — the §5.1 sorted / unsorted comparison panels and the
 //!   unsorted twin of a cell, behind Figures 11–17 and Table 4;
 //! * [`profiles`] — Dolan–Moré performance profiles (Figure 15);

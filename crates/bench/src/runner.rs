@@ -6,9 +6,9 @@
 //! `MFLOPS = 2 · flop / time / 10⁶`.
 
 use spgemm::{multiply_in, Algorithm, OutputOrder};
+use spgemm_membench::median_millis;
 use spgemm_par::Pool;
 use spgemm_sparse::{stats, Csr, PlusTimes, SparseError};
-use std::time::Instant;
 
 /// Result of one timed kernel configuration.
 #[derive(Clone, Copy, Debug)]
@@ -53,17 +53,13 @@ pub fn time_multiply(
     let c = multiply_in::<PlusTimes<f64>>(a, b, algo, order, pool)?;
     let nnz_out = c.nnz();
     drop(c);
-    let reps = reps.max(1);
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        let c = multiply_in::<PlusTimes<f64>>(a, b, algo, order, pool)?;
-        times.push(t.elapsed().as_secs_f64());
+    let ms = median_millis(reps, || {
+        let c = multiply_in::<PlusTimes<f64>>(a, b, algo, order, pool)
+            .expect("the warm-up run accepted these operands");
         std::hint::black_box(c.nnz());
-    }
-    times.sort_by(|x, y| x.total_cmp(y));
+    });
     Ok(Measurement {
-        secs: times[times.len() / 2],
+        secs: ms / 1e3,
         flop,
         nnz_out,
     })

@@ -95,9 +95,6 @@ impl Probe for Linear {
 }
 
 /// An open-addressing hash accumulator for one thread, probed by `P`.
-///
-/// Exposed (as `pub`) so the accumulator microbenchmark can drive it
-/// row-by-row outside the full kernel.
 pub struct Table<S: Semiring, P> {
     keys: Vec<i32>,
     vals: Vec<S::Elem>,

@@ -63,7 +63,8 @@ impl Probe for Chunked {
 /// The chunked, SIMD-probed table of [`crate::Algorithm::HashVec`].
 pub type HashVecAccumulator<S> = Table<S, Chunked>;
 
-/// HashVector SpGEMM with an explicit SIMD level (tests, ablations);
+/// HashVector SpGEMM with an explicit SIMD level (the per-level parity
+/// tests);
 /// [`crate::Algorithm::HashVec`] runs at [`simd::detect`]'s. A level
 /// the CPU lacks runs at the detected one instead — see
 /// [`Chunked::new`].

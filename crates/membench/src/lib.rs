@@ -22,20 +22,21 @@ pub mod stanza;
 
 use std::time::Instant;
 
-/// Median wall-clock milliseconds of `reps` runs of `f` (one warmup
-/// run is discarded).
+/// Median of `reps` (at least one) samples drawn from `sample`.
+pub fn median_of(reps: usize, mut sample: impl FnMut() -> f64) -> f64 {
+    let mut xs: Vec<f64> = (0..reps.max(1)).map(|_| sample()).collect();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median wall-clock milliseconds of `reps` runs of `f`. Nothing is
+/// run untimed: a caller that wants a warm-up runs `f` once first.
 pub fn median_millis(reps: usize, mut f: impl FnMut()) -> f64 {
-    let reps = reps.max(1);
-    f(); // warmup
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    median_of(reps, || {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e3
+    })
 }
 
 #[cfg(test)]

@@ -20,11 +20,13 @@ pub struct SchedPoint {
 
 /// Time an empty `parallel_for` of `iterations` under `sched`.
 pub fn scheduling_cost(pool: &Pool, iterations: usize, sched: Schedule, reps: usize) -> f64 {
-    crate::median_millis(reps, || {
+    let run = || {
         pool.parallel_for(iterations, sched, |i| {
             std::hint::black_box(i);
-        });
-    })
+        })
+    };
+    run(); // warm-up
+    crate::median_millis(reps, run)
 }
 
 /// The full Figure 2 sweep: `iterations = 2^lo .. 2^hi` for the three

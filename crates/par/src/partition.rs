@@ -68,7 +68,7 @@ pub fn balanced_offsets(weights: &[u64], nparts: usize, pool: &Pool) -> Vec<usiz
 }
 
 /// Maximum total weight of any part under the given offsets; the
-/// balance quality metric used in tests and the ablation bench.
+/// balance quality metric the partition tests check.
 pub fn max_part_weight(weights: &[u64], offsets: &[usize]) -> u64 {
     offsets
         .windows(2)

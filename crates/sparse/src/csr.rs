@@ -451,7 +451,8 @@ impl<T> Csr<T> {
         debug_assert!(self.detect_sorted());
     }
 
-    /// A sorted copy (cheap clone of the flag when already sorted).
+    /// A sorted copy: a full clone, whose rows are sorted unless they
+    /// already were.
     pub fn to_sorted(&self) -> Self
     where
         T: Copy,

@@ -14,10 +14,9 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Matrix Market value field of a coordinate file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Field {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Field {
     /// Floating-point values (`%%MatrixMarket matrix coordinate real`).
-    #[default]
     Real,
     /// Integer values, read as `f64`.
     Integer,
@@ -26,10 +25,9 @@ pub enum Field {
 }
 
 /// Matrix Market symmetry of a coordinate file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Symmetry {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Symmetry {
     /// Every entry stored explicitly.
-    #[default]
     General,
     /// Only the lower triangle stored; reading mirrors off-diagonal
     /// entries.
@@ -229,22 +227,6 @@ pub fn read_matrix_market_from(reader: impl Read) -> Result<Csr<f64>, SparseErro
     Ok(coo.into_csr_sum())
 }
 
-/// How [`write_matrix_market_to_with`] spells a matrix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteOptions {
-    /// Value field of the emitted file. `Pattern` drops the values
-    /// (reading restores unit values); `Integer` formats values with
-    /// their fraction truncated.
-    pub field: Field,
-    /// `Symmetric` stores only the lower triangle; the matrix must be
-    /// square and structurally + numerically symmetric (checked, since
-    /// a reader reconstructs the mirror from our word for it).
-    pub symmetry: Symmetry,
-    /// Emit `real` values in scientific notation (`1.5e3`); both
-    /// spellings parse back to the identical `f64`.
-    pub scientific: bool,
-}
-
 /// Write a CSR matrix as `matrix coordinate real general`.
 pub fn write_matrix_market(path: impl AsRef<Path>, m: &Csr<f64>) -> Result<(), SparseError> {
     let f = std::fs::File::create(path)?;
@@ -252,86 +234,18 @@ pub fn write_matrix_market(path: impl AsRef<Path>, m: &Csr<f64>) -> Result<(), S
 }
 
 /// Write Matrix Market data to any writer (`real general` layout).
-pub fn write_matrix_market_to(w: impl Write, m: &Csr<f64>) -> Result<(), SparseError> {
-    write_matrix_market_to_with(w, m, WriteOptions::default())
-}
-
-/// Write Matrix Market data with an explicit field/symmetry/notation
-/// choice. A `Symmetric` request for a matrix that is not symmetric
-/// fails with [`SparseError::Unsupported`] before any entry is
-/// emitted.
-pub fn write_matrix_market_to_with(
-    mut w: impl Write,
-    m: &Csr<f64>,
-    opts: WriteOptions,
-) -> Result<(), SparseError> {
-    if opts.symmetry == Symmetry::Symmetric {
-        // Pattern files carry no values, so only the *structure* needs
-        // a mirror; real/integer files must also agree numerically.
-        check_symmetric(m, opts.field != Field::Pattern)?;
-    }
-    let field = match opts.field {
-        Field::Real => "real",
-        Field::Integer => "integer",
-        Field::Pattern => "pattern",
-    };
-    let symmetry = match opts.symmetry {
-        Symmetry::General => "general",
-        Symmetry::Symmetric => "symmetric",
-    };
-    writeln!(w, "%%MatrixMarket matrix coordinate {field} {symmetry}")?;
+/// Rust's shortest-round-trip float formatting makes a read of it
+/// bit-exact.
+pub fn write_matrix_market_to(mut w: impl Write, m: &Csr<f64>) -> Result<(), SparseError> {
+    writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
     writeln!(w, "% written by spgemm-sparse")?;
-    // Symmetric storage counts only the lower triangle.
-    let stored = |i: usize, c: ColIdx| opts.symmetry == Symmetry::General || c as usize <= i;
-    let nnz = (0..m.nrows())
-        .map(|i| m.row_cols(i).iter().filter(|&&c| stored(i, c)).count())
-        .sum::<usize>();
-    writeln!(w, "{} {} {}", m.nrows(), m.ncols(), nnz)?;
+    writeln!(w, "{} {} {}", m.nrows(), m.ncols(), m.nnz())?;
     for i in 0..m.nrows() {
         for (&c, &v) in m.row_cols(i).iter().zip(m.row_vals(i)) {
-            if !stored(i, c) {
-                continue;
-            }
-            match opts.field {
-                Field::Pattern => writeln!(w, "{} {}", i + 1, c + 1)?,
-                Field::Integer => writeln!(w, "{} {} {}", i + 1, c + 1, v.trunc() as i64)?,
-                Field::Real if opts.scientific => writeln!(w, "{} {} {:e}", i + 1, c + 1, v)?,
-                Field::Real => writeln!(w, "{} {} {}", i + 1, c + 1, v)?,
-            }
+            writeln!(w, "{} {} {}", i + 1, c + 1, v)?;
         }
     }
     w.flush()?;
-    Ok(())
-}
-
-/// Symmetric-write precondition: square, and every `(i, j, v)` has a
-/// mirror `(j, i, _)` — with an equal value when `check_values` (i.e.
-/// for any field that stores values).
-fn check_symmetric(m: &Csr<f64>, check_values: bool) -> Result<(), SparseError> {
-    if m.nrows() != m.ncols() {
-        return Err(SparseError::Unsupported {
-            what: format!(
-                "symmetric Matrix Market write of a non-square {}x{} matrix",
-                m.nrows(),
-                m.ncols()
-            ),
-        });
-    }
-    for i in 0..m.nrows() {
-        for (&c, &v) in m.row_cols(i).iter().zip(m.row_vals(i)) {
-            let ok = match m.get(c as usize, i as ColIdx) {
-                Some(mirror) => !check_values || *mirror == v,
-                None => false,
-            };
-            if !ok {
-                return Err(SparseError::Unsupported {
-                    what: format!(
-                        "symmetric Matrix Market write: entry ({i}, {c}) has no equal mirror"
-                    ),
-                });
-            }
-        }
-    }
     Ok(())
 }
 
@@ -343,17 +257,21 @@ mod tests {
     fn parse_general_real() {
         let text = "%%MatrixMarket matrix coordinate real general\n\
                     % a comment\n\
-                    3 3 4\n\
+                    3 3 6\n\
                     1 1 2.0\n\
                     1 3 -1.5\n\
                     2 2 4\n\
-                    3 1 1e2\n";
+                    2 3 1.5e3\n\
+                    3 1 1e2\n\
+                    3 3 -2E-4\n";
         let m = read_matrix_market_from(text.as_bytes()).unwrap();
         assert_eq!(m.shape(), (3, 3));
-        assert_eq!(m.nnz(), 4);
+        assert_eq!(m.nnz(), 6);
         assert_eq!(m.get(0, 0), Some(&2.0));
         assert_eq!(m.get(0, 2), Some(&-1.5));
+        assert_eq!(m.get(1, 2), Some(&1500.0));
         assert_eq!(m.get(2, 0), Some(&100.0));
+        assert_eq!(m.get(2, 2), Some(&-2e-4));
         assert!(m.is_sorted());
     }
 
@@ -411,106 +329,6 @@ mod tests {
             read_matrix_market_from(text.as_bytes()),
             Err(SparseError::Unsupported { .. })
         ));
-    }
-
-    #[test]
-    fn write_symmetric_stores_lower_triangle_only() {
-        let m = Csr::from_triplets(3, 3, &[(0, 0, 1.0), (0, 2, 5.0), (2, 0, 5.0), (1, 1, 2.0)])
-            .unwrap();
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(
-            &mut buf,
-            &m,
-            WriteOptions {
-                symmetry: Symmetry::Symmetric,
-                ..WriteOptions::default()
-            },
-        )
-        .unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.contains("real symmetric"));
-        assert!(text.contains("3 3 3"), "one mirror dropped: {text}");
-        let back = read_matrix_market_from(buf.as_slice()).unwrap();
-        assert_eq!(back, m, "expansion restores the full matrix");
-    }
-
-    #[test]
-    fn write_symmetric_rejects_asymmetric_input() {
-        let m = Csr::from_triplets(2, 2, &[(0, 1, 3.0)]).unwrap();
-        let e = write_matrix_market_to_with(
-            &mut Vec::new(),
-            &m,
-            WriteOptions {
-                symmetry: Symmetry::Symmetric,
-                ..WriteOptions::default()
-            },
-        );
-        assert!(matches!(e, Err(SparseError::Unsupported { .. })), "{e:?}");
-        let rect = Csr::<f64>::zero(2, 3);
-        assert!(write_matrix_market_to_with(
-            &mut Vec::new(),
-            &rect,
-            WriteOptions {
-                symmetry: Symmetry::Symmetric,
-                ..WriteOptions::default()
-            },
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn pattern_symmetric_needs_only_structural_symmetry() {
-        // Structurally symmetric, numerically asymmetric: fine as a
-        // pattern file (values are dropped anyway), rejected as real.
-        let m = Csr::from_triplets(2, 2, &[(0, 1, 5.0), (1, 0, 3.0)]).unwrap();
-        let sym_opts = |field| WriteOptions {
-            field,
-            symmetry: Symmetry::Symmetric,
-            ..WriteOptions::default()
-        };
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(&mut buf, &m, sym_opts(Field::Pattern)).unwrap();
-        let back = read_matrix_market_from(buf.as_slice()).unwrap();
-        assert_eq!(back, m.map(|_| 1.0), "structure round-trips");
-        assert!(matches!(
-            write_matrix_market_to_with(&mut Vec::new(), &m, sym_opts(Field::Real)),
-            Err(SparseError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
-    fn write_pattern_and_scientific_round_trip() {
-        let m = Csr::from_triplets(2, 3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(
-            &mut buf,
-            &m,
-            WriteOptions {
-                field: Field::Pattern,
-                ..WriteOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(String::from_utf8(buf.clone()).unwrap().contains("pattern"));
-        assert_eq!(read_matrix_market_from(buf.as_slice()).unwrap(), m);
-
-        let m = Csr::from_triplets(1, 2, &[(0, 0, 1.25e-30), (0, 1, -7.5e18)]).unwrap();
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(
-            &mut buf,
-            &m,
-            WriteOptions {
-                scientific: true,
-                ..WriteOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(String::from_utf8(buf.clone()).unwrap().contains('e'));
-        assert_eq!(
-            read_matrix_market_from(buf.as_slice()).unwrap(),
-            m,
-            "scientific notation parses back bit-exact"
-        );
     }
 
     #[test]

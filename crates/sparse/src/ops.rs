@@ -348,36 +348,6 @@ pub fn add<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>, SparseError> {
     ))
 }
 
-/// Sum the values of `b` at the coordinates present in `mask`
-/// (`Σ_{(i,j) ∈ mask} b[i][j]`). Both operands must be sorted. This is
-/// the final reduction of triangle counting: wedges `L·U` summed over
-/// the edges of `A`.
-pub fn masked_sum<T: Scalar, M: Copy + Send + Sync>(
-    b: &Csr<T>,
-    mask: &Csr<M>,
-) -> Result<T, SparseError> {
-    if b.shape() != mask.shape() {
-        return Err(SparseError::ShapeMismatch {
-            left: b.shape(),
-            right: mask.shape(),
-            op: "masked_sum",
-        });
-    }
-    if !b.is_sorted() || !mask.is_sorted() {
-        return Err(SparseError::Unsorted { op: "masked_sum" });
-    }
-    let mut total = T::ZERO;
-    for i in 0..b.nrows() {
-        let bv = b.row_vals(i);
-        merge_sorted_rows(b.row_cols(i), mask.row_cols(i), |_, p, q| {
-            if let (Some(p), Some(_)) = (p, q) {
-                total = total.add(bv[p]);
-            }
-        });
-    }
-    Ok(total)
-}
-
 /// Make a pattern symmetric: `A ∨ Aᵀ` structurally, values combined by
 /// [`Scalar::add`] where both sides are present. Diagonal entries are
 /// removed (simple-graph convention used by the triangle counter).
@@ -389,8 +359,14 @@ pub fn symmetrize_simple<T: Scalar>(a: &Csr<T>) -> Result<Csr<T>, SparseError> {
             op: "symmetrize_simple (square required)",
         });
     }
-    let at = transpose(&a.to_sorted());
-    let sum = add(&a.to_sorted(), &at)?;
+    // A transpose's rows come out sorted whatever the input's row
+    // order; only `add` needs sorted operands.
+    let at = transpose(a);
+    let sum = if a.is_sorted() {
+        add(a, &at)?
+    } else {
+        add(&a.to_sorted(), &at)?
+    };
     Ok(sum.filter(|i, c, _| i != c as usize))
 }
 
@@ -665,15 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_sum_counts_matches() {
-        let b = sample();
-        let mask = Csr::<u8>::from_triplets(3, 3, &[(0, 2, 1u8), (2, 0, 1), (1, 0, 1)]).unwrap();
-        // matches: (0,2)=2.0 and (2,0)=4.0 present in b; (1,0) absent.
-        let s = masked_sum(&b, &mask).unwrap();
-        assert_eq!(s, 6.0);
-    }
-
-    #[test]
     fn symmetrize_simple_produces_symmetric_hollow() {
         let a = Csr::from_triplets(3, 3, &[(0, 1, 1.0), (1, 1, 9.0), (2, 0, 2.0)]).unwrap();
         let s = symmetrize_simple(&a).unwrap();
@@ -683,6 +650,35 @@ mod tests {
         assert_eq!(s.get(0, 2), Some(&2.0));
         assert_eq!(s.get(1, 1), None, "diagonal removed");
         assert_eq!(s.nnz(), 4);
+
+        // Unsorted input rows give the sorted input's bits.
+        let b = Csr::from_triplets(
+            3,
+            3,
+            &[
+                (0, 1, 1.5),
+                (0, 2, -0.0),
+                (1, 0, 3.0),
+                (1, 1, 9.0),
+                (1, 2, 2.0),
+                (2, 1, f64::NAN),
+            ],
+        )
+        .unwrap();
+        let reversed = Csr::from_parts(
+            3,
+            3,
+            b.rpts().to_vec(),
+            vec![2, 1, 2, 1, 0, 1],
+            vec![-0.0, 1.5, 2.0, 9.0, 3.0, f64::NAN],
+        )
+        .unwrap();
+        assert!(!reversed.is_sorted());
+        let want = symmetrize_simple(&b).unwrap();
+        assert!(crate::bits_eq_f64(
+            &symmetrize_simple(&reversed).unwrap(),
+            &want
+        ));
     }
 
     #[test]
@@ -709,10 +705,6 @@ mod tests {
         assert_eq!(h.get(0, 0), Some(&1.0));
         assert_eq!(h.get(1, 1), Some(&3.0));
         assert_eq!(h.get(0, 2), None);
-        // consistency with masked_sum
-        let ms = masked_sum(&a, &i).unwrap();
-        let hs: f64 = h.vals().iter().sum();
-        assert_eq!(ms, hs);
     }
 
     #[test]

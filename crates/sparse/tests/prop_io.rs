@@ -1,17 +1,13 @@
-//! Property tests: Matrix Market write ↔ read is lossless across the
-//! supported format matrix — general/symmetric/pattern storage and
-//! plain/scientific value notation. Rust's shortest-round-trip float
-//! formatting makes `real` round trips bit-exact, so comparisons are
-//! full `Csr` equality, not approximate.
+//! Property tests: a Matrix Market `real general` write ↔ read is
+//! lossless. Rust's shortest-round-trip float formatting makes the
+//! round trip bit-exact, so comparisons are full `Csr` equality, not
+//! approximate.
 
 use proptest::prelude::*;
-use spgemm_sparse::io::{
-    read_matrix_market_from, write_matrix_market_to_with, Field, Symmetry, WriteOptions,
-};
+use spgemm_sparse::io::{read_matrix_market_from, write_matrix_market_to};
 use spgemm_sparse::Csr;
 
-/// A value mixing magnitudes so scientific notation actually differs
-/// from positional (1e-30 .. 1e18), plus exact small numbers.
+/// A value mixing magnitudes (1e-30 .. 1e18), plus exact small numbers.
 fn value_strategy() -> impl Strategy<Value = f64> {
     (0u32..1000, -30i32..19).prop_map(|(mant, exp)| {
         let mant = mant as f64 + 1.0; // non-zero
@@ -30,56 +26,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn general_real_round_trips_bit_exact(
-        (nr, nc, trips) in triplets_strategy(),
-        scientific in prop::bool::ANY,
-    ) {
+    fn general_real_round_trips_bit_exact((nr, nc, trips) in triplets_strategy()) {
         let m = Csr::from_triplets(nr, nc, &trips).unwrap();
         let mut buf = Vec::new();
-        write_matrix_market_to_with(&mut buf, &m, WriteOptions {
-            scientific,
-            ..WriteOptions::default()
-        }).unwrap();
-        let back = read_matrix_market_from(buf.as_slice()).unwrap();
-        prop_assert_eq!(back, m);
-    }
-
-    #[test]
-    fn symmetric_round_trips_through_lower_triangle(
-        (n, _, trips) in triplets_strategy(),
-        scientific in prop::bool::ANY,
-    ) {
-        // Symmetrize by construction: keep generated entries at (max, min)
-        // and mirror them.
-        let mut sym: Vec<(usize, u32, f64)> = Vec::new();
-        for &(r, c, v) in &trips {
-            let (lo, hi) = (r.min(c as usize).min(n - 1), r.max(c as usize).min(n - 1));
-            sym.push((hi, lo as u32, v));
-            sym.push((lo, hi as u32, v));
-        }
-        let m = Csr::from_triplets(n, n, &sym).unwrap();
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(&mut buf, &m, WriteOptions {
-            symmetry: Symmetry::Symmetric,
-            scientific,
-            ..WriteOptions::default()
-        }).unwrap();
-        let back = read_matrix_market_from(buf.as_slice()).unwrap();
-        prop_assert_eq!(back, m);
-    }
-
-    #[test]
-    fn pattern_round_trips_structure(
-        (nr, nc, trips) in triplets_strategy(),
-    ) {
-        // Pattern files carry no values; write the unit-valued matrix
-        // so the round trip is exact end to end.
-        let m = Csr::from_triplets(nr, nc, &trips).unwrap().map(|_| 1.0);
-        let mut buf = Vec::new();
-        write_matrix_market_to_with(&mut buf, &m, WriteOptions {
-            field: Field::Pattern,
-            ..WriteOptions::default()
-        }).unwrap();
+        write_matrix_market_to(&mut buf, &m).unwrap();
         let back = read_matrix_market_from(buf.as_slice()).unwrap();
         prop_assert_eq!(back, m);
     }

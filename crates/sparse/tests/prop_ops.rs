@@ -1,8 +1,8 @@
 //! Property tests for the element-wise/structural ops the expression
-//! layer composes: `add`, `hadamard`, `scale_rows`, `scale_cols` and
-//! `masked_sum` against a dense oracle (including shape-mismatch and
-//! factor-length error paths), and the transpose of unsorted input
-//! rows against that of the sorted ones, byte for byte.
+//! layer composes: `add`, `hadamard`, `scale_rows` and `scale_cols`
+//! against a dense oracle (including shape-mismatch and factor-length
+//! error paths), and the transpose of unsorted input rows against that
+//! of the sorted ones, byte for byte.
 
 use proptest::prelude::*;
 use spgemm_sparse::{bits_eq_f64, ops, ColIdx, Coo, Csr, SparseError};
@@ -134,26 +134,10 @@ proptest! {
     }
 
     #[test]
-    fn masked_sum_matches_dense_oracle((b, mask) in arb_pair(24, 160)) {
-        let got = ops::masked_sum(&b, &mask).unwrap();
-        let db = b.to_dense();
-        let mut expect = 0.0f64;
-        for (i, row) in db.iter().enumerate() {
-            for &c in mask.row_cols(i) {
-                if b.get(i, c).is_some() {
-                    expect += row[c as usize];
-                }
-            }
-        }
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
     fn binary_ops_reject_shape_mismatch(a in arb_csr(12, 40), b in arb_csr(12, 40)) {
         prop_assume!(a.shape() != b.shape());
         prop_assert!(is_shape_mismatch(&ops::add(&a, &b)));
         prop_assert!(is_shape_mismatch(&ops::hadamard(&a, &b)));
-        prop_assert!(is_shape_mismatch(&ops::masked_sum(&a, &b)));
     }
 
     #[test]
@@ -175,8 +159,6 @@ proptest! {
         prop_assume!(!u.is_sorted());
         prop_assert!(is_unsorted(&ops::add(&u, &b)));
         prop_assert!(is_unsorted(&ops::hadamard(&u, &b)));
-        prop_assert!(is_unsorted(&ops::masked_sum(&u, &b)));
-        prop_assert!(is_unsorted(&ops::masked_sum(&b, &u)));
     }
 
     #[test]
