@@ -113,19 +113,14 @@ fn run_stream(scale: u32, ef: usize, batches: usize, seed: u64, pool: &Pool) -> 
 }
 
 fn main() {
-    let args = BenchArgs::parse_with("--grid N (spgemm-expr's; ignored)", |flag, take| {
-        flag == "--grid" && {
-            take();
-            true
-        }
-    });
+    let args = BenchArgs::parse();
     let scale = args
         .scale
         .unwrap_or(if args.quick || args.smoke { 9 } else { 12 });
     let ef = args.ef_or(8);
     let reps = args.reps_or(12);
     let batches = if args.quick { reps.min(4) } else { reps };
-    let pool = &Pool::with_all_threads();
+    let pool = &args.pool();
     let n = 1usize << scale;
     println!(
         "spgemm-delta: incremental plan maintenance vs full rebinds \

@@ -173,7 +173,7 @@ fn main() {
     } else {
         args.reps_or(10)
     };
-    let pool = &Pool::with_all_threads();
+    let pool = &args.pool();
     println!(
         "spgemm-expr: fused expression plans vs unfused composition \
          (scale {}, ef {}, grid {}, reps {}, {} threads)",

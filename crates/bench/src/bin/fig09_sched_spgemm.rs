@@ -12,8 +12,8 @@
 //! cargo run --release -p spgemm-bench --bin fig09_sched_spgemm [--scale N] [--ef N] [--reps N]
 //! ```
 
-use spgemm::tuning::{heap_multiply_tuned, MemScheme, RowSchedule};
 use spgemm_bench::args::BenchArgs;
+use spgemm_bench::tuning::{heap_multiply_tuned, MemScheme, RowSchedule};
 use spgemm_gen::{rmat, RmatKind};
 use spgemm_membench::median_millis;
 use spgemm_sparse::{stats, PlusTimes};

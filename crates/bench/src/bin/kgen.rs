@@ -129,28 +129,19 @@ fn run_cell(
 
 fn main() {
     let mut order = OutputOrder::Sorted;
-    let args = BenchArgs::parse_with(
-        "--order sorted|unsorted --grid N (spgemm-expr's; ignored)",
-        |flag, take| {
-            match flag {
-                "--order" => {
-                    order = match take().as_str() {
-                        "sorted" => OutputOrder::Sorted,
-                        "unsorted" => OutputOrder::Unsorted,
-                        other => {
-                            eprintln!("bad --order {other:?} (sorted|unsorted)");
-                            std::process::exit(2);
-                        }
-                    }
+    let args = BenchArgs::parse_with("--order sorted|unsorted", |flag, take| {
+        flag == "--order" && {
+            order = match take().as_str() {
+                "sorted" => OutputOrder::Sorted,
+                "unsorted" => OutputOrder::Unsorted,
+                other => {
+                    eprintln!("bad --order {other:?} (sorted|unsorted)");
+                    std::process::exit(2);
                 }
-                "--grid" => {
-                    take();
-                }
-                _ => return false,
-            }
+            };
             true
-        },
-    );
+        }
+    });
     let scale = args
         .scale
         .unwrap_or(if args.quick || args.smoke { 10 } else { 13 });
@@ -159,7 +150,7 @@ fn main() {
     } else {
         args.reps_or(30)
     };
-    let pool = &spgemm_par::Pool::with_all_threads();
+    let pool = &args.pool();
     println!(
         "spgemm-kgen: row-class specialized kernels vs monolithic kernels \
          (A·A steady state, scale {} = {} rows, {} reps/cell, {} threads)",

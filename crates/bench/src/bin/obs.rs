@@ -473,7 +473,7 @@ fn main() {
     let scale = args.scale.unwrap_or(if quick { 8 } else { 11 });
     let ef = args.ef_or(8);
     let reps = args.reps_or(if quick { 6 } else { 12 });
-    let pool = &spgemm_par::Pool::with_all_threads();
+    let pool = &args.pool();
     println!(
         "spgemm-obs: tracing + metrics harness (scale {}, ef {}, reps {}, {} threads)",
         scale,

@@ -16,10 +16,11 @@
 //! footprint against the per-thread L2 share beside the SPA / Hash /
 //! Heap times: where the SPA stops winning is where the rule must
 //! flip. The `coll` column is the cell's measured Eq (2) collision
-//! factor (`cost::measure_collision_factor`), the provenance of
-//! `cost::AUTO_COLLISION_FACTOR`.
+//! factor (`spgemm_bench::recipe::measure_collision_factor`), the
+//! provenance of `cost::AUTO_COLLISION_FACTOR`.
 
 use spgemm::{cost, recipe, Algorithm, OutputOrder, SpgemmPlan};
+use spgemm_bench::recipe::{measure_collision_factor, recommend_synthetic, OpKind};
 use spgemm_bench::{args::BenchArgs, panels};
 use spgemm_gen::{rmat, tallskinny, RmatKind};
 use spgemm_par::Pool;
@@ -126,8 +127,7 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
                 (OutputOrder::Sorted, &a, &a),
                 (OutputOrder::Unsorted, &ua, &ub),
             ] {
-                let paper =
-                    recipe::recommend_synthetic(recipe::OpKind::Square, pattern, ef as f64, order);
+                let paper = recommend_synthetic(OpKind::Square, pattern, ef as f64, order);
                 table_row(
                     run,
                     "AxA",
@@ -155,12 +155,7 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
         (OutputOrder::Sorted, &g, &ts),
         (OutputOrder::Unsorted, &ug, &uts),
     ] {
-        let paper = recipe::recommend_synthetic(
-            recipe::OpKind::TallSkinny,
-            recipe::Pattern::Skewed,
-            16.0,
-            order,
-        );
+        let paper = recommend_synthetic(OpKind::TallSkinny, recipe::Pattern::Skewed, 16.0, order);
         table_row(run, "TallSkinny", "skewed", "dense", a, b, order, paper);
     }
     println!("# paper: Table 4's KNL recipe; measured: this machine, one-shot; auto: cost::select at this machine's L2 share, its time over the winner's");
@@ -239,7 +234,7 @@ fn sweep(args: &BenchArgs, pool: &Pool, lo: u32, hi: u32) {
                     },
                     cost::spa_footprint_bytes(m.ncols(), 8) >> 10,
                     cost::l2_share_bytes() >> 10,
-                    cost::measure_collision_factor::<P>(m, b),
+                    measure_collision_factor::<P>(m, b),
                     cell(spa),
                     cell(hash),
                     cell(heap),

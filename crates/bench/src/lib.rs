@@ -13,8 +13,12 @@
 //! * [`panels`] — the §5.1 sorted / unsorted comparison panels and the
 //!   unsorted twin of a cell, behind Figures 11–17 and Table 4;
 //! * [`profiles`] — Dolan–Moré performance profiles (Figure 15);
+//! * [`recipe`] — the paper's Table 4 and the measured hash collision
+//!   factor, which `table04_recipe` prints beside `Auto`'s picks;
 //! * [`suites`] — the SuiteSparse stand-in catalog (or real `.mtx`
 //!   files when `--suitesparse DIR` is given);
+//! * [`tuning`] — Figure 9's scheduling / memory variants of the Heap
+//!   kernel;
 //! * [`perfjson`] / [`regress`] / [`json`] — the `BENCH_*.json` stamp
 //!   writer, the regression gate over two stamps, and the JSON reader
 //!   the gate parses them with.
@@ -32,6 +36,8 @@ pub mod json;
 pub mod panels;
 pub mod perfjson;
 pub mod profiles;
+pub mod recipe;
 pub mod regress;
 pub mod runner;
 pub mod suites;
+pub mod tuning;

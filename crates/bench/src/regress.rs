@@ -126,8 +126,10 @@ fn numeric_metrics(doc: &Value) -> Result<Vec<(String, f64)>, String> {
 }
 
 /// Compare two parsed stamps. Errors on shape problems (wrong schema,
-/// mismatched bench names, missing `metrics`); regressions are
-/// reported through the [`RegressReport`], not as errors.
+/// mismatched bench names, different `env.pool_threads`, missing
+/// `metrics`); regressions are reported through the [`RegressReport`],
+/// not as errors. Timings taken at two pool widths are not comparable:
+/// a sub-millisecond product pays for a wider region.
 pub fn compare(
     baseline: &Value,
     current: &Value,
@@ -146,6 +148,14 @@ pub fn compare(
     if b_name != c_name {
         return Err(format!(
             "stamps are from different benches: baseline {b_name:?}, current {c_name:?}"
+        ));
+    }
+    let threads = |doc: &Value| doc.get("env")?.get("pool_threads")?.as_f64();
+    let (b_threads, c_threads) = (threads(baseline), threads(current));
+    if b_threads != c_threads {
+        return Err(format!(
+            "stamps ran at different pool widths: baseline {b_threads:?}, current {c_threads:?} \
+             (pass the baseline's --threads)"
         ));
     }
     let base = numeric_metrics(baseline)?;
@@ -281,5 +291,25 @@ mod tests {
         assert!(compare(&b, &bad_schema, RegressConfig::default()).is_err());
         let no_metrics = parse("{\"name\":\"x\",\"schema\":1}").unwrap();
         assert!(compare(&b, &no_metrics, RegressConfig::default()).is_err());
+    }
+
+    #[test]
+    fn pool_width_mismatches_error() {
+        let at = |w: &str| {
+            let env = format!("\"env\":{{\"pool_threads\":{w}}}");
+            parse(&format!(
+                "{{\"name\":\"x\",\"schema\":1,{env},\"metrics\":{{}}}}"
+            ))
+            .unwrap()
+        };
+        let cfg = RegressConfig::default();
+        assert!(compare(&at("1"), &at("2"), cfg)
+            .unwrap_err()
+            .contains("pool widths"));
+        assert!(
+            compare(&at("1"), &stamp("x", ""), cfg).is_err(),
+            "one without a width"
+        );
+        assert!(compare(&at("2"), &at("2"), cfg).is_ok());
     }
 }

@@ -84,6 +84,38 @@ impl<S: Semiring> HeapKernel<S> {
         self.heapify();
     }
 
+    /// The one-phase row step: merge row `i` of `A · B` and append its
+    /// entries, in ascending column order, to `cols` / `vals`; returns
+    /// how many were appended.
+    pub fn stage_row(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        i: usize,
+        cols: &mut Vec<ColIdx>,
+        vals: &mut Vec<S::Elem>,
+    ) -> usize {
+        self.load_row(a, b, i);
+        let mut emitted = 0usize;
+        let mut last_col = ColIdx::MAX;
+        while let Some(top) = self.heap.first() {
+            let col = top.col;
+            let contrib = S::mul(top.aval, b.vals()[top.pos]);
+            if col == last_col {
+                // accumulate into the entry emitted for this column
+                let v = vals.last_mut().expect("last_col implies an emitted entry");
+                *v = S::add(*v, contrib);
+            } else {
+                cols.push(col);
+                vals.push(contrib);
+                last_col = col;
+                emitted += 1;
+            }
+            self.advance_top(b);
+        }
+        emitted
+    }
+
     /// Pop the minimum-column cursor's current entry and advance it.
     #[inline]
     fn advance_top(&mut self, b: &Csr<S::Elem>) {
@@ -116,25 +148,7 @@ impl<S: Semiring> StagedRowKernel<S> for HeapKernel<S> {
         cols: &mut Vec<ColIdx>,
         vals: &mut Vec<S::Elem>,
     ) -> usize {
-        self.load_row(a, b, i);
-        let mut emitted = 0usize;
-        let mut last_col = ColIdx::MAX;
-        while let Some(top) = self.heap.first() {
-            let col = top.col;
-            let contrib = S::mul(top.aval, b.vals()[top.pos]);
-            if col == last_col {
-                // accumulate into the entry emitted for this column
-                let v = vals.last_mut().expect("last_col implies an emitted entry");
-                *v = S::add(*v, contrib);
-            } else {
-                cols.push(col);
-                vals.push(contrib);
-                last_col = col;
-                emitted += 1;
-            }
-            self.advance_top(b);
-        }
-        emitted
+        HeapKernel::stage_row(self, a, b, i, cols, vals)
     }
 }
 

@@ -19,9 +19,9 @@
 use crate::algos::spa::SpaAccumulator;
 use crate::exec::{self, AccumReq, ColumnSet, Operands, RowAccumulator, Share, Workers};
 use crate::OutputOrder;
-use parking_lot::Mutex;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, OrAnd, Semiring, SparseError};
+use std::sync::Mutex;
 
 /// What admits a column into the open row of a [`MaskedSpa`].
 pub(crate) trait Gate: Send {
@@ -352,16 +352,18 @@ pub fn masked_pattern(
     // The symbolic frame (`exec::count_rows`), each row's columns
     // appended to its worker's segment on the way, as `spa::emit_pass`
     // writes a plan's pattern.
+    // Each worker locks its own segment; a panic fails the call first.
+    const OWN_SEGMENT: &str = "a segment is locked by its own worker only";
     let segments: Vec<Mutex<Vec<ColIdx>>> =
         (0..pool.nthreads()).map(|_| Mutex::default()).collect();
     let (rpts, nnz) = exec::count_rows(&w, a, b, &stats, pool, |acc, share, counts| {
-        let mut seg = segments[share.wid].lock();
+        let mut seg = segments[share.wid].lock().expect(OWN_SEGMENT);
         acc.pattern_range(share, counts, sorted, &mut seg);
     });
     // Worker order is row order.
     let mut cols = Vec::with_capacity(nnz);
     for seg in segments {
-        cols.append(&mut seg.into_inner());
+        cols.append(&mut seg.into_inner().expect(OWN_SEGMENT));
     }
     debug_assert_eq!(cols.len(), nnz, "the segments span the product");
     Ok(Csr::from_parts_unchecked(

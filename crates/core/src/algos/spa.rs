@@ -57,10 +57,10 @@
 
 use crate::exec::{self, AccumReq, ColumnSet, MultiplyStats, Operands, RowAccumulator, RowMask};
 use crate::exec::{Share, Window, Workers};
-use parking_lot::Mutex;
 use spgemm_obs as obs;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, DirtyRows, Semiring};
+use std::sync::Mutex;
 
 /// Dense sparse-accumulator for one thread.
 pub struct SpaAccumulator<S: Semiring> {
@@ -563,7 +563,8 @@ pub(crate) fn emit_pass<S: Semiring>(
     let nworkers = stats.offsets.len() - 1;
     let mut segments: Vec<Segment> = (0..nworkers).map(|_| Segment::new(b.ncols())).collect();
     let (rpts, nnz) = {
-        // One worker per segment: the locks are never contended.
+        // One worker per segment: the locks are never contended, and a
+        // panic fails the pass before a cell is read again.
         let cells: Vec<Mutex<&mut Segment>> = segments.iter_mut().map(Mutex::new).collect();
         let prior = prior.as_ref();
         exec::count_rows(
@@ -572,7 +573,7 @@ pub(crate) fn emit_pass<S: Semiring>(
             b,
             stats,
             pool,
-            |acc, share, counts| match &mut **cells[share.wid].lock() {
+            |acc, share, counts| match &mut **cells[share.wid].lock().expect("own segment") {
                 Segment::Narrow(seg) => acc.emit_range(share, counts, sorted, prior, seg),
                 Segment::Wide(seg) => acc.emit_range(share, counts, sorted, prior, seg),
             },

@@ -44,11 +44,9 @@
 //! unsorted, so the factor sits between the last clear win and the
 //! first tie.
 
-use crate::algos::hash::{linear_insert, Probe, Table};
-use crate::exec::Operands;
 use crate::recipe::{AutoContext, Pattern};
 use crate::Algorithm;
-use spgemm_sparse::{ColIdx, Csr, Semiring};
+use spgemm_sparse::Csr;
 use std::sync::OnceLock;
 
 /// Cost estimates (in abstract operation counts) for one multiply.
@@ -83,37 +81,6 @@ fn log2_ceil(x: u64) -> f64 {
         1.0
     } else {
         (x as f64).log2()
-    }
-}
-
-/// Evaluate Eqs (1)–(2) given the *known* output structure (exact
-/// per-row `nnz(c_i*)`). Useful post-hoc and in tests.
-pub fn estimate_exact<A, B, C>(
-    a: &Csr<A>,
-    b: &Csr<B>,
-    c: &Csr<C>,
-    collision_factor: f64,
-) -> CostEstimate
-where
-    A: Copy + Send + Sync,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync,
-{
-    let row_flops = spgemm_sparse::stats::row_flops(a, b);
-    let flop: u64 = row_flops.iter().sum();
-    let mut heap = 0.0f64;
-    let mut sort = 0.0f64;
-    for (i, &rf) in row_flops.iter().enumerate() {
-        heap += rf as f64 * log2_ceil(a.row_nnz(i) as u64);
-        let nnz_ci = c.row_nnz(i) as u64;
-        sort += nnz_ci as f64 * log2_ceil(nnz_ci);
-    }
-    let probe = flop as f64 * collision_factor;
-    CostEstimate {
-        heap,
-        hash_sorted: probe + sort,
-        hash_unsorted: probe,
-        flop,
     }
 }
 
@@ -154,9 +121,10 @@ pub(crate) fn estimate_from_row_flops<A>(
     }
 }
 
-/// The collision factor `c` of Eq (2) that `Auto` assumes.
-/// [`measure_collision_factor`] (the `coll` column of `table04_recipe
-/// --sweep`; `--ef` sets the edge factor) reads 1.00 on G500 squares
+/// The collision factor `c` of Eq (2) that `Auto` assumes. The measured
+/// one (probes per access of a counting linear probe, the `coll` column
+/// of the `table04_recipe --sweep` bench; `--ef` sets the edge factor)
+/// reads 1.00 on G500 squares
 /// (every thread's table is sized for its hub rows) and 1.08 / 1.21 /
 /// 1.26 on ER squares at edge factor 16 / 8 / 4: the uniform end,
 /// where the equations decide.
@@ -251,61 +219,12 @@ pub fn select(ctx: &AutoContext, l2_share_bytes: usize) -> Algorithm {
     }
 }
 
-/// Figure 8a's linear probe, counting: the probe policy behind
-/// [`measure_collision_factor`] and its only user — production tables
-/// carry no counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CountingLinear {
-    /// Slots inspected.
-    probes: u64,
-    /// Keys looked up.
-    accesses: u64,
-}
-
-impl CountingLinear {
-    /// Average probes per access — the collision factor `c` of Eq (2).
-    /// Exactly 1.0 when no probe ever collided.
-    pub(crate) fn collision_factor(&self) -> f64 {
-        if self.accesses == 0 {
-            1.0
-        } else {
-            self.probes as f64 / self.accesses as f64
-        }
-    }
-}
-
-impl Probe for CountingLinear {
-    #[inline]
-    fn insert(&mut self, keys: &mut [i32], mask: u32, col: ColIdx) -> (usize, bool) {
-        self.accesses += 1;
-        linear_insert(keys, mask, col, || self.probes += 1)
-    }
-}
-
-/// Empirically measure the collision factor `c` of Eq (2) for
-/// `A · B`: run a sequential symbolic pass through a hash table whose
-/// probe counts, and report probes per access.
-///
-/// On the paper's inputs this sits close to 1 (the multiply-and-mask
-/// hash with a strictly-oversized power-of-two table collides rarely).
-/// `table04_recipe --sweep` prints it per cell (the `coll` column):
-/// that is where [`AUTO_COLLISION_FACTOR`] is read from.
-pub fn measure_collision_factor<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> f64 {
-    let row_flops = spgemm_sparse::stats::row_flops(a, b);
-    let max_flop = row_flops.iter().copied().max().unwrap_or(0) as usize;
-    let mut table = Table::<S, _>::new(max_flop, b.ncols(), CountingLinear::default());
-    for i in 0..a.nrows() {
-        Operands::of(a, b).symbolic_row(&mut table, i);
-    }
-    table.probe().collision_factor()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recipe::{self, OpKind};
+    use crate::recipe;
     use crate::OutputOrder;
-    use spgemm_gen::{rmat, suite, RmatKind};
+    use spgemm_gen::{rmat, RmatKind};
 
     #[test]
     fn sysfs_cache_sizes_and_cpu_lists_parse() {
@@ -336,10 +255,8 @@ mod tests {
         cost: CostEstimate,
     ) -> AutoContext {
         AutoContext {
-            op: OpKind::Square,
             pattern,
             ncols_b,
-            edge_factor: 8.0,
             sorted_inputs,
             order,
             elem_bytes,
@@ -406,8 +323,8 @@ mod tests {
     }
 
     /// Past the dense bound the equations decide, on real operands:
-    /// uniform sorted squares go to Heap at either density (Table 4b's
-    /// cells), and Heap is never offered unsorted work.
+    /// uniform sorted squares go to Heap at either density, and Heap is
+    /// never offered unsorted work.
     #[test]
     fn beyond_the_bound_the_equations_decide() {
         for ef in [4, 16] {
@@ -415,11 +332,6 @@ mod tests {
             let ctx = recipe::auto_context(&a, &a, OutputOrder::Sorted);
             assert!(!ctx.cost.prefers_hash(true), "ef {ef}: {:?}", ctx.cost);
             assert_eq!(select(&ctx, 0), Algorithm::Heap, "ef {ef}");
-            assert_eq!(
-                recipe::recommend_synthetic(ctx.op, ctx.pattern, ef as f64, ctx.order),
-                Algorithm::Heap,
-                "the table's cell"
-            );
             let unsorted = recipe::auto_context(&a, &a, OutputOrder::Unsorted);
             assert_eq!(
                 select(&unsorted, 0),
@@ -446,44 +358,6 @@ mod tests {
         let e = estimate_apriori(&a, &a, 1.2);
         assert!(e.hash_unsorted <= e.hash_sorted);
         assert!(e.flop > 0);
-    }
-
-    #[test]
-    fn dense_regular_inputs_prefer_hash() {
-        // A banded matrix has large flop(c_i*)/nnz(c_i*): Eq (1) pays
-        // log(nnz(a_i*)) on every one of its many collapsing products,
-        // while Eq (2)'s sort term only pays on the few survivors.
-        // (The exact estimate sees the real nnz(C); the a-priori one
-        // deliberately over-estimates it at CR = 2.)
-        let band = suite::band_matrix(512, 32, &mut spgemm_gen::rng(2));
-        let c = crate::algos::reference::multiply::<spgemm_sparse::PlusTimes<f64>>(&band, &band);
-        let e = estimate_exact(&band, &band, &c, 1.0);
-        assert!(
-            e.prefers_hash(true),
-            "band: hash {h} vs heap {p}",
-            h = e.hash_sorted,
-            p = e.heap
-        );
-    }
-
-    #[test]
-    fn exact_estimate_uses_output_structure() {
-        let a = rmat::generate_kind(RmatKind::Er, 7, 4, &mut spgemm_gen::rng(3));
-        let c = crate::algos::reference::multiply::<spgemm_sparse::PlusTimes<f64>>(&a, &a);
-        let exact = estimate_exact(&a, &a, &c, 1.0);
-        let apriori = estimate_apriori(&a, &a, 1.0);
-        assert_eq!(exact.flop, apriori.flop);
-        assert_eq!(exact.heap, apriori.heap);
-        // sort terms differ because nnz(c) is estimated in apriori
-        assert!(exact.hash_sorted > exact.hash_unsorted);
-    }
-
-    #[test]
-    fn measured_collision_factor_is_small_on_rmat() {
-        let a = rmat::generate_kind(RmatKind::G500, 9, 8, &mut spgemm_gen::rng(5));
-        let c = measure_collision_factor::<spgemm_sparse::PlusTimes<f64>>(&a, &a);
-        assert!(c >= 1.0, "by definition");
-        assert!(c < 2.0, "oversized pow2 table keeps probing cheap: c = {c}");
     }
 
     #[test]

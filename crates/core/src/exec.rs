@@ -654,9 +654,11 @@ pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
     sorted_output: bool,
 ) -> Csr<S::Elem> {
     // Thread-private staging, allocated and filled inside the region.
-    type Staged<E> = Vec<parking_lot::Mutex<(Vec<ColIdx>, Vec<E>)>>;
+    // Each worker locks its own slot; a panic fails the call first.
+    type Staged<E> = Vec<std::sync::Mutex<(Vec<ColIdx>, Vec<E>)>>;
+    const OWN_SLOT: &str = "a staging slot is locked by its own worker only";
     let staged: Staged<S::Elem> = (0..pool.nthreads())
-        .map(|_| parking_lot::Mutex::new((Vec::new(), Vec::new())))
+        .map(|_| std::sync::Mutex::new((Vec::new(), Vec::new())))
         .collect();
     let mut counts = vec![0u64; a.nrows() + 1];
     {
@@ -666,7 +668,7 @@ pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
             // SAFETY: the partition's ranges are disjoint, so each
             // worker owns the count slots of its rows.
             let counts = unsafe { counts_s.slice_mut(range.clone()) };
-            let mut slot = staged[wid].lock();
+            let mut slot = staged[wid].lock().expect(OWN_SLOT);
             let (cols, vals) = &mut *slot;
             cols.reserve(flop_bound);
             vals.reserve(flop_bound);
@@ -685,7 +687,7 @@ pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
             SharedMutSlice::new(&mut vals[..]),
         );
         pool.parallel_ranges(&stats.offsets, |wid, range| {
-            let slot = staged[wid].lock();
+            let slot = staged[wid].lock().expect(OWN_SLOT);
             let (scols, svals) = &*slot;
             let dst = rpts[range.start]..rpts[range.end];
             debug_assert_eq!(dst.len(), scols.len());

@@ -53,6 +53,11 @@
 //! Kernels are generic over a [`spgemm_sparse::Semiring`], so boolean
 //! BFS and counting workloads run through the identical code paths as
 //! `f64` arithmetic (see `spgemm-apps`).
+//!
+//! The crate holds what the plan / expr / delta / dist / serve / apps
+//! stack runs. What only the paper's evaluation measures — Fig. 9's
+//! Heap schedules, Table 4, the measured hash collision factor — lives
+//! in `spgemm-bench`.
 
 #![warn(missing_docs)]
 
@@ -98,7 +103,6 @@ pub mod kgen;
 mod options;
 pub mod plan;
 pub mod recipe;
-pub mod tuning;
 
 pub use delta::{DirtyRows, RowPatch};
 pub use exec::{plan as exec_plan, MultiplyStats};

@@ -1,8 +1,4 @@
-//! Which SpGEMM algorithm to use when: the paper's recipe (§5.7,
-//! Table 4) as a reproduction target, and the selector behind
-//! [`crate::Algorithm::Auto`].
-//!
-//! # `Auto`
+//! The selector behind [`crate::Algorithm::Auto`].
 //!
 //! `Auto` is one pure function: the **footprint rule**
 //! ([`static_select`] = [`crate::cost::select`] at this machine's
@@ -10,65 +6,29 @@
 //! thread's `ncols(B) × (size_of(elem) + 4 + ⅛)` bytes fit its share of
 //! the L2, otherwise the paper's Eq (1) vs Eq (2) between `Heap`
 //! (sorted operands and sorted output only) and `Hash`. It reads
-//! dimensions, the element size, sortedness, flop counts and one
-//! number of the machine read once from sysfs — no clock, no
+//! dimensions, the element size, sortedness, row skew, flop counts and
+//! one number of the machine read once from sysfs — no clock, no
 //! environment, no calibration file, nothing a caller can install — so
 //! the same program picks the same kernel for the same operands on
 //! every run and in every layer (plan, expr, delta, dist, serve).
 //!
-//! Why a rule of the machine and not the table below: Table 4 is what
-//! won on a 68-core KNL (and a Haswell) in 2018. On the reference box
-//! of this repository (2 cores, 2 MiB private L2 each) it sends
-//! uniform sorted cells to Heap, unsorted cells to HashVec and skewed
-//! cells to Hash, and the SPA — which it never considers — wins or
-//! ties every one of those cells (ARCHITECTURE.md, "Auto", has the
-//! sweep that places each constant). The hashed kernels' headline
-//! cost in the paper is sorting the output (§5.4.4); a dense
-//! accumulator that fits the cache does not pay it at all.
-//!
-//! # Table 4 (the paper's measurement, reproduced by `table04_recipe`)
-//!
-//! [`recommend_real`] / [`recommend_synthetic`] are the table verbatim
-//! and are *not* on `Auto`'s path.
-//!
-//! Table 4a (real data, keyed on compression ratio CR = flop/nnz(C)):
-//!
-//! |            | high CR (> 2)   | low CR (≤ 2) |
-//! |------------|-----------------|---------------|
-//! | A·A sorted | Hash            | Hash          |
-//! | A·A unsorted | MKL-inspector | Hash          |
-//! | L·U sorted | Hash            | Heap          |
-//!
-//! Table 4b (synthetic data, keyed on edge factor EF and skew):
-//!
-//! |                    | sparse (EF ≤ 8) |         | dense (EF > 8) |        |
-//! |--------------------|---------|--------|---------|--------|
-//! |                    | uniform | skewed | uniform | skewed |
-//! | A·A sorted         | Heap    | Heap   | Heap    | Hash   |
-//! | A·A unsorted       | HashVec | HashVec| HashVec | Hash   |
-//! | tall-skinny sorted | —       | Hash   | —       | HashVec|
-//! | tall-skinny unsorted | —     | Hash   | —       | Hash   |
-//!
-//! (Dashes: combinations the paper did not measure; we fall back to
-//! the skewed column, which its tall-skinny experiments used.)
+//! Why a rule of the machine and not the paper's recipe (§5.7,
+//! Table 4): that table is what won on a 68-core KNL in 2018. On this
+//! repository's reference box (2 cores, 2 MiB private L2 each) the
+//! SPA, which the table never considers, wins or ties every cell it
+//! assigns to Heap, HashVec or Hash (ARCHITECTURE.md, "Auto", has the
+//! sweep): a dense accumulator that fits the cache never pays the
+//! output sort that is the hashed kernels' headline cost (§5.4.4). The
+//! table is a measurement, reproduced next to `Auto`'s picks by the
+//! `table04_recipe` bench binary.
 
 use crate::cost::{self, CostEstimate};
 use crate::{Algorithm, OutputOrder};
 use spgemm_obs as obs;
 use spgemm_sparse::{stats, Csr};
 
-/// The multiplication scenario, following the paper's use cases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    /// Squaring / general square × square (§5.4).
-    Square,
-    /// Triangle-counting `L · U` (§5.6).
-    LxU,
-    /// Square × tall-skinny (§5.5).
-    TallSkinny,
-}
-
-/// Non-zero pattern class of Table 4b.
+/// Row-size skew class of `A`: what decides how far past the L2 share
+/// the dense accumulator may reach ([`cost::select`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pattern {
     /// ER-like: row sizes concentrated around the mean.
@@ -77,60 +37,9 @@ pub enum Pattern {
     Skewed,
 }
 
-/// Edge-factor threshold separating Table 4b's "sparse" and "dense"
-/// columns.
-pub const DENSE_EDGE_FACTOR: f64 = 8.0;
-
-/// Compression-ratio threshold separating Table 4a's regimes.
-pub const HIGH_CR: f64 = 2.0;
-
 /// Row-size coefficient-of-variation above which we call a structure
 /// skewed (G500 matrices measure ≳ 2; ER and FEM matrices ≲ 0.5).
 pub const SKEW_CV: f64 = 1.0;
-
-/// Table 4b: recommendation for synthetic/structural inputs.
-pub fn recommend_synthetic(
-    op: OpKind,
-    pattern: Pattern,
-    edge_factor: f64,
-    order: OutputOrder,
-) -> Algorithm {
-    let dense = edge_factor > DENSE_EDGE_FACTOR;
-    match (op, order) {
-        (OpKind::Square | OpKind::LxU, OutputOrder::Sorted) => {
-            if dense && pattern == Pattern::Skewed {
-                Algorithm::Hash
-            } else {
-                Algorithm::Heap
-            }
-        }
-        (OpKind::Square | OpKind::LxU, OutputOrder::Unsorted) => {
-            if dense && pattern == Pattern::Skewed {
-                Algorithm::Hash
-            } else {
-                Algorithm::HashVec
-            }
-        }
-        (OpKind::TallSkinny, OutputOrder::Sorted) => {
-            if dense {
-                Algorithm::HashVec
-            } else {
-                Algorithm::Hash
-            }
-        }
-        (OpKind::TallSkinny, OutputOrder::Unsorted) => Algorithm::Hash,
-    }
-}
-
-/// Table 4a: recommendation for real-world inputs with a known (or
-/// estimated) compression ratio.
-pub fn recommend_real(op: OpKind, compression_ratio: f64, order: OutputOrder) -> Algorithm {
-    match (op, order) {
-        (OpKind::LxU, OutputOrder::Sorted) if compression_ratio <= HIGH_CR => Algorithm::Heap,
-        (_, OutputOrder::Unsorted) if compression_ratio > HIGH_CR => Algorithm::Inspector,
-        _ => Algorithm::Hash,
-    }
-}
 
 /// Classify a row-size coefficient of variation against [`SKEW_CV`] —
 /// the single place the uniform/skewed rule lives.
@@ -142,25 +51,14 @@ pub fn classify_row_cv(row_cv: f64) -> Pattern {
     }
 }
 
-/// Classify a matrix's pattern by row-size skew.
-pub fn classify_pattern<T: Copy + Send + Sync>(a: &Csr<T>) -> Pattern {
-    classify_row_cv(stats::structure_stats(a).row_cv)
-}
-
-/// The structural summary of one multiply that algorithm selection
-/// keys on — Table 4b's keys plus what [`cost::select`] reads, and
-/// nothing that requires a symbolic pass.
+/// The structural summary of one multiply that [`cost::select`]
+/// reads, and nothing that requires a symbolic pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AutoContext {
-    /// Inferred scenario (square vs tall-skinny; `L · U` cannot be
-    /// inferred from shapes and is available via [`recommend_real`]).
-    pub op: OpKind,
     /// Row-skew class of `A`.
     pub pattern: Pattern,
     /// Columns of `B`.
     pub ncols_b: usize,
-    /// Mean entries per row of `A` (the edge factor of Table 4b).
-    pub edge_factor: f64,
     /// Whether both operands are column-sorted.
     pub sorted_inputs: bool,
     /// Requested output order.
@@ -189,17 +87,9 @@ pub(crate) fn auto_context_from<T: Copy + Send + Sync>(
     order: OutputOrder,
     row_flops: &[u64],
 ) -> AutoContext {
-    let op = if b.ncols() * 4 <= a.nrows() {
-        OpKind::TallSkinny
-    } else {
-        OpKind::Square
-    };
-    let ss = stats::structure_stats(a);
     AutoContext {
-        op,
-        pattern: classify_row_cv(ss.row_cv),
+        pattern: classify_row_cv(stats::structure_stats(a).row_cv),
         ncols_b: b.ncols(),
-        edge_factor: ss.avg_row_nnz,
         sorted_inputs: a.is_sorted() && b.is_sorted(),
         order,
         elem_bytes: std::mem::size_of::<T>(),
@@ -269,57 +159,12 @@ mod tests {
     use spgemm_gen::{rmat, RmatKind};
 
     #[test]
-    fn table_4b_spot_checks() {
-        use Algorithm::*;
-        use OutputOrder::*;
-        // dense skewed A·A: Hash both ways (paper: "Hash / Hash")
-        assert_eq!(
-            recommend_synthetic(OpKind::Square, Pattern::Skewed, 16.0, Sorted),
-            Hash
-        );
-        assert_eq!(
-            recommend_synthetic(OpKind::Square, Pattern::Skewed, 16.0, Unsorted),
-            Hash
-        );
-        // sparse uniform A·A sorted: Heap
-        assert_eq!(
-            recommend_synthetic(OpKind::Square, Pattern::Uniform, 4.0, Sorted),
-            Heap
-        );
-        // sparse anything unsorted: HashVec
-        assert_eq!(
-            recommend_synthetic(OpKind::Square, Pattern::Uniform, 4.0, Unsorted),
-            HashVec
-        );
-        // tall-skinny dense sorted: HashVec; unsorted: Hash
-        assert_eq!(
-            recommend_synthetic(OpKind::TallSkinny, Pattern::Skewed, 16.0, Sorted),
-            HashVec
-        );
-        assert_eq!(
-            recommend_synthetic(OpKind::TallSkinny, Pattern::Skewed, 16.0, Unsorted),
-            Hash
-        );
-    }
-
-    #[test]
-    fn table_4a_spot_checks() {
-        use Algorithm::*;
-        use OutputOrder::*;
-        assert_eq!(recommend_real(OpKind::Square, 10.0, Sorted), Hash);
-        assert_eq!(recommend_real(OpKind::Square, 1.5, Sorted), Hash);
-        assert_eq!(recommend_real(OpKind::Square, 10.0, Unsorted), Inspector);
-        assert_eq!(recommend_real(OpKind::Square, 1.5, Unsorted), Hash);
-        assert_eq!(recommend_real(OpKind::LxU, 1.5, Sorted), Heap);
-        assert_eq!(recommend_real(OpKind::LxU, 10.0, Sorted), Hash);
-    }
-
-    #[test]
     fn pattern_classification_separates_er_from_g500() {
         let er = rmat::generate_kind(RmatKind::Er, 10, 16, &mut spgemm_gen::rng(1));
         let g = rmat::generate_kind(RmatKind::G500, 10, 16, &mut spgemm_gen::rng(1));
-        assert_eq!(classify_pattern(&er), Pattern::Uniform);
-        assert_eq!(classify_pattern(&g), Pattern::Skewed);
+        let classify = |a| classify_row_cv(stats::structure_stats(a).row_cv);
+        assert_eq!(classify(&er), Pattern::Uniform);
+        assert_eq!(classify(&g), Pattern::Skewed);
     }
 
     /// Every algorithm's admissibility over the full
@@ -330,10 +175,8 @@ mod tests {
     #[test]
     fn admissibility_exhaustive_over_all_algorithms() {
         let ctx = |sorted_inputs: bool, order: OutputOrder| AutoContext {
-            op: OpKind::Square,
             pattern: Pattern::Uniform,
             ncols_b: 64,
-            edge_factor: 4.0,
             sorted_inputs,
             order,
             elem_bytes: 8,
@@ -388,13 +231,6 @@ mod tests {
     fn auto_select_detects_tall_skinny() {
         let g = rmat::generate_kind(RmatKind::G500, 9, 16, &mut spgemm_gen::rng(4));
         let ts = spgemm_gen::tallskinny::tall_skinny(&g, 16, &mut spgemm_gen::rng(5)).unwrap();
-        let ctx = auto_context(&g, &ts, OutputOrder::Unsorted);
-        assert_eq!(ctx.op, OpKind::TallSkinny);
-        assert_eq!(
-            recommend_synthetic(ctx.op, ctx.pattern, ctx.edge_factor, ctx.order),
-            Algorithm::Hash,
-            "Table 4b tall-skinny unsorted row"
-        );
         // Sixteen output columns: the dense accumulator is 200 bytes.
         let pick = auto_select(&g, &ts, OutputOrder::Unsorted);
         assert_eq!(pick, Algorithm::Spa, "the footprint rule");

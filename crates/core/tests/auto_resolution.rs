@@ -2,8 +2,7 @@
 //! scenarios — square, `L · U` and tall-skinny, each sorted and
 //! unsorted: `Auto` is exactly the footprint rule
 //! (`recipe::static_select` = `cost::select` at the machine's L2
-//! share), Table 4 stays pinned as the table, off `Auto`'s path, and a
-//! product requested as `Auto` is the reference product.
+//! share), and a product requested as `Auto` is the reference product.
 
 use spgemm::recipe::{self, auto_context};
 use spgemm::{Algorithm, OutputOrder};
@@ -35,28 +34,6 @@ fn roster() -> Vec<(&'static str, Csr<f64>, Csr<f64>)> {
             tsu,
         ),
     ]
-}
-
-#[test]
-fn static_recipe_picks_expected_table4_algorithms() {
-    // Pin the concrete Table-4b cells for the roster so a regression
-    // in either auto_context or the table is visible. The G500 scale-6
-    // ef-4 generator measures an edge factor ≤ 8, so Table 4b's
-    // "sparse" column applies to the square cases whichever way the
-    // pattern classifies.
-    let roster = roster();
-    let cell = |i: usize, order| {
-        let ctx = auto_context(&roster[i].1, &roster[i].2, order);
-        recipe::recommend_synthetic(ctx.op, ctx.pattern, ctx.edge_factor, ctx.order)
-    };
-    // square: sparse skewed → Heap (sorted out), HashVec (unsorted)
-    for i in [0, 1] {
-        assert_eq!(cell(i, OutputOrder::Sorted), Algorithm::Heap);
-        assert_eq!(cell(i, OutputOrder::Unsorted), Algorithm::HashVec);
-    }
-    // tall-skinny sorted, skewed sparse → Hash both ways (Table 4b)
-    assert_eq!(cell(4, OutputOrder::Sorted), Algorithm::Hash);
-    assert_eq!(cell(4, OutputOrder::Unsorted), Algorithm::Hash);
 }
 
 #[test]

@@ -282,6 +282,46 @@ fn a_worker_panic_mid_replay_fails_one_call_only() {
     assert!(plan.replays(), "still replaying");
 }
 
+/// `(+, ×)` on `f64` whose `mul` panics on a spawned pool worker when
+/// it meets [`TRAP`]: no state shared with [`Tripwire`]'s tests.
+struct Trap;
+const TRAP: f64 = 13.0;
+
+impl Semiring for Trap {
+    type Elem = f64;
+    fn zero() -> f64 {
+        0.0
+    }
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+    fn mul(a: f64, b: f64) -> f64 {
+        assert!(IS_CALLER.get() || a != TRAP, "trap");
+        a * b
+    }
+}
+
+/// A worker that panics inside the one-phase staged pass (a one-shot
+/// Heap product stages every row under a lock of the call's own) fails
+/// that call only: the next product on the same pool is exact.
+#[test]
+fn a_worker_panic_mid_staged_pass_fails_one_call_only() {
+    IS_CALLER.set(true);
+    let pool = Pool::new(2);
+    let a =
+        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::Er, 8, 4, &mut spgemm_gen::rng(5));
+    let trapped = a.map(|_| TRAP);
+    let heap =
+        |m: &Csr<f64>| multiply_in::<Trap>(m, m, Algorithm::Heap, OutputOrder::Sorted, &pool);
+    let expect = heap(&a).unwrap();
+    let failed = catch_unwind(AssertUnwindSafe(|| heap(&trapped)));
+    assert!(failed.is_err(), "worker 1 met the trap");
+    for round in 0..2 {
+        let got = heap(&a).unwrap();
+        assert!(bits_eq_f64(&got, &expect), "round {round} after the panic");
+    }
+}
+
 /// Two threads executing one `&SpgemmPlan` on a shared pool, released
 /// together round after round from the plan's first pass on — so their
 /// replays of the pattern the bind captured interleave from the first —

@@ -51,7 +51,6 @@
 //! shard's plan.
 
 use crate::error::DistError;
-use parking_lot::Mutex;
 use spgemm::{Algorithm, OutputOrder, PlanCache, PlanCacheStats};
 use spgemm_obs as obs;
 use spgemm_par::unsync::SharedMutSlice;
@@ -59,7 +58,7 @@ use spgemm_par::{panic_text, partition, Pool};
 use spgemm_sparse::{csr_bytes, stats, ColIdx, Csr, PlusTimes, SparseError};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shard grid shape: `rows × cols` shards. Shard `(r, c)` owns row
@@ -390,7 +389,8 @@ impl ShardRuntime {
     /// Cumulative counters. Non-blocking with respect to in-flight
     /// products (safe to call from a monitoring thread).
     pub fn stats(&self) -> DistStats {
-        *self.stats.lock()
+        // Counters are plain stores, whole even under a poisoned lock.
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sharded `C = A · B`, discarding the stats.
@@ -415,7 +415,8 @@ impl ShardRuntime {
         PRODUCTS_IN_FLIGHT.add(1);
         let _in_flight = InFlight;
         let grid = self.cfg.grid;
-        let mut guard = self.coordinator.lock();
+        // Cuts and layout are installed whole and keyed by fingerprints.
+        let mut guard = (self.coordinator.lock()).unwrap_or_else(PoisonError::into_inner);
         let state = &mut *guard;
 
         // --- cut selection -------------------------------------------------
@@ -499,7 +500,7 @@ impl ShardRuntime {
         // no claim, even where a kernel's rows happen to be sorted.
         let (rpts, sorted) = (layout.rpts.clone(), self.cfg.order.is_sorted());
         let c = Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted);
-        let mut totals = self.stats.lock();
+        let mut totals = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         totals.products += 1;
         (totals.plan_hits, totals.plan_rebuilds) = (stats.plan_hits, stats.plan_rebuilds);
         Ok((c, stats))
@@ -524,7 +525,8 @@ impl ShardRuntime {
         let reports: Vec<Mutex<Option<_>>> = shards.iter().map(|_| Mutex::new(None)).collect();
         fleet.broadcast(|s| {
             let _scope = obs::ctx_scope(ctx);
-            let mut shard = shards[s].lock();
+            // A shard the body panicked in retires its plans (below).
+            let mut shard = shards[s].lock().unwrap_or_else(PoisonError::into_inner);
             // The span closes before the return flow opens: a trace
             // never shows a shard at work after its report.
             let result = {
@@ -538,11 +540,14 @@ impl ShardRuntime {
                     })
                     .and_then(|ran| ran.map_err(DistError::from))
             };
-            *reports[s].lock() = Some((result, obs::flow_out("dist.done")));
+            *reports[s].lock().expect("a report is stored once") =
+                Some((result, obs::flow_out("dist.done")));
         });
         let results: Vec<Result<T, DistError>> = (reports.into_iter())
             .map(|report| {
-                let (result, flow) = report.into_inner().expect("the region ran every shard");
+                let (result, flow) = (report.into_inner())
+                    .expect("a report is stored once")
+                    .expect("the region ran every shard");
                 flow.accept("dist.done");
                 result
             })
@@ -806,6 +811,30 @@ mod tests {
             std::thread::yield_now();
         }
         PRODUCTS_IN_FLIGHT.value() == 0
+    }
+
+    /// A panic under the product lock leaves the next product exact.
+    #[test]
+    fn a_panic_under_the_product_lock_leaves_the_runtime_usable() {
+        let mut rng = spgemm_gen::rng(12);
+        let a = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 7, 6, &mut rng);
+        let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = mono(&a, &a);
+        let rt = runtime(2, 1, Algorithm::Hash);
+        rt.multiply(&a, &a).unwrap();
+        let fault = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _product = rt.coordinator.lock();
+                panic!("fault under the product lock");
+            })
+            .join()
+        });
+        assert!(fault.is_err() && rt.coordinator.is_poisoned());
+        for round in 0..2 {
+            let next = rt.multiply(&a, &a).unwrap();
+            assert_eq!((&next, bits(&next)), (&want, bits(&want)), "round {round}");
+        }
+        assert_eq!(rt.stats().products, 3);
     }
 
     #[test]

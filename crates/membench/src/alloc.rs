@@ -11,6 +11,7 @@
 //! repeated parallel allocation.
 
 use spgemm_par::{Pool, WorkspacePool};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Phase timings in milliseconds.
@@ -48,23 +49,24 @@ pub fn measure_single(total_bytes: usize) -> AllocTimings {
 pub fn measure_parallel(pool: &Pool, total_bytes: usize) -> AllocTimings {
     let nt = pool.nthreads();
     let each = total_bytes / nt.max(1);
-    let slots: Vec<parking_lot::Mutex<Option<Vec<u8>>>> =
-        (0..nt).map(|_| parking_lot::Mutex::new(None)).collect();
+    // Each worker locks its own slot; a panic fails the call first.
+    const OWN_SLOT: &str = "a slot is locked by its own worker only";
+    let slots: Vec<Mutex<Option<Vec<u8>>>> = (0..nt).map(|_| Mutex::new(None)).collect();
 
     let t0 = Instant::now();
     pool.broadcast(|wid| {
-        *slots[wid].lock() = Some(Vec::with_capacity(each));
+        *slots[wid].lock().expect(OWN_SLOT) = Some(Vec::with_capacity(each));
     });
     let t1 = Instant::now();
     pool.broadcast(|wid| {
-        let mut g = slots[wid].lock();
+        let mut g = slots[wid].lock().expect(OWN_SLOT);
         let v = g.as_mut().expect("allocated in previous phase");
         v.resize(each, 1);
         std::hint::black_box(v.as_ptr());
     });
     let t2 = Instant::now();
     pool.broadcast(|wid| {
-        drop(slots[wid].lock().take());
+        drop(slots[wid].lock().expect(OWN_SLOT).take());
     });
     let t3 = Instant::now();
     AllocTimings {

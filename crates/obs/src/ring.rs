@@ -85,6 +85,7 @@ static RING: Mutex<Ring> = Mutex::new(Ring {
     overwritten: 0,
 });
 
+/// Recovers from poisoning: every critical section leaves a whole ring.
 fn lock() -> std::sync::MutexGuard<'static, Ring> {
     RING.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -27,6 +27,7 @@ pub(crate) static REGISTRY: Registry = Registry {
     gauges: Mutex::new(Vec::new()),
 };
 
+/// Recovers from poisoning: a critical section pushes or reads whole sites.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

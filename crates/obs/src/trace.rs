@@ -504,6 +504,7 @@ static EXEMPLARS: Mutex<ExemplarStore> = Mutex::new(ExemplarStore { groups: Vec:
 /// [`MAX_EXEMPLAR_GROUPS`]); published under the store lock.
 static EXEMPLAR_GROUPS: crate::GaugeSite = crate::GaugeSite::new("obs", "obs.exemplar_groups");
 
+/// Recovers from poisoning: a critical section replaces whole exemplars.
 fn lock_exemplars() -> MutexGuard<'static, ExemplarStore> {
     EXEMPLARS.lock().unwrap_or_else(|e| e.into_inner())
 }

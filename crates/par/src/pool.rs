@@ -19,11 +19,10 @@
 //! dies, and the pool runs the next region as usual.
 
 use crate::schedule::{static_block, Schedule};
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A fixed-size team of worker threads executing parallel regions.
 ///
@@ -38,6 +37,7 @@ pub struct Pool {
 }
 
 struct Shared {
+    /// Recovers from poisoning: no body runs under it; plain stores.
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
@@ -134,7 +134,9 @@ impl Pool {
             body(0);
             return;
         };
-        let _region = self.region.lock();
+        // A panicked region poisons this; it guards no data, and that
+        // region already passed its barrier.
+        let _region = self.region.lock().unwrap_or_else(PoisonError::into_inner);
         // Erase the closure's lifetime for the workers. SAFETY: we
         // block below until `active == 0`, i.e. every worker has
         // finished calling through this reference, before `body` can be
@@ -147,7 +149,7 @@ impl Pool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide)
         });
         {
-            let mut st = shared.state.lock();
+            let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             debug_assert!(st.job.is_none(), "nested broadcast on the same pool");
             st.job = Some(job);
             st.epoch += 1;
@@ -157,9 +159,9 @@ impl Pool {
         // The caller is worker 0.
         let mine = catch_unwind(AssertUnwindSafe(|| body(0)));
         let parked = {
-            let mut st = shared.state.lock();
+            let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             while st.active > 0 {
-                shared.done_cv.wait(&mut st);
+                st = (shared.done_cv.wait(st)).unwrap_or_else(PoisonError::into_inner);
             }
             st.job = None;
             st.panic.take()
@@ -220,7 +222,7 @@ impl Drop for Pool {
     fn drop(&mut self) {
         if let Some(shared) = &self.shared {
             {
-                let mut st = shared.state.lock();
+                let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
                 st.shutdown = true;
                 shared.work_cv.notify_all();
             }
@@ -235,7 +237,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock();
+            let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if st.shutdown {
                     return;
@@ -246,13 +248,13 @@ fn worker_loop(shared: &Shared, wid: usize) {
                         break job;
                     }
                 }
-                shared.work_cv.wait(&mut st);
+                st = (shared.work_cv.wait(st)).unwrap_or_else(PoisonError::into_inner);
             }
         };
         // `broadcast` keeps the pointee alive until `active` reaches 0,
         // which happens strictly after this call returns or unwinds.
         let outcome = catch_unwind(AssertUnwindSafe(|| (job.0)(wid)));
-        let mut st = shared.state.lock();
+        let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(payload) = outcome {
             st.panic.get_or_insert(payload);
         }
@@ -340,9 +342,9 @@ mod tests {
         let offsets = vec![0usize, 5, 5, 12];
         let seen = Mutex::new(vec![None; 3]);
         pool.parallel_ranges(&offsets, |wid, r| {
-            seen.lock()[wid] = Some(r);
+            seen.lock().unwrap()[wid] = Some(r);
         });
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert_eq!(seen[0], Some(0..5));
         assert_eq!(seen[1], Some(5..5));
         assert_eq!(seen[2], Some(5..12));
@@ -412,6 +414,20 @@ mod tests {
         });
     }
 
+    /// A panicked region poisons the region lock; the next still runs.
+    #[test]
+    fn a_panicked_region_leaves_the_region_lock_usable() {
+        watched(|| {
+            let pool = Arc::new(Pool::new(2));
+            let region = || pool.parallel_for(8, Schedule::DYNAMIC, |i| assert_ne!(i, 5, "fault"));
+            assert!(panics_with(region, "fault"));
+            let other = Arc::clone(&pool);
+            std::thread::spawn(move || assert_runs_a_normal_region(&other))
+                .join()
+                .expect("a second caller runs a region");
+        });
+    }
+
     #[test]
     fn caller_panic_waits_for_the_workers_before_unwinding() {
         // Both workers are inside the body when the caller panics (the
@@ -420,7 +436,7 @@ mod tests {
         // that unwinds past its barrier is caught with both still
         // inside. One that waits sees them leave when `GRACE` runs out.
         const GRACE: Duration = Duration::from_millis(200);
-        type Release = (std::sync::Mutex<bool>, std::sync::Condvar);
+        type Release = (Mutex<bool>, Condvar);
         // Everything by argument: a worker waiting in here reads its
         // own frame, not the region closure.
         fn linger(inside: &AtomicUsize, all_entered: &std::sync::Barrier, release: &Release) {
@@ -465,9 +481,9 @@ mod tests {
         let pool = Pool::new(4);
         let data = Mutex::new(vec![0u32; 16]);
         pool.parallel_for(16, Schedule::Static, |i| {
-            data.lock()[i] = i as u32 * 2;
+            data.lock().unwrap()[i] = i as u32 * 2;
         });
-        let d = data.lock();
+        let d = data.lock().unwrap();
         assert!(d.iter().enumerate().all(|(i, &v)| v == i as u32 * 2));
     }
 }

@@ -42,15 +42,17 @@ pub fn parallel_inclusive_scan(pool: &Pool, v: &mut [u64]) -> u64 {
         return inclusive_scan_in_place(v);
     }
     // Pass 1: each worker scans its static block locally.
-    let block_totals: Vec<parking_lot::Mutex<u64>> =
-        (0..nt).map(|_| parking_lot::Mutex::new(0)).collect();
+    // Each worker stores its own total once; a panic fails the call.
+    const STORED: &str = "a block total is only ever stored";
+    let block_totals: Vec<std::sync::Mutex<u64>> =
+        (0..nt).map(|_| std::sync::Mutex::new(0)).collect();
     {
         let slice = crate::unsync::SharedMutSlice::new(v);
         pool.broadcast(|wid| {
             let r = crate::schedule::static_block(n, wid, nt);
             // SAFETY: static blocks are disjoint per worker.
             let block = unsafe { slice.slice_mut(r) };
-            *block_totals[wid].lock() = inclusive_scan_in_place(block);
+            *block_totals[wid].lock().expect(STORED) = inclusive_scan_in_place(block);
         });
     }
     // Pass 2: exclusive scan of block totals (tiny, sequential).
@@ -58,7 +60,7 @@ pub fn parallel_inclusive_scan(pool: &Pool, v: &mut [u64]) -> u64 {
     let mut acc = 0u64;
     for (c, t) in carry.iter_mut().zip(&block_totals) {
         *c = acc;
-        acc += *t.lock();
+        acc += *t.lock().expect(STORED);
     }
     // Pass 3: rebase each block by its carry.
     {

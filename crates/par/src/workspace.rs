@@ -28,8 +28,8 @@
 //! layer does this through its accumulators' `ensure`/`scrub` hooks.
 
 use crate::Pool;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, TryLockError};
 
 /// Reuse counters for one [`WorkspacePool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -83,10 +83,15 @@ static SLOTS_REUSED: spgemm_obs::GaugeSite =
 /// assert_eq!(stats.reused, 4, "every later region reuses");
 /// ```
 pub struct WorkspacePool<T> {
-    slots: Vec<crossbeam_utils::CachePadded<Mutex<Option<T>>>>,
+    slots: Vec<Padded<Mutex<Option<T>>>>,
     created: AtomicU64,
     reused: AtomicU64,
 }
+
+/// One slot per 128 bytes: neighbouring workers' locks never share a
+/// cache line, nor an adjacent-line prefetch pair.
+#[repr(align(128))]
+struct Padded<T>(T);
 
 impl<T> WorkspacePool<T> {
     /// A pool with one slot per worker of `pool`.
@@ -97,9 +102,7 @@ impl<T> WorkspacePool<T> {
     /// A pool with `nthreads` slots.
     pub fn with_threads(nthreads: usize) -> Self {
         WorkspacePool {
-            slots: (0..nthreads)
-                .map(|_| crossbeam_utils::CachePadded::new(Mutex::new(None)))
-                .collect(),
+            slots: (0..nthreads).map(|_| Padded(Mutex::new(None))).collect(),
             created: AtomicU64::new(0),
             reused: AtomicU64::new(0),
         }
@@ -124,9 +127,14 @@ impl<T> WorkspacePool<T> {
         make: impl FnOnce() -> T,
         f: impl FnOnce(&mut T, bool) -> R,
     ) -> R {
-        let mut guard = self.slots[wid]
-            .try_lock()
-            .expect("WorkspacePool slot borrowed by two workers at once");
+        // A panicked closure's workspace is dirty: clear-on-acquire.
+        let mut guard = match self.slots[wid].0.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                panic!("WorkspacePool slot borrowed by two workers at once")
+            }
+        };
         let reused = guard.is_some();
         let ws = match guard.as_mut() {
             Some(ws) => {
@@ -155,7 +163,7 @@ impl<T> WorkspacePool<T> {
     /// re-creates). Counters are preserved.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
-            *s.get_mut() = None;
+            *s.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 }
@@ -198,6 +206,20 @@ mod tests {
             assert!(reused);
             assert_eq!(buf, &[1, 2, 3], "release leaves state in place");
         });
+    }
+
+    /// A panicked closure's slot is handed out again, dirty and `reused`.
+    #[test]
+    fn a_panic_in_the_closure_leaves_the_slot_usable() {
+        let ws: WorkspacePool<Vec<u32>> = WorkspacePool::with_threads(1);
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ws.with(0, Vec::new, |buf, _| {
+                buf.push(1);
+                panic!("fault");
+            })
+        }));
+        assert!(fault.is_err());
+        ws.with(0, Vec::new, |buf, reused| assert!(reused && buf == &[1]));
     }
 
     #[test]

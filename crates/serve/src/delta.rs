@@ -23,9 +23,9 @@
 //!
 //! [`ServeEngine::try_submit_row_update`]: crate::ServeEngine::try_submit_row_update
 
-use parking_lot::Mutex;
 use spgemm::delta::DirtyRows;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What [`crate::ServeEngine::try_submit_row_update`] returns: the
 /// version transition the patch caused and how many rows it touched.
@@ -54,6 +54,7 @@ pub(crate) struct DeltaRecord {
 /// read-modify-write row updates against the store.
 #[derive(Default)]
 pub(crate) struct DeltaTracker {
+    /// Recovers from poisoning: a critical section replaces whole records.
     map: Mutex<HashMap<String, DeltaRecord>>,
     /// Held across a whole get → patch → re-insert row update so two
     /// concurrent updates to one store can't both apply against the
@@ -63,8 +64,9 @@ pub(crate) struct DeltaTracker {
 
 impl DeltaTracker {
     /// Serialize a read-modify-write row update (see `update_lock`).
-    pub(crate) fn update_guard(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.update_lock.lock()
+    /// Recovers from poisoning: the guard holds no data.
+    pub(crate) fn update_guard(&self) -> MutexGuard<'_, ()> {
+        (self.update_lock.lock()).unwrap_or_else(PoisonError::into_inner)
     }
     /// Record an update `old_version → new_version` of `name` with the
     /// given dirty set, composing with an existing record when it
@@ -73,7 +75,7 @@ impl DeltaTracker {
     /// re-registered wholesale in between — is replaced, narrowing the
     /// window to this single step.
     pub(crate) fn record(&self, name: &str, old_version: u64, new_version: u64, dirty: &DirtyRows) {
-        let mut map = self.map.lock();
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         let rec = match map.remove(name) {
             Some(prev) if prev.to_version == old_version && prev.dirty.nrows() == dirty.nrows() => {
                 let mut merged = prev.dirty;
@@ -97,7 +99,7 @@ impl DeltaTracker {
     /// tracker holds one. `None` means no evaluator at an older version
     /// of this name can be advanced to `version`.
     pub(crate) fn applicable(&self, name: &str, version: u64) -> Option<DeltaRecord> {
-        let map = self.map.lock();
+        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         map.get(name)
             .filter(|rec| rec.to_version == version)
             .cloned()

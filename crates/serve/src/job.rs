@@ -3,12 +3,11 @@
 
 use crate::error::ServeError;
 use crate::metrics::{Metrics, TenantCell};
-use parking_lot::{Condvar, Mutex};
 use spgemm::expr::ExprSpec;
 use spgemm::{Algorithm, OutputOrder};
 use spgemm_sparse::Csr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Scheduling priority of a job. Workers always drain higher
@@ -225,6 +224,11 @@ impl JobCore {
         })
     }
 
+    /// Recovers from poisoning: a critical section stores whole phases.
+    fn phase(&self) -> MutexGuard<'_, Phase> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The request's trace context.
     pub(crate) fn trace_ctx(&self) -> spgemm_obs::TraceCtx {
         self.ctx
@@ -254,7 +258,7 @@ impl JobCore {
     /// already reached a terminal state (cancelled while queued) and
     /// must not be executed.
     pub(crate) fn start(&self) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.phase();
         match *st {
             Phase::Pending => {
                 *st = Phase::Running(Instant::now());
@@ -269,7 +273,7 @@ impl JobCore {
     /// calls only bump the duplicate counter (which the smoke harness
     /// asserts stays 0).
     pub(crate) fn complete(&self, result: JobResult) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.phase();
         if matches!(*st, Phase::Done(_)) {
             self.metrics
                 .duplicate_completions
@@ -312,7 +316,7 @@ impl JobCore {
     /// already-resolved job is left untouched *without* counting a
     /// duplicate — delivery still happened exactly once.
     pub(crate) fn fail_if_unresolved(&self, err: ServeError) {
-        let mut st = self.state.lock();
+        let mut st = self.phase();
         if matches!(*st, Phase::Done(_)) {
             return;
         }
@@ -325,7 +329,7 @@ impl JobCore {
     /// [`JobCore::start`]).
     fn cancel_if_pending(&self) -> bool {
         let won = {
-            let mut st = self.state.lock();
+            let mut st = self.phase();
             if matches!(*st, Phase::Pending) {
                 self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
                 *st = Phase::Done(Err(ServeError::Cancelled));
@@ -377,7 +381,7 @@ impl JobHandle {
 
     /// The terminal result if the job has finished, without blocking.
     pub fn poll(&self) -> Option<JobResult> {
-        match &*self.core.state.lock() {
+        match &*self.core.phase() {
             Phase::Done(r) => Some(r.clone()),
             _ => None,
         }
@@ -385,12 +389,12 @@ impl JobHandle {
 
     /// Block until the job reaches a terminal state.
     pub fn wait(&self) -> JobResult {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.phase();
         loop {
             if let Phase::Done(r) = &*st {
                 return r.clone();
             }
-            self.core.cv.wait(&mut st);
+            st = (self.core.cv.wait(st)).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -402,13 +406,15 @@ impl JobHandle {
         let Some(deadline) = Instant::now().checked_add(timeout) else {
             return Some(self.wait());
         };
-        let mut st = self.core.state.lock();
+        let mut st = self.core.phase();
         loop {
             if let Phase::Done(r) = &*st {
                 return Some(r.clone());
             }
             let left = deadline.checked_duration_since(Instant::now())?;
-            let _ = self.core.cv.wait_for(&mut st, left);
+            st = (self.core.cv.wait_timeout(st, left))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -423,7 +429,7 @@ impl JobHandle {
 
 impl std::fmt::Debug for JobHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let phase = match &*self.core.state.lock() {
+        let phase = match &*self.core.phase() {
             Phase::Pending => "pending",
             Phase::Running(_) => "running",
             Phase::Done(Ok(_)) => "done",

@@ -15,11 +15,10 @@
 //! and the tenant's SLO good/bad counts; the engine-wide histograms of
 //! a [`MetricsSnapshot`] are the bucket-wise sum of every cell.
 
-use parking_lot::Mutex;
 use spgemm_obs::{Histogram, HistogramSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::expr_results::ExprResultCacheStats;
@@ -177,6 +176,7 @@ pub(crate) struct Metrics {
     anonymous: Arc<TenantCell>,
     /// Named tenants' cells, created on first submission, capped at
     /// [`MAX_TENANTS`] plus the [`OVERFLOW_TENANT`] cell.
+    /// Recovers from poisoning: a critical section inserts whole cells.
     tenants: Mutex<HashMap<String, Arc<TenantCell>>>,
 }
 
@@ -203,7 +203,7 @@ impl Metrics {
             .slo_policy
             .target_for(tenant)
             .map(|d| d.as_nanos() as u64);
-        let mut map = self.tenants.lock();
+        let mut map = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(cell) = map.get(tenant) {
             return (Arc::clone(cell), target_ns);
         }
@@ -238,6 +238,7 @@ impl Metrics {
         let mut per_tenant: Vec<TenantLatency> = self
             .tenants
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(tenant, cell)| {
                 let slo = cell.shown_target_ns.get().map(|&ns| TenantSlo {

@@ -29,14 +29,13 @@
 //! `Arc`s); checked-out instances are simply returned to the orphaned
 //! slot and dropped with it.
 
-use parking_lot::Mutex;
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_obs::GaugeSite;
 use spgemm_sparse::PlusTimes;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::store::StoredMatrix;
 
@@ -125,6 +124,7 @@ impl Pooled for SpgemmPlan<S> {
 /// One cache entry: a pool of interchangeable instances for the key
 /// (built lazily by workers as concurrency demands) and an LRU stamp.
 pub(crate) struct Slot<V: Pooled> {
+    /// Recovers from poisoning: a critical section moves whole instances.
     instances: Mutex<Vec<V>>,
     last_used: AtomicU64,
     /// Bytes currently pooled in `instances` (this slot's share of
@@ -147,7 +147,10 @@ impl<V: Pooled> Slot<V> {
     /// Take the idle instance `fit` ranks lowest — the most recently
     /// returned among equals; instances it ranks `None` stay pooled.
     pub(crate) fn checkout(&self, mut fit: impl FnMut(&V) -> Option<u32>) -> Option<V> {
-        let mut pool = self.instances.lock();
+        let mut pool = self
+            .instances
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let (at, _) = (pool.iter().enumerate().rev())
             .filter_map(|(i, v)| fit(v).map(|rank| (i, rank)))
             .min_by_key(|&(_, rank)| rank)?;
@@ -158,7 +161,10 @@ impl<V: Pooled> Slot<V> {
 
     /// Return an instance for the next worker.
     pub(crate) fn checkin(&self, v: V) {
-        let mut pool = self.instances.lock();
+        let mut pool = self
+            .instances
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         self.charge(&v, true);
         pool.push(v);
     }
@@ -221,6 +227,7 @@ pub(crate) type SharedPlanCache = SlotCache<PlanKey, SpgemmPlan<S>>;
 
 /// Key → [`Slot`] of pooled instances, LRU over a key budget.
 pub(crate) struct SlotCache<K, V: Pooled> {
+    /// Recovers from poisoning: a critical section moves whole slots.
     map: Mutex<HashMap<K, Arc<Slot<V>>>>,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -252,7 +259,7 @@ impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
     /// The slot for `key`, creating (and LRU-evicting) as needed.
     pub(crate) fn slot(&self, key: K) -> Arc<Slot<V>> {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut map = self.map.lock();
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(slot) = map.get(&key) {
             slot.last_used.store(stamp, Ordering::Relaxed);
             return Arc::clone(slot);
@@ -292,7 +299,11 @@ impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.map.lock().len(),
+            entries: self
+                .map
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
         }
     }
 }

@@ -21,10 +21,9 @@ use crate::expr_results::EvalKey;
 use crate::job::{JobCore, Priority};
 use crate::plan_cache::PlanKey;
 use crate::store::StoredMatrix;
-use parking_lot::{Condvar, Mutex};
 use spgemm::expr::ExprSpec;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What a batch coalesces on: jobs with equal keys execute together
 /// under one plan (products) or share one evaluation (identical
@@ -111,6 +110,11 @@ impl JobQueue {
         }
     }
 
+    /// Recovers from poisoning: jobs and `len` move together under it.
+    fn lanes(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
@@ -118,7 +122,7 @@ impl JobQueue {
     /// Enqueue without blocking. Fails with `Overloaded` at capacity
     /// and `ShuttingDown` after [`JobQueue::close`].
     pub(crate) fn try_push(&self, priority: Priority, job: QueuedJob) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lanes();
         if inner.closed {
             return Err(ServeError::ShuttingDown);
         }
@@ -142,7 +146,7 @@ impl JobQueue {
     /// drained — the worker's signal to exit.
     pub(crate) fn pop_batch(&self, max_batch: usize) -> Vec<QueuedJob> {
         let max_batch = max_batch.max(1);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lanes();
         loop {
             if inner.len > 0 {
                 let mut batch = Vec::new();
@@ -170,20 +174,20 @@ impl JobQueue {
             if inner.closed {
                 return Vec::new();
             }
-            self.cv.wait(&mut inner);
+            inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Stop accepting; wake every worker so they can drain and exit.
     pub(crate) fn close(&self) {
-        self.inner.lock().closed = true;
+        self.lanes().closed = true;
         self.cv.notify_all();
     }
 
     /// Queued (not yet popped) jobs. Cancelled jobs still occupy a
     /// slot until a worker pops and skips them.
     pub(crate) fn depth(&self) -> usize {
-        self.inner.lock().len
+        self.lanes().len
     }
 
     /// Queued jobs per priority lane, highest priority first (the
@@ -193,7 +197,7 @@ impl JobQueue {
     /// gauges are refreshed from the same locked read, so both
     /// reporting paths agree.
     pub(crate) fn lane_depths(&self) -> [usize; Priority::COUNT] {
-        let inner = self.inner.lock();
+        let inner = self.lanes();
         publish_lane_gauges(&inner)
     }
 

@@ -9,11 +9,10 @@
 //! what lets the plan cache key products by structure without paying a
 //! per-request fingerprint pass.
 
-use parking_lot::Mutex;
 use spgemm_sparse::{csr_bytes, Csr};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Registered names across every live store (gauge: replacing a name
 /// does not move it; insert/remove of distinct names do).
@@ -103,6 +102,11 @@ impl MatrixStore {
         Self::default()
     }
 
+    /// Recovers from poisoning: a critical section moves whole `Arc`s.
+    fn map(&self) -> MutexGuard<'_, HashMap<String, Arc<StoredMatrix>>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register `matrix` under `name`, replacing any previous
     /// registration. Jobs that captured the previous registration keep
     /// using it (snapshot semantics). Computes the structure
@@ -122,7 +126,7 @@ impl MatrixStore {
     ) -> Option<Arc<StoredMatrix>> {
         let fingerprint = matrix.structure_fingerprint();
         let bytes = csr_bytes(&matrix) as i64;
-        let mut map = self.inner.lock();
+        let mut map = self.map();
         if expect.is_some() && map.get(&name).map(|m| m.version) != expect {
             return None;
         }
@@ -146,13 +150,13 @@ impl MatrixStore {
 
     /// The current registration of `name`, if any.
     pub fn get(&self, name: &str) -> Option<Arc<StoredMatrix>> {
-        self.inner.lock().get(name).cloned()
+        self.map().get(name).cloned()
     }
 
     /// Remove `name`; returns whether it was present. In-flight jobs
     /// holding the matrix are unaffected.
     pub fn remove(&self, name: &str) -> bool {
-        match self.inner.lock().remove(name) {
+        match self.map().remove(name) {
             Some(prev) => {
                 STORE_BYTES.sub(csr_bytes(prev.csr()) as i64);
                 STORE_REGISTRATIONS.sub(1);
@@ -164,7 +168,7 @@ impl MatrixStore {
 
     /// Number of registered names.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.map().len()
     }
 
     /// Whether the store is empty.
@@ -174,7 +178,7 @@ impl MatrixStore {
 
     /// Registered names, unordered.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().keys().cloned().collect()
+        self.map().keys().cloned().collect()
     }
 }
 

@@ -67,7 +67,8 @@ fn main() {
         assert!(same);
     }
 
-    // Auto selection consults the paper's recipe (Table 4).
+    // Auto picks by accumulator footprint against this machine's L2
+    // share (`spgemm::cost::select`).
     let auto =
         multiply_in::<P>(&a, &a, Algorithm::Auto, OutputOrder::Unsorted, &pool).expect("multiply");
     println!(

@@ -4,14 +4,13 @@
 //! concurrent rebinds across disjoint sparsity patterns — the reuse
 //! bug class the pooled accumulators must survive.
 
-use parking_lot::Mutex;
 use spgemm::{Algorithm, OutputOrder, PlanCache, SpgemmPlan};
 use spgemm_par::{Pool, WorkspacePool};
 use spgemm_serve::{
     JobHandle, MatrixStore, ProductRequest, ServeConfig, ServeEngine, StoredMatrix,
 };
 use spgemm_sparse::{approx_eq_f64, Csr, PlusTimes};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 type P = PlusTimes<f64>;
 
@@ -91,7 +90,7 @@ fn shared_plan_cache_survives_concurrent_rebinds() {
                 for round in 0..30 {
                     let idx = (t + round) % patterns.len();
                     let a = &patterns[idx];
-                    let c = cache.lock().multiply_in(a, a, &pool).unwrap();
+                    let c = cache.lock().unwrap().multiply_in(a, a, &pool).unwrap();
                     assert!(
                         approx_eq_f64(&expected[idx], &c, 1e-12),
                         "thread {t} round {round} pattern {idx}"
@@ -103,7 +102,7 @@ fn shared_plan_cache_survives_concurrent_rebinds() {
     for t in threads {
         t.join().unwrap();
     }
-    let stats = cache.lock().stats();
+    let stats = cache.lock().unwrap().stats();
     assert_eq!(stats.hits + stats.rebuilds, 120);
     assert!(stats.rebuilds > 4, "interleaved patterns force rebinds");
 }
