@@ -74,16 +74,14 @@ struct MonoBaseline {
 }
 
 /// Monolithic baseline: plan once under the shards' kernel policy,
-/// execute `reps` times on a pool as wide as the whole shard fleet
-/// (fair total parallelism).
-fn monolithic(a: &Csr<f64>, threads: usize, reps: usize) -> MonoBaseline {
-    let pool = Pool::new(threads.max(1));
+/// execute `reps` times on `pool`.
+fn monolithic(a: &Csr<f64>, pool: &Pool, reps: usize) -> MonoBaseline {
     let algo = DistConfig::default().algo;
     let plan =
-        SpgemmPlan::<P>::new_in(a, a, algo, OutputOrder::Sorted, &pool).expect("monolithic plan");
-    let mut c = plan.execute_in(a, a, &pool).expect("monolithic execute");
+        SpgemmPlan::<P>::new_in(a, a, algo, OutputOrder::Sorted, pool).expect("monolithic plan");
+    let mut c = plan.execute_in(a, a, pool).expect("monolithic execute");
     let steady_ms = median_millis(reps, || {
-        plan.execute_into_in(a, a, &mut c, &pool)
+        plan.execute_into_in(a, a, &mut c, pool)
             .expect("monolithic steady execute");
     });
     let footprint_bytes = csr_bytes(&c);
@@ -94,9 +92,8 @@ fn monolithic(a: &Csr<f64>, threads: usize, reps: usize) -> MonoBaseline {
 }
 
 /// The product every sharded one must equal bit for bit.
-fn mono_hash(a: &Csr<f64>) -> Csr<f64> {
-    let pool = Pool::with_all_threads();
-    spgemm::multiply_in::<P>(a, a, Algorithm::Hash, OutputOrder::Sorted, &pool)
+fn mono_hash(a: &Csr<f64>, pool: &Pool) -> Csr<f64> {
+    spgemm::multiply_in::<P>(a, a, Algorithm::Hash, OutputOrder::Sorted, pool)
         .expect("monolithic Hash")
 }
 
@@ -136,8 +133,9 @@ fn main() {
     } else {
         args.reps()
     };
+    let pool = args.pool();
     if args.smoke {
-        smoke(scale, ef, args.seed);
+        smoke(scale, ef, args.seed, &pool);
         return;
     }
     println!(
@@ -156,9 +154,12 @@ fn main() {
         "ratio"
     );
     for (name, a) in inputs(scale, ef, args.seed) {
-        let want = mono_hash(&a);
+        let want = mono_hash(&a, &pool);
         for &grid in &grids {
-            let mono = monolithic(&a, grid.shards() * threads_per_shard, reps);
+            // A pool as wide as the whole shard fleet: fair total
+            // parallelism.
+            let fleet_wide = Pool::new(grid.shards() * threads_per_shard);
+            let mono = monolithic(&a, &fleet_wide, reps);
             let rt = ShardRuntime::new(DistConfig {
                 grid,
                 threads_per_shard,
@@ -194,15 +195,16 @@ fn main() {
 /// monolithic `Hash` product bit for bit, steady-state re-execution must be
 /// one plan hit per shard and nothing else, and on the 2×1 and 2×2
 /// grids every shard must hold less than the monolithic output
-/// footprint.
-fn smoke(scale: u32, ef: usize, seed: u64) {
+/// footprint. The monolithic products run on `pool` (`--threads`),
+/// whose width the stamp records.
+fn smoke(scale: u32, ef: usize, seed: u64, pool: &Pool) {
     let a = spgemm_gen::rmat::generate_kind(
         spgemm_gen::RmatKind::G500,
         scale,
         ef,
         &mut spgemm_gen::rng(seed),
     );
-    let (want, mono) = (mono_hash(&a), monolithic(&a, 2, 1));
+    let (want, mono) = (mono_hash(&a, pool), monolithic(&a, pool, 1));
     for grid in [
         GridSpec::new(1, 1),
         GridSpec::new(2, 1),
@@ -253,7 +255,7 @@ fn smoke(scale: u32, ef: usize, seed: u64) {
     let t = Instant::now();
     let (_, stats) = rt.multiply_with_stats(&a, &a).expect("timed product");
     let dist_ms = t.elapsed().as_secs_f64() * 1e3;
-    let mut stamp = spgemm_bench::perfjson::PerfReport::new("dist", 1);
+    let mut stamp = spgemm_bench::perfjson::PerfReport::new("dist", pool.nthreads());
     stamp
         .metric("mono_steady_ms", mono.steady_ms)
         .metric("dist_2x2_steady_ms", dist_ms)

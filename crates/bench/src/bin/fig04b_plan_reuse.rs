@@ -4,11 +4,14 @@
 //!
 //! For each kernel and output order, one R-MAT product is multiplied
 //! `iters` times through one `SpgemmPlan`, next to the one-shot
-//! `multiply_in` (symbolic + numeric + fresh accumulators + fresh
-//! output every time):
+//! product `runner::time_multiply` times (symbolic + numeric + fresh
+//! accumulators + fresh output every time; for Heap the paper's
+//! one-phase product, which stages rows instead of running the
+//! symbolic pass):
 //!
 //! * **bind** — `SpgemmPlan::new_in`: the analysis and the symbolic
-//!   pass, which every plan runs here (a one-shot Heap skips it);
+//!   pass, which every plan runs, Heap's too (only the one-phase
+//!   one-shot skips it);
 //! * **exec #1** — the first `execute_into_in`: sizes the output. A
 //!   dense-kernel plan (`spa`, and `auto` wherever it resolves to it)
 //!   already replays here the column pattern its bind's symbolic pass

@@ -12,11 +12,14 @@
 //! cargo run --release -p spgemm-bench --bin fig09_sched_spgemm [--scale N] [--ef N] [--reps N]
 //! ```
 
+use spgemm::algos::heap::HeapKernel;
 use spgemm_bench::args::BenchArgs;
-use spgemm_bench::tuning::{heap_multiply_tuned, MemScheme, RowSchedule};
+use spgemm_bench::tuning::{one_phase, MemScheme, RowSchedule};
 use spgemm_gen::{rmat, RmatKind};
 use spgemm_membench::median_millis;
 use spgemm_sparse::{stats, PlusTimes};
+
+type P = PlusTimes<f64>;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -30,30 +33,28 @@ fn main() {
     println!("# fig09: Heap SpGEMM (G500, EF {ef}) under scheduling variants, MFLOPS");
     println!("variant\tscale\tmflops");
 
-    let variants: [(&str, RowSchedule, MemScheme); 5] = [
-        ("static", RowSchedule::Static, MemScheme::Parallel),
-        ("dynamic", RowSchedule::Dynamic, MemScheme::Parallel),
-        ("guided", RowSchedule::Guided, MemScheme::Parallel),
-        (
-            "balanced single",
-            RowSchedule::FlopBalanced,
-            MemScheme::Single,
-        ),
-        (
-            "balanced parallel",
-            RowSchedule::FlopBalanced,
-            MemScheme::Parallel,
-        ),
+    use {MemScheme::*, RowSchedule::*};
+    let variants = [
+        (Static, Parallel),
+        (Dynamic, Parallel),
+        (Guided, Parallel),
+        (FlopBalanced, Single),
+        (FlopBalanced, Parallel),
     ];
 
     for scale in 6..=max_scale {
         let a = rmat::generate_kind(RmatKind::G500, scale, ef, &mut spgemm_gen::rng(args.seed));
         let flop = stats::flop(&a, &a);
-        for (name, sched, mem) in variants {
+        for (sched, mem) in variants {
+            let name = match sched {
+                FlopBalanced => format!("{} {}", sched.name(), mem.name()),
+                _ => sched.name().to_owned(),
+            };
             let run = || {
-                std::hint::black_box(heap_multiply_tuned::<PlusTimes<f64>>(
-                    &a, &a, &pool, sched, mem,
-                ));
+                std::hint::black_box(
+                    one_phase::<P, HeapKernel<P>>(&a, &a, &pool, sched, mem)
+                        .expect("A*A of a sorted square"),
+                );
             };
             run(); // warm-up
             let ms = median_millis(args.reps(), run);

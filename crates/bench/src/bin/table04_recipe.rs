@@ -1,7 +1,10 @@
 //! Table 4: the empirical recipe — measure every scenario cell, name
 //! the winner on this machine, and print it next to the paper's
-//! recommendation and next to what `Algorithm::Auto`'s footprint rule
-//! picks (with that pick's time over the winner's).
+//! recommendations and next to what `Algorithm::Auto`'s footprint rule
+//! picks (with that pick's time over the winner's). `paper` is Table
+//! 4b's pick for the cell's structure; `4a` is Table 4a's for its
+//! measured compression ratio (`flop / nnz(C)`, from the roster's
+//! measurements), as if it were a real-data input.
 //!
 //! ```text
 //! cargo run --release -p spgemm-bench --bin table04_recipe \
@@ -20,7 +23,7 @@
 //! provenance of `cost::AUTO_COLLISION_FACTOR`.
 
 use spgemm::{cost, recipe, Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_bench::recipe::{measure_collision_factor, recommend_synthetic, OpKind};
+use spgemm_bench::recipe::{measure_collision_factor, recommend_real, recommend_synthetic, OpKind};
 use spgemm_bench::{args::BenchArgs, panels};
 use spgemm_gen::{rmat, tallskinny, RmatKind};
 use spgemm_par::Pool;
@@ -68,7 +71,7 @@ struct Run<'a> {
 #[allow(clippy::too_many_arguments)]
 fn table_row(
     run: &Run<'_>,
-    op: &str,
+    op: OpKind,
     pattern: &str,
     sparsity: &str,
     a: &Csr<f64>,
@@ -78,24 +81,30 @@ fn table_row(
 ) {
     use Algorithm::*;
     let roster = [Hash, HashVec, Heap, Spa, Merge, Inspector, KkHash];
-    // One-shot seconds of every kernel that accepts the cell.
-    let times: Vec<(Algorithm, f64)> =
-        panels::time_roster(a, b, &roster, order, run.pool, run.reps)
-            .into_iter()
-            .filter_map(|(algo, m)| Some((algo, m.ok()?.secs)))
-            .collect();
+    // One-shot measurements of every kernel that accepts the cell.
+    let measured: Vec<_> = panels::time_roster(a, b, &roster, order, run.pool, run.reps)
+        .into_iter()
+        .filter_map(|(algo, m)| Some((algo, m.ok()?)))
+        .collect();
+    let times: Vec<(Algorithm, f64)> = measured.iter().map(|(algo, m)| (*algo, m.secs)).collect();
     let (winner, best) = times
         .iter()
         .copied()
         .min_by(|x, y| x.1.total_cmp(&y.1))
         .expect("Hash accepts every cell");
+    // Every accepted kernel computes the same product: one ratio.
+    let cr = measured[0].1.compression_ratio();
     let auto = auto_pick(a, b, order, run.pool, run.smoke);
     let auto_secs = times
         .iter()
         .find(|(algo, _)| *algo == auto)
         .map_or(f64::NAN, |t| t.1);
     println!(
-        "{op:<12} {pattern:>8} {sparsity:>9} {:>10} {:>12} {:>12} {:>12} {:>7.2}",
+        "{:<12} {pattern:>8} {sparsity:>9} {:>10} {:>12} {:>12} {:>12} {:>12} {:>7.2}",
+        match op {
+            OpKind::TallSkinny => "TallSkinny",
+            OpKind::Square | OpKind::LxU => "AxA",
+        },
         if order.is_sorted() {
             "sorted"
         } else {
@@ -103,6 +112,7 @@ fn table_row(
         },
         winner.name(),
         paper.name(),
+        recommend_real(op, cr, order).name(),
         auto.name(),
         auto_secs / best,
     );
@@ -111,8 +121,8 @@ fn table_row(
 fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
     println!("# table04b analogue: synthetic scenarios at scale {scale}; winner on this machine vs paper recipe vs Auto's footprint rule");
     println!(
-        "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12} {:>12} {:>7}",
-        "op", "pattern", "sparsity", "order", "measured", "paper", "auto", "auto/best"
+        "{:<12} {:>8} {:>9} {:>10} {:>12} {:>12} {:>12} {:>12} {:>7}",
+        "op", "pattern", "sparsity", "order", "measured", "paper", "4a", "auto", "auto/best"
     );
     for kind in [RmatKind::Er, RmatKind::G500] {
         let pattern = if kind == RmatKind::Er {
@@ -130,7 +140,7 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
                 let paper = recommend_synthetic(OpKind::Square, pattern, ef as f64, order);
                 table_row(
                     run,
-                    "AxA",
+                    OpKind::Square,
                     if pattern == recipe::Pattern::Uniform {
                         "uniform"
                     } else {
@@ -155,10 +165,11 @@ fn table(args: &BenchArgs, run: &Run<'_>, scale: u32) {
         (OutputOrder::Sorted, &g, &ts),
         (OutputOrder::Unsorted, &ug, &uts),
     ] {
-        let paper = recommend_synthetic(OpKind::TallSkinny, recipe::Pattern::Skewed, 16.0, order);
-        table_row(run, "TallSkinny", "skewed", "dense", a, b, order, paper);
+        let op = OpKind::TallSkinny;
+        let paper = recommend_synthetic(op, recipe::Pattern::Skewed, 16.0, order);
+        table_row(run, op, "skewed", "dense", a, b, order, paper);
     }
-    println!("# paper: Table 4's KNL recipe; measured: this machine, one-shot; auto: cost::select at this machine's L2 share, its time over the winner's");
+    println!("# paper: Table 4b's KNL recipe; 4a: Table 4a's pick at the cell's measured compression ratio; measured: this machine, one-shot; auto: cost::select at this machine's L2 share, its time over the winner's");
 }
 
 /// Minimum seconds of `reps` numeric passes of a reused plan.

@@ -17,8 +17,10 @@
 //!   factor, which `table04_recipe` prints beside `Auto`'s picks;
 //! * [`suites`] — the SuiteSparse stand-in catalog (or real `.mtx`
 //!   files when `--suitesparse DIR` is given);
-//! * [`tuning`] — Figure 9's scheduling / memory variants of the Heap
-//!   kernel;
+//! * [`tuning`] — the paper's one-phase Heap and Inspector under one
+//!   staging driver: Figure 9's scheduling / memory variants, and what
+//!   [`runner`] times for those two kernels;
+//! * [`algos::inspector`] — the MKL-inspector stand-in's row stager;
 //! * [`perfjson`] / [`regress`] / [`json`] — the `BENCH_*.json` stamp
 //!   writer, the regression gate over two stamps, and the JSON reader
 //!   the gate parses them with.
@@ -30,6 +32,10 @@
 
 #![warn(missing_docs)]
 
+/// Comparator kernels the library does not run.
+pub mod algos {
+    pub mod inspector;
+}
 pub mod args;
 pub mod envinfo;
 pub mod json;

@@ -6,8 +6,9 @@
 //! nothing else:
 //!
 //! * [`Linear`] — Figure 8a: the hash selects a slot, collisions step
-//!   to the next slot. [`crate::Algorithm::Hash`], the one-phase
-//!   Inspector stand-in and RowClass's medium class.
+//!   to the next slot. [`crate::Algorithm::Hash`] (which a planned
+//!   `Inspector` runs), RowClass's medium class, and the one-phase
+//!   Inspector row `spgemm-bench` stages.
 //! * [`crate::algos::hashvec::Chunked`] — Figure 8b: the hash selects
 //!   a register-wide chunk, one vector compare checks all its keys.
 //!   [`crate::Algorithm::HashVec`].

@@ -7,13 +7,14 @@
 //! the fly — `O(flop · log nnz(a_i*))` per Eq (1), but only
 //! `O(nnz(a_i*))` accumulator space.
 //!
-//! Contracts (paper Table 1): inputs sorted, output sorted. One-phase
-//! as a one-shot product: no symbolic pass — every thread stages its
-//! rows into a flop-bound private buffer, then the driver copies them
-//! into place. A plan runs it two-phase: the same merge counts each
-//! row's columns at bind.
+//! Contracts (paper Table 1): inputs sorted, output sorted. The merge
+//! is written once and run three ways: counting each row's columns
+//! (the symbolic pass), into the pre-sliced output (the numeric pass),
+//! and appending to a staging buffer ([`HeapKernel::stage_row`]: the
+//! paper's one-phase step, which `spgemm-bench` drives for Fig. 9 and
+//! the Heap columns of Figs. 11–17).
 
-use crate::exec::{AccumReq, RowAccumulator, StagedRowKernel};
+use crate::exec::{AccumReq, RowAccumulator};
 use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// One cursor in the per-row merge: the current entry `b.cols[pos]` of
@@ -84,6 +85,36 @@ impl<S: Semiring> HeapKernel<S> {
         self.heapify();
     }
 
+    /// The heap merge of row `i`, written once: every term of the row
+    /// in ascending column order, as `emit(n, fresh, cursor)` — the
+    /// term is `cursor.aval · b.vals()[cursor.pos]` at column
+    /// `cursor.col`, the row's `n`-th distinct column; `fresh` marks a
+    /// column's first term, the next ones accumulate into it. Returns
+    /// the row's distinct column count. Values are the caller's to
+    /// read, so the count-only merge never touches them.
+    #[inline(always)]
+    fn merge(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        i: usize,
+        mut emit: impl FnMut(usize, bool, &Cursor<S::Elem>),
+    ) -> usize {
+        self.load_row(a, b, i);
+        let mut count = 0usize;
+        let mut last_col = ColIdx::MAX;
+        while let Some(top) = self.heap.first() {
+            let fresh = top.col != last_col;
+            if fresh {
+                last_col = top.col;
+                count += 1;
+            }
+            emit(count - 1, fresh, top);
+            self.advance_top(b);
+        }
+        count
+    }
+
     /// The one-phase row step: merge row `i` of `A · B` and append its
     /// entries, in ascending column order, to `cols` / `vals`; returns
     /// how many were appended.
@@ -95,25 +126,16 @@ impl<S: Semiring> HeapKernel<S> {
         cols: &mut Vec<ColIdx>,
         vals: &mut Vec<S::Elem>,
     ) -> usize {
-        self.load_row(a, b, i);
-        let mut emitted = 0usize;
-        let mut last_col = ColIdx::MAX;
-        while let Some(top) = self.heap.first() {
-            let col = top.col;
-            let contrib = S::mul(top.aval, b.vals()[top.pos]);
-            if col == last_col {
-                // accumulate into the entry emitted for this column
-                let v = vals.last_mut().expect("last_col implies an emitted entry");
-                *v = S::add(*v, contrib);
+        self.merge(a, b, i, |_, fresh, c| {
+            let v = S::mul(c.aval, b.vals()[c.pos]);
+            if fresh {
+                cols.push(c.col);
+                vals.push(v);
             } else {
-                cols.push(col);
-                vals.push(contrib);
-                last_col = col;
-                emitted += 1;
+                let last = vals.last_mut().expect("a fresh term came first");
+                *last = S::add(*last, v);
             }
-            self.advance_top(b);
-        }
-        emitted
+        })
     }
 
     /// Pop the minimum-column cursor's current entry and advance it.
@@ -139,19 +161,6 @@ impl<S: Semiring> Default for HeapKernel<S> {
     }
 }
 
-impl<S: Semiring> StagedRowKernel<S> for HeapKernel<S> {
-    fn stage_row(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        i: usize,
-        cols: &mut Vec<ColIdx>,
-        vals: &mut Vec<S::Elem>,
-    ) -> usize {
-        HeapKernel::stage_row(self, a, b, i, cols, vals)
-    }
-}
-
 impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
     type Shared = ();
 
@@ -168,17 +177,7 @@ impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
     }
 
     fn symbolic_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> usize {
-        self.load_row(a, b, i);
-        let mut count = 0usize;
-        let mut last_col = ColIdx::MAX;
-        while let Some(top) = self.heap.first() {
-            if top.col != last_col {
-                last_col = top.col;
-                count += 1;
-            }
-            self.advance_top(b);
-        }
-        count
+        self.merge(a, b, i, |_, _, _| {})
     }
 
     /// The heap merge emits ascending columns by construction, so
@@ -192,23 +191,16 @@ impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
         vals: &mut [S::Elem],
         _sorted: bool,
     ) {
-        self.load_row(a, b, i);
-        let mut pos = 0usize;
-        let mut last_col = ColIdx::MAX;
-        while let Some(top) = self.heap.first() {
-            let col = top.col;
-            let contrib = S::mul(top.aval, b.vals()[top.pos]);
-            if col == last_col {
-                vals[pos - 1] = S::add(vals[pos - 1], contrib);
+        let n = self.merge(a, b, i, |n, fresh, c| {
+            let v = S::mul(c.aval, b.vals()[c.pos]);
+            if fresh {
+                cols[n] = c.col;
+                vals[n] = v;
             } else {
-                cols[pos] = col;
-                vals[pos] = contrib;
-                last_col = col;
-                pos += 1;
+                vals[n] = S::add(vals[n], v);
             }
-            self.advance_top(b);
-        }
-        debug_assert_eq!(pos, cols.len(), "row {i}: symbolic/numeric count mismatch");
+        });
+        debug_assert_eq!(n, cols.len(), "row {i}: symbolic/numeric count mismatch");
     }
 }
 

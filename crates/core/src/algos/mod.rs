@@ -20,7 +20,6 @@ pub mod hash;
 pub mod hashvec;
 pub mod heap;
 pub mod ikj;
-pub mod inspector;
 pub mod kkhash;
 pub mod masked;
 pub mod merge;

@@ -15,18 +15,16 @@
 //!    region (the "parallel" memory scheme of §3.2), building it from
 //!    the [`AccumReq`] of its rows on first use and growing/scrubbing
 //!    it on every reuse.
-//! 3. **Passes** — [`symbolic_pass`] (counts → scan → row pointers),
-//!    [`numeric_pass`] (fill pre-sliced output) and, for one-shot
-//!    products of the one-phase kernels and fig 9's schedules,
-//!    [`staged_pass`] (stage per thread, then copy into place). A
+//! 3. **Passes** — exactly two: [`symbolic_pass`] (counts → scan →
+//!    row pointers) and [`numeric_pass`] (fill pre-sliced output). A
 //!    patched product (`rebind_rows`, `execute_rows`) is the same two
-//!    passes under a [`RowMask`]: same
-//!    region, same partition, same pooled accumulators, but a worker
-//!    runs only the dirty rows of its range and takes every clean
-//!    row's count / bytes from the previous structure / product. The
-//!    dense kernel's symbolic pass (`algos::spa::emit_pass`) is the same
-//!    [`count_rows`] frame writing each row's columns on the way: the
-//!    pattern its numeric passes then replay.
+//!    passes under a [`RowMask`]: same region, same partition, same
+//!    pooled accumulators, but a worker runs only the dirty rows of
+//!    its range and takes every clean row's count / bytes from the
+//!    previous structure / product. The dense kernel's symbolic pass
+//!    (`algos::spa::emit_pass`) is the same [`count_rows`] frame
+//!    writing each row's columns on the way: the pattern its numeric
+//!    passes then replay.
 //!
 //! 4. **Rows** — one level down, the Gustavson loop `for k in A[i] {
 //!    for j in B[k] { insert } }` is written once too:
@@ -421,22 +419,6 @@ impl<S: Semiring, A: RowAccumulator<S>> LevelBody
     }
 }
 
-/// A [`RowAccumulator`] that can also run one-phase: rows are appended
-/// to thread-private staging vectors (no symbolic pass sizes them —
-/// capacity is the thread's flop upper bound).
-pub(crate) trait StagedRowKernel<S: Semiring>: RowAccumulator<S> {
-    /// Append row `i`'s entries to the staging buffers; return how many
-    /// were appended.
-    fn stage_row(
-        &mut self,
-        a: &Csr<S::Elem>,
-        b: &Csr<S::Elem>,
-        i: usize,
-        cols: &mut Vec<ColIdx>,
-        vals: &mut Vec<S::Elem>,
-    ) -> usize;
-}
-
 /// One kernel's pooled per-worker accumulators plus the read-only
 /// state its workers share. Created lazily inside the first parallel
 /// region and reused (clear-on-acquire) by every later pass and
@@ -636,70 +618,6 @@ pub(crate) fn multiply_on<S: Semiring, A: RowAccumulator<S>>(
         w, a, b, &stats, &rpts, sorted, pool, &mut cols, &mut vals, None,
     );
     Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted)
-}
-
-/// The one-phase pass: stage per thread, scan the realized counts,
-/// then copy each thread's staging block into place (§4.2.3's
-/// "parallel approach for memory management" — the temporary lives
-/// and dies inside the owning worker).
-///
-/// `sorted_output` describes what the kernel emits (Heap: true,
-/// Inspector: false) and is recorded on the result.
-pub(crate) fn staged_pass<S: Semiring, K: StagedRowKernel<S>>(
-    w: &Workers<S, K>,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    stats: &MultiplyStats,
-    pool: &Pool,
-    sorted_output: bool,
-) -> Csr<S::Elem> {
-    // Thread-private staging, allocated and filled inside the region.
-    // Each worker locks its own slot; a panic fails the call first.
-    type Staged<E> = Vec<std::sync::Mutex<(Vec<ColIdx>, Vec<E>)>>;
-    const OWN_SLOT: &str = "a staging slot is locked by its own worker only";
-    let staged: Staged<S::Elem> = (0..pool.nthreads())
-        .map(|_| std::sync::Mutex::new((Vec::new(), Vec::new())))
-        .collect();
-    let mut counts = vec![0u64; a.nrows() + 1];
-    {
-        let counts_s = SharedMutSlice::new(&mut counts[1..]);
-        w.for_each_worker(a, b, stats, pool, |kernel, Share { wid, range, .. }| {
-            let flop_bound = stats.row_flops[range.clone()].iter().sum::<u64>() as usize;
-            // SAFETY: the partition's ranges are disjoint, so each
-            // worker owns the count slots of its rows.
-            let counts = unsafe { counts_s.slice_mut(range.clone()) };
-            let mut slot = staged[wid].lock().expect(OWN_SLOT);
-            let (cols, vals) = &mut *slot;
-            cols.reserve(flop_bound);
-            vals.reserve(flop_bound);
-            for (cnt, i) in counts.iter_mut().zip(range) {
-                *cnt = kernel.stage_row(a, b, i, cols, vals) as u64;
-            }
-        });
-    }
-    let (rpts, total) = scan_row_ptrs(pool, counts);
-
-    let mut cols = vec![0 as ColIdx; total];
-    let mut vals = vec![S::zero(); total];
-    {
-        let (cols_s, vals_s) = (
-            SharedMutSlice::new(&mut cols[..]),
-            SharedMutSlice::new(&mut vals[..]),
-        );
-        pool.parallel_ranges(&stats.offsets, |wid, range| {
-            let slot = staged[wid].lock().expect(OWN_SLOT);
-            let (scols, svals) = &*slot;
-            let dst = rpts[range.start]..rpts[range.end];
-            debug_assert_eq!(dst.len(), scols.len());
-            // SAFETY: each thread's destination block is disjoint (the
-            // row partition is contiguous and rpts is monotone).
-            unsafe {
-                cols_s.slice_mut(dst.clone()).copy_from_slice(scols);
-                vals_s.slice_mut(dst).copy_from_slice(svals);
-            }
-        });
-    }
-    Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted_output)
 }
 
 /// `lowest_p2` from Figure 7: the smallest power of two *strictly

@@ -23,10 +23,10 @@
 //! |---------------|-----------|--------|-------------|----------------------|
 //! | `Hash`        | Hash (§4.2.1) | 2 | the hash table, linear probe (Fig. 8a) | any / selectable |
 //! | `HashVec`     | HashVector (§4.2.2) | 2 | the same table, SIMD chunk probe (Fig. 8b) | any / selectable |
-//! | `Heap`        | Heap (§4.2.3) | 1 one-shot, 2 planned | column-indexed binary heap | sorted / sorted |
+//! | `Heap`        | Heap (§4.2.3) | 2 (its one-phase form: `spgemm-bench`) | column-indexed binary heap | sorted / sorted |
 //! | `Spa`         | MKL stand-in (unsorted runs); what `Auto` runs while it fits the L2 ([`cost::select`]) | 2 | dense sparse accumulator, sorted rows walked out of a bitmap | any / selectable |
 //! | `Merge`       | MKL stand-in (sorted runs) | 2 | iterative sorted-row merging | sorted / sorted |
-//! | `Inspector`   | MKL-inspector stand-in | 1 one-shot, 2 planned (as `Hash`) | the hash table (linear probe) | any / unsorted natively, sorted via post-sort (one-shot) |
+//! | `Inspector`   | MKL-inspector stand-in | 2, as `Hash` (its one-phase form: `spgemm-bench`) | the hash table (linear probe) | any / selectable |
 //! | `KkHash`      | KokkosKernels `kkmem` stand-in | 2 | chained (linked-list) hash map | any / selectable |
 //! | `Ikj`         | Sulatycke–Ghose IKJ (§2) | 2 | dense row scan + SPA | any / selectable |
 //! | `RowClass`    | per-row-class selection ([`kgen`]) | 2 | SIMD insertion array / hash table / SPA by row class | any / selectable |
@@ -37,8 +37,7 @@
 //! partition (`RowsToThreads`), thread-private hash/heap/scratch
 //! storage allocated inside the parallel region, and output buffers
 //! written through pre-computed disjoint slices. That machinery is one
-//! row-pass driver (`exec`: one symbolic, one numeric, and — for
-//! one-shot Heap / Inspector products only — one staged pass) into
+//! row-pass driver (`exec`: one symbolic and one numeric pass) into
 //! which each kernel plugs as a per-row accumulator;
 //! planned and one-shot products, RowClass, the masked product and
 //! — under a dirty-row mask — the row-subset paths all run it. One
@@ -55,9 +54,10 @@
 //! `f64` arithmetic (see `spgemm-apps`).
 //!
 //! The crate holds what the plan / expr / delta / dist / serve / apps
-//! stack runs. What only the paper's evaluation measures — Fig. 9's
-//! Heap schedules, Table 4, the measured hash collision factor — lives
-//! in `spgemm-bench`.
+//! stack runs. What only the paper's evaluation measures — the
+//! one-phase Heap and Inspector products (Fig. 9's schedules and the
+//! Figs. 11–17 columns), Table 4, the measured hash collision factor —
+//! lives in `spgemm-bench`.
 
 #![warn(missing_docs)]
 
@@ -120,11 +120,10 @@ use spgemm_sparse::{Csr, Semiring, SparseError};
 /// through [`recipe::auto_select`]: the accumulator-footprint rule
 /// ([`cost::select`]) at this machine's L2 share.
 ///
-/// Internally the one-phase kernels (`Heap`, `Inspector`) run their
-/// single staged pass and the `Reference` oracle runs as is; every
-/// other algorithm is [`SpgemmPlan::new_in`] followed by one
+/// Internally the `Reference` oracle runs as is; every other
+/// algorithm is [`SpgemmPlan::new_in`] followed by one
 /// [`SpgemmPlan::execute_in`] — the inspector–executor split with the
-/// plan thrown away. Callers that repeat a product over a fixed (or
+/// plan thrown away, so the product equals the plan's bit for bit. Callers that repeat a product over a fixed (or
 /// slowly drifting) sparsity structure should hold the plan (or a
 /// [`PlanCache`]) instead and amortize the symbolic phase and all
 /// accumulator allocations across executions.

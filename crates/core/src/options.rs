@@ -9,8 +9,10 @@ pub enum Algorithm {
     /// Hash SpGEMM with SIMD-vectorized probing (§4.2.2).
     HashVec,
     /// Heap SpGEMM (§4.2.3); requires sorted inputs and always emits
-    /// sorted output. One-phase as a one-shot `multiply_in`; a plan
-    /// counts each row's columns with the same heap merge at bind.
+    /// sorted output. Two-phase here, one-shot or planned: the
+    /// symbolic pass counts each row's columns with the same heap merge
+    /// the numeric pass runs. The paper's one-phase form
+    /// (`HeapKernel::stage_row` per row) is `spgemm-bench`'s.
     Heap,
     /// Dense sparse-accumulator SpGEMM (Gustavson/Gilbert); stands in
     /// for MKL in unsorted comparisons.
@@ -18,9 +20,11 @@ pub enum Algorithm {
     /// Iterative sorted-row-merging SpGEMM (ViennaCL-style); stands in
     /// for MKL in sorted comparisons. Requires sorted inputs.
     Merge,
-    /// Hash SpGEMM without a symbolic pass, unsorted natively; stands
-    /// in for MKL-inspector. One-phase as a one-shot `multiply_in`; a
-    /// plan runs it as the two-phase [`Algorithm::Hash`] kernel.
+    /// Stands in for MKL-inspector: hash SpGEMM without a symbolic
+    /// pass, unsorted natively. That one-phase form is `spgemm-bench`'s
+    /// comparator; here, one-shot or planned, it runs as the two-phase
+    /// [`Algorithm::Hash`] kernel, whose rows come out in the same
+    /// first-insertion order with the same sums.
     Inspector,
     /// Chained-hash-map SpGEMM after KokkosKernels' `kkmem`.
     KkHash,
@@ -84,13 +88,13 @@ impl Algorithm {
     }
 
     /// Whether the algorithm's kernel produces sorted rows natively
-    /// when asked. Inspector does not: its one-shot single pass emits
-    /// rows in accumulator order, which is why Table 4a only
-    /// recommends it for unsorted outputs. An explicit
-    /// `Inspector`+`Sorted` request is still honoured — one-shot by a
-    /// post-sort, planned by the `Hash` kernel's sorted emit — but
-    /// Table 4a never names it for sorted output: the extra sort
-    /// forfeits exactly the work its one-phase design skips.
+    /// when asked. Inspector does not: its one-phase pass emits rows
+    /// in accumulator order, which is why Table 4a only recommends it
+    /// for unsorted outputs. An explicit `Inspector`+`Sorted` request
+    /// is still honoured — here by the `Hash` kernel's sorted emit, in
+    /// `spgemm-bench`'s one-phase form by a post-sort — but Table 4a
+    /// never names it for sorted output: the extra sort forfeits
+    /// exactly the work its one-phase design skips.
     /// RowClass honours sorted output because *every* class kernel
     /// does (insertion array, hash table, and SPA all emit ascending
     /// rows on request) — if a future class kernel cannot, this must

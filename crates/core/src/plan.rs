@@ -47,16 +47,17 @@
 //! stamped accumulator recomputes. There is no switch: the rule is
 //! "dense kernel, seeded semiring".
 //!
-//! The paper's one-phase kernels (`Heap`, `Inspector`) skip the
-//! symbolic pass by staging rows into flop-bound per-thread buffers, a
-//! trade that pays only when the product runs once. So they run
-//! one-phase only there: [`crate::multiply_in`] sends them to the staged
-//! pass on fresh workers (`multiply_oneshot`). A *plan* of either is
-//! two-phase like every other — Heap's symbolic pass is its heap merge
-//! counting columns, and a planned `Inspector` is the `Hash` kernel
-//! (its [`SpgemmPlan::algorithm`] still says `Inspector`). The
-//! sequential `Reference` oracle has no symbolic pass: its plan binds
-//! the row pointers of one oracle run.
+//! Every kernel is two-phase here, the paper's one-phase ones too:
+//! Heap's symbolic pass is its heap merge counting columns, and a
+//! planned `Inspector` is the `Hash` kernel (its
+//! [`SpgemmPlan::algorithm`] still says `Inspector`). A one-shot
+//! [`crate::multiply_in`] is a throwaway plan and one execution
+//! (`multiply_oneshot`), so it equals the plan's product bit for bit.
+//! Staging rows into flop-bound per-thread buffers instead of running
+//! the symbolic pass (§4.2.3's one-phase trade) is a measurement of the
+//! paper's, not a path of the stack: `spgemm-bench`'s Fig. 9 driver
+//! runs it. The sequential `Reference` oracle has no symbolic pass:
+//! its plan binds the row pointers of one oracle run.
 //!
 //! [`PlanCache`] layers structure fingerprinting on top for workloads
 //! whose pattern *drifts* (MCL prunes entries every round): it reuses
@@ -64,10 +65,9 @@
 //! the pooled accumulators — when it changes.
 //!
 //! Every pass a plan runs — symbolic, numeric, and the same two under a
-//! dirty mask for `rebind_rows` / `execute_rows` — and the one-shot
-//! staged pass are the single implementation in `crate::exec`; the plan
-//! only decides *which* accumulator type the passes are instantiated
-//! with.
+//! dirty mask for `rebind_rows` / `execute_rows` — is the single
+//! implementation in `crate::exec`; the plan only decides *which*
+//! accumulator type the passes are instantiated with.
 
 use crate::algos::hash::{HashAccumulator, Linear};
 use crate::algos::hashvec::{Chunked, HashVecAccumulator};
@@ -840,13 +840,10 @@ impl<S: Semiring> SpgemmPlan<S> {
     }
 }
 
-/// The one-shot product `A · B` behind [`crate::multiply_in`]. Analysed
-/// like a plan, then a one-phase pick skips the symbolic pass: Heap and
-/// Inspector run the staged pass on fresh workers (Inspector pays a
-/// post-sort when `Sorted` is asked, since its rows come out in
-/// insertion order), the sequential oracle runs as is. Every other
-/// kernel runs through a throwaway plan, which skips the fingerprint
-/// (and, for the dense kernel, still emits and replays).
+/// The one-shot product `A · B` behind [`crate::multiply_in`]: the
+/// sequential oracle runs as is; every kernel runs through a throwaway
+/// plan — analysis, symbolic pass, one numeric pass — which skips the
+/// fingerprint (and, for the dense kernel, still emits and replays).
 pub(crate) fn multiply_oneshot<S: Semiring>(
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
@@ -855,24 +852,8 @@ pub(crate) fn multiply_oneshot<S: Semiring>(
     pool: &Pool,
 ) -> Result<Csr<S::Elem>, SparseError> {
     let (resolved, stats) = SpgemmPlan::<S>::analyze(a, b, algo, order, pool)?;
-    let nthreads = pool.nthreads();
     match resolved {
         Algorithm::Reference => Ok(reference::multiply::<S>(a, b)),
-        Algorithm::Heap | Algorithm::Inspector => {
-            let _g = obs::span!("plan", "plan.staged");
-            count_execute(resolved);
-            let mut c = if resolved == Algorithm::Heap {
-                let w = Workers::<S, HeapKernel<S>>::new(nthreads, ());
-                exec::staged_pass(&w, a, b, &stats, pool, true)
-            } else {
-                let w = Workers::<S, HashAccumulator<S>>::new(nthreads, Linear);
-                exec::staged_pass(&w, a, b, &stats, pool, false)
-            };
-            if order.is_sorted() {
-                c.sort_rows(); // Inspector's rows; Heap's are sorted
-            }
-            Ok(c)
-        }
         _ => SpgemmPlan::<S>::build(a, b, algo, (resolved, stats), order, pool, false)
             .execute_in(a, b, pool),
     }
@@ -892,7 +873,7 @@ fn check_sorted_inputs<E>(algo: Algorithm, a: &Csr<E>, b: &Csr<E>) -> Result<(),
 }
 
 /// Per-algorithm execution counters (`plan/plan.exec.*`): one bump
-/// per numeric or staged pass, keyed by the plan's *resolved* kernel
+/// per numeric pass, keyed by the plan's *resolved* kernel
 /// — the runtime census behind per-kernel profiles (paper fig15).
 fn count_execute(algo: Algorithm) {
     if obs::enabled() {

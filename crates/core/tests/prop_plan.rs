@@ -1,9 +1,9 @@
 //! Single-driver parity properties. Every product runs the one
 //! row-pass driver of `spgemm::exec`; these pin down that every
-//! *route* into it — the one-shot `multiply_in` (staged, for the
-//! one-phase kernels), a plan's first and later (numeric-only)
-//! executions, RowClass's bucketed passes, the masked product and a
-//! plan's dirty-masked recompute — produces the same bytes (NaN
+//! *route* into it — the one-shot `multiply_in` (a throwaway plan), a
+//! plan's first and later (numeric-only) executions, RowClass's
+//! bucketed passes, the masked product and a plan's dirty-masked
+//! recompute — produces the same bytes (NaN
 //! payloads aside, see `bits_eq`), on inputs that include NaN, ±0.0
 //! and ±inf, and that repeated executions are deterministic — including
 //! a dense-kernel plan's, every one of which replays the column pattern

@@ -301,11 +301,12 @@ impl Semiring for Trap {
     }
 }
 
-/// A worker that panics inside the one-phase staged pass (a one-shot
-/// Heap product stages every row under a lock of the call's own) fails
-/// that call only: the next product on the same pool is exact.
+/// A worker that panics inside a one-shot product's numeric pass (Heap's
+/// throwaway plan: its symbolic merge reads no values, so the trap
+/// springs in the numeric one) fails that call only: the next product
+/// on the same pool is exact.
 #[test]
-fn a_worker_panic_mid_staged_pass_fails_one_call_only() {
+fn a_worker_panic_mid_numeric_pass_fails_one_call_only() {
     IS_CALLER.set(true);
     let pool = Pool::new(2);
     let a =
