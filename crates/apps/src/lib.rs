@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod amg;
-pub mod bc;
 pub mod bfs;
 pub mod mcl;
 pub mod triangles;

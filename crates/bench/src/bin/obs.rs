@@ -25,8 +25,8 @@
 //!    measured service window, and the per-tenant SLO counters must
 //!    account for every completed job.
 //! 5. **Telemetry export.** Four concurrent scrapers validate every
-//!    `/metrics` page while a serve workload runs, and the registry's
-//!    gauges must equal the engine's own snapshot at quiesce.
+//!    `/metrics` page while a serve workload runs, and at quiesce the
+//!    page's serve gauges must equal the engine's own snapshot.
 //!
 //! The Chrome-format trace is written to `--trace PATH` (default: a
 //! file under the system temp dir) and loads directly into
@@ -336,32 +336,53 @@ struct TelemetryReport {
     pages: usize,
     /// Connections the endpoint answered 200.
     served: u64,
-    /// Engine snapshot at quiesce (gauges asserted against it).
+    /// A page scraped at quiesce, and the engine's snapshot taken
+    /// after it (its serve gauges are asserted against the snapshot).
+    quiet_page: String,
     snap: spgemm_serve::MetricsSnapshot,
 }
 
-/// Registered level of gauge `name`, panicking if the site never
-/// registered.
-fn gauge_level(name: &str) -> i64 {
-    obs::gauge_stats()
-        .iter()
-        .find(|g| g.name == name)
-        .unwrap_or_else(|| panic!("gauge {name} not registered"))
-        .value
+/// The serve level series a snapshot puts on its page, as the sample
+/// lines the page must carry.
+fn serve_gauge_lines(s: &spgemm_serve::MetricsSnapshot) -> Vec<String> {
+    let lanes = ["high", "normal", "low"]
+        .into_iter()
+        .zip(s.queue_depth_per_lane);
+    let mut lines: Vec<String> = lanes
+        .map(|(lane, d)| format!("spgemm_serve_queue_depth{{lane=\"{lane}\"}} {d}"))
+        .collect();
+    for (cache, n) in [
+        ("plan", s.plan_cache.entries),
+        ("expr_results", s.expr_results.entries),
+    ] {
+        lines.push(format!(
+            "spgemm_serve_cache_entries{{cache=\"{cache}\"}} {n}"
+        ));
+    }
+    lines.push(format!("spgemm_serve_workers_busy {}", s.workers_busy));
+    lines.push(format!("spgemm_serve_store_names {}", s.store_names));
+    lines.push(format!(
+        "spgemm_serve_store_approx_bytes {}",
+        s.store_approx_bytes
+    ));
+    lines.push(format!(
+        "spgemm_serve_plan_cache_idle_bytes {}",
+        s.plan_cache_idle_bytes
+    ));
+    lines
 }
 
 /// Part 5: telemetry export. Serves `/metrics` (registry families +
 /// the engine snapshot's serve families) to 4 concurrent scrapers
-/// while jobs flow, then returns the engine's own `MetricsSnapshot` at
-/// quiesce for the gauges to be checked against.
+/// while jobs flow, then scrapes one page at quiesce and takes the
+/// engine's own `MetricsSnapshot` for its serve gauges to be checked
+/// against. Parts 2–4's engines are gone; nothing of theirs can reach
+/// this engine's families.
 fn telemetry_export(seed: u64) -> TelemetryReport {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     obs::enable();
-    // Clean ledger: gauges must reconcile against *this* engine's
-    // snapshot, not levels left by parts 2–4's engines.
-    obs::reset();
 
     let engine = Arc::new(ServeEngine::new(ServeConfig {
         workers: 2,
@@ -433,21 +454,23 @@ fn telemetry_export(seed: u64) -> TelemetryReport {
         .into_iter()
         .map(|s| s.join().expect("scraper thread"))
         .sum();
-    server.shutdown();
 
-    // Quiesce: gauges must reconcile with the engine's snapshot. The
-    // worker-busy decrement races the last job handle's wake-up by a
-    // few instructions, so poll it to zero first.
+    // Quiesce. A worker stops counting itself busy a few instructions
+    // after the last job handle wakes, so poll that to zero first.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while gauge_level("serve.workers_busy") != 0 && Instant::now() < deadline {
+    while engine.metrics().workers_busy != 0 && Instant::now() < deadline {
         std::thread::yield_now();
     }
+    let (status, quiet_page) = obs::http::http_get(addr, "/metrics").expect("scrape at quiesce");
+    assert_eq!(status, 200, "scrape status at quiesce");
     let snap = engine.metrics();
+    server.shutdown();
     obs::disable();
 
     TelemetryReport {
         pages,
         served: server.served(),
+        quiet_page,
         snap,
     }
 }
@@ -739,38 +762,17 @@ fn main() {
             tel.pages
         );
         assert!(tel.served >= tel.pages as u64, "served < validated pages");
-        // ...and gauges must reconcile with the engine's own snapshot
-        // at quiesce (both sides come from the same locked reads).
-        let lanes = [
-            gauge_level("serve.queue_depth.high"),
-            gauge_level("serve.queue_depth.normal"),
-            gauge_level("serve.queue_depth.low"),
-        ];
-        let snap_lanes: [i64; 3] = [
-            tel.snap.queue_depth_per_lane[0] as i64,
-            tel.snap.queue_depth_per_lane[1] as i64,
-            tel.snap.queue_depth_per_lane[2] as i64,
-        ];
-        assert_eq!(lanes, snap_lanes, "lane gauges vs snapshot");
-        assert_eq!(
-            gauge_level("serve.plan_cache.entries"),
-            tel.snap.plan_cache.entries as i64,
-            "plan-cache entries gauge vs snapshot"
-        );
-        assert_eq!(
-            gauge_level("serve.expr_results.entries"),
-            tel.snap.expr_results.entries as i64,
-            "expr-results entries gauge vs snapshot"
-        );
-        assert_eq!(
-            gauge_level("serve.workers_busy"),
-            0,
-            "workers busy at quiesce"
-        );
-        assert!(
-            gauge_level("serve.store.registrations") >= 1,
-            "store registrations gauge"
-        );
+        // ...and at quiesce the page's serve gauges must be the
+        // engine's own snapshot, with no worker busy.
+        obs::openmetrics::validate(&tel.quiet_page).expect("quiesced /metrics page must be valid");
+        assert_eq!(tel.snap.workers_busy, 0, "workers busy at quiesce");
+        for line in serve_gauge_lines(&tel.snap) {
+            assert!(
+                tel.quiet_page.lines().any(|l| l == line),
+                "{line:?} missing from the quiesced page:\n{}",
+                tel.quiet_page
+            );
+        }
         println!(
             "smoke OK: disabled path {span_ns:.1} ns/op, coverage {:.1}%, \
              queue+service == total across {} tenants, dist trace over \

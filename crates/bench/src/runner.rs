@@ -67,8 +67,9 @@ fn paper_multiply(
 
 /// Run `C = A · B` `reps` times (after one warmup), reporting the
 /// median. Heap and Inspector run one-phase, as the paper's kernels
-/// do. Returns `Err` for contract violations (e.g. a sorted-only
-/// kernel on unsorted input) so panels can skip invalid combinations.
+/// do. Returns `Err` for contract violations (operands whose shapes do
+/// not chain, a sorted-only kernel on unsorted input) so panels can
+/// skip invalid combinations.
 pub fn time_multiply(
     a: &Csr<f64>,
     b: &Csr<f64>,
@@ -77,6 +78,10 @@ pub fn time_multiply(
     pool: &Pool,
     reps: usize,
 ) -> Result<Measurement, SparseError> {
+    if a.ncols() != b.nrows() {
+        let (left, right, op) = (a.shape(), b.shape(), "time_multiply");
+        return Err(SparseError::ShapeMismatch { left, right, op });
+    }
     let flop = stats::flop(a, b);
     // warmup + validity check
     let c = paper_multiply(a, b, algo, order, pool)?;
@@ -137,5 +142,13 @@ mod tests {
         let pool = Pool::new(1);
         let r = time_multiply(&ua, &ub, Algorithm::Heap, OutputOrder::Sorted, &pool, 1);
         assert!(matches!(r, Err(SparseError::Unsorted { .. })));
+        let tall = Csr::<f64>::identity(a.nrows() + 1);
+        for algo in [Algorithm::Heap, Algorithm::Inspector, Algorithm::Hash] {
+            let r = time_multiply(&a, &tall, algo, OutputOrder::Sorted, &pool, 1);
+            assert!(
+                matches!(r, Err(SparseError::ShapeMismatch { .. })),
+                "{algo:?}"
+            );
+        }
     }
 }

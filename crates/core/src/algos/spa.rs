@@ -57,7 +57,6 @@
 
 use crate::exec::{self, AccumReq, ColumnSet, MultiplyStats, Operands, RowAccumulator, RowMask};
 use crate::exec::{Share, Window, Workers};
-use spgemm_obs as obs;
 use spgemm_par::Pool;
 use spgemm_sparse::{ColIdx, Csr, DirtyRows, Semiring};
 use std::sync::Mutex;
@@ -461,9 +460,6 @@ impl Segment {
     }
 }
 
-/// Bytes of column pattern held by live plans.
-static PATTERN_BYTES: obs::GaugeSite = obs::GaugeSite::new("plan", "plan.replay.pattern_bytes");
-
 /// A bound plan's column pattern: the segments its symbolic pass
 /// emitted, one per worker of the partition. Held until the plan's next
 /// bind, which drops it before emitting (a full rebind) or copies its
@@ -473,21 +469,9 @@ pub(crate) struct Pattern {
 }
 
 impl Pattern {
-    fn new(segments: Vec<Segment>) -> Self {
-        let pattern = Pattern { segments };
-        PATTERN_BYTES.add(pattern.bytes() as i64);
-        pattern
-    }
-
     /// Heap bytes held.
     pub fn bytes(&self) -> usize {
         self.segments.iter().map(Segment::bytes).sum()
-    }
-}
-
-impl Drop for Pattern {
-    fn drop(&mut self) {
-        PATTERN_BYTES.sub(self.bytes() as i64);
     }
 }
 
@@ -588,7 +572,7 @@ pub(crate) fn emit_pass<S: Semiring>(
         );
         seg.shrink_to_fit();
     }
-    w.shared = Some(Pattern::new(segments));
+    w.shared = Some(Pattern { segments });
     (rpts, nnz)
 }
 

@@ -287,8 +287,8 @@ proptest! {
                 for algo in Algorithm::ALL {
                     let expect = oneshot(&a, &a, algo, order, &pool);
                     let plan = SpgemmPlan::<P>::new_in(&a, &a, algo, order, &pool).unwrap();
-                    // first execution (the one-shot is staged for
-                    // one-phase algorithms)
+                    // first execution (the one-shot is a throwaway
+                    // plan's bind and first execution)
                     let first = plan.execute_in(&a, &a, &pool).unwrap();
                     prop_assert!(bits_eq_f64(&expect, &first), "{} {:?} nt={} (first)", algo, order, nt);
                     // steady-state numeric-only execution

@@ -326,21 +326,6 @@ struct StructureCache {
     layout: Option<Layout>,
 }
 
-/// Products currently occupying or queued for a fleet, summed across
-/// every live runtime (one runtime runs one product at a time, so a
-/// level above the runtime count means submitters are queueing).
-static PRODUCTS_IN_FLIGHT: obs::GaugeSite = obs::GaugeSite::new("dist", "dist.products_in_flight");
-
-/// RAII decrement for [`PRODUCTS_IN_FLIGHT`] — covers error returns
-/// and shard-failure paths alike.
-struct InFlight;
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        PRODUCTS_IN_FLIGHT.sub(1);
-    }
-}
-
 /// A persistent fleet of shards executing `C = A · B` as one cached
 /// plan per shard writing into one shared output. See the module docs
 /// for the algorithm; see [`ShardRuntime::multiply_with_stats`] for
@@ -412,8 +397,6 @@ impl ShardRuntime {
             let (left, right, op) = (a.shape(), b.shape(), "sharded multiply");
             return Err(SparseError::ShapeMismatch { left, right, op }.into());
         }
-        PRODUCTS_IN_FLIGHT.add(1);
-        let _in_flight = InFlight;
         let grid = self.cfg.grid;
         // Cuts and layout are installed whole and keyed by fingerprints.
         let mut guard = (self.coordinator.lock()).unwrap_or_else(PoisonError::into_inner);
@@ -696,9 +679,6 @@ mod tests {
     };
 
     fn runtime(rows: usize, cols: usize, algo: Algorithm) -> ShardRuntime {
-        // The in-flight gauge only moves while collection is on; on for
-        // every product of this process, it counts them exactly.
-        obs::enable();
         let grid = GridSpec::new(rows, cols);
         ShardRuntime::new(DistConfig {
             grid,
@@ -803,16 +783,6 @@ mod tests {
         );
     }
 
-    /// The process-wide gauge, once the products other tests have in
-    /// flight right now are through: a leaked count never gets there.
-    fn in_flight_settles_at_zero() -> bool {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while PRODUCTS_IN_FLIGHT.value() != 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        PRODUCTS_IN_FLIGHT.value() == 0
-    }
-
     /// A panic under the product lock leaves the next product exact.
     #[test]
     fn a_panic_under_the_product_lock_leaves_the_runtime_usable() {
@@ -866,10 +836,6 @@ mod tests {
                 }
                 other => panic!("expected shard {failing} to fail, got {other:?}"),
             }
-            assert!(
-                in_flight_settles_at_zero(),
-                "failed product left the gauge up"
-            );
 
             let (next, after) = rt.multiply_with_stats(&a, &a).unwrap();
             assert_eq!((&next, bits(&next)), (&want, bits(&want)), "next product");
@@ -879,7 +845,6 @@ mod tests {
                 rebuilt, 1,
                 "the failed shard rebuilt its plan; counts carried"
             );
-            assert!(in_flight_settles_at_zero());
             assert_eq!(rt.stats().products, 2, "only successful products count");
         }
     }

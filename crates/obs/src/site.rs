@@ -213,16 +213,18 @@ impl CounterSite {
     }
 }
 
-/// A named instantaneous-value callsite: a signed level that can be
-/// `set` to an absolute reading or moved with `add`/`sub` deltas
-/// (queue depths, busy workers, cache entries, in-flight products).
-/// Declare as a `static`; self-registers like [`SpanSite`] on first
-/// use while enabled, and the disabled path is one relaxed load.
+/// A named instantaneous-value callsite: a signed level its owner
+/// `set`s to an absolute reading (the `Auto` rule's footprint and L2
+/// share, the exemplar store's group count). Declare as a `static`;
+/// self-registers like [`SpanSite`] on first use while enabled, and
+/// the disabled path is one relaxed load.
 ///
-/// Gauges only observe changes made while instrumentation is enabled:
-/// a level that moved while disabled is re-synced the next time its
-/// owner calls `set`, and delta-maintained gauges (`add`/`sub`) read 0
-/// until their subsystem quiesces after enabling.
+/// A gauge is process-global, so it holds one owner's level, read
+/// whole: it only observes `set`s made while instrumentation is
+/// enabled, and a level that moved while disabled is re-synced the
+/// next time its owner calls `set`. State with several owners (a
+/// serve engine's queue, store and caches) is reported from each
+/// owner's own snapshot instead.
 pub struct GaugeSite {
     name: &'static str,
     cat: &'static str,
@@ -260,37 +262,12 @@ impl GaugeSite {
         self.set_enabled(v);
     }
 
-    /// Move the level by a signed delta (subject to the enable flag).
-    #[inline]
-    pub fn add(&'static self, d: i64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.add_enabled(d);
-    }
-
-    /// Shorthand for `add(-d)`.
-    #[inline]
-    pub fn sub(&'static self, d: i64) {
-        self.add(-d);
-    }
-
     #[cold]
     fn set_enabled(&'static self, v: i64) {
-        self.register();
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    #[cold]
-    fn add_enabled(&'static self, d: i64) {
-        self.register();
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    fn register(&'static self) {
         if !self.registered.swap(true, Ordering::Relaxed) {
             lock(&REGISTRY.gauges).push(self);
         }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -313,13 +290,10 @@ mod tests {
         crate::disable();
         crate::reset();
         GAUGE.set(7);
-        GAUGE.add(2);
         assert_eq!(GAUGE.value(), 0, "disabled gauge must not move");
 
         crate::enable_with_capacity(16);
-        GAUGE.set(7);
-        GAUGE.add(5);
-        GAUGE.sub(2);
+        GAUGE.set(10);
         assert_eq!(GAUGE.value(), 10);
         assert!(
             crate::gauge_stats()

@@ -47,13 +47,13 @@ impl WorkspaceStats {
     }
 }
 
-/// Workspace constructions across every live pool (rising = slots
+/// Workspace constructions across every pool (rising = slots
 /// still warming up or pools churning; flat = steady-state reuse).
-static SLOTS_CREATED: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("par", "par.workspace.slots_created");
-/// Acquisitions served without construction, across every live pool.
-static SLOTS_REUSED: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("par", "par.workspace.slots_reused");
+static SLOTS_CREATED: spgemm_obs::CounterSite =
+    spgemm_obs::CounterSite::new("par", "par.workspace.slots_created");
+/// Acquisitions served without construction, across every pool.
+static SLOTS_REUSED: spgemm_obs::CounterSite =
+    spgemm_obs::CounterSite::new("par", "par.workspace.slots_reused");
 
 /// A pool of per-worker reusable workspaces, indexed by worker id.
 ///
@@ -139,12 +139,12 @@ impl<T> WorkspacePool<T> {
         let ws = match guard.as_mut() {
             Some(ws) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
-                SLOTS_REUSED.add(1);
+                SLOTS_REUSED.incr();
                 ws
             }
             None => {
                 self.created.fetch_add(1, Ordering::Relaxed);
-                SLOTS_CREATED.add(1);
+                SLOTS_CREATED.incr();
                 guard.insert(make())
             }
         };

@@ -7,7 +7,7 @@ use crate::delta::{DeltaTracker, RowUpdateReceipt};
 use crate::error::ServeError;
 use crate::expr_results::{self, EvalKey, EvaluatorCache};
 use crate::job::{ExprRequest, JobCore, JobHandle, ProductRequest};
-use crate::metrics::{Metrics, MetricsSnapshot, SloPolicy};
+use crate::metrics::{Levels, Metrics, MetricsSnapshot, SloPolicy};
 use crate::plan_cache::{PlanKey, SharedPlanCache, Slot, S};
 use crate::queue::{BatchKey, ExprJob, JobPayload, JobQueue, QueuedJob};
 use crate::store::MatrixStore;
@@ -18,7 +18,7 @@ use spgemm_obs as obs;
 use spgemm_par::{panic_text, Pool};
 use spgemm_sparse::{stats, Csr, SparseError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -136,6 +136,8 @@ struct EngineShared {
     /// lock serializing its read-modify-write against the store.
     deltas: DeltaTracker,
     next_job: AtomicU64,
+    /// Workers executing a batch (not blocked in `pop_batch`).
+    workers_busy: AtomicUsize,
     started: Instant,
     /// The sharded backend plus its routing thresholds, when enabled.
     dist: Option<(ShardRuntime, DistRouting)>,
@@ -181,6 +183,7 @@ impl ServeEngine {
             metrics: Arc::new(Metrics::with_slo(cfg.slo.clone())),
             deltas: DeltaTracker::default(),
             next_job: AtomicU64::new(0),
+            workers_busy: AtomicUsize::new(0),
             started: Instant::now(),
             dist,
         });
@@ -455,13 +458,21 @@ impl ServeEngine {
         self.shared.queue.capacity()
     }
 
-    /// Current counters.
+    /// Current counters, and the levels read from the engine's own
+    /// queue, workers, store and caches.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot(
-            self.shared.queue.lane_depths(),
-            self.shared.cache.stats(),
-            self.shared.evaluators.stats(),
-            self.shared.started,
+        let shared = &self.shared;
+        let levels = Levels {
+            queue_depth_per_lane: shared.queue.lane_depths(),
+            workers_busy: shared.workers_busy.load(Ordering::Relaxed),
+            store: shared.store.levels(),
+            plan_cache_idle_bytes: shared.cache.idle_bytes(),
+        };
+        shared.metrics.snapshot(
+            levels,
+            shared.cache.stats(),
+            shared.evaluators.stats(),
+            shared.started,
         )
     }
 
@@ -487,11 +498,6 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Workers currently executing a batch (not blocked in `pop_batch`),
-/// summed across every live engine.
-static WORKERS_BUSY: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.workers_busy");
-
 fn worker_loop(shared: &EngineShared, pool: &Pool) {
     loop {
         let batch = shared.queue.pop_batch(MAX_BATCH);
@@ -504,9 +510,9 @@ fn worker_loop(shared: &EngineShared, pool: &Pool) {
         // orphaned with its waiters blocked forever — the worker
         // fails whatever is still unresolved and keeps serving.
         let cores: Vec<_> = batch.iter().map(|j| Arc::clone(&j.core)).collect();
-        WORKERS_BUSY.add(1);
+        shared.workers_busy.fetch_add(1, Ordering::Relaxed);
         let outcome = catch_unwind(AssertUnwindSafe(|| execute_batch(shared, pool, batch)));
-        WORKERS_BUSY.sub(1);
+        shared.workers_busy.fetch_sub(1, Ordering::Relaxed);
         if let Err(payload) = outcome {
             let detail = panic_text(payload);
             for core in &cores {

@@ -22,12 +22,11 @@
 
 use crate::delta::DeltaTracker;
 use crate::metrics::Metrics;
-use crate::plan_cache::{Pooled, SlotCache};
+use crate::plan_cache::SlotCache;
 use crate::queue::ExprJob;
 use crate::store::StoredMatrix;
 use spgemm::expr::ExprPlan;
 use spgemm::Algorithm;
-use spgemm_obs::GaugeSite;
 use spgemm_par::Pool;
 use spgemm_sparse::{Csr, SparseError};
 use std::sync::atomic::Ordering;
@@ -37,10 +36,6 @@ use std::sync::Arc;
 /// evaluator already at their input versions, `misses` jobs that bound
 /// one, `entries` the live keys.
 pub type ExprResultCacheStats = crate::plan_cache::PlanCacheStats;
-
-/// Live evaluator keys across every live cache (mirrors
-/// `stats().entries`; published under the map lock).
-static EXPR_RESULTS_ENTRIES: GaugeSite = GaugeSite::new("serve", "serve.expr_results.entries");
 
 /// What an evaluator is cached under: the pipeline — its root's
 /// lineage fingerprint with input *slots* as leaves — the store names
@@ -59,11 +54,6 @@ pub(crate) struct Evaluator {
     plan: ExprPlan,
     inputs: Vec<Arc<StoredMatrix>>,
     root: Arc<Csr<f64>>,
-}
-
-impl Pooled for Evaluator {
-    const ENTRIES: &'static GaugeSite = &EXPR_RESULTS_ENTRIES;
-    const BYTES: Option<&'static GaugeSite> = None;
 }
 
 impl Evaluator {

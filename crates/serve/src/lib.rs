@@ -22,8 +22,11 @@
 //!   tenants and across workers — reuse symbolic phases and pooled
 //!   accumulators;
 //! * [`JobHandle`]s (wait / poll / cancel) and [`MetricsSnapshot`]
-//!   (p50/p99 latency, throughput, plan-cache hit rate, per-lane
-//!   queue depths);
+//!   (p50/p99 latency, throughput, plan-cache hit rate, and the
+//!   engine's levels — per-lane queue depths, busy workers, store
+//!   names and bytes, cache keys, the plan cache's idle bytes — read
+//!   from its own structures at snapshot time, so engines sharing a
+//!   process never see each other's);
 //! * optional **sharded routing** ([`ServeConfig::dist`]): product
 //!   jobs crossing a configurable nnz/flop threshold execute on a
 //!   shared `spgemm_dist::ShardRuntime` instead of one worker's

@@ -140,6 +140,22 @@ impl TenantCell {
     }
 }
 
+/// The levels an engine reads from its own structures when it takes a
+/// snapshot: each comes from its owner's locked state (or, for busy
+/// workers, the engine's own count), never from a process-global
+/// mirror.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Levels {
+    /// Queued jobs per lane, `[High, Normal, Low]`.
+    pub(crate) queue_depth_per_lane: [usize; Priority::COUNT],
+    /// Workers executing a batch.
+    pub(crate) workers_busy: usize,
+    /// Registered names and their approximate CSR bytes.
+    pub(crate) store: (usize, u64),
+    /// Bytes the plan cache's idle instances hold.
+    pub(crate) plan_cache_idle_bytes: u64,
+}
+
 /// Shared counters, written by submitters, workers and job handles.
 #[derive(Default)]
 pub(crate) struct Metrics {
@@ -230,7 +246,7 @@ impl Metrics {
 
     pub(crate) fn snapshot(
         &self,
-        queue_depth_per_lane: [usize; Priority::COUNT],
+        levels: Levels,
         plan_cache: PlanCacheStats,
         expr_results: ExprResultCacheStats,
         since: Instant,
@@ -275,9 +291,13 @@ impl Metrics {
             row_updates: self.row_updates.load(Ordering::Relaxed),
             rows_dirtied: self.rows_dirtied.load(Ordering::Relaxed),
             expr_results_patched: self.expr_results_patched.load(Ordering::Relaxed),
-            queue_depth: queue_depth_per_lane.iter().sum(),
-            queue_depth_per_lane,
+            queue_depth: levels.queue_depth_per_lane.iter().sum(),
+            queue_depth_per_lane: levels.queue_depth_per_lane,
+            workers_busy: levels.workers_busy,
+            store_names: levels.store.0,
+            store_approx_bytes: levels.store.1,
             plan_cache,
+            plan_cache_idle_bytes: levels.plan_cache_idle_bytes,
             expr_results,
             elapsed,
             throughput_jps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -450,8 +470,22 @@ pub struct MetricsSnapshot {
     /// Queued jobs per priority lane at snapshot time: `[High,
     /// Normal, Low]`, one consistent snapshot.
     pub queue_depth_per_lane: [usize; Priority::COUNT],
+    /// Workers executing a batch at snapshot time (0 once the engine
+    /// is quiet).
+    pub workers_busy: usize,
+    /// Names registered in the engine's [`crate::MatrixStore`] at
+    /// snapshot time.
+    pub store_names: usize,
+    /// Approximate CSR bytes ([`spgemm_sparse::csr_bytes`]) of those
+    /// registrations, read in the same locked pass (snapshots captured
+    /// by in-flight jobs are not counted).
+    pub store_approx_bytes: u64,
     /// Shared plan cache counters.
     pub plan_cache: PlanCacheStats,
+    /// Bytes the plan cache's idle (checked-in) instances hold at
+    /// snapshot time, each its [`spgemm::SpgemmPlan::owned_bytes`]
+    /// (the pooled per-thread accumulators are not in it).
+    pub plan_cache_idle_bytes: u64,
     /// Expression evaluator cache counters: hits are jobs whose
     /// evaluator was already at their input versions, misses jobs that
     /// bound one.
@@ -500,15 +534,15 @@ impl MetricsSnapshot {
     }
 
     /// Append this snapshot as OpenMetrics families (engine job
-    /// counters, cache hit/miss counters, the engine-wide and
-    /// per-tenant latency histograms, and the SLO series of the rows
-    /// that have one) —
-    /// the serving layer's contribution to a `/metrics` page, designed
-    /// to plug into `spgemm_obs::http::ScrapeServer::start_with` as
-    /// the extra-exposition hook. Families are prefixed
-    /// `spgemm_serve_` and deliberately disjoint from the registry's
-    /// gauge families (queue depth, cache entries/bytes live there —
-    /// one read path, not two).
+    /// counters, cache hit/miss counters, the levels — queue depth
+    /// per lane, busy workers, store names and bytes, cache entries,
+    /// the plan cache's idle bytes — the engine-wide and per-tenant
+    /// latency histograms, and the SLO series of the rows that have
+    /// one) — the serving layer's contribution to a `/metrics` page,
+    /// designed to plug into `spgemm_obs::http::ScrapeServer::start_with`
+    /// as the extra-exposition hook. Families are prefixed
+    /// `spgemm_serve_`; the registry holds no serve gauge, so every
+    /// serve level on the page is this snapshot's.
     pub fn openmetrics_into(&self, out: &mut String) {
         use spgemm_obs::openmetrics::{
             append_counter, append_gauge, append_histogram, append_type,
@@ -557,6 +591,35 @@ impl MetricsSnapshot {
                 append_counter(out, fam, &[("cache", cache)], v);
             }
         }
+        let fam = "spgemm_serve_queue_depth";
+        append_type(out, fam, "gauge");
+        for (lane, depth) in ["high", "normal", "low"]
+            .into_iter()
+            .zip(self.queue_depth_per_lane)
+        {
+            append_gauge(out, fam, &[("lane", lane)], depth as f64);
+        }
+        let fam = "spgemm_serve_cache_entries";
+        append_type(out, fam, "gauge");
+        for (cache, c) in caches {
+            append_gauge(out, fam, &[("cache", cache)], c.entries as f64);
+        }
+        let levels = [
+            ("spgemm_serve_workers_busy", self.workers_busy as f64),
+            ("spgemm_serve_store_names", self.store_names as f64),
+            (
+                "spgemm_serve_store_approx_bytes",
+                self.store_approx_bytes as f64,
+            ),
+            (
+                "spgemm_serve_plan_cache_idle_bytes",
+                self.plan_cache_idle_bytes as f64,
+            ),
+        ];
+        for (fam, v) in levels {
+            append_type(out, fam, "gauge");
+            append_gauge(out, fam, &[], v);
+        }
         let phases: [(&str, &HistogramSnapshot); 3] = [
             ("total", &self.latency_hist),
             ("queue", &self.queue_delay_hist),
@@ -600,7 +663,8 @@ impl MetricsSnapshot {
     /// latency summaries and each row's SLO counts cover only the
     /// window's samples (bucket-wise histogram differences, see
     /// [`HistogramSnapshot::since`]), and `throughput_jps` becomes
-    /// the window rate. Gauges (`queue_depth`, cache `entries`) keep
+    /// the window rate. Levels (queue depths, busy workers, store names
+    /// and bytes, cache `entries`, the plan cache's idle bytes) keep
     /// their end-of-window value. `since` of an identical snapshot is
     /// all-zero. Tenants absent from `prev` diff against empty.
     pub fn since(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
@@ -656,7 +720,11 @@ impl MetricsSnapshot {
                 .saturating_sub(prev.expr_results_patched),
             queue_depth: self.queue_depth,
             queue_depth_per_lane: self.queue_depth_per_lane,
+            workers_busy: self.workers_busy,
+            store_names: self.store_names,
+            store_approx_bytes: self.store_approx_bytes,
             plan_cache: self.plan_cache.since(&prev.plan_cache),
+            plan_cache_idle_bytes: self.plan_cache_idle_bytes,
             expr_results: self.expr_results.since(&prev.expr_results),
             elapsed,
             throughput_jps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -690,7 +758,7 @@ mod tests {
 
     fn snap(m: &Metrics) -> MetricsSnapshot {
         m.snapshot(
-            [0, 0, 0],
+            Levels::default(),
             PlanCacheStats::default(),
             ExprResultCacheStats::default(),
             Instant::now(),
@@ -726,7 +794,10 @@ mod tests {
     fn snapshot_reports_per_lane_depths_and_their_sum() {
         let m = Metrics::default();
         let s = m.snapshot(
-            [2, 5, 1],
+            Levels {
+                queue_depth_per_lane: [2, 5, 1],
+                ..Levels::default()
+            },
             PlanCacheStats::default(),
             ExprResultCacheStats::default(),
             Instant::now(),
@@ -932,7 +1003,12 @@ mod tests {
         }
         let start = Instant::now();
         let snap = m.snapshot(
-            [0, 0, 0],
+            Levels {
+                workers_busy: 1,
+                store: (3, 4096),
+                plan_cache_idle_bytes: 512,
+                ..Levels::default()
+            },
             PlanCacheStats {
                 hits: 3,
                 misses: 4,
@@ -951,7 +1027,12 @@ mod tests {
         assert_eq!(d.latency.max_ms, 0.0);
         assert_eq!(d.queue_delay.count, 0);
         assert_eq!(d.plan_cache.hits, 0);
-        assert_eq!(d.plan_cache.entries, 2, "gauge keeps its value");
+        assert_eq!(d.plan_cache.entries, 2, "levels keep their value");
+        assert_eq!(
+            (d.workers_busy, d.store_names, d.store_approx_bytes),
+            (1, 3, 4096)
+        );
+        assert_eq!(d.plan_cache_idle_bytes, 512);
         assert_eq!(d.throughput_jps, 0.0);
         assert_eq!(d.per_tenant.len(), 1);
         assert_eq!(d.per_tenant[0].latency.count, 0);
@@ -974,7 +1055,7 @@ mod tests {
         run(1);
         run(100); // slow outlier in the *first* window
         let prev = m.snapshot(
-            [0, 0, 0],
+            Levels::default(),
             PlanCacheStats::default(),
             ExprResultCacheStats::default(),
             start,
@@ -983,7 +1064,7 @@ mod tests {
         run(3);
         run(4);
         let cur = m.snapshot(
-            [0, 0, 0],
+            Levels::default(),
             PlanCacheStats::default(),
             ExprResultCacheStats::default(),
             start,
@@ -1017,7 +1098,10 @@ mod tests {
         m.accepted.store(20, Ordering::Relaxed);
         m.completed.store(20, Ordering::Relaxed);
         let snap = m.snapshot(
-            [1, 2, 3],
+            Levels {
+                queue_depth_per_lane: [1, 2, 3],
+                ..Levels::default()
+            },
             PlanCacheStats {
                 hits: 9,
                 misses: 3,
@@ -1033,6 +1117,8 @@ mod tests {
         spgemm_obs::openmetrics::validate(&page).expect("serve exposition must validate");
         assert!(page.contains("spgemm_serve_jobs_completed_total 20"));
         assert!(page.contains("spgemm_serve_cache_hits_total{cache=\"plan\"} 9"));
+        assert!(page.contains("spgemm_serve_queue_depth{lane=\"low\"} 3"));
+        assert!(page.contains("spgemm_serve_cache_entries{cache=\"plan\"} 2"));
         // hostile tenant label escaped, never raw
         assert!(!page.contains("acme \"prod\"\n\""));
         assert!(page.contains("tenant=\"acme \\\"prod\\\"\\n\""));

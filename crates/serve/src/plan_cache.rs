@@ -30,12 +30,11 @@
 //! slot and dropped with it.
 
 use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
-use spgemm_obs::GaugeSite;
 use spgemm_sparse::PlusTimes;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::store::StoredMatrix;
 
@@ -87,95 +86,34 @@ impl PlanKey {
     }
 }
 
-/// Live cache keys (mirrors `SharedPlanCache::stats().entries`).
-static PLAN_CACHE_ENTRIES: GaugeSite = GaugeSite::new("serve", "serve.plan_cache.entries");
-/// Bytes held by the *idle* (checked-in) plan instances pooled across
-/// every live slot: each one's [`SpgemmPlan::owned_bytes`] — work
-/// analysis, row pointers and, for a dense-kernel plan, the column
-/// pattern its bind wrote — read at check-in, so an instance rebound
-/// while checked out comes back at its new size. ("approx": the pooled
-/// per-thread accumulators are not in it.)
-static PLAN_CACHE_BYTES: GaugeSite = GaugeSite::new("serve", "serve.plan_cache.approx_bytes");
-
-/// What a [`SlotCache`] pools: instances a worker checks out, runs
-/// with no slot lock held and checks back in.
-pub(crate) trait Pooled: Send {
-    /// Gauge of the live keys of every cache of this kind.
-    const ENTRIES: &'static GaugeSite;
-    /// Gauge the idle instances' [`Pooled::owned_bytes`] are charged
-    /// to, if any.
-    const BYTES: Option<&'static GaugeSite>;
-
-    /// Bytes an idle instance holds.
-    fn owned_bytes(&self) -> usize {
-        0
-    }
-}
-
-impl Pooled for SpgemmPlan<S> {
-    const ENTRIES: &'static GaugeSite = &PLAN_CACHE_ENTRIES;
-    const BYTES: Option<&'static GaugeSite> = Some(&PLAN_CACHE_BYTES);
-
-    fn owned_bytes(&self) -> usize {
-        SpgemmPlan::owned_bytes(self)
-    }
-}
-
 /// One cache entry: a pool of interchangeable instances for the key
 /// (built lazily by workers as concurrency demands) and an LRU stamp.
-pub(crate) struct Slot<V: Pooled> {
+pub(crate) struct Slot<V> {
     /// Recovers from poisoning: a critical section moves whole instances.
     instances: Mutex<Vec<V>>,
     last_used: AtomicU64,
-    /// Bytes currently pooled in `instances` (this slot's share of
-    /// `V::BYTES`).
-    pooled_bytes: AtomicI64,
 }
 
-impl<V: Pooled> Slot<V> {
-    /// Move an instance's bytes into (`idle`) or out of the slot's
-    /// share of `V::BYTES`.
-    fn charge(&self, v: &V, idle: bool) {
-        if let Some(gauge) = V::BYTES {
-            let bytes = v.owned_bytes() as i64;
-            let delta = if idle { bytes } else { -bytes };
-            self.pooled_bytes.fetch_add(delta, Ordering::Relaxed);
-            gauge.add(delta);
-        }
+impl<V> Slot<V> {
+    fn instances(&self) -> MutexGuard<'_, Vec<V>> {
+        self.instances
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Take the idle instance `fit` ranks lowest — the most recently
     /// returned among equals; instances it ranks `None` stay pooled.
     pub(crate) fn checkout(&self, mut fit: impl FnMut(&V) -> Option<u32>) -> Option<V> {
-        let mut pool = self
-            .instances
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut pool = self.instances();
         let (at, _) = (pool.iter().enumerate().rev())
             .filter_map(|(i, v)| fit(v).map(|rank| (i, rank)))
             .min_by_key(|&(_, rank)| rank)?;
-        let v = pool.remove(at);
-        self.charge(&v, false);
-        Some(v)
+        Some(pool.remove(at))
     }
 
     /// Return an instance for the next worker.
     pub(crate) fn checkin(&self, v: V) {
-        let mut pool = self
-            .instances
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.charge(&v, true);
-        pool.push(v);
-    }
-}
-
-impl<V: Pooled> Drop for Slot<V> {
-    fn drop(&mut self) {
-        // an evicted slot's pooled instances leave the cache with it
-        if let Some(gauge) = V::BYTES {
-            gauge.sub(self.pooled_bytes.load(Ordering::Relaxed));
-        }
+        self.instances().push(v);
     }
 }
 
@@ -226,7 +164,7 @@ impl PlanCacheStats {
 pub(crate) type SharedPlanCache = SlotCache<PlanKey, SpgemmPlan<S>>;
 
 /// Key → [`Slot`] of pooled instances, LRU over a key budget.
-pub(crate) struct SlotCache<K, V: Pooled> {
+pub(crate) struct SlotCache<K, V> {
     /// Recovers from poisoning: a critical section moves whole slots.
     map: Mutex<HashMap<K, Arc<Slot<V>>>>,
     tick: AtomicU64,
@@ -236,7 +174,7 @@ pub(crate) struct SlotCache<K, V: Pooled> {
     capacity: usize,
 }
 
-impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
+impl<K: Clone + Eq + Hash, V> SlotCache<K, V> {
     /// A cache holding at most `capacity` keys; 0 disables caching
     /// (the engine then builds an instance per job and drops it — for
     /// plans, the cold one-shot baseline the `spgemm-serve --compare`
@@ -256,10 +194,14 @@ impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
         self.capacity > 0
     }
 
+    fn map(&self) -> MutexGuard<'_, HashMap<K, Arc<Slot<V>>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The slot for `key`, creating (and LRU-evicting) as needed.
     pub(crate) fn slot(&self, key: K) -> Arc<Slot<V>> {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.map();
         if let Some(slot) = map.get(&key) {
             slot.last_used.store(stamp, Ordering::Relaxed);
             return Arc::clone(slot);
@@ -277,10 +219,8 @@ impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
         let slot = Arc::new(Slot {
             instances: Mutex::new(Vec::new()),
             last_used: AtomicU64::new(stamp),
-            pooled_bytes: AtomicI64::new(0),
         });
         map.insert(key, Arc::clone(&slot));
-        V::ENTRIES.set(map.len() as i64);
         slot
     }
 
@@ -299,12 +239,24 @@ impl<K: Clone + Eq + Hash, V: Pooled> SlotCache<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .map
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+            entries: self.map().len(),
         }
+    }
+}
+
+impl SharedPlanCache {
+    /// Bytes held by the *idle* (checked-in) plans of every live slot:
+    /// each one's [`SpgemmPlan::owned_bytes`] — work analysis, row
+    /// pointers and, for a dense-kernel plan, the column pattern its
+    /// bind wrote — read now, so an instance rebound while checked out
+    /// counts at its new size once it is back. ("approx": the pooled
+    /// per-thread accumulators are not in it.)
+    pub(crate) fn idle_bytes(&self) -> u64 {
+        let idle = |slot: &Arc<Slot<SpgemmPlan<S>>>| -> u64 {
+            let plans = slot.instances();
+            plans.iter().map(|p| p.owned_bytes() as u64).sum()
+        };
+        self.map().values().map(idle).sum()
     }
 }
 
@@ -348,17 +300,19 @@ mod tests {
         assert!(s2_new.checkout(|_| Some(0)).is_none());
     }
 
-    /// A slot charges an idle instance what it holds: the analysis, the
-    /// row pointers and the `u16` column pattern the bind captured, two
-    /// bytes per output entry — no more after executions while checked
-    /// out, since they replay the pattern rather than add to it.
+    /// The cache counts an idle instance at what it holds: the
+    /// analysis, the row pointers and the `u16` column pattern the bind
+    /// captured, two bytes per output entry — no more after executions
+    /// while checked out, since they replay the pattern rather than add
+    /// to it.
     #[test]
     fn pooled_bytes_follow_the_plan_across_its_capture() {
         let a = spgemm_sparse::Csr::<f64>::identity(300);
         let pool = spgemm_par::Pool::new(1);
         let plan = SpgemmPlan::<S>::new_in(&a, &a, Algorithm::Auto, OutputOrder::Sorted, &pool);
-        let slot = SharedPlanCache::new(1).slot(key(1));
-        let pooled = || slot.pooled_bytes.load(Ordering::Relaxed);
+        let cache = SharedPlanCache::new(1);
+        let slot = cache.slot(key(1));
+        let pooled = || cache.idle_bytes();
         slot.checkin(plan.unwrap());
         // 300 row flops + 2 partition offsets + 301 row pointers, 8 B
         // each, and the pattern.

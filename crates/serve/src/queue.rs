@@ -70,27 +70,6 @@ struct Inner {
     closed: bool,
 }
 
-/// Per-lane depth gauges, highest priority first — the same order as
-/// [`Priority::lane`]. Published by [`publish_lane_gauges`] from
-/// under the queue lock, so the gauge levels and
-/// [`JobQueue::lane_depths`] always come from the same consistent
-/// read of [`Inner`] (the dedup contract the metrics tests assert).
-static LANE_DEPTH_GAUGES: [spgemm_obs::GaugeSite; Priority::COUNT] = [
-    spgemm_obs::GaugeSite::new("serve", "serve.queue_depth.high"),
-    spgemm_obs::GaugeSite::new("serve", "serve.queue_depth.normal"),
-    spgemm_obs::GaugeSite::new("serve", "serve.queue_depth.low"),
-];
-
-/// Read the lane depths and mirror them into the per-lane gauges.
-/// Callers must hold the queue lock (enforced by the `&Inner`).
-fn publish_lane_gauges(inner: &Inner) -> [usize; Priority::COUNT] {
-    std::array::from_fn(|l| {
-        let depth = inner.lanes[l].len();
-        LANE_DEPTH_GAUGES[l].set(depth as i64);
-        depth
-    })
-}
-
 pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     cv: Condvar,
@@ -133,7 +112,6 @@ impl JobQueue {
         }
         inner.lanes[priority.lane()].push_back(job);
         inner.len += 1;
-        publish_lane_gauges(&inner);
         drop(inner);
         self.cv.notify_one();
         Ok(())
@@ -168,7 +146,6 @@ impl JobQueue {
                     }
                 }
                 inner.len -= batch.len();
-                publish_lane_gauges(&inner);
                 return batch;
             }
             if inner.closed {
@@ -193,19 +170,10 @@ impl JobQueue {
     /// Queued jobs per priority lane, highest priority first (the
     /// same order as [`Priority::lane`]). One lock acquisition, so
     /// the lane counts are a consistent snapshot that sums to
-    /// [`JobQueue::depth`] at the same instant — and the per-lane
-    /// gauges are refreshed from the same locked read, so both
-    /// reporting paths agree.
+    /// [`JobQueue::depth`] at the same instant.
     pub(crate) fn lane_depths(&self) -> [usize; Priority::COUNT] {
         let inner = self.lanes();
-        publish_lane_gauges(&inner)
-    }
-
-    /// The per-lane gauge levels, highest priority first (test probe
-    /// for the gauge/snapshot dedup contract).
-    #[cfg(test)]
-    pub(crate) fn lane_gauge_levels() -> [i64; Priority::COUNT] {
-        std::array::from_fn(|l| LANE_DEPTH_GAUGES[l].value())
+        std::array::from_fn(|l| inner.lanes[l].len())
     }
 }
 
@@ -322,34 +290,6 @@ mod tests {
         // Popping the high-priority head drains its lane first.
         q.pop_batch(1);
         assert_eq!(q.lane_depths(), [0, 2, 1]);
-    }
-
-    #[test]
-    fn lane_gauges_agree_with_lane_depths() {
-        spgemm_obs::enable_with_capacity(0);
-        let store = MatrixStore::new();
-        let q = JobQueue::new(16);
-        q.try_push(Priority::Low, job(&store, 0, 2)).unwrap();
-        q.try_push(Priority::High, job(&store, 1, 3)).unwrap();
-        q.try_push(Priority::High, job(&store, 2, 4)).unwrap();
-        q.pop_batch(1);
-        // Both read paths come from one locked read of `Inner`; the
-        // retry only absorbs another test's queue publishing to the
-        // shared gauges between our read and the assertion.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let depths = q.lane_depths();
-            let gauges = JobQueue::lane_gauge_levels();
-            if std::array::from_fn::<i64, { Priority::COUNT }, _>(|l| depths[l] as i64) == gauges {
-                assert_eq!(depths, [1, 0, 1]);
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lane gauges {gauges:?} never converged to depths {depths:?}"
-            );
-            std::thread::yield_now();
-        }
     }
 
     #[test]

@@ -14,15 +14,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Registered names across every live store (gauge: replacing a name
-/// does not move it; insert/remove of distinct names do).
-static STORE_REGISTRATIONS: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.store.registrations");
-/// Approximate CSR bytes ([`csr_bytes`]) held by current
-/// registrations (snapshots captured by in-flight jobs not counted).
-static STORE_BYTES: spgemm_obs::GaugeSite =
-    spgemm_obs::GaugeSite::new("serve", "serve.store.approx_bytes");
-
 /// An immutable registered matrix: the payload plus the metadata the
 /// scheduler keys on.
 pub struct StoredMatrix {
@@ -125,7 +116,6 @@ impl MatrixStore {
         matrix: Csr<f64>,
     ) -> Option<Arc<StoredMatrix>> {
         let fingerprint = matrix.structure_fingerprint();
-        let bytes = csr_bytes(&matrix) as i64;
         let mut map = self.map();
         if expect.is_some() && map.get(&name).map(|m| m.version) != expect {
             return None;
@@ -138,13 +128,7 @@ impl MatrixStore {
             matrix: Arc::new(matrix),
             name: name.clone(),
         });
-        let prev = map.insert(name, Arc::clone(&stored));
-        if prev.is_none() {
-            STORE_REGISTRATIONS.add(1);
-        }
-        let prev_bytes = prev.map_or(0, |p| csr_bytes(p.csr()) as i64);
-        STORE_BYTES.add(bytes - prev_bytes);
-        drop(map);
+        map.insert(name, Arc::clone(&stored));
         Some(stored)
     }
 
@@ -156,14 +140,7 @@ impl MatrixStore {
     /// Remove `name`; returns whether it was present. In-flight jobs
     /// holding the matrix are unaffected.
     pub fn remove(&self, name: &str) -> bool {
-        match self.map().remove(name) {
-            Some(prev) => {
-                STORE_BYTES.sub(csr_bytes(prev.csr()) as i64);
-                STORE_REGISTRATIONS.sub(1);
-                true
-            }
-            None => false,
-        }
+        self.map().remove(name).is_some()
     }
 
     /// Number of registered names.
@@ -174,6 +151,14 @@ impl MatrixStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Registered names and the approximate CSR bytes ([`csr_bytes`])
+    /// of their current registrations, from one locked read (snapshots
+    /// captured by in-flight jobs are not counted).
+    pub(crate) fn levels(&self) -> (usize, u64) {
+        let map = self.map();
+        (map.len(), map.values().map(|m| csr_bytes(m.csr())).sum())
     }
 
     /// Registered names, unordered.

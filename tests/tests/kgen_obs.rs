@@ -1,7 +1,7 @@
 //! The RowClass bind publishes its bucket occupancy and
 //! compressed-index selection through the obs registry, `Auto` its
-//! picks, and a replaying plan its captures, passes and pattern bytes,
-//! so all are visible on the `/metrics` scrape page. This file enables the
+//! picks, and a replaying plan its captures and passes, so all are
+//! visible on the `/metrics` scrape page. This file enables the
 //! process-global obs switch, which is why it lives alone in its own
 //! test binary.
 
@@ -12,8 +12,9 @@ use std::sync::Mutex;
 
 type Plan = SpgemmPlan<PlusTimes<f64>>;
 
-/// Every dense-kernel bind touches the replay sites: the tests that
-/// bind one take turns, so each reads the sites as only it moved them.
+/// Every dense-kernel bind touches the replay counters: the tests that
+/// bind one take turns, so each reads the counters as only it moved
+/// them.
 static DENSE_BINDS: Mutex<()> = Mutex::new(());
 
 /// The value of `series` on the scrape `page` (0 before its first
@@ -94,9 +95,10 @@ fn auto_resolutions_reach_the_scrape_page() {
 }
 
 /// A dense-kernel plan captures its column pattern at bind and replays
-/// it from its first execution: one capture, three replayed passes and
-/// the pattern's bytes (`u16` entries at this width) on the scrape page
-/// — and a rebind to an empty product gives the bytes back.
+/// it from its first execution: one capture and three replayed passes
+/// on the scrape page, the pattern's bytes (`u16` entries at this
+/// width) in the plan's own `owned_bytes` — and a rebind to an empty
+/// product gives the bytes back.
 #[test]
 fn replay_counters_reach_the_scrape_page_and_a_rebind_zeroes_the_gauge() {
     let _turn = DENSE_BINDS.lock().unwrap_or_else(|e| e.into_inner());
@@ -114,18 +116,13 @@ fn replay_counters_reach_the_scrape_page_and_a_rebind_zeroes_the_gauge() {
     let page = spgemm_obs::openmetrics::render();
     assert_eq!(sample(&page, captures) - sample(&before, captures), 1);
     assert_eq!(sample(&page, passes) - sample(&before, passes), 3);
-    let bytes = format!(
-        "spgemm_plan_replay_pattern_bytes{{cat=\"plan\"}} {}",
-        2 * c.nnz()
-    );
-    assert!(
-        page.contains(&bytes),
-        "{bytes:?} missing from scrape:\n{page}"
-    );
+    // Past the pattern, a plan holds its analysis (per-row flops, the
+    // partition's offsets) and row pointers, 8 B per entry.
+    let analysis = |rows: usize| 8 * (rows + (pool.nthreads() + 1) + (rows + 1));
+    assert_eq!(plan.owned_bytes(), analysis(512) + 2 * c.nnz());
     plan.rebind_in(&Csr::zero(512, 512), &Csr::zero(512, 512), &pool)
         .unwrap();
+    assert_eq!(plan.owned_bytes(), analysis(512), "no pattern entries");
     let page = spgemm_obs::openmetrics::render();
-    let zero = "spgemm_plan_replay_pattern_bytes{cat=\"plan\"} 0";
-    assert!(page.contains(zero), "{zero:?} missing from scrape:\n{page}");
     assert_eq!(sample(&page, captures) - sample(&before, captures), 2);
 }
