@@ -8,8 +8,9 @@
 //!     [--grids 1x1,2x1,4x1,2x2] [--threads-per-shard N] [--scale N] \
 //!     [--ef N] [--reps N] [--seed N] [--quick]
 //!     [--smoke]   # CI assertion run: sharded == monolithic Hash bit for
-//!                 # bit, one plan hit per shard per repeat, 2x1 and
-//!                 # 2x2 per-shard bytes < monolithic output footprint
+//!                 # bit, one plan hit per shard per repeat (also with two
+//!                 # structures interleaved), 2x1 and 2x2 per-shard
+//!                 # bytes < monolithic output footprint
 //! ```
 //!
 //! The **monolithic baseline** plans under the shards' own kernel
@@ -193,10 +194,11 @@ fn main() {
 
 /// CI smoke: a small R-MAT product on every grid must equal the
 /// monolithic `Hash` product bit for bit, steady-state re-execution must be
-/// one plan hit per shard and nothing else, and on the 2×1 and 2×2
-/// grids every shard must hold less than the monolithic output
-/// footprint. The monolithic products run on `pool` (`--threads`),
-/// whose width the stamp records.
+/// one plan hit per shard and nothing else — also with a second
+/// structure (a Poisson stencil) interleaved, once both are warm — and
+/// on the 2×1 and 2×2 grids every shard must hold less than the
+/// monolithic output footprint. The monolithic products run on `pool`
+/// (`--threads`), whose width the stamp records.
 fn smoke(scale: u32, ef: usize, seed: u64, pool: &Pool) {
     let a = spgemm_gen::rmat::generate_kind(
         spgemm_gen::RmatKind::G500,
@@ -205,6 +207,8 @@ fn smoke(scale: u32, ef: usize, seed: u64, pool: &Pool) {
         &mut spgemm_gen::rng(seed),
     );
     let (want, mono) = (mono_hash(&a, pool), monolithic(&a, pool, 1));
+    let other = spgemm_gen::poisson::poisson2d(1 << (scale / 2));
+    let want_other = mono_hash(&other, pool);
     for grid in [
         GridSpec::new(1, 1),
         GridSpec::new(2, 1),
@@ -230,6 +234,29 @@ fn smoke(scale: u32, ef: usize, seed: u64, pool: &Pool) {
             grid.shards() as u64,
             "{grid}: every shard should hit its one plan"
         );
+        // Alternating pass: `a` and `other` interleaved. After one warm
+        // product of `other`, no product rebuilds a plan.
+        let (_, warm) = rt
+            .multiply_with_stats(&other, &other)
+            .expect("warm product");
+        for (round, (m, oracle)) in [(&a, &want), (&other, &want_other)]
+            .into_iter()
+            .cycle()
+            .take(6)
+            .enumerate()
+        {
+            let before = rt.stats();
+            let (c, s) = rt.multiply_with_stats(m, m).expect("alternating product");
+            assert!(
+                bits_eq_f64(&c, oracle),
+                "{grid}: alternating round {round} diverged"
+            );
+            assert_eq!(
+                (s.plan_rebuilds, s.plan_hits - before.plan_hits),
+                (warm.plan_rebuilds, grid.shards() as u64),
+                "{grid}: alternating round {round} rebound a plan"
+            );
+        }
         if grid.shards() > 1 {
             let peak = s2.max_peak_partial_bytes();
             assert!(
@@ -270,6 +297,6 @@ fn smoke(scale: u32, ef: usize, seed: u64, pool: &Pool) {
     }
     println!(
         "smoke ok: sharded product is bit-identical to monolithic Hash on 1x1, 2x1, 2x2; \
-         steady state is one plan hit per shard"
+         steady state is one plan hit per shard, with two structures interleaved too"
     );
 }

@@ -8,13 +8,15 @@
 //! (Fig. 7) from threads to shards:
 //!
 //! * shard `(r, c)` computes `A[r, :] · B[:, c]` — a flop-balanced row
-//!   block times an nnz-balanced column block — through **one** cached
-//!   [`spgemm::PlanCache`], so iterative workloads (MCL A² chains, AMG
-//!   `PᵀAP`) re-execute **numeric-only per shard** once their
-//!   structure stabilizes ([`DistStats::plan_hits`] counts it);
+//!   block times an nnz-balanced column block — through one bare
+//!   [`spgemm::SpgemmPlan`] per kept structure (up to
+//!   [`CACHED_STRUCTURES`], least recently used evicted), so iterative
+//!   workloads (MCL A² chains, AMG `PᵀAP`) and products alternating
+//!   between kept structures re-execute **numeric-only per shard**
+//!   ([`DistStats::plan_hits`] counts it);
 //! * on a new operand structure one fork-join region sizes every row:
 //!   the shards leave per-row counts, whose prefix sum is `C`'s row
-//!   pointers, cached next to the cuts;
+//!   pointers, kept with the cuts under the operands' fingerprints;
 //! * in steady state a product is one allocation of `C` plus one
 //!   region — a numeric pass per shard written **directly into that
 //!   shard's disjoint window of `C`**, the submitting thread computing
@@ -52,5 +54,5 @@ mod error;
 mod runtime;
 
 pub use error::DistError;
-pub use runtime::{DistConfig, DistStats, GridSpec, ProductStats, ShardRuntime};
+pub use runtime::{DistConfig, DistStats, GridSpec, ProductStats, ShardRuntime, CACHED_STRUCTURES};
 pub use spgemm_sparse::csr_bytes;

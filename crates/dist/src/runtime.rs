@@ -6,28 +6,30 @@
 //! scheme (Fig. 7) at shard grain: size every output row, allocate `C`
 //! exactly, then let each worker fill its own disjoint slice. `A` is
 //! cut into `R` flop-balanced row blocks and `B` into `C` nnz-balanced
-//! column blocks; shard `(r, c)` keeps a [`Pool`] of its own and
-//! **one** cached plan ([`PlanCache`]) for `A_r · B_c`. The shards are
-//! the workers of one persistent *fleet* [`Pool`] (the §3.1 team), so
-//! a product is at most two fork-join regions on it, and the
+//! column blocks; shard `(r, c)` keeps a [`Pool`] of its own and one
+//! bare [`SpgemmPlan`] for `A_r · B_c` per kept structure. The shards
+//! are the workers of one persistent *fleet* [`Pool`] (the §3.1 team),
+//! so a product is at most two fork-join regions on it, and the
 //! submitting thread, as fleet worker 0, computes shard 0's block
-//! itself. Cached per operand structure pair: the cuts and the output
-//! layout — `C`'s row pointers and every shard's span of `C`'s `cols`
-//! / `vals`.
+//! itself. Kept per operand structure pair (up to [`CACHED_STRUCTURES`],
+//! keyed by the operands' fingerprints, taken once per product): the
+//! cuts, the output layout — `C`'s row pointers and every shard's span
+//! of `C`'s `cols` / `vals` — and the slot of the shards' plans.
 //!
 //! * **Steady state**: allocate `cols` / `vals`, then one region in
 //!   which every shard fills its span; every plan hits. On
 //!   single-column grids a shard's rows are one contiguous range and
 //!   the numeric pass writes straight into it
-//!   ([`spgemm::SpgemmPlan::execute_into_slices_in`]); on multi-column
-//!   grids the shard fills a reused local block and copies its own
-//!   row segments into place, column offset added, in parallel with
-//!   its peers. No output entry is copied after the region.
+//!   ([`SpgemmPlan::execute_into_slices_in`]); on multi-column grids
+//!   the shard fills a reused local block and copies its own row
+//!   segments into place, column offset added, in parallel with its
+//!   peers. No output entry is copied after the region.
 //! * **New structure**: one region first, in which every shard binds
-//!   its plan and leaves its per-row counts; their prefix sum is the
-//!   layout — paid once per structure. The runtime caches **one**
-//!   structure pair, and each shard one plan: products that alternate
-//!   between structures rebind every shard plan every time.
+//!   its slot's plan and leaves its per-row counts; their prefix sum is
+//!   the layout. Once every slot is taken, the least recently used
+//!   structure's is rebound ([`SpgemmPlan::rebind_in`], keeping its
+//!   pooled accumulators), so products alternating between kept
+//!   structures all replay.
 //!
 //! Every output entry is accumulated by exactly one shard in the
 //! ascending-`k` order the monolithic kernel uses. Under the default
@@ -51,7 +53,7 @@
 //! shard's plan.
 
 use crate::error::DistError;
-use spgemm::{Algorithm, OutputOrder, PlanCache, PlanCacheStats};
+use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_obs as obs;
 use spgemm_par::unsync::SharedMutSlice;
 use spgemm_par::{panic_text, partition, Pool};
@@ -60,6 +62,10 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Operand structure pairs a runtime keeps bound, each with its cuts,
+/// layout and one plan per shard; the least recently used goes first.
+pub const CACHED_STRUCTURES: usize = 4;
 
 /// Shard grid shape: `rows × cols` shards. Shard `(r, c)` owns row
 /// block `r` of `A` and `C` and column block `c` of `B` and `C`.
@@ -139,7 +145,7 @@ impl Default for DistConfig {
     }
 }
 
-/// Per-product observability: per-shard memory and the plan-cache
+/// Per-product observability: per-shard memory and the shard plan
 /// counters that certify steady-state numeric-only execution.
 #[derive(Clone, Debug)]
 pub struct ProductStats {
@@ -152,13 +158,13 @@ pub struct ProductStats {
     /// [`ProductStats::compute_imbalance`]. Always measured: a few
     /// clock reads against a multiply.
     pub per_shard_compute_ns: Vec<u64>,
-    /// Plan-cache hits summed over all shards, cumulative since the
-    /// runtime started. A stable structure re-executed `k` times shows
-    /// `shards × (k - 1)` hits.
+    /// Shard plan hits (numeric-only fills) summed over all shards,
+    /// cumulative since the runtime started. A kept structure
+    /// re-executed `k` times shows `shards × (k - 1)` hits.
     pub plan_hits: u64,
-    /// Plan-cache (re)builds summed over all shards, cumulative since
-    /// the runtime started — constant across steady-state
-    /// re-executions.
+    /// Shard plan (re)builds summed over all shards, cumulative since
+    /// the runtime started — constant across re-executions of kept
+    /// structures.
     pub plan_rebuilds: u64,
 }
 
@@ -177,16 +183,13 @@ impl ProductStats {
     /// mean (`1.0` = perfectly balanced; `2.0` = the critical shard
     /// worked twice the average). `0.0` when nothing was measured.
     pub fn compute_imbalance(&self) -> f64 {
-        let n = self.per_shard_compute_ns.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let max = *self.per_shard_compute_ns.iter().max().unwrap() as f64;
-        let mean = self.per_shard_compute_ns.iter().sum::<u64>() as f64 / n as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
+        let ns = &self.per_shard_compute_ns;
+        let max = ns.iter().max().map_or(0.0, |&most| most as f64);
+        let mean = ns.iter().sum::<u64>() as f64 / ns.len().max(1) as f64;
+        if mean > 0.0 {
             max / mean
+        } else {
+            0.0
         }
     }
 }
@@ -196,9 +199,9 @@ impl ProductStats {
 pub struct DistStats {
     /// Products executed.
     pub products: u64,
-    /// Plan-cache hits summed over shards.
+    /// Shard plan hits summed over shards.
     pub plan_hits: u64,
-    /// Plan-cache (re)builds summed over shards.
+    /// Shard plan (re)builds summed over shards.
     pub plan_rebuilds: u64,
 }
 
@@ -306,11 +309,11 @@ struct CoordState {
     /// Flat row-major. A shard's lock is only ever taken by its own
     /// fleet worker, for a region.
     shards: Vec<Mutex<Shard>>,
-    /// Cuts and output layout of the most recent operand structure
-    /// pair: steady-state re-execution skips the weight scans and the
-    /// bind region, and the blocks keep their structure across repeats
-    /// by construction (the shards' plan hits rely on it).
-    cache: Option<StructureCache>,
+    /// The kept operand structure pairs, most recently used first, at
+    /// most [`CACHED_STRUCTURES`]: a kept structure's re-execution skips
+    /// the weight scans and the bind region, and its blocks keep their
+    /// structure by construction (the shards' plan hits rely on it).
+    cache: Vec<StructureCache>,
 }
 
 /// Cached cut selection and output layout, keyed by the operands'
@@ -322,14 +325,16 @@ struct StructureCache {
     col_cuts: Vec<usize>,
     /// `None` until a product on this structure got every shard's
     /// counts (a failed bind leaves it unset; the next product asks
-    /// again).
+    /// again); once set, every shard's `slot` plan is bound to it or
+    /// retired by a contained panic.
     layout: Option<Layout>,
+    slot: usize,
 }
 
-/// A persistent fleet of shards executing `C = A · B` as one cached
-/// plan per shard writing into one shared output. See the module docs
-/// for the algorithm; see [`ShardRuntime::multiply_with_stats`] for
-/// the per-product counters.
+/// A persistent fleet of shards executing `C = A · B` through one plan
+/// per shard and kept structure, writing into one shared output. See
+/// the module docs for the algorithm; see
+/// [`ShardRuntime::multiply_with_stats`] for the per-product counters.
 ///
 /// The runtime is `Sync`: concurrent submitters serialize on an
 /// internal product lock (one product occupies the whole fleet), so a
@@ -358,7 +363,7 @@ impl ShardRuntime {
                 pool: Pool::new(1),
                 fleet: Pool::new(shards),
                 shards: (0..shards).map(|_| Mutex::new(Shard::new(&cfg))).collect(),
-                cache: None,
+                cache: Vec::with_capacity(CACHED_STRUCTURES),
             }),
             stats: Mutex::new(DistStats::default()),
             #[cfg(test)]
@@ -374,8 +379,7 @@ impl ShardRuntime {
     /// Cumulative counters. Non-blocking with respect to in-flight
     /// products (safe to call from a monitoring thread).
     pub fn stats(&self) -> DistStats {
-        // Counters are plain stores, whole even under a poisoned lock.
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+        *self.totals()
     }
 
     /// Sharded `C = A · B`, discarding the stats.
@@ -405,30 +409,41 @@ impl ShardRuntime {
         // --- cut selection -------------------------------------------------
         // A's row cuts balance the product's flops (the §4.1 weight),
         // column cuts B's per-column nnz. Both depend only on operand
-        // *structure*, so a stable pattern reuses the cached cuts and
-        // the layout cached beside them.
+        // *structure*, so a kept pattern reuses its cuts, its layout
+        // and its slot of shard plans; a new one takes a free slot or
+        // the least recently used structure's.
         {
             let _g = obs::span!("dist", "dist.partition");
             let a_sig = a.structure_fingerprint();
             let b_sig = (!std::ptr::eq(a, b)).then(|| b.structure_fingerprint());
             let sigs = (a_sig, b_sig.unwrap_or(a_sig));
-            if state.cache.as_ref().map(|known| known.sigs) != Some(sigs) {
-                let (rows, cols) = (stats::row_flops(a, b), stats::column_nnz(b));
-                state.cache = Some(StructureCache {
-                    sigs,
-                    row_cuts: partition::balanced_offsets(&rows, grid.rows(), &state.pool),
-                    col_cuts: partition::balanced_offsets(&cols, grid.cols(), &state.pool),
-                    layout: None,
-                });
+            let kept = &mut state.cache;
+            match kept.iter().position(|known| known.sigs == sigs) {
+                Some(at) => kept[..=at].rotate_right(1),
+                None => {
+                    let (rows, cols) = (stats::row_flops(a, b), stats::column_nnz(b));
+                    let fresh = StructureCache {
+                        sigs,
+                        row_cuts: partition::balanced_offsets(&rows, grid.rows(), &state.pool),
+                        col_cuts: partition::balanced_offsets(&cols, grid.cols(), &state.pool),
+                        layout: None,
+                        slot: match kept.len() {
+                            free if free < CACHED_STRUCTURES => free,
+                            _ => kept.pop().expect("the cache is full").slot,
+                        },
+                    };
+                    kept.insert(0, fresh);
+                }
             }
         }
-        let cache = state.cache.as_mut().expect("cuts installed above");
-        let fleet = (&state.fleet, state.shards.as_slice());
+        let cache = &mut state.cache[0];
+        let (fleet, slot) = ((&state.fleet, state.shards.as_slice()), cache.slot);
 
         // --- scatter: cut the operand blocks -------------------------------
         // Row block `r` of `A` serves the shards of grid row `r`,
         // column block `c` of `B` (columns rebased) those of grid
-        // column `c`. A single-column grid multiplies by `B` itself.
+        // column `c`. A single-row grid multiplies `A` itself, a
+        // single-column grid by `B` itself.
         let (a_blocks, b_blocks) = {
             let _g = obs::span!("dist", "dist.scatter");
             let b_blocks = match grid.cols() {
@@ -436,22 +451,25 @@ impl ShardRuntime {
                 _ => b.split_col_ranges(&cache.col_cuts)?,
             };
             let a_blocks: Vec<Csr<f64>> = (cache.row_cuts.windows(2))
+                .filter(|_| grid.rows() > 1)
                 .map(|cut| a.extract_rows(cut[0]..cut[1]))
                 .collect();
             (a_blocks, b_blocks)
         };
         let operands = |shard: usize| {
-            let b_block = b_blocks.get(shard % grid.cols()).unwrap_or(b);
-            (&a_blocks[shard / grid.cols()], b_block)
+            let a_block = a_blocks.get(shard / grid.cols()).unwrap_or(a);
+            (a_block, b_blocks.get(shard % grid.cols()).unwrap_or(b))
         };
 
         // --- new structure: counts → layout --------------------------------
         let mut bound = None;
         if cache.layout.is_none() {
             let _g = obs::span!("dist", "dist.layout");
-            let ran = self.region(fleet, |s, shard| shard.bind(operands(s)))?;
+            let ran = self.region(fleet, slot, |s, shard| shard.bind(slot, operands(s)))?;
             let (reported, busy): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
             cache.layout = Some(Layout::build(grid, &cache.col_cuts, &reported));
+            // Counted now: these plans stay bound if the fill fails.
+            self.totals().plan_rebuilds += grid.shards() as u64;
             bound = Some(busy);
         }
         let layout = cache.layout.as_ref().expect("layout known or just built");
@@ -464,29 +482,40 @@ impl ShardRuntime {
                 &SharedMutSlice::new(&mut cols),
                 &SharedMutSlice::new(&mut vals),
             );
-            self.region(fleet, |s, shard| {
+            self.region(fleet, slot, |s, shard| {
                 #[cfg(test)]
                 if let Some(fail_point) = &self.on_window {
                     fail_point(s);
                 }
                 let bound = bound.as_ref().map(|busy| busy[s]);
-                shard.fill(operands(s), &layout.spans[s], out, bound)
+                shard.fill(slot, operands(s), &layout.spans[s], out, bound)
             })?
-        };
-        let stats = ProductStats {
-            per_shard_peak_partial_bytes: filled.iter().map(|f| f.held_bytes).collect(),
-            per_shard_compute_ns: filled.iter().map(|f| f.busy_ns).collect(),
-            plan_hits: filled.iter().map(|f| f.plans.hits).sum(),
-            plan_rebuilds: filled.iter().map(|f| f.plans.rebuilds).sum(),
         };
         // Every kernel honours a sorted request; an unsorted one makes
         // no claim, even where a kernel's rows happen to be sorted.
         let (rpts, sorted) = (layout.rpts.clone(), self.cfg.order.is_sorted());
         let c = Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted);
-        let mut totals = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
+        // A fill hits unless it rebuilt a retired plan (binds: above).
+        let rebuilt = filled.iter().filter(|f| f.rebuilt).count() as u64;
+        let mut totals = self.totals();
         totals.products += 1;
-        (totals.plan_hits, totals.plan_rebuilds) = (stats.plan_hits, stats.plan_rebuilds);
+        totals.plan_rebuilds += rebuilt;
+        if bound.is_none() {
+            totals.plan_hits += filled.len() as u64 - rebuilt;
+        }
+        let stats = ProductStats {
+            per_shard_peak_partial_bytes: filled.iter().map(|f| f.held_bytes).collect(),
+            per_shard_compute_ns: filled.iter().map(|f| f.busy_ns).collect(),
+            plan_hits: totals.plan_hits,
+            plan_rebuilds: totals.plan_rebuilds,
+        };
         Ok((c, stats))
+    }
+
+    /// The cumulative counters, for an update.
+    fn totals(&self) -> std::sync::MutexGuard<'_, DistStats> {
+        // Counters are plain stores, whole even under a poisoned lock.
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One fork-join region: `body(s, shard s)` on fleet worker `s`,
@@ -496,11 +525,12 @@ impl ShardRuntime {
     /// Each shard runs under the caller's trace context (the serve
     /// worker submits inside its batch scope), so its spans join the
     /// request's trace; one flow link each way marks the handoff. A
-    /// panic in `body` — kernel, copy, bookkeeping — is contained here:
-    /// it fails this product only, as [`DistError::ShardFailed`].
+    /// panic in `body` is contained here: it fails this product only, as
+    /// [`DistError::ShardFailed`], and retires the shard's `slot` plan.
     fn region<T: Send>(
         &self,
         (fleet, shards): (&Pool, &[Mutex<Shard>]),
+        slot: usize,
         body: impl Fn(usize, &mut Shard) -> Result<T, SparseError> + Sync,
     ) -> Result<Vec<T>, DistError> {
         let ctx = obs::current_ctx();
@@ -508,7 +538,7 @@ impl ShardRuntime {
         let reports: Vec<Mutex<Option<_>>> = shards.iter().map(|_| Mutex::new(None)).collect();
         fleet.broadcast(|s| {
             let _scope = obs::ctx_scope(ctx);
-            // A shard the body panicked in retires its plans (below).
+            // A shard the body panicked in retires its plan (below).
             let mut shard = shards[s].lock().unwrap_or_else(PoisonError::into_inner);
             // The span closes before the return flow opens: a trace
             // never shows a shard at work after its report.
@@ -517,7 +547,7 @@ impl ShardRuntime {
                 begun[s].accept("dist.begin");
                 catch_unwind(AssertUnwindSafe(|| body(s, &mut shard)))
                     .map_err(|payload| {
-                        shard.retire(&self.cfg);
+                        shard.retire(slot);
                         let detail = format!("shard panicked: {}", panic_text(payload));
                         DistError::ShardFailed { shard: s, detail }
                     })
@@ -542,16 +572,16 @@ impl ShardRuntime {
 /// One grid cell's long-lived state.
 struct Shard {
     pool: Pool,
-    /// The one plan for this shard's `A_r · B_c`, in the paper's numeric
-    /// setting (as the serving layer): while operand structures are
-    /// stable it settles into numeric-only hits.
-    plans: PlanCache<PlusTimes<f64>>,
+    /// One bare plan per structure slot, for this shard's `A_r · B_c` of
+    /// the structure kept there: the runtime's key says which, so a hit
+    /// is numeric-only, with no fingerprint of the blocks. `None` until
+    /// bound, or once retired.
+    plans: Vec<Option<SpgemmPlan<PlusTimes<f64>>>>,
     /// Reused output of products computed through a block, not straight
     /// into the span (multi-column grids).
     local: Csr<f64>,
-    /// Counters of plans retired after a contained panic: the cumulative
-    /// `plan_hits` / `plan_rebuilds` never move backwards.
-    carried: PlanCacheStats,
+    algo: Algorithm,
+    order: OutputOrder,
 }
 
 /// A shard's report on its filled span.
@@ -559,58 +589,65 @@ struct Filled {
     /// Bytes held beyond the operand blocks.
     held_bytes: u64,
     busy_ns: u64,
-    /// The shard's cumulative plan-cache counters.
-    plans: PlanCacheStats,
+    /// The slot's plan had been retired and was rebuilt for this fill.
+    rebuilt: bool,
 }
 
 impl Shard {
     fn new(cfg: &DistConfig) -> Shard {
         Shard {
             pool: Pool::new(cfg.threads_per_shard),
-            plans: PlanCache::new(cfg.algo, cfg.order),
+            plans: (0..CACHED_STRUCTURES).map(|_| None).collect(),
             local: Csr::zero(0, 0),
-            carried: PlanCacheStats::default(),
+            algo: cfg.algo,
+            order: cfg.order,
         }
     }
 
-    /// A contained panic may have left the plan mid-rebind or the block
-    /// half-written: drop both (counters carried), rebuild lazily.
-    fn retire(&mut self, cfg: &DistConfig) {
-        self.carried.hits += self.plans.stats().hits;
-        self.carried.rebuilds += self.plans.stats().rebuilds;
-        self.plans = PlanCache::new(cfg.algo, cfg.order);
+    /// A contained panic may have left `slot`'s plan mid-rebind or the
+    /// block half-written: drop both, rebuild lazily. The plans of the
+    /// other slots never ran in this product and stay.
+    fn retire(&mut self, slot: usize) {
+        self.plans[slot] = None;
         self.local = Csr::zero(0, 0);
     }
 
-    /// Bind the plan to `(a, b)`; return the row pointers of the shard's
-    /// local block and the time that took.
+    /// Bind `slot`'s plan to `(a, b)` — a rebind keeps the pooled
+    /// accumulators of the structure it held — and return the row
+    /// pointers of the shard's local block and the time that took.
     fn bind(
         &mut self,
+        slot: usize,
         (a, b): (&Csr<f64>, &Csr<f64>),
     ) -> Result<(Vec<usize>, Duration), SparseError> {
         let _g = obs::span!("dist", "dist.shard.bind");
-        let started = Instant::now();
-        let plan = self.plans.plan_for(a, b, &self.pool)?;
+        let (started, pool) = (Instant::now(), &self.pool);
+        let plan = match &mut self.plans[slot] {
+            Some(plan) => plan.rebind_in(a, b, pool).map(|()| plan)?,
+            empty => empty.insert(SpgemmPlan::new_in(a, b, self.algo, self.order, pool)?),
+        };
         Ok((plan.symbolic_row_ptrs().to_vec(), started.elapsed()))
     }
 
     /// Compute the product into the shard's `span` of `out` (`C`'s
-    /// `cols` and `vals`). `bound` is the time this product's bind
-    /// region spent on the shard, if it ran.
+    /// `cols` and `vals`) through `slot`'s plan. `bound` is the time
+    /// this product's bind region spent on the shard, if it ran.
     fn fill(
         &mut self,
+        slot: usize,
         (a, b): (&Csr<f64>, &Csr<f64>),
         span: &Span,
         out: (&SharedMutSlice<'_, ColIdx>, &SharedMutSlice<'_, f64>),
         bound: Option<Duration>,
     ) -> Result<Filled, SparseError> {
         let started = Instant::now();
-        // A product gets one plan lookup: the fill of a new structure
-        // finds the plan its bind region bound.
-        let plan = match bound {
-            Some(_) => (self.plans.cached()).expect("bound by this product's bind region"),
-            None => self.plans.plan_for(a, b, &self.pool)?,
-        };
+        // The slot holds this product's structure: only a plan retired
+        // by a contained panic is rebuilt, to the layout's counts.
+        let rebuilt = self.plans[slot].is_none();
+        if rebuilt {
+            self.bind(slot, (a, b))?;
+        }
+        let plan = self.plans[slot].as_ref().expect("bound or just rebuilt");
         let _g = obs::span!("dist", "dist.shard.compute");
         let window = |range: Range<usize>| {
             let (cols, vals) = out;
@@ -656,13 +693,10 @@ impl Shard {
         };
         let busy = started.elapsed() + bound.unwrap_or_default();
         let busy_ns = busy.as_nanos() as u64;
-        let mut plans = self.plans.stats();
-        plans.hits += self.carried.hits;
-        plans.rebuilds += self.carried.rebuilds;
         Ok(Filled {
             held_bytes,
             busy_ns,
-            plans,
+            rebuilt,
         })
     }
 }
@@ -812,14 +846,18 @@ mod tests {
         // Both shards of a 2x1 grid reach the fail-point in the fill
         // region (the barrier forces it); one then panics while its
         // peer goes on to write its span. The output must outlive that
-        // write, the product must fail, and nothing else may. Shard 0
-        // runs on the submitting thread, shard 1 on a fleet worker.
+        // write, the product must fail, and nothing else may: a second
+        // kept structure `y` still hits on every shard, and only the
+        // failed shard's plan for `a` is rebuilt. Shard 0 runs on the
+        // submitting thread, shard 1 on a fleet worker.
         let mut rng = spgemm_gen::rng(12);
         let a = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 7, 6, &mut rng);
+        let y = spgemm_gen::poisson::poisson2d(9);
         let bits = |m: &Csr<f64>| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let want = mono(&a, &a);
+        let (want, want_y) = (mono(&a, &a), mono(&y, &y));
         for failing in [0, 1] {
             let mut rt = runtime(2, 1, Algorithm::Hash);
+            rt.multiply(&y, &y).unwrap();
             let (first, before) = rt.multiply_with_stats(&a, &a).unwrap();
             assert_eq!(bits(&first), bits(&want));
 
@@ -837,15 +875,15 @@ mod tests {
                 other => panic!("expected shard {failing} to fail, got {other:?}"),
             }
 
+            let (next_y, after_y) = rt.multiply_with_stats(&y, &y).unwrap();
+            assert_eq!(bits(&next_y), bits(&want_y), "y after the failure");
+            assert_eq!((after_y.plan_rebuilds, after_y.plan_hits), (4, 2), "y hits");
             let (next, after) = rt.multiply_with_stats(&a, &a).unwrap();
             assert_eq!((&next, bits(&next)), (&want, bits(&want)), "next product");
             assert!(after.plan_hits >= before.plan_hits, "hits moved backwards");
             let rebuilt = after.plan_rebuilds - before.plan_rebuilds;
-            assert_eq!(
-                rebuilt, 1,
-                "the failed shard rebuilt its plan; counts carried"
-            );
-            assert_eq!(rt.stats().products, 2, "only successful products count");
+            assert_eq!((rebuilt, after.plan_hits), (1, 3), "only the failed plan");
+            assert_eq!(rt.stats().products, 4, "only successful products count");
         }
     }
 }

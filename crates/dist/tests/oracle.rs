@@ -6,13 +6,14 @@
 //! order, on real-valued inputs that include NaN, ±0.0 and ±inf,
 //! across structurally **disjoint** sparsity patterns and a non-square
 //! `A·B` pushed through one runtime (the drift that forces plan
-//! rebinds and layout rebuilds and would expose any stale reuse).
+//! rebinds and layout rebuilds and would expose any stale reuse), and
+//! across more structures than the runtime keeps (evictions rebind).
 
 mod common;
 
 use common::{assert_bit_identical, mono_hash, spiced};
 use spgemm::{Algorithm, OutputOrder};
-use spgemm_dist::{DistConfig, GridSpec, ShardRuntime};
+use spgemm_dist::{DistConfig, GridSpec, ShardRuntime, CACHED_STRUCTURES};
 use spgemm_gen::{rmat::generate_kind, RmatKind};
 use spgemm_par::Pool;
 use spgemm_sparse::{approx_eq_f64, Csr, PlusTimes};
@@ -165,8 +166,9 @@ fn one_phase_kernels_first_and_second_product() {
 fn drift_at_equal_nnz_rebuilds_the_layout_and_steady_state_only_hits() {
     // A → A' → A through one runtime, where A' has A's row pointers
     // and nnz but other columns: the product's row pointers differ, so
-    // a layout that survived the drift (or the return) would put rows
-    // in the wrong windows. Then repeats of A: rebuilds frozen,
+    // a layout that A' took from A would put rows in the wrong
+    // windows. The return to A finds A's layout and plans kept: only
+    // hits, and still A's bits. Then repeats of A: rebuilds frozen,
     // exactly `shards` plan hits each.
     let a = spiced(&generate_kind(
         RmatKind::G500,
@@ -191,11 +193,11 @@ fn drift_at_equal_nnz_rebuilds_the_layout_and_steady_state_only_hits() {
         {
             let (c, s) = rt.multiply_with_stats(m, m).unwrap();
             assert_bit_identical(&c, want, &format!("grid {grid} drift round {round}"));
-            let rebuilds = (round as u64 + 1) * shards;
+            let (rebuilds, hits) = [(1, 0), (2, 0), (2, 1)][round];
             assert_eq!(
                 (s.plan_rebuilds, s.plan_hits),
-                (rebuilds, 0),
-                "every drift rebinds"
+                (rebuilds * shards, hits * shards),
+                "grid {grid} round {round}: a new structure binds, a kept one hits"
             );
         }
         for repeat in 1..=3u64 {
@@ -203,8 +205,72 @@ fn drift_at_equal_nnz_rebuilds_the_layout_and_steady_state_only_hits() {
             assert_bit_identical(&c, &want_a, &format!("grid {grid} repeat {repeat}"));
             assert_eq!(
                 (s.plan_rebuilds, s.plan_hits),
-                (3 * shards, repeat * shards)
+                (2 * shards, (repeat + 1) * shards)
             );
         }
+    }
+}
+
+#[test]
+fn more_structures_than_kept_evict_least_recently_used_and_stay_exact() {
+    // One more structure than the runtime keeps, cycled twice: plain
+    // LRU misses every product (each evicts the one needed next, and
+    // its slot's plans are rebound), then the most recent
+    // `CACHED_STRUCTURES` are revisited newest-first (all hits), the
+    // evicted one comes back (a miss), and so does the one it evicted —
+    // the least recently *used*, not the oldest kept (a miss again).
+    // The counters must follow a model LRU product by product, and
+    // every product carry `Hash`'s bits — a slot rebound to another
+    // structure that kept a stale pattern or layout would not.
+    let mut r = spgemm_gen::rng(20261020);
+    let structures: Vec<Csr<f64>> = (0..=CACHED_STRUCTURES)
+        .map(|i| match i % 3 {
+            0 => spiced(&generate_kind(RmatKind::G500, 6, 4 + i, &mut r)),
+            1 => spiced(&spgemm_gen::suite::band_matrix(64 + i, 3 + i, &mut r)),
+            _ => spiced(&shift_columns(&generate_kind(RmatKind::Er, 6, 3, &mut r))),
+        })
+        .collect();
+    let oracles: Vec<Csr<f64>> = structures.iter().map(|m| mono_hash(m, m)).collect();
+    let n = structures.len();
+    let mut order: Vec<usize> = (0..2 * n).map(|i| i % n).collect();
+    order.extend((1..n).rev().chain([0, n - 1]));
+    for grid in [
+        GridSpec::new(1, 1),
+        GridSpec::new(2, 1),
+        GridSpec::new(2, 2),
+    ] {
+        let rt = ShardRuntime::new(DistConfig {
+            grid,
+            ..DistConfig::default()
+        });
+        let shards = grid.shards() as u64;
+        // Most recently used first.
+        let mut model: Vec<usize> = Vec::new();
+        let (mut rebuilds, mut hits) = (0, 0);
+        for (step, &i) in order.iter().enumerate() {
+            match model.iter().position(|&kept| kept == i) {
+                Some(at) => {
+                    model.remove(at);
+                    hits += shards;
+                }
+                None => {
+                    model.truncate(CACHED_STRUCTURES - 1);
+                    rebuilds += shards;
+                }
+            }
+            model.insert(0, i);
+            let (c, s) = rt
+                .multiply_with_stats(&structures[i], &structures[i])
+                .unwrap();
+            let what = format!("grid {grid} step {step} (structure {i})");
+            assert_bit_identical(&c, &oracles[i], &what);
+            assert_eq!((s.plan_rebuilds, s.plan_hits), (rebuilds, hits), "{what}");
+        }
+        assert_eq!(
+            rebuilds,
+            (2 * n as u64 + 2) * shards,
+            "every cycle step and both returns missed"
+        );
+        assert_eq!(hits, (n as u64 - 1) * shards, "the kept ones hit");
     }
 }

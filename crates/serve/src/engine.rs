@@ -83,7 +83,11 @@ pub struct ServeConfig {
 /// output-order contract (the fleet runs sorted products on
 /// `DistConfig`'s default kernel, `Auto`, so its rows are sorted, and
 /// every block resolving to `Spa` or `Hash` is bit-identical to the
-/// monolithic `Hash` product).
+/// monolithic `Hash` product). All routed keys share that runtime, which
+/// keeps up to [`spgemm_dist::CACHED_STRUCTURES`] (4) operand
+/// structures bound: up to that many routed structures replay
+/// numeric-only however their jobs interleave, and a further one
+/// rebinds the least recently used structure's shard plans.
 /// Shard-fleet infrastructure failures are not surfaced to the
 /// job: the worker falls back to its monolithic path and the product
 /// still completes.
