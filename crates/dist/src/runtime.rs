@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 
 /// Operand structure pairs a runtime keeps bound, each with its cuts,
 /// layout and one plan per shard; the least recently used goes first.
-pub const CACHED_STRUCTURES: usize = 4;
+pub const CACHED_STRUCTURES: usize = 2;
 
 /// Shard grid shape: `rows × cols` shards. Shard `(r, c)` owns row
 /// block `r` of `A` and `C` and column block `c` of `B` and `C`.
@@ -159,10 +159,12 @@ pub struct ProductStats {
     /// clock reads against a multiply.
     pub per_shard_compute_ns: Vec<u64>,
     /// Shard plan hits (numeric-only fills) summed over all shards,
-    /// cumulative since the runtime started. A kept structure
-    /// re-executed `k` times shows `shards × (k - 1)` hits.
+    /// cumulative since the runtime started, failed products included.
+    /// A kept structure re-executed `k` times shows `shards × (k - 1)`
+    /// hits.
     pub plan_hits: u64,
-    /// Shard plan (re)builds summed over all shards, cumulative since
+    /// Shard plan (re)binds summed over all shards, each counted as its
+    /// shard completes it (failed products included), cumulative since
     /// the runtime started — constant across re-executions of kept
     /// structures.
     pub plan_rebuilds: u64,
@@ -183,13 +185,16 @@ impl ProductStats {
     /// mean (`1.0` = perfectly balanced; `2.0` = the critical shard
     /// worked twice the average). `0.0` when nothing was measured.
     pub fn compute_imbalance(&self) -> f64 {
-        let ns = &self.per_shard_compute_ns;
-        let max = ns.iter().max().map_or(0.0, |&most| most as f64);
-        let mean = ns.iter().sum::<u64>() as f64 / ns.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
+        let n = self.per_shard_compute_ns.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let max = *self.per_shard_compute_ns.iter().max().unwrap() as f64;
+        let mean = self.per_shard_compute_ns.iter().sum::<u64>() as f64 / n as f64;
+        if mean == 0.0 {
             0.0
+        } else {
+            max / mean
         }
     }
 }
@@ -465,11 +470,11 @@ impl ShardRuntime {
         let mut bound = None;
         if cache.layout.is_none() {
             let _g = obs::span!("dist", "dist.layout");
-            let ran = self.region(fleet, slot, |s, shard| shard.bind(slot, operands(s)))?;
+            let ran = self.region(fleet, slot, |s, shard| {
+                (shard.bind(slot, operands(s))).inspect(|_| self.totals().plan_rebuilds += 1)
+            })?;
             let (reported, busy): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
             cache.layout = Some(Layout::build(grid, &cache.col_cuts, &reported));
-            // Counted now: these plans stay bound if the fill fails.
-            self.totals().plan_rebuilds += grid.shards() as u64;
             bound = Some(busy);
         }
         let layout = cache.layout.as_ref().expect("layout known or just built");
@@ -487,7 +492,16 @@ impl ShardRuntime {
                 if let Some(fail_point) = &self.on_window {
                     fail_point(s);
                 }
-                let bound = bound.as_ref().map(|busy| busy[s]);
+                let mut bound = bound.as_ref().map(|busy| busy[s]);
+                // The slot holds this product's structure: only a plan
+                // retired by a contained panic is rebuilt, to the
+                // layout's counts. A plan bound before this product hits.
+                if shard.plans[slot].is_none() {
+                    bound = Some(shard.bind(slot, operands(s))?.1);
+                    self.totals().plan_rebuilds += 1;
+                } else if bound.is_none() {
+                    self.totals().plan_hits += 1;
+                }
                 shard.fill(slot, operands(s), &layout.spans[s], out, bound)
             })?
         };
@@ -495,14 +509,8 @@ impl ShardRuntime {
         // no claim, even where a kernel's rows happen to be sorted.
         let (rpts, sorted) = (layout.rpts.clone(), self.cfg.order.is_sorted());
         let c = Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted);
-        // A fill hits unless it rebuilt a retired plan (binds: above).
-        let rebuilt = filled.iter().filter(|f| f.rebuilt).count() as u64;
         let mut totals = self.totals();
         totals.products += 1;
-        totals.plan_rebuilds += rebuilt;
-        if bound.is_none() {
-            totals.plan_hits += filled.len() as u64 - rebuilt;
-        }
         let stats = ProductStats {
             per_shard_peak_partial_bytes: filled.iter().map(|f| f.held_bytes).collect(),
             per_shard_compute_ns: filled.iter().map(|f| f.busy_ns).collect(),
@@ -589,8 +597,6 @@ struct Filled {
     /// Bytes held beyond the operand blocks.
     held_bytes: u64,
     busy_ns: u64,
-    /// The slot's plan had been retired and was rebuilt for this fill.
-    rebuilt: bool,
 }
 
 impl Shard {
@@ -630,8 +636,8 @@ impl Shard {
     }
 
     /// Compute the product into the shard's `span` of `out` (`C`'s
-    /// `cols` and `vals`) through `slot`'s plan. `bound` is the time
-    /// this product's bind region spent on the shard, if it ran.
+    /// `cols` and `vals`) through `slot`'s plan, bound to `(a, b)`.
+    /// `bound` is the time this product spent binding it, if it did.
     fn fill(
         &mut self,
         slot: usize,
@@ -641,13 +647,7 @@ impl Shard {
         bound: Option<Duration>,
     ) -> Result<Filled, SparseError> {
         let started = Instant::now();
-        // The slot holds this product's structure: only a plan retired
-        // by a contained panic is rebuilt, to the layout's counts.
-        let rebuilt = self.plans[slot].is_none();
-        if rebuilt {
-            self.bind(slot, (a, b))?;
-        }
-        let plan = self.plans[slot].as_ref().expect("bound or just rebuilt");
+        let plan = self.plans[slot].as_ref().expect("bound before the fill");
         let _g = obs::span!("dist", "dist.shard.compute");
         let window = |range: Range<usize>| {
             let (cols, vals) = out;
@@ -696,7 +696,6 @@ impl Shard {
         Ok(Filled {
             held_bytes,
             busy_ns,
-            rebuilt,
         })
     }
 }
@@ -848,7 +847,8 @@ mod tests {
         // peer goes on to write its span. The output must outlive that
         // write, the product must fail, and nothing else may: a second
         // kept structure `y` still hits on every shard, and only the
-        // failed shard's plan for `a` is rebuilt. Shard 0 runs on the
+        // failed shard's plan for `a` is rebuilt. The peer's hit in the
+        // failed product counts: it did the lookup. Shard 0 runs on the
         // submitting thread, shard 1 on a fleet worker.
         let mut rng = spgemm_gen::rng(12);
         let a = spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 7, 6, &mut rng);
@@ -877,12 +877,12 @@ mod tests {
 
             let (next_y, after_y) = rt.multiply_with_stats(&y, &y).unwrap();
             assert_eq!(bits(&next_y), bits(&want_y), "y after the failure");
-            assert_eq!((after_y.plan_rebuilds, after_y.plan_hits), (4, 2), "y hits");
+            assert_eq!((after_y.plan_rebuilds, after_y.plan_hits), (4, 3), "y hits");
             let (next, after) = rt.multiply_with_stats(&a, &a).unwrap();
             assert_eq!((&next, bits(&next)), (&want, bits(&want)), "next product");
             assert!(after.plan_hits >= before.plan_hits, "hits moved backwards");
             let rebuilt = after.plan_rebuilds - before.plan_rebuilds;
-            assert_eq!((rebuilt, after.plan_hits), (1, 3), "only the failed plan");
+            assert_eq!((rebuilt, after.plan_hits), (1, 4), "only the failed plan");
             assert_eq!(rt.stats().products, 4, "only successful products count");
         }
     }

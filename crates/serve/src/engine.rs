@@ -84,7 +84,7 @@ pub struct ServeConfig {
 /// `DistConfig`'s default kernel, `Auto`, so its rows are sorted, and
 /// every block resolving to `Spa` or `Hash` is bit-identical to the
 /// monolithic `Hash` product). All routed keys share that runtime, which
-/// keeps up to [`spgemm_dist::CACHED_STRUCTURES`] (4) operand
+/// keeps up to [`spgemm_dist::CACHED_STRUCTURES`] (2) operand
 /// structures bound: up to that many routed structures replay
 /// numeric-only however their jobs interleave, and a further one
 /// rebinds the least recently used structure's shard plans.
