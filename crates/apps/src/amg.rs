@@ -68,14 +68,13 @@ pub fn galerkin_product(
 /// structure refilled by a value gather, and every re-coarsening
 /// (time-dependent coefficients, Jacobian refreshes — `A`'s values
 /// change, its pattern does not) is a numeric-only re-execution into
-/// reused storage. This is the AMG re-setup loop the paper's
-/// introduction cites as a primary SpGEMM consumer, with the Figure 4
-/// allocation cost amortized away.
+/// reused storage, whose result is read in place from the plan's root.
+/// This is the AMG re-setup loop the paper's introduction cites as a
+/// primary SpGEMM consumer, with the Figure 4 allocation cost
+/// amortized away.
 pub struct GalerkinPlan {
     p: Csr<f64>,
     plan: ExprPlan,
-    /// Reused coarse operator.
-    ac: Csr<f64>,
 }
 
 impl GalerkinPlan {
@@ -94,23 +93,19 @@ impl GalerkinPlan {
         let pt = g.transpose(ip);
         let root = g.multiply(pt, ap);
         let plan = ExprPlan::new_in(&g, root, &[a, p], &[], algo, pool)?;
-        let mut ac = Csr::zero(0, 0);
-        plan.root_into(&mut ac)?;
-        Ok(GalerkinPlan {
-            p: p.clone(),
-            plan,
-            ac,
-        })
+        Ok(GalerkinPlan { p: p.clone(), plan })
     }
 
     /// Recompute the coarse operator for new values of `a` (same
     /// sparsity pattern as planned): a numeric-only pipeline
-    /// re-execution, no steady-state allocation.
+    /// re-execution, no steady-state allocation. The result is the
+    /// plan's root, borrowed in place (no copy).
     ///
-    /// The pattern is verified (structure fingerprint, `O(nnz)` —
-    /// negligible next to the SpGEMMs): a matrix whose entries moved
-    /// is rejected with [`SparseError::PlanMismatch`] rather than
-    /// silently coarsened against stale row pointers.
+    /// The pattern is verified by structure fingerprint, which `a`
+    /// computes once and then remembers (so does the plan's copy of
+    /// `P`): a matrix whose entries moved is rejected with
+    /// [`SparseError::PlanMismatch`] rather than silently coarsened
+    /// against stale row pointers.
     pub fn recoarsen(&mut self, a: &Csr<f64>, pool: &Pool) -> Result<&Csr<f64>, SparseError> {
         let drifted = self.plan.mismatched_inputs(&[a, &self.p]);
         if !drifted.is_empty() {
@@ -126,14 +121,19 @@ impl GalerkinPlan {
                 ),
             });
         }
-        self.plan
-            .execute_into_in(&[a, &self.p], &[], &mut self.ac, pool)?;
-        Ok(&self.ac)
+        self.plan.execute_in(&[a, &self.p], &[], pool)?;
+        Ok(self.coarse())
     }
 
-    /// The current coarse operator.
+    /// The current coarse operator: the plan's root, in place.
+    ///
+    /// # Panics
+    ///
+    /// After a [`GalerkinPlan::recoarsen`] that failed inside the
+    /// pipeline, whose root may be half-written. (One rejected for a
+    /// drifted pattern ran nothing and leaves the operator readable.)
     pub fn coarse(&self) -> &Csr<f64> {
-        &self.ac
+        (self.plan.root()).expect("the root is a product node, bound unless an execution failed")
     }
 
     /// The prolongation this plan was built around.

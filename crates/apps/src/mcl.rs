@@ -20,6 +20,13 @@
 //! allocation cost is paid once, not per round), and once the pattern
 //! stabilizes near convergence every further expansion is a
 //! numeric-only plan hit.
+//!
+//! The rest of a round is linear and reads the plan's root in place:
+//! pruning copies the surviving entries into the round's one new
+//! matrix, which is renormalized where it lies, and the change metric
+//! merges each row of the old and new matrices. Inflation has one
+//! definition, [`ElemMap::AbsPow`], which both the fused epilogue and
+//! [`inflate`] apply (at the default `r = 2`, the squared magnitude).
 
 use spgemm::expr::{ElemMap, ExprGraph, ExprPlan, NodeId};
 use spgemm::Algorithm;
@@ -65,9 +72,11 @@ pub fn normalize_columns(a: &Csr<f64>) -> Csr<f64> {
     ops::normalize_columns(a)
 }
 
-/// Inflation: elementwise power `r`, then column renormalization.
+/// Inflation: elementwise power `r` ([`ElemMap::AbsPow`], the fused
+/// pipeline's epilogue), then column renormalization.
 pub fn inflate(a: &Csr<f64>, r: f64) -> Csr<f64> {
-    normalize_columns(&a.map(|v| v.abs().powf(r)))
+    let power = ElemMap::AbsPow(r);
+    normalize_columns(&a.map(|v| power.apply(v)))
 }
 
 /// What the expression plan did for one MCL round.
@@ -103,16 +112,14 @@ pub struct MclStats {
 }
 
 /// The fused expansion+inflation pipeline MCL threads through its
-/// rounds: the graph `normalize_cols(|A·A|^r)`, its expression plan
-/// once the first round binds one, and the reused output buffer it
-/// executes into.
+/// rounds: the graph `normalize_cols(|A·A|^r)` and its expression plan
+/// once the first round binds one, whose root holds each round's
+/// expansion.
 pub struct MclPipeline {
     graph: ExprGraph,
     root: NodeId,
     plan: Option<ExprPlan>,
     stats: MclPlanStats,
-    /// Reused fused expansion+inflation output.
-    expanded: Csr<f64>,
     /// The inflation exponent and kernel baked into the compiled DAG.
     inflation: f64,
     algo: Algorithm,
@@ -135,7 +142,6 @@ impl MclPipeline {
             root,
             plan: None,
             stats: MclPlanStats::default(),
-            expanded: Csr::zero(0, 0),
             inflation: params.inflation,
             algo: params.algo,
         }
@@ -151,14 +157,15 @@ impl MclPipeline {
         self.plan.as_ref()
     }
 
-    /// Expansion + inflation of `a` into the reused output: a
-    /// numeric-only execution while `a`'s structure matches the plan's,
-    /// a (re)bind — whose pass materializes the values — otherwise.
-    fn expand(&mut self, a: &Csr<f64>, pool: &Pool) -> Result<(), SparseError> {
+    /// Expansion + inflation of `a`, read in place from the plan's
+    /// root: a numeric-only execution while `a`'s structure matches the
+    /// plan's, a (re)bind — whose pass materializes the values —
+    /// otherwise.
+    fn expand(&mut self, a: &Csr<f64>, pool: &Pool) -> Result<&Csr<f64>, SparseError> {
         match &mut self.plan {
             Some(p) if p.nthreads() == pool.nthreads() && p.matches_inputs(&[a]) => {
                 self.stats.hits += 1;
-                return p.execute_into_in(&[a], &[], &mut self.expanded, pool);
+                p.execute_in(&[a], &[], pool)?;
             }
             Some(p) => {
                 self.stats.rebuilds += 1;
@@ -171,8 +178,40 @@ impl MclPipeline {
             }
         }
         let plan = self.plan.as_ref().expect("bound above");
-        plan.root_into(&mut self.expanded)
+        Ok((plan.root()).expect("the root is a materialized node of a plan that just ran"))
     }
+}
+
+/// The round's tail, in one new matrix: the entries of `expanded` at
+/// or above `threshold`, each column renormalized to sum 1 — the
+/// values of `normalize_columns(&expanded.filter(..))`, bit for bit
+/// (the pruned copy's columns are summed in storage order, as there).
+fn prune_and_normalize(expanded: &Csr<f64>, threshold: f64) -> Csr<f64> {
+    let mut next = expanded.filter(|_, _, v| v >= threshold);
+    let ncols = next.ncols();
+    let (_, cols, vals) = next.pattern_and_vals_mut();
+    ops::normalize_columns_values(ncols, cols, vals, &mut Vec::new());
+    next
+}
+
+/// `max |new − old|` over the union of two equal-shaped matrices'
+/// sorted structures, an entry absent from one side counting as 0:
+/// each row pair merged once.
+fn max_change(old: &Csr<f64>, new: &Csr<f64>) -> f64 {
+    debug_assert!(old.shape() == new.shape() && old.is_sorted() && new.is_sorted());
+    let mut delta = 0.0f64;
+    for i in 0..old.nrows() {
+        let (ov, nv) = (old.row_vals(i), new.row_vals(i));
+        ops::merge_sorted_rows(old.row_cols(i), new.row_cols(i), |_, p, q| {
+            let change = match (p, q) {
+                (Some(p), Some(q)) => nv[q] - ov[p],
+                (Some(p), None) => ov[p],
+                (None, q) => nv[q.expect("a merge hit has a side")],
+            };
+            delta = delta.max(change.abs());
+        });
+    }
+    delta
 }
 
 /// One MCL round: fused expansion+inflation, then pruning and
@@ -203,26 +242,14 @@ pub fn mcl_step(
     }
     // expansion + inflation in one fused plan execution (the expr
     // layer traces its own bind/multiply/unary phases)
-    pipe.expand(a, pool)?;
+    let expanded = pipe.expand(a, pool)?;
     let renorm = {
         let _g = obs::span!("mcl", "mcl.prune");
-        let pruned = pipe.expanded.filter(|_, _, v| v >= params.prune_threshold);
-        normalize_columns(&pruned)
+        prune_and_normalize(expanded, params.prune_threshold)
     };
     // change metric: max |new - old| over the union of structures
     let _g = obs::span!("mcl", "mcl.delta");
-    let mut delta = 0.0f64;
-    for i in 0..renorm.nrows() {
-        for (&c, &v) in renorm.row_cols(i).iter().zip(renorm.row_vals(i)) {
-            let old = a.get(i, c).copied().unwrap_or(0.0);
-            delta = delta.max((v - old).abs());
-        }
-        for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            if renorm.get(i, c).is_none() {
-                delta = delta.max(v.abs());
-            }
-        }
-    }
+    let delta = max_change(a, &renorm);
     Ok((renorm, delta))
 }
 
@@ -319,6 +346,63 @@ pub fn cluster_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The change metric as it was computed before the row merge: a
+    /// `Csr::get` lookup per entry, both ways.
+    fn max_change_by_lookup(old: &Csr<f64>, new: &Csr<f64>) -> f64 {
+        let mut delta = 0.0f64;
+        for i in 0..new.nrows() {
+            for (&c, &v) in new.row_cols(i).iter().zip(new.row_vals(i)) {
+                let was = old.get(i, c).copied().unwrap_or(0.0);
+                delta = delta.max((v - was).abs());
+            }
+            for (&c, &v) in old.row_cols(i).iter().zip(old.row_vals(i)) {
+                if new.get(i, c).is_none() {
+                    delta = delta.max(v.abs());
+                }
+            }
+        }
+        delta
+    }
+
+    /// An `n × n` matrix of the given `(row, col, value kind)` entries,
+    /// with every entry of row `dead` below the default prune threshold.
+    fn matrix(n: usize, entries: &[(usize, usize, usize)], dead: usize) -> Csr<f64> {
+        const VALUES: [f64; 7] = [1e-6, 5e-5, 1e-4, 0.3, 1.0, 2.5, -0.75];
+        let trips: Vec<(usize, u32, f64)> = (entries.iter())
+            .map(|&(r, c, k)| (r, c as u32, if r == dead { 1e-6 } else { VALUES[k] }))
+            .collect();
+        Csr::from_triplets(n, n, &trips).unwrap()
+    }
+
+    fn arb_pair() -> impl Strategy<Value = (Csr<f64>, Csr<f64>)> {
+        (1usize..=12).prop_flat_map(|n| {
+            let entries = || proptest::collection::vec((0..n, 0..n, 0usize..7), 0..=4 * n);
+            (entries(), entries(), 0..n)
+                .prop_map(move |(x, y, dead)| (matrix(n, &x, n), matrix(n, &y, dead)))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The round's tail — prune + renormalize in one copy, then the
+        /// merged change metric — equals the two-copy
+        /// `normalize_columns(filter(..))` and the per-entry lookup
+        /// metric bit for bit, rows pruned empty included.
+        #[test]
+        fn round_tail_matches_the_two_copy_lookup_form((old, expanded) in arb_pair()) {
+            let t = MclParams::default().prune_threshold;
+            let next = prune_and_normalize(&expanded, t);
+            let expect = normalize_columns(&expanded.filter(|_, _, v| v >= t));
+            prop_assert!(spgemm_sparse::bits_eq_f64(&next, &expect));
+            for (a, b) in [(&old, &next), (&next, &old), (&old, &expanded)] {
+                let (got, want) = (max_change(a, b), max_change_by_lookup(a, b));
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
 
     fn two_cliques() -> Csr<f64> {
         // vertices 0-2 and 3-5 each fully connected; one weak bridge 2-3

@@ -47,9 +47,9 @@ pub struct TriangleCounter {
     reordered: Csr<f64>,
     l: Csr<f64>,
     u: Csr<f64>,
+    /// Its root, read in place, is the masked wedge matrix
+    /// `(L · U) ∘ A`.
     plan: ExprPlan,
-    /// Reused masked wedge matrix `(L · U) ∘ A`.
-    wedges_on_edges: Csr<f64>,
 }
 
 impl TriangleCounter {
@@ -68,23 +68,18 @@ impl TriangleCounter {
             l,
             u,
             plan,
-            wedges_on_edges: Csr::zero(0, 0),
         })
     }
 
     /// Count triangles (numeric-only after the first call).
     pub fn count(&mut self, pool: &Pool) -> Result<u64, SparseError> {
-        self.plan.execute_into_in(
-            &[&self.l, &self.u, &self.reordered],
-            &[],
-            &mut self.wedges_on_edges,
-            pool,
-        )?;
+        (self.plan).execute_in(&[&self.l, &self.u, &self.reordered], &[], pool)?;
         // The masked product holds the wedge counts `(L·U)[i][j]` of
         // exactly the edges `(i, j)` of A, so their sum counts closed
         // wedges. Under the L·U orientation every triangle is counted exactly
         // twice (once per wedge endpoint pair present in A).
-        let total: f64 = self.wedges_on_edges.vals().iter().sum();
+        let wedges_on_edges = (self.plan.root()).expect("the root is a Hadamard node, just run");
+        let total: f64 = wedges_on_edges.vals().iter().sum();
         Ok((total / 2.0).round() as u64)
     }
 

@@ -67,13 +67,12 @@ fn mcl_workload(scale: u32, ef: usize, seed: u64) -> Workload {
             let a = inputs[0];
             let sq = multiply_in::<P>(a, a, Algorithm::Hash, OutputOrder::Sorted, pool)
                 .expect("multiply");
-            // Runtime exponent, exactly like `mcl::inflate(_,
-            // params.inflation)`: a literal 2.0 here would let LLVM
-            // fold `powf` into `x*x` and break the byte comparison
-            // against the (inherently runtime-parameterized) fused
-            // epilogue.
-            let r = std::hint::black_box(2.0f64);
-            ops::normalize_columns(&sq.map(|v| v.abs().powf(r)))
+            // `|v|^2` is the squared magnitude, written out here
+            // rather than through `ElemMap`.
+            ops::normalize_columns(&sq.map(|v| {
+                let x = v.abs();
+                x * x
+            }))
         },
     }
 }

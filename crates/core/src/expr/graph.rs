@@ -42,7 +42,9 @@ impl VecId {
 /// `spgemm-serve` — stay well-defined.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ElemMap {
-    /// `|v|^r` — MCL's inflation power.
+    /// `|v|^r` — MCL's inflation power. `r = 2` is computed as
+    /// `|v|·|v|` (one correctly rounded product); every other exponent
+    /// through `powf`.
     AbsPow(f64),
     /// `v * s`.
     Scale(f64),
@@ -55,6 +57,10 @@ impl ElemMap {
     #[inline]
     pub fn apply(&self, v: f64) -> f64 {
         match *self {
+            ElemMap::AbsPow(2.0) => {
+                let x = v.abs();
+                x * x
+            }
             ElemMap::AbsPow(r) => v.abs().powf(r),
             ElemMap::Scale(s) => v * s,
             ElemMap::Shift(s) => v + s,
@@ -437,6 +443,41 @@ pub fn fnv64(words: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `AbsPow(2.0)` is the square of the magnitude, bit for bit (any
+    /// NaN matching any NaN, as in `bits_eq_f64`), on the values where
+    /// a power function and a product could part ways; other exponents
+    /// stay on `powf`.
+    #[test]
+    fn abs_pow_two_is_the_squared_magnitude() {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE,
+            1e-160,
+            1e160,
+            -1.5,
+            0.1,
+            f64::MAX,
+        ];
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let three = std::hint::black_box(3.0f64);
+        for v in values.map(std::hint::black_box) {
+            let x = v.abs();
+            let got = ElemMap::AbsPow(2.0).apply(v);
+            assert!(same(got, x * x), "AbsPow(2) of {v:e}: {got:e}");
+            let got = ElemMap::AbsPow(3.0).apply(v);
+            assert!(same(got, x.powf(three)), "AbsPow(3) of {v:e}: {got:e}");
+        }
+    }
 
     #[test]
     fn ids_are_topologically_ordered() {

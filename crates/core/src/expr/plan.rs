@@ -16,7 +16,9 @@
 //!   node's buffer and materialize nothing. `NormalizeCols` always
 //!   materializes: its column sums need its operand's unnormalised
 //!   values.
-//! * **Execute many** ([`ExprPlan::execute_into_in`]): with inputs of
+//! * **Execute many** ([`ExprPlan::execute_in`], read the result in
+//!   place through [`ExprPlan::root`]; [`ExprPlan::execute_into_in`]
+//!   adds a copy into a caller's matrix): with inputs of
 //!   the *same structure* (values free to change), every node is a
 //!   numeric-only refill of its cached buffer — `Multiply` via
 //!   [`SpgemmPlan::execute_into_in`], `Transpose` via the cached
@@ -32,8 +34,12 @@
 //!   pattern changes, cached structures are recomputed while every
 //!   `Multiply` node keeps its pooled accumulators
 //!   ([`SpgemmPlan::rebind_in`]). [`ExprPlan::matches_inputs`]
-//!   fingerprints the inputs to tell the two cases apart, like
-//!   [`crate::PlanCache`] does for single products.
+//!   compares the inputs' structure fingerprints to tell the two cases
+//!   apart, like [`crate::PlanCache`] does for single products; a
+//!   matrix remembers its fingerprint, so re-checking the same inputs
+//!   hashes nothing. Value refills write through
+//!   [`Csr::pattern_and_vals_mut`], so a buffer keeps its fingerprint
+//!   too.
 
 use crate::expr::graph::{fnv64 as fnv, ElemMap, ExprGraph, ExprOp, NodeId};
 use crate::{Algorithm, OutputOrder, SpgemmPlan};
@@ -150,12 +156,13 @@ pub struct ExprPlan {
     /// One (possibly unused) value buffer per node.
     pub(super) bufs: Vec<Csr<f64>>,
     pub(super) value_of: Vec<ValueLoc>,
-    /// Whether the last bind or update pass completed. A failed
-    /// [`ExprPlan::rebind_in`] or [`ExprPlan::update_in`] leaves node
-    /// states half-rebound: until a later rebind succeeds, the plan
-    /// refuses to execute and [`ExprPlan::matches_inputs`] reports
-    /// `false` (so callers take the rebind path, never the stale-hit
-    /// path).
+    /// Whether the last bind, update or execution pass completed. A
+    /// failed [`ExprPlan::rebind_in`], [`ExprPlan::update_in`] or
+    /// [`ExprPlan::execute_in`] leaves node states or buffers
+    /// half-written: until a later rebind succeeds, the plan refuses to
+    /// execute, [`ExprPlan::root`] is `None` and
+    /// [`ExprPlan::matches_inputs`] reports `false` (so callers take the
+    /// rebind path, never the stale-hit path).
     pub(super) bound: bool,
 }
 
@@ -204,7 +211,7 @@ pub(super) fn apply_unary(
         let (left, right) = ((nrows, ncols), (len, 0));
         return Err(SparseError::ShapeMismatch { left, right, op });
     }
-    let (rp, cl, vl) = target.raw_parts_mut();
+    let (rp, cl, vl) = target.pattern_and_vals_mut();
     if let UnaryKind::NormalizeCols(colsum) = kind {
         debug_assert!(rows.is_none(), "column sums are not row-local");
         ops::normalize_columns_values(ncols, cl, vl, colsum);
@@ -438,11 +445,29 @@ impl ExprPlan {
         Ok(NodeState::Unary { a: va, kind, fused })
     }
 
-    /// Numeric-only re-execution of the whole pipeline into `out`,
-    /// reusing every cached structure, pooled accumulator and
-    /// intermediate buffer: with same-structure inputs (values free to
-    /// differ) and a warmed `out`, this performs **zero heap
-    /// allocations**.
+    /// Numeric-only re-execution of the whole pipeline, reusing every
+    /// cached structure, pooled accumulator and intermediate buffer:
+    /// with same-structure inputs (values free to differ) this performs
+    /// **zero heap allocations**. Read the result in place with
+    /// [`ExprPlan::root`]. An error from the per-call guards changes
+    /// nothing; one from further in leaves the plan unbound, like a
+    /// failed rebind.
+    pub fn execute_in(
+        &mut self,
+        inputs: &[&Csr<f64>],
+        vecs: &[&[f64]],
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.check(inputs, vecs, pool, None)?;
+        self.bound = false;
+        self.run_numeric(inputs, vecs, pool)?;
+        self.bound = true;
+        Ok(())
+    }
+
+    /// [`ExprPlan::execute_in`], then a copy of the root into `out`
+    /// (reusing `out`'s allocations: with a warmed `out`, still zero
+    /// heap allocations).
     pub fn execute_into_in(
         &mut self,
         inputs: &[&Csr<f64>],
@@ -450,26 +475,33 @@ impl ExprPlan {
         out: &mut Csr<f64>,
         pool: &Pool,
     ) -> Result<(), SparseError> {
-        self.check(inputs, vecs, pool, None)?;
-        self.run_numeric(inputs, vecs, pool)?;
+        self.execute_in(inputs, vecs, pool)?;
         write_csr(resolve(self.value_of[self.root], inputs, &self.bufs), out);
         Ok(())
     }
 
-    /// Copy the root value computed by the most recent bind/execute
-    /// into `out` without re-running anything. Errors if the root is a
-    /// bare input node (read the input directly instead).
+    /// The root value computed by the most recent bind, update or
+    /// execution, read in place. `None` when the root is a bare input
+    /// node (read the input directly) and while the plan is unbound
+    /// after a failed pass, so a half-written root is never served.
+    pub fn root(&self) -> Option<&Csr<f64>> {
+        match self.value_of[self.root] {
+            ValueLoc::Buf(k) if self.bound => Some(&self.bufs[k]),
+            _ => None,
+        }
+    }
+
+    /// Copy [`ExprPlan::root`] into `out` without re-running anything.
+    /// Errors where that is `None`.
     pub fn root_into(&self, out: &mut Csr<f64>) -> Result<(), SparseError> {
-        let detail = match self.value_of[self.root] {
-            _ if !self.bound => {
-                "expression plan is unbound after a failed rebind; \
-                                 its root value is stale"
-            }
-            ValueLoc::Input(_) => "expression root is a bare input; read it directly",
-            ValueLoc::Buf(k) => {
-                write_csr(&self.bufs[k], out);
-                return Ok(());
-            }
+        if let Some(root) = self.root() {
+            write_csr(root, out);
+            return Ok(());
+        }
+        let detail = if !self.bound {
+            "expression plan is unbound after a failed pass; its root value is stale"
+        } else {
+            "expression root is a bare input; read it directly"
         };
         Err(SparseError::PlanMismatch {
             detail: detail.into(),
@@ -500,7 +532,7 @@ impl ExprPlan {
         let mismatch = |detail: String| Err(SparseError::PlanMismatch { detail });
         if !self.bound {
             return mismatch(
-                "expression plan is unbound after a failed rebind; \
+                "expression plan is unbound after a failed pass; \
                              rebind it (or rebuild) before executing"
                     .into(),
             );
@@ -552,7 +584,8 @@ impl ExprPlan {
                 NodeState::Transpose { a, val_order } => {
                     let _g = obs::span!("expr", "expr.transpose");
                     let av = resolve(*a, inputs, head).vals();
-                    for (dst, &s) in tail[0].raw_parts_mut().2.iter_mut().zip(&*val_order) {
+                    let vl = tail[0].pattern_and_vals_mut().2;
+                    for (dst, &s) in vl.iter_mut().zip(&*val_order) {
                         *dst = av[s];
                     }
                 }
@@ -568,7 +601,7 @@ impl ExprPlan {
                         resolve(*a, inputs, head).vals(),
                         resolve(*b, inputs, head).vals(),
                     );
-                    let vl = tail[0].raw_parts_mut().2;
+                    let vl = tail[0].pattern_and_vals_mut().2;
                     let src = vl.iter_mut().zip(a_src.iter().zip(&*b_src));
                     if *intersect {
                         src.for_each(|(dst, (&sa, &sb))| *dst = av[sa] * bv[sb]);
@@ -592,7 +625,7 @@ impl ExprPlan {
                     } else {
                         let me = &mut tail[0];
                         let src = resolve(*a, inputs, head);
-                        me.raw_parts_mut().2.copy_from_slice(src.vals());
+                        me.pattern_and_vals_mut().2.copy_from_slice(src.vals());
                         apply_unary(kind, me, vecs, None)?;
                     }
                 }
@@ -602,8 +635,9 @@ impl ExprPlan {
     }
 
     /// Whether `inputs` carry exactly the structures this plan was
-    /// bound to (shape, nnz and full structure fingerprint per input —
-    /// `O(nnz)`; values are free to differ).
+    /// bound to (shape, nnz and structure fingerprint per input; values
+    /// are free to differ). `O(1)` per input whose fingerprint is
+    /// memoized, `O(nnz)` the first time a matrix is checked.
     pub fn matches_inputs(&self, inputs: &[&Csr<f64>]) -> bool {
         self.mismatched_inputs(inputs).is_empty()
     }

@@ -86,17 +86,10 @@ use spgemm_par::{Pool, WorkspaceStats};
 use spgemm_sparse::{ColIdx, Csr, Semiring, SparseError};
 
 /// Structure fingerprints (shape, row pointers, column indices —
-/// values excluded) of both operands, hashing the shared structure
-/// only once when `a` and `b` are the same matrix (the `A · A` case of
-/// MCL expansion and squaring benchmarks).
+/// values excluded) of both operands. Each matrix memoizes its own, so
+/// `A · A` and every product on operands already checked hash nothing.
 fn signatures<T>(a: &Csr<T>, b: &Csr<T>) -> (u64, u64) {
-    let a_sig = a.structure_fingerprint();
-    let b_sig = if std::ptr::eq(a, b) {
-        a_sig
-    } else {
-        b.structure_fingerprint()
-    };
-    (a_sig, b_sig)
+    (a.structure_fingerprint(), b.structure_fingerprint())
 }
 
 /// The symbolic phase's result: output row pointers and total nnz.

@@ -12,7 +12,7 @@
 //! so a product is at most two fork-join regions on it, and the
 //! submitting thread, as fleet worker 0, computes shard 0's block
 //! itself. Kept per operand structure pair (up to [`CACHED_STRUCTURES`],
-//! keyed by the operands' fingerprints, taken once per product): the
+//! keyed by the operands' fingerprints, which each matrix memoizes): the
 //! cuts, the output layout — `C`'s row pointers and every shard's span
 //! of `C`'s `cols` / `vals` — and the slot of the shards' plans.
 //!
@@ -208,6 +208,12 @@ pub struct DistStats {
     pub plan_hits: u64,
     /// Shard plan (re)builds summed over shards.
     pub plan_rebuilds: u64,
+    /// Bytes the kept structures hold, as of the last product that
+    /// completed: every shard's kept slot plans'
+    /// [`SpgemmPlan::owned_bytes`] plus each kept output layout (`C`'s
+    /// row pointers and the shards' span bounds). The plans' pooled
+    /// accumulators are not in it.
+    pub held_bytes: u64,
 }
 
 /// Which entries of the output one shard owns: local row `i` of the
@@ -279,6 +285,14 @@ impl Layout {
 
     fn nnz(&self) -> usize {
         self.rpts[self.rpts.len() - 1]
+    }
+
+    /// Heap bytes: `C`'s row pointers and each grid row's span bounds
+    /// (shared by the spans of that row).
+    fn bytes(&self) -> usize {
+        let rows = self.spans.iter().filter(|span| span.col == 0);
+        let bounds: usize = rows.map(|span| size_of_val(&span.bounds[..])).sum();
+        size_of_val(&self.rpts[..]) + bounds
     }
 
     /// The spans must tile `0..nnz(C)` exactly — sorted, disjoint,
@@ -419,9 +433,8 @@ impl ShardRuntime {
         // the least recently used structure's.
         {
             let _g = obs::span!("dist", "dist.partition");
-            let a_sig = a.structure_fingerprint();
-            let b_sig = (!std::ptr::eq(a, b)).then(|| b.structure_fingerprint());
-            let sigs = (a_sig, b_sig.unwrap_or(a_sig));
+            // Memoized by each matrix: a kept operand hashes nothing.
+            let sigs = (a.structure_fingerprint(), b.structure_fingerprint());
             let kept = &mut state.cache;
             match kept.iter().position(|known| known.sigs == sigs) {
                 Some(at) => kept[..=at].rotate_right(1),
@@ -509,8 +522,12 @@ impl ShardRuntime {
         // no claim, even where a kernel's rows happen to be sorted.
         let (rpts, sorted) = (layout.rpts.clone(), self.cfg.order.is_sorted());
         let c = Csr::from_parts_unchecked(a.nrows(), b.ncols(), rpts, cols, vals, sorted);
+        let layouts = state.cache.iter().filter_map(|kept| kept.layout.as_ref());
+        let held = filled.iter().map(|f| f.plan_bytes).sum::<usize>()
+            + layouts.map(Layout::bytes).sum::<usize>();
         let mut totals = self.totals();
         totals.products += 1;
+        totals.held_bytes = held as u64;
         let stats = ProductStats {
             per_shard_peak_partial_bytes: filled.iter().map(|f| f.held_bytes).collect(),
             per_shard_compute_ns: filled.iter().map(|f| f.busy_ns).collect(),
@@ -597,6 +614,8 @@ struct Filled {
     /// Bytes held beyond the operand blocks.
     held_bytes: u64,
     busy_ns: u64,
+    /// [`SpgemmPlan::owned_bytes`] of every plan the shard keeps.
+    plan_bytes: usize,
 }
 
 impl Shard {
@@ -693,9 +712,11 @@ impl Shard {
         };
         let busy = started.elapsed() + bound.unwrap_or_default();
         let busy_ns = busy.as_nanos() as u64;
+        let plan_bytes = self.plans.iter().flatten().map(SpgemmPlan::owned_bytes);
         Ok(Filled {
             held_bytes,
             busy_ns,
+            plan_bytes: plan_bytes.sum(),
         })
     }
 }

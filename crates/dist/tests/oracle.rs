@@ -12,7 +12,7 @@
 mod common;
 
 use common::{assert_bit_identical, mono_hash, spiced};
-use spgemm::{Algorithm, OutputOrder};
+use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_dist::{DistConfig, GridSpec, ShardRuntime, CACHED_STRUCTURES};
 use spgemm_gen::{rmat::generate_kind, RmatKind};
 use spgemm_par::Pool;
@@ -221,7 +221,9 @@ fn more_structures_than_kept_evict_least_recently_used_and_stay_exact() {
     // the least recently *used*, not the oldest kept (a miss again).
     // The counters must follow a model LRU product by product, and
     // every product carry `Hash`'s bits — a slot rebound to another
-    // structure that kept a stale pattern or layout would not.
+    // structure that kept a stale pattern or layout would not. On the
+    // 1×1 grid the held bytes are the model's kept structures' plans
+    // and layouts.
     let mut r = spgemm_gen::rng(20261020);
     let structures: Vec<Csr<f64>> = (0..=CACHED_STRUCTURES)
         .map(|i| match i % 3 {
@@ -231,6 +233,18 @@ fn more_structures_than_kept_evict_least_recently_used_and_stay_exact() {
         })
         .collect();
     let oracles: Vec<Csr<f64>> = structures.iter().map(|m| mono_hash(m, m)).collect();
+    let one_shard_bytes: Vec<u64> = structures
+        .iter()
+        .map(|m| {
+            let pool = Pool::new(DistConfig::default().threads_per_shard);
+            let (algo, order) = (Algorithm::Auto, OutputOrder::Sorted);
+            let plan = SpgemmPlan::<PlusTimes<f64>>::new_in(m, m, algo, order, &pool).unwrap();
+            plan.execute_in(m, m, &pool).unwrap();
+            // C's row pointers, and two span bounds per row.
+            let layout = (3 * m.nrows() + 1) * std::mem::size_of::<usize>();
+            (plan.owned_bytes() + layout) as u64
+        })
+        .collect();
     let n = structures.len();
     let mut order: Vec<usize> = (0..2 * n).map(|i| i % n).collect();
     order.extend((1..n).rev().chain([0, n - 1]));
@@ -265,6 +279,13 @@ fn more_structures_than_kept_evict_least_recently_used_and_stay_exact() {
             let what = format!("grid {grid} step {step} (structure {i})");
             assert_bit_identical(&c, &oracles[i], &what);
             assert_eq!((s.plan_rebuilds, s.plan_hits), (rebuilds, hits), "{what}");
+            let held = rt.stats().held_bytes;
+            if grid.shards() == 1 {
+                let kept: u64 = model.iter().map(|&k| one_shard_bytes[k]).sum();
+                assert_eq!(held, kept, "{what}: held bytes");
+            } else {
+                assert!(held > 0, "{what}: held bytes");
+            }
         }
         assert_eq!(
             rebuilds,

@@ -471,6 +471,9 @@ impl ServeEngine {
             workers_busy: shared.workers_busy.load(Ordering::Relaxed),
             store: shared.store.levels(),
             plan_cache_idle_bytes: shared.cache.idle_bytes(),
+            // The runtime's counters sit outside its product lock.
+            dist_held_bytes: (shared.dist.as_ref())
+                .map_or(0, |(fleet, _)| fleet.stats().held_bytes),
         };
         shared.metrics.snapshot(
             levels,

@@ -154,6 +154,8 @@ pub(crate) struct Levels {
     pub(crate) store: (usize, u64),
     /// Bytes the plan cache's idle instances hold.
     pub(crate) plan_cache_idle_bytes: u64,
+    /// Bytes the dist runtime's kept structures hold (0 without one).
+    pub(crate) dist_held_bytes: u64,
 }
 
 /// Shared counters, written by submitters, workers and job handles.
@@ -298,6 +300,7 @@ impl Metrics {
             store_approx_bytes: levels.store.1,
             plan_cache,
             plan_cache_idle_bytes: levels.plan_cache_idle_bytes,
+            dist_held_bytes: levels.dist_held_bytes,
             expr_results,
             elapsed,
             throughput_jps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -486,6 +489,11 @@ pub struct MetricsSnapshot {
     /// snapshot time, each its [`spgemm::SpgemmPlan::owned_bytes`]
     /// (the pooled per-thread accumulators are not in it).
     pub plan_cache_idle_bytes: u64,
+    /// Bytes the sharded runtime's kept structures hold
+    /// (`spgemm_dist::DistStats::held_bytes`: its shard plans'
+    /// [`spgemm::SpgemmPlan::owned_bytes`] and output layouts, as of
+    /// its last completed product); 0 without `ServeConfig::dist`.
+    pub dist_held_bytes: u64,
     /// Expression evaluator cache counters: hits are jobs whose
     /// evaluator was already at their input versions, misses jobs that
     /// bound one.
@@ -615,6 +623,7 @@ impl MetricsSnapshot {
                 "spgemm_serve_plan_cache_idle_bytes",
                 self.plan_cache_idle_bytes as f64,
             ),
+            ("spgemm_serve_dist_held_bytes", self.dist_held_bytes as f64),
         ];
         for (fam, v) in levels {
             append_type(out, fam, "gauge");
@@ -725,6 +734,7 @@ impl MetricsSnapshot {
             store_approx_bytes: self.store_approx_bytes,
             plan_cache: self.plan_cache.since(&prev.plan_cache),
             plan_cache_idle_bytes: self.plan_cache_idle_bytes,
+            dist_held_bytes: self.dist_held_bytes,
             expr_results: self.expr_results.since(&prev.expr_results),
             elapsed,
             throughput_jps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -1007,6 +1017,7 @@ mod tests {
                 workers_busy: 1,
                 store: (3, 4096),
                 plan_cache_idle_bytes: 512,
+                dist_held_bytes: 2048,
                 ..Levels::default()
             },
             PlanCacheStats {
@@ -1033,6 +1044,7 @@ mod tests {
             (1, 3, 4096)
         );
         assert_eq!(d.plan_cache_idle_bytes, 512);
+        assert_eq!(d.dist_held_bytes, 2048);
         assert_eq!(d.throughput_jps, 0.0);
         assert_eq!(d.per_tenant.len(), 1);
         assert_eq!(d.per_tenant[0].latency.count, 0);

@@ -97,6 +97,7 @@ fn expected_gauges(m: &MetricsSnapshot) -> BTreeMap<String, f64> {
             "spgemm_serve_plan_cache_idle_bytes",
             m.plan_cache_idle_bytes as f64,
         ),
+        ("spgemm_serve_dist_held_bytes", m.dist_held_bytes as f64),
     ] {
         want.insert(fam.to_string(), v);
     }
@@ -132,6 +133,7 @@ fn check(engine: &ServeEngine, holds: &Holds, case: &str) {
     };
     let idle: u64 = holds.keys.iter().map(plan_bytes).sum();
     assert_eq!(m.plan_cache_idle_bytes, idle, "{case}: idle plan bytes");
+    assert_eq!(m.dist_held_bytes, 0, "{case}: no dist runtime");
 
     let mut page = String::new();
     m.openmetrics_into(&mut page);

@@ -283,6 +283,7 @@ fn oversized_jobs_route_to_the_shared_shard_backend() {
         }),
         ..ServeConfig::default()
     });
+    assert_eq!(engine.metrics().dist_held_bytes, 0, "nothing kept yet");
     let big = rmat(7, 6, 77);
     let small = rmat(4, 3, 78);
     assert!(big.nnz() + big.nnz() >= 500);
@@ -309,6 +310,10 @@ fn oversized_jobs_route_to_the_shared_shard_backend() {
         };
         assert!(approx_eq_f64(expect, &c, 1e-12), "job {i}");
     }
+    assert!(
+        engine.metrics().dist_held_bytes > 0,
+        "the big product's shard plans and layout stay kept"
+    );
     let m = engine.shutdown();
     assert_eq!(m.completed, 6);
     assert_eq!(m.dist_routed, 3, "only the big products route");
@@ -397,9 +402,12 @@ mod expr_jobs {
         });
         let a = rmat(6, 4, 7);
         let pool = Pool::new(1);
-        let r = std::hint::black_box(2.0f64); // defeat powf const-folding
         let sq = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-        let expect = ops::normalize_columns(&sq.map(|v| v.abs().powf(r)));
+        // `|v|^2` is the squared magnitude, written out here
+        let expect = ops::normalize_columns(&sq.map(|v| {
+            let x = v.abs();
+            x * x
+        }));
         engine.store().insert("a", a);
         let job = engine
             .try_submit_expr(ExprRequest::new(mcl_spec(), ["a"]).algo(Algorithm::Hash))

@@ -9,6 +9,7 @@
 
 use crate::{ColIdx, SparseError, MAX_DIM};
 use std::fmt::Debug;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
@@ -31,6 +32,27 @@ pub struct Csr<T> {
     cols: Vec<ColIdx>,
     vals: Vec<T>,
     sorted: bool,
+    fingerprint: FingerprintMemo,
+}
+
+/// The memo of [`Csr::structure_fingerprint`], 0 while not computed.
+/// A clone copies it and equality ignores it: it is a function of the
+/// structure, not part of the matrix. Loads and stores are `Relaxed`:
+/// the value publishes no other data, and threads racing to fill it
+/// store the same hash.
+#[derive(Default)]
+struct FingerprintMemo(AtomicU64);
+
+impl Clone for FingerprintMemo {
+    fn clone(&self) -> Self {
+        FingerprintMemo(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl PartialEq for FingerprintMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl<T: Debug> Debug for Csr<T> {
@@ -91,6 +113,7 @@ impl<T> Csr<T> {
             cols: Vec::new(),
             vals: Vec::new(),
             sorted: true,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -160,6 +183,7 @@ impl<T> Csr<T> {
             cols,
             vals,
             sorted: false,
+            fingerprint: FingerprintMemo::default(),
         };
         m.sorted = m.detect_sorted();
         Ok(m)
@@ -186,6 +210,7 @@ impl<T> Csr<T> {
             cols,
             vals,
             sorted,
+            fingerprint: FingerprintMemo::default(),
         };
         debug_assert!(m.validate().is_ok(), "from_parts_unchecked: invalid CSR");
         debug_assert!(
@@ -228,6 +253,7 @@ impl<T> Csr<T> {
             cols,
             vals,
             sorted: true,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -285,9 +311,28 @@ impl<T> Csr<T> {
     /// matrices with the same fingerprint share a structure for
     /// planning purposes (`spgemm`'s plan cache keys on it), so a
     /// matrix whose values change but whose pattern is stable keeps its
-    /// fingerprint. `O(nnz)`: compute once and remember when keying
-    /// long-lived caches (as the serving layer's matrix store does).
+    /// fingerprint.
+    ///
+    /// The first call hashes the structure, `O(nnz)`; the matrix
+    /// remembers the result, so every later call on it — or on a
+    /// clone or [`Csr::map`] of it — is `O(1)`. Every method that can
+    /// rewrite the structure ([`Csr::raw_parts_mut`],
+    /// [`Csr::prepare_overwrite`], [`Csr::sort_rows`]) forgets it;
+    /// [`Csr::pattern_and_vals_mut`] rewrites values only and keeps it.
     pub fn structure_fingerprint(&self) -> u64 {
+        match self.fingerprint.0.load(Ordering::Relaxed) {
+            0 => {
+                let h = self.hash_structure();
+                self.fingerprint.0.store(h, Ordering::Relaxed);
+                h
+            }
+            h => h,
+        }
+    }
+
+    /// The hash behind [`Csr::structure_fingerprint`]. (A structure
+    /// that hashes to 0 is simply hashed again on every call.)
+    fn hash_structure(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0100_0000_01b3;
         let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
@@ -302,6 +347,11 @@ impl<T> Csr<T> {
             h = mix(h, c as u64);
         }
         h
+    }
+
+    /// Forget the memoized fingerprint: the structure may change.
+    fn forget_fingerprint(&mut self) {
+        *self.fingerprint.0.get_mut() = 0;
     }
 
     /// Half-open range of entry positions of row `i`.
@@ -433,6 +483,7 @@ impl<T> Csr<T> {
         if self.sorted {
             return;
         }
+        self.forget_fingerprint();
         let mut row: Vec<(ColIdx, T)> = Vec::new();
         for i in 0..self.nrows {
             let r = self.rpts[i]..self.rpts[i + 1];
@@ -474,6 +525,7 @@ impl<T> Csr<T> {
             cols: self.cols.clone(),
             vals: self.vals.iter().map(|&v| f(v)).collect(),
             sorted: self.sorted,
+            fingerprint: self.fingerprint.clone(),
         }
     }
 
@@ -503,6 +555,7 @@ impl<T> Csr<T> {
             cols,
             vals,
             sorted: self.sorted,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -584,6 +637,7 @@ impl<T> Csr<T> {
     ) where
         T: Copy,
     {
+        self.forget_fingerprint();
         self.nrows = nrows;
         self.ncols = ncols;
         self.sorted = sorted;
@@ -602,9 +656,20 @@ impl<T> Csr<T> {
     /// are the caller's responsibility — writing an inconsistent
     /// structure leaves the matrix invalid (no undefined behaviour,
     /// but reads will be wrong). [`Csr::validate`] re-checks every
-    /// invariant.
+    /// invariant. The memoized [`Csr::structure_fingerprint`] is
+    /// forgotten: use [`Csr::pattern_and_vals_mut`] to rewrite values
+    /// only.
     pub fn raw_parts_mut(&mut self) -> (&mut [usize], &mut [ColIdx], &mut [T]) {
+        self.forget_fingerprint();
         (&mut self.rpts, &mut self.cols, &mut self.vals)
+    }
+
+    /// The row pointers and column indices, read-only, beside the
+    /// mutable values: for rewriting values in place (a numeric refill)
+    /// while the structure — and so the memoized
+    /// [`Csr::structure_fingerprint`] — stays as it is.
+    pub fn pattern_and_vals_mut(&mut self) -> (&[usize], &[ColIdx], &mut [T]) {
+        (&self.rpts, &self.cols, &mut self.vals)
     }
 
     /// Copy of the row range `rows` as its own matrix (column space
@@ -633,6 +698,7 @@ impl<T> Csr<T> {
             cols: self.cols[base..end].to_vec(),
             vals: self.vals[base..end].to_vec(),
             sorted: self.sorted || rows.is_empty(),
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -680,6 +746,7 @@ impl<T> Csr<T> {
                 cols,
                 vals,
                 sorted: self.sorted,
+                fingerprint: FingerprintMemo::default(),
             })
             .collect())
     }
@@ -950,6 +1017,7 @@ mod tests {
             cols: vec![3, 1],
             vals: vec![1.0, 2.0],
             sorted: true,
+            fingerprint: FingerprintMemo::default(),
         };
         assert!(matches!(m.validate(), Err(SparseError::Unsorted { .. })));
     }

@@ -46,8 +46,70 @@ fn arb_perm(n: usize) -> impl Strategy<Value = Vec<usize>> {
     })
 }
 
+/// The fingerprint `m`'s arrays hash to, through a rebuilt matrix that
+/// has memoized nothing.
+fn rehashed(m: &Csr<f64>) -> u64 {
+    let (rpts, cols, vals) = (m.rpts().to_vec(), m.cols().to_vec(), m.vals().to_vec());
+    let fresh = Csr::from_parts(m.nrows(), m.ncols(), rpts, cols, vals).unwrap();
+    fresh.structure_fingerprint()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever a matrix remembered, its fingerprint is the hash of its
+    /// arrays after every copying method and every mutator; each
+    /// source is fingerprinted first, so a memo that should have been
+    /// forgotten would show.
+    #[test]
+    fn fingerprint_memo_follows_every_copy_and_mutation(m in arb_csr(24, 100), shift in 1u32..8) {
+        let (nr, nc) = m.shape();
+        m.structure_fingerprint();
+        let mut copies = vec![
+            ("clone", m.clone()),
+            ("map", m.map(|v| v * 2.0)),
+            ("filter", m.filter(|_, c, _| c % 2 == 0)),
+            ("to_sorted", m.to_sorted()),
+            ("extract_rows", m.extract_rows(nr / 3..nr)),
+            ("transpose", ops::transpose(&m)),
+        ];
+        let halves = m.split_col_ranges(&[0, nc / 2, nc]).unwrap();
+        copies.extend(halves.into_iter().map(|part| ("split_col_ranges", part)));
+        for (what, copy) in &copies {
+            prop_assert_eq!(copy.structure_fingerprint(), rehashed(copy), "{}", what);
+        }
+
+        // Values only: the memo stays, and stays right.
+        let mut x = m.clone();
+        x.pattern_and_vals_mut().2.iter_mut().for_each(|v| *v = -*v);
+        prop_assert_eq!(x.structure_fingerprint(), m.structure_fingerprint());
+        prop_assert_eq!(x.structure_fingerprint(), rehashed(&x));
+
+        // Columns moved in place at equal nnz.
+        let mut x = m.clone();
+        x.raw_parts_mut().1.iter_mut().for_each(|c| *c = (*c + shift) % nc as ColIdx);
+        prop_assert_eq!(x.structure_fingerprint(), rehashed(&x), "raw_parts_mut");
+
+        // Sorting an unsorted copy in place.
+        let rev: Vec<ColIdx> = (0..nc as ColIdx).rev().collect();
+        let mut x = ops::permute_cols(&m, &rev).unwrap();
+        prop_assert_eq!(x.structure_fingerprint(), rehashed(&x), "permute_cols");
+        x.sort_rows();
+        prop_assert_eq!(x.structure_fingerprint(), rehashed(&x), "sort_rows");
+
+        // An overwrite to nothing (a valid empty matrix of the
+        // transpose's shape), then with the transpose's arrays.
+        let t = ops::transpose(&m);
+        let mut x = m.clone();
+        x.prepare_overwrite(t.nrows(), t.ncols(), 0, 0.0, true);
+        prop_assert_eq!(x.structure_fingerprint(), rehashed(&x), "prepare_overwrite");
+        x.prepare_overwrite(t.nrows(), t.ncols(), t.nnz(), 0.0, true);
+        let (rpts, cols, vals) = x.raw_parts_mut();
+        rpts.copy_from_slice(t.rpts());
+        cols.copy_from_slice(t.cols());
+        vals.copy_from_slice(t.vals());
+        prop_assert_eq!(x.structure_fingerprint(), t.structure_fingerprint());
+    }
 
     #[test]
     fn coo_to_csr_always_valid(m in arb_csr(40, 200)) {

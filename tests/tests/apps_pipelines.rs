@@ -89,3 +89,40 @@ fn bfs_on_tall_skinny_matches_recipe_pick() {
     let hash = bfs::multi_source_bfs(&g, &[1, 2], Algorithm::Hash, &pool).unwrap();
     assert_eq!(auto, hash);
 }
+
+/// A matrix remembers its structure fingerprint, so a structure edit in
+/// place must make it forget: after `raw_parts_mut` moves one entry of
+/// a checked (memoized) operand at equal nnz, neither a Galerkin plan
+/// nor an expression plan may take it for the structure it was bound
+/// to.
+#[test]
+fn an_in_place_structure_edit_is_never_a_plan_hit() {
+    use spgemm::expr::{ExprGraph, ExprPlan};
+    use spgemm_sparse::SparseError;
+
+    let pool = Pool::new(2);
+    let mut a = poisson2d(8);
+    let p = amg::prolongation_from_aggregates(&amg::greedy_aggregate(&a)).unwrap();
+    let mut galerkin = amg::GalerkinPlan::new(&a, &p, Algorithm::Hash, &pool).unwrap();
+    let mut g = ExprGraph::new();
+    let input = g.input();
+    let root = g.multiply(input, input);
+    let expr = ExprPlan::new_in(&g, root, &[&a], &[], Algorithm::Hash, &pool).unwrap();
+    galerkin.recoarsen(&a, &pool).unwrap();
+    assert!(expr.matches_inputs(&[&a]), "checked, and memoized");
+
+    // Row 0's last entry moves one column right: still sorted, same nnz.
+    let n = a.ncols();
+    let last = a.rpts()[1] - 1;
+    assert!(a.cols()[last] as usize + 1 < n);
+    let before = a.structure_fingerprint();
+    a.raw_parts_mut().1[last] += 1;
+    assert!(a.validate().is_ok() && a.is_sorted());
+    assert_ne!(a.structure_fingerprint(), before);
+
+    assert!(matches!(
+        galerkin.recoarsen(&a, &pool),
+        Err(SparseError::PlanMismatch { .. })
+    ));
+    assert!(!expr.matches_inputs(&[&a]));
+}
